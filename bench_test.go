@@ -5,8 +5,7 @@
 // simulated time and reports the paper's metric — speedup over serial — as
 // custom benchmark metrics (miner-x, validator-x).
 //
-// cmd/blockbench regenerates the same data as formatted tables; see
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// cmd/blockbench regenerates the same data as formatted tables.
 package contractstm_test
 
 import (

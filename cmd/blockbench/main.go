@@ -11,14 +11,6 @@
 //	blockbench -appendixb          # only Appendix B times
 //	blockbench -engines            # engine comparison: serial vs speculative vs occ
 //	blockbench -engine occ         # run the sweeps with a specific engine as the miner
-//	blockbench -cluster            # multi-node sweep: blocks/s across 1-4 validating peers
-//	blockbench -persist            # durability sweep: no persistence vs WAL (sync/nosync) vs WAL+snapshots
-//	blockbench -pipeline 4         # pipeline sweep: blocks/s at depths 1,2,4 under WAL-synced persistence
-//	blockbench -receipts           # receipt latency: submit → durable /v1 receipt, depths 1 and 4
-//	blockbench -slo                # hot-path SLO sweep; writes BENCH_hotpath.json for cmd/perfci
-//	blockbench -sync               # catch-up sweep: serial vs staged import; writes BENCH_sync.json
-//	blockbench -reads              # read scale-out sweep: QPS per replica count, SSE fan-out, miner overhead; writes BENCH_reads.json
-//	blockbench -pipeline 2 -blocks 8  # short smoke: depths 1,2 over 8 blocks
 //	blockbench -csv out.csv        # also write every data point as CSV
 //	blockbench -quick              # reduced sweeps (fast sanity run)
 //	blockbench -workers 3 -runs 5  # pool size and repetitions
@@ -76,25 +68,12 @@ func run() error {
 		policy    = flag.String("policy", "eager", `speculative write policy: "eager" or "lazy"`)
 		engName   = flag.String("engine", "speculative", `execution engine measured as the miner: "serial", "speculative" or "occ"`)
 		engines   = flag.Bool("engines", false, "print the engine comparison (every benchmark under every engine)")
-		clusterF  = flag.Bool("cluster", false, "run the multi-node propagation sweep (wall-clock, 1-4 validating peers per engine)")
-		persistF  = flag.Bool("persist", false, "run the durability sweep (wall-clock, no-persistence vs WAL sync/nosync vs WAL+snapshots per engine)")
-		pipelineF = flag.Int("pipeline", 0, "run the pipeline-depth sweep up to this depth (wall-clock, WAL-synced; 0 = off)")
-		receiptsF = flag.Bool("receipts", false, "run the receipt-latency sweep (wall-clock: submit → durable /v1 receipt per engine at pipeline depths 1 and 4)")
-		blocksF   = flag.Int("blocks", 0, "blocks per point for the pipeline sweep (0 = default 8)")
-		sloF      = flag.Bool("slo", false, "run the hot-path SLO sweep (wall-clock codec + engine metrics) and write the JSON artifact")
-		sloOut    = flag.String("slojson", "BENCH_hotpath.json", "output path for the -slo JSON artifact")
-		syncF     = flag.Bool("sync", false, "run the catch-up sync sweep (serial vs staged import pipeline) and write the JSON artifact")
-		syncOut   = flag.String("syncjson", "BENCH_sync.json", "output path for the -sync JSON artifact")
-		admitF    = flag.Bool("admission", false, "run the mempool admission sweep (1M-sender ingest + adversarial flooder) and write the JSON artifact")
-		admitOut  = flag.String("admissionjson", "BENCH_admission.json", "output path for the -admission JSON artifact")
-		readsF    = flag.Bool("reads", false, "run the read scale-out sweep (replica QPS, SSE fan-out, miner overhead) and write the JSON artifact")
-		readsOut  = flag.String("readsjson", "BENCH_reads.json", "output path for the -reads JSON artifact")
 		interfere = flag.Int("interference", bench.DefaultInterferencePerMille,
 			"simulated memory contention in per-mille per extra active core; negative = ideal cores")
 	)
 	flag.Parse()
 
-	all := !*table1 && !*figure1 && !*appendixB && !*engines && !*clusterF && !*persistF && *pipelineF == 0 && !*receiptsF && !*sloF && !*syncF && !*admitF && !*readsF
+	all := !*table1 && !*figure1 && !*appendixB && !*engines
 	cfg := bench.Config{
 		Workers:              *workers,
 		Runs:                 *runs,
@@ -127,194 +106,6 @@ func run() error {
 	if *quick {
 		sizes = []int{10, 50, 200, 400}
 		conflicts = []int{0, 50, 100}
-	}
-
-	// All engines by default; an explicit -engine narrows wall-clock
-	// sweeps (-cluster, -persist) to the one selected.
-	narrowEngines, engNarrowLabel := []engine.Kind(nil), "all"
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			narrowEngines, engNarrowLabel = []engine.Kind{engKind}, engKind.String()
-		}
-	})
-
-	if *sloF {
-		scfg := bench.SLOConfig{Workers: *workers}
-		report, err := bench.RunSLO(scfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteHotpathTable(os.Stdout, report)
-		f, err := os.Create(*sloOut)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *sloOut, err)
-		}
-		if err := bench.WriteHotpathJSON(f, report); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", *sloOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("close %s: %w", *sloOut, err)
-		}
-		fmt.Printf("\nwrote %s\n", *sloOut)
-		return nil
-	}
-
-	if *syncF {
-		ycfg := bench.SyncConfig{Workers: *workers}
-		if narrowEngines != nil {
-			ycfg.Engine = engKind
-		}
-		if *quick {
-			ycfg.Blocks, ycfg.BlockSize = 16, 16
-		}
-		if *blocksF > 0 {
-			ycfg.Blocks = *blocksF
-		}
-		report, err := bench.SweepSync(ycfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteSyncTable(os.Stdout, report)
-		f, err := os.Create(*syncOut)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *syncOut, err)
-		}
-		if err := bench.WriteSyncJSON(f, report); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", *syncOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("close %s: %w", *syncOut, err)
-		}
-		fmt.Printf("wrote %s\n", *syncOut)
-		return nil
-	}
-
-	if *admitF {
-		acfg := bench.AdmissionConfig{}
-		if *quick {
-			acfg.Senders, acfg.SubmitOps = 50_000, 20_000
-		}
-		report, err := bench.RunAdmission(acfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteAdmissionTable(os.Stdout, report)
-		f, err := os.Create(*admitOut)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *admitOut, err)
-		}
-		if err := bench.WriteAdmissionJSON(f, report); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", *admitOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("close %s: %w", *admitOut, err)
-		}
-		fmt.Printf("\nwrote %s\n", *admitOut)
-		return nil
-	}
-
-	if *readsF {
-		rcfg := bench.ReadsConfig{Workers: *workers}
-		if narrowEngines != nil {
-			rcfg.Engine = engKind
-		}
-		if *quick {
-			rcfg.Blocks, rcfg.Reads = 4, 300
-			rcfg.Subscribers, rcfg.MinerBlocks = 100, 4
-		}
-		report, err := bench.SweepReads(rcfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteReadsTable(os.Stdout, report)
-		f, err := os.Create(*readsOut)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", *readsOut, err)
-		}
-		if err := bench.WriteReadsJSON(f, report); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", *readsOut, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("close %s: %w", *readsOut, err)
-		}
-		fmt.Printf("wrote %s\n", *readsOut)
-		return nil
-	}
-
-	if *clusterF {
-		ccfg := bench.ClusterConfig{Workers: *workers, Engines: narrowEngines}
-		if *quick {
-			ccfg.Blocks, ccfg.BlockSize, ccfg.PeerCounts = 2, 16, []int{1, 2}
-		}
-		ccfg = ccfg.WithDefaults()
-		fmt.Printf("blockbench: cluster sweep, workers=%d engine=%s peers=%v\n\n",
-			*workers, engNarrowLabel, ccfg.PeerCounts)
-		points, err := bench.SweepCluster(ccfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteClusterSweep(os.Stdout, ccfg, points)
-		return writeCSV(*csvPath, func(w io.Writer) { bench.WriteClusterCSV(w, points) })
-	}
-
-	if *pipelineF > 0 {
-		pcfg := bench.PipelineConfig{
-			Workers: *workers, Engines: narrowEngines,
-			Depths: bench.DepthsUpTo(*pipelineF), Blocks: *blocksF,
-		}
-		if *quick {
-			pcfg.Blocks, pcfg.BlockSize = 4, 16
-			if *blocksF > 0 {
-				pcfg.Blocks = *blocksF
-			}
-		}
-		pcfg = pcfg.WithDefaults()
-		fmt.Printf("blockbench: pipeline sweep, workers=%d engine=%s depths=%v\n\n",
-			*workers, engNarrowLabel, pcfg.Depths)
-		points, err := bench.SweepPipeline(pcfg)
-		if err != nil {
-			return err
-		}
-		bench.WritePipelineSweep(os.Stdout, pcfg, points)
-		return writeCSV(*csvPath, func(w io.Writer) { bench.WritePipelineCSV(w, points) })
-	}
-
-	if *receiptsF {
-		rcfg := bench.ReceiptConfig{Workers: *workers, Engines: narrowEngines, Blocks: *blocksF}
-		if *quick {
-			rcfg.Blocks, rcfg.BlockSize, rcfg.Samples = 3, 16, 6
-			if *blocksF > 0 {
-				rcfg.Blocks = *blocksF
-			}
-		}
-		rcfg = rcfg.WithDefaults()
-		fmt.Printf("blockbench: receipt-latency sweep, workers=%d engine=%s depths=%v\n\n",
-			*workers, engNarrowLabel, rcfg.Depths)
-		points, err := bench.SweepReceipts(rcfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteReceiptSweep(os.Stdout, rcfg, points)
-		return writeCSV(*csvPath, func(w io.Writer) { bench.WriteReceiptCSV(w, points) })
-	}
-
-	if *persistF {
-		pcfg := bench.PersistenceConfig{Workers: *workers, Engines: narrowEngines}
-		if *quick {
-			pcfg.Blocks, pcfg.BlockSize = 3, 16
-		}
-		pcfg = pcfg.WithDefaults()
-		fmt.Printf("blockbench: persistence sweep, workers=%d engine=%s\n\n", *workers, engNarrowLabel)
-		points, err := bench.SweepPersistence(pcfg)
-		if err != nil {
-			return err
-		}
-		bench.WritePersistenceSweep(os.Stdout, pcfg, points)
-		return writeCSV(*csvPath, func(w io.Writer) { bench.WritePersistenceCSV(w, points) })
 	}
 
 	engLabel := cfg.Engine.String()

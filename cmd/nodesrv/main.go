@@ -28,9 +28,9 @@
 // pending mempool, saved on graceful shutdown via SIGINT/SIGTERM) by
 // replaying the WAL through the validator.
 //
-// With -pipeline N (N >= 2) block production is pipelined: POST /mine
+// With -pipeline N (N >= 2) block production is pipelined: POST /v1/mine
 // returns once the block is sealed, its WAL fsync runs in the background
-// group-commit writer, and GET /status reports the sealed height next to
+// group-commit writer, and GET /v1/status reports the sealed height next to
 // the durable height. Depth 1 (the default) is fully synchronous.
 //
 // With -upstream URL the node runs as a read replica: it catches up from
@@ -56,8 +56,7 @@
 //	curl -s localhost:8547/v1/tx/$ID        # the receipt, once durable
 //	curl -s localhost:8547/v1/head
 //
-// The unversioned routes (/tx, /mine, /status, …) remain as deprecated
-// aliases for one release; see docs/API.md.
+// See docs/API.md for the full API.
 package main
 
 import (

@@ -5,7 +5,7 @@
 // schedules.
 //
 // The implementation lives under internal/; see DESIGN.md for the system
-// inventory, EXPERIMENTS.md for the paper-vs-measured evaluation, and
+// inventory, benchmark/README.md for the end-to-end benchmark, and
 // examples/ for runnable entry points. The root package carries the
 // repository-level benchmarks (bench_test.go), one per table and figure of
 // the paper.
@@ -18,10 +18,10 @@
 // paper's benchmark contracts), sched/forkjoin (published schedules and
 // their deterministic replay), engine (pluggable block execution: serial,
 // speculative, OCC), miner/validator (seal and check blocks), chain (hash-
-// linked blocks and their flat wire encoding, with a gob read-compatibility
-// fallback), txpool (mempool and selection
-// policies, including engine-feedback lock-hints), persist (block WAL,
-// group-commit writer, state snapshots, crash recovery), pipeline (the
+// linked blocks and their flat wire encoding), txpool (mempool and
+// selection policies, including engine-feedback lock-hints), persist
+// (block WAL, group-commit writer, flat state snapshots, saved pool, crash
+// recovery), pipeline (the
 // staged block-production window: sealed vs durable, back-pressure,
 // abort), node (the assembled node), api (the versioned /v1 client API:
 // typed wire schema, durable transaction receipts, SSE event streams,

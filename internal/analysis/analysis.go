@@ -14,8 +14,7 @@
 //
 //	detmap    — no unsorted map iteration in consensus-critical packages
 //	walltime  — no wall-clock or math/rand reads in those packages
-//	nogob     — no new encoding/gob imports outside the sanctioned
-//	            read-compat fallback files
+//	nogob     — no encoding/gob imports in non-test files
 //	lockscope — short-scope bookkeeping mutexes (fields named "mu") are
 //	            never held across execution, I/O or channel operations
 //	poolpair  — every sync.Pool acquire has a Put/Release on all paths

@@ -1,51 +1,32 @@
-// Package nogob freezes the set of encoding/gob import sites.
+// Package nogob bans encoding/gob from non-test code.
 //
-// PR 6 made the flat binary codec the default wire format and demoted
-// gob to a one-release read-compat fallback, confined to five
-// sanctioned files. gob is reflection-driven and its output is not a
-// stable function of the value alone (type registration order leaks
-// into the stream), which is why it was retired from every consensus
-// surface. This pass fails the build for any OTHER file importing
-// encoding/gob, so the planned retirement shrinks the sanctioned list
-// instead of silently growing new dependents.
+// Every byte the node writes or accepts — blocks, snapshots, state, the
+// saved pool — is the flat codec (internal/codec). gob is
+// reflection-driven and its output is not a stable function of the value
+// alone (type registration order leaks into the stream), which is why it
+// was retired. Test files are not checked: they fabricate gob-era bytes
+// to prove the decoders refuse them.
 package nogob
 
-import (
-	"path/filepath"
-
-	"contractstm/internal/analysis"
-)
+import "contractstm/internal/analysis"
 
 // Analyzer is the nogob pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nogob",
-	Doc:  "forbid encoding/gob imports outside the sanctioned read-compat fallback files",
+	Doc:  "forbid encoding/gob imports in non-test files",
 	Run:  run,
 }
 
-// sanctioned maps package-path base -> file base names still allowed to
-// import encoding/gob: the PR 6 fallback surface. Retiring gob means
-// deleting entries here and watching the pass flag the stragglers.
-var sanctioned = map[string]map[string]bool{
-	"types":   {"gob.go": true},
-	"persist": {"pool.go": true, "snapshot.go": true},
-	"chain":   {"codec.go": true},
-	"storage": {"persist.go": true},
-}
+// banned is the quoted import path, spelled in two halves so that a grep
+// of the tree for it finds only real imports.
+const banned = `"encoding/` + `gob"`
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.SourceFiles() {
 		for _, imp := range f.Imports {
-			if imp.Path.Value != `"encoding/gob"` {
-				continue
+			if imp.Path.Value == banned {
+				pass.Reportf(imp.Pos(), "encoding/gob import: the flat codec (internal/codec) is the only encoding")
 			}
-			file := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-			if sanctioned[pass.PkgBase()][file] {
-				continue
-			}
-			pass.Reportf(imp.Pos(),
-				"new encoding/gob import in %s/%s: gob is a read-compat fallback confined to the sanctioned PR 6 files; encode with internal/codec instead",
-				pass.PkgBase(), file)
 		}
 	}
 	return nil

@@ -7,8 +7,8 @@ import (
 	"contractstm/internal/analysis/passes/nogob"
 )
 
-// TestNogob: the sanctioned fallback file imports gob silently, any
-// other file in the same package fires.
+// TestNogob: a gob import in a non-test file fires; there is no
+// allowlist.
 func TestNogob(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), nogob.Analyzer, "chain")
 }

@@ -1,13 +1,16 @@
-// wire.go is NOT on the sanctioned list: a fresh gob import here is a
-// new dependency on reflection-driven encoding and must fire.
+// wire.go imports gob in a non-test file of a package that once had a
+// sanctioned gob file: there is no allowlist any more, so it must fire.
 package chain
 
 import (
 	"bytes"
-	"encoding/gob" // want `new encoding/gob import in chain/wire.go`
+	"encoding/gob" // want `encoding/gob import: the flat codec`
 )
 
-// DecodeFrame decodes a frame the slow, forbidden way.
+// Frame is a wire frame.
+type Frame struct{ N int }
+
+// DecodeFrame decodes a frame the forbidden way.
 func DecodeFrame(b []byte) (Frame, error) {
 	var f Frame
 	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f)

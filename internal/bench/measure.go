@@ -32,8 +32,7 @@ type Mode int
 
 const (
 	// ModeSim measures deterministic virtual time (gas units) on the
-	// discrete-event simulator. This is the default and what EXPERIMENTS.md
-	// reports.
+	// discrete-event simulator. This is the default.
 	ModeSim Mode = iota + 1
 	// ModeReal measures wall-clock nanoseconds on OS threads with a
 	// calibrated CPU burn per gas unit. Only meaningful on multi-core

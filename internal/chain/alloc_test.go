@@ -1,0 +1,54 @@
+package chain_test
+
+import (
+	"testing"
+
+	"contractstm/internal/chain"
+	"contractstm/internal/engine"
+	"contractstm/internal/miner"
+	"contractstm/internal/runtime"
+	"contractstm/internal/types"
+	"contractstm/internal/workload"
+)
+
+// TestBlockCodecAllocCeilings fails when encoding or decoding a block —
+// the WAL append and every import pay these — starts to allocate more.
+// The block is the representative one (see workload.HotPathParams),
+// mined by the OCC engine so calls, receipts, schedule and profiles are
+// all realistic.
+func TestBlockCodecAllocCeilings(t *testing.T) {
+	wl, err := workload.Generate(workload.HotPathParams)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	res, err := miner.Mine(engine.MustNew(engine.KindOCC), runtime.NewSimRunner(), wl.World,
+		chain.GenesisHeader(types.HashString("g")), wl.Calls, engine.Options{Workers: 3})
+	if err != nil {
+		t.Fatalf("mine: %v", err)
+	}
+	wireBytes, err := chain.MarshalBlock(res.Block)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+
+	// Appending into a buffer that already has room, as the WAL's group
+	// commit does.
+	buf := make([]byte, 0, len(wireBytes))
+	encode := testing.AllocsPerRun(20, func() {
+		if buf, err = chain.AppendBlockWire(buf[:0], res.Block); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+	})
+	decode := testing.AllocsPerRun(20, func() {
+		if _, err := chain.UnmarshalBlock(wireBytes); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 2600)", encode, decode)
+	if encode > 4 {
+		t.Errorf("AppendBlockWire allocates %.0f times per block, ceiling 4", encode)
+	}
+	if decode > 2600 {
+		t.Errorf("UnmarshalBlock allocates %.0f times per block, ceiling 2600", decode)
+	}
+}

@@ -1,34 +1,24 @@
 package chain
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
 	"contractstm/internal/codec"
-	"contractstm/internal/types"
 )
 
 // Wire serialization for blocks, suitable for persistence and for
-// shipping blocks between nodes. The default format is the flat binary
+// shipping blocks between nodes. There is one format, the flat binary
 // codec (flat.go, internal/codec): length-prefixed little-endian fields,
-// no reflection, single-buffer encodes. Streams produced by the previous
-// release's gob codec are still decoded — the first payload byte
-// distinguishes the formats unambiguously (see internal/codec) — but
-// nothing encodes gob anymore; the fallback lasts one release so old data
-// directories and peers recover cleanly.
+// no reflection, single-buffer encodes. A payload that does not start
+// with the flat magic byte is codec.ErrFormat.
 //
 // Integrity is independent of encoding: after decoding, callers verify
 // header commitments (VerifyCommitments) and re-validate execution, so a
 // corrupted or malicious stream can at worst produce a block that is then
 // rejected.
-
-// wireVersion guards against decoding legacy gob blocks from
-// incompatible builds.
-const wireVersion uint32 = 1
 
 // MaxWireBlock bounds one block's wire encoding; the node's block upload
 // handler, the cluster peer client and the persistence WAL all cap reads
@@ -41,49 +31,6 @@ const MaxWireBlock = 64 << 20
 // ErrTooLarge reports a wire stream that exceeds MaxWireBlock before one
 // block finished decoding.
 var ErrTooLarge = errors.New("chain: wire block exceeds MaxWireBlock")
-
-// cappedReader fails with ErrTooLarge once more than its budget has been
-// read, unlike io.LimitReader's silent EOF truncation: decode errors then
-// say "too large", not "unexpected EOF".
-type cappedReader struct {
-	r         io.Reader
-	remaining int64
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.remaining <= 0 {
-		return 0, ErrTooLarge
-	}
-	if int64(len(p)) > c.remaining {
-		p = p[:c.remaining]
-	}
-	n, err := c.r.Read(p)
-	c.remaining -= int64(n)
-	return n, err
-}
-
-// wireBlock is the legacy gob envelope.
-type wireBlock struct {
-	Version uint32
-	Block   Block
-}
-
-func registerWireTypes() { types.RegisterWireValues() }
-
-// EncodeBlock writes b to w in wire format (flat codec).
-func EncodeBlock(w io.Writer, b Block) error {
-	buf := codec.GetBuffer()
-	defer buf.Release()
-	enc, err := AppendBlockWire(buf.B, b)
-	if err != nil {
-		return err
-	}
-	buf.B = enc
-	if _, err := w.Write(enc); err != nil {
-		return fmt.Errorf("chain: encode block %d: %w", b.Header.Number, err)
-	}
-	return nil
-}
 
 // MarshalBlock renders b as bytes. The encode lands in a pooled scratch
 // buffer and is copied out exactly once at its final size, so the append
@@ -101,225 +48,55 @@ func MarshalBlock(b Block) ([]byte, error) {
 	return out, nil
 }
 
-// MarshalBlockGob renders b in the legacy gob wire format. Retained only
-// for the one-release read-compatibility window: migration tests use it
-// to fabricate gob-era data directories and peers; nothing on the live
-// write path calls it.
-func MarshalBlockGob(b Block) ([]byte, error) {
-	registerWireTypes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireBlock{Version: wireVersion, Block: b}); err != nil {
-		return nil, fmt.Errorf("chain: encode block %d: %w", b.Header.Number, err)
-	}
-	return buf.Bytes(), nil
-}
-
 // DecodeBlock reads one block from r and verifies its header commitments
 // against the decoded body; it does NOT re-execute (that is the
 // validator's job). Input is untrusted: the stream is size-capped at
 // MaxWireBlock, and any malformed input — truncated, version-skewed,
 // corrupted — returns an error, never panics. The persistence WAL feeds
-// disk bytes straight into this path on crash recovery. The first byte
-// selects the format: flat (current) or gob (previous release).
+// disk bytes straight into this path on crash recovery.
 func DecodeBlock(r io.Reader) (Block, error) {
 	return decodeBlockCapped(r, MaxWireBlock)
 }
 
 // decodeBlockCapped is DecodeBlock with an explicit byte budget (tests
-// exercise the budget without building a 64 MB block).
+// exercise the budget without building a 64 MB block). The declared body
+// length is checked against the budget before anything is allocated.
 func decodeBlockCapped(r io.Reader, budget int64) (Block, error) {
-	cr := &cappedReader{r: r, remaining: budget}
-	var first [1]byte
-	if _, err := io.ReadFull(cr, first[:]); err != nil {
-		return Block{}, fmt.Errorf("chain: decode block: %w", err)
+	var hdr [codec.HeaderLen]byte
+	n, err := io.ReadFull(r, hdr[:])
+	if n > 0 && hdr[0] != codec.Magic {
+		return Block{}, fmt.Errorf("chain: decode block: %w: magic 0x%02x, want 0x%02x",
+			codec.ErrFormat, hdr[0], codec.Magic)
 	}
-
-	if codec.IsFlat(first[0]) {
-		var hdr [codec.HeaderLen]byte
-		hdr[0] = first[0]
-		if _, err := io.ReadFull(cr, hdr[1:]); err != nil {
-			return Block{}, fmt.Errorf("chain: decode block header: %w", err)
-		}
-		bodyLen := int64(binary.LittleEndian.Uint32(hdr[3:codec.HeaderLen]))
-		total := int64(codec.HeaderLen) + bodyLen
-		if total > budget {
-			return Block{}, fmt.Errorf("chain: decode block: %d-byte block exceeds %d-byte cap: %w",
-				total, budget, ErrTooLarge)
-		}
-		payload := make([]byte, total)
-		copy(payload, hdr[:])
-		if _, err := io.ReadFull(cr, payload[codec.HeaderLen:]); err != nil {
-			return Block{}, fmt.Errorf("chain: decode block body: %w", err)
-		}
-		b, err := decodeFlatBlock(payload)
-		if err != nil {
-			return Block{}, fmt.Errorf("chain: decode block: %w", err)
-		}
-		return verifyDecoded(b)
+	if err != nil {
+		return Block{}, fmt.Errorf("chain: decode block header: %w", err)
 	}
-
-	// Legacy gob stream from the previous release.
-	registerWireTypes()
-	dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(first[:]), cr))
-	var wb wireBlock
-	if err := dec.Decode(&wb); err != nil {
-		if cr.remaining <= 0 {
-			return Block{}, fmt.Errorf("chain: decode block: stream still undecoded after %d bytes (cap %d): %w",
-				budget-cr.remaining, budget, ErrTooLarge)
-		}
-		return Block{}, fmt.Errorf("chain: decode block: %w", err)
+	total := int64(codec.HeaderLen) + int64(binary.LittleEndian.Uint32(hdr[3:]))
+	if total > budget {
+		return Block{}, fmt.Errorf("chain: decode block: %d-byte block exceeds %d-byte cap: %w",
+			total, budget, ErrTooLarge)
 	}
-	if wb.Version != wireVersion {
-		return Block{}, fmt.Errorf("chain: wire version %d, want %d", wb.Version, wireVersion)
+	payload := make([]byte, total)
+	copy(payload, hdr[:])
+	if _, err := io.ReadFull(r, payload[codec.HeaderLen:]); err != nil {
+		return Block{}, fmt.Errorf("chain: decode block body: %w", err)
 	}
-	return verifyDecoded(wb.Block)
+	return UnmarshalBlock(payload)
 }
 
-func verifyDecoded(b Block) (Block, error) {
-	if err := VerifyCommitments(b); err != nil {
-		return Block{}, fmt.Errorf("chain: decoded block fails commitments: %w", err)
-	}
-	return b, nil
-}
-
-// UnmarshalBlock parses bytes produced by MarshalBlock (or, for one
-// release, the legacy gob MarshalBlock), sniffing the format from the
-// first byte.
+// UnmarshalBlock parses bytes produced by MarshalBlock and verifies the
+// header commitments, like DecodeBlock.
 func UnmarshalBlock(data []byte) (Block, error) {
 	if int64(len(data)) > MaxWireBlock {
 		return Block{}, fmt.Errorf("chain: decode block: %d-byte block exceeds %d-byte cap: %w",
 			len(data), int64(MaxWireBlock), ErrTooLarge)
 	}
-	if len(data) > 0 && codec.IsFlat(data[0]) {
-		b, err := decodeFlatBlock(data)
-		if err != nil {
-			return Block{}, fmt.Errorf("chain: decode block: %w", err)
-		}
-		return verifyDecoded(b)
+	b, err := decodeFlatBlock(data)
+	if err != nil {
+		return Block{}, fmt.Errorf("chain: decode block: %w", err)
 	}
-	return DecodeBlock(bytes.NewReader(data))
-}
-
-// EncodeChain writes every block of c (including genesis) to w as one
-// flat stream: a chain-kind codec header whose body is a block count
-// followed by each block's self-delimiting wire encoding.
-func (c *Chain) EncodeChain(w io.Writer) error {
-	c.mu.Lock()
-	blocks := make([]Block, len(c.blocks))
-	copy(blocks, c.blocks)
-	c.mu.Unlock()
-
-	buf := codec.GetBuffer()
-	defer buf.Release()
-	dst, start := codec.AppendHeader(buf.B, codec.KindChain)
-	dst = codec.AppendU32(dst, uint32(len(blocks)))
-	var err error
-	for _, b := range blocks {
-		if dst, err = AppendBlockWire(dst, b); err != nil {
-			return err
-		}
+	if err := VerifyCommitments(b); err != nil {
+		return Block{}, fmt.Errorf("chain: decoded block fails commitments: %w", err)
 	}
-	codec.FinishHeader(dst, start)
-	buf.B = dst
-	if _, err := w.Write(dst); err != nil {
-		return fmt.Errorf("chain: encode chain: %w", err)
-	}
-	return nil
-}
-
-// DecodeChain reconstructs a chain from r's stream, re-verifying linkage
-// and commitments block by block. Legacy gob chain streams decode via
-// the same first-byte sniff as blocks.
-func DecodeChain(r io.Reader) (*Chain, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
-		return nil, fmt.Errorf("chain: decode chain: %w", err)
-	}
-	if !codec.IsFlat(first[0]) {
-		return decodeChainGob(io.MultiReader(bytes.NewReader(first[:]), r))
-	}
-	var hdr [codec.HeaderLen]byte
-	hdr[0] = first[0]
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return nil, fmt.Errorf("chain: decode chain header: %w", err)
-	}
-	body := make([]byte, binary.LittleEndian.Uint32(hdr[3:codec.HeaderLen]))
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("chain: decode chain body: %w", err)
-	}
-	if len(body) < 4 {
-		return nil, fmt.Errorf("chain: decode chain: %w", codec.ErrTruncated)
-	}
-	n := int(binary.LittleEndian.Uint32(body[:4]))
-	if n < 1 {
-		return nil, fmt.Errorf("chain: stream has %d blocks, need at least genesis", n)
-	}
-	rest := body[4:]
-	var c *Chain
-	for i := 0; i < n; i++ {
-		if len(rest) < codec.HeaderLen {
-			return nil, fmt.Errorf("chain: decode block %d: %w", i, codec.ErrTruncated)
-		}
-		total := codec.HeaderLen + int(binary.LittleEndian.Uint32(rest[3:codec.HeaderLen]))
-		if total > len(rest) || total > MaxWireBlock {
-			return nil, fmt.Errorf("chain: decode block %d: %w", i, codec.ErrTruncated)
-		}
-		b, err := decodeFlatBlock(rest[:total])
-		if err != nil {
-			return nil, fmt.Errorf("chain: decode block %d: %w", i, err)
-		}
-		rest = rest[total:]
-		if i == 0 {
-			if b.Header.Number != 0 {
-				return nil, fmt.Errorf("chain: first block has height %d, want 0", b.Header.Number)
-			}
-			c = New(b.Header.StateRoot)
-			continue
-		}
-		if err := c.Append(b); err != nil {
-			return nil, fmt.Errorf("chain: replaying block %d: %w", i, err)
-		}
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("chain: decode chain: %d trailing bytes: %w", len(rest), codec.ErrFormat)
-	}
-	return c, nil
-}
-
-// decodeChainGob decodes the previous release's gob chain stream.
-func decodeChainGob(r io.Reader) (*Chain, error) {
-	registerWireTypes()
-	dec := gob.NewDecoder(r)
-	var version uint32
-	if err := dec.Decode(&version); err != nil {
-		return nil, fmt.Errorf("chain: decode version: %w", err)
-	}
-	if version != wireVersion {
-		return nil, fmt.Errorf("chain: wire version %d, want %d", version, wireVersion)
-	}
-	var n int
-	if err := dec.Decode(&n); err != nil {
-		return nil, fmt.Errorf("chain: decode length: %w", err)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("chain: stream has %d blocks, need at least genesis", n)
-	}
-	var genesis Block
-	if err := dec.Decode(&genesis); err != nil {
-		return nil, fmt.Errorf("chain: decode genesis: %w", err)
-	}
-	if genesis.Header.Number != 0 {
-		return nil, fmt.Errorf("chain: first block has height %d, want 0", genesis.Header.Number)
-	}
-	c := New(genesis.Header.StateRoot)
-	for i := 1; i < n; i++ {
-		var b Block
-		if err := dec.Decode(&b); err != nil {
-			return nil, fmt.Errorf("chain: decode block %d: %w", i, err)
-		}
-		if err := c.Append(b); err != nil {
-			return nil, fmt.Errorf("chain: replaying block %d: %w", i, err)
-		}
-	}
-	return c, nil
+	return b, nil
 }

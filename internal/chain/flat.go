@@ -11,9 +11,8 @@ import (
 	"contractstm/internal/types"
 )
 
-// Flat block encoding: the default wire format for blocks since the flat
-// codec replaced gob (see internal/codec for the stream header and the
-// sniffing rules; DESIGN.md "Wire codec" for the full layout). The body
+// Flat block encoding: the wire format for blocks (see internal/codec for
+// the stream header; DESIGN.md "Wire codec" for the full layout). The body
 // after the 7-byte codec header is:
 //
 //	header    u64 number, 5 × 32-byte hashes (parent, tx, receipt, state,
@@ -45,7 +44,7 @@ const (
 // AppendBlockWire appends b's complete wire encoding (codec header plus
 // flat body) to dst and returns the extended slice. This is the
 // zero-extra-copy primitive the WAL group commit uses to pack many blocks
-// into one pooled buffer; EncodeBlock and MarshalBlock are wrappers.
+// into one pooled buffer; MarshalBlock is a wrapper.
 func AppendBlockWire(dst []byte, b Block) ([]byte, error) {
 	dst, start := codec.AppendHeader(dst, codec.KindBlock)
 	var err error
@@ -57,22 +56,14 @@ func AppendBlockWire(dst []byte, b Block) ([]byte, error) {
 }
 
 func appendFlatBody(dst []byte, b Block) ([]byte, error) {
-	dst = appendFlatHeader(dst, b.Header)
+	dst = AppendHeader(dst, b.Header)
 
 	dst = codec.AppendU32(dst, uint32(len(b.Calls)))
+	var err error
 	for _, c := range b.Calls {
-		dst = append(dst, c.Sender[:]...)
-		dst = append(dst, c.Contract[:]...)
-		dst = codec.AppendString(dst, c.Function)
-		dst = codec.AppendU32(dst, uint32(len(c.Args)))
-		var err error
-		for _, a := range c.Args {
-			if dst, err = appendFlatArg(dst, a); err != nil {
-				return nil, err
-			}
+		if dst, err = AppendCall(dst, c); err != nil {
+			return nil, err
 		}
-		dst = codec.AppendU64(dst, uint64(c.Value))
-		dst = codec.AppendU64(dst, uint64(c.GasLimit))
 	}
 
 	dst = codec.AppendU32(dst, uint32(len(b.Receipts)))
@@ -110,7 +101,10 @@ func appendFlatBody(dst []byte, b Block) ([]byte, error) {
 	return dst, nil
 }
 
-func appendFlatHeader(dst []byte, h Header) []byte {
+// AppendHeader appends h's flat fields: u64 number, then the five 32-byte
+// hashes. The snapshot envelope and the genesis marker (internal/persist)
+// carry a header in the same layout.
+func AppendHeader(dst []byte, h Header) []byte {
 	dst = codec.AppendU64(dst, h.Number)
 	dst = append(dst, h.ParentHash[:]...)
 	dst = append(dst, h.TxRoot[:]...)
@@ -118,6 +112,24 @@ func appendFlatHeader(dst []byte, h Header) []byte {
 	dst = append(dst, h.StateRoot[:]...)
 	dst = append(dst, h.ScheduleHash[:]...)
 	return dst
+}
+
+// AppendCall appends one call in the block body's call encoding. The
+// saved mempool (internal/persist) stores its pending calls with it too,
+// so a call has one encoding wherever it is written.
+func AppendCall(dst []byte, c contract.Call) ([]byte, error) {
+	dst = append(dst, c.Sender[:]...)
+	dst = append(dst, c.Contract[:]...)
+	dst = codec.AppendString(dst, c.Function)
+	dst = codec.AppendU32(dst, uint32(len(c.Args)))
+	var err error
+	for _, a := range c.Args {
+		if dst, err = appendFlatArg(dst, a); err != nil {
+			return nil, err
+		}
+	}
+	dst = codec.AppendU64(dst, uint64(c.Value))
+	return codec.AppendU64(dst, uint64(c.GasLimit)), nil
 }
 
 func appendFlatArg(dst []byte, a any) ([]byte, error) {
@@ -162,26 +174,25 @@ func decodeFlatBlock(payload []byte) (Block, error) {
 func readFlatBody(r *codec.Reader) (Block, error) {
 	var b Block
 	var err error
-	if b.Header, err = readFlatHeader(r); err != nil {
+	if b.Header, err = ReadHeader(r); err != nil {
 		return Block{}, err
 	}
 
 	// Minimum encoded sizes guard element counts against allocation bombs
 	// (see codec.Reader.Count).
 	const (
-		minCall    = types.AddressLen*2 + 4 + 4 + 8 + 8
 		minReceipt = 4 + 1 + 8 + 4
 		minProfile = 4 + 4
 		minEntry   = 4 + 4 + 1 + 8
 	)
 
-	nCalls, err := r.Count(minCall)
+	nCalls, err := r.Count(MinCallLen)
 	if err != nil {
 		return Block{}, fmt.Errorf("calls: %w", err)
 	}
 	b.Calls = make([]contract.Call, nCalls)
 	for i := range b.Calls {
-		if err := readFlatCall(r, &b.Calls[i]); err != nil {
+		if err := ReadCall(r, &b.Calls[i]); err != nil {
 			return Block{}, fmt.Errorf("call %d: %w", i, err)
 		}
 	}
@@ -278,7 +289,8 @@ func readFlatBody(r *codec.Reader) (Block, error) {
 	return b, nil
 }
 
-func readFlatHeader(r *codec.Reader) (Header, error) {
+// ReadHeader reads the fields AppendHeader wrote.
+func ReadHeader(r *codec.Reader) (Header, error) {
 	var h Header
 	var err error
 	if h.Number, err = r.U64(); err != nil {
@@ -294,7 +306,12 @@ func readFlatHeader(r *codec.Reader) (Header, error) {
 	return h, nil
 }
 
-func readFlatCall(r *codec.Reader, c *contract.Call) error {
+// MinCallLen is the smallest encoding AppendCall produces (no function
+// name, no arguments); decoders pass it to codec.Reader.Count.
+const MinCallLen = types.AddressLen*2 + 4 + 4 + 8 + 8
+
+// ReadCall reads one call written by AppendCall into c.
+func ReadCall(r *codec.Reader, c *contract.Call) error {
 	for _, dst := range []*types.Address{&c.Sender, &c.Contract} {
 		raw, err := r.Take(types.AddressLen)
 		if err != nil {

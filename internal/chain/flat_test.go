@@ -2,6 +2,7 @@ package chain
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,36 +12,39 @@ import (
 	"contractstm/internal/types"
 )
 
-func TestFlatIsDefaultWireFormat(t *testing.T) {
+// gobEraBlock fabricates the envelope the pre-flat release wrote to WAL
+// frames and sent to peers: a gob stream of {Version, Block}.
+func gobEraBlock(t testing.TB, version uint32) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Version uint32
+		Block   Block
+	}{version, Block{Header: GenesisHeader(types.HashString("s"))}})
+	if err != nil {
+		t.Fatalf("gob encode: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestGobEraBlockRefused pins the single-format rule: whatever does not
+// start with the flat magic byte is codec.ErrFormat on both decode paths,
+// and what MarshalBlock writes does start with it.
+func TestGobEraBlockRefused(t *testing.T) {
 	data, err := MarshalBlock(sealSample(2, types.HashString("s")))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if !codec.IsFlat(data[0]) {
+	if data[0] != codec.Magic {
 		t.Fatalf("MarshalBlock emitted first byte 0x%02x, want flat magic", data[0])
 	}
-}
-
-func TestDecodeGobFallback(t *testing.T) {
-	// A gob-era peer or data dir must still decode for one release.
-	orig := sealSample(5, types.HashString("s"))
-	legacy, err := MarshalBlockGob(orig)
-	if err != nil {
-		t.Fatalf("gob marshal: %v", err)
-	}
-	if codec.IsFlat(legacy[0]) {
-		t.Fatal("gob stream sniffs as flat")
-	}
-	got, err := UnmarshalBlock(legacy)
-	if err != nil {
-		t.Fatalf("unmarshal legacy: %v", err)
-	}
-	if got.Header.Hash() != orig.Header.Hash() {
-		t.Fatal("legacy round trip changed the header hash")
-	}
-	// Args must come back with their concrete types through gob too.
-	if _, ok := got.Calls[0].Args[0].(uint64); !ok {
-		t.Fatalf("legacy arg type %T", got.Calls[0].Args[0])
+	for _, legacy := range [][]byte{gobEraBlock(t, 1), gobEraBlock(t, 2), []byte("x")} {
+		if _, err := UnmarshalBlock(legacy); !errors.Is(err, codec.ErrFormat) {
+			t.Fatalf("UnmarshalBlock(%x...): got %v, want codec.ErrFormat", legacy[:1], err)
+		}
+		if _, err := DecodeBlock(bytes.NewReader(legacy)); !errors.Is(err, codec.ErrFormat) {
+			t.Fatalf("DecodeBlock(%x...): got %v, want codec.ErrFormat", legacy[:1], err)
+		}
 	}
 }
 
@@ -96,7 +100,8 @@ func FuzzCodecBlock(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{codec.Magic})
-	f.Add([]byte{codec.Magic, codec.KindBlock, codec.Version, 0, 0, 0, 0})
+	empty, _ := codec.AppendHeader(nil, codec.KindBlock)
+	f.Add(empty)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeFlatBlock(data)
 		if err != nil {

@@ -2,7 +2,6 @@ package chain
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -24,19 +23,6 @@ func TestDecodeBlockTruncatedStreams(t *testing.T) {
 		if _, err := UnmarshalBlock(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(data))
 		}
-	}
-}
-
-func TestDecodeBlockWrongWireVersion(t *testing.T) {
-	registerWireTypes()
-	var buf bytes.Buffer
-	wb := wireBlock{Version: wireVersion + 1, Block: sealSample(2, types.HashString("s"))}
-	if err := gob.NewEncoder(&buf).Encode(wb); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	_, err := UnmarshalBlock(buf.Bytes())
-	if err == nil {
-		t.Fatal("wrong wire version decoded without error")
 	}
 }
 
@@ -130,15 +116,9 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("garbage that is definitely not gob"))
-	withVersion := func(v uint32) []byte {
-		registerWireTypes()
-		var buf bytes.Buffer
-		_ = gob.NewEncoder(&buf).Encode(wireBlock{Version: v})
-		return buf.Bytes()
-	}
-	f.Add(withVersion(0))
-	f.Add(withVersion(^uint32(0)))
+	f.Add([]byte("garbage that is definitely not a block"))
+	f.Add(gobEraBlock(f, 0))
+	f.Add(gobEraBlock(f, ^uint32(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic and never accept a block whose commitments do
 		// not hold (DecodeBlock verifies them internally, so a nil error

@@ -1,7 +1,8 @@
 // Package codec provides the flat binary wire format primitives shared by
-// the chain block codec and the persistence snapshot codec: a pooled
-// scratch buffer, little-endian append helpers, a bounds-checked reader,
-// and the common format header (magic, kind, version, body length).
+// the chain block codec, the persistence snapshot and pool codecs and the
+// storage state codec: a pooled scratch buffer, little-endian append
+// helpers, a bounds-checked reader, and the common format header (magic,
+// kind, version, body length).
 //
 // The format is deliberately dumb: length-prefixed, little-endian, no
 // reflection, no varints. Every encoder appends into a single contiguous
@@ -15,17 +16,13 @@
 // Every flat stream starts with a 7-byte header:
 //
 //	offset 0: Magic (0xF0)
-//	offset 1: kind  (KindBlock, KindSnapshot, KindChain)
-//	offset 2: version (currently 1)
+//	offset 1: kind  (KindBlock, KindSnapshot, KindPool)
+//	offset 2: that kind's layout version
 //	offset 3: uint32 little-endian body length
 //	offset 7: body (exactly body-length bytes)
 //
-// Magic is chosen from the byte range [0x80, 0xF7] that no gob stream can
-// begin with: gob frames every message with an unsigned varint byte count,
-// whose first byte is either the count itself (0x01..0x7F) or the negated
-// length of the count's big-endian bytes (0xF8..0xFF). Sniffing the first
-// byte of a payload therefore distinguishes flat from legacy gob with
-// zero ambiguity, which is how the one-release read-compat fallback works.
+// Anything that does not begin with Magic is ErrFormat: there is one
+// encoding, and no decoder guesses at another.
 package codec
 
 import (
@@ -35,8 +32,7 @@ import (
 	"sync"
 )
 
-// Magic is the first byte of every flat stream. See the package comment
-// for why this byte can never begin a gob stream.
+// Magic is the first byte of every flat stream.
 const Magic byte = 0xF0
 
 // Stream kinds. A decoder checks the kind byte so a snapshot payload fed
@@ -44,11 +40,14 @@ const Magic byte = 0xF0
 const (
 	KindBlock    byte = 1
 	KindSnapshot byte = 2
-	KindChain    byte = 3
+	KindPool     byte = 3
 )
 
-// Version is the current flat format version, bumped on any layout change.
-const Version byte = 1
+// versions holds each kind's layout version, bumped when that kind's
+// layout changes so that old bytes are refused with a version error
+// instead of being misparsed. Snapshot version 1 carried gob-encoded
+// state; 2 carries the storage layer's flat state stream.
+var versions = [...]byte{KindBlock: 1, KindSnapshot: 2, KindPool: 1}
 
 // HeaderLen is the byte length of the stream header.
 const HeaderLen = 7
@@ -61,11 +60,6 @@ var (
 	// unsupported version, or a field value outside its domain.
 	ErrFormat = errors.New("codec: invalid format")
 )
-
-// IsFlat reports whether a payload beginning with first is flat-encoded
-// (as opposed to legacy gob). See the package comment for the sniffing
-// argument.
-func IsFlat(first byte) bool { return first == Magic }
 
 // Buffer is a pooled scratch buffer for single-allocation encodes. Use
 // Get/Release around an encode; the encoded bytes must be copied (or
@@ -102,7 +96,7 @@ func (b *Buffer) Release() {
 // patches the length once the body is appended.
 func AppendHeader(dst []byte, kind byte) ([]byte, int) {
 	start := len(dst)
-	dst = append(dst, Magic, kind, Version, 0, 0, 0, 0)
+	dst = append(dst, Magic, kind, versions[kind], 0, 0, 0, 0)
 	return dst, start
 }
 
@@ -116,17 +110,17 @@ func FinishHeader(buf []byte, start int) {
 // kind, version, and that the body length matches the remaining bytes
 // exactly) and returns the body.
 func ParseHeader(payload []byte, kind byte) ([]byte, error) {
+	if len(payload) > 0 && payload[0] != Magic {
+		return nil, fmt.Errorf("%w: magic 0x%02x, want 0x%02x", ErrFormat, payload[0], Magic)
+	}
 	if len(payload) < HeaderLen {
 		return nil, fmt.Errorf("%w: %d header bytes, need %d", ErrTruncated, len(payload), HeaderLen)
-	}
-	if payload[0] != Magic {
-		return nil, fmt.Errorf("%w: magic 0x%02x, want 0x%02x", ErrFormat, payload[0], Magic)
 	}
 	if payload[1] != kind {
 		return nil, fmt.Errorf("%w: stream kind %d, want %d", ErrFormat, payload[1], kind)
 	}
-	if payload[2] != Version {
-		return nil, fmt.Errorf("%w: flat version %d, want %d", ErrFormat, payload[2], Version)
+	if want := versions[kind]; payload[2] != want {
+		return nil, fmt.Errorf("%w: kind %d layout version %d, want %d", ErrFormat, kind, payload[2], want)
 	}
 	bodyLen := binary.LittleEndian.Uint32(payload[3:HeaderLen])
 	if uint64(bodyLen) != uint64(len(payload)-HeaderLen) {

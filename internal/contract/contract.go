@@ -184,7 +184,7 @@ func (w *World) Restore(s storage.Snapshot) { w.store.Restore(s) }
 // durable persistence (state snapshots). The world must be quiescent —
 // at a block boundary, no transactions in flight.
 func (w *World) EncodeState() ([]byte, error) {
-	return w.store.EncodeSnapshot(w.store.Snapshot())
+	return w.store.EncodeState()
 }
 
 // RestoreState replaces the world state with previously encoded state.
@@ -193,7 +193,7 @@ func (w *World) EncodeState() ([]byte, error) {
 // corruption. Contract code and balances-of-record both live in the
 // store, so this is a complete state replacement.
 func (w *World) RestoreState(data []byte) error {
-	snap, err := w.store.DecodeSnapshot(data)
+	snap, err := w.store.DecodeState(data)
 	if err != nil {
 		return fmt.Errorf("contract: restore state: %w", err)
 	}

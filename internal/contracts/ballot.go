@@ -23,8 +23,10 @@
 package contracts
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"contractstm/internal/codec"
 	"contractstm/internal/contract"
 	"contractstm/internal/storage"
 	"contractstm/internal/types"
@@ -56,6 +58,17 @@ func (v Voter) EncodeValue() []byte {
 	return append(out, types.Uint64Bytes(v.Vote)...)
 }
 
+// decodeVoter is EncodeValue's inverse (storage.Map.DecodeStructs).
+func decodeVoter(b []byte) (any, error) {
+	if len(b) != 8+1+types.AddressLen+8 || b[8] > 1 {
+		return nil, fmt.Errorf("%w: %d-byte Voter record", codec.ErrFormat, len(b))
+	}
+	v := Voter{Weight: binary.BigEndian.Uint64(b), Voted: b[8] == 1}
+	copy(v.Delegate[:], b[9:])
+	v.Vote = binary.BigEndian.Uint64(b[9+types.AddressLen:])
+	return v, nil
+}
+
 // Ballot is the voting-with-delegation contract from the Solidity
 // documentation, the paper's first benchmark.
 type Ballot struct {
@@ -84,6 +97,7 @@ func NewBallot(w *contract.World, addr, chairperson types.Address, proposalNames
 	if err != nil {
 		return nil, err
 	}
+	voters.DecodeStructs(decodeVoter)
 	names, err := storage.NewArray(store, prefix+"/proposalNames")
 	if err != nil {
 		return nil, err

@@ -1,6 +1,9 @@
 package contracts
 
 import (
+	"fmt"
+
+	"contractstm/internal/codec"
 	"contractstm/internal/contract"
 	"contractstm/internal/storage"
 	"contractstm/internal/types"
@@ -25,6 +28,16 @@ func (d DocMeta) EncodeValue() []byte {
 		out = append(out, 0)
 	}
 	return out
+}
+
+// decodeDocMeta is EncodeValue's inverse (storage.Map.DecodeStructs).
+func decodeDocMeta(b []byte) (any, error) {
+	if len(b) != types.AddressLen+1 || b[types.AddressLen] > 1 {
+		return nil, fmt.Errorf("%w: %d-byte DocMeta record", codec.ErrFormat, len(b))
+	}
+	d := DocMeta{Exists: b[types.AddressLen] == 1}
+	copy(d.Owner[:], b)
+	return d, nil
 }
 
 // EtherDoc is the "proof of existence" DAPP from the paper's third
@@ -55,6 +68,7 @@ func NewEtherDoc(w *contract.World, addr types.Address) (*EtherDoc, error) {
 	if err != nil {
 		return nil, err
 	}
+	docs.DecodeStructs(decodeDocMeta)
 	counts, err := storage.NewMap(store, prefix+"/ownerDocCount")
 	if err != nil {
 		return nil, err

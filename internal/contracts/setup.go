@@ -5,17 +5,8 @@ import (
 	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
 	"contractstm/internal/stm"
-	"contractstm/internal/storage"
 	"contractstm/internal/types"
 )
-
-// The struct types this package stores in boosted objects must be
-// registered for state-snapshot serialization (the persistence layer
-// gob-encodes stored values as interface contents).
-func init() {
-	storage.RegisterValueType(Voter{})
-	storage.RegisterValueType(DocMeta{})
-}
 
 // setupExec is a minimal stm.Executor for constructor/genesis effects:
 // contract deployment happens before mining starts, outside any

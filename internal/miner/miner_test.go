@@ -184,7 +184,14 @@ func TestMineParallelWorkerCounts(t *testing.T) {
 
 func TestMineParallelOnOSThreads(t *testing.T) {
 	// Same end state as serial, on real threads (race detector coverage).
-	p := workload.Params{Kind: workload.KindMixed, Transactions: 40, ConflictPercent: 30, Seed: 13}
+	// The block must be one whose final state does not depend on the
+	// serial order, or the interleaving the OS picks need not match the
+	// submission order (Mixed at 30 % has three contending bids and did
+	// not, about one run in forty).
+	p := workload.Params{Kind: workload.KindMixed, Transactions: 40, ConflictPercent: 15, Seed: 13}
+	if !orderInsensitive(p) {
+		t.Fatalf("%+v is order-sensitive; it cannot be compared with submission order", p)
+	}
 	w := mustGen(t, p)
 	serial, err := ExecuteSerial(runtime.NewOSRunner(nil), w.World, w.Calls, nil)
 	if err != nil {

@@ -25,8 +25,7 @@ import (
 // block surface the API serves (blocks, head, receipts, events) is
 // bounded by what the persistence layer has acknowledged.
 
-// Handler returns the node's HTTP API: the /v1 routes plus the legacy
-// unversioned aliases (deprecated, kept for one release). The handler is
+// Handler returns the node's HTTP API, the /v1 routes. The handler is
 // built once per node, so request metrics aggregate across callers.
 func (n *Node) Handler() http.Handler { return n.server }
 

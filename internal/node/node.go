@@ -4,14 +4,13 @@
 // It is the "downstream user" layer: cmd/nodesrv serves it, and the tests
 // drive a miner node and a validator node end to end over HTTP.
 //
-// Endpoints (see docs/API.md; legacy unversioned aliases remain for one
-// release):
+// Endpoints (see docs/API.md):
 //
 //	POST /v1/tx            {sender, contract, function, args, value, gasLimit} → {id, poolLen}
 //	GET  /v1/tx/{id}       → receipt (pending | committed | aborted), durable blocks only
 //	POST /v1/mine          {blockSize}       → mines one block from the pool
-//	POST /v1/blocks        (gob block bytes) → validate + append (validator nodes)
-//	GET  /v1/blocks/N      → gob block bytes (durable blocks only)
+//	POST /v1/blocks        (flat block bytes) → validate + append (validator nodes)
+//	GET  /v1/blocks/N      → flat block bytes (durable blocks only)
 //	GET  /v1/head          → durable head summary JSON
 //	GET  /v1/status        → height, pool depth, stats, API metrics
 //	GET  /v1/state/{addr}  → account balance
@@ -19,7 +18,7 @@
 //	GET  /v1/subscribe     → SSE stream of durable blocks + receipts
 //
 // Transactions arrive as JSON with a small typed argument encoding
-// (wire.Arg); blocks travel in the chain package's gob wire format so the
+// (wire.Arg); blocks travel in the chain package's flat wire format so the
 // schedule metadata survives byte-exact. Every submitted transaction gets
 // a content-derived ID (wire.TxIDOf); its receipt — status, gas used,
 // abort reason, block coordinates, schedule position — becomes queryable

@@ -149,7 +149,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 			t.Fatalf("EncodeArg: %v", err)
 		}
 		amtArg, _ := wire.EncodeArg(uint64(7))
-		resp, body := postJSON(t, minerURL+"/tx", wire.TxSubmit{
+		resp, body := postJSON(t, minerURL+"/v1/tx", wire.TxSubmit{
 			Sender:   from.String(),
 			Contract: tokenAddr.String(),
 			Function: "transfer",
@@ -162,7 +162,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Mine over HTTP.
-	resp, body := postJSON(t, minerURL+"/mine", map[string]int{"blockSize": 50})
+	resp, body := postJSON(t, minerURL+"/v1/mine", map[string]int{"blockSize": 50})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine status %d: %s", resp.StatusCode, body)
 	}
@@ -175,7 +175,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Fetch the block bytes and feed them to the validator node.
-	blockResp, err := http.Get(minerURL + "/blocks/1")
+	blockResp, err := http.Get(minerURL + "/v1/blocks/1")
 	if err != nil {
 		t.Fatalf("GET block: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if blockResp.StatusCode != http.StatusOK {
 		t.Fatalf("get block status %d", blockResp.StatusCode)
 	}
-	acceptResp, err := http.Post(validatorURL+"/blocks", "application/octet-stream", bytes.NewReader(blockBytes))
+	acceptResp, err := http.Post(validatorURL+"/v1/blocks", "application/octet-stream", bytes.NewReader(blockBytes))
 	if err != nil {
 		t.Fatalf("POST block: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	// Heads agree.
 	for _, url := range []string{minerURL, validatorURL} {
-		headResp, err := http.Get(url + "/head")
+		headResp, err := http.Get(url + "/v1/head")
 		if err != nil {
 			t.Fatalf("GET head: %v", err)
 		}
@@ -211,7 +211,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Status endpoints.
-	statusResp, err := http.Get(validatorURL + "/status")
+	statusResp, err := http.Get(validatorURL + "/v1/status")
 	if err != nil {
 		t.Fatalf("GET status: %v", err)
 	}
@@ -243,14 +243,14 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := postJSON(t, url+"/tx", tc.body)
+			resp, body := postJSON(t, url+"/v1/tx", tc.body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d body=%s", resp.StatusCode, body)
 			}
 		})
 	}
 	// Garbage block upload.
-	resp, err := http.Post(url+"/blocks", "application/octet-stream", bytes.NewReader([]byte("junk")))
+	resp, err := http.Post(url+"/v1/blocks", "application/octet-stream", bytes.NewReader([]byte("junk")))
 	if err != nil {
 		t.Fatalf("POST: %v", err)
 	}
@@ -259,7 +259,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatalf("junk block status = %d", resp.StatusCode)
 	}
 	// Missing block.
-	getResp, err := http.Get(url + "/blocks/99")
+	getResp, err := http.Get(url + "/v1/blocks/99")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
@@ -315,14 +315,14 @@ func TestHTTPContentType(t *testing.T) {
 	// Success paths: submit, mine, head, status.
 	toArg, _ := wire.EncodeArg(holders[1])
 	amtArg, _ := wire.EncodeArg(uint64(1))
-	resp, _ := postJSON(t, url+"/tx", wire.TxSubmit{
+	resp, _ := postJSON(t, url+"/v1/tx", wire.TxSubmit{
 		Sender: holders[0].String(), Contract: tokenAddr.String(),
 		Function: "transfer", Args: []wire.Arg{toArg, amtArg}, GasLimit: 100_000,
 	})
 	wantJSON(resp, "POST /tx")
-	resp, _ = postJSON(t, url+"/mine", map[string]int{"blockSize": 10})
-	wantJSON(resp, "POST /mine")
-	for _, path := range []string{"/head", "/status"} {
+	resp, _ = postJSON(t, url+"/v1/mine", map[string]int{"blockSize": 10})
+	wantJSON(resp, "POST /v1/mine")
+	for _, path := range []string{"/v1/head", "/v1/status"} {
 		getResp, err := http.Get(url + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -331,12 +331,12 @@ func TestHTTPContentType(t *testing.T) {
 		wantJSON(getResp, "GET "+path)
 	}
 	// Error paths.
-	resp, _ = postJSON(t, url+"/tx", wire.TxSubmit{Sender: "junk"})
+	resp, _ = postJSON(t, url+"/v1/tx", wire.TxSubmit{Sender: "junk"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad tx status = %d", resp.StatusCode)
 	}
 	wantJSON(resp, "POST /tx (error)")
-	getResp, err := http.Get(url + "/blocks/99")
+	getResp, err := http.Get(url + "/v1/blocks/99")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
@@ -346,7 +346,7 @@ func TestHTTPContentType(t *testing.T) {
 	}
 	wantJSON(getResp, "GET /blocks/99 (error)")
 	// Block bytes stay binary.
-	blockResp, err := http.Get(url + "/blocks/1")
+	blockResp, err := http.Get(url + "/v1/blocks/1")
 	if err != nil {
 		t.Fatalf("GET block: %v", err)
 	}

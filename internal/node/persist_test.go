@@ -3,10 +3,14 @@ package node
 import (
 	"testing"
 
+	"contractstm/internal/chain"
 	"contractstm/internal/contract"
+	"contractstm/internal/contracts"
 	"contractstm/internal/engine"
+	"contractstm/internal/gas"
 	"contractstm/internal/persist"
 	"contractstm/internal/runtime"
+	"contractstm/internal/storage"
 	"contractstm/internal/types"
 	"contractstm/internal/workload"
 )
@@ -277,5 +281,47 @@ func TestStatusReportsPersistence(t *testing.T) {
 	}
 	if st.Height != 3 {
 		t.Fatalf("height %d, want 3", st.Height)
+	}
+}
+
+// TestInstallSnapshotRejectsHostileShape: a fast-sync peer's snapshot is
+// untrusted bytes that reach World.RestoreState before any root check.
+// State that stores a scalar under the name of one of this world's maps
+// (it used to panic Map.restore under execMu) must come back as an
+// error, with the chain and the world untouched.
+func TestInstallSnapshotRejectsHostileShape(t *testing.T) {
+	w, err := contract.NewWorld(gas.DefaultSchedule())
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
+	if err := w.Mint(contracts.Setup(w), issuer, 500); err != nil {
+		t.Fatalf("mint: %v", err)
+	}
+	n := newTestNode(t, w)
+	preHead, _ := headAndRoot(n)
+	preRoot, err := w.StateRoot()
+	if err != nil {
+		t.Fatalf("state root: %v", err)
+	}
+
+	// The peer's "world": the same single object name, but a cell.
+	hostile := storage.NewStore()
+	if _, err := storage.NewCell(hostile, "world/balances", uint64(1)); err != nil {
+		t.Fatalf("NewCell: %v", err)
+	}
+	state, err := hostile.EncodeState()
+	if err != nil {
+		t.Fatalf("encode hostile state: %v", err)
+	}
+	s := persist.Snapshot{Header: chain.Header{Number: 5, StateRoot: types.HashString("claimed")}, State: state}
+
+	if err := n.InstallSnapshot(s); err == nil {
+		t.Fatal("hostile-shape snapshot installed")
+	}
+	if head, _ := headAndRoot(n); head != preHead || n.Height() != 0 {
+		t.Fatal("refused snapshot moved the chain head")
+	}
+	if root, _ := w.StateRoot(); root != preRoot {
+		t.Fatal("refused snapshot changed the world state")
 	}
 }

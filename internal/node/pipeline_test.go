@@ -415,11 +415,11 @@ func TestPipelineServesOnlyDurable(t *testing.T) {
 	}
 
 	// Sealed head is 1, durable head is 0: the wire serves 0.
-	if code, head := getJSON("/head"); code != http.StatusOK || head["number"].(float64) != 0 {
-		t.Fatalf("/head = %d %v, want the durable height 0", code, head["number"])
+	if code, head := getJSON("/v1/head"); code != http.StatusOK || head["number"].(float64) != 0 {
+		t.Fatalf("/v1/head = %d %v, want the durable height 0", code, head["number"])
 	}
-	if code, _ := getJSON("/blocks/1"); code != http.StatusNotFound {
-		t.Fatalf("/blocks/1 served a sealed-not-durable block (status %d)", code)
+	if code, _ := getJSON("/v1/blocks/1"); code != http.StatusNotFound {
+		t.Fatalf("/v1/blocks/1 served a sealed-not-durable block (status %d)", code)
 	}
 
 	// Drain: the block becomes durable and the wire serves it.
@@ -430,11 +430,11 @@ func TestPipelineServesOnlyDurable(t *testing.T) {
 	if err := n.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if code, head := getJSON("/head"); code != http.StatusOK || head["number"].(float64) != 1 {
-		t.Fatalf("/head = %d %v after drain, want 1", code, head["number"])
+	if code, head := getJSON("/v1/head"); code != http.StatusOK || head["number"].(float64) != 1 {
+		t.Fatalf("/v1/head = %d %v after drain, want 1", code, head["number"])
 	}
-	if code, _ := getJSON("/blocks/1"); code != http.StatusOK {
-		t.Fatalf("/blocks/1 = %d after drain, want 200", code)
+	if code, _ := getJSON("/v1/blocks/1"); code != http.StatusOK {
+		t.Fatalf("/v1/blocks/1 = %d after drain, want 200", code)
 	}
 	if err := n.Close(); err != nil {
 		t.Fatalf("close: %v", err)

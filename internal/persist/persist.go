@@ -8,13 +8,13 @@
 //	                 of the segment's first record
 //	snap-%016d.snap  state snapshots (block header + encoded world state),
 //	                 written atomically via temp-file + rename
-//	pool.gob         pending mempool calls saved on graceful shutdown
+//	pool.calls       pending mempool calls saved on graceful shutdown
 //	genesis.id       permanent genesis identity marker (never pruned)
 //	LOCK             advisory flock held for the Log's lifetime; a second
 //	                 opener fails fast with ErrLocked instead of corrupting
 //	                 the WAL
 //
-// Every WAL record is one gob wire block behind a length+CRC32 frame;
+// Every WAL record is one flat wire block behind a length+CRC32 frame;
 // every snapshot file is one frame. Integrity is layered: the frame CRC
 // catches torn or bit-rotted writes, the block codec re-verifies header
 // commitments, and recovery replays each block through the engine-hosted
@@ -455,8 +455,8 @@ func (l *Log) replaySegment(seg segment, from uint64, next *uint64, fn func(chai
 		}
 		if decodeErr != nil {
 			if r.n < size {
-				return 0, false, fmt.Errorf("%w: %s damaged at offset %d with %d bytes of records behind it",
-					ErrCorrupt, seg.path, offset, size-r.n)
+				return 0, false, fmt.Errorf("%w: %s damaged at offset %d with %d bytes of records behind it: %w",
+					ErrCorrupt, seg.path, offset, size-r.n, decodeErr)
 			}
 			return offset, true, nil
 		}

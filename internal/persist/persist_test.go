@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
@@ -499,11 +501,18 @@ func TestPoolSaveTakeConsumes(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openReplay(t, dir, Options{}, 1)
 	defer l.Close()
+	// Every argument type wire.EncodeArg lets a client submit.
 	calls := []contract.Call{
 		{Sender: types.AddressFromUint64(1), Contract: types.AddressFromUint64(2),
-			Function: "transfer", Args: []any{types.AddressFromUint64(3), uint64(5)}, GasLimit: 1000},
+			Function: "transfer", Args: []any{types.AddressFromUint64(3), uint64(5)}, Value: 9, GasLimit: 1000},
 		{Sender: types.AddressFromUint64(4), Contract: types.AddressFromUint64(2),
-			Function: "vote", Args: []any{"prop", true, types.Amount(1)}, GasLimit: 2000},
+			Function: "vote", Args: []any{"prop", true, types.Amount(1), int(7), types.HashString("doc")}, GasLimit: 2000},
+		{Sender: types.AddressFromUint64(5), Contract: types.AddressFromUint64(6), Function: "noargs"},
+	}
+	for _, c := range calls {
+		if _, err := wire.EncodeArgs(c.Args); err != nil {
+			t.Fatalf("fixture argument outside the wire set: %v", err)
+		}
 	}
 	if err := l.SavePool(calls); err != nil {
 		t.Fatalf("save: %v", err)
@@ -512,11 +521,8 @@ func TestPoolSaveTakeConsumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("take: %v", err)
 	}
-	if len(got) != 2 || got[0].Function != "transfer" || got[1].Args[1].(bool) != true {
-		t.Fatalf("pool round trip: %+v", got)
-	}
-	if v, ok := got[0].Args[1].(uint64); !ok || v != 5 {
-		t.Fatalf("arg type lost: %T", got[0].Args[1])
+	if !reflect.DeepEqual(got, calls) {
+		t.Fatalf("pool round trip:\n got %+v\nwant %+v", got, calls)
 	}
 	// Consumed: a second take finds nothing.
 	again, err := l.TakePool()
@@ -532,5 +538,14 @@ func TestPoolSaveTakeConsumes(t *testing.T) {
 	}
 	if got, _ := l.TakePool(); got != nil {
 		t.Fatalf("cleared pool returned %v", got)
+	}
+	// An argument with no encoding fails the save instead of writing a
+	// file that drops it.
+	bad := []contract.Call{{Function: "f", Args: []any{3.5}}}
+	if err := l.SavePool(bad); err == nil {
+		t.Fatal("saved a call whose argument has no encoding")
+	}
+	if got, err := l.TakePool(); got != nil || err != nil {
+		t.Fatalf("failed save left a pool file: %v %v", got, err)
 	}
 }

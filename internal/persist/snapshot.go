@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 
 	"contractstm/internal/chain"
 	"contractstm/internal/codec"
-	"contractstm/internal/types"
 )
 
 // Snapshot is one durable state checkpoint: the block header at the
@@ -30,10 +28,6 @@ type Snapshot struct {
 // Height returns the checkpoint height.
 func (s Snapshot) Height() uint64 { return s.Header.Number }
 
-// snapshotVersion guards against decoding legacy gob snapshots from
-// incompatible builds.
-const snapshotVersion uint32 = 1
-
 // MaxSnapshotBytes bounds one snapshot's framed payload.
 const MaxSnapshotBytes = 1 << 30
 
@@ -42,14 +36,6 @@ const MaxSnapshotBytes = 1 << 30
 // its body read at this, so a budget-sized snapshot is not misread as
 // torn.
 const MaxSnapshotWire = MaxSnapshotBytes + frameHeaderLen
-
-// wireSnapshot is the legacy gob envelope, decoded for one release so
-// gob-era snapshot files and fast-sync peers stay readable.
-type wireSnapshot struct {
-	Version uint32
-	Header  chain.Header
-	State   []byte
-}
 
 // EncodeSnapshot writes s to w as a single framed record (the same
 // length+CRC frame as WAL records). The payload is the flat codec's
@@ -73,40 +59,22 @@ func EncodeSnapshot(w io.Writer, s Snapshot) error {
 }
 
 func appendSnapshotBody(dst []byte, s Snapshot) []byte {
-	h := s.Header
-	dst = codec.AppendU64(dst, h.Number)
-	dst = append(dst, h.ParentHash[:]...)
-	dst = append(dst, h.TxRoot[:]...)
-	dst = append(dst, h.ReceiptRoot[:]...)
-	dst = append(dst, h.StateRoot[:]...)
-	dst = append(dst, h.ScheduleHash[:]...)
-	return codec.AppendBytes(dst, s.State)
+	return codec.AppendBytes(chain.AppendHeader(dst, s.Header), s.State)
 }
 
 // DecodeSnapshot reads one framed snapshot from r, verifying the frame
-// CRC and parsing the payload — flat by default, legacy gob when the
-// first payload byte says so. Input is untrusted (disk bytes, or a
+// CRC and parsing the flat payload. Input is untrusted (disk bytes, or a
 // fast-sync peer).
 func DecodeSnapshot(r io.Reader) (Snapshot, error) {
 	payload, err := readFrame(r, MaxSnapshotBytes)
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	if codec.IsFlat(payload[0]) {
-		s, err := decodeFlatSnapshot(payload)
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("persist: decode snapshot: %w", err)
-		}
-		return s, nil
-	}
-	var ws wireSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ws); err != nil {
+	s, err := decodeFlatSnapshot(payload)
+	if err != nil {
 		return Snapshot{}, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
-	if ws.Version != snapshotVersion {
-		return Snapshot{}, fmt.Errorf("persist: snapshot version %d, want %d", ws.Version, snapshotVersion)
-	}
-	return Snapshot{Header: ws.Header, State: ws.State}, nil
+	return s, nil
 }
 
 func decodeFlatSnapshot(payload []byte) (Snapshot, error) {
@@ -116,18 +84,8 @@ func decodeFlatSnapshot(payload []byte) (Snapshot, error) {
 	}
 	r := codec.NewReader(body)
 	var s Snapshot
-	if s.Header.Number, err = r.U64(); err != nil {
+	if s.Header, err = chain.ReadHeader(r); err != nil {
 		return Snapshot{}, err
-	}
-	for _, dst := range []*types.Hash{
-		&s.Header.ParentHash, &s.Header.TxRoot, &s.Header.ReceiptRoot,
-		&s.Header.StateRoot, &s.Header.ScheduleHash,
-	} {
-		raw, err := r.Take(types.HashLen)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		copy(dst[:], raw)
 	}
 	if s.State, err = r.Bytes(); err != nil {
 		return Snapshot{}, err
@@ -136,18 +94,6 @@ func decodeFlatSnapshot(payload []byte) (Snapshot, error) {
 		return Snapshot{}, err
 	}
 	return s, nil
-}
-
-// encodeSnapshotGob writes s in the legacy gob wire format; retained for
-// migration tests that fabricate gob-era data directories.
-func encodeSnapshotGob(w io.Writer, s Snapshot) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireSnapshot{
-		Version: snapshotVersion, Header: s.Header, State: s.State,
-	}); err != nil {
-		return fmt.Errorf("persist: encode snapshot %d: %w", s.Height(), err)
-	}
-	return writeFrame(w, buf.Bytes())
 }
 
 func snapshotName(height uint64) string { return fmt.Sprintf("snap-%016d.snap", height) }
@@ -164,36 +110,35 @@ const genesisFile = "genesis.id"
 var ErrForeignGenesis = errors.New("persist: data dir belongs to a different genesis")
 
 // EnsureGenesis records h as the directory's genesis on first open and
-// verifies it on every later one.
+// verifies it on every later one. The marker is one frame holding the
+// header's flat fields. Only a marker that does not exist is created: one
+// that exists but cannot be read or parsed is an error, because an
+// unreadable identity must not silently become a fresh one.
 func (l *Log) EnsureGenesis(h chain.Header) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	path := filepath.Join(l.dir, genesisFile)
-	if data, err := os.ReadFile(path); err == nil {
-		var have chain.Header
-		if payload, err := readFrame(bytes.NewReader(data), 1<<16); err == nil {
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&have); err == nil {
-				if have == h {
-					return nil
-				}
-				return fmt.Errorf("%w: %s holds genesis %s, world has %s",
-					ErrForeignGenesis, l.dir, have.Hash().Short(), h.Hash().Short())
-			}
+	data, err := os.ReadFile(path)
+	if err == nil {
+		have, err := decodeGenesisMarker(data)
+		if err != nil {
+			return fmt.Errorf("%w: unreadable %s: %w", ErrForeignGenesis, path, err)
 		}
-		// The marker exists but does not decode: refuse to guess — an
-		// unreadable identity must not silently become a fresh one.
-		return fmt.Errorf("%w: unreadable %s", ErrForeignGenesis, path)
+		if have != h {
+			return fmt.Errorf("%w: %s holds genesis %s, world has %s",
+				ErrForeignGenesis, l.dir, have.Hash().Short(), h.Hash().Short())
+		}
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return fmt.Errorf("persist: encode genesis marker: %w", err)
+	if !os.IsNotExist(err) {
+		return fmt.Errorf("%w: unreadable %s: %w", ErrForeignGenesis, path, err)
 	}
 	tmp, err := os.CreateTemp(l.dir, "genesis-*.tmp")
 	if err != nil {
 		return fmt.Errorf("persist: genesis marker temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := writeFrame(tmp, buf.Bytes()); err != nil {
+	if err := writeFrame(tmp, chain.AppendHeader(nil, h)); err != nil {
 		_ = tmp.Close()
 		return fmt.Errorf("persist: write genesis marker: %w", err)
 	}
@@ -209,6 +154,19 @@ func (l *Log) EnsureGenesis(h chain.Header) error {
 	}
 	l.syncDir()
 	return nil
+}
+
+func decodeGenesisMarker(data []byte) (chain.Header, error) {
+	payload, err := readFrame(bytes.NewReader(data), 1<<16)
+	if err != nil {
+		return chain.Header{}, err
+	}
+	r := codec.NewReader(payload)
+	h, err := chain.ReadHeader(r)
+	if err != nil {
+		return chain.Header{}, err
+	}
+	return h, r.Done()
 }
 
 // listSnapshots returns snapshot file heights, ascending.

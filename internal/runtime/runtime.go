@@ -13,6 +13,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"contractstm/internal/des"
@@ -195,7 +196,7 @@ func SpinBurn(factor int) func(gas.Gas) {
 		return nil
 	}
 	return func(g gas.Gas) {
-		// A small integer mix loop; sink prevents dead-code elimination.
+		// A small integer mix loop (xorshift64).
 		n := int(g) * factor
 		var sink uint64 = 0x9e3779b97f4a7c15
 		for i := 0; i < n; i++ {
@@ -203,12 +204,18 @@ func SpinBurn(factor int) func(gas.Gas) {
 			sink ^= sink >> 7
 			sink ^= sink << 17
 		}
-		spinSink = sink
+		// The loop's result must be observable or the compiler deletes the
+		// loop. Xorshift from a non-zero seed never reaches zero, so this
+		// store never executes and the workers of a pool share no write —
+		// but the compiler cannot know that, so the loop stays.
+		if sink == 0 {
+			spinSink.Store(sink)
+		}
 	}
 }
 
 // spinSink defeats dead-code elimination of SpinBurn loops.
-var spinSink uint64 //nolint:unused // written to keep the optimizer honest
+var spinSink atomic.Uint64
 
 // OSRunner runs workers on real goroutines.
 type OSRunner struct {

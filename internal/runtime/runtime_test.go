@@ -169,6 +169,20 @@ func TestSpinBurnRuns(t *testing.T) {
 	burn(gas.Gas(100)) // must not panic or hang
 }
 
+// TestSpinBurnFromTwoWorkers: one burn function serves every worker of
+// a pool, so it must share no unsynchronized write. Run under -race
+// (CI's race lane does) this fails on any such write.
+func TestSpinBurnFromTwoWorkers(t *testing.T) {
+	_, err := NewOSRunner(SpinBurn(3)).Run(2, func(th Thread) {
+		for i := 0; i < 100; i++ {
+			th.Work(gas.Gas(10))
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
 func TestSimRunnerDeterministicMakespan(t *testing.T) {
 	run := func() uint64 {
 		ms, err := NewSimRunner().Run(3, func(th Thread) {

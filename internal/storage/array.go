@@ -295,7 +295,7 @@ func (a *Array) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, erro
 	// arrays.
 	dst = append(dst, crypto.StateEntry{
 		Key:   []byte(a.name + "\x00" + lenLockKey),
-		Value: appendUint(0x02, uint64(len(cp))),
+		Value: appendUint(tagUint64, uint64(len(cp))),
 	})
 	return dst, nil
 }

@@ -3,53 +3,72 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"contractstm/internal/codec"
 	"contractstm/internal/types"
 )
 
 // Encoder lets struct values stored in boosted objects participate in state
 // commitments. Contract struct types (for example Ballot's Voter) implement
-// it with a canonical, deterministic byte encoding.
+// it with a canonical, deterministic byte encoding, and hand the object
+// that stores them the inverse function (Map.DecodeStructs) so persisted
+// state can be read back.
 type Encoder interface {
 	EncodeValue() []byte
 }
 
+// Kind tags of the value encoding.
+const (
+	tagNil     byte = 0x00
+	tagBool    byte = 0x01
+	tagUint64  byte = 0x02
+	tagInt     byte = 0x03
+	tagString  byte = 0x04
+	tagAddress byte = 0x05
+	tagHash    byte = 0x06
+	tagAmount  byte = 0x07
+	tagStruct  byte = 0x08
+)
+
 // encodeValue canonically encodes the value kinds contracts may store:
 // nil, bool, uint64, int (non-negative), string, types.Address, types.Hash,
 // types.Amount, and any Encoder. Each encoding is tagged with a kind byte
-// so values of different types never collide.
+// so values of different types never collide. The state root commits to
+// these bytes and the persisted state stream (persist.go) stores them, so
+// a value has one encoding.
 func encodeValue(v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return []byte{0x00}, nil
+		return []byte{tagNil}, nil
 	case bool:
 		if x {
-			return []byte{0x01, 1}, nil
+			return []byte{tagBool, 1}, nil
 		}
-		return []byte{0x01, 0}, nil
+		return []byte{tagBool, 0}, nil
 	case uint64:
-		return appendUint(0x02, x), nil
+		return appendUint(tagUint64, x), nil
 	case int:
 		if x < 0 {
 			return nil, fmt.Errorf("storage: negative int value %d not supported", x)
 		}
-		return appendUint(0x03, uint64(x)), nil
+		return appendUint(tagInt, uint64(x)), nil
 	case string:
 		out := make([]byte, 0, 1+len(x))
-		out = append(out, 0x04)
+		out = append(out, tagString)
 		return append(out, x...), nil
 	case types.Address:
 		out := make([]byte, 0, 1+types.AddressLen)
-		out = append(out, 0x05)
+		out = append(out, tagAddress)
 		return append(out, x[:]...), nil
 	case types.Hash:
 		out := make([]byte, 0, 1+types.HashLen)
-		out = append(out, 0x06)
+		out = append(out, tagHash)
 		return append(out, x[:]...), nil
 	case types.Amount:
-		return appendUint(0x07, uint64(x)), nil
+		return appendUint(tagAmount, uint64(x)), nil
 	case Encoder:
-		out := []byte{0x08}
+		out := []byte{tagStruct}
 		return append(out, x.EncodeValue()...), nil
 	default:
 		return nil, fmt.Errorf("storage: cannot encode value of type %T", v)
@@ -61,6 +80,64 @@ func appendUint(tag byte, x uint64) []byte {
 	buf[0] = tag
 	binary.BigEndian.PutUint64(buf[1:], x)
 	return buf[:]
+}
+
+// valueLen is each tag's body length; -1 means the rest of the value.
+var valueLen = [...]int{
+	tagNil: 0, tagBool: 1, tagUint64: 8, tagInt: 8, tagString: -1,
+	tagAddress: types.AddressLen, tagHash: types.HashLen, tagAmount: 8, tagStruct: -1,
+}
+
+// decodeValue is encodeValue's inverse. It accepts only what encodeValue
+// can produce (exact lengths, strict bools, non-negative ints), so an
+// accepted value re-encodes to the same bytes. structs parses a struct
+// value's EncodeValue bytes; nil means the object holding the value does
+// not store structs.
+func decodeValue(enc []byte, structs func([]byte) (any, error)) (any, error) {
+	if len(enc) == 0 {
+		return nil, fmt.Errorf("%w: empty value", codec.ErrFormat)
+	}
+	tag, body := enc[0], enc[1:]
+	if int(tag) >= len(valueLen) {
+		return nil, fmt.Errorf("%w: value tag 0x%02x", codec.ErrFormat, tag)
+	}
+	if want := valueLen[tag]; want >= 0 && len(body) != want {
+		return nil, fmt.Errorf("%w: value tag 0x%02x with %d bytes, want %d", codec.ErrFormat, tag, len(body), want)
+	}
+	switch tag {
+	case tagNil:
+		return nil, nil
+	case tagBool:
+		if body[0] > 1 {
+			return nil, fmt.Errorf("%w: bool byte 0x%02x", codec.ErrFormat, body[0])
+		}
+		return body[0] == 1, nil
+	case tagUint64:
+		return binary.BigEndian.Uint64(body), nil
+	case tagInt:
+		n := binary.BigEndian.Uint64(body)
+		if n > math.MaxInt {
+			return nil, fmt.Errorf("%w: int value %d out of range", codec.ErrFormat, n)
+		}
+		return int(n), nil
+	case tagString:
+		return string(body), nil
+	case tagAddress:
+		var a types.Address
+		copy(a[:], body)
+		return a, nil
+	case tagHash:
+		var h types.Hash
+		copy(h[:], body)
+		return h, nil
+	case tagAmount:
+		return types.Amount(binary.BigEndian.Uint64(body)), nil
+	default: // tagStruct
+		if structs == nil {
+			return nil, fmt.Errorf("%w: struct value in an object that stores none", codec.ErrFormat)
+		}
+		return structs(body)
+	}
 }
 
 // Key helpers: boosted map keys are strings; contracts use these to derive

@@ -23,6 +23,9 @@ type Map struct {
 	id    uint64
 	store *Store
 	raw   rawMap
+	// structs parses the struct values this map stores (DecodeStructs);
+	// nil when it stores none.
+	structs func([]byte) (any, error)
 }
 
 type rawMap struct {
@@ -41,6 +44,12 @@ func NewMap(s *Store, name string) (*Map, error) {
 	m.id = id
 	return m, nil
 }
+
+// DecodeStructs declares that m stores struct values and gives the
+// inverse of their Encoder.EncodeValue, which reading persisted state
+// back needs. decode must accept exactly what EncodeValue produces. Call
+// it while setting the map up, before the store is shared.
+func (m *Map) DecodeStructs(decode func([]byte) (any, error)) { m.structs = decode }
 
 // Name returns the map's lock scope.
 func (m *Map) Name() string { return m.name }

@@ -1,166 +1,190 @@
 package storage
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync"
+	"sort"
 
-	"contractstm/internal/types"
+	"contractstm/internal/codec"
 )
 
-// Snapshot serialization: a Snapshot's contents are positional (indexed by
+// State serialization. A Snapshot's contents are positional (indexed by
 // registration order), which is useless across process restarts, so the
-// wire form pairs every object's contents with its name. Decoding aligns
-// the named contents back to the decoding store's objects — recovery
-// requires the same genesis setup to have registered the same objects,
-// and any mismatch is an error rather than silent state corruption.
+// state stream pairs every object's contents with its name:
+//
+//	u32 object count; each, in registration order:
+//	  string name
+//	  Cell:  value
+//	  Map:   u32 entry count; each, by ascending key: string key, value
+//	  Array: u32 length; each element: value
+//	value = u32 length, then the tagged encoding of encode.go
+//
+// Decoding is directed by the decoding store: recovery requires the same
+// genesis setup to have registered the same objects in the same order,
+// object i's name must match, and object i itself reads its contents, so
+// the bytes — which may come from a peer — can only ever yield the shape
+// that object restores from. Any mismatch is an error rather than silent
+// state corruption. Encoding the same state always gives the same bytes.
 
-// snapshotEntry is one object's named contents on the wire.
-type snapshotEntry struct {
-	Name    string
-	Content any
-}
+// Minimum encoded sizes, for codec.Reader.Count.
+const (
+	minStateValue = 4 + 1
+	minMapEntry   = 4 + minStateValue
+)
 
-// nilValue stands in for nil on the wire: gob refuses to encode nil
-// interface values, but an empty cell or an unset array element is
-// legitimately nil.
-type nilValue struct{}
-
-// wireContent replaces nils inside the supported content shapes (cell
-// scalar, map contents, array contents) with the nilValue sentinel.
-func wireContent(c any) any {
-	switch x := c.(type) {
-	case nil:
-		return nilValue{}
-	case map[string]any:
-		out := make(map[string]any, len(x))
-		for k, v := range x {
-			if v == nil {
-				v = nilValue{}
-			}
-			out[k] = v
+// EncodeState renders the store's current contents as a state stream for
+// durable persistence. The store must be quiescent.
+func (s *Store) EncodeState() ([]byte, error) {
+	objs := s.objectList()
+	dst := codec.AppendU32(nil, uint32(len(objs)))
+	for _, o := range objs {
+		dst = codec.AppendString(dst, o.objectName())
+		var err error
+		if dst, err = o.appendState(dst); err != nil {
+			return nil, fmt.Errorf("storage: encode state of %q: %w", o.objectName(), err)
 		}
-		return out
-	case []any:
-		out := make([]any, len(x))
-		for i, v := range x {
-			if v == nil {
-				v = nilValue{}
-			}
-			out[i] = v
-		}
-		return out
-	default:
-		return c
 	}
+	return dst, nil
 }
 
-// localContent is wireContent's inverse.
-func localContent(c any) any {
-	switch x := c.(type) {
-	case nilValue:
-		return nil
-	case map[string]any:
-		for k, v := range x {
-			if _, isNil := v.(nilValue); isNil {
-				x[k] = nil
-			}
-		}
-		return x
-	case []any:
-		for i, v := range x {
-			if _, isNil := v.(nilValue); isNil {
-				x[i] = nil
-			}
-		}
-		return x
-	default:
-		return c
+// DecodeState parses a state stream into a Snapshot aligned with s's
+// objects, ready for Restore. Nothing in s changes.
+func (s *Store) DecodeState(data []byte) (Snapshot, error) {
+	objs := s.objectList()
+	r := codec.NewReader(data)
+	n, err := r.U32()
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("storage: decode state: %w", err)
 	}
-}
-
-var persistRegisterOnce sync.Once
-
-// registerPersistTypes registers the value shapes every boosted object can
-// hold: the container types (map contents, array contents), the nil
-// sentinel, and the shared scalar kinds. Contract-defined struct values
-// register themselves via RegisterValueType.
-func registerPersistTypes() {
-	persistRegisterOnce.Do(func() {
-		gob.Register(map[string]any{})
-		gob.Register([]any{})
-		gob.Register(nilValue{})
-	})
-	types.RegisterWireValues()
-}
-
-// RegisterValueType registers a concrete type contracts store in boosted
-// objects (for example Ballot's Voter record) so snapshots holding such
-// values can round-trip through EncodeSnapshot/DecodeSnapshot. Contract
-// packages call it from init; registering the same type twice is harmless.
-func RegisterValueType(v any) {
-	gob.Register(v)
-}
-
-// EncodeSnapshot renders a snapshot taken from s as self-describing bytes
-// (object names paired with contents) for durable persistence.
-func (s *Store) EncodeSnapshot(snap Snapshot) ([]byte, error) {
-	registerPersistTypes()
-	s.mu.Lock()
-	names := make([]string, len(s.objects))
-	for i, o := range s.objects {
-		names[i] = o.objectName()
-	}
-	s.mu.Unlock()
-	if len(snap.contents) != len(names) {
-		return nil, fmt.Errorf("storage: snapshot has %d objects, store has %d", len(snap.contents), len(names))
-	}
-	entries := make([]snapshotEntry, len(names))
-	for i, name := range names {
-		entries[i] = snapshotEntry{Name: name, Content: wireContent(snap.contents[i])}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, fmt.Errorf("storage: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot parses bytes produced by EncodeSnapshot into a Snapshot
-// aligned with s's current objects, matched by name. The object sets must
-// agree exactly: a recovering process rebuilds its genesis world with the
-// same deterministic setup, so any difference means the bytes belong to a
-// different world.
-func (s *Store) DecodeSnapshot(data []byte) (Snapshot, error) {
-	registerPersistTypes()
-	var entries []snapshotEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&entries); err != nil {
-		return Snapshot{}, fmt.Errorf("storage: decode snapshot: %w", err)
-	}
-	byName := make(map[string]any, len(entries))
-	for _, e := range entries {
-		if _, dup := byName[e.Name]; dup {
-			return Snapshot{}, fmt.Errorf("storage: snapshot names %q twice", e.Name)
-		}
-		byName[e.Name] = e.Content
-	}
-
-	s.mu.Lock()
-	objs := make([]object, len(s.objects))
-	copy(objs, s.objects)
-	s.mu.Unlock()
-
-	if len(objs) != len(entries) {
-		return Snapshot{}, fmt.Errorf("storage: snapshot has %d objects, store has %d", len(entries), len(objs))
+	if int64(n) != int64(len(objs)) {
+		return Snapshot{}, fmt.Errorf("storage: decode state: %w: state has %d objects, store has %d",
+			codec.ErrFormat, n, len(objs))
 	}
 	snap := Snapshot{contents: make([]any, len(objs))}
 	for i, o := range objs {
-		content, ok := byName[o.objectName()]
-		if !ok {
-			return Snapshot{}, fmt.Errorf("storage: snapshot missing object %q", o.objectName())
+		name, err := r.String()
+		if err == nil && name != o.objectName() {
+			err = fmt.Errorf("%w: object %d is %q in the state, %q in the store", codec.ErrFormat, i, name, o.objectName())
 		}
-		snap.contents[i] = localContent(content)
+		if err == nil {
+			snap.contents[i], err = o.readState(r)
+		}
+		if err != nil {
+			return Snapshot{}, fmt.Errorf("storage: decode state of %q: %w", o.objectName(), err)
+		}
+	}
+	if err := r.Done(); err != nil {
+		return Snapshot{}, fmt.Errorf("storage: decode state: %w", err)
 	}
 	return snap, nil
+}
+
+// appendStateValue appends one stored value. structs is the storing
+// object's struct decoder, nil if it has none; writing a struct it cannot
+// read back would only fail at recovery, so it fails here.
+func appendStateValue(dst []byte, v any, structs func([]byte) (any, error)) ([]byte, error) {
+	if _, isStruct := v.(Encoder); isStruct && structs == nil {
+		return nil, fmt.Errorf("storage: %T stored in an object with no struct decoder", v)
+	}
+	enc, err := encodeValue(v)
+	if err != nil {
+		return nil, err
+	}
+	return codec.AppendBytes(dst, enc), nil
+}
+
+func readStateValue(r *codec.Reader, structs func([]byte) (any, error)) (any, error) {
+	n, err := r.U32()
+	if err != nil {
+		return nil, err
+	}
+	enc, err := r.Take(int(n))
+	if err != nil {
+		return nil, err
+	}
+	return decodeValue(enc, structs)
+}
+
+// appendState implements object.
+func (c *Cell) appendState(dst []byte) ([]byte, error) {
+	return appendStateValue(dst, c.rawRead(), nil)
+}
+
+// readState implements object.
+func (c *Cell) readState(r *codec.Reader) (any, error) {
+	return readStateValue(r, nil)
+}
+
+// appendState implements object.
+func (m *Map) appendState(dst []byte) ([]byte, error) {
+	m.raw.mu.Lock()
+	defer m.raw.mu.Unlock()
+	keys := make([]string, 0, len(m.raw.m))
+	for k := range m.raw.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	dst = codec.AppendU32(dst, uint32(len(keys)))
+	for _, k := range keys {
+		dst = codec.AppendString(dst, k)
+		var err error
+		if dst, err = appendStateValue(dst, m.raw.m[k], m.structs); err != nil {
+			return nil, fmt.Errorf("key %q: %w", k, err)
+		}
+	}
+	return dst, nil
+}
+
+// readState implements object. Keys must ascend strictly — the order
+// appendState writes — so no key repeats and an accepted stream
+// re-encodes to itself.
+func (m *Map) readState(r *codec.Reader) (any, error) {
+	n, err := r.Count(minMapEntry)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]any, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		k, err := r.String()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("%w: key %q does not ascend", codec.ErrFormat, k)
+		}
+		if out[k], err = readStateValue(r, m.structs); err != nil {
+			return nil, fmt.Errorf("key %q: %w", k, err)
+		}
+		prev = k
+	}
+	return out, nil
+}
+
+// appendState implements object.
+func (a *Array) appendState(dst []byte) ([]byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	dst = codec.AppendU32(dst, uint32(len(a.raw)))
+	for i, v := range a.raw {
+		var err error
+		if dst, err = appendStateValue(dst, v, nil); err != nil {
+			return nil, fmt.Errorf("index %d: %w", i, err)
+		}
+	}
+	return dst, nil
+}
+
+// readState implements object.
+func (a *Array) readState(r *codec.Reader) (any, error) {
+	n, err := r.Count(minStateValue)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]any, n)
+	for i := range out {
+		if out[i], err = readStateValue(r, nil); err != nil {
+			return nil, fmt.Errorf("index %d: %w", i, err)
+		}
+	}
+	return out, nil
 }

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"contractstm/internal/codec"
 	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
@@ -54,6 +55,12 @@ type object interface {
 	snapshot() any
 	// restore replaces the raw contents with a snapshot deep copy.
 	restore(snap any)
+	// appendState appends the contents in the state stream's encoding
+	// (persist.go).
+	appendState(dst []byte) ([]byte, error)
+	// readState reads what appendState wrote and returns it in the shape
+	// snapshot returns and restore accepts.
+	readState(r *codec.Reader) (any, error)
 }
 
 // Store owns a set of boosted objects and provides state commitments and
@@ -95,15 +102,19 @@ func (s *Store) register(name string, obj object) (uint64, error) {
 	return id, nil
 }
 
+// objectList returns a copy of the registered objects, in registration
+// order.
+func (s *Store) objectList() []object {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]object(nil), s.objects...)
+}
+
 // StateRoot computes a deterministic commitment over every object's
 // canonical contents. It must not be called while transactions are in
 // flight.
 func (s *Store) StateRoot() (types.Hash, error) {
-	s.mu.Lock()
-	objs := make([]object, len(s.objects))
-	copy(objs, s.objects)
-	s.mu.Unlock()
-
+	objs := s.objectList()
 	sort.Slice(objs, func(i, j int) bool { return objs[i].objectName() < objs[j].objectName() })
 	var entries []crypto.StateEntry
 	for _, o := range objs {

@@ -134,6 +134,13 @@ type Params struct {
 	GasLimit gas.Gas
 }
 
+// HotPathParams is the representative block the repo's allocation
+// ceilings are stated for (the alloc tests in miner, validator, chain and
+// api): the paper's mixed workload, 128 transactions at 30 % conflict.
+// Those tests mine it with three workers on the deterministic simulated
+// runner, so a count is a property of the code, not of the host.
+var HotPathParams = Params{Kind: KindMixed, Transactions: 128, ConflictPercent: 30, Seed: 42}
+
 func (p Params) withDefaults() Params {
 	if p.GasLimit == 0 {
 		p.GasLimit = 1_000_000
