@@ -76,15 +76,10 @@ func (n *Node) ImportBlock(b chain.Block) (alreadyKnown bool, err error) {
 }
 
 // servedHeight is the highest height the wire API exposes: the durable
-// height on a durable pipelining node, the sealed head otherwise. A
-// syncing follower must never hold a block the miner could lose in a
-// crash and fork.
-func (n *Node) servedHeight() uint64 {
-	if n.prod == nil || n.log == nil {
-		return n.Height()
-	}
-	return n.durableHeight.Load()
-}
+// height, on every node. A block is sealed onto the chain before its WAL
+// record is durable, so the chain head alone may be one a crash voids; a
+// syncing follower must never hold such a block, or it could fork.
+func (n *Node) servedHeight() uint64 { return n.durableHeight.Load() }
 
 // DurableBlock implements api.Backend: the block at height, only if it
 // is at or under the durability line. The crash rule covers the pull
@@ -122,9 +117,9 @@ func (n *Node) SnapshotWire() []byte {
 // BalanceAt implements api.Backend: a read of one account's balance at
 // the current block boundary. It runs a one-shot serial transaction on a
 // simulated thread under execMu, so the read never interleaves with an
-// executing block. On a pipelining node this reads the sealed state —
-// balances, unlike receipts, are a point-in-time convenience query, not
-// a durability promise.
+// executing block. It reads the sealed state — balances, unlike
+// receipts, are a point-in-time convenience query, not a durability
+// promise.
 func (n *Node) BalanceAt(addr types.Address) (types.Amount, error) {
 	n.execMu.Lock()
 	defer n.execMu.Unlock()

@@ -277,7 +277,7 @@ func TestV1ReceiptNotVisibleBeforeDurable(t *testing.T) {
 	ctx := context.Background()
 
 	// Seal a block but do not submit it to the persist stage.
-	block, err := n.mineOnePipelined(recBlockSize, false)
+	block, err := n.mineOne(recBlockSize, false)
 	if err != nil {
 		t.Fatalf("seal: %v", err)
 	}
@@ -301,7 +301,7 @@ func TestV1ReceiptNotVisibleBeforeDurable(t *testing.T) {
 	n.mu.Lock()
 	entry := n.inflight[0]
 	n.mu.Unlock()
-	n.submitEntry(entry)
+	n.persist(entry)
 	if err := n.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

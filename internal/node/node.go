@@ -32,19 +32,27 @@
 // validator — so recovery re-verifies the published (S, H) schedules
 // exactly as a peer would.
 //
-// With Config.PipelineDepth > 1 block production is pipelined: MineOne
-// returns once a block is sealed (selected, executed, appended to the
-// chain) and hands the WAL append + fsync to an asynchronous group-commit
-// writer, so the disk sync of block N overlaps the execution of block
-// N+1. The chain head then has two notions: the sealed height (what
-// mining builds on) and the durable height (what a crash provably keeps;
-// Status reports both). The crash-consistency rule: a block is published
-// to peers (Config.Publish) only after its WAL record is durable, in
-// height order, and a persist failure rolls the sealed-not-durable suffix
-// back — world restored, chain rewound, calls requeued at their original
-// arrival position. PipelineDepth 1 (the default) is the fully
-// synchronous path: durable before MineOne returns, exactly the
-// pre-pipeline behavior.
+// Every block — mined here, imported from a peer, or replayed from the WAL
+// by New — crosses the same lifecycle:
+//
+//	seal    (under execMu) chain.Append, register in the in-flight
+//	        window, bump the tally: the sealed head advances
+//	persist the WAL append: inline on a node whose window is 1, through
+//	        the asynchronous group-commit writer when PipelineDepth > 1;
+//	        recovered blocks skip it, the WAL already holds them
+//	verdict leave the window, advance the durable height, record
+//	        receipts, emit the event, publish a mined block to peers
+//
+// and one rule: nothing is visible before it is durable. The chain head
+// has two notions — the sealed height (what mining builds on) and the
+// durable height (what a crash provably keeps; Status reports both) —
+// and every read surface is gated by the durable one. A persist failure
+// rolls the sealed-not-durable suffix back: world restored, chain
+// rewound, calls requeued at their original arrival position. With
+// PipelineDepth <= 1 (the default) the window is 1 and MineOne returns
+// only after its own verdict; with a deeper window MineOne returns at
+// seal, the fsync of block N overlaps the execution of block N+1, and a
+// failure additionally latches the node against further sealing.
 package node
 
 import (
@@ -94,9 +102,9 @@ type Config struct {
 	Persist persist.Options
 	// PipelineDepth bounds the sealed-not-durable window: how many mined
 	// blocks may await their WAL fsync while the next one executes. 0 or
-	// 1 selects the synchronous path (durable before MineOne returns).
-	// Depth > 1 overlaps execution with persistence; see the package
-	// comment for the sealed/durable distinction and the abort rule.
+	// 1 is a window of one (durable before MineOne returns). Depth > 1
+	// overlaps execution with persistence; see the package comment for
+	// the sealed/durable distinction and the abort rule.
 	PipelineDepth int
 	// Publish, when non-nil, is called for every locally mined block once
 	// it is durable (or immediately after sealing on a node without a
@@ -161,8 +169,8 @@ type Node struct {
 	// log is the durable persistence log (nil without Config.DataDir).
 	log *persist.Log
 	// snapEvery is the snapshot cadence in blocks (<=0 disables);
-	// sinceSnap counts appends since the last snapshot (both guarded by
-	// execMu, not n.mu — see maybeSnapshot).
+	// sinceSnap counts blocks sealed since the last snapshot (both
+	// guarded by execMu, not n.mu — see maybeSnapshot).
 	snapEvery int
 	sinceSnap int
 	// snapshotErrs counts failed checkpoint writes (atomic: bumped under
@@ -175,24 +183,24 @@ type Node struct {
 	// so CurrentStatus never calls into the persist.Log — whose mutex
 	// Append/WriteSnapshot hold across fsyncs — while holding n.mu.
 	lastSnapHeight atomic.Uint64
-	// recoveredBlocks counts blocks replayed from the WAL by New.
-	recoveredBlocks int
 	// writer is the asynchronous group-commit WAL appender (nil unless
 	// the node is durable with PipelineDepth > 1). All WAL block appends
 	// go through it when present, so mined and imported blocks serialize
 	// in one queue.
 	writer *persist.Writer
-	// prod coordinates the pipelined block lifecycle (nil when
-	// PipelineDepth <= 1): window admission, back-pressure and the abort
-	// pass on persist failure.
+	// prod owns the sealed-not-durable window on every node (depth 1 when
+	// PipelineDepth <= 1): every block holds a slot from before its seal
+	// until its verdict, which is the back-pressure; a failed
+	// asynchronous verdict latches it and schedules the abort pass.
 	prod *pipeline.Producer
 	// inflight is the sealed-not-durable registry, oldest first. Entries
 	// are appended under execMu (at seal) and popped from the front as
-	// durability verdicts arrive; the abort pass drains it wholesale.
-	// Guarded by n.mu.
+	// durability verdicts arrive; rollback drains it wholesale. Guarded
+	// by n.mu.
 	inflight []*inflightEntry
-	// durableHeight is the newest block acknowledged by the persistence
-	// layer (atomic; equals the sealed height on a non-durable node).
+	// durableHeight is the newest block that has had its verdict (atomic;
+	// on a node without a data dir the verdict follows the seal at once).
+	// It never exceeds the sealed height, and it gates every read.
 	durableHeight atomic.Uint64
 	// lastDurableAt is when the durable height last advanced, in unix
 	// milliseconds (atomic; 0 until the first advance). The API's
@@ -220,21 +228,36 @@ type Node struct {
 	// recomputation (atomic: bumped under execMu, read by status).
 	importMode        ImportMode
 	importDivergences atomic.Int64
-	// stats
-	minedBlocks     int
-	validatedBlocks int
-	totalRetries    int
+	// tally counts sealed blocks by origin (mined, imported, recovered);
+	// totalRetries sums the mined blocks' execution retries. Rollback
+	// takes un-sealed blocks out again. Guarded by n.mu.
+	tally        [3]int
+	totalRetries int
 }
 
-// inflightEntry is one sealed block awaiting its durability verdict,
-// with everything the abort pass needs to un-seal it.
+// origin says which entry point produced a block; the lifecycle differs
+// by origin only in what the tally counts, in who waits for the verdict,
+// and in that only mined blocks are published to peers.
+type origin uint8
+
+const (
+	mined origin = iota
+	imported
+	recovered
+)
+
+// inflightEntry is one executed block on its way through seal → persist
+// → verdict, with everything rollback needs to un-seal it.
 type inflightEntry struct {
-	block chain.Block
-	// sel returns the block's calls to their arrival position on abort.
+	block  chain.Block
+	origin origin
+	// sel returns a mined block's calls to their arrival position on
+	// rollback (empty otherwise).
 	sel mempool.Selection
 	// snap is the world state before the block executed.
 	snap storage.Snapshot
-	// retries is the block's execution retry count, un-tallied on abort.
+	// retries is a mined block's execution retry count, un-tallied on
+	// rollback.
 	retries int
 }
 
@@ -276,6 +299,7 @@ func New(cfg Config) (*Node, error) {
 		policy:  cfg.SelectionPolicy,
 		eng:     eng,
 	}
+	n.prod = pipeline.New(cfg.PipelineDepth, n.abortPass)
 	n.importMode = cfg.ImportMode
 	n.errLog = cfg.ErrorLog
 	if n.errLog == nil {
@@ -301,11 +325,8 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	n.publish = cfg.Publish
-	if cfg.PipelineDepth > 1 {
-		if n.log != nil {
-			n.writer = persist.NewWriter(n.log)
-		}
-		n.prod = pipeline.New(cfg.PipelineDepth, n.abortPipeline)
+	if cfg.PipelineDepth > 1 && n.log != nil {
+		n.writer = persist.NewWriter(n.log)
 	}
 	n.server = api.NewServer(api.Config{
 		Backend:          n,
@@ -373,31 +394,20 @@ func (n *Node) openDurable(cfg Config, genesisRoot types.Hash) error {
 				cfg.DataDir, snap.Header.StateRoot.Short(), genesisRoot.Short())
 		}
 	default:
-		if err := n.world.RestoreState(snap.State); err != nil {
-			return fmt.Errorf("node: snapshot %d: %w", snap.Height(), err)
-		}
-		root, err := n.world.StateRoot()
-		if err != nil {
-			return fmt.Errorf("node: state root: %w", err)
-		}
-		if root != snap.Header.StateRoot {
-			return fmt.Errorf("node: snapshot %d state hashes to %s, header claims %s",
-				snap.Height(), root.Short(), snap.Header.StateRoot.Short())
+		if err := n.restoreCheckpoint(*snap); err != nil {
+			return fmt.Errorf("node: %w", err)
 		}
 		n.chain = chain.NewAt(snap.Header)
+		n.lastSnapHeight.Store(snap.Height())
 	}
 
 	// Replay the WAL tail through the full validation path: recovery
 	// re-verifies every published schedule, so corrupt-but-well-framed
-	// records cannot smuggle state in.
+	// records cannot smuggle state in. Each replayed block counts against
+	// the snapshot cadence at its seal, so the cadence resumes where the
+	// previous run left it.
 	from := n.chain.Head().Header.Number + 1
-	if err := log.Blocks(from, func(b chain.Block) error {
-		if err := n.replayBlock(b); err != nil {
-			return err
-		}
-		n.recoveredBlocks++
-		return nil
-	}); err != nil {
+	if err := log.Blocks(from, n.replayBlock); err != nil {
 		return fmt.Errorf("node: recover: %w", err)
 	}
 
@@ -411,36 +421,53 @@ func (n *Node) openDurable(cfg Config, genesisRoot types.Hash) error {
 		n.pool.SubmitAllTrusted(calls)
 	}
 
-	// Resume the snapshot cadence where the previous run left it: the
-	// replayed WAL tail counts against it, and an overdue checkpoint is
-	// written now. Otherwise a node that crashes more often than every
-	// SnapshotEvery blocks would never snapshot past genesis, and its
-	// WAL — and recovery time — would grow without bound.
-	if s := log.LatestSnapshot(); s != nil {
-		n.lastSnapHeight.Store(s.Height())
-		n.sinceSnap = int(n.chain.Head().Header.Number - s.Height())
-		n.maybeSnapshot(0)
-	}
-	// Everything recovered from disk is by definition durable.
+	// An overdue checkpoint is written now, once. Otherwise a node that
+	// crashes more often than every SnapshotEvery blocks would never
+	// snapshot past genesis, and its WAL — and recovery time — would grow
+	// without bound.
+	n.maybeSnapshot()
+	// Everything recovered from disk is by definition durable — also a
+	// snapshot with no WAL tail behind it, which no verdict announced.
 	n.markDurable(n.chain.Head().Header.Number)
 	return nil
 }
 
-// replayBlock validates and appends one recovered block. Only New calls
-// it, before the node is shared, so no locking.
+// restoreCheckpoint loads a checkpoint's state into the world and checks
+// that it hashes to the root the checkpoint header claims. The caller
+// owns putting the world back if it fails.
+func (n *Node) restoreCheckpoint(s persist.Snapshot) error {
+	if err := n.world.RestoreState(s.State); err != nil {
+		return fmt.Errorf("snapshot %d: %w", s.Height(), err)
+	}
+	root, err := n.world.StateRoot()
+	if err != nil {
+		return fmt.Errorf("snapshot %d: state root: %w", s.Height(), err)
+	}
+	if root != s.Header.StateRoot {
+		return fmt.Errorf("snapshot %d: state hashes to %s, header claims %s",
+			s.Height(), root.Short(), s.Header.StateRoot.Short())
+	}
+	return nil
+}
+
+// replayBlock takes one recovered block through the lifecycle: validated
+// like a peer's block, sealed, and — the WAL already holding it — given
+// its verdict on the spot, so its receipts are queryable from the moment
+// the node comes back up. Only New calls it, before the node is shared,
+// so no locking.
 func (n *Node) replayBlock(b chain.Block) error {
-	snap := n.world.Snapshot()
-	if _, err := validator.Validate(n.runner, n.world, b, validator.Config{Workers: n.workers}); err != nil {
-		n.world.Restore(snap)
+	if err := n.prod.Admit(); err != nil {
 		return err
 	}
-	if err := n.chain.Append(b); err != nil {
-		n.world.Restore(snap)
+	e, err := n.validateEntry(b, nil, recovered)
+	if err == nil {
+		err = n.seal(e)
+	}
+	if err != nil {
+		n.prod.Release()
 		return err
 	}
-	// Replayed blocks are durable by definition — their receipts are
-	// queryable from the moment the node comes back up.
-	n.recordDurable(b)
+	n.verdict(e, nil)
 	return nil
 }
 
@@ -448,17 +475,13 @@ func (n *Node) replayBlock(b chain.Block) error {
 func (n *Node) RecoveredBlocks() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.recoveredBlocks
+	return n.tally[recovered]
 }
 
-// Flush drains the pipeline: it blocks until every sealed block has its
+// Flush drains the window: it blocks until every sealed block has its
 // durability verdict (and any abort pass has finished), then reports the
-// pipeline's latched error, if any. A node without a pipeline is always
-// drained. Do not call from a publish hook.
+// latched error, if any. Do not call from a publish hook.
 func (n *Node) Flush() error {
-	if n.prod == nil {
-		return nil
-	}
 	if err := n.prod.Flush(); err != nil {
 		return fmt.Errorf("node: %w", err)
 	}
@@ -478,31 +501,21 @@ func (n *Node) Close() error {
 	}
 	n.execMu.Lock()
 	defer n.execMu.Unlock()
-	// The pipelined path defers cadence checkpoints to drain points, and
-	// shutdown is the last one: an overdue snapshot writes now, so a node
-	// whose mining stopped exactly at a cadence boundary matches the
-	// synchronous path's disk state instead of leaving the whole WAL tail
-	// for the next recovery to replay.
-	if flushErr == nil {
-		n.maybeSnapshot(0)
-	}
-	// n.mu guards the bookkeeping reads only; the pool save and WAL close
-	// run outside it (execMu, still held, keeps the world quiescent, and
-	// persist.Log serializes its own I/O internally).
-	n.mu.Lock()
-	log := n.log
-	var pending []contract.Call
-	if log != nil {
-		pending = n.pool.PendingCalls()
-	}
-	n.mu.Unlock()
-	if log == nil {
+	if n.log == nil {
 		return flushErr
 	}
-	if err := log.SavePool(pending); err != nil {
+	// A pipelining node defers cadence checkpoints to drain points, and
+	// shutdown is the last one: an overdue snapshot writes now, so a node
+	// whose mining stopped exactly at a cadence boundary has the disk
+	// state of a window-1 node instead of leaving the whole WAL tail for
+	// the next recovery to replay.
+	if flushErr == nil {
+		n.maybeSnapshot()
+	}
+	if err := n.log.SavePool(n.pool.PendingCalls()); err != nil {
 		return fmt.Errorf("node: close: %w", err)
 	}
-	if err := log.Close(); err != nil {
+	if err := n.log.Close(); err != nil {
 		return fmt.Errorf("node: close: %w", err)
 	}
 	return flushErr
@@ -515,21 +528,16 @@ func (n *Node) Close() error {
 // and demos recover from this. (An actual process kill releases the
 // lock the same way, since advisory locks die with their descriptors.)
 func (n *Node) Kill() {
-	// A crashing pipeline runs no abort passes — the process is "gone",
-	// so its in-memory world is nobody's business; only the WAL speaks.
-	if n.prod != nil {
-		n.prod.Latch(persist.ErrClosed)
-	}
+	// A crashing node runs no abort passes — the process is "gone", so
+	// its in-memory world is nobody's business; only the WAL speaks.
+	n.prod.Latch(persist.ErrClosed)
 	if n.writer != nil {
 		n.writer.Kill()
 	}
 	n.execMu.Lock()
 	defer n.execMu.Unlock()
-	n.mu.Lock()
-	log := n.log
-	n.mu.Unlock()
-	if log != nil {
-		_ = log.Close()
+	if n.log != nil {
+		_ = n.log.Close()
 	}
 }
 
@@ -557,11 +565,8 @@ func (n *Node) SubmitAll(calls []contract.Call) {
 }
 
 // recordDurable indexes a durable block's receipts and fans the block
-// out to event-stream subscribers. It is called exactly at the points
-// where a block crosses the durability line: the synchronous mine path,
-// the pipelined durability verdict, foreign-block import, and WAL
-// recovery — never for a sealed-not-durable block, which a crash could
-// still void.
+// out to event-stream subscribers. Only the verdict calls it — never for
+// a sealed-not-durable block, which a crash could still void.
 func (n *Node) recordDurable(b chain.Block) {
 	recs := wire.ReceiptsOf(b)
 	for i, c := range b.Calls {
@@ -602,81 +607,86 @@ func (n *Node) Head() chain.Block { return n.chainRef().Head() }
 func (n *Node) BlockAt(h uint64) (chain.Block, bool) { return n.chainRef().BlockAt(h) }
 
 // MineOne selects up to blockSize transactions, executes them with the
-// node's engine, appends the block and reports conflict feedback to the
+// node's engine, seals the block and reports conflict feedback to the
 // pool. It returns the sealed block. With PipelineDepth <= 1 the block is
 // durable (per the WAL sync policy) before MineOne returns; with a deeper
-// pipeline the persist + publish stages complete asynchronously, and a
+// window the persist and verdict stages complete asynchronously, and a
 // later persist failure rolls the block back and requeues its calls — see
 // the package comment.
 //
 // Locking: execMu serializes the world mutation end to end, but n.mu is
 // only taken for the short bookkeeping sections (selection against the
-// current head, then seal-and-append), never across the execution itself.
+// current head, then the seal), never across the execution itself.
 func (n *Node) MineOne(blockSize int) (chain.Block, error) {
-	if n.prod != nil {
-		return n.mineOnePipelined(blockSize, true)
-	}
-	n.execMu.Lock()
-	defer n.execMu.Unlock()
-
-	sel, res, snap, err := n.executeSeal(blockSize)
-	if err != nil {
-		return chain.Block{}, err
-	}
-
-	// WAL first: a block must be durable before it becomes visible.
-	// Persistence I/O runs under execMu alone — execMu already serializes
-	// every appender, and fsyncs must not stall status queries on n.mu.
-	// execMu also guarantees the seal raced nobody, so the chain append
-	// after a successful WAL write cannot fail short of a bug.
-	if err := n.persistBlock(res.Block); err != nil {
-		n.world.Restore(snap)
-		n.pool.RequeueBatch(sel)
-		return chain.Block{}, fmt.Errorf("node: persist: %w", err)
-	}
-	n.markDurable(res.Block.Header.Number)
-
-	n.mu.Lock()
-	err = n.chain.Append(res.Block)
-	if err == nil {
-		n.reportFeedbackLocked(sel.Calls, res)
-		n.minedBlocks++
-		n.totalRetries += res.Stats.Retries
-	}
-	n.mu.Unlock()
-	if err != nil {
-		n.world.Restore(snap)
-		n.pool.RequeueBatch(sel)
-		return chain.Block{}, fmt.Errorf("node: append: %w", err)
-	}
-	// Durable and appended: receipts become visible and the block goes to
-	// event-stream subscribers, before the peer publish hook so a peer
-	// notified of the block can immediately query its receipts here.
-	n.recordDurable(res.Block)
-	n.maybeSnapshot(1)
-	if publish := n.publishHook(); publish != nil {
-		publish(res.Block)
-	}
-	return res.Block, nil
+	return n.mineOne(blockSize, true)
 }
 
-// executeSeal is the select + execute + seal stage shared by the
-// synchronous and pipelined paths: pick a batch against the current head,
-// run it through the engine and seal the result. On failure the world is
+// mineOne is MineOne with a seam: submit=false leaves the block sealed
+// but never handed to the persist stage — the crash tests' way of parking
+// the node at an exact lifecycle stage; persist(entry) resumes it.
+func (n *Node) mineOne(blockSize int, submit bool) (chain.Block, error) {
+	if err := n.enter(); err != nil {
+		return chain.Block{}, err
+	}
+	defer n.execMu.Unlock()
+	e, res, err := n.mineEntry(blockSize)
+	if err == nil {
+		err = n.seal(e)
+	}
+	if err != nil {
+		n.prod.Release()
+		return chain.Block{}, err
+	}
+	n.reportFeedback(e.sel.Calls, res)
+	if submit {
+		// Still under execMu: WAL order must match chain order even
+		// against a concurrent AcceptBlock.
+		if err := n.persist(e); err != nil {
+			return chain.Block{}, err
+		}
+	}
+	return e.block, nil
+}
+
+// enter opens the lifecycle for one block: it takes a window slot
+// (blocking while PipelineDepth blocks await their fsync — the
+// back-pressure rule), then execMu, and writes the cadence checkpoint if
+// one is due. On error neither the slot nor execMu is held.
+func (n *Node) enter() error {
+	if err := n.prod.Admit(); err != nil {
+		return fmt.Errorf("node: %w", err)
+	}
+	n.execMu.Lock()
+	// A failure latched while we waited: nothing may seal on a suffix the
+	// abort pass is (or will be) rolling back.
+	err := n.prod.Err()
+	if err == nil {
+		// Checkpoints need a durable boundary, so when one is due on a
+		// pipelining node the window drains first — a periodic group
+		// boundary. A latched writer surfaces here; the abort pass runs
+		// once we back off.
+		err = n.maybeSnapshot()
+	}
+	if err != nil {
+		n.execMu.Unlock()
+		n.prod.Release()
+		return fmt.Errorf("node: %w", err)
+	}
+	return nil
+}
+
+// mineEntry is the select + execute stage: pick a batch against the
+// sealed head and run it through the engine. On failure the world is
 // restored and the batch requeued at its arrival position. Caller holds
-// execMu; the returned snapshot is the world state before the block (the
-// pipelined abort path restores it).
-func (n *Node) executeSeal(blockSize int) (mempool.Selection, miner.Result, storage.Snapshot, error) {
+// execMu, which guarantees the parent header cannot move underneath us.
+func (n *Node) mineEntry(blockSize int) (*inflightEntry, miner.Result, error) {
 	n.mu.Lock()
 	sel, err := n.pool.SelectBatch(n.policy, blockSize)
 	parent := n.chain.Head().Header
 	n.mu.Unlock()
 	if err != nil {
-		return mempool.Selection{}, miner.Result{}, storage.Snapshot{}, fmt.Errorf("node: select: %w", err)
+		return nil, miner.Result{}, fmt.Errorf("node: select: %w", err)
 	}
-
-	// Snapshot the world, execute outside n.mu, seal under it. execMu
-	// guarantees the parent header cannot move underneath us.
 	snap := n.world.Snapshot()
 	res, err := miner.Mine(n.eng, n.runner, n.world, parent, sel.Calls,
 		engine.Options{Workers: n.workers})
@@ -685,16 +695,175 @@ func (n *Node) executeSeal(blockSize int) (mempool.Selection, miner.Result, stor
 		// The selection was destructive; a failed attempt must not lose
 		// the clients' transactions.
 		n.pool.RequeueBatch(sel)
-		return mempool.Selection{}, miner.Result{}, storage.Snapshot{}, fmt.Errorf("node: mine: %w", err)
+		return nil, miner.Result{}, fmt.Errorf("node: mine: %w", err)
 	}
-	return sel, res, snap, nil
+	return &inflightEntry{block: res.Block, origin: mined, sel: sel, snap: snap, retries: res.Stats.Retries}, res, nil
 }
 
-// reportFeedbackLocked feeds the engine's conflict observations back to
-// the pool: retried transactions always (the spread policy's signal), and
-// the full happens-before pair structure when the lock-hint policy is
-// active. Caller holds n.mu.
-func (n *Node) reportFeedbackLocked(calls []contract.Call, res miner.Result) {
+// validateEntry is the execute stage for a block somebody else sealed: a
+// peer's (imported) or this node's previous life's (recovered). A nil pre
+// runs the full serial validator; a non-nil one carries Phase A's cached
+// plan and runs only the stateful Phase B. On rejection the world is
+// restored. Caller holds execMu.
+func (n *Node) validateEntry(b chain.Block, pre *validator.Prechecked, from origin) (*inflightEntry, error) {
+	snap := n.world.Snapshot()
+	var err error
+	if pre != nil {
+		_, err = validator.ValidatePrechecked(n.runner, n.world, b, *pre, validator.Config{Workers: n.workers})
+	} else {
+		_, err = validator.Validate(n.runner, n.world, b, validator.Config{Workers: n.workers})
+	}
+	if err != nil {
+		n.world.Restore(snap)
+		return nil, err
+	}
+	return &inflightEntry{block: b, origin: from, snap: snap}, nil
+}
+
+// seal advances the sealed head over an executed block — sealed, not yet
+// durable — and registers the entry in the window before execMu drops, so
+// rollback (which runs under execMu) always sees every sealed block.
+// Sealed blocks count toward the snapshot cadence here. execMu guarantees
+// the seal raced nobody, so the append cannot fail short of a bug or a
+// mislinked WAL record; if it does the block is undone on the spot.
+// Caller holds execMu and a window slot.
+func (n *Node) seal(e *inflightEntry) error {
+	n.mu.Lock()
+	err := n.chain.Append(e.block)
+	if err == nil {
+		n.inflight = append(n.inflight, e)
+		n.tally[e.origin]++
+		n.totalRetries += e.retries
+	}
+	n.mu.Unlock()
+	if err != nil {
+		n.world.Restore(e.snap)
+		n.pool.RequeueBatch(e.sel)
+		return fmt.Errorf("node: append: %w", err)
+	}
+	n.sinceSnap++
+	return nil
+}
+
+// persist hands a sealed block to the WAL and sees to its verdict.
+// Without a group-commit writer the append is inline and the verdict
+// follows before persist returns; a failure rolls the block back without
+// latching, so the next attempt is tried, not refused. With a writer the
+// fsync is the writer goroutine's: a mined block returns at once and its
+// verdict arrives asynchronously, an imported one waits for its own
+// (behind any mined blocks in the same queue). Caller holds execMu.
+func (n *Node) persist(e *inflightEntry) error {
+	if n.writer == nil {
+		if n.log != nil {
+			// Persistence I/O runs under execMu alone: fsyncs must not
+			// stall status queries on n.mu.
+			if err := n.log.Append(e.block); err != nil {
+				n.rollback()
+				n.prod.Release()
+				return fmt.Errorf("node: persist: %w", err)
+			}
+		}
+		n.verdict(e, nil)
+		// Window empty, world at the durable head: a due checkpoint
+		// writes now. (Nothing to drain, so nothing to fail.)
+		_ = n.maybeSnapshot()
+		return nil
+	}
+	done := make(chan error, 1)
+	// Enqueue never blocks on I/O.
+	n.writer.Enqueue(e.block, func(err error) {
+		n.verdict(e, err)
+		done <- err
+	})
+	if e.origin == mined {
+		return nil
+	}
+	if err := <-done; err != nil {
+		// The failed verdict latched the node and scheduled an abort
+		// pass, which waits for the execMu we hold; roll back here so the
+		// caller never sees an error over an un-rolled-back world.
+		n.rollback()
+		return fmt.Errorf("node: persist: %w", err)
+	}
+	return nil
+}
+
+// verdict is the persist stage's answer for one entry. On success the
+// entry leaves the window, the durable height advances, the block's
+// receipts become queryable and its event goes out — now, never at seal
+// time: a crash between seal and this point voids the block, and served
+// receipts must not outlive their block — and then a mined block goes to
+// the peer publish hook, so a notified peer can immediately query its
+// receipts here. On failure the producer latches and schedules the abort
+// pass. Verdicts arrive serially in height order (inline under execMu, or
+// from the one writer goroutine), which is what makes the event and
+// publish ordering guarantees hold.
+func (n *Node) verdict(e *inflightEntry, err error) {
+	if err == nil {
+		n.mu.Lock()
+		if len(n.inflight) > 0 && n.inflight[0] == e {
+			// Clear the slot: the backing array outlives the pop, and the
+			// entry holds a whole pre-block copy of the world.
+			n.inflight[0] = nil
+			n.inflight = n.inflight[1:]
+		}
+		publish := n.publish
+		n.mu.Unlock()
+		n.markDurable(e.block.Header.Number)
+		n.recordDurable(e.block)
+		if e.origin == mined && publish != nil {
+			publish(e.block)
+		}
+	}
+	n.prod.Complete(err)
+}
+
+// rollback voids every sealed-not-durable block: the world goes back to
+// the oldest one's pre-state, the chain rewinds under it, the tallies
+// forget the blocks, and every mined batch returns to the pool at its
+// original arrival position — which is why RequeueBatch merges by arrival
+// order rather than trusting rollback order. Caller holds execMu, so it
+// cannot race a seal; with nothing in the window it does nothing.
+func (n *Node) rollback() {
+	n.mu.Lock()
+	entries := n.inflight
+	n.inflight = nil
+	if len(entries) > 0 {
+		// Rewind cannot fail: sealed blocks sit strictly above the base.
+		_ = n.chain.RewindTo(entries[0].block.Header.Number - 1)
+	}
+	for _, e := range entries {
+		// The blocks' execution stats leave the tallies too, or
+		// retries-per-mined-block reads would count phantom blocks.
+		n.tally[e.origin]--
+		n.totalRetries -= e.retries
+	}
+	n.mu.Unlock()
+	if len(entries) == 0 {
+		return
+	}
+	n.world.Restore(entries[0].snap)
+	for _, e := range entries {
+		n.pool.RequeueBatch(e.sel)
+	}
+	if n.sinceSnap -= len(entries); n.sinceSnap < 0 {
+		n.sinceSnap = 0
+	}
+}
+
+// abortPass is the producer's abort pass after a failed asynchronous
+// verdict. A block sealed while an earlier pass ran is caught by the
+// follow-up pass its own failed verdict schedules.
+func (n *Node) abortPass(error) {
+	n.execMu.Lock()
+	defer n.execMu.Unlock()
+	n.rollback()
+}
+
+// reportFeedback feeds the engine's conflict observations back to the
+// pool: retried transactions always (the spread policy's signal), and the
+// full happens-before pair structure when the lock-hint policy is active.
+func (n *Node) reportFeedback(calls []contract.Call, res miner.Result) {
 	var conflicted []contract.Call
 	for _, id := range res.Stats.RetriedTxs {
 		conflicted = append(conflicted, calls[id])
@@ -709,204 +878,49 @@ func (n *Node) reportFeedbackLocked(calls []contract.Call, res miner.Result) {
 	}
 }
 
-// mineOnePipelined runs the staged path: admit into the window (blocking
-// while PipelineDepth blocks await their fsync — the back-pressure rule),
-// seal the next block on the sealed head, register it in the in-flight
-// list and hand it to the persist stage. With submit=false the block is
-// left sealed-but-unsubmitted — the crash tests' way of parking the node
-// at an exact pipeline stage.
-func (n *Node) mineOnePipelined(blockSize int, submit bool) (chain.Block, error) {
-	if err := n.prod.Admit(); err != nil {
-		return chain.Block{}, fmt.Errorf("node: %w", err)
-	}
-	n.execMu.Lock()
-	// A failure latched while we waited for the window: nothing may seal
-	// on a suffix the abort pass is (or will be) rolling back.
-	if err := n.prod.Err(); err != nil {
-		n.execMu.Unlock()
-		n.prod.Release()
-		return chain.Block{}, fmt.Errorf("node: %w", err)
-	}
-	// Snapshot cadence: checkpoints need a durable boundary, so when one
-	// is due the window drains first — a periodic group boundary.
-	if err := n.maybeSnapshotPipelined(); err != nil {
-		n.execMu.Unlock()
-		n.prod.Release()
-		return chain.Block{}, fmt.Errorf("node: %w", err)
-	}
-
-	sel, res, snap, err := n.executeSeal(blockSize)
-	if err != nil {
-		n.execMu.Unlock()
-		n.prod.Release()
-		return chain.Block{}, err
-	}
-
-	// Seal the chain head forward — sealed, not yet durable — and
-	// register the entry before execMu drops, so the abort pass (which
-	// runs under execMu) always sees every sealed block.
-	entry := &inflightEntry{block: res.Block, sel: sel, snap: snap, retries: res.Stats.Retries}
-	n.mu.Lock()
-	err = n.chain.Append(res.Block)
-	if err == nil {
-		n.inflight = append(n.inflight, entry)
-		n.reportFeedbackLocked(sel.Calls, res)
-		n.minedBlocks++
-		n.totalRetries += res.Stats.Retries
-	}
-	n.mu.Unlock()
-	if err != nil {
-		n.world.Restore(snap)
-		n.pool.RequeueBatch(sel)
-		n.execMu.Unlock()
-		n.prod.Release()
-		return chain.Block{}, fmt.Errorf("node: append: %w", err)
-	}
-	n.sinceSnap++ // sealed blocks count toward the cadence (execMu)
-	// Hand off to the persist stage while still holding execMu: WAL
-	// queue order must match chain order even against a concurrent
-	// AcceptBlock. Enqueue never blocks on I/O.
-	if submit {
-		n.submitEntry(entry)
-	}
-	n.execMu.Unlock()
-	return res.Block, nil
-}
-
-// submitEntry hands a sealed block to the persist stage. On a durable
-// node the group-commit writer owns the fsync; without one there is
-// nothing to wait for and the entry completes on the spot.
-func (n *Node) submitEntry(e *inflightEntry) {
-	if n.writer != nil {
-		n.writer.Enqueue(e.block, func(err error) { n.entryDurable(e, err) })
-		return
-	}
-	n.entryDurable(e, nil)
-}
-
-// entryDurable is the persist stage's verdict callback: on success the
-// entry leaves the in-flight registry, the durable height advances and
-// the block is published; on failure the producer schedules the abort
-// pass. Verdicts arrive serially in height order (the writer goroutine
-// delivers them), which is what makes the publish hook's ordering
-// guarantee hold.
-func (n *Node) entryDurable(e *inflightEntry, err error) {
-	if err != nil {
-		n.prod.Complete(err)
-		return
-	}
-	n.mu.Lock()
-	if len(n.inflight) > 0 && n.inflight[0] == e {
-		n.inflight = n.inflight[1:]
-	}
-	publish := n.publish
-	n.mu.Unlock()
-	n.markDurable(e.block.Header.Number)
-	// The durability line: receipts for this block become queryable now,
-	// never at seal time — a crash between seal and this verdict voids
-	// the block, and served receipts must not outlive their block.
-	n.recordDurable(e.block)
-	if publish != nil {
-		publish(e.block)
-	}
-	n.prod.Complete(nil)
-}
-
-// abortPipeline is the producer's abort pass: a persist failure voids
-// every sealed-not-durable block. The world rolls back to the oldest
-// failed block's pre-state, the chain rewinds under it, and every failed
-// batch goes back to the pool at its original arrival position — which is
-// why RequeueBatch merges by arrival order rather than trusting abort
-// order. Runs under execMu so it cannot race a concurrent seal.
-func (n *Node) abortPipeline(cause error) {
-	n.execMu.Lock()
-	defer n.execMu.Unlock()
-	n.mu.Lock()
-	entries := n.inflight
-	n.inflight = nil
-	n.mu.Unlock()
-	if len(entries) == 0 {
-		return
-	}
-	oldest := entries[0]
-	n.world.Restore(oldest.snap)
-	n.mu.Lock()
-	// Rewind cannot fail: sealed blocks sit strictly above the base.
-	_ = n.chain.RewindTo(oldest.block.Header.Number - 1)
-	n.minedBlocks -= len(entries)
-	for _, e := range entries {
-		// The aborted blocks' execution stats leave the tallies too, or
-		// retries-per-mined-block reads would count phantom blocks.
-		n.totalRetries -= e.retries
-	}
-	n.mu.Unlock()
-	for _, e := range entries {
-		n.pool.RequeueBatch(e.sel)
-	}
-	if n.sinceSnap -= len(entries); n.sinceSnap < 0 {
-		n.sinceSnap = 0
-	}
-}
-
-// maybeSnapshotPipelined drains the pipeline window and writes the due
-// checkpoint, if any. Caller holds execMu. A latched writer surfaces its
-// error; the caller backs off and lets the abort pass run.
-func (n *Node) maybeSnapshotPipelined() error {
-	if n.log == nil || n.snapEvery <= 0 || n.sinceSnap < n.snapEvery {
+// drain waits out the group-commit writer's queue, so every submitted
+// block has had its verdict. Caller holds execMu, so nothing new seals
+// meanwhile (verdicts take only n.mu).
+func (n *Node) drain() error {
+	if n.writer == nil {
 		return nil
 	}
 	if err := n.writer.Flush(); err != nil {
 		return fmt.Errorf("pipeline flush: %w", err)
 	}
-	// Window drained: sealed == durable, the world sits exactly at the
-	// chain head, and the checkpoint describes a recoverable boundary.
-	n.maybeSnapshot(0)
 	return nil
 }
 
-// persistBlock appends b to the WAL (no-op without persistence),
-// returning once the block is acknowledged per the sync policy. On a
-// pipelining node the write goes through the group-commit writer so it
-// serializes behind any in-flight mined blocks. Caller holds execMu;
-// n.mu is not needed and deliberately not held across the disk write.
-func (n *Node) persistBlock(b chain.Block) error {
-	if n.log == nil {
+// maybeSnapshot writes the cadence checkpoint when one is due. A
+// checkpoint describes a durable boundary, so it is written only under
+// execMu (which the caller holds; it also guards n.sinceSnap and keeps
+// the chain pointer stable) with the window drained: sealed == durable
+// and the world sits exactly at the chain head. n.mu is deliberately NOT
+// held across the state encoding and snapshot fsyncs. Only a failed drain
+// is an error; a failed snapshot is dropped rather than failing a block:
+// the WAL already holds the blocks, so durability is intact and only
+// recovery speed suffers; the next cadence tick tries again — and the
+// failure shows in Status.SnapshotErrors.
+func (n *Node) maybeSnapshot() error {
+	if n.log == nil || n.snapEvery <= 0 || n.sinceSnap < n.snapEvery {
 		return nil
 	}
-	if n.writer != nil {
-		return n.writer.Append(b)
-	}
-	return n.log.Append(b)
-}
-
-// maybeSnapshot advances the cadence counter by delta blocks and writes
-// a state checkpoint when it is due. The world is exactly at the chain
-// head here: the caller holds execMu (which guards n.sinceSnap and keeps
-// the chain pointer stable; n.mu is deliberately NOT held across the
-// state encoding and snapshot fsyncs). A failed snapshot is dropped
-// rather than failing the block: the WAL already holds the block, so
-// durability is intact and only recovery speed suffers; the next cadence
-// tick tries again — and the failure shows in Status.SnapshotErrors.
-func (n *Node) maybeSnapshot(delta int) {
-	if n.log == nil || n.snapEvery <= 0 {
-		return
-	}
-	n.sinceSnap += delta
-	if n.sinceSnap < n.snapEvery {
-		return
+	if err := n.drain(); err != nil {
+		return err
 	}
 	n.sinceSnap = 0
 	state, err := n.world.EncodeState()
 	if err != nil {
 		n.snapshotErrs.Add(1)
-		return
+		return nil
 	}
 	head := n.chain.Head().Header
 	if err := n.log.WriteSnapshot(persist.Snapshot{Header: head, State: state}); err != nil {
 		n.snapshotErrs.Add(1)
-		return
+		return nil
 	}
 	n.lastSnapHeight.Store(head.Number)
+	return nil
 }
 
 // Errors reported by block import.
@@ -921,9 +935,10 @@ var (
 )
 
 // AcceptBlock validates a foreign block against the node's state and
-// appends it — the validator-node path. On rejection the world state is
-// restored. Like MineOne, it holds execMu (not n.mu) across the
-// validation execution.
+// takes it through the same seal → persist → verdict lifecycle as a mined
+// block, returning once it is durable — the validator-node path. On
+// rejection the world state is restored. Like MineOne, it holds execMu
+// (not n.mu) across the validation execution.
 //
 // Import is idempotent: a block already on the chain returns
 // ErrAlreadyKnown without re-executing; a different block at an occupied
@@ -942,9 +957,24 @@ func (n *Node) AcceptBlock(b chain.Block) error {
 // the cached plan. Either way the error strings match the serial path
 // byte for byte.
 func (n *Node) acceptBlock(b chain.Block, pre *validator.Prechecked, preErr error) error {
-	n.execMu.Lock()
+	if err := n.enter(); err != nil {
+		return err
+	}
 	defer n.execMu.Unlock()
+	e, err := n.importEntry(b, pre, preErr)
+	if err == nil {
+		err = n.seal(e)
+	}
+	if err != nil {
+		n.prod.Release()
+		return err
+	}
+	return n.persist(e)
+}
 
+// importEntry checks a foreign block's linkage against the sealed head
+// and validates it. Caller holds execMu.
+func (n *Node) importEntry(b chain.Block, pre *validator.Prechecked, preErr error) (*inflightEntry, error) {
 	n.mu.Lock()
 	head := n.chain.Head().Header
 	n.mu.Unlock()
@@ -954,57 +984,30 @@ func (n *Node) acceptBlock(b chain.Block, pre *validator.Prechecked, preErr erro
 			// A pruned (snapshot fast-synced) chain no longer holds this
 			// height and cannot distinguish a duplicate from a fork; old
 			// gossip on a converged chain is treated as already known.
-			return ErrAlreadyKnown
+			return nil, ErrAlreadyKnown
 		}
 		if known == b.Header.Hash() {
-			return ErrAlreadyKnown
+			return nil, ErrAlreadyKnown
 		}
-		return fmt.Errorf("%w: height %d has %s, got %s",
+		return nil, fmt.Errorf("%w: height %d has %s, got %s",
 			ErrFork, b.Header.Number, known.Short(), b.Header.Hash().Short())
 	}
 	if b.Header.Number != head.Number+1 {
-		return fmt.Errorf("node: accept: %w: got %d, want %d",
+		return nil, fmt.Errorf("node: accept: %w: got %d, want %d",
 			chain.ErrBadNumber, b.Header.Number, head.Number+1)
 	}
 	if b.Header.ParentHash != head.Hash() {
-		return fmt.Errorf("node: accept: %w: got %s, want %s",
+		return nil, fmt.Errorf("node: accept: %w: got %s, want %s",
 			chain.ErrBadParent, b.Header.ParentHash.Short(), head.Hash().Short())
 	}
-
 	if pre != nil && preErr != nil {
-		return fmt.Errorf("node: %w", preErr)
+		return nil, fmt.Errorf("node: %w", preErr)
 	}
-	snap := n.world.Snapshot()
-	var err error
-	if pre != nil {
-		_, err = validator.ValidatePrechecked(n.runner, n.world, b, *pre, validator.Config{Workers: n.workers})
-	} else {
-		_, err = validator.Validate(n.runner, n.world, b, validator.Config{Workers: n.workers})
-	}
+	e, err := n.validateEntry(b, pre, imported)
 	if err != nil {
-		n.world.Restore(snap)
-		return fmt.Errorf("node: %w", err)
+		return nil, fmt.Errorf("node: %w", err)
 	}
-
-	// WAL first, under execMu alone — see MineOne.
-	if err := n.persistBlock(b); err != nil {
-		n.world.Restore(snap)
-		return fmt.Errorf("node: persist: %w", err)
-	}
-	n.markDurable(b.Header.Number)
-	n.mu.Lock()
-	err = n.chain.Append(b)
-	if err == nil {
-		n.validatedBlocks++
-	}
-	n.mu.Unlock()
-	if err != nil {
-		n.world.Restore(snap)
-		return fmt.Errorf("node: append: %w", err)
-	}
-	n.recordDurable(b)
-	n.maybeSnapshot(1)
-	return nil
+	return e, nil
 }
 
 // MinePipelined mines up to blocks blocks of blockSize through the
@@ -1038,19 +1041,24 @@ var ErrStaleSnapshot = errors.New("node: snapshot not ahead of local head")
 // header itself is the fast-sync trade-off, exactly like trusting a
 // configured genesis. The chain restarts pruned at the checkpoint
 // height, the mempool is untouched, and a durable node drops its now
-// disconnected history and re-roots its log at the checkpoint.
+// disconnected history and re-roots its log at the checkpoint. The
+// window drains first: swapping world and chain under a sealed-not-
+// durable block would leave its verdict, or its rollback, nothing
+// consistent to land on.
 func (n *Node) InstallSnapshot(s persist.Snapshot) error {
 	n.execMu.Lock()
 	defer n.execMu.Unlock()
+	if err := n.drain(); err != nil {
+		return fmt.Errorf("node: install snapshot: %w", err)
+	}
 	// The in-memory swap happens under n.mu; the checkpoint's durability
 	// write runs after it, outside the bookkeeping lock (execMu, still
 	// held, is what keeps the world at a block boundary throughout).
-	log, err := n.installSnapshotState(s)
-	if err != nil {
+	if err := n.installSnapshotState(s); err != nil {
 		return err
 	}
-	if log != nil {
-		if err := log.InstallSnapshot(s); err != nil {
+	if n.log != nil {
+		if err := n.log.InstallSnapshot(s); err != nil {
 			// State is installed and consistent; only durability of the
 			// checkpoint failed. Surface it — the caller may retry sync
 			// into a healthier directory.
@@ -1061,28 +1069,20 @@ func (n *Node) InstallSnapshot(s persist.Snapshot) error {
 }
 
 // installSnapshotState swaps the node's in-memory world and chain to the
-// checkpoint and returns the log (if any) for the caller's durability
-// write. Caller holds execMu.
-func (n *Node) installSnapshotState(s persist.Snapshot) (*persist.Log, error) {
+// checkpoint, leaving both untouched on any error. Caller holds execMu.
+func (n *Node) installSnapshotState(s persist.Snapshot) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if len(n.inflight) > 0 {
+		return fmt.Errorf("node: install snapshot: %d sealed blocks await their durability verdict", len(n.inflight))
+	}
 	if s.Height() <= n.chain.Head().Header.Number {
-		return nil, fmt.Errorf("%w: snapshot %d, head %d", ErrStaleSnapshot, s.Height(), n.chain.Head().Header.Number)
+		return fmt.Errorf("%w: snapshot %d, head %d", ErrStaleSnapshot, s.Height(), n.chain.Head().Header.Number)
 	}
 	old := n.world.Snapshot()
-	if err := n.world.RestoreState(s.State); err != nil {
+	if err := n.restoreCheckpoint(s); err != nil {
 		n.world.Restore(old)
-		return nil, fmt.Errorf("node: install snapshot: %w", err)
-	}
-	root, err := n.world.StateRoot()
-	if err != nil {
-		n.world.Restore(old)
-		return nil, fmt.Errorf("node: install snapshot: state root: %w", err)
-	}
-	if root != s.Header.StateRoot {
-		n.world.Restore(old)
-		return nil, fmt.Errorf("node: install snapshot %d: state hashes to %s, header claims %s",
-			s.Height(), root.Short(), s.Header.StateRoot.Short())
+		return fmt.Errorf("node: install %w", err) // err opens "snapshot N: …"
 	}
 	n.chain = chain.NewAt(s.Header)
 	n.sinceSnap = 0
@@ -1090,7 +1090,7 @@ func (n *Node) installSnapshotState(s persist.Snapshot) (*persist.Log, error) {
 	// The installed checkpoint is this chain's new root: everything the
 	// node now holds is at least as durable as the snapshot itself.
 	n.markDurable(s.Height())
-	return n.log, nil
+	return nil
 }
 
 // SnapshotNow returns a state checkpoint: a durable node serves its
@@ -1108,15 +1108,11 @@ func (n *Node) SnapshotNow() (persist.Snapshot, error) {
 	}
 	n.execMu.Lock()
 	defer n.execMu.Unlock()
-	// A durable pipelining node drains its window first: a generated
-	// checkpoint must describe a durable boundary, never a sealed-not-
-	// durable head a crash could void — the same rule the /head and
-	// /blocks gates enforce. (execMu is held, so nothing new seals while
-	// the writer drains; its verdicts take only n.mu.)
-	if n.writer != nil {
-		if err := n.writer.Flush(); err != nil {
-			return persist.Snapshot{}, fmt.Errorf("node: snapshot: %w", err)
-		}
+	// A generated checkpoint must describe a durable boundary, never a
+	// sealed-not-durable head a crash could void — the same rule the
+	// /head and /blocks gates enforce — so the window drains first.
+	if err := n.drain(); err != nil {
+		return persist.Snapshot{}, fmt.Errorf("node: snapshot: %w", err)
 	}
 	head := n.chain.Head().Header
 	state, err := n.world.EncodeState()
@@ -1135,14 +1131,15 @@ type Status struct {
 	MinedBlocks     int        `json:"minedBlocks"`
 	ValidatedBlocks int        `json:"validatedBlocks"`
 	TotalRetries    int        `json:"totalRetries"`
-	// DurableHeight is the newest block the persistence layer has
-	// acknowledged; Height - DurableHeight is the sealed-not-durable
-	// pipeline window. On a node without a data dir it equals Height —
-	// nothing is ever durable, so the distinction is vacuous.
+	// DurableHeight is the newest block that has had its durability
+	// verdict; Height - DurableHeight is the sealed-not-durable window.
+	// It never exceeds Height. On a node without a data dir the verdict
+	// follows the seal immediately.
 	DurableHeight uint64 `json:"durableHeight"`
-	// PipelineDepth and InFlight describe the production pipeline: the
-	// configured window, and how many blocks currently sit between their
-	// seal and their durability verdict (0 unless PipelineDepth > 1).
+	// PipelineDepth and InFlight describe the sealed-not-durable window:
+	// its configured size (0 on a synchronous node, whose window is 1),
+	// and how many blocks currently sit between their seal and their
+	// durability verdict.
 	PipelineDepth int `json:"pipelineDepth,omitempty"`
 	InFlight      int `json:"inFlight,omitempty"`
 	// Persistent reports whether the node runs with a durable data dir;
@@ -1192,23 +1189,22 @@ func (n *Node) CurrentStatus() Status {
 		HeadHash:        head.Header.Hash(),
 		PoolLen:         n.pool.Len(),
 		Engine:          engineKind,
-		MinedBlocks:     n.minedBlocks,
-		ValidatedBlocks: n.validatedBlocks,
+		MinedBlocks:     n.tally[mined],
+		ValidatedBlocks: n.tally[imported],
 		TotalRetries:    n.totalRetries,
-		DurableHeight:   head.Header.Number,
+		DurableHeight:   n.durableHeight.Load(),
 		InFlight:        len(n.inflight),
 		ChainBase:       n.chain.Base(),
 	}
 	st.ImportMode = n.importMode.String()
 	st.ImportDivergences = n.importDivergences.Load()
-	if n.prod != nil {
-		st.PipelineDepth = n.prod.Depth()
+	if d := n.prod.Depth(); d > 1 {
+		st.PipelineDepth = d
 	}
 	st.Mempool = n.pool.Stats()
 	if n.log != nil {
 		st.Persistent = true
-		st.DurableHeight = n.durableHeight.Load()
-		st.RecoveredBlocks = n.recoveredBlocks
+		st.RecoveredBlocks = n.tally[recovered]
 		st.SnapshotErrors = n.snapshotErrs.Load()
 		st.SnapshotHeight = n.lastSnapHeight.Load()
 		// MetricsSnapshot is lock-free (atomic counters), so this cannot

@@ -325,3 +325,88 @@ func TestInstallSnapshotRejectsHostileShape(t *testing.T) {
 		t.Fatal("refused snapshot changed the world state")
 	}
 }
+
+// TestInstallSnapshotDrainsWindow: a checkpoint must never be installed
+// over a sealed-not-durable block. It used to swap world and chain under
+// the block: its WAL append then failed on a height gap, the abort pass
+// restored the pre-block world under the installed chain, and the node
+// ended with a durable height below where it had been and a world that no
+// longer hashed to its head. Now a block in the writer's queue is waited
+// out and the checkpoint lands on top of it; a block that cannot drain
+// (parked short of the persist stage) refuses the install outright.
+func TestInstallSnapshotDrainsWindow(t *testing.T) {
+	ref, refCalls := recNode(t, engine.KindSerial, "", persist.Options{})
+	ref.SubmitAll(refCalls)
+	for b := 1; b <= 3; b++ {
+		if _, err := ref.MineOne(recBlockSize); err != nil {
+			t.Fatalf("reference mine %d: %v", b, err)
+		}
+	}
+	snap, err := ref.SnapshotNow()
+	if err != nil || snap.Height() != 3 {
+		t.Fatalf("reference snapshot at %d: %v", snap.Height(), err)
+	}
+	// consistent: the world hashes to the head's state root, and the
+	// durable height has not moved backwards.
+	floor := uint64(0)
+	consistent := func(when string, n *Node) {
+		t.Helper()
+		root, err := n.world.StateRoot()
+		if err != nil {
+			t.Fatalf("%s: state root: %v", when, err)
+		}
+		if head := n.Head().Header; root != head.StateRoot {
+			t.Fatalf("%s: world hashes to %s under head %d claiming %s", when, root.Short(), head.Number, head.StateRoot.Short())
+		}
+		durable := n.CurrentStatus().DurableHeight
+		if durable < floor {
+			t.Fatalf("%s: durable height fell from %d to %d", when, floor, durable)
+		}
+		floor = durable
+	}
+	for _, parked := range []bool{true, false} {
+		floor = 0
+		n, calls := pipeNode(t, engine.KindSerial, t.TempDir(), 2, persist.Options{SnapshotEvery: -1}, nil)
+		n.SubmitAll(calls)
+		if _, err := n.MineOne(recBlockSize); err != nil {
+			t.Fatalf("mine 1: %v", err)
+		}
+		if err := n.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		consistent("block 1 durable", n)
+		// Block 2 is sealed and in the window when the checkpoint arrives.
+		if _, err := n.mineOne(recBlockSize, !parked); err != nil {
+			t.Fatalf("seal 2: %v", err)
+		}
+		err := n.InstallSnapshot(snap)
+		if parked {
+			if err == nil {
+				t.Fatal("checkpoint installed over a parked sealed-not-durable block")
+			}
+			if st := n.CurrentStatus(); st.Height != 2 || st.DurableHeight != 1 || st.InFlight != 1 {
+				t.Fatalf("refused install moved the node: %+v", st)
+			}
+			consistent("install refused", n)
+			n.mu.Lock()
+			entry := n.inflight[0]
+			n.mu.Unlock()
+			n.persist(entry)
+			if err := n.Flush(); err != nil {
+				t.Fatalf("parked block did not settle after the refused install: %v", err)
+			}
+			consistent("parked block settled", n)
+			err = n.InstallSnapshot(snap)
+		}
+		if err != nil {
+			t.Fatalf("install over a drained window (parked=%v): %v", parked, err)
+		}
+		if st := n.CurrentStatus(); st.Height != 3 || st.DurableHeight != 3 || st.InFlight != 0 {
+			t.Fatalf("installed node (parked=%v): %+v", parked, st)
+		}
+		consistent("installed", n)
+		if err := n.Close(); err != nil {
+			t.Fatalf("close (parked=%v): %v", parked, err)
+		}
+	}
+}

@@ -2,16 +2,22 @@ package node
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
 	"contractstm/internal/persist"
+	"contractstm/internal/pipeline"
 	"contractstm/internal/runtime"
 	"contractstm/internal/types"
 	"contractstm/internal/workload"
@@ -52,17 +58,88 @@ func refChain(t *testing.T, ek engine.Kind) ([]types.Hash, []types.Hash) {
 	return heads, roots
 }
 
-// TestPipelineDepthParity: for every engine, mining through the pipeline
-// at depth 2 and 4 produces bit-identical blocks to the synchronous
-// depth-1 run — the pipeline overlaps stages, it must not reorder or
-// alter them — and publishes every block exactly once, in height order.
+// clientView is what a node has told its clients about the recovery
+// world's run: every call's receipt — after checking that the broker
+// published exactly one event per height, in height order (NextSeq counts
+// them; the replay ring still holds all but the first).
+func clientView(t *testing.T, label string, n *Node, calls []contract.Call) []wire.TxReceipt {
+	t.Helper()
+	if got := n.events.NextSeq(); got != recBlocks {
+		t.Fatalf("%s: %d broker events for %d blocks", label, got, recBlocks)
+	}
+	evs, complete := n.events.Replay(0)
+	if !complete || len(evs) != recBlocks-1 {
+		t.Fatalf("%s: replay ring holds %d events (complete=%v), want %d", label, len(evs), complete, recBlocks-1)
+	}
+	for i, ev := range evs {
+		if ev.Block.Number != uint64(i+2) {
+			t.Fatalf("%s: event %d is for height %d, want %d", label, i+1, ev.Block.Number, i+2)
+		}
+	}
+	recs := make([]wire.TxReceipt, len(calls))
+	for i, c := range calls {
+		rec, ok := n.receipts.Get(wire.TxIDOf(c))
+		if !ok || rec.Status == wire.StatusPending {
+			t.Fatalf("%s: call %d has no final receipt (%+v)", label, i, rec)
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
+// pollStatus reads CurrentStatus in a loop beside whatever the test does
+// next, until the returned stop is called: no reader may ever see a
+// durable height above the sealed one.
+func pollStatus(t *testing.T, label string, n *Node) (stop func()) {
+	t.Helper()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if st := n.CurrentStatus(); st.DurableHeight > st.Height {
+				t.Errorf("%s: status shows durable height %d above height %d", label, st.DurableHeight, st.Height)
+				return
+			}
+		}
+	}()
+	return func() { close(done); wg.Wait() }
+}
+
+// TestPipelineDepthParity: one lifecycle, three entry points. For every
+// engine, mining through a window of 1, 2 and 4 produces bit-identical
+// blocks to the in-memory reference run — the window overlaps stages, it
+// must not reorder or alter them — and publishes every block exactly
+// once, in height order. A follower importing the same blocks through
+// AcceptBlock, and a node recovering them from its WAL, then tell their
+// clients exactly what the miners told theirs: the same receipts, one
+// event per height, and never a durable height above the sealed one.
 func TestPipelineDepthParity(t *testing.T) {
 	for _, ek := range engine.Kinds() {
 		ek := ek
 		t.Run(ek.String(), func(t *testing.T) {
 			t.Parallel()
 			refHeads, refRoots := refChain(t, ek)
-			for _, depth := range []int{2, 4} {
+			var refView []wire.TxReceipt
+			sameView := func(label string, n *Node, calls []contract.Call) {
+				t.Helper()
+				view := clientView(t, label, n, calls)
+				if refView == nil {
+					refView = view
+				}
+				if !reflect.DeepEqual(view, refView) {
+					t.Fatalf("%s: receipts differ from the depth-1 miner's", label)
+				}
+			}
+			var blocks []chain.Block
+			for _, depth := range []int{1, 2, 4} {
+				label := fmt.Sprintf("depth %d", depth)
 				var mu sync.Mutex
 				var published []uint64
 				pub := func(b chain.Block) {
@@ -72,7 +149,9 @@ func TestPipelineDepthParity(t *testing.T) {
 				}
 				n, calls := pipeNode(t, ek, t.TempDir(), depth, persist.Options{SnapshotEvery: 2}, pub)
 				n.SubmitAll(calls)
+				stop := pollStatus(t, label, n)
 				mined, err := n.MinePipelined(recBlocks, recBlockSize)
+				stop()
 				if err != nil {
 					t.Fatalf("depth %d: %v", depth, err)
 				}
@@ -86,7 +165,11 @@ func TestPipelineDepthParity(t *testing.T) {
 				if st.DurableHeight != uint64(recBlocks) {
 					t.Fatalf("depth %d: durable height %d after flush, want %d", depth, st.DurableHeight, recBlocks)
 				}
-				if st.PipelineDepth != depth || st.InFlight != 0 {
+				wantDepth := depth
+				if depth == 1 {
+					wantDepth = 0 // the synchronous node reports no pipeline
+				}
+				if st.PipelineDepth != wantDepth || st.InFlight != 0 {
 					t.Fatalf("depth %d: status pipeline %d in-flight %d", depth, st.PipelineDepth, st.InFlight)
 				}
 				mu.Lock()
@@ -99,10 +182,42 @@ func TestPipelineDepthParity(t *testing.T) {
 					}
 				}
 				mu.Unlock()
+				sameView(label, n, calls)
+				blocks = blocks[:0]
+				for h := uint64(1); h <= recBlocks; h++ {
+					b, _ := n.BlockAt(h)
+					blocks = append(blocks, b)
+				}
 				if err := n.Close(); err != nil {
 					t.Fatalf("close: %v", err)
 				}
 			}
+
+			// Imported: a durable follower that never snapshots, so its WAL
+			// keeps the whole run for the recovery below.
+			dir, opts := t.TempDir(), persist.Options{SnapshotEvery: -1}
+			follower, calls := recNode(t, ek, dir, opts)
+			stop := pollStatus(t, "imported", follower)
+			for _, b := range blocks {
+				if err := follower.AcceptBlock(b); err != nil {
+					stop()
+					t.Fatalf("imported: block %d: %v", b.Header.Number, err)
+				}
+			}
+			stop()
+			sameView("imported", follower, calls)
+			follower.Kill()
+
+			// Recovered: New replays the four blocks from the WAL.
+			re, calls := recNode(t, ek, dir, opts)
+			defer re.Close()
+			if got := re.RecoveredBlocks(); got != recBlocks {
+				t.Fatalf("recovered %d blocks from the WAL, want %d", got, recBlocks)
+			}
+			if h, r := headAndRoot(re); h != refHeads[recBlocks] || r != refRoots[recBlocks] {
+				t.Fatal("recovered chain diverged from synchronous reference")
+			}
+			sameView("recovered", re, calls)
 		})
 	}
 }
@@ -146,7 +261,7 @@ func TestPipelineCrashRecoveryEveryStage(t *testing.T) {
 					case "sealed-not-durable":
 						// Seal block `kill` but never hand it to the persist
 						// stage: the WAL must not know it.
-						if _, err := n.mineOnePipelined(recBlockSize, false); err != nil {
+						if _, err := n.mineOne(recBlockSize, false); err != nil {
 							t.Fatalf("kill=%d: seal: %v", kill, err)
 						}
 					case "durable-not-published":
@@ -245,13 +360,93 @@ func TestPipelineAbortRollsBack(t *testing.T) {
 	}
 }
 
+// TestWindowOnePersistFailureRollsBackUnlatched: on a window-1 durable
+// node a failed WAL append — under MineOne and under AcceptBlock — is
+// reported as "node: persist: …" and leaves no trace: height, durable
+// height, tallies and world root stay put, a mined batch returns to the
+// pool in arrival order, no receipt is recorded and no event or publish
+// goes out. Unlike the asynchronous window, nothing latches: the next
+// attempt is tried (and fails on the same disk), not refused.
+func TestWindowOnePersistFailureRollsBackUnlatched(t *testing.T) {
+	ref, refCalls := recNode(t, engine.KindSerial, "", persist.Options{})
+	ref.SubmitAll(refCalls)
+	var blocks []chain.Block
+	for b := 1; b <= 2; b++ {
+		blk, err := ref.MineOne(recBlockSize)
+		if err != nil {
+			t.Fatalf("reference mine %d: %v", b, err)
+		}
+		blocks = append(blocks, blk)
+	}
+	for _, entry := range []string{"MineOne", "AcceptBlock"} {
+		t.Run(entry, func(t *testing.T) {
+			published := 0
+			n, calls := pipeNode(t, engine.KindSerial, t.TempDir(), 1, persist.Options{SnapshotEvery: -1},
+				func(chain.Block) { published++ })
+			defer n.Kill()
+			// Block 1 settles normally; the attempt at block 2 is under test.
+			attempt := func() error { return n.AcceptBlock(blocks[1]) }
+			if entry == "MineOne" {
+				n.SubmitAll(calls)
+				attempt = func() error { _, err := n.MineOne(recBlockSize); return err }
+				if _, err := n.MineOne(recBlockSize); err != nil {
+					t.Fatalf("mine 1: %v", err)
+				}
+			} else if err := n.AcceptBlock(blocks[0]); err != nil {
+				t.Fatalf("accept 1: %v", err)
+			}
+			before, beforePub, beforeEvents := n.CurrentStatus(), published, n.events.NextSeq()
+			beforeRoot, err := n.world.StateRoot()
+			if err != nil {
+				t.Fatalf("state root: %v", err)
+			}
+			if err := n.log.Close(); err != nil {
+				t.Fatalf("sabotage: %v", err)
+			}
+
+			for try := 1; try <= 2; try++ {
+				err := attempt()
+				if err == nil || !strings.HasPrefix(err.Error(), "node: persist: ") || errors.Is(err, pipeline.ErrLatched) {
+					t.Fatalf("attempt %d over a closed WAL: %v, want node: persist: …", try, err)
+				}
+				after := n.CurrentStatus()
+				if after.Height != before.Height || after.DurableHeight != before.DurableHeight || after.InFlight != 0 ||
+					after.MinedBlocks != before.MinedBlocks || after.ValidatedBlocks != before.ValidatedBlocks ||
+					after.TotalRetries != before.TotalRetries || after.HeadHash != before.HeadHash {
+					t.Fatalf("attempt %d moved the node: %+v, was %+v", try, after, before)
+				}
+				if root, _ := n.world.StateRoot(); root != beforeRoot {
+					t.Fatalf("attempt %d changed the world state", try)
+				}
+				if rec, _ := n.receipts.Get(wire.TxIDOf(blocks[1].Calls[0])); rec.BlockHeight != 0 {
+					t.Fatalf("attempt %d recorded a receipt for the voided block: %+v", try, rec)
+				}
+				if published != beforePub || n.events.NextSeq() != beforeEvents {
+					t.Fatalf("attempt %d announced the voided block", try)
+				}
+				if entry == "MineOne" {
+					pending, want := n.pool.PendingCalls(), calls[recBlockSize:]
+					if len(pending) != len(want) {
+						t.Fatalf("attempt %d: pool holds %d calls, want %d", try, len(pending), len(want))
+					}
+					for i := range want {
+						if wire.TxIDOf(pending[i]) != wire.TxIDOf(want[i]) {
+							t.Fatalf("attempt %d: pool order broken at %d", try, i)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestPipelineStatusSealedVsDurable: the status surface distinguishes the
 // sealed head from the durable head while a block is in flight.
 func TestPipelineStatusSealedVsDurable(t *testing.T) {
 	dir := t.TempDir()
 	n, calls := pipeNode(t, engine.KindSerial, dir, 2, persist.Options{SnapshotEvery: -1}, nil)
 	n.SubmitAll(calls)
-	entryBlock, err := n.mineOnePipelined(recBlockSize, false)
+	entryBlock, err := n.mineOne(recBlockSize, false)
 	if err != nil {
 		t.Fatalf("seal: %v", err)
 	}
@@ -267,7 +462,7 @@ func TestPipelineStatusSealedVsDurable(t *testing.T) {
 	if entry.block.Header.Hash() != entryBlock.Header.Hash() {
 		t.Fatal("in-flight registry holds a different block")
 	}
-	n.submitEntry(entry)
+	n.persist(entry)
 	if err := n.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
@@ -396,7 +591,7 @@ func TestPipelineServesOnlyDurable(t *testing.T) {
 	dir := t.TempDir()
 	n, calls := pipeNode(t, engine.KindSerial, dir, 2, persist.Options{SnapshotEvery: -1}, nil)
 	n.SubmitAll(calls)
-	if _, err := n.mineOnePipelined(recBlockSize, false); err != nil {
+	if _, err := n.mineOne(recBlockSize, false); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 	srv := httptest.NewServer(n.Handler())
@@ -426,7 +621,7 @@ func TestPipelineServesOnlyDurable(t *testing.T) {
 	n.mu.Lock()
 	entry := n.inflight[0]
 	n.mu.Unlock()
-	n.submitEntry(entry)
+	n.persist(entry)
 	if err := n.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

@@ -271,7 +271,7 @@ func TestV1ReplicaReadNeverSeesParkedBlock(t *testing.T) {
 	ctx := context.Background()
 
 	// Seal a block but park it short of the persist stage.
-	if _, err := n.mineOnePipelined(recBlockSize, false); err != nil {
+	if _, err := n.mineOne(recBlockSize, false); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 
@@ -298,7 +298,7 @@ func TestV1ReplicaReadNeverSeesParkedBlock(t *testing.T) {
 	n.mu.Lock()
 	entry := n.inflight[0]
 	n.mu.Unlock()
-	n.submitEntry(entry)
+	n.persist(entry)
 	if err := n.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}

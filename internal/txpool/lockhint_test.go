@@ -27,8 +27,8 @@ func TestPipelineRequeueBatchOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("select A: %v", err)
 	}
-	pool.Submit(call(50, 1, "f")) // x arrives while block A executes
-	pool.Submit(call(51, 1, "f")) // y
+	pool.Submit(call(50, 1, "f"))                // x arrives while block A executes
+	pool.Submit(call(51, 1, "f"))                // y
 	selB, err := pool.SelectBatch(PolicyFIFO, 2) // block B takes x, y
 	if err != nil {
 		t.Fatalf("select B: %v", err)
