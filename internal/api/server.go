@@ -98,8 +98,9 @@ type Backend interface {
 	Snapshot() (persist.Snapshot, error)
 	// SnapshotWire returns the cached framed snapshot bytes, or nil.
 	SnapshotWire() []byte
-	// BalanceAt reads an account balance at the current block boundary.
-	BalanceAt(types.Address) (types.Amount, error)
+	// BalanceAt reads an account balance at the durable head and reports
+	// that head's height: the pair is one consistent read.
+	BalanceAt(types.Address) (types.Amount, uint64, error)
 	// ReadStamp reports the durable height every read is served at plus
 	// the node's staleness bound in milliseconds — time elapsed since
 	// that height was reached (0 when unknown, e.g. before any block).
@@ -601,7 +602,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBalance is GET /v1/state/{address}: a balance read at the
-// current block boundary, or — with ?height=H — at a materialized
+// durable head, or — with ?height=H — at a materialized
 // historical height (nearest snapshot plus tail replay on nodes with
 // history attached). A height the node has not durably reached answers
 // 412 replica_behind; one below the history window answers 404
@@ -637,12 +638,11 @@ func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	bal, err := s.cfg.Backend.BalanceAt(addr)
+	bal, served, err := s.cfg.Backend.BalanceAt(addr)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, wire.CodeInternal, err)
 		return
 	}
-	served, _ := s.cfg.Backend.ReadStamp()
 	s.writeJSON(w, http.StatusOK, wire.Balance{
 		Address: addr.String(), Balance: uint64(bal), Height: served,
 	})

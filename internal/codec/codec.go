@@ -44,10 +44,14 @@ const (
 )
 
 // versions holds each kind's layout version, bumped when that kind's
-// layout changes so that old bytes are refused with a version error
-// instead of being misparsed. Snapshot version 1 carried gob-encoded
-// state; 2 carries the storage layer's flat state stream.
-var versions = [...]byte{KindBlock: 1, KindSnapshot: 2, KindPool: 1}
+// layout or meaning changes so that old bytes are refused with a version
+// error instead of being misparsed. Snapshot version 1 carried
+// gob-encoded state; 2 carries the storage layer's flat state stream.
+// Block 2 and snapshot 3 have the bytes of 1 and 2, but their headers'
+// StateRoot is the keyed-trie commitment (internal/storage), not the flat
+// sorted-entry Merkle root: an old record would otherwise fail much
+// later, as a state root mismatch nobody could explain.
+var versions = [...]byte{KindBlock: 2, KindSnapshot: 3, KindPool: 1}
 
 // HeaderLen is the byte length of the stream header.
 const HeaderLen = 7

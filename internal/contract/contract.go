@@ -173,10 +173,26 @@ func (w *World) BalanceOf(ex stm.Executor, addr types.Address) (types.Amount, er
 	return types.Amount(n), err
 }
 
+// BalanceIn reads an account balance in the version of the world that
+// snap holds. It touches nothing a transaction can change, so it takes no
+// lock and may run beside an executing block.
+func (w *World) BalanceIn(snap storage.Snapshot, addr types.Address) (types.Amount, error) {
+	v, ok := w.balances.GetIn(snap, storage.KeyAddr(addr))
+	if !ok {
+		return 0, nil
+	}
+	n, isUint := v.(uint64)
+	if !isUint {
+		return 0, fmt.Errorf("%w: balance of %s holds %T", storage.ErrNotCounter, addr, v)
+	}
+	return types.Amount(n), nil
+}
+
 // StateRoot commits to the full world state.
 func (w *World) StateRoot() (types.Hash, error) { return w.store.StateRoot() }
 
-// Snapshot and Restore delegate to the store (benchmark plumbing).
+// Snapshot and Restore delegate to the store: a handle on the state as it
+// is now, and a return to it. Both cost a few words per object.
 func (w *World) Snapshot() storage.Snapshot { return w.store.Snapshot() }
 func (w *World) Restore(s storage.Snapshot) { w.store.Restore(s) }
 

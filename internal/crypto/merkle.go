@@ -1,10 +1,7 @@
 // Package crypto provides the hashing substrate for the blockchain layer:
-// domain-separated digests and a binary Merkle tree used to commit to
-// transaction lists and contract state.
-//
-// The paper's validator rejects a block when "the schedule produces a final
-// state different from the one recorded in the block"; state commitments are
-// what make that check O(1) to express and tamper-evident.
+// domain-separated digests and a binary Merkle tree used to commit to a
+// block's transaction and receipt lists. (The state commitment is a keyed
+// trie and lives with the state, in internal/storage.)
 package crypto
 
 import (
@@ -64,77 +61,4 @@ func hashNode(l, r types.Hash) types.Hash {
 	copy(buf[1:], l[:])
 	copy(buf[1+types.HashLen:], r[:])
 	return sha256.Sum256(buf)
-}
-
-// Proof is a Merkle inclusion proof for a single leaf.
-type Proof struct {
-	// Index is the 0-based position of the proven leaf.
-	Index int
-	// Path lists sibling hashes from the leaf level up to the root.
-	Path []types.Hash
-	// Right[i] reports whether Path[i] is the right sibling at level i.
-	Right []bool
-}
-
-// MerkleProve builds an inclusion proof for leaves[index].
-// It returns false when index is out of range.
-func MerkleProve(leaves []types.Hash, index int) (Proof, bool) {
-	if index < 0 || index >= len(leaves) {
-		return Proof{}, false
-	}
-	proof := Proof{Index: index}
-	level := make([]types.Hash, len(leaves))
-	for i, leaf := range leaves {
-		level[i] = hashLeaf(leaf)
-	}
-	pos := index
-	for len(level) > 1 {
-		sib := pos ^ 1
-		if sib < len(level) {
-			proof.Path = append(proof.Path, level[sib])
-			proof.Right = append(proof.Right, sib > pos)
-		}
-		next := make([]types.Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		level = next
-		pos /= 2
-	}
-	return proof, true
-}
-
-// MerkleVerify checks that leaf is included under root according to proof.
-func MerkleVerify(root types.Hash, leaf types.Hash, proof Proof) bool {
-	cur := hashLeaf(leaf)
-	for i, sib := range proof.Path {
-		if proof.Right[i] {
-			cur = hashNode(cur, sib)
-		} else {
-			cur = hashNode(sib, cur)
-		}
-	}
-	return cur == root
-}
-
-// StateRoot commits to a set of key/value pairs. Callers pass pre-sorted,
-// canonical entries; each entry is hashed as a leaf of H(key)||H(value).
-type StateEntry struct {
-	Key   []byte
-	Value []byte
-}
-
-// StateRootOf computes a deterministic commitment over canonical entries.
-// Entries MUST already be sorted by key; this package does not sort so that
-// the storage layer controls canonical ordering (and its cost) itself.
-func StateRootOf(entries []StateEntry) types.Hash {
-	leaves := make([]types.Hash, len(entries))
-	for i, e := range entries {
-		leaves[i] = types.HashConcat([]byte{tagLeaf}, e.Key, []byte{tagNode}, e.Value)
-	}
-	return MerkleRoot(leaves)
 }

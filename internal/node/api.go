@@ -10,11 +10,8 @@ import (
 	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
-	"contractstm/internal/gas"
 	"contractstm/internal/mempool"
 	"contractstm/internal/persist"
-	"contractstm/internal/runtime"
-	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
 
@@ -79,7 +76,7 @@ func (n *Node) ImportBlock(b chain.Block) (alreadyKnown bool, err error) {
 // height, on every node. A block is sealed onto the chain before its WAL
 // record is durable, so the chain head alone may be one a crash voids; a
 // syncing follower must never hold such a block, or it could fork.
-func (n *Node) servedHeight() uint64 { return n.durableHeight.Load() }
+func (n *Node) servedHeight() uint64 { return n.durable.Load().height }
 
 // DurableBlock implements api.Backend: the block at height, only if it
 // is at or under the durability line. The crash rule covers the pull
@@ -114,32 +111,19 @@ func (n *Node) SnapshotWire() []byte {
 	return n.log.LatestSnapshotWire()
 }
 
-// BalanceAt implements api.Backend: a read of one account's balance at
-// the current block boundary. It runs a one-shot serial transaction on a
-// simulated thread under execMu, so the read never interleaves with an
-// executing block. It reads the sealed state — balances, unlike
-// receipts, are a point-in-time convenience query, not a durability
-// promise.
-func (n *Node) BalanceAt(addr types.Address) (types.Amount, error) {
-	n.execMu.Lock()
-	defer n.execMu.Unlock()
-	var bal types.Amount
-	var readErr error
-	if _, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), n.world.Schedule())
-		bal, readErr = n.world.BalanceOf(tx, addr)
-		if readErr != nil {
-			_ = tx.Abort()
-			return
-		}
-		readErr = tx.Commit()
-	}); err != nil {
-		return 0, fmt.Errorf("node: balance read: %w", err)
+// BalanceAt implements api.Backend: one account's balance at the durable
+// head, and the height of that head. Both come out of one load of the
+// published durable view, whose state is an immutable version of the
+// world, so the pair was true together whatever has sealed or become
+// durable since — and the read takes no lock: it neither waits for an
+// executing block nor can it see a sealed-not-durable one.
+func (n *Node) BalanceAt(addr types.Address) (types.Amount, uint64, error) {
+	view := n.durable.Load()
+	bal, err := n.world.BalanceIn(view.state, addr)
+	if err != nil {
+		return 0, 0, fmt.Errorf("node: balance read: %w", err)
 	}
-	if readErr != nil {
-		return 0, fmt.Errorf("node: balance read: %w", readErr)
-	}
-	return bal, nil
+	return bal, view.height, nil
 }
 
 // ReadStamp implements api.Backend: the durable height reads are served

@@ -198,10 +198,13 @@ type Node struct {
 	// durability verdicts arrive; rollback drains it wholesale. Guarded
 	// by n.mu.
 	inflight []*inflightEntry
-	// durableHeight is the newest block that has had its verdict (atomic;
-	// on a node without a data dir the verdict follows the seal at once).
-	// It never exceeds the sealed height, and it gates every read.
-	durableHeight atomic.Uint64
+	// durable is the newest block that has had its verdict, with the
+	// state as of exactly that block (on a node without a data dir the
+	// verdict follows the seal at once). Its height never exceeds the
+	// sealed height and gates every read; its state is what state reads
+	// are served from, so a balance and the height it is reported at come
+	// out of one atomic load and need no lock. Never nil after New.
+	durable atomic.Pointer[durableView]
 	// lastDurableAt is when the durable height last advanced, in unix
 	// milliseconds (atomic; 0 until the first advance). The API's
 	// X-Chain-Staleness header derives from it.
@@ -246,16 +249,25 @@ const (
 	recovered
 )
 
+// durableView is one durable block boundary as readers see it.
+type durableView struct {
+	height uint64
+	state  storage.Snapshot
+}
+
 // inflightEntry is one executed block on its way through seal → persist
-// → verdict, with everything rollback needs to un-seal it.
+// → verdict, with everything rollback needs to un-seal it. Its two state
+// handles share structure with the live world: holding them costs what
+// the block wrote, not a copy of the world.
 type inflightEntry struct {
 	block  chain.Block
 	origin origin
 	// sel returns a mined block's calls to their arrival position on
 	// rollback (empty otherwise).
 	sel mempool.Selection
-	// snap is the world state before the block executed.
-	snap storage.Snapshot
+	// snap is the world state before the block executed, post the state
+	// after it — what readers are served once the block is durable.
+	snap, post storage.Snapshot
 	// retries is a mined block's execution retry count, un-tallied on
 	// rollback.
 	retries int
@@ -299,6 +311,8 @@ func New(cfg Config) (*Node, error) {
 		policy:  cfg.SelectionPolicy,
 		eng:     eng,
 	}
+	// Genesis is durable by definition; no staleness clock starts yet.
+	n.durable.Store(&durableView{state: cfg.World.Snapshot()})
 	n.prod = pipeline.New(cfg.PipelineDepth, n.abortPass)
 	n.importMode = cfg.ImportMode
 	n.errLog = cfg.ErrorLog
@@ -428,7 +442,7 @@ func (n *Node) openDurable(cfg Config, genesisRoot types.Hash) error {
 	n.maybeSnapshot()
 	// Everything recovered from disk is by definition durable — also a
 	// snapshot with no WAL tail behind it, which no verdict announced.
-	n.markDurable(n.chain.Head().Header.Number)
+	n.markDurable(n.chain.Head().Header.Number, n.world.Snapshot())
 	return nil
 }
 
@@ -575,11 +589,12 @@ func (n *Node) recordDurable(b chain.Block) {
 	n.events.Publish(wire.Event{Block: wire.BlockInfoOf(b), Receipts: recs})
 }
 
-// markDurable advances the durable height and stamps when it happened —
-// the staleness clock behind the API's X-Chain-Staleness header. Every
+// markDurable publishes a new durable boundary — the height and the
+// state as of that block, as one value — and stamps when it happened, the
+// staleness clock behind the API's X-Chain-Staleness header. Every
 // durable-height advance funnels through here.
-func (n *Node) markDurable(height uint64) {
-	n.durableHeight.Store(height)
+func (n *Node) markDurable(height uint64, state storage.Snapshot) {
+	n.durable.Store(&durableView{height: height, state: state})
 	n.lastDurableAt.Store(time.Now().UnixMilli())
 }
 
@@ -728,6 +743,9 @@ func (n *Node) validateEntry(b chain.Block, pre *validator.Prechecked, from orig
 // mislinked WAL record; if it does the block is undone on the spot.
 // Caller holds execMu and a window slot.
 func (n *Node) seal(e *inflightEntry) error {
+	// The world sits at the block's post-state: this handle is what the
+	// verdict will publish to readers.
+	e.post = n.world.Snapshot()
 	n.mu.Lock()
 	err := n.chain.Append(e.block)
 	if err == nil {
@@ -803,13 +821,13 @@ func (n *Node) verdict(e *inflightEntry, err error) {
 		n.mu.Lock()
 		if len(n.inflight) > 0 && n.inflight[0] == e {
 			// Clear the slot: the backing array outlives the pop, and the
-			// entry holds a whole pre-block copy of the world.
+			// entry keeps the pre-block version of the world reachable.
 			n.inflight[0] = nil
 			n.inflight = n.inflight[1:]
 		}
 		publish := n.publish
 		n.mu.Unlock()
-		n.markDurable(e.block.Header.Number)
+		n.markDurable(e.block.Header.Number, e.post)
 		n.recordDurable(e.block)
 		if e.origin == mined && publish != nil {
 			publish(e.block)
@@ -1089,7 +1107,7 @@ func (n *Node) installSnapshotState(s persist.Snapshot) error {
 	n.lastSnapHeight.Store(s.Height())
 	// The installed checkpoint is this chain's new root: everything the
 	// node now holds is at least as durable as the snapshot itself.
-	n.markDurable(s.Height())
+	n.markDurable(s.Height(), n.world.Snapshot())
 	return nil
 }
 
@@ -1192,7 +1210,7 @@ func (n *Node) CurrentStatus() Status {
 		MinedBlocks:     n.tally[mined],
 		ValidatedBlocks: n.tally[imported],
 		TotalRetries:    n.totalRetries,
-		DurableHeight:   n.durableHeight.Load(),
+		DurableHeight:   n.servedHeight(),
 		InFlight:        len(n.inflight),
 		ChainBase:       n.chain.Base(),
 	}

@@ -2,17 +2,26 @@ package node
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
 	"contractstm/internal/contract"
+	"contractstm/internal/contracts"
 	"contractstm/internal/engine"
+	"contractstm/internal/gas"
 	"contractstm/internal/persist"
+	"contractstm/internal/runtime"
+	"contractstm/internal/stm"
+	"contractstm/internal/types"
+	"contractstm/internal/validator"
 )
 
 // chainHeight parses the X-Chain-Height header off a response.
@@ -305,4 +314,151 @@ func TestV1ReplicaReadNeverSeesParkedBlock(t *testing.T) {
 	if head, err := sdk.Head(ctx, client.WithMinHeight(1)); err != nil || head.Number != 1 {
 		t.Fatalf("post-durability gated head = %+v, %v", head, err)
 	}
+}
+
+// faucet is a contract that pays one unit of its native balance to every
+// caller: the smallest thing that moves the balances GET /v1/state reads.
+type faucet struct{ addr types.Address }
+
+func (f faucet) ContractAddress() types.Address { return f.addr }
+
+func (f faucet) Invoke(env *contract.Env, _ string, _ []any) any {
+	env.Transfer(env.Msg().Sender, 1)
+	return nil
+}
+
+// faucetWorld deploys a funded faucet and returns calls draining it, one
+// per caller in rotation.
+func faucetWorld(t *testing.T, callers, calls int) (*contract.World, types.Address, []contract.Call) {
+	t.Helper()
+	w, err := contract.NewWorld(gas.DefaultSchedule())
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
+	f := faucet{addr: types.AddressFromUint64(0xFA)}
+	if err := w.Deploy(f); err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	if err := w.Mint(contracts.Setup(w), f.addr, types.Amount(calls)); err != nil {
+		t.Fatalf("mint: %v", err)
+	}
+	out := make([]contract.Call, calls)
+	for i := range out {
+		out[i] = contract.Call{
+			Sender: types.AddressFromUint64(uint64(0x5000 + i%callers)), Contract: f.addr,
+			Function: "drip", Args: []any{uint64(i)}, GasLimit: 100_000,
+		}
+	}
+	return w, f.addr, out
+}
+
+// TestV1BalanceAndHeightAreOneRead: GET /v1/state/{addr} answers with a
+// balance and the height it holds at, and the two must have been true
+// together. Pollers read beside a depth-4 pipelined miner — where the
+// sealed world runs ahead of the durable height and verdicts land between
+// any two calls — and every (balance, height) pair they saw must be what
+// a serial replay to that height produces.
+func TestV1BalanceAndHeightAreOneRead(t *testing.T) {
+	const blocks, blockSize, callers = 12, 5, 3
+	w, faucetAddr, calls := faucetWorld(t, callers, blocks*blockSize)
+	// The faucet pays every call, so its balance names the height.
+	addrs := []types.Address{faucetAddr}
+	for _, c := range calls[:callers] {
+		addrs = append(addrs, c.Sender)
+	}
+	n, err := New(Config{
+		World: w, Workers: 2, Runner: runtime.NewSimRunner(),
+		DataDir: t.TempDir(), Persist: persist.Options{SnapshotEvery: 3}, PipelineDepth: 4,
+	})
+	if err != nil {
+		t.Fatalf("node.New: %v", err)
+	}
+	defer n.Close()
+	n.SubmitAll(calls)
+
+	type sighting struct {
+		addr    int
+		balance uint64
+		height  uint64
+	}
+	done := make(chan struct{})
+	seen := make([][]sighting, 2)
+	var wg sync.WaitGroup
+	for p := range seen {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				a := i % len(addrs)
+				rec := httptest.NewRecorder()
+				n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/state/"+addrs[a].String(), nil))
+				var b wire.Balance
+				if err := json.Unmarshal(rec.Body.Bytes(), &b); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("state read: status %d, %v", rec.Code, err)
+					return
+				}
+				seen[p] = append(seen[p], sighting{a, b.Balance, b.Height})
+			}
+		}(p)
+	}
+	for b := 1; b <= blocks; b++ {
+		if _, err := n.MineOne(blockSize); err != nil {
+			t.Fatalf("mine %d: %v", b, err)
+		}
+	}
+	if err := n.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	close(done)
+	wg.Wait()
+
+	// Serial replay of the same chain: the balances at every height.
+	ref, _, _ := faucetWorld(t, callers, blocks*blockSize)
+	want := make([][]uint64, blocks+1)
+	for h := 0; h <= blocks; h++ {
+		if h > 0 {
+			b, _ := n.BlockAt(uint64(h))
+			if _, err := validator.Validate(runtime.NewSimRunner(), ref, b, validator.Config{Workers: 1}); err != nil {
+				t.Fatalf("replay %d: %v", h, err)
+			}
+		}
+		for _, a := range addrs {
+			want[h] = append(want[h], uint64(balanceOf(t, ref, a)))
+		}
+		if got := want[h][0]; got != uint64((blocks-h)*blockSize) {
+			t.Fatalf("fixture: faucet holds %d after %d blocks", got, h)
+		}
+	}
+	heights := map[uint64]bool{}
+	for _, sightings := range seen {
+		for _, s := range sightings {
+			heights[s.height] = true
+			if s.height > blocks || want[s.height][s.addr] != s.balance {
+				t.Fatalf("read balance %d of %s at height %d; at that height it was %d",
+					s.balance, addrs[s.addr], s.height, want[min(s.height, blocks)][s.addr])
+			}
+		}
+	}
+	t.Logf("%d + %d reads over %d distinct heights", len(seen[0]), len(seen[1]), len(heights))
+}
+
+// balanceOf reads a native balance transactionally from a quiescent world.
+func balanceOf(t *testing.T, w *contract.World, addr types.Address) types.Amount {
+	t.Helper()
+	var bal types.Amount
+	var readErr error
+	if _, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
+		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), w.Schedule())
+		if bal, readErr = w.BalanceOf(tx, addr); readErr == nil {
+			readErr = tx.Commit()
+		}
+	}); err != nil || readErr != nil {
+		t.Fatalf("balance read: %v, %v", err, readErr)
+	}
+	return bal
 }

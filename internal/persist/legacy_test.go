@@ -6,12 +6,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"contractstm/internal/chain"
 	"contractstm/internal/codec"
 	"contractstm/internal/contract"
+	"contractstm/internal/types"
+	"contractstm/internal/workload"
 )
 
 // gobFrame frames v's gob encoding the way the pre-flat release framed
@@ -87,7 +91,7 @@ func TestGobEraDataRefused(t *testing.T) {
 			t.Fatalf("frame: %v", err)
 		}
 		_, err := DecodeSnapshot(bytes.NewReader(framed.Bytes()))
-		if !errors.Is(err, codec.ErrFormat) || !strings.Contains(err.Error(), "version 1, want 2") {
+		if !errors.Is(err, codec.ErrFormat) || !strings.Contains(err.Error(), "version 1, want 3") {
 			t.Fatalf("layout-1 snapshot: got %v, want a version error", err)
 		}
 		// On disk neither is adopted, and neither is deleted.
@@ -139,6 +143,137 @@ func TestGobEraDataRefused(t *testing.T) {
 			t.Fatalf("gob-era pool file is gone: %v", err)
 		}
 	})
+}
+
+// TestPreTrieDataRefused: the release before the keyed-trie state root
+// wrote blocks at layout 1 and checkpoints at layout 2, byte for byte what
+// 2 and 3 hold now, under headers whose StateRoot meant something else.
+// Each is refused by its layout version — not replayed into a root
+// mismatch — its data dir fails the genesis identity check (the check
+// node.New makes before it asks for the pool), and the refusal modifies
+// and deletes nothing.
+func TestPreTrieDataRefused(t *testing.T) {
+	// makeBlocks(t, 2, 3)'s world, and what that release computed as its
+	// genesis root.
+	wl, err := workload.Generate(workload.Params{
+		Kind: workload.KindToken, Transactions: 6, ConflictPercent: 10, Seed: 7,
+	})
+	if err != nil {
+		t.Fatalf("workload: %v", err)
+	}
+	newRoot, err := wl.World.StateRoot()
+	if err != nil {
+		t.Fatalf("state root: %v", err)
+	}
+	oldRoot, err := types.ParseHash("0x2f9c46d9bd1e93613ef1c84539cec7bce900ee23e6e02dadef99998b135417d0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, snaps := makeBlocks(t, 2, 3)
+
+	// frameAt frames a current payload relabelled with an older layout
+	// version: the bytes that release wrote.
+	frameAt := func(version byte, payload []byte) []byte {
+		old := append([]byte(nil), payload...)
+		old[2] = version
+		var framed bytes.Buffer
+		if err := writeFrame(&framed, old); err != nil {
+			t.Fatalf("frame: %v", err)
+		}
+		return framed.Bytes()
+	}
+	var wal []byte
+	for _, b := range blocks {
+		payload, err := chain.MarshalBlock(b)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		wal = append(wal, frameAt(1, payload)...)
+	}
+	var snap bytes.Buffer
+	if err := EncodeSnapshot(&snap, snaps[1]); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	oldSnap := frameAt(2, snap.Bytes()[frameHeaderLen:])
+	var marker bytes.Buffer
+	if err := writeFrame(&marker, chain.AppendHeader(nil, chain.GenesisHeader(oldRoot))); err != nil {
+		t.Fatalf("frame: %v", err)
+	}
+
+	// The data dir that release left behind, pending calls included.
+	dir := t.TempDir()
+	writeFile(t, dir, genesisFile, marker.Bytes())
+	writeFile(t, dir, segmentName(1), wal)
+	writeFile(t, dir, snapshotName(2), oldSnap)
+	poolLog, _ := openReplay(t, t.TempDir(), Options{}, 1)
+	if err := poolLog.SavePool(wl.Calls[:2]); err != nil {
+		t.Fatalf("save pool: %v", err)
+	}
+	pool, err := os.ReadFile(filepath.Join(poolLog.dir, poolFile))
+	poolLog.Close()
+	if err != nil {
+		t.Fatalf("read pool: %v", err)
+	}
+	writeFile(t, dir, poolFile, pool)
+	before := readDir(t, dir)
+
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer l.Close()
+	if s := l.LatestSnapshot(); s != nil {
+		t.Fatalf("layout-2 checkpoint adopted at height %d", s.Height())
+	}
+	_, err = DecodeSnapshot(bytes.NewReader(oldSnap))
+	if !errors.Is(err, codec.ErrFormat) || !strings.Contains(err.Error(), "layout version 2, want 3") {
+		t.Fatalf("layout-2 checkpoint: got %v, want a version error", err)
+	}
+	err = l.Blocks(1, func(chain.Block) error {
+		t.Fatal("a layout-1 block replayed")
+		return nil
+	})
+	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, codec.ErrFormat) ||
+		!strings.Contains(err.Error(), "layout version 1, want 2") {
+		t.Fatalf("layout-1 WAL: got %v, want ErrCorrupt wrapping a version error", err)
+	}
+	if err := l.EnsureGenesis(chain.GenesisHeader(newRoot)); !errors.Is(err, ErrForeignGenesis) {
+		t.Fatalf("old genesis marker: got %v, want ErrForeignGenesis", err)
+	}
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refusals changed the data dir:\nbefore %v\nafter  %v", names(before), names(after))
+	}
+}
+
+// readDir returns every file in dir by name, except the lock file an open
+// Log holds there.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("read dir: %v", err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
+		if e.Name() == lockFileName {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatalf("read %s: %v", e.Name(), err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+func names(files map[string][]byte) []string {
+	out := make([]string, 0, len(files))
+	for n := range files {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestEnsureGenesisUnreadableMarker: a marker that exists but cannot be

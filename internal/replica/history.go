@@ -263,7 +263,12 @@ func (h *History) maybeCheckpoint() {
 	if len(h.ckpts) > h.maxCkpt {
 		// Dropping the oldest only lengthens a cold replay (the seed
 		// still floors the window); it never shrinks what is servable.
-		h.ckpts = h.ckpts[1:]
+		// The rest move down and the vacated slot is cleared: reslicing
+		// from the front would leave the evicted version reachable
+		// through the backing array.
+		last := copy(h.ckpts, h.ckpts[1:])
+		h.ckpts[last] = histEntry{}
+		h.ckpts = h.ckpts[:last]
 	}
 }
 
@@ -295,8 +300,7 @@ func (h *History) cacheMaterialized(height uint64) {
 }
 
 // readBalance reads one balance from the shadow world at its current
-// height, through the same one-shot serial transaction idiom the node's
-// live BalanceAt uses. Caller holds applyMu.
+// height, through a one-shot serial transaction. Caller holds applyMu.
 func (h *History) readBalance(addr types.Address) (types.Amount, error) {
 	var bal types.Amount
 	var readErr error

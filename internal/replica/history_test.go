@@ -185,12 +185,21 @@ func TestHistoryBoundedCaches(t *testing.T) {
 	h.applyMu.Lock()
 	lruLen, ckpts := h.lru.Len(), len(h.ckpts)
 	indexed := len(h.byHeight)
+	// Four checkpoints were taken against a bound of two. Count what the
+	// whole backing array still holds, not just the slice: an evicted
+	// entry left behind there keeps its version of the world alive.
+	retained := 0
+	for _, e := range h.ckpts[:cap(h.ckpts)] {
+		if e.height != 0 {
+			retained++
+		}
+	}
 	h.applyMu.Unlock()
 	if lruLen > 2 || indexed != lruLen {
 		t.Fatalf("LRU len = %d (indexed %d), bound 2", lruLen, indexed)
 	}
-	if ckpts > 2 {
-		t.Fatalf("checkpoints = %d, bound 2", ckpts)
+	if ckpts != 2 || retained != 2 {
+		t.Fatalf("checkpoints = %d, versions still reachable = %d, want 2 and 2", ckpts, retained)
 	}
 }
 

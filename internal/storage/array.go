@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
-	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
+	"contractstm/internal/types"
 )
 
 // Array is a boosted dynamically-sized array, the translation of a Solidity
@@ -22,8 +24,21 @@ type Array struct {
 	id    uint64
 	store *Store
 
-	mu  sync.Mutex
-	raw []any
+	mu sync.Mutex
+	// cur is the current version. While owned it is this array's alone
+	// and is edited in place; a snapshot or restore shares it, and the
+	// next write copies it first.
+	cur   *arrayVersion
+	owned bool
+}
+
+// arrayVersion is one version of an array's elements with, once computed,
+// its commitment. Arrays are short in every contract here, so a version
+// is a flat copy and its root one hash over all of it.
+type arrayVersion struct {
+	elems  []any
+	root   types.Hash
+	rooted bool
 }
 
 // lenLockKey is the reserved key for the length lock. Element keys are
@@ -32,7 +47,7 @@ const lenLockKey = "#len"
 
 // NewArray creates a boosted array registered in s under name.
 func NewArray(s *Store, name string) (*Array, error) {
-	a := &Array{name: name, store: s}
+	a := &Array{name: name, store: s, cur: &arrayVersion{}, owned: true}
 	id, err := s.register(name, a)
 	if err != nil {
 		return nil, err
@@ -230,90 +245,105 @@ func (a *Array) overlayKey(i int) stm.OverlayKey {
 func (a *Array) rawLen() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.raw)
+	return len(a.cur.elems)
 }
 
 func (a *Array) rawGet(i int) (any, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if i < 0 || i >= len(a.raw) {
+	if i < 0 || i >= len(a.cur.elems) {
 		return nil, false
 	}
-	return a.raw[i], true
+	return a.cur.elems[i], true
+}
+
+// edit returns the elements for writing: a copy of its own if the current
+// version is shared, and with the cached root dropped. Caller holds the
+// mutex.
+func (a *Array) edit() *arrayVersion {
+	if !a.owned {
+		// Room for the push that often follows.
+		a.cur = &arrayVersion{elems: append(make([]any, 0, len(a.cur.elems)+1), a.cur.elems...)}
+		a.owned = true
+	}
+	a.cur.rooted = false
+	return a.cur
 }
 
 func (a *Array) rawSet(i int, v any) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if i >= 0 && i < len(a.raw) {
-		a.raw[i] = v
+	if i >= 0 && i < len(a.cur.elems) {
+		a.edit().elems[i] = v
 	}
 }
 
 func (a *Array) rawAppend(v any) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.raw = append(a.raw, v)
+	cur := a.edit()
+	cur.elems = append(cur.elems, v)
 }
 
 func (a *Array) rawTruncate(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if n >= 0 && n <= len(a.raw) {
-		a.raw = a.raw[:n]
+	if n >= 0 && n <= len(a.cur.elems) {
+		cur := a.edit()
+		cur.elems = cur.elems[:n]
 	}
 }
 
 func (a *Array) rawAdd(i int, delta int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if i < 0 || i >= len(a.raw) {
+	if i < 0 || i >= len(a.cur.elems) {
 		return
 	}
-	cur, _ := a.raw[i].(uint64)
-	a.raw[i] = uint64(int64(cur) + delta)
+	cur := a.edit()
+	n, _ := cur.elems[i].(uint64)
+	cur.elems[i] = uint64(int64(n) + delta)
 }
 
 // objectName implements object.
 func (a *Array) objectName() string { return a.name }
 
-// stateEntries implements object.
-func (a *Array) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error) {
+// root implements object. The preimage commits to the length, so
+// truncation is tamper-evident even for empty arrays.
+func (a *Array) root(h *hasher) (types.Hash, error) {
 	a.mu.Lock()
-	cp := make([]any, len(a.raw))
-	copy(cp, a.raw)
-	a.mu.Unlock()
-
-	for i, v := range cp {
-		enc, err := encodeValue(v)
-		if err != nil {
-			return nil, fmt.Errorf("index %d: %w", i, err)
-		}
-		dst = append(dst, crypto.StateEntry{Key: []byte(a.name + "\x00" + KeyUint(uint64(i))), Value: enc})
+	defer a.mu.Unlock()
+	cur := a.cur
+	if cur.rooted {
+		return cur.root, nil
 	}
-	// Commit to the length so truncation is tamper-evident even for empty
-	// arrays.
-	dst = append(dst, crypto.StateEntry{
-		Key:   []byte(a.name + "\x00" + lenLockKey),
-		Value: appendUint(tagUint64, uint64(len(cp))),
-	})
-	return dst, nil
+	b := append(h.buf[:0], commitArray)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(cur.elems)))
+	for i, v := range cur.elems {
+		at := len(b)
+		b = append(b, 0, 0, 0, 0)
+		var err error
+		if b, err = appendValue(b, v); err != nil {
+			return types.Hash{}, fmt.Errorf("index %d: %w", i, err)
+		}
+		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	}
+	h.buf = b
+	cur.root, cur.rooted = sha256.Sum256(b), true
+	return cur.root, nil
 }
 
 // snapshot implements object.
-func (a *Array) snapshot() any {
+func (a *Array) snapshot() version {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	cp := make([]any, len(a.raw))
-	copy(cp, a.raw)
-	return cp
+	a.owned = false
+	return version{array: a.cur}
 }
 
 // restore implements object.
-func (a *Array) restore(snap any) {
-	src := snap.([]any)
+func (a *Array) restore(v version) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.raw = make([]any, len(src))
-	copy(a.raw, src)
+	a.cur, a.owned = v.array, false
 }

@@ -1,11 +1,12 @@
 package storage
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 
-	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
+	"contractstm/internal/types"
 )
 
 // Cell is a boosted scalar state variable (a single Solidity field such as
@@ -17,13 +18,24 @@ type Cell struct {
 	id    uint64
 	store *Store
 
-	mu  sync.Mutex
-	raw any
+	mu sync.Mutex
+	// cur is the current version, replaced by the first write after a
+	// snapshot or restore shared it (see Array).
+	cur   *cellVersion
+	owned bool
+}
+
+// cellVersion is one version of a cell's value with, once computed, its
+// commitment.
+type cellVersion struct {
+	val    any
+	root   types.Hash
+	rooted bool
 }
 
 // NewCell creates a boosted cell registered in s under name, holding initial.
 func NewCell(s *Store, name string, initial any) (*Cell, error) {
-	c := &Cell{name: name, store: s, raw: initial}
+	c := &Cell{name: name, store: s, cur: &cellVersion{val: initial}, owned: true}
 	id, err := s.register(name, c)
 	if err != nil {
 		return nil, err
@@ -126,36 +138,61 @@ func (c *Cell) overlayKey() stm.OverlayKey {
 func (c *Cell) rawRead() any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.raw
+	return c.cur.val
 }
 
 func (c *Cell) rawWrite(v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.raw = v
+	c.set(v)
 }
 
 func (c *Cell) rawAdd(delta int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur, _ := c.raw.(uint64)
-	c.raw = uint64(int64(cur) + delta)
+	n, _ := c.cur.val.(uint64)
+	c.set(uint64(int64(n) + delta))
+}
+
+// set writes v into a version of the cell's own. Caller holds the mutex.
+func (c *Cell) set(v any) {
+	if !c.owned {
+		c.cur, c.owned = &cellVersion{}, true
+	}
+	c.cur.val, c.cur.rooted = v, false
 }
 
 // objectName implements object.
 func (c *Cell) objectName() string { return c.name }
 
-// stateEntries implements object.
-func (c *Cell) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error) {
-	enc, err := encodeValue(c.rawRead())
-	if err != nil {
-		return nil, err
+// root implements object.
+func (c *Cell) root(h *hasher) (types.Hash, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur := c.cur
+	if cur.rooted {
+		return cur.root, nil
 	}
-	return append(dst, crypto.StateEntry{Key: []byte(c.name), Value: enc}), nil
+	b, err := appendValue(append(h.buf[:0], commitCell), cur.val)
+	if err != nil {
+		return types.Hash{}, err
+	}
+	h.buf = b
+	cur.root, cur.rooted = sha256.Sum256(b), true
+	return cur.root, nil
 }
 
 // snapshot implements object.
-func (c *Cell) snapshot() any { return c.rawRead() }
+func (c *Cell) snapshot() version {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.owned = false
+	return version{cell: c.cur}
+}
 
 // restore implements object.
-func (c *Cell) restore(snap any) { c.rawWrite(snap) }
+func (c *Cell) restore(v version) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cur, c.owned = v.cell, false
+}

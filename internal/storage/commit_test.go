@@ -1,0 +1,669 @@
+package storage
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"contractstm/internal/gas"
+	"contractstm/internal/runtime"
+	"contractstm/internal/stm"
+	"contractstm/internal/types"
+)
+
+// The oracle for the state commitment is its definition, computed from
+// nothing but the contents: no trie, no cache, no history. Everything the
+// store computes incrementally must equal it.
+
+// model is the expected contents of a diffWorld's four objects.
+type model struct {
+	m, sm map[string]any
+	a     []any
+	c     any
+}
+
+func (md model) clone() model {
+	cp := model{m: make(map[string]any, len(md.m)), sm: make(map[string]any, len(md.sm)), c: md.c}
+	for k, v := range md.m {
+		cp.m[k] = v
+	}
+	for k, v := range md.sm {
+		cp.sm[k] = v
+	}
+	cp.a = append([]any(nil), md.a...)
+	return cp
+}
+
+func mustEncode(t testing.TB, v any) []byte {
+	t.Helper()
+	enc, err := encodeValue(v)
+	if err != nil {
+		t.Fatalf("encode %#v: %v", v, err)
+	}
+	return enc
+}
+
+type placed struct {
+	key  string
+	path placement
+	leaf types.Hash
+}
+
+// nibbleOf is the oracle's own reading of a placement.
+func nibbleOf(p placement, depth int) int {
+	return int(p[depth/2]>>(4*(1-depth%2))) & 15
+}
+
+func oracleLeaf(t testing.TB, key string, v any) types.Hash {
+	b := binary.BigEndian.AppendUint32([]byte{0x00}, uint32(len(key)))
+	b = append(b, key...)
+	return sha256.Sum256(append(b, mustEncode(t, v)...))
+}
+
+func oracleMap(t testing.TB, m map[string]any) types.Hash {
+	if len(m) == 0 {
+		return sha256.Sum256([]byte{0x02})
+	}
+	es := make([]placed, 0, len(m))
+	for k, v := range m {
+		es = append(es, placed{key: k, path: placeKey(k), leaf: oracleLeaf(t, k, v)})
+	}
+	sort.Slice(es, func(i, j int) bool { return es[i].key < es[j].key })
+	return oracleSubtree(es, 0)
+}
+
+// oracleSubtree commits to entries (sorted by key) that share their first
+// depth nibbles.
+func oracleSubtree(es []placed, depth int) types.Hash {
+	if len(es) == 1 {
+		return es[0].leaf
+	}
+	if depth == 64 {
+		b := binary.BigEndian.AppendUint32([]byte{0x03}, uint32(len(es)))
+		for _, e := range es {
+			b = append(b, e.leaf[:]...)
+		}
+		return sha256.Sum256(b)
+	}
+	var slots [16][]placed
+	for _, e := range es {
+		n := nibbleOf(e.path, depth)
+		slots[n] = append(slots[n], e)
+	}
+	var occupied uint16
+	var subs []byte
+	for n, slot := range slots {
+		if len(slot) > 0 {
+			occupied |= 1 << n
+			h := oracleSubtree(slot, depth+1)
+			subs = append(subs, h[:]...)
+		}
+	}
+	b := binary.BigEndian.AppendUint16([]byte{0x01}, occupied)
+	return sha256.Sum256(append(b, subs...))
+}
+
+func oracleArray(t testing.TB, a []any) types.Hash {
+	b := binary.BigEndian.AppendUint32([]byte{0x04}, uint32(len(a)))
+	for _, v := range a {
+		enc := mustEncode(t, v)
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(enc))), enc...)
+	}
+	return sha256.Sum256(b)
+}
+
+func oracleCell(t testing.TB, v any) types.Hash {
+	return sha256.Sum256(append([]byte{0x05}, mustEncode(t, v)...))
+}
+
+// oracleStore folds named object roots; names in any order.
+func oracleStore(roots map[string]types.Hash) types.Hash {
+	names := make([]string, 0, len(roots))
+	for n := range roots {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	b := binary.BigEndian.AppendUint32([]byte{0x06}, uint32(len(names)))
+	for _, n := range names {
+		h := roots[n]
+		b = append(binary.BigEndian.AppendUint32(b, uint32(len(n))), n...)
+		b = append(b, h[:]...)
+	}
+	return sha256.Sum256(b)
+}
+
+func (md model) root(t testing.TB) types.Hash {
+	return oracleStore(map[string]types.Hash{
+		"d/map":     oracleMap(t, md.m),
+		"d/structs": oracleMap(t, md.sm),
+		"d/array":   oracleArray(t, md.a),
+		"d/cell":    oracleCell(t, md.c),
+	})
+}
+
+// weakPlacement keeps one byte of the real placement, so a few dozen keys
+// already share whole paths: long single-child chains and collision
+// buckets, which SHA-256 itself never produces.
+func weakPlacement(t testing.TB) {
+	real := placeKey
+	placeKey = func(key string) placement {
+		p := real(key)
+		return placement{0: p[0]}
+	}
+	t.Cleanup(func() { placeKey = real })
+}
+
+// diffWorld is a store with one object of each kind (two maps, one of
+// them holding struct values) driven beside its model.
+type diffWorld struct {
+	s     *Store
+	m, sm *Map
+	a     *Array
+	c     *Cell
+	model model
+	kept  []keptSnapshot
+}
+
+// keptSnapshot is a retained snapshot with what it must restore to.
+type keptSnapshot struct {
+	snap  Snapshot
+	model model
+	root  types.Hash
+	state []byte
+}
+
+func newDiffObjects(t testing.TB) (*Store, *Map, *Map, *Array, *Cell) {
+	t.Helper()
+	s := NewStore()
+	m, err := NewMap(s, "d/map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := NewMap(s, "d/structs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.DecodeStructs(decodePair)
+	a, err := NewArray(s, "d/array")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCell(s, "d/cell", uint64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, m, sm, a, c
+}
+
+func newDiffWorld(t testing.TB) *diffWorld {
+	w := &diffWorld{model: model{m: map[string]any{}, sm: map[string]any{}, c: uint64(0)}}
+	w.s, w.m, w.sm, w.a, w.c = newDiffObjects(t)
+	return w
+}
+
+// script is the bytes that drive a run; it reads as zeros once spent.
+type script struct {
+	data []byte
+	pos  int
+}
+
+func (sc *script) next() int {
+	if sc.pos >= len(sc.data) {
+		return 0
+	}
+	b := sc.data[sc.pos]
+	sc.pos++
+	return int(b)
+}
+
+func (sc *script) spent() bool { return sc.pos >= len(sc.data) }
+
+func (sc *script) value() any {
+	n := sc.next()
+	switch n % 9 {
+	case 0:
+		return uint64(0) // canonically absent in a map
+	case 1:
+		return uint64(n)
+	case 2:
+		return n%2 == 0
+	case 3:
+		return n
+	case 4:
+		return fmt.Sprint("s", n)
+	case 5:
+		return types.AddressFromUint64(uint64(n))
+	case 6:
+		return types.HashString(fmt.Sprint(n))
+	case 7:
+		return types.Amount(n)
+	default:
+		return nil
+	}
+}
+
+// step runs one scripted step and checks the commitment after it.
+func (w *diffWorld) step(t testing.TB, sc *script) {
+	t.Helper()
+	switch op := sc.next() % 12; {
+	case op < 8:
+		w.transact(t, sc)
+	case op == 8:
+		w.keep(t, sc)
+	case op == 9:
+		if len(w.kept) > 0 {
+			k := w.kept[sc.next()%len(w.kept)]
+			w.s.Restore(k.snap)
+			w.model = k.model.clone()
+		}
+	case op == 10:
+		w.rebuild(t)
+	default:
+		if len(w.kept) > 0 {
+			w.checkKept(t, sc.next()%len(w.kept))
+		}
+	}
+	w.check(t)
+}
+
+// check compares the store with the model: root, sizes, and every value.
+func (w *diffWorld) check(t testing.TB) {
+	t.Helper()
+	got, err := w.s.StateRoot()
+	if err != nil {
+		t.Fatalf("state root: %v", err)
+	}
+	if want := w.model.root(t); got != want {
+		t.Fatalf("incremental root %s, from-scratch oracle %s", got.Short(), want.Short())
+	}
+	for _, side := range []struct {
+		m    *Map
+		want map[string]any
+	}{{w.m, w.model.m}, {w.sm, w.model.sm}} {
+		if side.m.Len() != len(side.want) {
+			t.Fatalf("%s holds %d entries, model %d", side.m.Name(), side.m.Len(), len(side.want))
+		}
+		for k, v := range side.want {
+			if got, ok := side.m.rawGet(k); !ok || got != v {
+				t.Fatalf("%s[%q] = %#v (bound %v), model %#v", side.m.Name(), k, got, ok, v)
+			}
+		}
+	}
+}
+
+// transact runs a few operations in one transaction under a scripted
+// regime and commits or aborts it. Operations may fail (underflow, not a
+// counter, out of range); a failed one has no effect.
+func (w *diffWorld) transact(t testing.TB, sc *script) {
+	t.Helper()
+	regime := sc.next() % 3
+	before := w.model.clone()
+	commit := true
+	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
+		meter, sched := gas.NewMeter(10_000_000), gas.DefaultSchedule()
+		var tx *stm.Tx
+		switch regime {
+		case 0:
+			tx = stm.BeginSpeculative(stm.NewManager(sched), 0, th, meter, stm.PolicyEager)
+		case 1:
+			tx = stm.BeginSpeculative(stm.NewManager(sched), 0, th, meter, stm.PolicyLazy)
+		default:
+			tx = stm.BeginOCC(0, th, meter, sched)
+		}
+		for n := 1 + sc.next()%4; n > 0; n-- {
+			w.operate(tx, sc)
+		}
+		if commit = sc.next()%4 != 0; !commit {
+			if err := tx.Abort(); err != nil {
+				t.Errorf("abort: %v", err)
+			}
+			return
+		}
+		if err := tx.Commit(); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+		if ov := tx.PendingWrites(); ov != nil {
+			ov.Apply()
+		}
+	})
+	if err != nil {
+		t.Fatalf("sim run: %v", err)
+	}
+	if !commit {
+		w.model = before
+	}
+}
+
+// operate performs one scripted storage operation on the store and, if it
+// succeeded, on the model.
+func (w *diffWorld) operate(tx *stm.Tx, sc *script) {
+	md := &w.model
+	key := fmt.Sprint("k", sc.next()%40)
+	setCounter := func(m map[string]any, n uint64) {
+		if n == 0 {
+			delete(m, key)
+		} else {
+			m[key] = n
+		}
+	}
+	switch sc.next() % 12 {
+	case 0, 1:
+		v := sc.value()
+		if w.m.Put(tx, key, v) == nil {
+			if v == uint64(0) {
+				delete(md.m, key)
+			} else {
+				md.m[key] = v
+			}
+		}
+	case 2:
+		if w.m.Delete(tx, key) == nil {
+			delete(md.m, key)
+		}
+	case 3, 4:
+		d := uint64(1 + sc.next()%3)
+		if w.m.AddUint(tx, key, d) == nil {
+			cur, _ := md.m[key].(uint64)
+			setCounter(md.m, cur+d)
+		}
+	case 5, 6:
+		// Often exactly the current value: down to zero and absent.
+		cur, _ := md.m[key].(uint64)
+		d := cur
+		if sc.next()%2 == 0 {
+			d = uint64(1 + sc.next()%3)
+		}
+		if w.m.SubUint(tx, key, d) == nil {
+			setCounter(md.m, cur-d)
+		}
+	case 7:
+		p := pair{byte(sc.next()), byte(sc.next())}
+		if sc.next()%4 == 0 {
+			if w.sm.Delete(tx, key) == nil {
+				delete(md.sm, key)
+			}
+		} else if w.sm.Put(tx, key, p) == nil {
+			md.sm[key] = p
+		}
+	case 8:
+		v := sc.value()
+		if _, err := w.a.Push(tx, v); err == nil {
+			md.a = append(md.a, v)
+		}
+	case 9:
+		i, v := sc.next()%8, sc.value()
+		if w.a.Set(tx, i, v) == nil {
+			md.a[i] = v
+		}
+	case 10:
+		i, d := sc.next()%8, uint64(1+sc.next()%3)
+		if w.a.AddUint(tx, i, d) == nil {
+			md.a[i] = md.a[i].(uint64) + d
+		}
+	default:
+		if sc.next()%2 == 0 {
+			v := sc.value()
+			if w.c.Write(tx, v) == nil {
+				md.c = v
+			}
+		} else if d := uint64(1 + sc.next()%3); w.c.AddUint(tx, d) == nil {
+			md.c = md.c.(uint64) + d
+		}
+	}
+}
+
+// keep retains a snapshot of the current state, replacing a scripted one
+// once eight are held.
+func (w *diffWorld) keep(t testing.TB, sc *script) {
+	t.Helper()
+	state, err := w.s.EncodeState()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	k := keptSnapshot{snap: w.s.Snapshot(), model: w.model.clone(), root: w.model.root(t), state: state}
+	if len(w.kept) < 8 {
+		w.kept = append(w.kept, k)
+	} else {
+		w.kept[sc.next()%len(w.kept)] = k
+	}
+}
+
+// checkKept restores retained snapshot i and requires the root and the
+// contents it was taken at, then returns to the present: whatever happened
+// since must not have reached into it.
+func (w *diffWorld) checkKept(t testing.TB, i int) {
+	t.Helper()
+	k := w.kept[i]
+	now := w.s.Snapshot()
+	w.s.Restore(k.snap)
+	root, err := w.s.StateRoot()
+	if err != nil {
+		t.Fatalf("state root: %v", err)
+	}
+	state, err := w.s.EncodeState()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if root != k.root || !bytes.Equal(state, k.state) {
+		t.Fatalf("retained snapshot %d restores to root %s, taken at %s (contents equal: %v)",
+			i, root.Short(), k.root.Short(), bytes.Equal(state, k.state))
+	}
+	w.s.Restore(now)
+}
+
+// rebuild carries the state into a fresh store through the state stream:
+// the same contents by a different history must give the same root and
+// the same bytes.
+func (w *diffWorld) rebuild(t testing.TB) {
+	t.Helper()
+	state, err := w.s.EncodeState()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	fresh, _, _, _, _ := newDiffObjects(t)
+	snap, err := fresh.DecodeState(state)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	fresh.Restore(snap)
+	got, err := fresh.StateRoot()
+	if err != nil {
+		t.Fatalf("state root: %v", err)
+	}
+	if want := w.model.root(t); got != want {
+		t.Fatalf("rebuilt store hashes to %s, oracle %s", got.Short(), want.Short())
+	}
+	if again, err := fresh.EncodeState(); err != nil || !bytes.Equal(again, state) {
+		t.Fatalf("rebuilt store encodes differently (err %v)", err)
+	}
+}
+
+// runScript drives a whole script (at most steps steps of it) and ends by
+// checking every retained snapshot.
+func runScript(t testing.TB, data []byte, steps int) {
+	t.Helper()
+	w, sc := newDiffWorld(t), &script{data: data}
+	w.check(t)
+	for i := 0; i < steps && !sc.spent(); i++ {
+		w.step(t, sc)
+	}
+	for i := range w.kept {
+		w.checkKept(t, i)
+	}
+	w.check(t)
+}
+
+// TestStateRootIncremental is the generated differential test of the
+// commitment: random histories of every kind of write under every regime,
+// interleaved with snapshots, restores to any retained snapshot and trips
+// through the state stream, against the from-scratch oracle after every
+// step. The weak placement runs the same histories through chains and
+// collision buckets.
+func TestStateRootIncremental(t *testing.T) {
+	seeds, steps := 24, 160
+	if testing.Short() {
+		seeds = 6
+	}
+	for _, placementName := range []string{"sha256", "weak"} {
+		t.Run(placementName, func(t *testing.T) {
+			if placementName == "weak" {
+				weakPlacement(t)
+			}
+			for seed := int64(1); seed <= int64(seeds); seed++ {
+				data := make([]byte, 16*steps)
+				rand.New(rand.NewSource(seed)).Read(data)
+				ok := t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runScript(t, data, steps) })
+				if !ok {
+					t.Fatalf("failing seed: %d (placement %s)", seed, placementName)
+				}
+			}
+		})
+	}
+}
+
+// FuzzStateRootIncremental drives the same step function from bytes. The
+// first byte picks the placement.
+func FuzzStateRootIncremental(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		data := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Add([]byte{1, 8, 0, 3, 3, 1, 1, 1, 9, 0, 11, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 && data[0]%2 == 1 {
+			weakPlacement(t)
+		}
+		runScript(t, data, 400)
+	})
+}
+
+// TestCollisionBucket: keys whose whole placements collide sit in one
+// bucket, in key order whatever the insertion order, and leave it one by
+// one without trace.
+func TestCollisionBucket(t *testing.T) {
+	real := placeKey
+	placeKey = func(key string) placement {
+		if key == "elsewhere" {
+			return real(key)
+		}
+		return placement{}
+	}
+	t.Cleanup(func() { placeKey = real })
+
+	build := func(keys ...string) (*Store, *Map) {
+		s := NewStore()
+		m := mustMap(t, s, "m")
+		for _, k := range keys {
+			m.rawPut(k, uint64(len(k)))
+		}
+		return s, m
+	}
+	root := func(s *Store) types.Hash {
+		h, err := s.StateRoot()
+		if err != nil {
+			t.Fatalf("state root: %v", err)
+		}
+		return h
+	}
+	want := func(keys ...string) types.Hash {
+		m := map[string]any{}
+		for _, k := range keys {
+			m[k] = uint64(len(k))
+		}
+		return oracleStore(map[string]types.Hash{"m": oracleMap(t, m)})
+	}
+
+	s1, m1 := build("a", "bb", "ccc", "elsewhere")
+	s2, _ := build("ccc", "elsewhere", "bb", "a")
+	if root(s1) != root(s2) || root(s1) != want("a", "bb", "ccc", "elsewhere") {
+		t.Fatal("a collision bucket's root depends on insertion order, or is not the oracle's")
+	}
+	for _, k := range []string{"a", "bb", "ccc"} {
+		if v, ok := m1.rawGet(k); !ok || v != uint64(len(k)) {
+			t.Fatalf("bucket lookup of %q: %v %v", k, v, ok)
+		}
+	}
+	if _, ok := m1.rawGet("dddd"); ok {
+		t.Fatal("found a key that collides with the bucket but is not in it")
+	}
+	snap := s1.Snapshot()
+	m1.rawDelete("bb")
+	if root(s1) != want("a", "ccc", "elsewhere") {
+		t.Fatal("root after leaving a three-key bucket")
+	}
+	m1.rawDelete("a")
+	if root(s1) != want("ccc", "elsewhere") {
+		t.Fatal("root after the bucket shrank to one key: it must collapse to an inline entry")
+	}
+	m1.rawDelete("elsewhere")
+	if root(s1) != want("ccc") || m1.Len() != 1 {
+		t.Fatal("root of a single entry must be its leaf")
+	}
+	s1.Restore(snap)
+	if root(s1) != want("a", "bb", "ccc", "elsewhere") || m1.Len() != 4 {
+		t.Fatal("deleting out of a bucket reached into the snapshot taken before")
+	}
+}
+
+// TestStateRootSeparatesKeyFromValue: moving bytes across the key/value
+// boundary changes the root.
+func TestStateRootSeparatesKeyFromValue(t *testing.T) {
+	rootOf := func(key, val string) types.Hash {
+		s := NewStore()
+		mustMap(t, s, "m").rawPut(key, val)
+		h, err := s.StateRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	if rootOf("k1", "v1") == rootOf("k1v", "1") {
+		t.Fatal("state root does not separate key and value boundaries")
+	}
+	if rootOf("k", "1") == rootOf("k", "2") {
+		t.Fatal("changing a value did not change the state root")
+	}
+}
+
+// TestStateRootOfEmptyObjects: empty objects have fixed roots, distinct by
+// kind and bound to their names.
+func TestStateRootOfEmptyObjects(t *testing.T) {
+	rootOf := func(build func(*Store)) types.Hash {
+		s := NewStore()
+		build(s)
+		h, err := s.StateRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	none := rootOf(func(*Store) {})
+	emptyMap := rootOf(func(s *Store) { mustMap(t, s, "x") })
+	emptyArray := rootOf(func(s *Store) {
+		if _, err := NewArray(s, "x"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	otherName := rootOf(func(s *Store) { mustMap(t, s, "y") })
+	if none != oracleStore(nil) || emptyMap != oracleStore(map[string]types.Hash{"x": sha256.Sum256([]byte{0x02})}) {
+		t.Fatal("empty store or empty map is not the fixed hash the commitment defines")
+	}
+	if emptyMap == none || emptyMap == emptyArray || emptyMap == otherName {
+		t.Fatal("empty objects of different kinds or names share a root")
+	}
+	// A map emptied by deletes is an empty map again.
+	s := NewStore()
+	m := mustMap(t, s, "x")
+	m.rawPut("a", uint64(1))
+	m.rawPut("b", uint64(2))
+	m.rawAdd("a", -1)
+	m.rawDelete("b")
+	if h, _ := s.StateRoot(); h != emptyMap {
+		t.Fatal("a map emptied by deletes does not hash like a map that was never written")
+	}
+}

@@ -31,56 +31,45 @@ const (
 	tagStruct  byte = 0x08
 )
 
-// encodeValue canonically encodes the value kinds contracts may store:
-// nil, bool, uint64, int (non-negative), string, types.Address, types.Hash,
-// types.Amount, and any Encoder. Each encoding is tagged with a kind byte
-// so values of different types never collide. The state root commits to
-// these bytes and the persisted state stream (persist.go) stores them, so
-// a value has one encoding.
-func encodeValue(v any) ([]byte, error) {
+// appendValue appends the canonical encoding of one of the value kinds
+// contracts may store: nil, bool, uint64, int (non-negative), string,
+// types.Address, types.Hash, types.Amount, and any Encoder. Each encoding
+// is tagged with a kind byte so values of different types never collide.
+// The state root commits to these bytes and the persisted state stream
+// (persist.go) stores them, so a value has one encoding.
+func appendValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return []byte{tagNil}, nil
+		return append(dst, tagNil), nil
 	case bool:
 		if x {
-			return []byte{tagBool, 1}, nil
+			return append(dst, tagBool, 1), nil
 		}
-		return []byte{tagBool, 0}, nil
+		return append(dst, tagBool, 0), nil
 	case uint64:
-		return appendUint(tagUint64, x), nil
+		return binary.BigEndian.AppendUint64(append(dst, tagUint64), x), nil
 	case int:
 		if x < 0 {
 			return nil, fmt.Errorf("storage: negative int value %d not supported", x)
 		}
-		return appendUint(tagInt, uint64(x)), nil
+		return binary.BigEndian.AppendUint64(append(dst, tagInt), uint64(x)), nil
 	case string:
-		out := make([]byte, 0, 1+len(x))
-		out = append(out, tagString)
-		return append(out, x...), nil
+		return append(append(dst, tagString), x...), nil
 	case types.Address:
-		out := make([]byte, 0, 1+types.AddressLen)
-		out = append(out, tagAddress)
-		return append(out, x[:]...), nil
+		return append(append(dst, tagAddress), x[:]...), nil
 	case types.Hash:
-		out := make([]byte, 0, 1+types.HashLen)
-		out = append(out, tagHash)
-		return append(out, x[:]...), nil
+		return append(append(dst, tagHash), x[:]...), nil
 	case types.Amount:
-		return appendUint(tagAmount, uint64(x)), nil
+		return binary.BigEndian.AppendUint64(append(dst, tagAmount), uint64(x)), nil
 	case Encoder:
-		out := []byte{tagStruct}
-		return append(out, x.EncodeValue()...), nil
+		return append(append(dst, tagStruct), x.EncodeValue()...), nil
 	default:
 		return nil, fmt.Errorf("storage: cannot encode value of type %T", v)
 	}
 }
 
-func appendUint(tag byte, x uint64) []byte {
-	var buf [9]byte
-	buf[0] = tag
-	binary.BigEndian.PutUint64(buf[1:], x)
-	return buf[:]
-}
+// encodeValue returns v's encoding in a slice of its own.
+func encodeValue(v any) ([]byte, error) { return appendValue(nil, v) }
 
 // valueLen is each tag's body length; -1 means the rest of the value.
 var valueLen = [...]int{

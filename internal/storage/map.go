@@ -2,12 +2,11 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
-	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
+	"contractstm/internal/types"
 )
 
 // Map is a boosted hash table: the translation of a Solidity mapping
@@ -15,9 +14,9 @@ import (
 // where key values are used to index abstract locks").
 //
 // Concurrency: the abstract lock for key k is {Scope: name, Key: k}; the raw
-// table is additionally guarded by a plain mutex because Go maps do not
-// tolerate concurrent access even to distinct keys. The mutex is held only
-// for the raw operation, never across a lock wait.
+// table (a persistent trie, trie.go) is additionally guarded by a plain
+// mutex because edits to distinct keys share the nodes above them. The
+// mutex is held only for the raw operation, never across a lock wait.
 type Map struct {
 	name  string
 	id    uint64
@@ -28,15 +27,20 @@ type Map struct {
 	structs func([]byte) (any, error)
 }
 
+// rawMap is the map's current version: the trie's top node, how many
+// entries it holds, and the epoch whose nodes may be edited in place.
 type rawMap struct {
-	mu sync.Mutex
-	m  map[string]any
+	mu    sync.Mutex
+	root  *node
+	count int
+	epoch uint64
 }
 
 // NewMap creates a boosted map registered in s under the given name (which
 // becomes its lock scope and state-root prefix).
 func NewMap(s *Store, name string) (*Map, error) {
-	m := &Map{name: name, store: s, raw: rawMap{m: make(map[string]any)}}
+	// Epoch 0 is left to versions no map ever edits in place (readState).
+	m := &Map{name: name, store: s, raw: rawMap{epoch: 1}}
 	id, err := s.register(name, m)
 	if err != nil {
 		return nil, err
@@ -276,13 +280,14 @@ func (m *Map) applyOverlay(key string, v any, deleted bool) {
 	m.rawPut(key, v)
 }
 
-// raw accessors, each a short critical section on the raw mutex.
+// raw accessors, each a short critical section on the raw mutex; the
+// key's placement is hashed before the mutex is taken.
 
 func (m *Map) rawGet(key string) (any, bool) {
+	p := placeKey(key)
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	v, ok := m.raw.m[key]
-	return v, ok
+	return m.raw.root.find(&p, key)
 }
 
 // rawPut stores a binding. Like EVM storage, writing the zero counter
@@ -290,90 +295,97 @@ func (m *Map) rawGet(key string) (any, bool) {
 // what makes subtraction a correct inverse for commutative adds in every
 // abort interleaving.
 func (m *Map) rawPut(key string, v any) {
+	p := placeKey(key)
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	if n, isUint := v.(uint64); isUint && n == 0 {
-		delete(m.raw.m, key)
-		return
-	}
-	m.raw.m[key] = v
+	m.raw.set(&p, key, v)
 }
 
 func (m *Map) rawDelete(key string) {
+	p := placeKey(key)
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	delete(m.raw.m, key)
+	m.raw.unset(&p, key)
 }
 
 func (m *Map) rawAdd(key string, delta int64) {
+	p := placeKey(key)
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	var cur uint64
-	if v, ok := m.raw.m[key]; ok {
-		cur, _ = v.(uint64)
-	}
-	next := uint64(int64(cur) + delta)
-	if next == 0 {
-		delete(m.raw.m, key) // canonical zero: see rawPut
+	v, _ := m.raw.root.find(&p, key)
+	cur, _ := v.(uint64)
+	m.raw.set(&p, key, uint64(int64(cur)+delta))
+}
+
+// set binds key to v, or unbinds it when v is the zero counter. Caller
+// holds the mutex.
+func (r *rawMap) set(p *placement, key string, v any) {
+	if n, isUint := v.(uint64); isUint && n == 0 {
+		r.unset(p, key) // canonical zero: see rawPut
 		return
 	}
-	m.raw.m[key] = next
+	root, added := r.root.put(r.epoch, p, key, v, 0)
+	r.root = root
+	if added {
+		r.count++
+	}
+}
+
+// unset unbinds key. Caller holds the mutex.
+func (r *rawMap) unset(p *placement, key string) {
+	root, removed := r.root.remove(r.epoch, p, key, 0)
+	if !removed {
+		return
+	}
+	if r.count--; r.count == 0 {
+		root = nil
+	}
+	r.root = root
 }
 
 // Len returns the raw size (diagnostics/tests only; not transactional).
 func (m *Map) Len() int {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	return len(m.raw.m)
+	return m.raw.count
+}
+
+// GetIn reads key's binding in the version of this map that snap holds,
+// whatever the map has become since. A snapshot's nodes are never edited,
+// so this takes no lock and may run beside transactions.
+func (m *Map) GetIn(snap Snapshot, key string) (any, bool) {
+	if m.id >= uint64(len(snap.versions)) {
+		return nil, false
+	}
+	p := placeKey(key)
+	return snap.versions[m.id].trie.find(&p, key)
 }
 
 // objectName implements object.
 func (m *Map) objectName() string { return m.name }
 
-// stateEntries implements object.
-func (m *Map) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error) {
-	m.raw.mu.Lock()
-	keys := make([]string, 0, len(m.raw.m))
-	for k := range m.raw.m {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]any, len(m.raw.m))
-	for k, v := range m.raw.m {
-		vals[k] = v
-	}
-	m.raw.mu.Unlock()
-
-	sort.Strings(keys)
-	for _, k := range keys {
-		enc, err := encodeValue(vals[k])
-		if err != nil {
-			return nil, fmt.Errorf("key %q: %w", k, err)
-		}
-		dst = append(dst, crypto.StateEntry{Key: []byte(m.name + "\x00" + k), Value: enc})
-	}
-	return dst, nil
-}
-
-// snapshot implements object.
-func (m *Map) snapshot() any {
+// root implements object.
+func (m *Map) root(h *hasher) (types.Hash, error) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	cp := make(map[string]any, len(m.raw.m))
-	for k, v := range m.raw.m {
-		cp[k] = v
-	}
-	return cp
+	return h.mapRoot(m.raw.root)
 }
 
-// restore implements object.
-func (m *Map) restore(snap any) {
-	src := snap.(map[string]any)
+// snapshot implements object: the version is the top node, and bumping the
+// epoch freezes everything under it.
+func (m *Map) snapshot() version {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	m.raw.m = make(map[string]any, len(src))
-	for k, v := range src {
-		m.raw.m[k] = v
-	}
+	m.raw.epoch++
+	return version{trie: m.raw.root, count: m.raw.count}
+}
+
+// restore implements object. The map's epoch is newer than every node v
+// reaches, so the first edit of each copies it.
+func (m *Map) restore(v version) {
+	m.raw.mu.Lock()
+	defer m.raw.mu.Unlock()
+	m.raw.root, m.raw.count = v.trie, v.count
 }
 
 // itoa is a tiny helper shared with Array for index keys in diagnostics.

@@ -59,14 +59,14 @@ func (s *Store) DecodeState(data []byte) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("storage: decode state: %w: state has %d objects, store has %d",
 			codec.ErrFormat, n, len(objs))
 	}
-	snap := Snapshot{contents: make([]any, len(objs))}
+	snap := Snapshot{versions: make([]version, len(objs))}
 	for i, o := range objs {
 		name, err := r.String()
 		if err == nil && name != o.objectName() {
 			err = fmt.Errorf("%w: object %d is %q in the state, %q in the store", codec.ErrFormat, i, name, o.objectName())
 		}
 		if err == nil {
-			snap.contents[i], err = o.readState(r)
+			snap.versions[i], err = o.readState(r)
 		}
 		if err != nil {
 			return Snapshot{}, fmt.Errorf("storage: decode state of %q: %w", o.objectName(), err)
@@ -110,25 +110,24 @@ func (c *Cell) appendState(dst []byte) ([]byte, error) {
 }
 
 // readState implements object.
-func (c *Cell) readState(r *codec.Reader) (any, error) {
-	return readStateValue(r, nil)
+func (c *Cell) readState(r *codec.Reader) (version, error) {
+	v, err := readStateValue(r, nil)
+	return version{cell: &cellVersion{val: v}}, err
 }
 
-// appendState implements object.
+// appendState implements object. The trie holds its entries in placement
+// order; the stream wants them by key.
 func (m *Map) appendState(dst []byte) ([]byte, error) {
 	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	keys := make([]string, 0, len(m.raw.m))
-	for k := range m.raw.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = codec.AppendU32(dst, uint32(len(keys)))
-	for _, k := range keys {
-		dst = codec.AppendString(dst, k)
+	entries := m.raw.root.walk(make([]entry, 0, m.raw.count))
+	m.raw.mu.Unlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	dst = codec.AppendU32(dst, uint32(len(entries)))
+	for _, e := range entries {
+		dst = codec.AppendString(dst, e.key)
 		var err error
-		if dst, err = appendStateValue(dst, m.raw.m[k], m.structs); err != nil {
-			return nil, fmt.Errorf("key %q: %w", k, err)
+		if dst, err = appendStateValue(dst, e.val, m.structs); err != nil {
+			return nil, fmt.Errorf("key %q: %w", e.key, err)
 		}
 	}
 	return dst, nil
@@ -136,36 +135,45 @@ func (m *Map) appendState(dst []byte) ([]byte, error) {
 
 // readState implements object. Keys must ascend strictly — the order
 // appendState writes — so no key repeats and an accepted stream
-// re-encodes to itself.
-func (m *Map) readState(r *codec.Reader) (any, error) {
+// re-encodes to itself. The version is built in epoch 0, which no map
+// edits in place.
+func (m *Map) readState(r *codec.Reader) (version, error) {
 	n, err := r.Count(minMapEntry)
 	if err != nil {
-		return nil, err
+		return version{}, err
 	}
-	out := make(map[string]any, n)
+	var built rawMap
 	prev := ""
 	for i := 0; i < n; i++ {
 		k, err := r.String()
 		if err != nil {
-			return nil, err
+			return version{}, err
 		}
 		if i > 0 && k <= prev {
-			return nil, fmt.Errorf("%w: key %q does not ascend", codec.ErrFormat, k)
+			return version{}, fmt.Errorf("%w: key %q does not ascend", codec.ErrFormat, k)
 		}
-		if out[k], err = readStateValue(r, m.structs); err != nil {
-			return nil, fmt.Errorf("key %q: %w", k, err)
+		v, err := readStateValue(r, m.structs)
+		if err != nil {
+			return version{}, fmt.Errorf("key %q: %w", k, err)
 		}
+		if v == uint64(0) {
+			// A map never holds one (rawPut), so appendState never
+			// wrote this.
+			return version{}, fmt.Errorf("%w: key %q binds the zero counter, which is stored as absent", codec.ErrFormat, k)
+		}
+		p := placeKey(k)
+		built.set(&p, k, v)
 		prev = k
 	}
-	return out, nil
+	return version{trie: built.root, count: built.count}, nil
 }
 
 // appendState implements object.
 func (a *Array) appendState(dst []byte) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	dst = codec.AppendU32(dst, uint32(len(a.raw)))
-	for i, v := range a.raw {
+	dst = codec.AppendU32(dst, uint32(len(a.cur.elems)))
+	for i, v := range a.cur.elems {
 		var err error
 		if dst, err = appendStateValue(dst, v, nil); err != nil {
 			return nil, fmt.Errorf("index %d: %w", i, err)
@@ -175,16 +183,16 @@ func (a *Array) appendState(dst []byte) ([]byte, error) {
 }
 
 // readState implements object.
-func (a *Array) readState(r *codec.Reader) (any, error) {
+func (a *Array) readState(r *codec.Reader) (version, error) {
 	n, err := r.Count(minStateValue)
 	if err != nil {
-		return nil, err
+		return version{}, err
 	}
-	out := make([]any, n)
-	for i := range out {
-		if out[i], err = readStateValue(r, nil); err != nil {
-			return nil, fmt.Errorf("index %d: %w", i, err)
+	elems := make([]any, n)
+	for i := range elems {
+		if elems[i], err = readStateValue(r, nil); err != nil {
+			return version{}, fmt.Errorf("index %d: %w", i, err)
 		}
 	}
-	return out, nil
+	return version{array: &arrayVersion{elems: elems}}, nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -49,9 +50,9 @@ func buildStore(t testing.TB) (*Store, *Map, *Cell) {
 	m.rawPut("doc", types.HashString("doc"))
 	m.rawPut("amount", types.Amount(12))
 	m.rawPut("pair", pair{1, 2})
-	a.mu.Lock()
-	a.raw = append(a.raw, uint64(7), nil, "x")
-	a.mu.Unlock()
+	for _, v := range []any{uint64(7), nil, "x"} {
+		a.rawAppend(v)
+	}
 	return s, m, c
 }
 
@@ -132,6 +133,10 @@ func TestStateDecodeRejectsForeignStore(t *testing.T) {
 	}
 }
 
+func appendUint(tag byte, x uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte{tag}, x)
+}
+
 // stateOf hand-builds a state stream for buildStore's three objects from
 // raw per-object bodies, so tests can describe hostile contents.
 func stateOf(mapBody, arrayBody, cellBody []byte) []byte {
@@ -179,6 +184,7 @@ func TestStateDecodeIsKindDirected(t *testing.T) {
 		"short uint64":                 stateOf(entry("k", []byte{tagUint64, 1}), emptyBody, nilValue),
 		"bool byte 2":                  stateOf(entry("k", []byte{tagBool, 2}), emptyBody, nilValue),
 		"negative int":                 stateOf(entry("k", appendUint(tagInt, 1<<63)), emptyBody, nilValue),
+		"zero counter in a map":        stateOf(entry("k", appendUint(tagUint64, 0)), emptyBody, nilValue),
 		"malformed struct":             stateOf(entry("k", []byte{tagStruct, 1}), emptyBody, nilValue),
 		"struct where none is stored":  stateOf(emptyBody, emptyBody, codec.AppendBytes(nil, []byte{tagStruct, 1, 2})),
 		"trailing bytes":               append(stateOf(emptyBody, emptyBody, nilValue), 0),

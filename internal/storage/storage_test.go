@@ -25,7 +25,7 @@ func withTx(t *testing.T, policy stm.Policy, body func(tx *stm.Tx)) {
 	}
 }
 
-func mustMap(t *testing.T, s *Store, name string) *Map {
+func mustMap(t testing.TB, s *Store, name string) *Map {
 	t.Helper()
 	m, err := NewMap(s, name)
 	if err != nil {

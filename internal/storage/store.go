@@ -20,13 +20,14 @@
 package storage
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"contractstm/internal/codec"
-	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
@@ -47,20 +48,33 @@ var (
 
 // object is the interface all boosted objects implement for the Store.
 type object interface {
-	// objectName returns the lock scope / state-root prefix.
+	// objectName returns the lock scope, the name the state root binds
+	// the object's commitment to.
 	objectName() string
-	// stateEntries appends canonical (key, value) pairs, sorted by key.
-	stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error)
-	// snapshot returns a deep copy of the raw contents.
-	snapshot() any
-	// restore replaces the raw contents with a snapshot deep copy.
-	restore(snap any)
+	// root returns the commitment of the current contents, reusing every
+	// hash still cached from earlier calls.
+	root(h *hasher) (types.Hash, error)
+	// snapshot returns a handle on the current contents, which later
+	// writes leave untouched.
+	snapshot() version
+	// restore makes v the current contents again; v stays valid.
+	restore(v version)
 	// appendState appends the contents in the state stream's encoding
 	// (persist.go).
 	appendState(dst []byte) ([]byte, error)
-	// readState reads what appendState wrote and returns it in the shape
-	// snapshot returns and restore accepts.
-	readState(r *codec.Reader) (any, error)
+	// readState reads what appendState wrote as a version to restore.
+	readState(r *codec.Reader) (version, error)
+}
+
+// version is one object's contents at some moment, in whichever field the
+// object's kind uses. Versions are immutable and share structure with
+// their neighbours, so holding one costs what was written since, not the
+// size of the object.
+type version struct {
+	trie  *node         // Map: top node (nil when empty)
+	count int           // Map: number of entries
+	array *arrayVersion // Array
+	cell  *cellVersion  // Cell
 }
 
 // Store owns a set of boosted objects and provides state commitments and
@@ -110,49 +124,57 @@ func (s *Store) objectList() []object {
 	return append([]object(nil), s.objects...)
 }
 
-// StateRoot computes a deterministic commitment over every object's
-// canonical contents. It must not be called while transactions are in
-// flight.
+// StateRoot returns the commitment over every object's contents: the
+// per-object roots, bound to their names and folded in name order. Each
+// object hashes only what changed since its root was last computed, in
+// whatever version that happened. It must not be called while
+// transactions are in flight.
 func (s *Store) StateRoot() (types.Hash, error) {
 	objs := s.objectList()
 	sort.Slice(objs, func(i, j int) bool { return objs[i].objectName() < objs[j].objectName() })
-	var entries []crypto.StateEntry
+	var h hasher
+	fold := binary.BigEndian.AppendUint32([]byte{commitStore}, uint32(len(objs)))
 	for _, o := range objs {
-		var err error
-		entries, err = o.stateEntries(entries)
+		root, err := o.root(&h)
 		if err != nil {
-			return types.Hash{}, fmt.Errorf("state entries of %q: %w", o.objectName(), err)
+			return types.Hash{}, fmt.Errorf("state root of %q: %w", o.objectName(), err)
 		}
+		fold = binary.BigEndian.AppendUint32(fold, uint32(len(o.objectName())))
+		fold = append(fold, o.objectName()...)
+		fold = append(fold, root[:]...)
 	}
-	return crypto.StateRootOf(entries), nil
+	return sha256.Sum256(fold), nil
 }
 
-// Snapshot captures a deep copy of all objects' contents. Values stored in
-// boosted objects must be treated as immutable (store fresh structs rather
-// than mutating in place); under that convention the copy is exact.
+// Snapshot is a handle on the state at one moment: one version per
+// object, in registration order. Taking and restoring one costs a few
+// words per object whatever the objects hold. Values stored in boosted
+// objects must be treated as immutable (store fresh structs rather than
+// mutating in place); under that convention a snapshot never changes.
 type Snapshot struct {
-	contents []any
+	versions []version
 }
 
 // Snapshot captures the current state.
 func (s *Store) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := Snapshot{contents: make([]any, len(s.objects))}
+	snap := Snapshot{versions: make([]version, len(s.objects))}
 	for i, o := range s.objects {
-		snap.contents[i] = o.snapshot()
+		snap.versions[i] = o.snapshot()
 	}
 	return snap
 }
 
-// Restore rewinds all objects to a snapshot taken from this store. Objects
-// created after the snapshot keep their (newer) contents.
+// Restore rewinds all objects to a snapshot taken from this store, which
+// stays valid and can be restored again. Objects created after the
+// snapshot keep their (newer) contents.
 func (s *Store) Restore(snap Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, c := range snap.contents {
+	for i, v := range snap.versions {
 		if i < len(s.objects) {
-			s.objects[i].restore(c)
+			s.objects[i].restore(v)
 		}
 	}
 }

@@ -1,0 +1,398 @@
+package storage
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math/bits"
+	"sort"
+
+	"contractstm/internal/types"
+)
+
+// A Map keeps its bindings in a persistent 16-way trie. An entry's path is
+// the nibbles of SHA-256(key), so where a key lands is a pure function of
+// the key and cannot be steered cheaply: map keys carry client-chosen bytes
+// (document hashes, addresses), and a grindable placement would let one
+// client pile keys under one path.
+//
+// The shape is a pure function of the contents. A slot holds an entry
+// inline when exactly one key of the map has the slot's prefix, and a child
+// node when two or more do; once all 64 nibbles are spent the keys that
+// still collide sit in one key-sorted bucket. Deleting re-inlines a child
+// that is left with a single entry, so no history leaves a trace.
+//
+// Versions share structure. A node carries the epoch it was born in; a
+// node of the map's current epoch is edited in place, an older one is
+// copied before its first edit (path copying), and taking a snapshot bumps
+// the epoch. So everything a snapshot reaches is immutable apart from the
+// hash cache, which is a function of those immutable contents.
+
+// placement is a key's path through the trie, one nibble per level.
+type placement [sha256.Size]byte
+
+// maxDepth is the number of nibbles in a placement; nodes at this depth
+// are collision buckets.
+const maxDepth = 2 * sha256.Size
+
+// placeKey hashes a key to its placement. A variable only so tests can
+// force the collisions SHA-256 never yields.
+var placeKey = func(key string) placement { return sha256.Sum256([]byte(key)) }
+
+// bit returns the slot bit of the nibble at depth.
+func (p *placement) bit(depth int) uint16 {
+	b := p[depth>>1]
+	if depth&1 == 0 {
+		b >>= 4
+	}
+	return 1 << (b & 15)
+}
+
+// entry is one binding.
+type entry struct {
+	key string
+	val any
+}
+
+// node is one trie level: up to 16 slots, each empty, an inline entry
+// (datamap) or a child (nodemap). Inline entries are packed in slot order;
+// children sit at their slot's index in an array that only a node with
+// children allocates — most nodes are the bottom ones, with two to four
+// entries and no child, and the layout keeps those at 80 bytes plus their
+// entries. A bucket (depth == maxDepth) has no slots: its entries are
+// sorted by key.
+type node struct {
+	// hash caches the node's commitment while hashed is set; every edit
+	// clears hashed along its path.
+	hash    types.Hash
+	entries []entry
+	kids    *[16]*node
+	epoch   uint64
+	datamap uint16
+	nodemap uint16
+	hashed  bool
+}
+
+// index is the packed position of bit's entry.
+func (n *node) index(bit uint16) int { return bits.OnesCount16(n.datamap & (bit - 1)) }
+
+// slot is the slot number of a slot bit.
+func slot(bit uint16) int { return bits.TrailingZeros16(bit) }
+
+// single reports whether n holds exactly one entry and nothing else — the
+// shape that must be inlined into the parent.
+func (n *node) single() bool { return len(n.entries) == 1 && n.nodemap == 0 }
+
+// find looks key up under n.
+func (n *node) find(p *placement, key string) (any, bool) {
+	for depth := 0; n != nil; depth++ {
+		if depth == maxDepth {
+			i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
+			if i < len(n.entries) && n.entries[i].key == key {
+				return n.entries[i].val, true
+			}
+			return nil, false
+		}
+		bit := p.bit(depth)
+		if n.datamap&bit != 0 {
+			if e := &n.entries[n.index(bit)]; e.key == key {
+				return e.val, true
+			}
+			return nil, false
+		}
+		if n.nodemap&bit == 0 {
+			return nil, false
+		}
+		n = n.kids[slot(bit)]
+	}
+	return nil, false
+}
+
+// own returns n ready to be edited in epoch: n itself if it was born in
+// epoch, a copy otherwise, with room for spare more entries. Either way
+// its cached hash is dropped.
+func (n *node) own(epoch uint64, spare int) *node {
+	if n.epoch != epoch {
+		old := n
+		if old.kids != nil {
+			// One allocation for the copy and its child array: copies of
+			// upper nodes are what every written key pays per level.
+			b := &struct {
+				node
+				array [16]*node
+			}{array: *old.kids}
+			n = &b.node
+			n.kids = &b.array
+		} else {
+			n = new(node)
+		}
+		n.epoch, n.datamap, n.nodemap = epoch, old.datamap, old.nodemap
+		if len(old.entries)+spare > 0 {
+			n.entries = append(make([]entry, 0, len(old.entries)+spare), old.entries...)
+		}
+	}
+	n.hashed = false
+	return n
+}
+
+// insertAt returns s with v at position i. A full slice is reallocated at
+// exactly the new length, not doubled: a state holds one small slice per
+// node, and the slack doubling leaves in each adds up.
+func insertAt(s []entry, i int, v entry) []entry {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+		copy(s[i+1:], s[i:])
+		s[i] = v
+		return s
+	}
+	out := make([]entry, len(s)+1)
+	copy(out, s[:i])
+	out[i] = v
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+// removeAt returns s without position i, clearing the vacated slot so that
+// it holds no reference.
+func removeAt(s []entry, i int) []entry {
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = entry{}
+	return s[:len(s)-1]
+}
+
+// setKid puts k (nil to clear) in bit's slot of n, which the caller owns.
+func (n *node) setKid(bit uint16, k *node) {
+	if k == nil {
+		n.kids[slot(bit)] = nil
+		if n.nodemap &^= bit; n.nodemap == 0 {
+			n.kids = nil
+		}
+		return
+	}
+	if n.kids == nil {
+		n.kids = new([16]*node)
+	}
+	n.kids[slot(bit)] = k
+	n.nodemap |= bit
+}
+
+// put binds key to val under n (nil for an empty trie) and returns the
+// node to use in n's place, and whether the key is new.
+func (n *node) put(epoch uint64, p *placement, key string, val any, depth int) (*node, bool) {
+	if n == nil {
+		return &node{epoch: epoch, datamap: p.bit(depth), entries: []entry{{key, val}}}, true
+	}
+	if depth == maxDepth {
+		n = n.own(epoch, 1)
+		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
+		if i < len(n.entries) && n.entries[i].key == key {
+			n.entries[i].val = val
+			return n, false
+		}
+		n.entries = insertAt(n.entries, i, entry{key, val})
+		return n, true
+	}
+	bit := p.bit(depth)
+	spare := 0
+	if (n.datamap|n.nodemap)&bit == 0 {
+		spare = 1 // an empty slot: the key goes inline here
+	}
+	n = n.own(epoch, spare)
+	switch {
+	case n.datamap&bit != 0:
+		i := n.index(bit)
+		if n.entries[i].key == key {
+			n.entries[i].val = val
+			return n, false
+		}
+		// Two keys under one slot: both move into a child.
+		old := n.entries[i]
+		oldPlace := placeKey(old.key)
+		n.entries = removeAt(n.entries, i)
+		n.datamap &^= bit
+		n.setKid(bit, join(epoch, old, &oldPlace, entry{key, val}, p, depth+1))
+		return n, true
+	case n.nodemap&bit != 0:
+		kid, added := n.kids[slot(bit)].put(epoch, p, key, val, depth+1)
+		n.kids[slot(bit)] = kid
+		return n, added
+	default:
+		n.entries = insertAt(n.entries, n.index(bit), entry{key, val})
+		n.datamap |= bit
+		return n, true
+	}
+}
+
+// join builds the node at depth that holds exactly the two entries a and
+// b, whose placements agree on every nibble before depth.
+func join(epoch uint64, a entry, pa *placement, b entry, pb *placement, depth int) *node {
+	if depth == maxDepth {
+		if b.key < a.key {
+			a, b = b, a
+		}
+		return &node{epoch: epoch, entries: []entry{a, b}}
+	}
+	bitA, bitB := pa.bit(depth), pb.bit(depth)
+	if bitA == bitB {
+		n := &node{epoch: epoch}
+		n.setKid(bitA, join(epoch, a, pa, b, pb, depth+1))
+		return n
+	}
+	if bitB < bitA {
+		a, b = b, a
+	}
+	return &node{epoch: epoch, datamap: bitA | bitB, entries: []entry{a, b}}
+}
+
+// remove unbinds key under n and returns the node to use in n's place, and
+// whether the key was bound. Nothing is copied when it was not.
+func (n *node) remove(epoch uint64, p *placement, key string, depth int) (*node, bool) {
+	if n == nil {
+		return nil, false
+	}
+	if depth == maxDepth {
+		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
+		if i == len(n.entries) || n.entries[i].key != key {
+			return n, false
+		}
+		n = n.own(epoch, 0)
+		n.entries = removeAt(n.entries, i)
+		return n, true
+	}
+	bit := p.bit(depth)
+	if n.datamap&bit != 0 {
+		i := n.index(bit)
+		if n.entries[i].key != key {
+			return n, false
+		}
+		n = n.own(epoch, 0)
+		n.entries = removeAt(n.entries, i)
+		n.datamap &^= bit
+		return n, true
+	}
+	if n.nodemap&bit == 0 {
+		return n, false
+	}
+	kid, removed := n.kids[slot(bit)].remove(epoch, p, key, depth+1)
+	if !removed {
+		return n, false
+	}
+	n = n.own(epoch, 0)
+	if kid.single() {
+		// One key left under this slot: it belongs inline here.
+		n.setKid(bit, nil)
+		n.entries = insertAt(n.entries, n.index(bit), kid.entries[0])
+		n.datamap |= bit
+	} else {
+		n.kids[slot(bit)] = kid
+	}
+	return n, true
+}
+
+// walk appends every entry under n to dst, in an order that depends only
+// on the contents.
+func (n *node) walk(dst []entry) []entry {
+	if n == nil {
+		return dst
+	}
+	dst = append(dst, n.entries...)
+	if n.kids != nil {
+		for _, k := range n.kids {
+			dst = k.walk(dst)
+		}
+	}
+	return dst
+}
+
+// Commitment. The state root is consensus-visible, so the bytes hashed
+// here are part of the block format (DESIGN.md, "State store and
+// commitment"). Every preimage starts with a distinct tag, so a leaf can
+// never be passed off as an interior node or an object of another kind.
+const (
+	commitLeaf   byte = 0x00 // tag, u32 len(key), key, value encoding
+	commitNode   byte = 0x01 // tag, u16 occupied slots, one hash per occupied slot
+	commitEmpty  byte = 0x02 // tag: a map with no entry
+	commitBucket byte = 0x03 // tag, u32 count, leaf hashes by ascending key
+	commitArray  byte = 0x04 // tag, u32 length, then per element u32 len, value encoding
+	commitCell   byte = 0x05 // tag, value encoding
+	commitStore  byte = 0x06 // tag, u32 count, then per object by name: u32 len, name, root
+)
+
+// emptyMapRoot is the root of a map with no entry.
+var emptyMapRoot = types.Hash(sha256.Sum256([]byte{commitEmpty}))
+
+// hasher carries the scratch buffer the commitment's preimages are
+// assembled in.
+type hasher struct{ buf []byte }
+
+// leaf hashes one entry: its full key and its tagged value encoding.
+func (h *hasher) leaf(e *entry) (types.Hash, error) {
+	b := append(h.buf[:0], commitLeaf)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(e.key)))
+	b = append(b, e.key...)
+	b, err := appendValue(b, e.val)
+	if err != nil {
+		return types.Hash{}, err
+	}
+	h.buf = b
+	return sha256.Sum256(b), nil
+}
+
+// mapRoot is the commitment of the map whose top node is n: a map with
+// one entry is that entry's leaf, like any other subtree.
+func (h *hasher) mapRoot(n *node) (types.Hash, error) {
+	switch {
+	case n == nil:
+		return emptyMapRoot, nil
+	case n.single():
+		return h.leaf(&n.entries[0])
+	default:
+		return h.node(n, 0)
+	}
+}
+
+// node returns the commitment of a subtree with two or more entries,
+// hashing only what has no cached hash.
+func (h *hasher) node(n *node, depth int) (types.Hash, error) {
+	if n.hashed {
+		return n.hash, nil
+	}
+	if depth == maxDepth {
+		return h.bucket(n)
+	}
+	var stack [3 + 16*types.HashLen]byte
+	b := append(stack[:0], commitNode)
+	occupied := n.datamap | n.nodemap
+	b = binary.BigEndian.AppendUint16(b, occupied)
+	e := 0
+	for ; occupied != 0; occupied &= occupied - 1 {
+		var sub types.Hash
+		var err error
+		if bit := occupied & -occupied; n.datamap&bit != 0 {
+			sub, err = h.leaf(&n.entries[e])
+			e++
+		} else {
+			sub, err = h.node(n.kids[slot(bit)], depth+1)
+		}
+		if err != nil {
+			return types.Hash{}, err
+		}
+		b = append(b, sub[:]...)
+	}
+	n.hash, n.hashed = sha256.Sum256(b), true
+	return n.hash, nil
+}
+
+// bucket returns the commitment of a collision bucket.
+func (h *hasher) bucket(n *node) (types.Hash, error) {
+	b := append(make([]byte, 0, 5+len(n.entries)*types.HashLen), commitBucket)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(n.entries)))
+	for i := range n.entries {
+		sub, err := h.leaf(&n.entries[i])
+		if err != nil {
+			return types.Hash{}, err
+		}
+		b = append(b, sub[:]...)
+	}
+	n.hash, n.hashed = sha256.Sum256(b), true
+	return n.hash, nil
+}

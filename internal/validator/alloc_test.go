@@ -12,7 +12,8 @@ import (
 // TestValidateAllocCeiling fails when validating one block — the cost
 // every follower pays per imported block — starts to allocate more. The
 // block is the representative one (see workload.HotPathParams), mined
-// by the OCC engine.
+// by the OCC engine. The ceiling is 1.1 times the count under -race
+// (3415; 3340 without).
 func TestValidateAllocCeiling(t *testing.T) {
 	wl, err := workload.Generate(workload.HotPathParams)
 	if err != nil {
@@ -22,7 +23,7 @@ func TestValidateAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
-	const ceiling = 6000
+	const ceiling = 3757
 	allocs := testing.AllocsPerRun(5, func() {
 		wl.Reset()
 		if _, err := Validate(runtime.NewSimRunner(), wl.World, res.Block, Config{Workers: 3}); err != nil {
