@@ -38,10 +38,12 @@
 // subscription no matter how many local /v1/subscribe clients), and
 // serves the read API at its own durable height — every response carries
 // X-Chain-Height, and min_height-gated reads answer 412 when the replica
-// is behind. Add -history to also serve historical state queries
-// (GET /v1/state/{addr}?height=H) from a shadow copy of the demo
-// genesis. -subscriber-buffer widens each local subscriber's event
-// buffer, which relay nodes serving many downstream clients want.
+// is behind. A replica refuses POST /v1/tx and POST /v1/mine (403
+// read_replica): its blocks come from the upstream only. Add -history to
+// also serve historical state queries (GET /v1/state/{addr}?height=H)
+// from a shadow copy of the demo genesis. -subscriber-buffer widens each
+// local subscriber's event buffer, which relay nodes serving many
+// downstream clients want.
 //
 // Example session:
 //
@@ -105,7 +107,6 @@ func run() error {
 		defaultGas = flag.Uint64("default-gas", api.DefaultGasLimit, "gas limit assigned to transactions that leave it unset")
 		blockSize  = flag.Int("blocksize", api.DefaultBlockSize, "default block size for mine requests that leave it unset")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060; empty = off)")
-		importMode = flag.String("import-mode", "off", `staged parallel import rollout: "off", "shadow" or "on"`)
 
 		mpShards       = flag.Int("mempool-shards", 0, "mempool shard count (0 = default 16)")
 		mpSenderSlots  = flag.Int("mempool-sender-slots", 0, "max queued transactions per sender (0 = unlimited)")
@@ -128,10 +129,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	impMode, err := node.ParseImportMode(*importMode)
-	if err != nil {
-		return err
-	}
 
 	world, err := demoWorld()
 	if err != nil {
@@ -145,7 +142,6 @@ func run() error {
 		MaxGasLimit:      *maxGas,
 		DefaultGasLimit:  *defaultGas,
 		DefaultBlockSize: *blockSize,
-		ImportMode:       impMode,
 		SubscriberBuffer: *subBuffer,
 		Mempool: mempool.Config{
 			Shards:          *mpShards,

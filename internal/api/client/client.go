@@ -493,8 +493,7 @@ func (c *Client) Block(ctx context.Context, height uint64) (chain.Block, error) 
 // streams self-delimiting flat-codec frames and may answer short (it
 // serves the durable prefix it has; counts above the server's cap are
 // clamped); the returned slice is in height order, never empty on
-// success. Old servers without the route answer a plain 404/405 —
-// callers fall back to Block.
+// success.
 func (c *Client) Blocks(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("api client: blocks: count %d", count)

@@ -159,6 +159,11 @@ type Server struct {
 	// atomically because the relay attaches after the server starts.
 	statusDecorator atomic.Pointer[func(*wire.Status)]
 
+	// refuseWrites is set on a node that follows an upstream: its blocks
+	// come from there, so the two routes that would make it seal one of
+	// its own answer 403 read_replica.
+	refuseWrites atomic.Bool
+
 	// request metrics (lock-free; read by the status handler).
 	requests atomic.Int64
 	errs     atomic.Int64
@@ -175,6 +180,23 @@ func (s *Server) SetStatusDecorator(fn func(*wire.Status)) {
 		return
 	}
 	s.statusDecorator.Store(&fn)
+}
+
+// RefuseWrites makes POST /v1/tx and POST /v1/mine answer 403
+// read_replica from now on; POST /v1/blocks and every read are unaffected.
+// Safe to call while the server is serving.
+func (s *Server) RefuseWrites() { s.refuseWrites.Store(true) }
+
+// writable guards a route that feeds or triggers local block production.
+func (s *Server) writable(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.refuseWrites.Load() {
+			s.fail(w, http.StatusForbidden, wire.CodeReadReplica,
+				errors.New("this node follows an upstream and takes no writes; send them there"))
+			return
+		}
+		h(w, r)
+	}
 }
 
 // NewServer builds the API server for a backend.
@@ -203,9 +225,9 @@ func NewServer(cfg Config) *Server {
 	// http.TimeoutHandler buffers the whole response before copying it
 	// out, which would add a full-body copy on exactly the paths the
 	// cached wire encodings exist to keep cheap.
-	s.route("POST /v1/tx", s.handleTx, true)
+	s.route("POST /v1/tx", s.writable(s.handleTx), true)
 	s.route("GET /v1/tx/{id}", s.handleReceipt, true)
-	s.route("POST /v1/mine", s.handleMine, true)
+	s.route("POST /v1/mine", s.writable(s.handleMine), true)
 	s.route("POST /v1/blocks", s.handleImportBlock, true)
 	s.route("GET /v1/blocks/{height}", s.handleGetBlock, false)
 	s.route("GET /v1/blocks", s.handleGetBlockRange, false)

@@ -75,6 +75,10 @@ const (
 	// sits below what the node's history window still materializes (the
 	// chain is pruned there, or no history is attached at all).
 	CodeHeightUnavailable = "height_unavailable"
+	// CodeReadReplica answers 403 to POST /v1/tx and POST /v1/mine on a
+	// node that follows an upstream: one locally sealed block would fork
+	// it from the chain it follows. Writes belong to the upstream.
+	CodeReadReplica = "read_replica"
 )
 
 // Response headers carrying the bounded-staleness read contract: the
@@ -431,12 +435,6 @@ type Status struct {
 	WalGroupCommits int64  `json:"walGroupCommits,omitempty"`
 	WalMaxGroup     int    `json:"walMaxGroup,omitempty"`
 	ChainBase       uint64 `json:"chainBase,omitempty"`
-	// ImportMode is the staged-import rollout switch (off|shadow|on;
-	// empty from pre-pipeline servers); ImportDivergences counts
-	// shadow-mode verdict disagreements between the parallel stateless
-	// phase and the serial recomputation — the shadow→on promotion gate.
-	ImportMode        string `json:"importMode,omitempty"`
-	ImportDivergences int64  `json:"importDivergences,omitempty"`
 	// Mempool reports the sharded pool's admission counters and
 	// occupancy (nil from pre-admission servers).
 	Mempool *MempoolStatus `json:"mempool,omitempty"`
@@ -454,13 +452,14 @@ type Status struct {
 type RelayStatus struct {
 	// Upstream is the base URL of the node the relay follows.
 	Upstream string `json:"upstream"`
-	// Events counts upstream block events applied or republished.
+	// Events counts upstream block events received.
 	Events int64 `json:"events"`
 	// Reconnects counts upstream stream re-establishments (the initial
 	// connect is not counted).
 	Reconnects int64 `json:"reconnects"`
-	// GapsFilled counts blocks fetched through the range endpoint
-	// because the event stream skipped past them (drop or reconnect).
+	// GapsFilled counts blocks the relay pulled other than the one an
+	// event announced: the event stream skipped past them (drop or
+	// reconnect), or they were there before the stream was.
 	GapsFilled int64 `json:"gapsFilled"`
 	// UpstreamHeight is the newest block height observed on the
 	// upstream stream; local durable height lagging it is the replica's

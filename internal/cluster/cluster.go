@@ -70,9 +70,6 @@ type Config struct {
 	PipelineDepth int
 	// Client overrides the HTTP client the peer handles use.
 	Client *http.Client
-	// ImportMode sets every node's staged-import rollout switch
-	// (off|shadow|on); the zero value keeps catch-up sync serial.
-	ImportMode node.ImportMode
 }
 
 // Cluster runs N in-process nodes behind HTTP servers. Node 0 is the
@@ -111,7 +108,6 @@ func New(cfg Config) (*Cluster, error) {
 			DataDir:         dataDir,
 			Persist:         cfg.Persist,
 			PipelineDepth:   cfg.PipelineDepth,
-			ImportMode:      cfg.ImportMode,
 		})
 		if err != nil {
 			c.Close()

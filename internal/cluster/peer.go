@@ -10,15 +10,17 @@
 //     HTTP;
 //   - Broadcaster: pushes newly-mined blocks to all peers with bounded
 //     retry/backoff;
-//   - Sync: catch-up — a lagging or newly-joined node walks from its head
-//     to a peer's head, fetching and validator-gating each block, with
-//     divergence detection;
+//   - Sync: catch-up — a lagging or newly-joined node pulls from its head
+//     to a peer's head through the staged import pipeline
+//     (internal/importer), every block validator-gated, with divergence
+//     detection;
 //   - Cluster: a harness running N in-process nodes over httptest
 //     transports (tests, benchmarks) or real TCP (cmd/clusterdemo).
 //
-// Every imported block goes through node.AcceptBlock, i.e. the full
-// deterministic fork-join validation; the cluster layer adds transport,
-// retries and chain-level divergence checks, never trust.
+// Every imported block — pushed (node.AcceptBlock) or pulled
+// (node.ImportPrechecked) — goes through the full deterministic fork-join
+// validation; the cluster layer adds transport, retries and chain-level
+// divergence checks, never trust.
 package cluster
 
 import (
@@ -132,9 +134,9 @@ func (p *Peer) Block(ctx context.Context, height uint64) (chain.Block, error) {
 // Blocks fetches up to count consecutive blocks starting at from — the
 // range endpoint that amortizes catch-up round-trips. The result may be
 // short (the peer serves what it has durable); a missing starting height
-// maps to ErrNoBlock like the single-block fetch. Old peers without the
-// route answer an error here — the import pipeline falls back to Block,
-// which also owns the canonical fetch-error messages.
+// maps to ErrNoBlock like the single-block fetch. On any error the import
+// pipeline falls back to Block, which also owns the canonical fetch-error
+// messages.
 func (p *Peer) Blocks(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
 	bs, err := p.c.Blocks(ctx, from, count)
 	if err != nil {

@@ -43,7 +43,7 @@ func FastSync(ctx context.Context, n *node.Node, p *Peer) (FastSyncResult, error
 	s, err := p.Snapshot(ctx)
 	switch {
 	case errors.Is(err, ErrNoSnapshot):
-		// Older peer: full catch-up.
+		// Nothing to install: full catch-up.
 	case err != nil:
 		return res, err
 	case s.Height() > n.Head().Header.Number:
@@ -58,20 +58,16 @@ func FastSync(ctx context.Context, n *node.Node, p *Peer) (FastSyncResult, error
 }
 
 // Sync brings n up to date with the peer: while the peer's head is ahead,
-// fetch each missing height in order and import it through the node's
-// validator-gated import path. It returns how many blocks were imported.
+// pull the missing heights through the staged import pipeline
+// (internal/importer: windowed range prefetch, parallel stateless
+// validation, strictly sequential validator-gated commit) with default
+// sizing. It returns how many blocks were imported.
 //
 // The loop re-reads the peer's head after each pass, so blocks mined
 // while catching up are picked up too; it terminates when the heads agree
 // (same height, same hash), the peer falls behind, the context is
 // cancelled (context.Cause is propagated, checked before the first fetch),
 // or anything fails.
-//
-// How the catch-up gap is imported depends on the node's import mode:
-// ImportOff walks it one block at a time through the serial AcceptBlock;
-// shadow and on run the staged pipeline (internal/importer) — windowed
-// range prefetch, parallel stateless validation, strictly sequential
-// commit — with default sizing. SyncWith exposes the pipeline knobs.
 //
 // Divergence — the peer committing a different block at a height n also
 // holds — is detected both from head comparison and from import-time fork
@@ -80,9 +76,8 @@ func Sync(ctx context.Context, n *node.Node, p *Peer) (imported int, err error) 
 	return SyncWith(ctx, n, p, importer.Config{})
 }
 
-// SyncWith is Sync with explicit staged-pipeline sizing (worker pool,
-// prefetch window, range-fetch batch); icfg is ignored on an ImportOff
-// node, which syncs serially.
+// SyncWith is Sync with explicit pipeline sizing (worker pool, prefetch
+// window, range-fetch batch).
 func SyncWith(ctx context.Context, n *node.Node, p *Peer, icfg importer.Config) (imported int, err error) {
 	for {
 		if ctx.Err() != nil {
@@ -108,59 +103,26 @@ func SyncWith(ctx context.Context, n *node.Node, p *Peer, icfg importer.Config) 
 			}
 			return imported, nil
 		}
-		count, err := syncRange(ctx, n, p, local.Number+1, remote.Number, icfg)
+		count, err := importer.Run(ctx, n, p, local.Number+1, remote.Number, icfg)
 		imported += count
 		if err != nil {
-			return imported, err
+			return imported, wrapImportErr(err, p)
 		}
 	}
 }
 
-// syncRange imports the catch-up gap [from, to], serially on an ImportOff
-// node and through the staged pipeline otherwise. Both paths produce
-// byte-identical errors for the same bad block — the parity contract the
-// importer tests pin down.
-func syncRange(ctx context.Context, n *node.Node, p *Peer, from, to uint64, icfg importer.Config) (imported int, err error) {
-	if n.ImportMode() == node.ImportOff {
-		for h := from; h <= to; h++ {
-			if ctx.Err() != nil {
-				return imported, context.Cause(ctx)
-			}
-			blk, err := p.Block(ctx, h)
-			if err != nil {
-				return imported, err
-			}
-			if err := n.AcceptBlock(blk); err != nil {
-				if werr := wrapImportErr(err, h, p); werr != nil {
-					return imported, werr
-				}
-				continue // already known
-			}
-			imported++
-		}
-		return imported, nil
-	}
-	imported, err = importer.Run(ctx, n, p, from, to, icfg)
-	if err != nil {
-		var be *importer.BlockError
-		if errors.As(err, &be) {
-			return imported, wrapImportErr(be.Err, be.Height, p)
-		}
-		return imported, err
-	}
-	return imported, nil
-}
-
-// wrapImportErr maps one block's import rejection into the cluster error
-// vocabulary — shared by the serial and staged paths so their messages
-// match byte for byte. Already-known blocks map to nil (idempotent skip).
-func wrapImportErr(err error, h uint64, p *Peer) error {
+// wrapImportErr maps a failed pull into the cluster error vocabulary: a
+// block the node refused as a fork or a bad parent is divergence, any
+// other refusal names the height and the peer; fetch failures and
+// cancellation pass through.
+func wrapImportErr(err error, p *Peer) error {
+	var be *importer.BlockError
 	switch {
-	case errors.Is(err, node.ErrAlreadyKnown):
-		return nil
-	case errors.Is(err, node.ErrFork), errors.Is(err, chain.ErrBadParent):
-		return fmt.Errorf("%w: %v", ErrDiverged, err)
+	case !errors.As(err, &be):
+		return err
+	case errors.Is(be.Err, node.ErrFork), errors.Is(be.Err, chain.ErrBadParent):
+		return fmt.Errorf("%w: %v", ErrDiverged, be.Err)
 	default:
-		return fmt.Errorf("cluster: import height %d from %s: %w", h, p.URL(), err)
+		return fmt.Errorf("cluster: import height %d from %s: %w", be.Height, p.URL(), be.Err)
 	}
 }

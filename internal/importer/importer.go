@@ -8,22 +8,22 @@
 // everything in validator.Validate that never touches contract.World. It
 // runs concurrently across a bounded window of queued blocks on a worker
 // pool, fed by a prefetcher that amortizes peer round-trips with range
-// fetches (falling back to single-block fetches for old peers). Phase B is
-// stateful — fork-join replay against world state, WAL append, chain
-// append, receipts — and stays strictly sequential in height order with
-// unchanged crash rules (it is node.ImportPrechecked, the same code path
-// as the serial AcceptBlock).
+// fetches (falling back to single-block fetches when a range fetch
+// fails). Phase B is stateful — fork-join replay against world state, WAL
+// append, chain append, receipts — and stays strictly sequential in height
+// order (it is node.ImportPrechecked, the same import core as
+// node.AcceptBlock, which runs Phase A inline for a pushed block).
 //
 // Determinism contract: Phase A results complete in arbitrary order, but a
 // reorder buffer hands them to Phase B strictly by height, so the first
 // error is elected by height — never by completion order — and a bad block
-// at height h rejects with an error byte-identical to the serial path's,
+// at height h rejects with an error byte-identical to AcceptBlock's,
 // regardless of scheduling. The window-internal linkage precheck only
 // stops the prefetcher early; the authoritative linkage verdict is the
 // commit stage's, checked against the live head.
 //
-// The pipeline ships behind node.Config.ImportMode (off|shadow|on); the
-// mode semantics live on node.ImportPrechecked.
+// This is the one way a follower pulls blocks: cluster.Sync's catch-up and
+// the replica relay's live follow and gap fill are both calls to Run.
 package importer
 
 import (
@@ -117,7 +117,7 @@ type job struct {
 // Run imports heights [from, to] from src into t through the staged
 // pipeline and returns how many blocks were imported (already-known
 // heights are skipped, not counted, not errors). The first failing height
-// — elected by height order, exactly like the serial loop — is returned
+// — elected by height order, as a loop over AcceptBlock would — is returned
 // as a *BlockError; fetch failures and cancellation (context.Cause) pass
 // through unwrapped.
 func Run(ctx context.Context, t Target, src Source, from, to uint64, cfg Config) (imported int, err error) {
@@ -137,8 +137,8 @@ func Run(ctx context.Context, t Target, src Source, from, to uint64, cfg Config)
 	)
 
 	// Prefetcher: walk [from, to] in order, range-fetching Batch blocks per
-	// round-trip and degrading to single-block fetches when the peer does
-	// not serve ranges. Every fetched block is sent to ordered (the commit
+	// round-trip and degrading to single-block fetches when a range fetch
+	// fails. Every fetched block is sent to ordered (the commit
 	// queue) first and jobs (the worker feed) second; ordered's capacity is
 	// the pipeline's in-flight window.
 	go func() {
@@ -161,9 +161,9 @@ func Run(ctx context.Context, t Target, src Source, from, to uint64, cfg Config)
 				}
 				bs, err := src.Blocks(ctx, h, want)
 				if err != nil || len(bs) == 0 {
-					// Old peer (or transient failure): remember and fall
-					// back to the single-block path, which also owns the
-					// canonical fetch-error messages.
+					// The range fetch failed: remember and fall back to
+					// the single-block path, which also owns the canonical
+					// fetch-error messages.
 					rangeOK = false
 				} else {
 					batch = bs
@@ -236,7 +236,7 @@ func Run(ctx context.Context, t Target, src Source, from, to uint64, cfg Config)
 		case ierr == nil:
 			imported++
 		case errors.Is(ierr, node.ErrAlreadyKnown):
-			// Idempotent, like the serial loop.
+			// Imports are idempotent.
 		default:
 			cancel()
 			return imported, &BlockError{Height: j.block.Header.Number, Err: ierr}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
 	"contractstm/internal/cluster"
 	"contractstm/internal/contract"
@@ -33,7 +34,7 @@ func fixtureParams(txs int) workload.Params {
 // newNode builds a node on a fresh-but-identical genesis world. Every
 // node in a test shares the deterministic sim runner, so serial and
 // staged validation of the same bad block produce byte-identical errors.
-func newNode(t *testing.T, kind engine.Kind, txs int, mode node.ImportMode) (*node.Node, *workload.Workload) {
+func newNode(t *testing.T, kind engine.Kind, txs int) (*node.Node, *workload.Workload) {
 	t.Helper()
 	wl, err := workload.Generate(fixtureParams(txs))
 	if err != nil {
@@ -41,7 +42,7 @@ func newNode(t *testing.T, kind engine.Kind, txs int, mode node.ImportMode) (*no
 	}
 	n, err := node.New(node.Config{
 		World: wl.World, Workers: 3, Runner: runtime.NewSimRunner(),
-		Engine: kind, ImportMode: mode,
+		Engine: kind,
 	})
 	if err != nil {
 		t.Fatalf("node.New: %v", err)
@@ -53,7 +54,7 @@ func newNode(t *testing.T, kind engine.Kind, txs int, mode node.ImportMode) (*no
 // fresh miner and returns them (blocks[0] is height 1).
 func mineChain(t *testing.T, kind engine.Kind, blocks, blockSize int) []chain.Block {
 	t.Helper()
-	miner, wl := newNode(t, kind, blocks*blockSize, node.ImportOff)
+	miner, wl := newNode(t, kind, blocks*blockSize)
 	miner.SubmitAll(wl.Calls)
 	out := make([]chain.Block, 0, blocks)
 	for i := 0; i < blocks; i++ {
@@ -66,9 +67,9 @@ func mineChain(t *testing.T, kind engine.Kind, blocks, blockSize int) []chain.Bl
 	return out
 }
 
-// sliceSource serves a pre-built chain to the pipeline. noRange simulates
-// an old peer without the range endpoint; the counters prove which fetch
-// path ran (the prefetcher is a single goroutine, so plain ints are safe).
+// sliceSource serves a pre-built chain to the pipeline. noRange makes every
+// range fetch fail; the counters prove which fetch path ran (the
+// prefetcher is a single goroutine, so plain ints are safe).
 type sliceSource struct {
 	blocks      []chain.Block
 	noRange     bool
@@ -99,8 +100,9 @@ func (s *sliceSource) Blocks(_ context.Context, from uint64, count int) ([]chain
 	return s.blocks[from-1 : end], nil
 }
 
-// serialImport is the reference path: AcceptBlock one block at a time.
-// It returns the import count and the first error with its height.
+// serialImport is the parity reference: AcceptBlock one block at a time,
+// the stateless phase run inline. It returns the import count and the
+// first error with its height.
 func serialImport(n *node.Node, blocks []chain.Block) (imported int, failHeight uint64, err error) {
 	for _, b := range blocks {
 		if aerr := n.AcceptBlock(b); aerr != nil {
@@ -115,9 +117,8 @@ func serialImport(n *node.Node, blocks []chain.Block) (imported int, failHeight 
 }
 
 // TestStagedMatchesSerialClean: on a clean chain, the staged pipeline
-// (mode on) imports the same blocks to the same head as the serial path,
-// for every engine, over both the range-fetch and the single-block
-// fallback path.
+// imports the same blocks to the same head as the serial path, for every
+// engine, over both the range-fetch and the single-block fallback path.
 func TestStagedMatchesSerialClean(t *testing.T) {
 	const blocks, blockSize = 8, 16
 	for _, kind := range engine.Kinds() {
@@ -129,13 +130,13 @@ func TestStagedMatchesSerialClean(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				chainBlocks := mineChain(t, kind, blocks, blockSize)
 
-				serial, _ := newNode(t, kind, blocks*blockSize, node.ImportOff)
+				serial, _ := newNode(t, kind, blocks*blockSize)
 				sImported, _, sErr := serialImport(serial, chainBlocks)
 				if sErr != nil || sImported != blocks {
 					t.Fatalf("serial import = %d, %v", sImported, sErr)
 				}
 
-				staged, _ := newNode(t, kind, blocks*blockSize, node.ImportOn)
+				staged, _ := newNode(t, kind, blocks*blockSize)
 				src := &sliceSource{blocks: chainBlocks, noRange: noRange}
 				pImported, pErr := importer.Run(context.Background(), staged, src, 1, uint64(blocks), importer.Config{Workers: 4})
 				if pErr != nil || pImported != blocks {
@@ -194,7 +195,7 @@ func TestAdversarialParity(t *testing.T) {
 				forged := append([]chain.Block(nil), chainBlocks...)
 				forged[badIdx] = fx.apply(t, chainBlocks[badIdx])
 
-				serial, _ := newNode(t, kind, blocks*blockSize, node.ImportOff)
+				serial, _ := newNode(t, kind, blocks*blockSize)
 				sImported, sHeight, sErr := serialImport(serial, forged)
 				if sErr == nil {
 					t.Fatal("serial path accepted the forged block")
@@ -204,7 +205,7 @@ func TestAdversarialParity(t *testing.T) {
 						sHeight, sImported, badIdx+1, badIdx)
 				}
 
-				staged, _ := newNode(t, kind, blocks*blockSize, node.ImportOn)
+				staged, _ := newNode(t, kind, blocks*blockSize)
 				src := &sliceSource{blocks: forged}
 				pImported, pErr := importer.Run(context.Background(), staged, src, 1, uint64(blocks), importer.Config{Workers: 4})
 				var be *importer.BlockError
@@ -228,57 +229,36 @@ func TestAdversarialParity(t *testing.T) {
 	}
 }
 
-// TestShadowModeAuthoritativeAndCounting: in shadow mode the serial
-// recomputation is authoritative — a bogus staged verdict is outvoted and
-// counted, not obeyed — while in mode on the staged verdict is trusted
-// and rejects the import.
-func TestShadowModeAuthoritativeAndCounting(t *testing.T) {
+// TestStagedVerdictObeyed: the commit stage uses the stateless verdict it
+// is handed and does not recompute it — a rejection handed in with a clean
+// block is surfaced in AcceptBlock's wrapping and leaves the head unmoved.
+func TestStagedVerdictObeyed(t *testing.T) {
 	const blocks, blockSize = 2, 16
 	chainBlocks := mineChain(t, engine.KindSpeculative, blocks, blockSize)
 
-	shadow, _ := newNode(t, engine.KindSpeculative, blocks*blockSize, node.ImportShadow)
 	bogus := errors.New("staged pipeline claims rejection")
-	if err := shadow.ImportPrechecked(chainBlocks[0], validator.Prechecked{}, bogus); err != nil {
-		t.Fatalf("shadow import with bogus staged verdict: %v (serial recomputation must win)", err)
-	}
-	if got := shadow.ImportDivergences(); got != 1 {
-		t.Fatalf("divergences = %d, want 1", got)
-	}
-	// A matching verdict does not count as a divergence.
-	pre, preErr := validator.Precheck(chainBlocks[1])
-	if err := shadow.ImportPrechecked(chainBlocks[1], pre, preErr); err != nil {
-		t.Fatalf("shadow import: %v", err)
-	}
-	if got := shadow.ImportDivergences(); got != 1 {
-		t.Fatalf("divergences = %d after clean import, want 1", got)
-	}
-	if st := shadow.CurrentStatus(); st.ImportMode != "shadow" || st.ImportDivergences != 1 {
-		t.Fatalf("status = mode %q divergences %d, want shadow/1", st.ImportMode, st.ImportDivergences)
-	}
-
-	trusting, _ := newNode(t, engine.KindSpeculative, blocks*blockSize, node.ImportOn)
-	err := trusting.ImportPrechecked(chainBlocks[0], validator.Prechecked{}, bogus)
+	follower, _ := newNode(t, engine.KindSpeculative, blocks*blockSize)
+	err := follower.ImportPrechecked(chainBlocks[0], validator.Prechecked{}, bogus)
 	if err == nil || err.Error() != "node: "+bogus.Error() {
-		t.Fatalf("mode on must trust the staged verdict, got %v", err)
+		t.Fatalf("the staged verdict must be obeyed, got %v", err)
 	}
-	if h := trusting.Head().Header.Number; h != 0 {
+	if h := follower.Head().Header.Number; h != 0 {
 		t.Fatalf("rejected import advanced head to %d", h)
 	}
 }
 
-// TestShadowSoakOverHTTP is the promotion-gate soak: a follower in shadow
-// mode catches up a real HTTP peer through the staged pipeline (range
-// endpoint included) and must converge with zero verdict divergences.
-// The CI import job runs it under -race.
-func TestShadowSoakOverHTTP(t *testing.T) {
+// TestStagedSyncOverHTTP: a follower catches up a real HTTP peer through
+// the staged pipeline (range endpoint included) and ends with the head,
+// state and receipts of a second follower fed the same blocks one at a
+// time by AcceptBlock.
+func TestStagedSyncOverHTTP(t *testing.T) {
 	const blocks, blockSize = 24, 16
-	worlds, calls, err := cluster.GenerateWorlds(fixtureParams(blocks*blockSize), 2)
+	worlds, calls, err := cluster.GenerateWorlds(fixtureParams(blocks*blockSize), 3)
 	if err != nil {
 		t.Fatalf("GenerateWorlds: %v", err)
 	}
 	cl, err := cluster.New(cluster.Config{
 		Worlds: worlds, Engine: engine.KindOCC, Workers: 3,
-		ImportMode: node.ImportShadow,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
@@ -287,24 +267,42 @@ func TestShadowSoakOverHTTP(t *testing.T) {
 
 	miner := cl.Node(0)
 	miner.SubmitAll(calls)
+	mined := make([]chain.Block, 0, blocks)
 	for i := 0; i < blocks; i++ {
-		if _, err := miner.MineOne(blockSize); err != nil {
+		b, err := miner.MineOne(blockSize)
+		if err != nil {
 			t.Fatalf("mine block %d: %v", i+1, err)
 		}
+		mined = append(mined, b)
 	}
 
-	follower := cl.Node(1)
-	imported, err := cluster.SyncWith(context.Background(), follower, cl.Peer(0), importer.Config{Workers: 4})
+	staged := cl.Node(1)
+	imported, err := cluster.SyncWith(context.Background(), staged, cl.Peer(0), importer.Config{Workers: 4})
 	if err != nil {
 		t.Fatalf("SyncWith: %v", err)
 	}
 	if imported != blocks {
 		t.Fatalf("imported = %d, want %d", imported, blocks)
 	}
+	serial := cl.Node(2)
+	if n, _, err := serialImport(serial, mined); err != nil || n != blocks {
+		t.Fatalf("serial import = %d, %v", n, err)
+	}
 	if !cl.Converged() {
 		t.Fatalf("heads diverged: %+v", cl.Heads())
 	}
-	if d := follower.ImportDivergences(); d != 0 {
-		t.Fatalf("shadow soak saw %d verdict divergences, want 0", d)
+	if sh, ph := serial.Head().Header, staged.Head().Header; sh.StateRoot != ph.StateRoot {
+		t.Fatalf("state roots differ: serial %s, staged %s", sh.StateRoot.Short(), ph.StateRoot.Short())
+	}
+	ctx := context.Background()
+	for _, c := range calls {
+		id := wire.TxIDOf(c).String()
+		want, err := cl.Peer(2).Receipt(ctx, id)
+		if err != nil || want.Status == wire.StatusPending {
+			t.Fatalf("serial follower's receipt for %s = %+v, %v", id, want, err)
+		}
+		if got, err := cl.Peer(1).Receipt(ctx, id); err != nil || got != want {
+			t.Fatalf("receipt %s: staged %+v, %v; serial %+v", id, got, err, want)
+		}
 	}
 }

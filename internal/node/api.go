@@ -188,34 +188,37 @@ func (n *Node) SetStatusDecorator(fn func(*wire.Status)) {
 	n.server.SetStatusDecorator(fn)
 }
 
+// RefuseWrites forwards to the API server: POST /v1/tx and POST /v1/mine
+// answer 403 read_replica from now on. replica.New calls it — a node that
+// follows an upstream must not seal blocks of its own.
+func (n *Node) RefuseWrites() { n.server.RefuseWrites() }
+
 // APIStatus implements api.Backend: CurrentStatus in wire form (hashes
 // as hex strings). The API field stays nil; the serving layer fills it.
 func (n *Node) APIStatus() wire.Status {
 	st := n.CurrentStatus()
 	return wire.Status{
-		Height:            st.Height,
-		HeadHash:          st.HeadHash.String(),
-		PoolLen:           st.PoolLen,
-		Engine:            st.Engine,
-		MinedBlocks:       st.MinedBlocks,
-		ValidatedBlocks:   st.ValidatedBlocks,
-		TotalRetries:      st.TotalRetries,
-		DurableHeight:     st.DurableHeight,
-		PipelineDepth:     st.PipelineDepth,
-		InFlight:          st.InFlight,
-		Persistent:        st.Persistent,
-		RecoveredBlocks:   st.RecoveredBlocks,
-		SnapshotHeight:    st.SnapshotHeight,
-		SnapshotErrors:    st.SnapshotErrors,
-		WalAppends:        st.WalAppends,
-		WalBytesWritten:   st.WalBytesWritten,
-		WalFsyncs:         st.WalFsyncs,
-		WalFsyncMicros:    st.WalFsyncMicros,
-		WalGroupCommits:   st.WalGroupCommits,
-		WalMaxGroup:       st.WalMaxGroup,
-		ChainBase:         st.ChainBase,
-		ImportMode:        st.ImportMode,
-		ImportDivergences: st.ImportDivergences,
+		Height:          st.Height,
+		HeadHash:        st.HeadHash.String(),
+		PoolLen:         st.PoolLen,
+		Engine:          st.Engine,
+		MinedBlocks:     st.MinedBlocks,
+		ValidatedBlocks: st.ValidatedBlocks,
+		TotalRetries:    st.TotalRetries,
+		DurableHeight:   st.DurableHeight,
+		PipelineDepth:   st.PipelineDepth,
+		InFlight:        st.InFlight,
+		Persistent:      st.Persistent,
+		RecoveredBlocks: st.RecoveredBlocks,
+		SnapshotHeight:  st.SnapshotHeight,
+		SnapshotErrors:  st.SnapshotErrors,
+		WalAppends:      st.WalAppends,
+		WalBytesWritten: st.WalBytesWritten,
+		WalFsyncs:       st.WalFsyncs,
+		WalFsyncMicros:  st.WalFsyncMicros,
+		WalGroupCommits: st.WalGroupCommits,
+		WalMaxGroup:     st.WalMaxGroup,
+		ChainBase:       st.ChainBase,
 		Mempool: &wire.MempoolStatus{
 			Admitted:       st.Mempool.Admitted,
 			Replaced:       st.Mempool.Replaced,

@@ -1,105 +1,27 @@
 package node
 
 import (
-	"fmt"
-
 	"contractstm/internal/chain"
 	"contractstm/internal/validator"
 )
 
-// ImportMode selects how a follower consumes the staged import pipeline's
-// concurrently-computed Phase A (stateless validation) results. It is the
-// rollout switch for deterministic parallel validation (internal/importer):
-//
-//   - ImportOff: the staged pipeline is bypassed entirely — catch-up sync
-//     fetches and validates one block at a time through the serial
-//     AcceptBlock path, exactly the pre-pipeline behavior.
-//   - ImportShadow: both paths run on every import. The pipeline's Phase A
-//     verdict (computed concurrently, out of height order) is diffed
-//     against a serial recomputation at commit time; any disagreement bumps
-//     the divergence counter surfaced in /v1/status. The serial
-//     recomputation is authoritative, so a divergence is an observability
-//     event, not a consensus one.
-//   - ImportOn: the pipeline's Phase A verdict is trusted — commit runs
-//     only the stateful Phase B. Gated on a clean shadow soak.
-//
-// The mode governs only the catch-up/import pipeline; single-block gossip
-// (AcceptBlock via POST /v1/blocks) and WAL recovery always validate
-// serially.
+// The names in this block select nothing and count nothing. They remain
+// only because the frozen benchmark/ module still compiles against them
+// (with the Config.ImportMode field); the benchmark PR that stops naming
+// them deletes all four.
 type ImportMode int
 
-const (
-	// ImportOff is the zero value: serial imports, the safe default.
-	ImportOff ImportMode = iota
-	// ImportShadow runs both paths and diffs verdicts block-by-block.
-	ImportShadow
-	// ImportOn trusts the pipeline's stateless verdicts.
-	ImportOn
-)
+const ImportOn ImportMode = 0
 
-// String renders the mode the way ParseImportMode reads it.
-func (m ImportMode) String() string {
-	switch m {
-	case ImportShadow:
-		return "shadow"
-	case ImportOn:
-		return "on"
-	default:
-		return "off"
-	}
-}
+func (n *Node) ImportDivergences() int64 { return 0 }
 
-// ParseImportMode parses "off", "shadow" or "on" (the -import-mode flag).
-func ParseImportMode(s string) (ImportMode, error) {
-	switch s {
-	case "off", "":
-		return ImportOff, nil
-	case "shadow":
-		return ImportShadow, nil
-	case "on":
-		return ImportOn, nil
-	default:
-		return ImportOff, fmt.Errorf(`node: import mode %q (want "off", "shadow" or "on")`, s)
-	}
-}
-
-// ImportMode reports the configured import rollout mode.
-func (n *Node) ImportMode() ImportMode { return n.importMode }
-
-// ImportDivergences reports how many shadow-mode imports saw the staged
-// pipeline's Phase A verdict disagree with the serial recomputation.
-func (n *Node) ImportDivergences() int64 { return n.importDivergences.Load() }
-
-// ImportPrechecked imports a catch-up block whose stateless validation
-// phase already ran on the staged pipeline (internal/importer). pre and
-// preErr are the pipeline's Phase A outputs for b; how much they are
-// trusted depends on Config.ImportMode — see ImportMode. Linkage against
-// the live head, fork-join replay and the crash rules are identical to
-// AcceptBlock in every mode; error strings are byte-identical to the
-// serial path's by construction.
+// ImportPrechecked imports a block whose stateless validation phase
+// (validator.Precheck) already ran — concurrently, on the staged pipeline
+// (internal/importer). pre and preErr are that phase's outputs for b, which
+// are a function of b's bytes alone: nothing a peer said is trusted by
+// using them. Linkage against the live head runs first, so a duplicate or
+// mislinked block is answered before preErr is; then fork-join replay and
+// the crash rules — the same core AcceptBlock runs.
 func (n *Node) ImportPrechecked(b chain.Block, pre validator.Prechecked, preErr error) error {
-	switch n.importMode {
-	case ImportShadow:
-		serialPre, serialErr := validator.Precheck(b)
-		if !sameVerdict(preErr, serialErr) {
-			n.importDivergences.Add(1)
-			n.errLog(fmt.Errorf("node: import shadow divergence at height %d: staged verdict %v, serial verdict %v",
-				b.Header.Number, preErr, serialErr))
-		}
-		return n.acceptBlock(b, &serialPre, serialErr)
-	case ImportOn:
-		return n.acceptBlock(b, &pre, preErr)
-	default:
-		return n.acceptBlock(b, nil, nil)
-	}
-}
-
-// sameVerdict compares two validation verdicts the way shadow mode diffs
-// them: accept/reject agreement first, then the exact error text (the
-// parity contract is byte-identical rejection messages).
-func sameVerdict(a, b error) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a == nil || a.Error() == b.Error()
+	return n.acceptBlock(b, func(chain.Block) (validator.Prechecked, error) { return pre, preErr })
 }

@@ -144,9 +144,7 @@ type Config struct {
 	// pool. The clock (Mempool.Now) defaults to time.Now; the pool
 	// itself never reads the wall clock.
 	Mempool mempool.Config
-	// ImportMode is the staged-import rollout switch (off|shadow|on);
-	// see ImportMode's doc comment. The zero value is ImportOff: catch-up
-	// sync stays on the serial one-block-at-a-time path.
+	// ImportMode is ignored; see the shim block in import.go.
 	ImportMode ImportMode
 }
 
@@ -225,12 +223,6 @@ type Node struct {
 	server *api.Server
 	// errLog is the serving-fault hook (Config.ErrorLog or std log).
 	errLog func(error)
-	// importMode is the staged-import rollout switch (fixed at
-	// construction); importDivergences counts shadow-mode verdict
-	// disagreements between the pipeline's Phase A and the serial
-	// recomputation (atomic: bumped under execMu, read by status).
-	importMode        ImportMode
-	importDivergences atomic.Int64
 	// tally counts sealed blocks by origin (mined, imported, recovered);
 	// totalRetries sums the mined blocks' execution retries. Rollback
 	// takes un-sealed blocks out again. Guarded by n.mu.
@@ -314,7 +306,6 @@ func New(cfg Config) (*Node, error) {
 	// Genesis is durable by definition; no staleness clock starts yet.
 	n.durable.Store(&durableView{state: cfg.World.Snapshot()})
 	n.prod = pipeline.New(cfg.PipelineDepth, n.abortPass)
-	n.importMode = cfg.ImportMode
 	n.errLog = cfg.ErrorLog
 	if n.errLog == nil {
 		n.errLog = func(err error) { log.Printf("node: %v", err) }
@@ -473,7 +464,7 @@ func (n *Node) replayBlock(b chain.Block) error {
 	if err := n.prod.Admit(); err != nil {
 		return err
 	}
-	e, err := n.validateEntry(b, nil, recovered)
+	e, err := n.validateEntry(b, validator.Precheck, recovered)
 	if err == nil {
 		err = n.seal(e)
 	}
@@ -715,20 +706,24 @@ func (n *Node) mineEntry(blockSize int) (*inflightEntry, miner.Result, error) {
 	return &inflightEntry{block: res.Block, origin: mined, sel: sel, snap: snap, retries: res.Stats.Retries}, res, nil
 }
 
+// precheck yields the outputs of validation's stateless phase for a
+// block: validator.Precheck itself where the phase runs inline (a pushed
+// block, WAL recovery), or the result the staged pipeline computed ahead
+// of time.
+type precheck func(chain.Block) (validator.Prechecked, error)
+
 // validateEntry is the execute stage for a block somebody else sealed: a
-// peer's (imported) or this node's previous life's (recovered). A nil pre
-// runs the full serial validator; a non-nil one carries Phase A's cached
-// plan and runs only the stateful Phase B. On rejection the world is
-// restored. Caller holds execMu.
-func (n *Node) validateEntry(b chain.Block, pre *validator.Prechecked, from origin) (*inflightEntry, error) {
-	snap := n.world.Snapshot()
-	var err error
-	if pre != nil {
-		_, err = validator.ValidatePrechecked(n.runner, n.world, b, *pre, validator.Config{Workers: n.workers})
-	} else {
-		_, err = validator.Validate(n.runner, n.world, b, validator.Config{Workers: n.workers})
-	}
+// peer's (imported) or this node's previous life's (recovered) — the
+// stateless phase's verdict, then the stateful one, fork-join replay
+// against the world. On rejection the world is restored. Caller holds
+// execMu.
+func (n *Node) validateEntry(b chain.Block, pc precheck, from origin) (*inflightEntry, error) {
+	pre, err := pc(b)
 	if err != nil {
+		return nil, err
+	}
+	snap := n.world.Snapshot()
+	if _, err := validator.ValidatePrechecked(n.runner, n.world, b, pre, validator.Config{Workers: n.workers}); err != nil {
 		n.world.Restore(snap)
 		return nil, err
 	}
@@ -963,23 +958,20 @@ var (
 // height returns ErrFork. Both checks run before validation, so repeated
 // gossip of old blocks costs two hashes, not a replay.
 func (n *Node) AcceptBlock(b chain.Block) error {
-	return n.acceptBlock(b, nil, nil)
+	return n.acceptBlock(b, validator.Precheck)
 }
 
-// acceptBlock is the shared import core behind AcceptBlock (serial path)
-// and ImportPrechecked (staged pipeline). A nil pre means the stateless
-// checks have not run yet and the full serial validator executes; a
-// non-nil pre carries Phase A's outputs — preErr (if any) is surfaced
-// after the linkage checks, exactly where the serial path would have
-// failed, and a nil preErr skips straight to the stateful Phase B with
-// the cached plan. Either way the error strings match the serial path
-// byte for byte.
-func (n *Node) acceptBlock(b chain.Block, pre *validator.Prechecked, preErr error) error {
+// acceptBlock is the one import core, behind AcceptBlock (a pushed block,
+// which runs the stateless phase here) and ImportPrechecked (a pulled one,
+// whose stateless phase already ran on the staged pipeline). pc is called
+// only once the block's linkage holds, so both callers fail at the same
+// point with the same bytes.
+func (n *Node) acceptBlock(b chain.Block, pc precheck) error {
 	if err := n.enter(); err != nil {
 		return err
 	}
 	defer n.execMu.Unlock()
-	e, err := n.importEntry(b, pre, preErr)
+	e, err := n.importEntry(b, pc)
 	if err == nil {
 		err = n.seal(e)
 	}
@@ -992,7 +984,7 @@ func (n *Node) acceptBlock(b chain.Block, pre *validator.Prechecked, preErr erro
 
 // importEntry checks a foreign block's linkage against the sealed head
 // and validates it. Caller holds execMu.
-func (n *Node) importEntry(b chain.Block, pre *validator.Prechecked, preErr error) (*inflightEntry, error) {
+func (n *Node) importEntry(b chain.Block, pc precheck) (*inflightEntry, error) {
 	n.mu.Lock()
 	head := n.chain.Head().Header
 	n.mu.Unlock()
@@ -1018,10 +1010,7 @@ func (n *Node) importEntry(b chain.Block, pre *validator.Prechecked, preErr erro
 		return nil, fmt.Errorf("node: accept: %w: got %s, want %s",
 			chain.ErrBadParent, b.Header.ParentHash.Short(), head.Hash().Short())
 	}
-	if pre != nil && preErr != nil {
-		return nil, fmt.Errorf("node: %w", preErr)
-	}
-	e, err := n.validateEntry(b, pre, imported)
+	e, err := n.validateEntry(b, pc, imported)
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
@@ -1185,12 +1174,6 @@ type Status struct {
 	// verdict counters, evictions, byte footprint and per-shard
 	// occupancy.
 	Mempool mempool.StatsSnapshot `json:"mempool"`
-	// ImportMode is the staged-import rollout switch (off|shadow|on);
-	// ImportDivergences counts shadow-mode verdict disagreements between
-	// the pipeline's stateless phase and the serial recomputation. Any
-	// non-zero value blocks promotion from shadow to on.
-	ImportMode        string `json:"importMode"`
-	ImportDivergences int64  `json:"importDivergences,omitempty"`
 }
 
 // CurrentStatus snapshots node statistics. It never blocks behind an
@@ -1214,8 +1197,6 @@ func (n *Node) CurrentStatus() Status {
 		InFlight:        len(n.inflight),
 		ChainBase:       n.chain.Base(),
 	}
-	st.ImportMode = n.importMode.String()
-	st.ImportDivergences = n.importDivergences.Load()
 	if d := n.prod.Depth(); d > 1 {
 		st.PipelineDepth = d
 	}

@@ -21,10 +21,8 @@ import (
 
 	"contractstm/internal/api"
 	"contractstm/internal/contract"
-	"contractstm/internal/gas"
 	"contractstm/internal/node"
 	"contractstm/internal/runtime"
-	"contractstm/internal/stm"
 	"contractstm/internal/storage"
 	"contractstm/internal/types"
 	"contractstm/internal/validator"
@@ -181,7 +179,11 @@ func (h *History) BalanceAtHeight(addr types.Address, height uint64) (types.Amou
 	if err := h.materialize(height); err != nil {
 		return 0, err
 	}
-	return h.readBalance(addr)
+	bal, err := h.world.BalanceIn(h.world.Snapshot(), addr)
+	if err != nil {
+		return 0, fmt.Errorf("replica: balance read: %w", err)
+	}
+	return bal, nil
 }
 
 // materialize brings the shadow world to exactly the given height:
@@ -297,26 +299,4 @@ func (h *History) cacheMaterialized(height uint64) {
 		h.lru.Remove(oldest)
 		delete(h.byHeight, oldest.Value.(histEntry).height)
 	}
-}
-
-// readBalance reads one balance from the shadow world at its current
-// height, through a one-shot serial transaction. Caller holds applyMu.
-func (h *History) readBalance(addr types.Address) (types.Amount, error) {
-	var bal types.Amount
-	var readErr error
-	if _, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), h.world.Schedule())
-		bal, readErr = h.world.BalanceOf(tx, addr)
-		if readErr != nil {
-			_ = tx.Abort()
-			return
-		}
-		readErr = tx.Commit()
-	}); err != nil {
-		return 0, fmt.Errorf("replica: balance read: %w", err)
-	}
-	if readErr != nil {
-		return 0, fmt.Errorf("replica: balance read: %w", readErr)
-	}
-	return bal, nil
 }

@@ -10,7 +10,7 @@ import (
 
 	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
-	"contractstm/internal/chain"
+	"contractstm/internal/importer"
 	"contractstm/internal/node"
 )
 
@@ -20,14 +20,12 @@ const (
 	DefaultRelayBackoff = 100 * time.Millisecond
 	// DefaultRelayMaxBackoff caps the reconnect delay.
 	DefaultRelayMaxBackoff = 5 * time.Second
-	// relayFetchBatch is the range-fetch size used for gap fill.
-	relayFetchBatch = 64
 )
 
 // RelayConfig assembles a Relay.
 type RelayConfig struct {
-	// Node is the local follower the relay applies upstream blocks to
-	// (required). Each applied block republishes through the node's own
+	// Node is the local follower the relay imports upstream blocks into
+	// (required). Each imported block republishes through the node's own
 	// broker, which is the fan-out: downstream subscribers attach to
 	// this node, not the upstream.
 	Node *node.Node
@@ -36,8 +34,8 @@ type RelayConfig struct {
 	// Backoff and MaxBackoff shape the reconnect delay (0 = defaults).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// ErrorLog receives non-fatal relay faults (reconnects, gap-fill
-	// retries). Nil discards.
+	// ErrorLog receives non-fatal relay faults (reconnects, failed
+	// fetches). Nil discards.
 	ErrorLog func(error)
 }
 
@@ -46,17 +44,22 @@ type RelayConfig struct {
 // republishes to this node's own /v1/subscribe subscribers — thousands
 // of downstream SSE connections cost the upstream miner exactly one.
 //
-// Reconnects resume with Last-Event-ID so the upstream replays the
-// missed events; when the gap outran the upstream's replay ring (the
-// reset signal), or events arrive with height gaps (a dropped
-// subscriber), the relay fills the hole through the range endpoint —
-// every filled block still goes through full local validation.
+// An event only says how far the upstream has got. Whatever lies between
+// the local head and that height — the one announced block, or a hole
+// left by a dropped subscriber, a reconnect or a replay ring that was
+// outrun (the reset signal) — is pulled through the staged import
+// pipeline (importer.Run), so every block, announced or filled, goes
+// through full local validation on the one import path. Reconnects
+// resume with Last-Event-ID so the upstream replays the missed events.
 type Relay struct {
 	n      *node.Node
 	up     *client.Client
 	base   time.Duration
 	max    time.Duration
 	errLog func(error)
+	// icfg sizes the import pipeline (replica.Config.Import; zero values =
+	// importer defaults).
+	icfg importer.Config
 
 	events         atomic.Int64
 	reconnects     atomic.Int64
@@ -139,9 +142,8 @@ func (r *Relay) Run(ctx context.Context) error {
 		first = false
 		delay = r.base
 		// A fresh stream starts past whatever the upstream replayed; any
-		// hole between our applied height and the stream is height-gap
-		// filled as events arrive. Catch up eagerly first so the filling
-		// stays incremental.
+		// hole between the local head and the stream closes as events
+		// arrive. Catch up eagerly first so those pulls stay short.
 		if err := r.catchUp(ctx); err != nil {
 			stream.Close()
 			return err
@@ -168,8 +170,8 @@ func (r *Relay) consume(ctx context.Context, stream *client.Stream) error {
 		ev, err := stream.Next()
 		switch {
 		case errors.Is(err, client.ErrStreamReset):
-			// The gap outran the upstream's replay ring: range-fill up
-			// to the upstream head, then keep consuming this stream.
+			// The gap outran the upstream's replay ring: pull up to the
+			// upstream head, then keep consuming this stream.
 			if err := r.catchUp(ctx); err != nil {
 				return err
 			}
@@ -188,41 +190,13 @@ func (r *Relay) consume(ctx context.Context, stream *client.Stream) error {
 		}
 		r.events.Add(1)
 		r.observeHeight(ev.Block.Number)
-		if err := r.apply(ctx, ev); err != nil {
+		if err := r.pull(ctx, ev.Block.Number, true); err != nil {
 			return err
 		}
 	}
 }
 
-// apply brings the local node up to the event's block: the common case
-// imports exactly that block; a height gap (events lost to a drop)
-// range-fills the hole first. Events at or under the local head are
-// duplicates from replay overlap and are skipped.
-func (r *Relay) apply(ctx context.Context, ev wire.Event) error {
-	local := r.n.Height()
-	if ev.Block.Number <= local {
-		return nil
-	}
-	if gap := ev.Block.Number - local - 1; gap > 0 {
-		if err := r.fillRange(ctx, local+1, ev.Block.Number-1); err != nil {
-			return err
-		}
-	}
-	b, err := r.up.Block(ctx, ev.Block.Number)
-	if err != nil {
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
-		// The fetch can fail transiently; the next event (or reconnect)
-		// will gap-fill past this height.
-		r.errLog(fmt.Errorf("replica: relay fetch block %d: %w", ev.Block.Number, err))
-		return nil
-	}
-	return r.importBlock(b)
-}
-
-// catchUp range-fills from the local head to the upstream's durable
-// head.
+// catchUp pulls from the local head to the upstream's durable head.
 func (r *Relay) catchUp(ctx context.Context) error {
 	head, err := r.up.Head(ctx)
 	if err != nil {
@@ -233,49 +207,39 @@ func (r *Relay) catchUp(ctx context.Context) error {
 		return nil
 	}
 	r.observeHeight(head.Number)
-	local := r.n.Height()
-	if head.Number <= local {
+	return r.pull(ctx, head.Number, false)
+}
+
+// pull imports the heights between the local head and to through the
+// staged pipeline; a target at or under the local head (a duplicate from
+// replay overlap) is nothing to do. Blocks other than an announced one —
+// the event's own block — count toward the gap-fill metric. A block the
+// local node refuses is fatal: the upstream served something this node's
+// deterministic validation rejects, which is divergence, not noise. A
+// failed fetch is logged and left to the next event or reconnect, which
+// pulls from wherever the local head stopped.
+func (r *Relay) pull(ctx context.Context, to uint64, announced bool) error {
+	from := r.n.Height() + 1
+	if to < from {
 		return nil
 	}
-	return r.fillRange(ctx, local+1, head.Number)
-}
-
-// fillRange imports [from, to] through the range endpoint, counting the
-// blocks toward the gap-fill metric. Every block passes full local
-// validation via the node's import path.
-func (r *Relay) fillRange(ctx context.Context, from, to uint64) error {
-	for h := from; h <= to; {
-		count := int(to - h + 1)
-		if count > relayFetchBatch {
-			count = relayFetchBatch
-		}
-		blocks, err := r.up.Blocks(ctx, h, count)
-		if err != nil {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			r.errLog(fmt.Errorf("replica: relay gap fill at %d: %w", h, err))
-			return nil // transient; the stream or next reconnect retries
-		}
-		for _, b := range blocks {
-			if err := r.importBlock(b); err != nil {
-				return err
-			}
-			r.gapsFilled.Add(1)
-		}
-		h += uint64(len(blocks))
+	imported, err := importer.Run(ctx, r.n, r.up, from, to, r.icfg)
+	if announced && err == nil && imported > 0 {
+		imported--
 	}
-	return nil
-}
-
-// importBlock runs one upstream block through the node's validated
-// import. Rejection is fatal: the upstream served a block this node's
-// deterministic validation refuses, which is divergence, not noise.
-func (r *Relay) importBlock(b chain.Block) error {
-	if _, err := r.n.ImportBlock(b); err != nil {
-		return fmt.Errorf("replica: relay import block %d: %w", b.Header.Number, err)
+	r.gapsFilled.Add(int64(imported))
+	var rejected *importer.BlockError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &rejected):
+		return fmt.Errorf("replica: relay import block %d: %w", rejected.Height, rejected.Err)
+	case ctx.Err() != nil:
+		return context.Cause(ctx)
+	default:
+		r.errLog(fmt.Errorf("replica: relay pull [%d, %d]: %w", from, to, err))
+		return nil
 	}
-	return nil
 }
 
 // observeHeight ratchets the observed upstream height.

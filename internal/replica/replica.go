@@ -15,9 +15,9 @@ import (
 
 // Config assembles a Replica.
 type Config struct {
-	// Node is the follower to run as a read replica (required). It
-	// should be import-only — the replica never mines; writes belong to
-	// the upstream.
+	// Node is the follower to run as a read replica (required). New puts
+	// its API into refuse-writes: the replica never mines; writes belong
+	// to the upstream.
 	Node *node.Node
 	// Upstream is the base URL of the node to follow (required).
 	Upstream string
@@ -31,9 +31,9 @@ type Config struct {
 	// History tunes the historical materializer (Node, World and zero
 	// values are filled in; ignored without ShadowWorld).
 	History HistoryConfig
-	// Import sizes the staged catch-up pipeline used before relaying
-	// (zero values = importer defaults; ignored on an ImportOff node,
-	// which catches up serially).
+	// Import sizes the staged import pipeline every block is pulled
+	// through, at catch-up and while relaying (zero values = importer
+	// defaults).
 	Import importer.Config
 	// Relay tunes the event relay (Node and Upstream are filled in).
 	Relay RelayConfig
@@ -52,12 +52,12 @@ type Replica struct {
 	peer  *cluster.Peer
 	relay *Relay
 	hist  *History
-	icfg  importer.Config
 }
 
 // New wires a follower node into a replica: attaches the history (when
-// a shadow world is supplied), builds the relay, and decorates the
-// node's status with the relay's accounting. Run starts following.
+// a shadow world is supplied), builds the relay, makes the node's API
+// refuse writes, and decorates the node's status with the relay's
+// accounting. Run starts following.
 func New(cfg Config) (*Replica, error) {
 	if cfg.Node == nil {
 		return nil, errors.New("replica: nil node")
@@ -76,7 +76,8 @@ func New(cfg Config) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{n: cfg.Node, peer: peer, relay: relay, icfg: cfg.Import}
+	relay.icfg = cfg.Import
+	r := &Replica{n: cfg.Node, peer: peer, relay: relay}
 	if cfg.ShadowWorld != nil {
 		hcfg := cfg.History
 		hcfg.World = cfg.ShadowWorld
@@ -86,6 +87,7 @@ func New(cfg Config) (*Replica, error) {
 		}
 		r.hist = hist
 	}
+	cfg.Node.RefuseWrites()
 	cfg.Node.SetStatusDecorator(func(st *wire.Status) {
 		rs := relay.Status()
 		st.Relay = &rs
@@ -108,7 +110,7 @@ func (r *Replica) Node() *node.Node { return r.n }
 // sync tolerates an upstream that is momentarily unreachable only as
 // far as the SDK's retry policy; a diverged chain fails immediately.
 func (r *Replica) Run(ctx context.Context) error {
-	if _, err := cluster.SyncWith(ctx, r.n, r.peer, r.icfg); err != nil {
+	if _, err := cluster.SyncWith(ctx, r.n, r.peer, r.relay.icfg); err != nil {
 		return fmt.Errorf("replica: initial sync: %w", err)
 	}
 	return r.relay.Run(ctx)

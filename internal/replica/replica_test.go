@@ -5,13 +5,20 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"contractstm/internal/api/client"
+	"contractstm/internal/api/wire"
+	"contractstm/internal/chain"
+	"contractstm/internal/contract"
+	"contractstm/internal/importer"
 	"contractstm/internal/node"
+	"contractstm/internal/validator"
 )
 
 // serveNode exposes a node over httptest.
@@ -231,5 +238,142 @@ func TestRelayFanOut(t *testing.T) {
 	}
 	if upStatus.API == nil || upStatus.API.Subscribers != 1 {
 		t.Fatalf("upstream subscribers = %+v, want exactly the relay", upStatus.API)
+	}
+}
+
+// TestReplicaRefusesWrites: a node that follows an upstream takes no
+// writes over its API — a submit and a mine are refused with the
+// read_replica code and move neither its pool nor its head — and it goes
+// on following. (Admitted, the one transaction would have been sealed by
+// the one mine into a local block, and the upstream's next block would
+// have been a fork.)
+func TestReplicaRefusesWrites(t *testing.T) {
+	up, calls := histNode(t)
+	upSrv := serveNode(t, up)
+	rep := startReplica(t, upSrv.URL, Config{})
+	sdk := client.New(serveNode(t, rep.Node()).URL)
+	mineChain(t, up, calls, 1)
+	waitHeight(t, rep.Node(), 1)
+
+	ctx := context.Background()
+	refused := func(what string, err error) {
+		t.Helper()
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusForbidden || ae.Code != wire.CodeReadReplica {
+			t.Fatalf("%s against a replica = %v, want 403 %s", what, err, wire.CodeReadReplica)
+		}
+	}
+	_, err := sdk.SubmitCall(ctx, calls[histBlockSize])
+	refused("submit", err)
+	_, err = sdk.Mine(ctx, histBlockSize)
+	refused("mine", err)
+	if h, p := rep.Node().Height(), rep.Node().PoolLen(); h != 1 || p != 0 {
+		t.Fatalf("refused writes left the replica at height %d with %d pooled, want 1 and 0", h, p)
+	}
+
+	up.SubmitAll(calls[histBlockSize : histBlocks*histBlockSize])
+	for i := 1; i < histBlocks; i++ {
+		if _, err := up.MineOne(histBlockSize); err != nil {
+			t.Fatalf("mine %d: %v", i+1, err)
+		}
+	}
+	waitHeight(t, rep.Node(), histBlocks)
+	if rep.Node().Head().Header.Hash() != up.Head().Header.Hash() {
+		t.Fatal("replica head diverged from upstream")
+	}
+}
+
+// TestRelayRejectsMidGapBlock: the upstream's range endpoint serves a
+// block whose receipts were tampered with (commitments recomputed, so
+// only replay can tell) in the middle of a gap wider than the import
+// window. The relay dies with AcceptBlock's own rejection of that block,
+// the local head stops just under it, and nothing past it is published.
+func TestRelayRejectsMidGapBlock(t *testing.T) {
+	const bad = 3
+	up, calls := histNode(t)
+	mineChain(t, up, calls, histBlocks)
+	good, _ := up.BlockAt(bad)
+	forged := good
+	forged.Receipts = append([]contract.Receipt(nil), good.Receipts...)
+	forged.Receipts[0].GasUsed++
+	forged.Header.ReceiptRoot = chain.ReceiptRootOf(forged.Receipts)
+
+	// What AcceptBlock says about the forged block on the same prefix.
+	ref, _ := histNode(t)
+	for h := uint64(1); h < bad; h++ {
+		b, _ := up.BlockAt(h)
+		if err := ref.AcceptBlock(b); err != nil {
+			t.Fatalf("reference accept %d: %v", h, err)
+		}
+	}
+	want := ref.AcceptBlock(forged)
+	if want == nil {
+		t.Fatal("AcceptBlock took the forged block")
+	}
+
+	inner := up.Handler()
+	upSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/blocks" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		from, _ := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+		count, _ := strconv.Atoi(r.URL.Query().Get("count"))
+		for h := from; h < from+uint64(count); h++ {
+			b, ok := up.BlockAt(h)
+			if !ok {
+				break
+			}
+			if h == bad {
+				b = forged
+			}
+			raw, err := chain.MarshalBlock(b)
+			if err != nil {
+				t.Errorf("marshal block %d: %v", h, err)
+				return
+			}
+			_, _ = w.Write(raw)
+		}
+	}))
+	t.Cleanup(upSrv.Close)
+
+	follower, _ := histNode(t)
+	rep, err := New(Config{
+		Node: follower, Upstream: upSrv.URL,
+		Import: importer.Config{Workers: 2, Window: 2, Batch: 2},
+	})
+	if err != nil {
+		t.Fatalf("replica.New: %v", err)
+	}
+	ctx := context.Background()
+	sdk := client.New(serveNode(t, follower).URL)
+	stream, err := sdk.Subscribe(ctx)
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer stream.Close()
+
+	err = rep.Relay().Run(ctx)
+	if !errors.Is(err, validator.ErrRejected) {
+		t.Fatalf("Relay.Run = %v, want a validator rejection", err)
+	}
+	if !strings.HasSuffix(err.Error(), ": "+want.Error()) {
+		t.Fatalf("rejection bytes differ:\nrelay:       %s\nAcceptBlock: %s", err, want)
+	}
+	if h := follower.Height(); h != bad-1 {
+		t.Fatalf("local head = %d, want %d", h, bad-1)
+	}
+	for h := uint64(1); h < bad; h++ {
+		if ev, err := stream.Next(); err != nil || ev.Block.Number != h {
+			t.Fatalf("event %d = %+v, %v", h, ev.Block, err)
+		}
+	}
+	// Events and receipts are published together, at the verdict: the
+	// rejected block's receipts never having appeared means its event
+	// did not either.
+	_, err = sdk.Receipt(ctx, wire.TxIDOf(good.Calls[0]).String())
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Code != wire.CodeTxNotFound {
+		t.Fatalf("receipt from the rejected block = %v, want %s", err, wire.CodeTxNotFound)
 	}
 }

@@ -68,7 +68,7 @@ type Prechecked struct {
 // concurrently across a window of queued blocks (internal/importer's
 // Phase A). The returned errors are byte-identical to the ones Validate
 // produces for the same block, so a staged import pipeline that elects the
-// first Precheck error by height rejects exactly like the serial path.
+// first Precheck error by height rejects exactly like Validate.
 func Precheck(b chain.Block) (Prechecked, error) {
 	if err := chain.VerifyCommitments(b); err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
