@@ -16,8 +16,9 @@
 // time), stm/storage (abstract locks
 // and boosted objects), contract/contracts (execution environment and the
 // paper's benchmark contracts), sched/forkjoin (published schedules and
-// their deterministic replay), engine (pluggable block execution: serial,
-// speculative, OCC), miner/validator (seal and check blocks), chain (hash-
+// their deterministic replay, list-scheduled longest chain first), engine
+// (pluggable block execution: serial, speculative, OCC), miner/validator
+// (seal and check blocks), chain (hash-
 // linked blocks and their flat wire encoding), txpool (mempool and
 // selection policies, including engine-feedback lock-hints), persist
 // (block WAL, group-commit writer, flat state snapshots, saved pool, crash

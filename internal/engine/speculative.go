@@ -61,6 +61,7 @@ func (SpeculativeEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, 
 					return fmt.Errorf("engine: %s exceeded %d retries: %s", id, opts.MaxRetries, out.Reason)
 				}
 				th.Work(opts.RetryBackoff * gas.Gas(attempt))
+				tx.AwaitRefusedLock()
 				continue
 			}
 			receipts[i] = contract.ReceiptFor(id, out)

@@ -11,36 +11,54 @@ import (
 	"contractstm/internal/runtime"
 )
 
-// chainTasks builds a linear chain 0 -> 1 -> ... -> n-1, each recording its
-// completion order.
-func chainTasks(n int, order *[]int, mu *sync.Mutex) []Task {
-	tasks := make([]Task, n)
-	for i := range tasks {
-		i := i
-		var preds []int
-		if i > 0 {
-			preds = []int{i - 1}
-		}
-		tasks[i] = Task{
-			Preds: preds,
-			Run: func(th runtime.Thread) {
-				th.Work(10)
-				mu.Lock()
-				*order = append(*order, i)
-				mu.Unlock()
-			},
-		}
+// noop is a body for tests that only care whether Run accepts the DAG.
+func noop(runtime.Thread, int) {}
+
+// chain returns the preds of a linear chain 0 -> 1 -> ... -> n-1.
+func chain(n int) [][]int {
+	preds := make([][]int, n)
+	for i := 1; i < n; i++ {
+		preds[i] = []int{i - 1}
 	}
-	return tasks
+	return preds
 }
 
-func TestChainExecutesInOrder(t *testing.T) {
-	var order []int
+// randomDAG returns n tasks where each earlier task precedes a later one
+// with probability 1/oneIn.
+func randomDAG(rng *rand.Rand, n, oneIn int) [][]int {
+	preds := make([][]int, n)
+	for i := range preds {
+		for j := 0; j < i; j++ {
+			if rng.Intn(oneIn) == 0 {
+				preds[i] = append(preds[i], j)
+			}
+		}
+	}
+	return preds
+}
+
+// finishOrder runs preds on SimRunner with the given per-task cost and
+// returns the makespan and the order in which tasks finished.
+func finishOrder(t *testing.T, workers int, preds [][]int, cost func(i int) gas.Gas) (uint64, []int) {
+	t.Helper()
 	var mu sync.Mutex
-	ms, err := Run(runtime.NewSimRunner(), 3, chainTasks(10, &order, &mu))
+	var order []int
+	ms, err := Run(runtime.NewSimRunner(), workers, preds, func(th runtime.Thread, i int) {
+		th.Work(cost(i))
+		mu.Lock()
+		order = append(order, i)
+		mu.Unlock()
+	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	return ms, order
+}
+
+func unit(int) gas.Gas { return 1 }
+
+func TestChainExecutesInOrder(t *testing.T) {
+	ms, order := finishOrder(t, 3, chain(10), func(int) gas.Gas { return 10 })
 	if len(order) != 10 {
 		t.Fatalf("ran %d tasks, want 10", len(order))
 	}
@@ -50,20 +68,13 @@ func TestChainExecutesInOrder(t *testing.T) {
 		}
 	}
 	// A chain has no parallelism: makespan == sum of work.
-	if ms < 100 {
-		t.Fatalf("makespan %d < 100: chain overlapped?!", ms)
+	if ms != 100 {
+		t.Fatalf("makespan = %d, want 100", ms)
 	}
 }
 
 func TestIndependentTasksRunInParallel(t *testing.T) {
-	tasks := make([]Task, 9)
-	for i := range tasks {
-		tasks[i] = Task{Run: func(th runtime.Thread) { th.Work(100) }}
-	}
-	ms, err := Run(runtime.NewSimRunner(), 3, tasks)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	ms, _ := finishOrder(t, 3, make([][]int, 9), func(int) gas.Gas { return 100 })
 	// 9 tasks x 100 on 3 workers: perfect packing = 300.
 	if ms != 300 {
 		t.Fatalf("makespan = %d, want 300 (perfect 3-way packing)", ms)
@@ -72,131 +83,136 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 
 func TestDiamondDependencies(t *testing.T) {
 	// 0 -> {1, 2} -> 3.
-	var mu sync.Mutex
-	pos := map[int]int{}
-	next := 0
-	record := func(i int) func(runtime.Thread) {
-		return func(th runtime.Thread) {
-			th.Work(10)
-			mu.Lock()
-			pos[i] = next
-			next++
-			mu.Unlock()
-		}
-	}
-	tasks := []Task{
-		{Run: record(0)},
-		{Preds: []int{0}, Run: record(1)},
-		{Preds: []int{0}, Run: record(2)},
-		{Preds: []int{1, 2}, Run: record(3)},
-	}
-	if _, err := Run(runtime.NewSimRunner(), 2, tasks); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if pos[0] != 0 || pos[3] != 3 {
-		t.Fatalf("positions = %v: 0 must be first, 3 last", pos)
+	_, order := finishOrder(t, 2, [][]int{nil, {0}, {0}, {1, 2}}, func(int) gas.Gas { return 10 })
+	if len(order) != 4 || order[0] != 0 || order[3] != 3 {
+		t.Fatalf("finish order = %v: 0 must be first, 3 last", order)
 	}
 }
 
-func TestRespectsEveryEdgeUnderLoad(t *testing.T) {
-	// Random DAG; verify every edge's ordering at completion.
-	rng := rand.New(rand.NewSource(42))
-	n := 60
-	var mu sync.Mutex
-	finished := make([]int, 0, n)
-	position := make([]int, n)
-	tasks := make([]Task, n)
-	var edges [][2]int
-	for i := 0; i < n; i++ {
-		i := i
-		var preds []int
-		for j := 0; j < i; j++ {
-			if rng.Intn(8) == 0 {
-				preds = append(preds, j)
-				edges = append(edges, [2]int{j, i})
+// TestCombStartsTheChainFirst is the shape that defeats breadth-first
+// draining: a chain of c tasks beside m independent ones. Taking the m
+// first leaves one worker to run the chain alone (about m/W + c); taking
+// the chain's head first is optimal.
+func TestCombStartsTheChainFirst(t *testing.T) {
+	for _, tc := range []struct{ c, m int }{{96, 104}, {10, 90}, {50, 10}, {1, 7}, {30, 0}} {
+		// The independent tasks come first, so index order alone would
+		// start them first.
+		preds := make([][]int, tc.m, tc.m+tc.c)
+		for i := 0; i < tc.c; i++ {
+			if i == 0 {
+				preds = append(preds, nil)
+			} else {
+				preds = append(preds, []int{tc.m + i - 1})
 			}
 		}
-		tasks[i] = Task{Preds: preds, Run: func(th runtime.Thread) {
-			th.Work(gas.Gas(1 + rng.Intn(3)))
-			mu.Lock()
-			position[i] = len(finished)
-			finished = append(finished, i)
-			mu.Unlock()
-		}}
+		for workers := 2; workers <= 4; workers++ {
+			ms, _ := finishOrder(t, workers, preds, unit)
+			want := uint64(max(tc.c, (tc.c+tc.m+workers-1)/workers))
+			if ms != want {
+				t.Errorf("chain %d + %d independent on %d workers: makespan %d, want %d",
+					tc.c, tc.m, workers, ms, want)
+			}
+		}
 	}
-	if _, err := Run(runtime.NewSimRunner(), 3, tasks); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(finished) != n {
-		t.Fatalf("finished %d of %d", len(finished), n)
-	}
-	for _, e := range edges {
-		if position[e[0]] >= position[e[1]] {
-			t.Fatalf("edge %d->%d violated: positions %d >= %d", e[0], e[1], position[e[0]], position[e[1]])
+}
+
+// TestRespectsEveryEdgeUnderLoad checks, over seeded random DAGs of unit
+// tasks, that every task runs once, every edge is respected, the makespan
+// is within Graham's list-scheduling bound n/W + CP(1-1/W), and a second
+// run gives the same makespan.
+func TestRespectsEveryEdgeUnderLoad(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(120)
+		preds := randomDAG(rng, n, 2+rng.Intn(30))
+		workers := 1 + rng.Intn(4)
+
+		ms, order := finishOrder(t, workers, preds, unit)
+		position := make([]int, n)
+		ran := make([]int, n)
+		for pos, i := range order {
+			position[i] = pos
+			ran[i]++
+		}
+		cp := 0
+		depth := make([]int, n) // longest chain ending at i; preds have lower indices
+		for i, ps := range preds {
+			if ran[i] != 1 {
+				t.Fatalf("seed %d: task %d ran %d times", seed, i, ran[i])
+			}
+			depth[i] = 1
+			for _, p := range ps {
+				if position[p] >= position[i] {
+					t.Fatalf("seed %d: edge %d->%d violated", seed, p, i)
+				}
+				depth[i] = max(depth[i], depth[p]+1)
+			}
+			cp = max(cp, depth[i])
+		}
+		if bound := float64(n)/float64(workers) + float64(cp)*(1-1/float64(workers)); float64(ms) > bound {
+			t.Errorf("seed %d: n=%d cp=%d workers=%d: makespan %d above Graham's bound %.1f",
+				seed, n, cp, workers, ms, bound)
+		}
+		if again, _ := finishOrder(t, workers, preds, unit); again != ms {
+			t.Errorf("seed %d: makespans %d then %d", seed, ms, again)
 		}
 	}
 }
 
 func TestRunOnOSThreads(t *testing.T) {
-	var count int
-	var mu sync.Mutex
-	tasks := make([]Task, 20)
-	for i := range tasks {
-		var preds []int
-		if i >= 2 {
-			preds = []int{i - 2}
-		}
-		tasks[i] = Task{Preds: preds, Run: func(th runtime.Thread) {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		}}
+	const n = 200
+	preds := make([][]int, n)
+	for i := 2; i < n; i++ {
+		preds[i] = []int{i - 2}
 	}
-	if _, err := Run(runtime.NewOSRunner(nil), 4, tasks); err != nil {
+	var mu sync.Mutex
+	var order []int
+	if _, err := Run(runtime.NewOSRunner(nil), 4, preds, func(_ runtime.Thread, i int) {
+		mu.Lock()
+		order = append(order, i)
+		mu.Unlock()
+	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if count != 20 {
-		t.Fatalf("count = %d, want 20", count)
+	if len(order) != n {
+		t.Fatalf("ran %d tasks, want %d", len(order), n)
+	}
+	position := make([]int, n)
+	for pos, i := range order {
+		position[i] = pos
+	}
+	for i := 2; i < n; i++ {
+		if position[i-2] >= position[i] {
+			t.Fatalf("edge %d->%d violated", i-2, i)
+		}
 	}
 }
 
 func TestInvalidPredecessorRejected(t *testing.T) {
-	tasks := []Task{{Preds: []int{5}, Run: func(runtime.Thread) {}}}
-	if _, err := Run(runtime.NewSimRunner(), 2, tasks); err == nil {
+	if _, err := Run(runtime.NewSimRunner(), 2, [][]int{{5}}, noop); err == nil {
 		t.Fatal("out-of-range predecessor accepted")
 	}
-	tasks = []Task{{Preds: []int{0}, Run: func(runtime.Thread) {}}}
-	if _, err := Run(runtime.NewSimRunner(), 2, tasks); err == nil {
+	if _, err := Run(runtime.NewSimRunner(), 2, [][]int{{0}}, noop); err == nil {
 		t.Fatal("self-predecessor accepted")
 	}
 }
 
 func TestCyclicTasksReported(t *testing.T) {
-	// 0 and 1 depend on each other via 2: 1 <- 2 <- 1 is rejected by the
-	// self-check, so build a 2-cycle across distinct tasks: 1->2, 2->1.
-	tasks := []Task{
-		{Run: func(runtime.Thread) {}},
-		{Preds: []int{2}, Run: func(runtime.Thread) {}},
-		{Preds: []int{1}, Run: func(runtime.Thread) {}},
-	}
-	_, err := Run(runtime.NewSimRunner(), 2, tasks)
+	// 0 is a source; 1 and 2 wait on each other.
+	_, err := Run(runtime.NewSimRunner(), 2, [][]int{nil, {2}, {1}}, noop)
 	if !errors.Is(err, ErrUnreachableTasks) {
 		t.Fatalf("err = %v, want ErrUnreachableTasks", err)
 	}
 }
 
 func TestAllTasksCyclicNoSources(t *testing.T) {
-	tasks := []Task{
-		{Preds: []int{1}, Run: func(runtime.Thread) {}},
-		{Preds: []int{0}, Run: func(runtime.Thread) {}},
-	}
-	if _, err := Run(runtime.NewSimRunner(), 2, tasks); !errors.Is(err, ErrUnreachableTasks) {
+	if _, err := Run(runtime.NewSimRunner(), 2, [][]int{{1}, {0}}, noop); !errors.Is(err, ErrUnreachableTasks) {
 		t.Fatalf("err = %v, want ErrUnreachableTasks", err)
 	}
 }
 
 func TestEmptyTaskList(t *testing.T) {
-	ms, err := Run(runtime.NewSimRunner(), 2, nil)
+	ms, err := Run(runtime.NewSimRunner(), 2, nil, noop)
 	if err != nil {
 		t.Fatalf("Run(empty): %v", err)
 	}
@@ -207,11 +223,12 @@ func TestEmptyTaskList(t *testing.T) {
 
 func TestDuplicatePredsCountedOnce(t *testing.T) {
 	ran := false
-	tasks := []Task{
-		{Run: func(runtime.Thread) {}},
-		{Preds: []int{0, 0, 0}, Run: func(runtime.Thread) { ran = true }},
-	}
-	if _, err := Run(runtime.NewSimRunner(), 1, tasks); err != nil {
+	_, err := Run(runtime.NewSimRunner(), 1, [][]int{nil, {0, 0, 0}}, func(_ runtime.Thread, i int) {
+		if i == 1 {
+			ran = true
+		}
+	})
+	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !ran {
@@ -220,28 +237,22 @@ func TestDuplicatePredsCountedOnce(t *testing.T) {
 }
 
 func TestDeterministicMakespan(t *testing.T) {
-	build := func() []Task {
-		rng := rand.New(rand.NewSource(7))
-		tasks := make([]Task, 40)
-		for i := range tasks {
-			var preds []int
-			for j := 0; j < i; j++ {
-				if rng.Intn(10) == 0 {
-					preds = append(preds, j)
-				}
-			}
-			cost := gas.Gas(1 + rng.Intn(20))
-			tasks[i] = Task{Preds: preds, Run: func(th runtime.Thread) { th.Work(cost) }}
-		}
-		return tasks
+	rng := rand.New(rand.NewSource(7))
+	preds := randomDAG(rng, 40, 10)
+	costs := make([]gas.Gas, len(preds))
+	for i := range costs {
+		costs[i] = gas.Gas(1 + rng.Intn(20))
 	}
-	ms1, err := Run(runtime.NewSimRunner(), 3, build())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	ms2, _ := Run(runtime.NewSimRunner(), 3, build())
+	cost := func(i int) gas.Gas { return costs[i] }
+	ms1, order1 := finishOrder(t, 3, preds, cost)
+	ms2, order2 := finishOrder(t, 3, preds, cost)
 	if ms1 != ms2 {
 		t.Fatalf("nondeterministic makespans: %d vs %d", ms1, ms2)
+	}
+	for i := range order1 {
+		if order1[i] != order2[i] {
+			t.Fatalf("nondeterministic finish order: %v vs %v", order1, order2)
+		}
 	}
 }
 
@@ -250,26 +261,20 @@ func TestDeterministicMakespan(t *testing.T) {
 func TestMoreWorkersNeverSlower(t *testing.T) {
 	propFn := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(40)
-		build := func() []Task {
-			r2 := rand.New(rand.NewSource(seed))
-			tasks := make([]Task, n)
-			for i := range tasks {
-				var preds []int
-				for j := 0; j < i; j++ {
-					if r2.Intn(6) == 0 {
-						preds = append(preds, j)
-					}
-				}
-				cost := gas.Gas(1 + r2.Intn(10))
-				tasks[i] = Task{Preds: preds, Run: func(th runtime.Thread) { th.Work(cost) }}
-			}
-			return tasks
+		preds := randomDAG(rng, 5+rng.Intn(40), 6)
+		costs := make([]gas.Gas, len(preds))
+		for i := range costs {
+			costs[i] = gas.Gas(1 + rng.Intn(10))
 		}
-		ms1, err1 := Run(runtime.NewSimRunner(), 1, build())
-		ms3, err3 := Run(runtime.NewSimRunner(), 3, build())
+		body := func(th runtime.Thread, i int) { th.Work(costs[i]) }
+		ms1, err1 := Run(runtime.NewSimRunner(), 1, preds, body)
+		ms3, err3 := Run(runtime.NewSimRunner(), 3, preds, body)
 		if err1 != nil || err3 != nil {
+			t.Logf("seed %d: errors %v, %v", seed, err1, err3)
 			return false
+		}
+		if ms3 > ms1 {
+			t.Logf("seed %d: 3 workers took %d, 1 worker %d", seed, ms3, ms1)
 		}
 		return ms3 <= ms1
 	}

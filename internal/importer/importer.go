@@ -212,8 +212,9 @@ func Run(ctx context.Context, t Target, src Source, from, to uint64, cfg Config)
 
 	// Phase A pool: stateless validation, any order, any parallelism —
 	// "the validator is not required to match the miner's level of
-	// parallelism" (§5).
-	for i := 0; i < cfg.Workers; i++ {
+	// parallelism" (§5). A range shorter than the pool (the relay's
+	// one-block pulls) starts one worker per block.
+	for i := uint64(0); i < uint64(cfg.Workers) && i <= to-from; i++ {
 		go func() {
 			for j := range jobs {
 				j.pre, j.preErr = validator.Precheck(j.block)

@@ -193,3 +193,62 @@ func TestMixedModeQueueing(t *testing.T) {
 		t.Fatalf("completed = %d, want 36", completed)
 	}
 }
+
+// TestUpgradeLivelockOnOSThreads is the auction's highestBidder pattern on
+// the runner nodesrv ships: every worker reads one lock and then asks to
+// upgrade it. One upgrader parks; the others are refused as deadlock
+// victims. A victim that retried at once would re-take the shared lock
+// past the parked upgrader and be refused again — on OSRunner(nil), where
+// backoff Work costs no time, for as long as its retry budget lasts.
+// Waiting for the refused lock to become grantable ties every retry to
+// another transaction's commit, so nobody retries more than workers-1
+// times.
+func TestUpgradeLivelockOnOSThreads(t *testing.T) {
+	const workers, iterations = 4, 200
+	lock := LockID{Scope: "auction", Key: "highestBidder"}
+	for it := 0; it < iterations; it++ {
+		mgr := NewManager(gas.DefaultSchedule())
+		var allRead sync.WaitGroup
+		allRead.Add(workers)
+		_, err := runtime.NewOSRunner(nil).Run(workers, func(th runtime.Thread) {
+			for attempt := 0; ; attempt++ {
+				tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+				if err := tx.Access(lock, ModeShared, 1); err != nil {
+					t.Errorf("iteration %d: shared access: %v", it, err)
+					return
+				}
+				if attempt == 0 {
+					// Every reader holds the lock before any asks to upgrade.
+					allRead.Done()
+					allRead.Wait()
+				}
+				err := tx.Access(lock, ModeExclusive, 1)
+				if err == nil {
+					if err := tx.Commit(); err != nil {
+						t.Errorf("iteration %d: commit: %v", it, err)
+					}
+					return
+				}
+				if !errors.Is(err, ErrDeadlock) {
+					t.Errorf("iteration %d: upgrade: %v", it, err)
+					return
+				}
+				if err := tx.Abort(); err != nil {
+					t.Errorf("iteration %d: abort: %v", it, err)
+					return
+				}
+				if attempt+1 >= workers {
+					t.Errorf("iteration %d: worker %d refused %d times", it, th.ID(), attempt+1)
+					return
+				}
+				tx.AwaitRefusedLock()
+			}
+		})
+		if err != nil {
+			t.Fatalf("iteration %d: run: %v", it, err)
+		}
+		if got := mgr.Counter(lock); got != workers && !t.Failed() {
+			t.Fatalf("iteration %d: %d commits, want %d", it, got, workers)
+		}
+	}
+}

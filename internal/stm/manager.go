@@ -19,6 +19,18 @@ import (
 // simulated); all state is guarded by a single mutex. Blocking waits never
 // hold the mutex: a waiter enqueues itself, releases the mutex, and parks on
 // its runtime.Thread until granted.
+//
+// Deadlock detection stays complete with two kinds of waiter. A request
+// that must block is refused when its wait-for edge would close a cycle, so
+// no cycle ever forms among transactions that hold locks. A refused victim
+// aborts and then waits, holding nothing, until the lock it was refused
+// could be granted to it (awaitGrantable): nothing can wait for a
+// transaction that holds nothing, so it has no incoming wait-for edge, lies
+// on no cycle and is left out of waitingOn. That wait is what bounds a
+// victim's retries by other transactions' releases: retrying at once would
+// re-take the shared lock past a queued upgrader (grants are
+// compatibility-driven) and be refused again, without end on threads whose
+// backoff Work costs no time.
 type Manager struct {
 	mu    sync.Mutex
 	sched gas.Schedule
@@ -53,6 +65,9 @@ type waiter struct {
 	lock    LockID
 	mode    Mode // the full target mode (combined, for upgrades)
 	granted bool
+	// probe marks an aborted victim's wait (awaitGrantable): it is woken
+	// when the lock becomes grantable but is not made a holder.
+	probe bool
 }
 
 // NewManager returns an empty lock table using the given cost schedule.
@@ -116,6 +131,7 @@ func (m *Manager) acquire(root *Tx, th runtime.Thread, l LockID, mode Mode) erro
 	// detection at enqueue time is complete.
 	if m.wouldDeadlock(root, ls, target) {
 		m.deadlocks++
+		root.refusedLock, root.refusedMode = l, target
 		m.mu.Unlock()
 		return ErrDeadlock
 	}
@@ -125,17 +141,40 @@ func (m *Manager) acquire(root *Tx, th runtime.Thread, l LockID, mode Mode) erro
 	m.waits++
 	m.mu.Unlock()
 
+	m.park(w)
+	root.held[l] = w.mode
+	return nil
+}
+
+// awaitGrantable parks root's thread until lock l could be granted in mode
+// to root, an aborted deadlock victim that holds nothing (see the Manager
+// comment). It takes no lock: the retry that follows competes for l like
+// any other request.
+func (m *Manager) awaitGrantable(root *Tx, l LockID, mode Mode) {
+	m.mu.Lock()
+	ls := m.locks[l]
+	if m.grantable(ls, root, mode) {
+		m.mu.Unlock()
+		return
+	}
+	w := &waiter{tx: root, thread: root.thread, lock: l, mode: mode, probe: true}
+	ls.waiters = append(ls.waiters, w)
+	m.mu.Unlock()
+	m.park(w)
+}
+
+// park blocks w's thread until a release grants w.
+func (m *Manager) park(w *waiter) {
 	for {
-		th.Park()
+		w.thread.Park()
 		m.mu.Lock()
-		if w.granted {
-			root.held[l] = w.mode
-			m.mu.Unlock()
-			return nil
+		granted := w.granted
+		m.mu.Unlock()
+		if granted {
+			return
 		}
 		// Spurious wake (stale token from another coordination layer):
 		// park again.
-		m.mu.Unlock()
 	}
 }
 
@@ -235,11 +274,13 @@ func (m *Manager) grantWaiters(ls *lockState) []runtime.Thread {
 	remaining := ls.waiters[:0]
 	for _, w := range ls.waiters {
 		if m.grantable(ls, w.tx, w.mode) {
-			ls.holders[w.tx] = w.mode
 			w.granted = true
-			delete(m.waitingOn, w.tx)
-			m.acquisitions++
 			wake = append(wake, w.thread)
+			if !w.probe {
+				ls.holders[w.tx] = w.mode
+				delete(m.waitingOn, w.tx)
+				m.acquisitions++
+			}
 			continue
 		}
 		remaining = append(remaining, w)

@@ -72,6 +72,10 @@ type Tx struct {
 	profile Profile
 	// retries counts speculative abort-and-retry cycles (set by the miner).
 	retries int
+	// refusedLock and refusedMode are root-only: the request the manager
+	// last refused with ErrDeadlock (refusedMode is zero if none was).
+	refusedLock LockID
+	refusedMode Mode
 }
 
 var _ Executor = (*Tx)(nil)
@@ -321,6 +325,16 @@ func (t *Tx) Abort() error {
 	}
 	t.status = StatusAborted
 	return nil
+}
+
+// AwaitRefusedLock blocks an aborted deadlock victim until the lock it was
+// refused could be granted to it, so that its retry does not meet the same
+// holders and lose again. The engine calls it between attempts; it returns
+// at once for a transaction that was not refused a lock.
+func (t *Tx) AwaitRefusedLock() {
+	if t.status == StatusAborted && t.refusedMode != 0 {
+		t.mgr.awaitGrantable(t, t.refusedLock, t.refusedMode)
+	}
 }
 
 // Revert completes a transaction whose contract body threw: state effects
