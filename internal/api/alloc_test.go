@@ -26,7 +26,7 @@ func TestPublishAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
-	ev := wire.Event{Block: wire.BlockInfoOf(res.Block), Receipts: wire.ReceiptsOf(res.Block)}
+	ev := wire.Event{Block: wire.BlockInfoOf(res.Block), Receipts: wire.ReceiptsOf(res.Block, res.TxIDs)}
 
 	broker := NewBroker()
 	subs := make([]*Subscription, 256)

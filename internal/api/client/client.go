@@ -470,6 +470,16 @@ func (c *Client) BalanceInfo(ctx context.Context, addr types.Address, opts ...Re
 // rejected here; execution-level trust comes from block import. Missing
 // heights answer an *APIError with code wire.CodeBlockNotFound.
 func (c *Client) Block(ctx context.Context, height uint64) (chain.Block, error) {
+	return c.block(ctx, height, chain.DecodeBlock)
+}
+
+// BlockUnverified is Block without the commitment check, for the import
+// pipeline behind cluster.Peer, which runs validator.Precheck on it next.
+func (c *Client) BlockUnverified(ctx context.Context, height uint64) (chain.Block, error) {
+	return c.block(ctx, height, chain.ReadBlock)
+}
+
+func (c *Client) block(ctx context.Context, height uint64, decode func(io.Reader) (chain.Block, error)) (chain.Block, error) {
 	resp, err := c.do(ctx, true, func() (*http.Request, error) {
 		return http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/blocks/%d", c.base, height), nil)
 	})
@@ -480,7 +490,7 @@ func (c *Client) Block(ctx context.Context, height uint64) (chain.Block, error) 
 	if resp.StatusCode != http.StatusOK {
 		return chain.Block{}, decodeError(resp)
 	}
-	b, err := chain.DecodeBlock(io.LimitReader(resp.Body, chain.MaxWireBlock))
+	b, err := decode(io.LimitReader(resp.Body, chain.MaxWireBlock))
 	if err != nil {
 		return chain.Block{}, fmt.Errorf("api client: block %d: %w", height, err)
 	}
@@ -495,6 +505,15 @@ func (c *Client) Block(ctx context.Context, height uint64) (chain.Block, error) 
 // clamped); the returned slice is in height order, never empty on
 // success.
 func (c *Client) Blocks(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
+	return c.blocks(ctx, from, count, chain.DecodeBlock)
+}
+
+// BlocksUnverified is to Blocks what BlockUnverified is to Block.
+func (c *Client) BlocksUnverified(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
+	return c.blocks(ctx, from, count, chain.ReadBlock)
+}
+
+func (c *Client) blocks(ctx context.Context, from uint64, count int, decode func(io.Reader) (chain.Block, error)) ([]chain.Block, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("api client: blocks: count %d", count)
 	}
@@ -515,7 +534,7 @@ func (c *Client) Blocks(ctx context.Context, from uint64, count int) ([]chain.Bl
 		if _, err := br.Peek(1); err == io.EOF {
 			break
 		}
-		b, err := chain.DecodeBlock(br)
+		b, err := decode(br)
 		if err != nil {
 			return nil, fmt.Errorf("api client: blocks from %d: frame %d: %w", from, len(blocks), err)
 		}

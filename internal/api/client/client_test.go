@@ -19,8 +19,9 @@ import (
 // zeroBlock is a minimal sealed block (encoding succeeds; the test
 // server rejects it anyway).
 func zeroBlock() chain.Block {
-	return chain.Seal(chain.GenesisHeader(types.HashString("g")), nil, nil,
+	b, _ := chain.Seal(chain.GenesisHeader(types.HashString("g")), nil, nil,
 		sched.Schedule{}, nil, types.HashString("s"))
+	return b
 }
 
 // flaky serves failures until `failures` requests have been seen, then

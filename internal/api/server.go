@@ -503,7 +503,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // handleImportBlock is POST /v1/blocks: the validator-node import path.
 // Blocks travel in the chain package's flat wire format, not JSON.
 func (s *Server) handleImportBlock(w http.ResponseWriter, r *http.Request) {
-	block, err := chain.DecodeBlock(io.LimitReader(r.Body, chain.MaxWireBlock))
+	block, err := chain.ReadBlock(io.LimitReader(r.Body, chain.MaxWireBlock))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, wire.CodeBadRequest, err)
 		return

@@ -343,9 +343,10 @@ func BlockInfoOf(b chain.Block) BlockInfo {
 }
 
 // ReceiptsOf derives the wire receipts of a (durable) block: one per
-// call, IDs content-derived, schedule positions read off the published
-// serial order S.
-func ReceiptsOf(b chain.Block) []TxReceipt {
+// call, schedule positions read off the published serial order S. ids
+// are the calls' transaction IDs (chain.TxLeavesOf), which whoever sealed
+// or prechecked the block holds.
+func ReceiptsOf(b chain.Block, ids []types.Hash) []TxReceipt {
 	schedPos := make([]int, len(b.Calls))
 	for pos, tx := range b.Schedule.Order {
 		if int(tx) < len(schedPos) {
@@ -354,9 +355,9 @@ func ReceiptsOf(b chain.Block) []TxReceipt {
 	}
 	hash := b.Header.Hash().String()
 	out := make([]TxReceipt, len(b.Calls))
-	for i, c := range b.Calls {
+	for i := range b.Calls {
 		r := TxReceipt{
-			ID:            TxIDOf(c).String(),
+			ID:            ids[i].String(),
 			Status:        StatusCommitted,
 			BlockHeight:   b.Header.Number,
 			BlockHash:     hash,

@@ -108,9 +108,9 @@ func TestReceiptsOf(t *testing.T) {
 		{Tx: 1, Reverted: true, GasUsed: 7, Reason: "insufficient funds"},
 	}
 	s := sched.Schedule{Order: []types.TxID{1, 0}}
-	b := chain.Seal(chain.GenesisHeader(types.HashString("root")), calls, receipts, s, nil, types.HashString("post"))
+	b, ids := chain.Seal(chain.GenesisHeader(types.HashString("root")), calls, receipts, s, nil, types.HashString("post"))
 
-	out := ReceiptsOf(b)
+	out := ReceiptsOf(b, ids)
 	if len(out) != 2 {
 		t.Fatalf("receipts = %d", len(out))
 	}
@@ -135,7 +135,7 @@ func TestBlockInfoOf(t *testing.T) {
 	calls := []contract.Call{testCall("a", 1)}
 	receipts := []contract.Receipt{{Tx: 0}}
 	s := sched.Schedule{Order: []types.TxID{0}, Edges: []sched.Edge{{From: 0, To: 0}}}
-	b := chain.Seal(chain.GenesisHeader(types.HashString("root")), calls, receipts, s, nil, types.HashString("post"))
+	b, _ := chain.Seal(chain.GenesisHeader(types.HashString("root")), calls, receipts, s, nil, types.HashString("post"))
 	info := BlockInfoOf(b)
 	if info.Number != 1 || info.TxCount != 1 || info.Edges != 1 {
 		t.Fatalf("info = %+v", info)

@@ -44,9 +44,19 @@ func TestBlockCodecAllocCeilings(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 2600)", encode, decode)
+	// The preimage buffer, sized up front, and nothing else that grows.
+	schedule := testing.AllocsPerRun(20, func() {
+		if chain.ScheduleHashOf(res.Block.Schedule, res.Block.Profiles) != res.Block.Header.ScheduleHash {
+			t.Fatal("schedule hash changed")
+		}
+	})
+	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 2600), ScheduleHashOf %.0f (ceiling 2)",
+		encode, decode, schedule)
 	if encode > 4 {
 		t.Errorf("AppendBlockWire allocates %.0f times per block, ceiling 4", encode)
+	}
+	if schedule > 2 {
+		t.Errorf("ScheduleHashOf allocates %.0f times per block, ceiling 2", schedule)
 	}
 	if decode > 2600 {
 		t.Errorf("UnmarshalBlock allocates %.0f times per block, ceiling 2600", decode)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"contractstm/internal/contract"
 	"contractstm/internal/crypto"
@@ -74,13 +75,14 @@ type Block struct {
 	Profiles []stm.Profile `json:"profiles"`
 }
 
-// TxRootOf commits to a transaction list.
-func TxRootOf(calls []contract.Call) types.Hash {
+// TxLeavesOf hashes each call's canonical encoding: the leaves the tx root
+// commits to, and the calls' transaction IDs (wire.TxIDOf is one leaf).
+func TxLeavesOf(calls []contract.Call) []types.Hash {
 	leaves := make([]types.Hash, len(calls))
 	for i, c := range calls {
 		leaves[i] = types.HashBytes(c.EncodeForHash())
 	}
-	return crypto.MerkleRoot(leaves)
+	return leaves
 }
 
 // ReceiptRootOf commits to a receipt list.
@@ -95,7 +97,14 @@ func ReceiptRootOf(receipts []contract.Receipt) types.Hash {
 // ScheduleHashOf commits to the published schedule: S, H and the profiles,
 // all canonically encoded.
 func ScheduleHashOf(s sched.Schedule, profiles []stm.Profile) types.Hash {
-	var buf []byte
+	// Sized first: grown by append it cost twice its size in reallocations.
+	size := 12 + 4*len(s.Order) + 8*len(s.Edges) + 8*len(profiles)
+	for _, p := range profiles {
+		for _, e := range p.Entries {
+			size += 17 + len(e.Lock.Scope) + len(e.Lock.Key)
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, types.Uint32Bytes(uint32(len(s.Order)))...)
 	for _, tx := range s.Order {
 		buf = append(buf, types.Uint32Bytes(uint32(tx))...)
@@ -121,10 +130,18 @@ func ScheduleHashOf(s sched.Schedule, profiles []stm.Profile) types.Hash {
 	return types.HashBytes(buf)
 }
 
+var commitmentPasses atomic.Int64
+
+// CommitmentPasses counts Seal and VerifyCommitments calls. A node owes
+// each block exactly one: the lifecycle tests difference it on every path.
+func CommitmentPasses() int64 { return commitmentPasses.Load() }
+
 // Seal fills in the header commitments from the block body and returns the
-// completed block. parent is the previous block's header.
+// completed block and its tx leaves. parent is the previous block's header.
 func Seal(parent Header, calls []contract.Call, receipts []contract.Receipt,
-	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) Block {
+	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) (Block, []types.Hash) {
+	commitmentPasses.Add(1)
+	txIDs := TxLeavesOf(calls)
 	b := Block{
 		Calls:    calls,
 		Receipts: receipts,
@@ -134,33 +151,36 @@ func Seal(parent Header, calls []contract.Call, receipts []contract.Receipt,
 	b.Header = Header{
 		Number:       parent.Number + 1,
 		ParentHash:   parent.Hash(),
-		TxRoot:       TxRootOf(calls),
+		TxRoot:       crypto.MerkleRoot(txIDs),
 		ReceiptRoot:  ReceiptRootOf(receipts),
 		StateRoot:    stateRoot,
 		ScheduleHash: ScheduleHashOf(s, profiles),
 	}
-	return b
+	return b, txIDs
 }
 
 // VerifyCommitments checks that a block's header commitments match its
-// body. It does not re-execute anything; that is the validator's job.
-func VerifyCommitments(b Block) error {
-	if got := TxRootOf(b.Calls); got != b.Header.TxRoot {
-		return fmt.Errorf("%w: tx root %s != %s", ErrBadCommitment, got.Short(), b.Header.TxRoot.Short())
+// body and returns the tx leaves it hashed on the way. It does not
+// re-execute anything; that is the validator's job.
+func VerifyCommitments(b Block) ([]types.Hash, error) {
+	commitmentPasses.Add(1)
+	txIDs := TxLeavesOf(b.Calls)
+	if got := crypto.MerkleRoot(txIDs); got != b.Header.TxRoot {
+		return nil, fmt.Errorf("%w: tx root %s != %s", ErrBadCommitment, got.Short(), b.Header.TxRoot.Short())
 	}
 	if got := ReceiptRootOf(b.Receipts); got != b.Header.ReceiptRoot {
-		return fmt.Errorf("%w: receipt root %s != %s", ErrBadCommitment, got.Short(), b.Header.ReceiptRoot.Short())
+		return nil, fmt.Errorf("%w: receipt root %s != %s", ErrBadCommitment, got.Short(), b.Header.ReceiptRoot.Short())
 	}
 	if got := ScheduleHashOf(b.Schedule, b.Profiles); got != b.Header.ScheduleHash {
-		return fmt.Errorf("%w: schedule hash %s != %s", ErrBadCommitment, got.Short(), b.Header.ScheduleHash.Short())
+		return nil, fmt.Errorf("%w: schedule hash %s != %s", ErrBadCommitment, got.Short(), b.Header.ScheduleHash.Short())
 	}
 	if len(b.Receipts) != len(b.Calls) {
-		return fmt.Errorf("%w: %d receipts for %d calls", ErrBadCommitment, len(b.Receipts), len(b.Calls))
+		return nil, fmt.Errorf("%w: %d receipts for %d calls", ErrBadCommitment, len(b.Receipts), len(b.Calls))
 	}
 	if len(b.Profiles) != len(b.Calls) {
-		return fmt.Errorf("%w: %d profiles for %d calls", ErrBadCommitment, len(b.Profiles), len(b.Calls))
+		return nil, fmt.Errorf("%w: %d profiles for %d calls", ErrBadCommitment, len(b.Profiles), len(b.Calls))
 	}
-	return nil
+	return txIDs, nil
 }
 
 // Chain is an append-only hash-linked sequence of blocks. A chain is
@@ -263,7 +283,8 @@ func (c *Chain) RewindTo(height uint64) error {
 	return nil
 }
 
-// Append verifies linkage and commitments, then appends the block.
+// Append verifies linkage, then appends the block. Its commitments are
+// Seal's, made in this process, or already checked by validator.Precheck.
 func (c *Chain) Append(b Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -273,9 +294,6 @@ func (c *Chain) Append(b Block) error {
 	}
 	if b.Header.ParentHash != head.Header.Hash() {
 		return fmt.Errorf("%w: got %s, want %s", ErrBadParent, b.Header.ParentHash.Short(), head.Header.Hash().Short())
-	}
-	if err := VerifyCommitments(b); err != nil {
-		return err
 	}
 	c.blocks = append(c.blocks, b)
 	return nil

@@ -51,13 +51,14 @@ func sampleSchedule(n int) sched.Schedule {
 }
 
 func sealSample(n int, stateRoot types.Hash) Block {
-	return Seal(GenesisHeader(types.HashString("genesis")), sampleCalls(n), sampleReceipts(n),
+	b, _ := Seal(GenesisHeader(types.HashString("genesis")), sampleCalls(n), sampleReceipts(n),
 		sampleSchedule(n), sampleProfiles(n), stateRoot)
+	return b
 }
 
 func TestSealProducesConsistentCommitments(t *testing.T) {
 	b := sealSample(5, types.HashString("state"))
-	if err := VerifyCommitments(b); err != nil {
+	if _, err := VerifyCommitments(b); err != nil {
 		t.Fatalf("VerifyCommitments on sealed block: %v", err)
 	}
 	if b.Header.Number != 1 {
@@ -86,42 +87,42 @@ func TestVerifyCommitmentsDetectsTampering(t *testing.T) {
 	t.Run("call tampered", func(t *testing.T) {
 		b := sealSample(4, types.HashString("s"))
 		b.Calls[2].Args = []any{uint64(999)}
-		if err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
+		if _, err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("receipt tampered", func(t *testing.T) {
 		b := sealSample(4, types.HashString("s"))
 		b.Receipts[0].Reverted = true
-		if err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
+		if _, err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("schedule order tampered", func(t *testing.T) {
 		b := sealSample(4, types.HashString("s"))
 		b.Schedule.Order[0], b.Schedule.Order[1] = b.Schedule.Order[1], b.Schedule.Order[0]
-		if err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
+		if _, err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("profile counter tampered", func(t *testing.T) {
 		b := sealSample(4, types.HashString("s"))
 		b.Profiles[1].Entries[0].Counter = 77
-		if err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
+		if _, err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("profile mode tampered", func(t *testing.T) {
 		b := sealSample(4, types.HashString("s"))
 		b.Profiles[1].Entries[0].Mode = stm.ModeExclusive
-		if err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
+		if _, err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("receipt count mismatch", func(t *testing.T) {
 		b := sealSample(4, types.HashString("s"))
 		b.Receipts = b.Receipts[:3]
-		if err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
+		if _, err := VerifyCommitments(b); !errors.Is(err, ErrBadCommitment) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -133,11 +134,11 @@ func TestChainAppendAndLinkage(t *testing.T) {
 	if c.Length() != 1 {
 		t.Fatalf("new chain length = %d", c.Length())
 	}
-	b1 := Seal(c.Head().Header, sampleCalls(2), sampleReceipts(2), sampleSchedule(2), sampleProfiles(2), types.HashString("s1"))
+	b1, _ := Seal(c.Head().Header, sampleCalls(2), sampleReceipts(2), sampleSchedule(2), sampleProfiles(2), types.HashString("s1"))
 	if err := c.Append(b1); err != nil {
 		t.Fatalf("append b1: %v", err)
 	}
-	b2 := Seal(c.Head().Header, sampleCalls(3), sampleReceipts(3), sampleSchedule(3), sampleProfiles(3), types.HashString("s2"))
+	b2, _ := Seal(c.Head().Header, sampleCalls(3), sampleReceipts(3), sampleSchedule(3), sampleProfiles(3), types.HashString("s2"))
 	if err := c.Append(b2); err != nil {
 		t.Fatalf("append b2: %v", err)
 	}
@@ -156,7 +157,7 @@ func TestChainAppendAndLinkage(t *testing.T) {
 func TestChainRejectsBadParent(t *testing.T) {
 	c := New(types.HashString("g"))
 	wrongParent := GenesisHeader(types.HashString("other"))
-	b := Seal(wrongParent, sampleCalls(1), sampleReceipts(1), sampleSchedule(1), sampleProfiles(1), types.HashString("s"))
+	b, _ := Seal(wrongParent, sampleCalls(1), sampleReceipts(1), sampleSchedule(1), sampleProfiles(1), types.HashString("s"))
 	if err := c.Append(b); !errors.Is(err, ErrBadParent) {
 		t.Fatalf("err = %v, want ErrBadParent", err)
 	}
@@ -164,7 +165,7 @@ func TestChainRejectsBadParent(t *testing.T) {
 
 func TestChainRejectsBadNumber(t *testing.T) {
 	c := New(types.HashString("g"))
-	b := Seal(c.Head().Header, sampleCalls(1), sampleReceipts(1), sampleSchedule(1), sampleProfiles(1), types.HashString("s"))
+	b, _ := Seal(c.Head().Header, sampleCalls(1), sampleReceipts(1), sampleSchedule(1), sampleProfiles(1), types.HashString("s"))
 	b.Header.Number = 5
 	if err := c.Append(b); !errors.Is(err, ErrBadNumber) {
 		t.Fatalf("err = %v, want ErrBadNumber", err)
@@ -190,8 +191,8 @@ func TestScheduleHashCoversLockIdentity(t *testing.T) {
 }
 
 func TestEmptyBlock(t *testing.T) {
-	b := Seal(GenesisHeader(types.ZeroHash), nil, nil, sched.Schedule{}, nil, types.HashString("s"))
-	if err := VerifyCommitments(b); err != nil {
+	b, _ := Seal(GenesisHeader(types.ZeroHash), nil, nil, sched.Schedule{}, nil, types.HashString("s"))
+	if _, err := VerifyCommitments(b); err != nil {
 		t.Fatalf("empty block invalid: %v", err)
 	}
 }

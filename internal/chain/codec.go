@@ -15,10 +15,13 @@ import (
 // no reflection, single-buffer encodes. A payload that does not start
 // with the flat magic byte is codec.ErrFormat.
 //
-// Integrity is independent of encoding: after decoding, callers verify
-// header commitments (VerifyCommitments) and re-validate execution, so a
-// corrupted or malicious stream can at worst produce a block that is then
-// rejected.
+// Integrity is independent of encoding. DecodeBlock and UnmarshalBlock
+// verify header commitments (VerifyCommitments) for consumers that never
+// validate (SDK clients, tools); ReadBlock and ParseBlock only parse, for
+// the three callers whose next step is validator.Precheck, which verifies
+// them itself: the block upload handler, WAL replay and the import
+// pipeline's fetch. Either way a corrupted or malicious stream can at
+// worst produce a block that is then rejected.
 
 // MaxWireBlock bounds one block's wire encoding; the node's block upload
 // handler, the cluster peer client and the persistence WAL all cap reads
@@ -52,16 +55,20 @@ func MarshalBlock(b Block) ([]byte, error) {
 // against the decoded body; it does NOT re-execute (that is the
 // validator's job). Input is untrusted: the stream is size-capped at
 // MaxWireBlock, and any malformed input — truncated, version-skewed,
-// corrupted — returns an error, never panics. The persistence WAL feeds
-// disk bytes straight into this path on crash recovery.
+// corrupted — returns an error, never panics.
 func DecodeBlock(r io.Reader) (Block, error) {
-	return decodeBlockCapped(r, MaxWireBlock)
+	return verified(ReadBlock(r))
 }
 
-// decodeBlockCapped is DecodeBlock with an explicit byte budget (tests
+// ReadBlock is DecodeBlock without the commitment check.
+func ReadBlock(r io.Reader) (Block, error) {
+	return readBlockCapped(r, MaxWireBlock)
+}
+
+// readBlockCapped is ReadBlock with an explicit byte budget (tests
 // exercise the budget without building a 64 MB block). The declared body
 // length is checked against the budget before anything is allocated.
-func decodeBlockCapped(r io.Reader, budget int64) (Block, error) {
+func readBlockCapped(r io.Reader, budget int64) (Block, error) {
 	var hdr [codec.HeaderLen]byte
 	n, err := io.ReadFull(r, hdr[:])
 	if n > 0 && hdr[0] != codec.Magic {
@@ -81,21 +88,42 @@ func decodeBlockCapped(r io.Reader, budget int64) (Block, error) {
 	if _, err := io.ReadFull(r, payload[codec.HeaderLen:]); err != nil {
 		return Block{}, fmt.Errorf("chain: decode block body: %w", err)
 	}
-	return UnmarshalBlock(payload)
+	return ParseBlock(payload)
 }
 
 // UnmarshalBlock parses bytes produced by MarshalBlock and verifies the
 // header commitments, like DecodeBlock.
 func UnmarshalBlock(data []byte) (Block, error) {
+	return verified(ParseBlock(data))
+}
+
+// ParseBlock is UnmarshalBlock without the commitment check: it parses a
+// complete flat block payload (header included).
+func ParseBlock(data []byte) (Block, error) {
 	if int64(len(data)) > MaxWireBlock {
 		return Block{}, fmt.Errorf("chain: decode block: %d-byte block exceeds %d-byte cap: %w",
 			len(data), int64(MaxWireBlock), ErrTooLarge)
 	}
-	b, err := decodeFlatBlock(data)
+	var b Block
+	body, err := codec.ParseHeader(data, codec.KindBlock)
+	if err == nil {
+		r := codec.NewReader(body)
+		if b, err = readFlatBody(r); err == nil {
+			err = r.Done()
+		}
+	}
 	if err != nil {
 		return Block{}, fmt.Errorf("chain: decode block: %w", err)
 	}
-	if err := VerifyCommitments(b); err != nil {
+	return b, nil
+}
+
+// verified adds the commitment check to a parse.
+func verified(b Block, err error) (Block, error) {
+	if err != nil {
+		return Block{}, err
+	}
+	if _, err := VerifyCommitments(b); err != nil {
 		return Block{}, fmt.Errorf("chain: decoded block fails commitments: %w", err)
 	}
 	return b, nil

@@ -1,6 +1,8 @@
 package chain
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"contractstm/internal/types"
@@ -35,7 +37,7 @@ func TestBlockRoundTripAllArgTypes(t *testing.T) {
 		types.AddressFromUint64(9), types.HashString("h"), types.Amount(12),
 	}
 	// Re-seal: args changed the tx root.
-	b = Seal(GenesisHeader(types.HashString("genesis")), b.Calls, b.Receipts, b.Schedule, b.Profiles, b.Header.StateRoot)
+	b, _ = Seal(GenesisHeader(types.HashString("genesis")), b.Calls, b.Receipts, b.Schedule, b.Profiles, b.Header.StateRoot)
 	data, err := MarshalBlock(b)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -59,8 +61,18 @@ func TestDecodeBlockRejectsTamperedBody(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if _, err := UnmarshalBlock(data); err == nil {
-		t.Fatal("tampered block decoded without error")
+	if _, err := UnmarshalBlock(data); !errors.Is(err, ErrBadCommitment) {
+		t.Fatalf("UnmarshalBlock(tampered) = %v, want ErrBadCommitment", err)
+	}
+	if _, err := DecodeBlock(bytes.NewReader(data)); !errors.Is(err, ErrBadCommitment) {
+		t.Fatalf("DecodeBlock(tampered) = %v, want ErrBadCommitment", err)
+	}
+	// The parse-only pair leaves that verdict to validator.Precheck.
+	if got, err := ParseBlock(data); err != nil || got.Header != b.Header {
+		t.Fatalf("ParseBlock(tampered) = %v, want the block as encoded", err)
+	}
+	if got, err := ReadBlock(bytes.NewReader(data)); err != nil || got.Header != b.Header {
+		t.Fatalf("ReadBlock(tampered) = %v, want the block as encoded", err)
 	}
 }
 

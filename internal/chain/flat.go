@@ -153,24 +153,6 @@ func appendFlatArg(dst []byte, a any) ([]byte, error) {
 	}
 }
 
-// decodeFlatBlock parses a complete flat block payload (header included)
-// without verifying commitments; callers decide whether to verify.
-func decodeFlatBlock(payload []byte) (Block, error) {
-	body, err := codec.ParseHeader(payload, codec.KindBlock)
-	if err != nil {
-		return Block{}, err
-	}
-	r := codec.NewReader(body)
-	b, err := readFlatBody(r)
-	if err != nil {
-		return Block{}, err
-	}
-	if err := r.Done(); err != nil {
-		return Block{}, err
-	}
-	return b, nil
-}
-
 func readFlatBody(r *codec.Reader) (Block, error) {
 	var b Block
 	var err error

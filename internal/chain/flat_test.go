@@ -54,7 +54,7 @@ func TestErrTooLargeReportsObservedSize(t *testing.T) {
 		t.Fatalf("marshal: %v", err)
 	}
 	budget := int64(len(data)) / 2
-	_, err = decodeBlockCapped(bytes.NewReader(data), budget)
+	_, err = readBlockCapped(bytes.NewReader(data), budget)
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
@@ -94,7 +94,7 @@ func FuzzCodecBlock(f *testing.F) {
 	allArgs := sealSample(1, types.HashString("s"))
 	allArgs.Calls[0].Args = []any{uint64(7), int(-3), true, "text",
 		types.AddressFromUint64(9), types.HashString("h"), types.Amount(12)}
-	allArgs = Seal(GenesisHeader(types.HashString("g")), allArgs.Calls, allArgs.Receipts,
+	allArgs, _ = Seal(GenesisHeader(types.HashString("g")), allArgs.Calls, allArgs.Receipts,
 		allArgs.Schedule, allArgs.Profiles, allArgs.Header.StateRoot)
 	if data, err := MarshalBlock(allArgs); err == nil {
 		f.Add(data)
@@ -103,7 +103,7 @@ func FuzzCodecBlock(f *testing.F) {
 	empty, _ := codec.AppendHeader(nil, codec.KindBlock)
 	f.Add(empty)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeFlatBlock(data)
+		b, err := ParseBlock(data)
 		if err != nil {
 			return
 		}

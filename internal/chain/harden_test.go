@@ -32,13 +32,13 @@ func TestDecodeBlockOverBudget(t *testing.T) {
 		t.Fatalf("marshal: %v", err)
 	}
 	// A stream larger than the budget must fail with ErrTooLarge, not
-	// hang or over-allocate. decodeBlockCapped is DecodeBlock with the
+	// hang or over-allocate. readBlockCapped is ReadBlock with the
 	// budget exposed, so the test does not need a real 64 MB block.
-	if _, err := decodeBlockCapped(bytes.NewReader(data), int64(len(data))/2); !errors.Is(err, ErrTooLarge) {
+	if _, err := readBlockCapped(bytes.NewReader(data), int64(len(data))/2); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
 	// At or above its real size the same stream decodes fine.
-	if _, err := decodeBlockCapped(bytes.NewReader(data), int64(len(data))); err != nil {
+	if _, err := readBlockCapped(bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatalf("within budget: %v", err)
 	}
 }
@@ -59,7 +59,7 @@ func TestDecodeBlockBitFlips(t *testing.T) {
 		mut[i] ^= 0x41
 		got, err := UnmarshalBlock(mut)
 		if err == nil {
-			if verr := VerifyCommitments(got); verr != nil {
+			if _, verr := VerifyCommitments(got); verr != nil {
 				t.Fatalf("bit flip at %d decoded a block failing commitments: %v", i, verr)
 			}
 		}
@@ -72,7 +72,7 @@ func TestChainNewAtPrunes(t *testing.T) {
 	c := New(types.HashString("genesis"))
 	var checkpoint Header
 	for i := 0; i < 4; i++ {
-		b := Seal(c.Head().Header, sampleCalls(2), sampleReceipts(2), sampleSchedule(2), sampleProfiles(2),
+		b, _ := Seal(c.Head().Header, sampleCalls(2), sampleReceipts(2), sampleSchedule(2), sampleProfiles(2),
 			types.HashString("s"))
 		if err := c.Append(b); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -125,7 +125,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		// implies a self-consistent block).
 		b, err := UnmarshalBlock(data)
 		if err == nil {
-			if verr := VerifyCommitments(b); verr != nil {
+			if _, verr := VerifyCommitments(b); verr != nil {
 				t.Fatalf("decode accepted a block failing commitments: %v", verr)
 			}
 		}

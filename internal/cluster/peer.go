@@ -116,11 +116,11 @@ func (p *Peer) Head(ctx context.Context) (Head, error) {
 	return h, nil
 }
 
-// Block fetches and decodes the peer's block at the given height. The
-// decode path re-verifies header commitments, so a corrupted stream is
-// rejected here; execution-level trust still comes from AcceptBlock.
+// Block fetches and parses the peer's block at the given height, checking
+// nothing: Peer is the import pipeline's source, whose Phase A runs
+// validator.Precheck on every fetched block.
 func (p *Peer) Block(ctx context.Context, height uint64) (chain.Block, error) {
-	b, err := p.c.Block(ctx, height)
+	b, err := p.c.BlockUnverified(ctx, height)
 	if err != nil {
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
@@ -132,13 +132,13 @@ func (p *Peer) Block(ctx context.Context, height uint64) (chain.Block, error) {
 }
 
 // Blocks fetches up to count consecutive blocks starting at from — the
-// range endpoint that amortizes catch-up round-trips. The result may be
-// short (the peer serves what it has durable); a missing starting height
-// maps to ErrNoBlock like the single-block fetch. On any error the import
-// pipeline falls back to Block, which also owns the canonical fetch-error
-// messages.
+// range endpoint that amortizes catch-up round-trips, unchecked like
+// Block. The result may be short (the peer serves what it has durable); a
+// missing starting height maps to ErrNoBlock like the single-block fetch.
+// On any error the import pipeline falls back to Block, which also owns
+// the canonical fetch-error messages.
 func (p *Peer) Blocks(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
-	bs, err := p.c.Blocks(ctx, from, count)
+	bs, err := p.c.BlocksUnverified(ctx, from, count)
 	if err != nil {
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound && ae.Code == wire.CodeBlockNotFound {

@@ -156,7 +156,7 @@ func TestNestedCallsSeeParentWritesUnderEveryEngine(t *testing.T) {
 
 			// The sealed block must validate from the parent state.
 			vw, _ := nestedWorld(t)
-			block := chain.Seal(chain.GenesisHeader(types.HashString("nested")), calls,
+			block, _ := chain.Seal(chain.GenesisHeader(types.HashString("nested")), calls,
 				res.Receipts, res.Schedule, res.Profiles, root)
 			if _, err := validator.Validate(runtime.NewSimRunner(), vw, block,
 				validator.Config{Workers: 3}); err != nil {

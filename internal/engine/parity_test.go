@@ -64,7 +64,7 @@ func TestEngineParityAcrossWorkloads(t *testing.T) {
 					// Every engine's sealed block must pass validation
 					// against a fresh parent-state world.
 					wl.Reset()
-					block := chain.Seal(genesis(), wl.Calls, res.Receipts, res.Schedule, res.Profiles, root)
+					block, _ := chain.Seal(genesis(), wl.Calls, res.Receipts, res.Schedule, res.Profiles, root)
 					if _, err := validator.Validate(runtime.NewSimRunner(), wl.World, block,
 						validator.Config{Workers: 3}); err != nil {
 						t.Fatalf("%v: sealed block rejected: %v", ek, err)
@@ -269,7 +269,7 @@ func TestEngineParityOnOSThreads(t *testing.T) {
 		}
 
 		wl.Reset()
-		block := chain.Seal(genesis(), wl.Calls, res.Receipts, res.Schedule, res.Profiles, root)
+		block, _ := chain.Seal(genesis(), wl.Calls, res.Receipts, res.Schedule, res.Profiles, root)
 		if _, err := validator.Validate(runtime.NewOSRunner(nil), wl.World, block,
 			validator.Config{Workers: 4}); err != nil {
 			t.Fatalf("%v: sealed block rejected: %v", ek, err)

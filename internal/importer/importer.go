@@ -2,17 +2,18 @@
 // parallel validation on followers, the paper's validator role scaled to
 // cores.
 //
-// Validation splits into two phases. Phase A is stateless — decode,
-// commitment verification, schedule-graph construction (H acyclic, S a
-// topological order) and a window-internal header-linkage precheck —
-// everything in validator.Validate that never touches contract.World. It
-// runs concurrently across a bounded window of queued blocks on a worker
-// pool, fed by a prefetcher that amortizes peer round-trips with range
-// fetches (falling back to single-block fetches when a range fetch
-// fails). Phase B is stateful — fork-join replay against world state, WAL
-// append, chain append, receipts — and stays strictly sequential in height
-// order (it is node.ImportPrechecked, the same import core as
-// node.AcceptBlock, which runs Phase A inline for a pushed block).
+// Validation splits into two phases. Phase A is stateless — commitment
+// verification (here only: the fetch just parses), schedule-graph
+// construction (H acyclic, S a topological order) and a window-internal
+// header-linkage precheck — everything in validator.Validate that never
+// touches contract.World. It runs concurrently across a bounded window of
+// queued blocks on a worker pool, fed by a prefetcher that amortizes peer
+// round-trips with range fetches (falling back to single-block fetches
+// when a range fetch fails). Phase B is stateful — fork-join replay
+// against world state, WAL append, chain append, receipts — and stays
+// strictly sequential in height order (it is node.ImportPrechecked, the
+// same import core as node.AcceptBlock, which runs Phase A inline for a
+// pushed block).
 //
 // Determinism contract: Phase A results complete in arbitrary order, but a
 // reorder buffer hands them to Phase B strictly by height, so the first

@@ -64,6 +64,8 @@ type Stats = engine.Stats
 type Result struct {
 	// Block is the sealed block, including the published schedule.
 	Block chain.Block
+	// TxIDs are the calls' transaction IDs, as chain.Seal hashed them.
+	TxIDs []types.Hash
 	// Makespan is the run's duration in the runner's time unit (virtual
 	// gas-time for SimRunner, nanoseconds for OSRunner).
 	Makespan uint64
@@ -86,8 +88,8 @@ func Mine(eng engine.Engine, runner runtime.Runner, w *contract.World, parent ch
 	if err != nil {
 		return Result{}, fmt.Errorf("miner: state root: %w", err)
 	}
-	block := chain.Seal(parent, calls, res.Receipts, res.Schedule, res.Profiles, stateRoot)
-	return Result{Block: block, Makespan: res.Makespan, Stats: res.Stats, Graph: res.Graph}, nil
+	block, txIDs := chain.Seal(parent, calls, res.Receipts, res.Schedule, res.Profiles, stateRoot)
+	return Result{Block: block, TxIDs: txIDs, Makespan: res.Makespan, Stats: res.Stats, Graph: res.Graph}, nil
 }
 
 // MineParallel executes calls speculatively on cfg.Workers threads and

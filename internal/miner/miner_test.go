@@ -143,7 +143,7 @@ func TestMineParallelScheduleIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
-	if err := chain.VerifyCommitments(res.Block); err != nil {
+	if _, err := chain.VerifyCommitments(res.Block); err != nil {
 		t.Fatalf("commitments: %v", err)
 	}
 	if _, _, err := sched.ConstructValidator(len(w.Calls), res.Block.Schedule); err != nil {

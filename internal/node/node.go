@@ -263,6 +263,9 @@ type inflightEntry struct {
 	// retries is a mined block's execution retry count, un-tallied on
 	// rollback.
 	retries int
+	// txIDs are the calls' transaction IDs, from whoever hashed the tx
+	// root (chain.Seal or validator.Precheck), for the verdict's receipts.
+	txIDs []types.Hash
 }
 
 // New creates a node whose genesis commits to the world's current state.
@@ -572,12 +575,12 @@ func (n *Node) SubmitAll(calls []contract.Call) {
 // recordDurable indexes a durable block's receipts and fans the block
 // out to event-stream subscribers. Only the verdict calls it — never for
 // a sealed-not-durable block, which a crash could still void.
-func (n *Node) recordDurable(b chain.Block) {
-	recs := wire.ReceiptsOf(b)
-	for i, c := range b.Calls {
-		n.receipts.Record(wire.TxIDOf(c), recs[i])
+func (n *Node) recordDurable(e *inflightEntry) {
+	recs := wire.ReceiptsOf(e.block, e.txIDs)
+	for i, id := range e.txIDs {
+		n.receipts.Record(id, recs[i])
 	}
-	n.events.Publish(wire.Event{Block: wire.BlockInfoOf(b), Receipts: recs})
+	n.events.Publish(wire.Event{Block: wire.BlockInfoOf(e.block), Receipts: recs})
 }
 
 // markDurable publishes a new durable boundary — the height and the
@@ -703,7 +706,7 @@ func (n *Node) mineEntry(blockSize int) (*inflightEntry, miner.Result, error) {
 		n.pool.RequeueBatch(sel)
 		return nil, miner.Result{}, fmt.Errorf("node: mine: %w", err)
 	}
-	return &inflightEntry{block: res.Block, origin: mined, sel: sel, snap: snap, retries: res.Stats.Retries}, res, nil
+	return &inflightEntry{block: res.Block, origin: mined, sel: sel, snap: snap, retries: res.Stats.Retries, txIDs: res.TxIDs}, res, nil
 }
 
 // precheck yields the outputs of validation's stateless phase for a
@@ -727,7 +730,7 @@ func (n *Node) validateEntry(b chain.Block, pc precheck, from origin) (*inflight
 		n.world.Restore(snap)
 		return nil, err
 	}
-	return &inflightEntry{block: b, origin: from, snap: snap}, nil
+	return &inflightEntry{block: b, origin: from, snap: snap, txIDs: pre.TxIDs}, nil
 }
 
 // seal advances the sealed head over an executed block — sealed, not yet
@@ -823,7 +826,7 @@ func (n *Node) verdict(e *inflightEntry, err error) {
 		publish := n.publish
 		n.mu.Unlock()
 		n.markDurable(e.block.Header.Number, e.post)
-		n.recordDurable(e.block)
+		n.recordDurable(e)
 		if e.origin == mined && publish != nil {
 			publish(e.block)
 		}

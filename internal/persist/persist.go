@@ -16,11 +16,11 @@
 //
 // Every WAL record is one flat wire block behind a length+CRC32 frame;
 // every snapshot file is one frame. Integrity is layered: the frame CRC
-// catches torn or bit-rotted writes, the block codec re-verifies header
-// commitments, and recovery replays each block through the engine-hosted
-// validator — so a recovered node has re-verified the published (S, H)
-// schedules exactly as a validating peer would, and disk corruption can
-// at worst lose the torn tail, never silently alter state.
+// catches torn or bit-rotted writes, and recovery takes each block through
+// the engine-hosted validator, header commitments first — so a recovered
+// node has re-verified the published (S, H) schedules exactly as a
+// validating peer would, and disk corruption can at worst lose the torn
+// tail, never silently alter state.
 //
 // Durability policy: appends go straight to the segment file; fsync is
 // batched per Options.SyncEvery. Snapshots bound recovery time (replay
@@ -422,7 +422,9 @@ func (l *Log) Blocks(from uint64, fn func(chain.Block) error) error {
 // durable history (and fork against peers that imported it). That case
 // is refused as ErrCorrupt — the operator decides, recovery never
 // guesses. A bad final record is indistinguishable from a torn write
-// and is truncated like one.
+// and is truncated like one — but not one that parses under a valid CRC
+// and then fails validation: no torn write looks like that, and fn's
+// refusal stops recovery.
 func (l *Log) replaySegment(seg segment, from uint64, next *uint64, fn func(chain.Block) error) (int64, bool, error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
@@ -451,7 +453,7 @@ func (l *Log) replaySegment(seg segment, from uint64, next *uint64, fn func(chai
 		if err != nil {
 			decodeErr = err // errBadFrame
 		} else {
-			b, decodeErr = chain.UnmarshalBlock(payload)
+			b, decodeErr = chain.ParseBlock(payload)
 		}
 		if decodeErr != nil {
 			if r.n < size {

@@ -151,33 +151,7 @@ func (m *Map) Delete(ex stm.Executor, key string) error {
 // key commute, which is what keeps Ballot's vote tallies parallel. The
 // inverse subtracts delta.
 func (m *Map) AddUint(ex stm.Executor, key string, delta uint64) error {
-	if err := ex.Access(m.lock(key), m.addMode(), ex.Schedule().MapWrite); err != nil {
-		return err
-	}
-	// Buffered regimes (lazy and OCC) record the increment as a delta
-	// entry, not an absolute value: deltas from different transactions
-	// accumulate at apply time, so commutativity survives buffering — and
-	// an increment never clobbers (or is clobbered by) a buffered write
-	// to the same slot, because delta-after-Put folds into the buffered
-	// value.
-	if ov := ex.Overlay(); ov != nil {
-		if _, err := m.effectiveUint(ov, key); err != nil {
-			return err
-		}
-		ov.Add(m.overlayKey(key), int64(delta), func(d int64) { m.rawAdd(key, d) })
-		return nil
-	}
-	if cur, had := m.rawGet(key); had {
-		if _, ok := cur.(uint64); !ok {
-			return fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, key, cur)
-		}
-	}
-	// Plain subtraction is a correct inverse in any interleaving of
-	// commuting adds because the raw layer canonicalizes zero counters to
-	// absent bindings (EVM storage semantics); see rawAdd/rawPut.
-	ex.LogUndo(func() { m.rawAdd(key, -int64(delta)) })
-	m.rawAdd(key, int64(delta))
-	return nil
+	return m.addUint(ex, key, m.addMode(), int64(delta), 0)
 }
 
 // addMode returns the lock mode for AddUint: increment normally, but
@@ -195,34 +169,41 @@ func (m *Map) addMode() stm.Mode {
 // this is NOT commutative (it observes the current value), so it takes the
 // lock exclusively. The inverse adds delta back.
 func (m *Map) SubUint(ex stm.Executor, key string, delta uint64) error {
-	if err := ex.Access(m.lock(key), stm.ModeExclusive, ex.Schedule().MapWrite); err != nil {
+	return m.addUint(ex, key, stm.ModeExclusive, -int64(delta), delta)
+}
+
+// addUint is AddUint and SubUint: add delta to the counter at key, which
+// must not be below floor.
+func (m *Map) addUint(ex stm.Executor, key string, mode stm.Mode, delta int64, floor uint64) error {
+	if err := ex.Access(m.lock(key), mode, ex.Schedule().MapWrite); err != nil {
 		return err
 	}
+	// Buffered regimes (lazy and OCC) record the increment as a delta
+	// entry, not an absolute value: deltas from different transactions
+	// accumulate at apply time, so commutativity survives buffering — and
+	// an increment never clobbers (or is clobbered by) a buffered write
+	// to the same slot, because delta-after-Put folds into the buffered
+	// value.
 	if ov := ex.Overlay(); ov != nil {
 		base, err := m.effectiveUint(ov, key)
 		if err != nil {
 			return err
 		}
-		if base < delta {
-			return fmt.Errorf("%s[%q]: %d - %d: %w", m.name, key, base, delta, ErrUnderflow)
+		if base < floor {
+			return fmt.Errorf("%s[%q]: %d - %d: %w", m.name, key, base, floor, ErrUnderflow)
 		}
-		ov.Add(m.overlayKey(key), -int64(delta), func(d int64) { m.rawAdd(key, d) })
+		ov.Add(m.overlayKey(key), delta, func(d int64) { m.rawAdd(key, d) })
 		return nil
 	}
-	cur, had := m.rawGet(key)
-	var base uint64
-	if had {
-		b, ok := cur.(uint64)
-		if !ok {
-			return fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, key, cur)
-		}
-		base = b
+	// Eager: one placement hash and one critical section, and the inverse
+	// reuses the placement. Plain subtraction is a correct inverse in any
+	// interleaving of commuting adds because the raw layer canonicalizes
+	// zero counters to absent bindings (EVM storage semantics); see rawPut.
+	p := placeKey(key)
+	if err := m.rawAddAt(p, key, delta, floor); err != nil {
+		return err
 	}
-	if base < delta {
-		return fmt.Errorf("%s[%q]: %d - %d: %w", m.name, key, base, delta, ErrUnderflow)
-	}
-	ex.LogUndo(func() { m.rawAdd(key, int64(delta)) })
-	m.rawAdd(key, -int64(delta))
+	ex.LogUndo(func() { _ = m.rawAddAt(p, key, -delta, 0) })
 	return nil
 }
 
@@ -315,6 +296,24 @@ func (m *Map) rawAdd(key string, delta int64) {
 	v, _ := m.raw.root.find(&p, key)
 	cur, _ := v.(uint64)
 	m.raw.set(&p, key, uint64(int64(cur)+delta))
+}
+
+// rawAddAt is rawAdd with the key already placed and the eager path's
+// checks inside the critical section: a slot that holds no counter, or a
+// counter below floor, is refused unchanged.
+func (m *Map) rawAddAt(p placement, key string, delta int64, floor uint64) error {
+	m.raw.mu.Lock()
+	defer m.raw.mu.Unlock()
+	v, had := m.raw.root.find(&p, key)
+	cur, isUint := v.(uint64)
+	if had && !isUint {
+		return fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, key, v)
+	}
+	if cur < floor {
+		return fmt.Errorf("%s[%q]: %d - %d: %w", m.name, key, cur, floor, ErrUnderflow)
+	}
+	m.raw.set(&p, key, uint64(int64(cur)+delta))
+	return nil
 }
 
 // set binds key to v, or unbinds it when v is the zero counter. Caller

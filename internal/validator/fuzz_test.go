@@ -61,13 +61,12 @@ func mutateBlock(rng *rand.Rand, b chain.Block) (chain.Block, bool) {
 		}
 		preserving = true
 	case 6: // forge the state root
+		// The re-seal below keeps the forged root.
 		b.Header.StateRoot = types.HashString("forged")
-		// Keep the forged root through the re-seal below.
-		return chain.Seal(chain.GenesisHeader(types.HashString("fuzz-genesis")),
-			b.Calls, b.Receipts, b.Schedule, b.Profiles, types.HashString("forged")), false
 	}
-	return chain.Seal(chain.GenesisHeader(types.HashString("fuzz-genesis")),
-		b.Calls, b.Receipts, b.Schedule, b.Profiles, b.Header.StateRoot), preserving
+	b, _ = chain.Seal(chain.GenesisHeader(types.HashString("fuzz-genesis")),
+		b.Calls, b.Receipts, b.Schedule, b.Profiles, b.Header.StateRoot)
+	return b, preserving
 }
 
 // TestValidatorMetamorphicTamperFuzz: for random workloads and random

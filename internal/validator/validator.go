@@ -60,24 +60,28 @@ type Result struct {
 type Prechecked struct {
 	plan  sched.Plan
 	graph *sched.Graph
+	// TxIDs are the calls' transaction IDs: the tx root's leaves.
+	TxIDs []types.Hash
 }
 
 // Precheck runs every check in Validate that never touches contract.World:
 // body/schedule commitments and schedule-graph construction (H acyclic, S a
-// topological order). It is pure with respect to b — safe to run
+// topological order) — the one place a node checks the commitments of a
+// block it did not seal. It is pure with respect to b — safe to run
 // concurrently across a window of queued blocks (internal/importer's
 // Phase A). The returned errors are byte-identical to the ones Validate
 // produces for the same block, so a staged import pipeline that elects the
 // first Precheck error by height rejects exactly like Validate.
 func Precheck(b chain.Block) (Prechecked, error) {
-	if err := chain.VerifyCommitments(b); err != nil {
+	txIDs, err := chain.VerifyCommitments(b)
+	if err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	plan, graph, err := sched.ConstructValidator(len(b.Calls), b.Schedule)
 	if err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	return Prechecked{plan: plan, graph: graph}, nil
+	return Prechecked{plan: plan, graph: graph, TxIDs: txIDs}, nil
 }
 
 // Validate re-executes block b against w (which must hold the parent

@@ -38,7 +38,7 @@ func mineBlock(t *testing.T, p workload.Params) (*workload.Workload, chain.Block
 // tampering tests exercise the validator's semantic checks rather than the
 // cheap commitment comparison.
 func reseal(b chain.Block) chain.Block {
-	sealed := chain.Seal(genesis(), b.Calls, b.Receipts, b.Schedule, b.Profiles, b.Header.StateRoot)
+	sealed, _ := chain.Seal(genesis(), b.Calls, b.Receipts, b.Schedule, b.Profiles, b.Header.StateRoot)
 	return sealed
 }
 
