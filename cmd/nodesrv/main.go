@@ -41,7 +41,7 @@
 // is behind. A replica refuses POST /v1/tx and POST /v1/mine (403
 // read_replica): its blocks come from the upstream only. Add -history to
 // also serve historical state queries (GET /v1/state/{addr}?height=H)
-// from a shadow copy of the demo genesis. -subscriber-buffer widens each
+// over the newest 128 durable heights. -subscriber-buffer widens each
 // local subscriber's event buffer, which relay nodes serving many
 // downstream clients want.
 //
@@ -116,7 +116,7 @@ func run() error {
 		mpShardEntries = flag.Int("mempool-shard-entries", 0, "max entries per mempool shard (0 = unlimited)")
 
 		upstream  = flag.String("upstream", "", "primary node URL; set it to run as a read replica")
-		history   = flag.Bool("history", false, "with -upstream, serve historical state queries from a shadow world")
+		history   = flag.Bool("history", false, "with -upstream, serve historical state queries over the newest durable heights")
 		subBuffer = flag.Int("subscriber-buffer", 0, "per-subscriber event buffer on /v1/subscribe (0 = default 64)")
 	)
 	flag.Parse()
@@ -203,20 +203,10 @@ func run() error {
 	defer stop()
 
 	if *upstream != "" {
-		rcfg := replica.Config{
-			Node: n, Upstream: *upstream,
+		rep, err := replica.New(replica.Config{
+			Node: n, Upstream: *upstream, History: *history,
 			ErrorLog: func(err error) { fmt.Fprintln(os.Stderr, "nodesrv: replica:", err) },
-		}
-		if *history {
-			// The shadow world rebuilds the same deterministic demo
-			// genesis; AttachHistory cross-checks it against the chain.
-			shadow, err := demoWorld()
-			if err != nil {
-				return err
-			}
-			rcfg.ShadowWorld = shadow
-		}
-		rep, err := replica.New(rcfg)
+		})
 		if err != nil {
 			return err
 		}

@@ -34,8 +34,8 @@
 // durable-ordered publish, catch-up sync — serial or staged through
 // importer — and snapshot fast-sync), replica (read replicas: the SSE
 // relay that re-fans one upstream subscription out to local
-// subscribers, bounded-staleness read gating, and the historical state
-// materializer behind GET /v1/state?height=H),
+// subscribers, bounded-staleness read gating, and historical reads
+// behind GET /v1/state?height=H),
 // workload/stats/bench (the evaluation harness), analysis (the chainvet
 // static-analysis suite that machine-checks the determinism, locking,
 // pooling and codec invariants above; cmd/chainvet runs it standalone

@@ -110,9 +110,8 @@ func (p *Pass) SourceFiles() []*ast.File {
 // its verdict election must depend only on block heights — a clock or
 // iteration-order dependence could make two followers elect different
 // first errors for the same bad window. The replica qualifies because
-// it applies upstream blocks through validation and materializes
-// historical state — any nondeterminism there is chain divergence on a
-// follower.
+// its relay decides which upstream blocks a follower applies — any
+// nondeterminism there is chain divergence on a follower.
 func ConsensusCritical(base string) bool {
 	switch base {
 	case "engine", "stm", "sched", "chain", "validator", "miner", "mempool", "importer", "replica":

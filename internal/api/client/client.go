@@ -415,8 +415,7 @@ func WithMinHeight(h uint64) ReadOpt {
 	return func(o *readOpts) { o.minHeight, o.haveMin = h, true }
 }
 
-// AtHeight asks for the state at an exact historical block height,
-// materialized server-side from the nearest snapshot plus tail replay.
+// AtHeight asks for the state at an exact historical block height.
 // Heights the node has not reached answer 412 replica_behind; heights
 // below its history window answer 404 height_unavailable.
 func AtHeight(h uint64) ReadOpt {

@@ -108,7 +108,7 @@ type Backend interface {
 	// BalanceAtHeight reads an account balance at a historical block
 	// height. ErrHeightAhead means the node has not durably reached the
 	// height yet (412); ErrHeightUnavailable means the height fell out
-	// of the node's history window or no history is attached (404).
+	// of the node's history window or the node retains none (404).
 	BalanceAtHeight(types.Address, uint64) (types.Amount, error)
 }
 
@@ -117,7 +117,7 @@ type Backend interface {
 // height_unavailable (404).
 var (
 	ErrHeightAhead       = errors.New("height ahead of served height")
-	ErrHeightUnavailable = errors.New("height not materializable")
+	ErrHeightUnavailable = errors.New("height not retained")
 )
 
 // Config assembles a Server.
@@ -624,9 +624,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBalance is GET /v1/state/{address}: a balance read at the
-// durable head, or — with ?height=H — at a materialized
-// historical height (nearest snapshot plus tail replay on nodes with
-// history attached). A height the node has not durably reached answers
+// durable head, or — with ?height=H — at a historical height the node
+// retains. A height the node has not durably reached answers
 // 412 replica_behind; one below the history window answers 404
 // height_unavailable.
 func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {

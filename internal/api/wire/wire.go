@@ -72,8 +72,8 @@ const (
 	// hint — the read is well-formed, the replica just has not caught up.
 	CodeReplicaBehind = "replica_behind"
 	// CodeHeightUnavailable answers 404: the requested historical height
-	// sits below what the node's history window still materializes (the
-	// chain is pruned there, or no history is attached at all).
+	// sits below what the node's history window still holds (or the
+	// node retains no history at all).
 	CodeHeightUnavailable = "height_unavailable"
 	// CodeReadReplica answers 403 to POST /v1/tx and POST /v1/mine on a
 	// node that follows an upstream: one locally sealed block would fork
@@ -385,7 +385,7 @@ type Mine struct {
 
 // Balance is the GET /v1/state/{address} response: a state read of one
 // account's balance at the current block boundary, or — with ?height=H —
-// at a materialized historical height.
+// at a historical height.
 type Balance struct {
 	Address string `json:"address"`
 	Balance uint64 `json:"balance"`

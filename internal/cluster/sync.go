@@ -87,28 +87,27 @@ func SyncWith(ctx context.Context, n *node.Node, p *Peer, icfg importer.Config) 
 		if err != nil {
 			return imported, err
 		}
-		local := n.Head().Header
-		switch {
-		case remote.Number == local.Number:
-			if remote.Hash != local.Hash() {
-				return imported, fmt.Errorf("%w: height %d: local %s, peer %s (%s)",
-					ErrDiverged, local.Number, local.Hash().Short(), remote.Hash.Short(), p.URL())
-			}
-			return imported, nil
-		case remote.Number < local.Number:
-			// We are ahead; the shared prefix must still agree.
-			if known, ok := n.BlockAt(remote.Number); ok && known.Header.Hash() != remote.Hash {
-				return imported, fmt.Errorf("%w: height %d: local %s, peer %s (%s)",
-					ErrDiverged, remote.Number, known.Header.Hash().Short(), remote.Hash.Short(), p.URL())
-			}
-			return imported, nil
+		local := n.Height()
+		if remote.Number <= local {
+			return imported, SameChain(n, remote, p)
 		}
-		count, err := importer.Run(ctx, n, p, local.Number+1, remote.Number, icfg)
+		count, err := importer.Run(ctx, n, p, local+1, remote.Number, icfg)
 		imported += count
 		if err != nil {
 			return imported, wrapImportErr(err, p)
 		}
 	}
+}
+
+// SameChain checks a peer's head against n: holding a different block at
+// that height, n is on another fork — ErrDiverged. A height n does not
+// hold (ahead of its head, or pruned) decides nothing.
+func SameChain(n *node.Node, remote Head, p *Peer) error {
+	if known, ok := n.BlockAt(remote.Number); ok && known.Header.Hash() != remote.Hash {
+		return fmt.Errorf("%w: height %d: local %s, peer %s (%s)",
+			ErrDiverged, remote.Number, known.Header.Hash().Short(), remote.Hash.Short(), p.URL())
+	}
+	return nil
 }
 
 // wrapImportErr maps a failed pull into the cluster error vocabulary: a

@@ -142,46 +142,6 @@ func (n *Node) ReadStamp() (uint64, int64) {
 	return height, stale
 }
 
-// HistoryReader materializes historical state reads — the nearest-
-// snapshot-plus-tail-replay machinery lives in internal/replica, behind
-// this interface so the node does not import it. Implementations must
-// be safe for concurrent use and must answer with api.ErrHeightAhead /
-// api.ErrHeightUnavailable sentinels for out-of-window heights.
-type HistoryReader interface {
-	BalanceAtHeight(addr types.Address, height uint64) (types.Amount, error)
-}
-
-// SetHistory attaches (or, with nil, detaches) the historical-read
-// materializer behind GET /v1/state/{addr}?height=H.
-func (n *Node) SetHistory(h HistoryReader) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.history = h
-}
-
-// historyReader reads the attached materializer.
-func (n *Node) historyReader() HistoryReader {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.history
-}
-
-// BalanceAtHeight implements api.Backend: a balance read at a
-// historical block height. The durability gate applies before the
-// history window is consulted — a height above the served height is
-// "behind" (412 on the wire) even if the live world has sealed past it,
-// because a replica read must never expose a block a crash could void.
-func (n *Node) BalanceAtHeight(addr types.Address, height uint64) (types.Amount, error) {
-	if height > n.servedHeight() {
-		return 0, fmt.Errorf("node: height %d: %w", height, api.ErrHeightAhead)
-	}
-	hist := n.historyReader()
-	if hist == nil {
-		return 0, fmt.Errorf("node: no history attached: %w", api.ErrHeightUnavailable)
-	}
-	return hist.BalanceAtHeight(addr, height)
-}
-
 // SetStatusDecorator forwards to the API server's status hook — the
 // replica relay reports itself in GET /v1/status through this.
 func (n *Node) SetStatusDecorator(fn func(*wire.Status)) {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
@@ -18,6 +19,7 @@ import (
 	"contractstm/internal/importer"
 	"contractstm/internal/node"
 	"contractstm/internal/persist"
+	"contractstm/internal/replica"
 	"contractstm/internal/runtime"
 	"contractstm/internal/types"
 	"contractstm/internal/validator"
@@ -238,9 +240,10 @@ func TestCommitmentTamperedBlockRejectedOnEveryPath(t *testing.T) {
 	}
 }
 
-// TestCommitmentOnePassPerBlock: mined, pushed, recovered or synced, a
-// block costs the node that takes it one pass over its commitments —
-// chain.Seal's or validator.Precheck's — at window 1 and window 4.
+// TestCommitmentOnePassPerBlock: mined, pushed, recovered, synced or
+// relayed, a block costs the node that takes it one pass over its
+// commitments — chain.Seal's or validator.Precheck's — at window 1 and
+// window 4.
 func TestCommitmentOnePassPerBlock(t *testing.T) {
 	const blocks = 6
 	p := cmtParams(workload.KindToken, blocks*cmtBlockSize)
@@ -286,7 +289,30 @@ func TestCommitmentOnePassPerBlock(t *testing.T) {
 					t.Fatalf("SyncWith = %d, %v", n, err)
 				}
 			})
-			for _, n := range []*node.Node{pushed, reopened, synced} {
+
+			// A replica's relay pulls through the same pipeline: its
+			// fetches must not verify on the way in either.
+			relayed, _ := cmtNode(t, p, t.TempDir(), depth)
+			rep, err := replica.New(replica.Config{Node: relayed, Upstream: peer.URL()})
+			if err != nil {
+				t.Fatalf("replica.New: %v", err)
+			}
+			passes("relayed", func() {
+				rctx, cancel := context.WithCancel(ctx)
+				done := make(chan error, 1)
+				go func() { done <- rep.Relay().Run(rctx) }()
+				for deadline := time.Now().Add(10 * time.Second); relayed.Height() < blocks; {
+					if time.Now().After(deadline) {
+						t.Fatalf("replica stuck at height %d", relayed.Height())
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+				cancel()
+				if err := <-done; !errors.Is(err, context.Canceled) {
+					t.Fatalf("Relay.Run: %v", err)
+				}
+			})
+			for _, n := range []*node.Node{pushed, reopened, synced, relayed} {
 				if n.Head().Header.Hash() != mined[blocks-1].Header.Hash() {
 					t.Fatalf("a follower ended on another head: %+v", n.CurrentStatus())
 				}

@@ -207,9 +207,9 @@ type Node struct {
 	// milliseconds (atomic; 0 until the first advance). The API's
 	// X-Chain-Staleness header derives from it.
 	lastDurableAt atomic.Int64
-	// history, when attached (SetHistory), materializes historical state
-	// reads for the API's ?height=H queries. Guarded by n.mu.
-	history HistoryReader
+	// history retains the newest durable views for the API's ?height=H
+	// reads, once RetainHistory turns it on.
+	history history
 	// publish is the post-durability announce hook (Config.Publish;
 	// guarded by n.mu so SetPublish can install it after construction).
 	publish func(chain.Block)
@@ -586,9 +586,17 @@ func (n *Node) recordDurable(e *inflightEntry) {
 // markDurable publishes a new durable boundary — the height and the
 // state as of that block, as one value — and stamps when it happened, the
 // staleness clock behind the API's X-Chain-Staleness header. Every
-// durable-height advance funnels through here.
+// durable-height advance funnels through here, which is what lets a node
+// that retains history keep the views it publishes: under history.mu, so
+// the newest retained view is always the published one.
 func (n *Node) markDurable(height uint64, state storage.Snapshot) {
-	n.durable.Store(&durableView{height: height, state: state})
+	view := &durableView{height: height, state: state}
+	n.history.mu.Lock()
+	n.durable.Store(view)
+	if n.history.on {
+		n.history.push(view)
+	}
+	n.history.mu.Unlock()
 	n.lastDurableAt.Store(time.Now().UnixMilli())
 }
 

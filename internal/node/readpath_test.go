@@ -21,7 +21,6 @@ import (
 	"contractstm/internal/runtime"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
-	"contractstm/internal/validator"
 )
 
 // chainHeight parses the X-Chain-Height header off a response.
@@ -362,10 +361,7 @@ func TestV1BalanceAndHeightAreOneRead(t *testing.T) {
 	const blocks, blockSize, callers = 12, 5, 3
 	w, faucetAddr, calls := faucetWorld(t, callers, blocks*blockSize)
 	// The faucet pays every call, so its balance names the height.
-	addrs := []types.Address{faucetAddr}
-	for _, c := range calls[:callers] {
-		addrs = append(addrs, c.Sender)
-	}
+	addrs := faucetAccounts(faucetAddr, calls, callers)
 	n, err := New(Config{
 		World: w, Workers: 2, Runner: runtime.NewSimRunner(),
 		DataDir: t.TempDir(), Persist: persist.Options{SnapshotEvery: 3}, PipelineDepth: 4,
@@ -419,18 +415,9 @@ func TestV1BalanceAndHeightAreOneRead(t *testing.T) {
 
 	// Serial replay of the same chain: the balances at every height.
 	ref, _, _ := faucetWorld(t, callers, blocks*blockSize)
-	want := make([][]uint64, blocks+1)
+	want := replayBalances(t, ref, n, blocks, addrs)
 	for h := 0; h <= blocks; h++ {
-		if h > 0 {
-			b, _ := n.BlockAt(uint64(h))
-			if _, err := validator.Validate(runtime.NewSimRunner(), ref, b, validator.Config{Workers: 1}); err != nil {
-				t.Fatalf("replay %d: %v", h, err)
-			}
-		}
-		for _, a := range addrs {
-			want[h] = append(want[h], uint64(balanceOf(t, ref, a)))
-		}
-		if got := want[h][0]; got != uint64((blocks-h)*blockSize) {
+		if got := want[h][0]; got != types.Amount((blocks-h)*blockSize) {
 			t.Fatalf("fixture: faucet holds %d after %d blocks", got, h)
 		}
 	}
@@ -438,7 +425,7 @@ func TestV1BalanceAndHeightAreOneRead(t *testing.T) {
 	for _, sightings := range seen {
 		for _, s := range sightings {
 			heights[s.height] = true
-			if s.height > blocks || want[s.height][s.addr] != s.balance {
+			if s.height > blocks || uint64(want[s.height][s.addr]) != s.balance {
 				t.Fatalf("read balance %d of %s at height %d; at that height it was %d",
 					s.balance, addrs[s.addr], s.height, want[min(s.height, blocks)][s.addr])
 			}

@@ -10,6 +10,7 @@ import (
 
 	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
+	"contractstm/internal/cluster"
 	"contractstm/internal/importer"
 	"contractstm/internal/node"
 )
@@ -29,8 +30,11 @@ type RelayConfig struct {
 	// broker, which is the fan-out: downstream subscribers attach to
 	// this node, not the upstream.
 	Node *node.Node
-	// Upstream is the client for the node being followed (required).
-	Upstream *client.Client
+	// Upstream is the node being followed (required): the relay
+	// subscribes and reads the head through its SDK client and pulls
+	// blocks through the peer itself, the import pipeline's unverifying
+	// source — Phase A checks each block's commitments, once.
+	Upstream *cluster.Peer
 	// Backoff and MaxBackoff shape the reconnect delay (0 = defaults).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
@@ -53,7 +57,7 @@ type RelayConfig struct {
 // resume with Last-Event-ID so the upstream replays the missed events.
 type Relay struct {
 	n      *node.Node
-	up     *client.Client
+	up     *cluster.Peer
 	base   time.Duration
 	max    time.Duration
 	errLog func(error)
@@ -70,7 +74,7 @@ type Relay struct {
 // NewRelay builds a relay; Run starts it.
 func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Node == nil || cfg.Upstream == nil {
-		return nil, errors.New("replica: relay needs a node and an upstream client")
+		return nil, errors.New("replica: relay needs a node and an upstream peer")
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = DefaultRelayBackoff
@@ -102,10 +106,11 @@ func (r *Relay) Status() wire.RelayStatus {
 	}
 }
 
-// Run drives the relay until the context ends (returned as its cause)
-// or a block the upstream serves fails local validation — divergence is
-// fatal, not retryable. The subscribe stream is re-established with
-// exponential backoff on every other failure.
+// Run drives the relay until the context ends (returned as its cause),
+// the upstream's chain turns out to have forked from the local one
+// (cluster.ErrDiverged) or a block it serves fails local validation —
+// divergence is fatal, not retryable. The subscribe stream is
+// re-established with exponential backoff on every other failure.
 func (r *Relay) Run(ctx context.Context) error {
 	var lastSeq uint64
 	haveSeq := false
@@ -118,9 +123,9 @@ func (r *Relay) Run(ctx context.Context) error {
 		var stream *client.Stream
 		var err error
 		if haveSeq {
-			stream, err = r.up.Subscribe(ctx, client.WithLastEventID(lastSeq))
+			stream, err = r.up.Client().Subscribe(ctx, client.WithLastEventID(lastSeq))
 		} else {
-			stream, err = r.up.Subscribe(ctx)
+			stream, err = r.up.Client().Subscribe(ctx)
 		}
 		if err != nil {
 			r.errLog(fmt.Errorf("replica: relay subscribe: %w", err))
@@ -196,7 +201,8 @@ func (r *Relay) consume(ctx context.Context, stream *client.Stream) error {
 	}
 }
 
-// catchUp pulls from the local head to the upstream's durable head.
+// catchUp pulls from the local head to the upstream's durable head,
+// after checking that the two are one chain: a fork no pull can reconcile.
 func (r *Relay) catchUp(ctx context.Context) error {
 	head, err := r.up.Head(ctx)
 	if err != nil {
@@ -207,6 +213,9 @@ func (r *Relay) catchUp(ctx context.Context) error {
 		return nil
 	}
 	r.observeHeight(head.Number)
+	if err := cluster.SameChain(r.n, head, r.up); err != nil {
+		return err
+	}
 	return r.pull(ctx, head.Number, false)
 }
 

@@ -1,14 +1,24 @@
+// Package replica turns any follower node into a first-class read
+// replica and event relay: bounded-staleness /v1 reads served at the
+// follower's durable height, historical balance queries answered from
+// the durable versions the node retains, and an SSE relay that consumes
+// one upstream subscribe stream and re-fans it out through the
+// follower's own broker — thousands of downstream subscribers cost the
+// miner a single connection.
+//
+// The package sits above internal/node (the node never imports it) and
+// rides the existing durability gate: everything a replica serves went
+// through the validated import path first, so a replica read can never
+// expose a block a crash on the miner could void.
 package replica
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"contractstm/internal/api/wire"
 	"contractstm/internal/cluster"
-	"contractstm/internal/contract"
 	"contractstm/internal/importer"
 	"contractstm/internal/node"
 )
@@ -23,14 +33,9 @@ type Config struct {
 	Upstream string
 	// HTTPClient customizes the upstream transport (nil = SDK default).
 	HTTPClient *http.Client
-	// ShadowWorld, when set, enables historical queries
-	// (GET /v1/state/{addr}?height=H): a dedicated world built by the
-	// same deterministic genesis setup as Node's, owned by the history
-	// after New.
-	ShadowWorld *contract.World
-	// History tunes the historical materializer (Node, World and zero
-	// values are filled in; ignored without ShadowWorld).
-	History HistoryConfig
+	// History enables historical queries (GET /v1/state/{addr}?height=H)
+	// over the durable versions Node retains from New on.
+	History bool
 	// Import sizes the staged import pipeline every block is pulled
 	// through, at catch-up and while relaying (zero values = importer
 	// defaults).
@@ -45,19 +50,17 @@ type Config struct {
 // Replica bundles the three read-path roles of a follower: validated
 // catch-up and live block application (the relay), bounded-staleness
 // read serving (the node's API, stamped and gated by internal/api), and
-// historical queries (the history materializer). The replica's status
-// endpoint reports the relay's accounting under status.relay.
+// historical queries (the node's retained versions). The replica's
+// status endpoint reports the relay's accounting under status.relay.
 type Replica struct {
 	n     *node.Node
-	peer  *cluster.Peer
 	relay *Relay
-	hist  *History
 }
 
-// New wires a follower node into a replica: attaches the history (when
-// a shadow world is supplied), builds the relay, makes the node's API
-// refuse writes, and decorates the node's status with the relay's
-// accounting. Run starts following.
+// New wires a follower node into a replica: turns on history retention
+// (when asked), builds the relay, makes the node's API refuse writes, and
+// decorates the node's status with the relay's accounting. Run starts
+// following.
 func New(cfg Config) (*Replica, error) {
 	if cfg.Node == nil {
 		return nil, errors.New("replica: nil node")
@@ -65,10 +68,9 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Upstream == "" {
 		return nil, errors.New("replica: no upstream URL")
 	}
-	peer := cluster.NewPeer(cfg.Upstream, cfg.HTTPClient)
 	rcfg := cfg.Relay
 	rcfg.Node = cfg.Node
-	rcfg.Upstream = peer.Client()
+	rcfg.Upstream = cluster.NewPeer(cfg.Upstream, cfg.HTTPClient)
 	if rcfg.ErrorLog == nil {
 		rcfg.ErrorLog = cfg.ErrorLog
 	}
@@ -77,41 +79,27 @@ func New(cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	relay.icfg = cfg.Import
-	r := &Replica{n: cfg.Node, peer: peer, relay: relay}
-	if cfg.ShadowWorld != nil {
-		hcfg := cfg.History
-		hcfg.World = cfg.ShadowWorld
-		hist, err := AttachHistory(cfg.Node, hcfg)
-		if err != nil {
-			return nil, err
-		}
-		r.hist = hist
+	if cfg.History {
+		cfg.Node.RetainHistory()
 	}
 	cfg.Node.RefuseWrites()
 	cfg.Node.SetStatusDecorator(func(st *wire.Status) {
 		rs := relay.Status()
 		st.Relay = &rs
 	})
-	return r, nil
+	return &Replica{n: cfg.Node, relay: relay}, nil
 }
 
 // Relay returns the replica's event relay.
 func (r *Replica) Relay() *Relay { return r.relay }
 
-// History returns the historical materializer (nil without a shadow
-// world).
-func (r *Replica) History() *History { return r.hist }
-
 // Node returns the underlying follower.
 func (r *Replica) Node() *node.Node { return r.n }
 
-// Run catches the follower up through the staged import pipeline, then
-// relays the upstream event stream until the context ends. The initial
-// sync tolerates an upstream that is momentarily unreachable only as
-// far as the SDK's retry policy; a diverged chain fails immediately.
-func (r *Replica) Run(ctx context.Context) error {
-	if _, err := cluster.SyncWith(ctx, r.n, r.peer, r.relay.icfg); err != nil {
-		return fmt.Errorf("replica: initial sync: %w", err)
-	}
-	return r.relay.Run(ctx)
-}
+// Run follows the upstream until the context ends: the relay catches the
+// follower up through the staged import pipeline each time its stream
+// (re)connects, then applies the blocks the stream announces. An upstream
+// that is unreachable is retried with the relay's backoff; one whose
+// chain has diverged from the follower's (cluster.ErrDiverged), or that
+// serves a block local validation rejects, ends the run.
+func (r *Replica) Run(ctx context.Context) error { return r.relay.Run(ctx) }

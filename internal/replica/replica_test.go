@@ -15,11 +15,49 @@ import (
 	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
+	"contractstm/internal/cluster"
 	"contractstm/internal/contract"
 	"contractstm/internal/importer"
 	"contractstm/internal/node"
+	"contractstm/internal/runtime"
 	"contractstm/internal/validator"
+	"contractstm/internal/workload"
 )
+
+const (
+	histBlocks    = 4
+	histBlockSize = 6
+)
+
+// histNode builds a node over a fresh copy of the deterministic genesis
+// world, with the call list that drives it — callable repeatedly so an
+// upstream and its replica start bit-identical.
+func histNode(t *testing.T) (*node.Node, []contract.Call) {
+	t.Helper()
+	wl, err := workload.Generate(workload.Params{
+		Kind: workload.KindToken, Transactions: histBlocks * histBlockSize,
+		ConflictPercent: 20, Seed: 47,
+	})
+	if err != nil {
+		t.Fatalf("workload: %v", err)
+	}
+	n, err := node.New(node.Config{World: wl.World, Workers: 3, Runner: runtime.NewSimRunner()})
+	if err != nil {
+		t.Fatalf("node.New: %v", err)
+	}
+	return n, wl.Calls
+}
+
+// mineChain advances n by `blocks` blocks off the workload's call list.
+func mineChain(t *testing.T, n *node.Node, calls []contract.Call, blocks int) {
+	t.Helper()
+	n.SubmitAll(calls[:blocks*histBlockSize])
+	for i := 0; i < blocks; i++ {
+		if _, err := n.MineOne(histBlockSize); err != nil {
+			t.Fatalf("mine %d: %v", i+1, err)
+		}
+	}
+}
 
 // serveNode exposes a node over httptest.
 func serveNode(t *testing.T, n *node.Node) *httptest.Server {
@@ -67,22 +105,21 @@ func waitHeight(t *testing.T, n *node.Node, height uint64) {
 	}
 }
 
-// TestReplicaFollowsUpstream is the end-to-end read-path: initial sync
-// catches up blocks mined before the replica existed, the relay applies
+// TestReplicaFollowsUpstream is the end-to-end read-path: the first
+// catch-up carries blocks mined before the replica existed, the relay applies
 // blocks mined after, reads against the replica serve the upstream's
 // chain, and the status document reports the relay's accounting.
 func TestReplicaFollowsUpstream(t *testing.T) {
 	up, calls := histNode(t)
 	upSrv := serveNode(t, up)
-	// Two blocks exist before the replica starts: the initial-sync path.
+	// Two blocks exist before the replica starts: the catch-up path.
 	mineChain(t, up, calls, 2)
 
-	shadow, _ := histWorld(t)
-	rep := startReplica(t, upSrv.URL, Config{ShadowWorld: shadow})
+	rep := startReplica(t, upSrv.URL, Config{History: true})
 	waitHeight(t, rep.Node(), 2)
 
 	// Hold the next blocks until the relay's stream is established —
-	// otherwise initial sync could carry them and the relay-path
+	// otherwise the first catch-up could carry them and the relay-path
 	// accounting below would have nothing to count.
 	upSDK := client.New(upSrv.URL)
 	ctx := context.Background()
@@ -137,6 +174,37 @@ func TestReplicaFollowsUpstream(t *testing.T) {
 	// or, when catch-up wins the race, as gap fills.
 	if st.Relay.Events+st.Relay.GapsFilled < 2 || st.Relay.UpstreamHeight != histBlocks {
 		t.Fatalf("relay accounting = %+v", st.Relay)
+	}
+}
+
+// TestReplicaDivergedUpstreamIsFatal: a follower and an upstream that
+// hold different blocks at the same height are two chains, and no pull
+// reconciles them — Run ends with cluster.ErrDiverged instead of retrying,
+// and the follower keeps the block it had.
+func TestReplicaDivergedUpstreamIsFatal(t *testing.T) {
+	up, calls := histNode(t)
+	mineChain(t, up, calls, 1)
+	follower, _ := histNode(t)
+	follower.SubmitAll(calls[histBlockSize : 2*histBlockSize])
+	own, err := follower.MineOne(histBlockSize)
+	if err != nil {
+		t.Fatalf("follower's own block: %v", err)
+	}
+	if own.Header.Hash() == up.Head().Header.Hash() {
+		t.Fatal("fixture: the two chains agree at height 1")
+	}
+
+	rep, err := New(Config{Node: follower, Upstream: serveNode(t, up).URL})
+	if err != nil {
+		t.Fatalf("replica.New: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := rep.Run(ctx); !errors.Is(err, cluster.ErrDiverged) {
+		t.Fatalf("Run against a forked upstream = %v, want cluster.ErrDiverged", err)
+	}
+	if head := follower.Head().Header; head.Number != 1 || head.Hash() != own.Header.Hash() {
+		t.Fatalf("follower's head moved to %d %s", head.Number, head.Hash().Short())
 	}
 }
 
