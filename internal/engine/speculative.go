@@ -15,9 +15,11 @@ import (
 // SpeculativeEngine is the paper's Algorithm 1, MineInParallel: execute
 // the block's transactions speculatively on a thread pool as atomic
 // actions, resolving conflicts by blocking on abstract locks and by
-// aborting and retrying deadlock victims; then derive the happens-before
-// graph H from the committed lock profiles and topologically sort it into
-// the serial order S.
+// aborting and retrying deadlock victims; then read the happens-before
+// graph H off the lock table — each lock's history of committed holders,
+// in use-counter order — and topologically sort it into the serial order
+// S. The published profiles describe the same H (sched.BuildSchedule
+// derives it from them); the table just already has it grouped.
 type SpeculativeEngine struct{}
 
 var _ Engine = SpeculativeEngine{}
@@ -30,6 +32,8 @@ func (SpeculativeEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, 
 	opts = opts.withDefaults()
 	n := len(calls)
 	mgr := stm.NewManager(w.Schedule())
+	// The table goes back to the pool only after H has been read off it.
+	defer mgr.Release()
 
 	receipts := make([]contract.Receipt, n)
 	profiles := make([]stm.Profile, n)
@@ -82,7 +86,7 @@ func (SpeculativeEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, 
 	}
 	stats.tally(receipts)
 
-	schedule, graph, err := sched.BuildSchedule(n, profiles)
+	schedule, graph, err := sched.BuildScheduleFromHistories(n, mgr.Histories)
 	if err != nil {
 		return Result{}, fmt.Errorf("engine: building schedule: %w", err)
 	}

@@ -8,9 +8,11 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"contractstm/internal/stm"
@@ -128,51 +130,73 @@ func GraphFromEdges(n int, edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
-// holderRec is one committed transaction's use of one lock.
-type holderRec struct {
-	tx      int
-	mode    stm.Mode
-	counter uint64
-}
-
 // BuildHappensBefore derives H from the lock profiles the transactions
-// registered at commit (§4): for each abstract lock, committed holders are
-// ordered by use counter, runs of mutually-compatible holders (same
-// non-exclusive mode) are grouped, and each holder gets an edge from every
-// member of the immediately preceding conflicting group. Compatible holders
-// get no mutual edges — that is what keeps Ballot's commuting vote
-// increments parallel for the validator too.
+// registered at commit (§4): it regroups the profile entries into each
+// lock's history — its committed holders in use-counter order — and walks
+// the histories as addHistory does. Serial and OCC blocks, whose profiles
+// are synthesized, and anyone holding only a block's profiles get H this
+// way; the speculative engine reads the histories off its lock table
+// (BuildScheduleFromHistories).
 func BuildHappensBefore(n int, profiles []stm.Profile) (*Graph, error) {
-	perLock := make(map[stm.LockID][]holderRec)
+	type use struct {
+		stm.HistoryEntry
+		counter uint64
+	}
+	// Locks are numbered in first-seen order, so the walk below visits
+	// them in an order that does not depend on map iteration.
+	slot := make(map[stm.LockID]int)
+	var locks []stm.LockID
+	var uses [][]use
 	for _, p := range profiles {
 		if int(p.Tx) >= n {
 			return nil, fmt.Errorf("%w: profile for %s with %d transactions", ErrMalformed, p.Tx, n)
 		}
 		for _, e := range p.Entries {
-			perLock[e.Lock] = append(perLock[e.Lock], holderRec{tx: int(p.Tx), mode: e.Mode, counter: e.Counter})
+			i, ok := slot[e.Lock]
+			if !ok {
+				i = len(locks)
+				slot[e.Lock] = i
+				locks = append(locks, e.Lock)
+				uses = append(uses, nil)
+			}
+			uses[i] = append(uses[i], use{stm.HistoryEntry{Tx: p.Tx, Mode: e.Mode}, e.Counter})
 		}
 	}
 	g := NewGraph(n)
-	//chainvet:allow(detmap) Edge-set union: each lock contributes its own edges (ordered within the lock by use counter), and AddEdge into the adjacency set commutes across locks, so the resulting graph is order-independent.
-	for lock, hs := range perLock {
-		sort.Slice(hs, func(i, j int) bool { return hs[i].counter < hs[j].counter })
-		for i := 1; i < len(hs); i++ {
-			if hs[i].counter == hs[i-1].counter {
-				return nil, fmt.Errorf("%w: duplicate counter %d on lock %s", ErrMalformed, hs[i].counter, lock)
+	var history []stm.HistoryEntry
+	for i, us := range uses {
+		slices.SortFunc(us, func(a, b use) int { return cmp.Compare(a.counter, b.counter) })
+		history = history[:0]
+		for j, u := range us {
+			if j > 0 && u.counter == us[j-1].counter {
+				return nil, fmt.Errorf("%w: duplicate counter %d on lock %s", ErrMalformed, u.counter, locks[i])
 			}
+			history = append(history, u.HistoryEntry)
 		}
-		var prevGroup, curGroup []holderRec
-		for _, h := range hs {
-			if len(curGroup) > 0 && !stm.Compatible(curGroup[0].mode, h.mode) {
-				prevGroup, curGroup = curGroup, nil
-			}
-			for _, p := range prevGroup {
-				g.AddEdge(p.tx, h.tx)
-			}
-			curGroup = append(curGroup, h)
-		}
+		g.addHistory(history)
 	}
 	return g, nil
+}
+
+// addHistory adds one lock's edges to H, given the lock's committed
+// holders in use-counter order: runs of mutually-compatible holders (same
+// non-exclusive mode) are grouped, and each holder gets an edge from every
+// member of the immediately preceding conflicting group. Compatible holders
+// get no mutual edges — that is what keeps Ballot's commuting vote
+// increments parallel for the validator too. This is the one grouping rule:
+// every engine's H, and every recomputation of it, goes through here.
+func (g *Graph) addHistory(history []stm.HistoryEntry) {
+	// history[prev:cur] is the previous conflicting group, history[cur:i]
+	// the group being built.
+	prev, cur := 0, 0
+	for i, h := range history {
+		if i > cur && !stm.Compatible(history[cur].Mode, h.Mode) {
+			prev, cur = cur, i
+		}
+		for _, p := range history[prev:cur] {
+			g.AddEdge(int(p.Tx), int(h.Tx))
+		}
+	}
 }
 
 // txHeap is a min-heap of transaction ids for deterministic Kahn sorting.
@@ -380,6 +404,22 @@ func BuildSchedule(n int, profiles []stm.Profile) (Schedule, *Graph, error) {
 	if err != nil {
 		return Schedule{}, nil, err
 	}
+	return scheduleOf(g)
+}
+
+// BuildScheduleFromHistories is BuildSchedule for a miner that kept each
+// lock's history — its committed holders in use-counter order, as
+// stm.Manager.Histories yields them: the same H from the same grouping
+// rule, without regrouping profiles.
+func BuildScheduleFromHistories(n int, histories func(yield func([]stm.HistoryEntry))) (Schedule, *Graph, error) {
+	g := NewGraph(n)
+	histories(g.addHistory)
+	return scheduleOf(g)
+}
+
+// scheduleOf produces the serial order S of H by topological sort and
+// packages it with H's canonical edge list.
+func scheduleOf(g *Graph) (Schedule, *Graph, error) {
 	order, err := TopoSort(g)
 	if err != nil {
 		return Schedule{}, nil, err

@@ -1,10 +1,12 @@
 package stm
 
 import (
+	"strconv"
 	"testing"
 
 	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
+	"contractstm/internal/types"
 )
 
 // TestOverlayReleaseClearsState pins the pooling contract: an overlay that
@@ -109,4 +111,93 @@ func TestTxRecycleLifecycle(t *testing.T) {
 			t.Fatalf("recycled trace map leaked %d entries into a new root", len(got.Entries))
 		}
 	})
+}
+
+// TestManagerReleaseResets pins the lock table's pooling contract: a
+// manager that was released and taken again starts its next block the way
+// the paper's miner does — every use counter zero, no holder, no waiter, no
+// history, zero Stats, and nothing of the last block reachable — whatever
+// that block left behind: locks spread over several chunks, and a holder
+// that never settled.
+func TestManagerReleaseResets(t *testing.T) {
+	const locks = 2*lockChunk + 7 // three chunks
+	lockID := func(i int) LockID { return LockID{Scope: "r", Key: strconv.Itoa(i)} }
+	for attempt := 0; attempt < 100; attempt++ {
+		mgr := NewManager(gas.DefaultSchedule())
+		singleThread(t, func(th runtime.Thread) {
+			for i := 0; i < locks; i++ {
+				tx := BeginSpeculative(mgr, types.TxID(i), th, gas.NewMeter(1_000_000), PolicyEager)
+				if err := tx.Access(lockID(i), ModeExclusive, 1); err != nil {
+					t.Errorf("access: %v", err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+			open := BeginSpeculative(mgr, locks, th, gas.NewMeter(1_000_000), PolicyEager)
+			if err := open.Access(lockID(0), ModeShared, 1); err != nil {
+				t.Errorf("access: %v", err)
+			}
+		})
+		if t.Failed() {
+			return
+		}
+		// Every chunk's locks are still in the table before the reset.
+		histories := 0
+		mgr.Histories(func(h []HistoryEntry) {
+			if len(h) != 1 {
+				t.Fatalf("history %d has %d entries, want 1", histories, len(h))
+			}
+			histories++
+		})
+		if histories != locks || mgr.Counter(lockID(locks-1)) != 1 {
+			t.Fatalf("table lists %d histories and counter %d for the last lock, want %d and 1",
+				histories, mgr.Counter(lockID(locks-1)), locks)
+		}
+		mgr.Release()
+
+		again := NewManager(gas.DefaultSchedule())
+		if again != mgr {
+			continue // the pool dropped it (as it may, under -race); dirty another
+		}
+		if again.used != 0 || len(again.index) != 0 || again.Stats() != (Stats{}) {
+			t.Fatalf("reused table: %d locks, %d indexed, stats %+v", again.used, len(again.index), again.Stats())
+		}
+		if len(again.chunks) != 3 {
+			t.Fatalf("reused table kept %d chunks, want 3", len(again.chunks))
+		}
+		for c, chunk := range again.chunks {
+			for i := range chunk {
+				ls := &chunk[i]
+				if ls.id != (LockID{}) || len(ls.holders) != 0 || len(ls.waiters) != 0 || len(ls.history) != 0 {
+					t.Fatalf("chunk %d slot %d not reset: %+v", c, i, *ls)
+				}
+				for _, h := range ls.holders[:cap(ls.holders)] {
+					if h.tx != nil {
+						t.Fatalf("chunk %d slot %d still reaches a transaction of the last block", c, i)
+					}
+				}
+			}
+		}
+		again.Histories(func([]HistoryEntry) { t.Fatal("reused table lists a history") })
+		singleThread(t, func(th runtime.Thread) {
+			tx := BeginSpeculative(again, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+			if err := tx.Access(lockID(0), ModeExclusive, 1); err != nil {
+				t.Errorf("access: %v", err)
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				t.Errorf("commit: %v", err)
+				return
+			}
+			if got := tx.Profile().Entries[0].Counter; got != 1 {
+				t.Errorf("first use of a lock in the reused table has counter %d, want 1", got)
+			}
+		})
+		again.Release()
+		return
+	}
+	t.Fatal("the pool never handed a released manager back")
 }

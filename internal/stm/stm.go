@@ -16,7 +16,9 @@
 //   - use counters and lock profiles: at commit, every held lock's counter
 //     is bumped and the (lock, counter, mode) triples are registered, which
 //     is exactly the scheduling metadata the miner publishes in the block
-//     (§4) and from which the happens-before graph is rebuilt.
+//     (§4) and from which the happens-before graph is rebuilt. The lock
+//     table also keeps each lock's history in counter order, from which the
+//     miner reads that graph without rebuilding it.
 //
 // The same transaction type also runs in two non-speculative kinds used by
 // the serial baseline miner and by the validator's deterministic replay, so
@@ -38,6 +40,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Mode classifies how a storage operation uses its abstract lock.
@@ -109,12 +112,14 @@ func (l LockID) String() string {
 	return l.Scope + "[" + key + "]"
 }
 
-// Less orders locks lexicographically; used for deterministic profiles.
-func (l LockID) Less(other LockID) bool {
-	if l.Scope != other.Scope {
-		return l.Scope < other.Scope
+// Compare orders locks lexicographically by scope, then key, as a
+// three-way comparison for slices.SortFunc; profiles and traces are sorted
+// by it.
+func (l LockID) Compare(other LockID) int {
+	if c := strings.Compare(l.Scope, other.Scope); c != 0 {
+		return c
 	}
-	return l.Key < other.Key
+	return strings.Compare(l.Key, other.Key)
 }
 
 // Kind selects the execution regime a transaction runs under.

@@ -49,8 +49,8 @@ func TestLockIDOrderingAndString(t *testing.T) {
 	a := LockID{Scope: "a", Key: "1"}
 	b := LockID{Scope: "a", Key: "2"}
 	c := LockID{Scope: "b", Key: "0"}
-	if !a.Less(b) || !b.Less(c) || c.Less(a) {
-		t.Fatal("LockID.Less ordering broken")
+	if a.Compare(b) >= 0 || b.Compare(c) >= 0 || c.Compare(a) <= 0 || a.Compare(a) != 0 {
+		t.Fatal("LockID.Compare ordering broken")
 	}
 	if a.String() != "a[1]" {
 		t.Fatalf("String() = %q", a.String())

@@ -2,7 +2,7 @@ package stm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"contractstm/internal/gas"
@@ -61,7 +61,11 @@ type Tx struct {
 	// held is root-only: every abstract lock the transaction family holds,
 	// with combined modes. Owner-thread-local (the manager's lock table is
 	// the cross-thread view).
-	held map[LockID]Mode
+	held []heldLock
+	// blockedOn is root-only: the pending lock request the root is blocked
+	// on, nil when it is not blocked — its wait-for edge. Guarded by the
+	// manager's mutex.
+	blockedOn *waiter
 	// undo is this frame's inverse log.
 	undo []func()
 	// overlay is this frame's lazy write buffer (PolicyLazy only).
@@ -72,10 +76,42 @@ type Tx struct {
 	profile Profile
 	// retries counts speculative abort-and-retry cycles (set by the miner).
 	retries int
-	// refusedLock and refusedMode are root-only: the request the manager
-	// last refused with ErrDeadlock (refusedMode is zero if none was).
-	refusedLock LockID
+	// refused and refusedMode are root-only: the request the manager last
+	// refused with ErrDeadlock (refusedMode is zero if none was).
+	refused     *lockState
 	refusedMode Mode
+}
+
+// heldLock is one abstract lock a root holds, with its combined mode.
+type heldLock struct {
+	ls   *lockState
+	mode Mode
+}
+
+// heldMode reports the mode the family holds l in, if it holds l.
+func (t *Tx) heldMode(l LockID) (Mode, bool) {
+	for _, h := range t.held {
+		if h.ls.id == l {
+			return h.mode, true
+		}
+	}
+	return 0, false
+}
+
+// setHeld records that the root holds ls in mode.
+func (t *Tx) setHeld(ls *lockState, mode Mode) {
+	for i := range t.held {
+		if t.held[i].ls == ls {
+			t.held[i].mode = mode
+			return
+		}
+	}
+	if t.held == nil {
+		// Roots hold two locks on average and at most four in every
+		// workload, so one allocation per root covers almost all.
+		t.held = make([]heldLock, 0, 4)
+	}
+	t.held = append(t.held, heldLock{ls: ls, mode: mode})
 }
 
 var _ Executor = (*Tx)(nil)
@@ -86,9 +122,6 @@ func BeginSpeculative(mgr *Manager, id types.TxID, th runtime.Thread, meter *gas
 	t := newRoot(KindSpeculative, id, th, meter, mgr.sched)
 	t.mgr = mgr
 	t.policy = policy
-	// Only the speculative regime takes abstract locks, so only its roots
-	// carry a held map (the other kinds read it never and write it never).
-	t.held = make(map[LockID]Mode)
 	if policy == PolicyLazy {
 		t.overlay = NewOverlay()
 	}
@@ -204,7 +237,7 @@ func (t *Tx) Access(l LockID, mode Mode, cost gas.Gas) error {
 	case KindSpeculative:
 		t.thread.Work(t.sched.LockOverhead)
 		root := t.root
-		if cur, held := root.held[l]; held && Combine(cur, mode) == cur {
+		if cur, held := root.heldMode(l); held && Combine(cur, mode) == cur {
 			return nil // fast path: already held strongly enough
 		}
 		return t.mgr.acquire(root, t.thread, l, mode)
@@ -333,7 +366,7 @@ func (t *Tx) Abort() error {
 // at once for a transaction that was not refused a lock.
 func (t *Tx) AwaitRefusedLock() {
 	if t.status == StatusAborted && t.refusedMode != 0 {
-		t.mgr.awaitGrantable(t, t.refusedLock, t.refusedMode)
+		t.mgr.awaitGrantable(t, t.refused, t.refusedMode)
 	}
 }
 
@@ -386,7 +419,7 @@ func (t *Tx) TraceResultInto(buf []TraceEntry) Trace {
 	for l, m := range t.traceSeen {
 		entries = append(entries, TraceEntry{Lock: l, Mode: m})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Lock.Less(entries[j].Lock) })
+	slices.SortFunc(entries, func(a, b TraceEntry) int { return a.Lock.Compare(b.Lock) })
 	return Trace{Tx: t.id, Entries: entries}
 }
 
@@ -405,14 +438,4 @@ func (t *Tx) Recycle() {
 		traceSeenPool.Put(t.traceSeen)
 		t.traceSeen = nil
 	}
-}
-
-// HeldLocks returns a sorted snapshot of the family's held locks (tests).
-func (t *Tx) HeldLocks() []LockID {
-	out := make([]LockID, 0, len(t.root.held))
-	for l := range t.root.held {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
