@@ -28,10 +28,11 @@
 // pending mempool, saved on graceful shutdown via SIGINT/SIGTERM) by
 // replaying the WAL through the validator.
 //
-// With -pipeline N (N >= 2) block production is pipelined: POST /v1/mine
-// returns once the block is sealed, its WAL fsync runs in the background
-// group-commit writer, and GET /v1/status reports the sealed height next to
-// the durable height. Depth 1 (the default) is fully synchronous.
+// With -pipeline N (N >= 2) and -data, block production is pipelined: POST
+// /v1/mine returns once the block is sealed, its WAL fsync runs on the
+// node's background group-commit goroutine, and GET /v1/status reports the
+// sealed height next to the durable height. Depth 1 (the default), or any
+// depth without -data, is fully synchronous.
 //
 // With -upstream URL the node runs as a read replica: it catches up from
 // the primary, follows its event stream through the relay (one upstream

@@ -21,10 +21,10 @@
 // (seal and check blocks), chain (hash-
 // linked blocks and their flat wire encoding), txpool (mempool and
 // selection policies, including engine-feedback lock-hints), persist
-// (block WAL, group-commit writer, flat state snapshots, saved pool, crash
-// recovery), pipeline (the
-// staged block-production window: sealed vs durable, back-pressure,
-// abort), node (the assembled node), api (the versioned /v1 client API:
+// (block WAL with all-or-nothing group appends, flat state snapshots,
+// saved pool, crash recovery), node (the assembled node, whose one
+// sealed-not-durable window — back-pressure, group commit, latch and
+// rollback — lives in node/lifecycle.go), api (the versioned /v1 client API:
 // typed wire schema, durable transaction receipts, SSE event streams,
 // server middleware, with api/wire the schema and api/client the Go
 // SDK — see docs/API.md), importer (the staged catch-up import

@@ -5,7 +5,8 @@
 //
 // Fixtures live under <pass>/testdata/src/<pkgpath>/*.go and are real,
 // type-checked Go packages (standard-library imports resolve through
-// the build cache). The fixture's package path is <pkgpath>, which is
+// the build cache; an import of another directory under src loads that
+// fixture). The fixture's package path is <pkgpath>, which is
 // how path-sensitive passes are exercised: a fixture directory named
 // "engine" IS a consensus-critical package as far as the suite's
 // predicates are concerned.
@@ -29,6 +30,7 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"os/exec"
@@ -57,7 +59,7 @@ func TestData() string {
 // analyzer and reports mismatches against its // want annotations.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpath string) {
 	t.Helper()
-	target, err := loadFixture(filepath.Join(dir, "src", filepath.FromSlash(pkgpath)), pkgpath)
+	target, err := loadFixture(token.NewFileSet(), filepath.Join(dir, "src"), pkgpath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgpath, err)
 	}
@@ -69,14 +71,19 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpath string) {
 	checkWants(t, target, diags)
 }
 
-// loadFixture parses and type-checks one fixture directory as package
-// pkgpath.
-func loadFixture(dir, pkgpath string) (*analysis.Target, error) {
+// loadFixture parses and type-checks the fixture directory src/<pkgpath>
+// as package pkgpath. An import that names another fixture directory
+// under src is loaded from there the same way.
+func loadFixture(fset *token.FileSet, src, pkgpath string) (*analysis.Target, error) {
+	dir := filepath.Join(src, filepath.FromSlash(pkgpath))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	isFixture := func(path string) bool {
+		fi, err := os.Stat(filepath.Join(src, filepath.FromSlash(path)))
+		return err == nil && fi.IsDir()
+	}
 	var files []*ast.File
 	var imports []string
 	for _, e := range entries {
@@ -89,7 +96,9 @@ func loadFixture(dir, pkgpath string) (*analysis.Target, error) {
 		}
 		files = append(files, f)
 		for _, imp := range f.Imports {
-			imports = append(imports, strings.Trim(imp.Path.Value, `"`))
+			if path := strings.Trim(imp.Path.Value, `"`); !isFixture(path) {
+				imports = append(imports, path)
+			}
 		}
 	}
 	if len(files) == 0 {
@@ -99,15 +108,30 @@ func loadFixture(dir, pkgpath string) (*analysis.Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("fixture imports %q: only standard-library imports are supported in fixtures", path)
+			return nil, fmt.Errorf("fixture imports %q: only standard-library and fixture imports are supported in fixtures", path)
 		}
 		return os.Open(f)
 	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if !isFixture(path) {
+			return std.Import(path)
+		}
+		t, err := loadFixture(fset, src, path)
+		if err != nil {
+			return nil, err
+		}
+		return t.Pkg, nil
+	})
 	return driver.Check(fset, pkgpath, files, imp)
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 var (
 	exportMu    sync.Mutex

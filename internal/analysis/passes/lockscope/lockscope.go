@@ -19,8 +19,8 @@
 //     construction, the event-broker idiom);
 //   - exported calls into the execution packages engine, miner and
 //     validator — a block execution is never an "instant";
-//   - the persist.Log / persist.Writer methods that reach an fsync, and
-//     the os.File write/sync surface;
+//   - the persist.Log methods that reach an fsync, and the os.File
+//     write/sync surface;
 //   - time.Sleep, sync.WaitGroup.Wait, and the cooperative scheduler's
 //     Thread.Park.
 //
@@ -31,7 +31,8 @@
 // exempt: persist.Log.mu IS the I/O-serialization lock — its whole job
 // is to be held across the fsync — and the node-side rule (mirror hot
 // fields into atomics rather than call into the Log under mu) is what
-// this pass enforces everywhere else.
+// this pass enforces everywhere else, the node's group-commit loop
+// included.
 package lockscope
 
 import (
@@ -389,13 +390,12 @@ func renderExpr(e ast.Expr) string {
 	return "_"
 }
 
-// persistBlocking are the persist.Log / persist.Writer methods that can
-// reach an fsync or otherwise stall on the disk or the writer queue.
+// persistBlocking are the persist.Log methods (and persist.Open) that
+// can reach an fsync or otherwise stall on the disk.
 var persistBlocking = map[string]bool{
 	"Append": true, "AppendGroup": true, "WriteSnapshot": true,
 	"InstallSnapshot": true, "EnsureGenesis": true, "SavePool": true,
 	"TakePool": true, "Blocks": true, "Close": true, "Open": true,
-	"Flush": true,
 }
 
 // osFileBlocking is the os.File surface that reaches the disk.

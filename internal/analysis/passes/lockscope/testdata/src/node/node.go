@@ -7,6 +7,8 @@ package node
 import (
 	"sync"
 	"time"
+
+	"persist"
 )
 
 // T carries the checked short-scope lock.
@@ -26,6 +28,14 @@ func (t *T) Send(ch chan int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ch <- 1 // want `channel send while holding t.mu`
+}
+
+// CommitUnderMu is a group-commit loop that keeps the bookkeeping lock
+// across the WAL's fsync.
+func (t *T) CommitUnderMu(l *persist.Log, queue []int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return l.AppendGroup(queue) // want `persistence I/O \(persist.Log.AppendGroup\) while holding t.mu`
 }
 
 // Good releases before blocking: no finding.

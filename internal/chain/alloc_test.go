@@ -15,7 +15,8 @@ import (
 // the WAL append and every import pay these — starts to allocate more.
 // The block is the representative one (see workload.HotPathParams),
 // mined by the OCC engine so calls, receipts, schedule and profiles are
-// all realistic.
+// all realistic. UnmarshalBlock's ceiling is 1.1 times its measured
+// count, 1727 per block both plain and under -race.
 func TestBlockCodecAllocCeilings(t *testing.T) {
 	wl, err := workload.Generate(workload.HotPathParams)
 	if err != nil {
@@ -50,7 +51,7 @@ func TestBlockCodecAllocCeilings(t *testing.T) {
 			t.Fatal("schedule hash changed")
 		}
 	})
-	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 2600), ScheduleHashOf %.0f (ceiling 2)",
+	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 1900), ScheduleHashOf %.0f (ceiling 2)",
 		encode, decode, schedule)
 	if encode > 4 {
 		t.Errorf("AppendBlockWire allocates %.0f times per block, ceiling 4", encode)
@@ -58,7 +59,7 @@ func TestBlockCodecAllocCeilings(t *testing.T) {
 	if schedule > 2 {
 		t.Errorf("ScheduleHashOf allocates %.0f times per block, ceiling 2", schedule)
 	}
-	if decode > 2600 {
-		t.Errorf("UnmarshalBlock allocates %.0f times per block, ceiling 2600", decode)
+	if decode > 1900 {
+		t.Errorf("UnmarshalBlock allocates %.0f times per block, ceiling 1900", decode)
 	}
 }

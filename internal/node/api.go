@@ -153,6 +153,96 @@ func (n *Node) SetStatusDecorator(fn func(*wire.Status)) {
 // follows an upstream must not seal blocks of its own.
 func (n *Node) RefuseWrites() { n.server.RefuseWrites() }
 
+// Status summarizes the node.
+type Status struct {
+	Height          uint64     `json:"height"`
+	HeadHash        types.Hash `json:"headHash"`
+	PoolLen         int        `json:"poolLen"`
+	Engine          string     `json:"engine"`
+	MinedBlocks     int        `json:"minedBlocks"`
+	ValidatedBlocks int        `json:"validatedBlocks"`
+	TotalRetries    int        `json:"totalRetries"`
+	// DurableHeight is the newest block that has had its durability
+	// verdict; Height - DurableHeight is the sealed-not-durable window.
+	// It never exceeds Height. On a node without a data dir the verdict
+	// follows the seal immediately.
+	DurableHeight uint64 `json:"durableHeight"`
+	// PipelineDepth and InFlight describe the sealed-not-durable window:
+	// its size (0 when it is 1 — a synchronous node, or any node without
+	// a data dir, whose verdicts are inline), and how many blocks
+	// currently sit between their seal and their durability verdict.
+	PipelineDepth int `json:"pipelineDepth,omitempty"`
+	InFlight      int `json:"inFlight,omitempty"`
+	// Persistent reports whether the node runs with a durable data dir;
+	// RecoveredBlocks and SnapshotHeight describe its recovery state.
+	// SnapshotErrors counts failed checkpoint writes since start — any
+	// non-zero value means the WAL is growing unpruned.
+	Persistent      bool   `json:"persistent"`
+	RecoveredBlocks int    `json:"recoveredBlocks,omitempty"`
+	SnapshotHeight  uint64 `json:"snapshotHeight,omitempty"`
+	SnapshotErrors  int64  `json:"snapshotErrors,omitempty"`
+	// WAL I/O counters (persistent nodes): appends and framed bytes
+	// written, fsync count and summed latency in microseconds, and how
+	// group commits batched — the numbers that attribute a block rate to
+	// the disk.
+	WalAppends      int64 `json:"walAppends,omitempty"`
+	WalBytesWritten int64 `json:"walBytesWritten,omitempty"`
+	WalFsyncs       int64 `json:"walFsyncs,omitempty"`
+	WalFsyncMicros  int64 `json:"walFsyncMicros,omitempty"`
+	WalGroupCommits int64 `json:"walGroupCommits,omitempty"`
+	WalMaxGroup     int   `json:"walMaxGroup,omitempty"`
+	// ChainBase is the oldest height the node still holds (non-zero on a
+	// fast-synced, pruned node).
+	ChainBase uint64 `json:"chainBase,omitempty"`
+	// Mempool is the sharded pool's admission accounting: cumulative
+	// verdict counters, evictions, byte footprint and per-shard
+	// occupancy.
+	Mempool mempool.StatsSnapshot `json:"mempool"`
+}
+
+// CurrentStatus snapshots node statistics. It never blocks behind an
+// in-flight block execution (see MineOne's locking discipline).
+func (n *Node) CurrentStatus() Status {
+	// n.eng is fixed at construction, so its kind is read before taking
+	// the lock rather than calling into the engine under it.
+	engineKind := n.eng.Kind().String()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	head := n.chain.Head()
+	st := Status{
+		Height:          head.Header.Number,
+		HeadHash:        head.Header.Hash(),
+		PoolLen:         n.pool.Len(),
+		Engine:          engineKind,
+		MinedBlocks:     n.tally[mined],
+		ValidatedBlocks: n.tally[imported],
+		TotalRetries:    n.totalRetries,
+		DurableHeight:   n.servedHeight(),
+		InFlight:        len(n.win.inflight),
+		ChainBase:       n.chain.Base(),
+	}
+	if n.win.depth > 1 {
+		st.PipelineDepth = n.win.depth
+	}
+	st.Mempool = n.pool.Stats()
+	if n.log != nil {
+		st.Persistent = true
+		st.RecoveredBlocks = n.tally[recovered]
+		st.SnapshotErrors = n.snapshotErrs.Load()
+		st.SnapshotHeight = n.lastSnapHeight.Load()
+		// MetricsSnapshot is lock-free (atomic counters), so this cannot
+		// stall the status path behind an in-flight fsync.
+		m := n.log.MetricsSnapshot()
+		st.WalAppends = m.Appends
+		st.WalBytesWritten = m.BytesWritten
+		st.WalFsyncs = m.Fsyncs
+		st.WalFsyncMicros = m.FsyncTime.Microseconds()
+		st.WalGroupCommits = m.GroupCommits
+		st.WalMaxGroup = m.MaxGroup
+	}
+	return st
+}
+
 // APIStatus implements api.Backend: CurrentStatus in wire form (hashes
 // as hex strings). The API field stays nil; the serving layer fills it.
 func (n *Node) APIStatus() wire.Status {

@@ -299,7 +299,7 @@ func TestV1ReceiptNotVisibleBeforeDurable(t *testing.T) {
 
 	// Release the persist stage; the verdict makes everything visible.
 	n.mu.Lock()
-	entry := n.inflight[0]
+	entry := n.win.inflight[0]
 	n.mu.Unlock()
 	n.persist(entry)
 	if err := n.Flush(); err != nil {

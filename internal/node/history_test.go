@@ -210,8 +210,8 @@ func TestHistoryFollowsVerdictsNotSeals(t *testing.T) {
 	n.execMu.Lock()
 	n.rollback()
 	n.execMu.Unlock()
-	n.prod.Release()
-	n.prod.Release()
+	n.release()
+	n.release()
 	if got := n.Height(); got != 1 {
 		t.Fatalf("height %d after the rollback, want 1", got)
 	}

@@ -389,7 +389,7 @@ func TestInstallSnapshotDrainsWindow(t *testing.T) {
 			}
 			consistent("install refused", n)
 			n.mu.Lock()
-			entry := n.inflight[0]
+			entry := n.win.inflight[0]
 			n.mu.Unlock()
 			n.persist(entry)
 			if err := n.Flush(); err != nil {

@@ -17,7 +17,6 @@ import (
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
 	"contractstm/internal/persist"
-	"contractstm/internal/pipeline"
 	"contractstm/internal/runtime"
 	"contractstm/internal/types"
 	"contractstm/internal/workload"
@@ -406,7 +405,7 @@ func TestWindowOnePersistFailureRollsBackUnlatched(t *testing.T) {
 
 			for try := 1; try <= 2; try++ {
 				err := attempt()
-				if err == nil || !strings.HasPrefix(err.Error(), "node: persist: ") || errors.Is(err, pipeline.ErrLatched) {
+				if err == nil || !strings.HasPrefix(err.Error(), "node: persist: ") || errors.Is(err, errLatched) {
 					t.Fatalf("attempt %d over a closed WAL: %v, want node: persist: …", try, err)
 				}
 				after := n.CurrentStatus()
@@ -457,7 +456,7 @@ func TestPipelineStatusSealedVsDurable(t *testing.T) {
 	}
 	// Resume the parked persist stage and drain.
 	n.mu.Lock()
-	entry := n.inflight[0]
+	entry := n.win.inflight[0]
 	n.mu.Unlock()
 	if entry.block.Header.Hash() != entryBlock.Header.Hash() {
 		t.Fatal("in-flight registry holds a different block")
@@ -526,20 +525,28 @@ func TestPipelineDepthOneIsSynchronous(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	// Sanity for the non-durable case too: DurableHeight mirrors Height.
-	wl, err := workload.Generate(recParams())
-	if err != nil {
-		t.Fatalf("workload: %v", err)
-	}
-	mem, err := New(Config{World: wl.World, Workers: 1, Runner: runtime.NewSimRunner()})
-	if err != nil {
-		t.Fatalf("node.New: %v", err)
-	}
-	mem.SubmitAll(wl.Calls)
-	if _, err := mem.MineOne(recBlockSize); err != nil {
-		t.Fatalf("mine: %v", err)
-	}
-	if st := mem.CurrentStatus(); st.DurableHeight != st.Height {
-		t.Fatalf("in-memory node: durable %d != height %d", st.DurableHeight, st.Height)
+	// A configured depth makes no window there — without a data dir every
+	// verdict is inline — so the depth-4 node reports none either.
+	for _, depth := range []int{0, 4} {
+		wl, err := workload.Generate(recParams())
+		if err != nil {
+			t.Fatalf("workload: %v", err)
+		}
+		mem, err := New(Config{World: wl.World, Workers: 1, Runner: runtime.NewSimRunner(), PipelineDepth: depth})
+		if err != nil {
+			t.Fatalf("node.New: %v", err)
+		}
+		mem.SubmitAll(wl.Calls)
+		if _, err := mem.MineOne(recBlockSize); err != nil {
+			t.Fatalf("mine: %v", err)
+		}
+		st := mem.CurrentStatus()
+		if st.DurableHeight != st.Height {
+			t.Fatalf("in-memory node: durable %d != height %d", st.DurableHeight, st.Height)
+		}
+		if st.PipelineDepth != 0 || st.InFlight != 0 {
+			t.Fatalf("in-memory depth-%d node reports a pipeline: %+v", depth, st)
+		}
 	}
 }
 
@@ -619,7 +626,7 @@ func TestPipelineServesOnlyDurable(t *testing.T) {
 
 	// Drain: the block becomes durable and the wire serves it.
 	n.mu.Lock()
-	entry := n.inflight[0]
+	entry := n.win.inflight[0]
 	n.mu.Unlock()
 	n.persist(entry)
 	if err := n.Flush(); err != nil {

@@ -304,7 +304,7 @@ func TestV1ReplicaReadNeverSeesParkedBlock(t *testing.T) {
 
 	// Release the verdict: the same reads now pass.
 	n.mu.Lock()
-	entry := n.inflight[0]
+	entry := n.win.inflight[0]
 	n.mu.Unlock()
 	n.persist(entry)
 	if err := n.Flush(); err != nil {

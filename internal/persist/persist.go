@@ -504,8 +504,9 @@ func (l *Log) Append(b chain.Block) error {
 // the sync policy) covers the whole group. The group is acknowledged
 // all-or-nothing: on any failure the segment is rewound to the group's
 // start, so either every block in the group is recoverable or none left a
-// trace. This is the asynchronous Writer's batching primitive — the
-// pipeline's throughput win is precisely that N blocks share one fsync.
+// trace. This is the batching primitive of a pipelining node's
+// group-commit goroutine — its throughput win is precisely that N blocks
+// share one fsync.
 func (l *Log) AppendGroup(blocks []chain.Block) error {
 	if len(blocks) == 0 {
 		return nil

@@ -549,3 +549,34 @@ func TestPoolSaveTakeConsumes(t *testing.T) {
 		t.Fatalf("failed save left a pool file: %v %v", got, err)
 	}
 }
+
+// TestPipelineAppendGroupAllOrNothing: a group whose tail is invalid
+// leaves no trace of its valid head — the WAL acknowledges groups
+// atomically.
+func TestPipelineAppendGroupAllOrNothing(t *testing.T) {
+	blocks, _ := makeBlocks(t, 3, 4)
+	dir := t.TempDir()
+	l, _ := openReplay(t, dir, Options{SyncEvery: 1}, 1)
+
+	bad := []chain.Block{blocks[0], blocks[2]} // gap inside the group
+	if err := l.AppendGroup(bad); !errors.Is(err, ErrGap) {
+		t.Fatalf("bad group: %v, want ErrGap", err)
+	}
+	if got := l.Height(); got != 0 {
+		t.Fatalf("height %d after refused group, want 0", got)
+	}
+	if err := l.AppendGroup(blocks); err != nil {
+		t.Fatalf("good group: %v", err)
+	}
+	if got := l.Height(); got != 3 {
+		t.Fatalf("height %d, want 3", got)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	re, got := openReplay(t, dir, Options{}, 1)
+	defer re.Close()
+	if len(got) != 3 {
+		t.Fatalf("recovered %d blocks, want 3", len(got))
+	}
+}
