@@ -273,7 +273,8 @@ type TxSubmitted struct {
 // TxIDOf derives a call's transaction ID: the hash of its canonical
 // encoding — the same bytes the block's transaction root commits to.
 func TxIDOf(c contract.Call) types.Hash {
-	return types.HashBytes(c.EncodeForHash())
+	var buf [256]byte
+	return types.HashBytes(c.AppendForHash(buf[:0]))
 }
 
 // Transaction statuses as reported by receipts.

@@ -16,7 +16,10 @@ import (
 // The block is the representative one (see workload.HotPathParams),
 // mined by the OCC engine so calls, receipts, schedule and profiles are
 // all realistic. UnmarshalBlock's ceiling is 1.1 times its measured
-// count, 1727 per block both plain and under -race.
+// count, 831 per block both plain and under -race. The commitment
+// preimages are built in reused or stack buffers, so TxLeavesOf allocates
+// its result and nothing else, and ReceiptRootOf its leaves and
+// MerkleRoot's one scratch copy of them, whatever the block's size.
 func TestBlockCodecAllocCeilings(t *testing.T) {
 	wl, err := workload.Generate(workload.HotPathParams)
 	if err != nil {
@@ -51,15 +54,27 @@ func TestBlockCodecAllocCeilings(t *testing.T) {
 			t.Fatal("schedule hash changed")
 		}
 	})
-	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 1900), ScheduleHashOf %.0f (ceiling 2)",
-		encode, decode, schedule)
+	leaves := testing.AllocsPerRun(20, func() { chain.TxLeavesOf(res.Block.Calls) })
+	receipts := testing.AllocsPerRun(20, func() {
+		if chain.ReceiptRootOf(res.Block.Receipts) != res.Block.Header.ReceiptRoot {
+			t.Fatal("receipt root changed")
+		}
+	})
+	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 914), ScheduleHashOf %.0f (ceiling 2), TxLeavesOf %.0f (ceiling 1), ReceiptRootOf %.0f (ceiling 2)",
+		encode, decode, schedule, leaves, receipts)
 	if encode > 4 {
 		t.Errorf("AppendBlockWire allocates %.0f times per block, ceiling 4", encode)
 	}
 	if schedule > 2 {
 		t.Errorf("ScheduleHashOf allocates %.0f times per block, ceiling 2", schedule)
 	}
-	if decode > 1900 {
-		t.Errorf("UnmarshalBlock allocates %.0f times per block, ceiling 1900", decode)
+	if decode > 914 {
+		t.Errorf("UnmarshalBlock allocates %.0f times per block, ceiling 914", decode)
+	}
+	if leaves > 1 {
+		t.Errorf("TxLeavesOf allocates %.0f times per block, ceiling 1", leaves)
+	}
+	if receipts > 2 {
+		t.Errorf("ReceiptRootOf allocates %.0f times per block, ceiling 2", receipts)
 	}
 }

@@ -77,19 +77,26 @@ type Block struct {
 
 // TxLeavesOf hashes each call's canonical encoding: the leaves the tx root
 // commits to, and the calls' transaction IDs (wire.TxIDOf is one leaf).
+// The encodings share one buffer, so the leaves are all it allocates.
 func TxLeavesOf(calls []contract.Call) []types.Hash {
 	leaves := make([]types.Hash, len(calls))
+	var stack [256]byte
+	buf := stack[:0]
 	for i, c := range calls {
-		leaves[i] = types.HashBytes(c.EncodeForHash())
+		buf = c.AppendForHash(buf[:0])
+		leaves[i] = types.HashBytes(buf)
 	}
 	return leaves
 }
 
-// ReceiptRootOf commits to a receipt list.
+// ReceiptRootOf commits to a receipt list. Each receipt encodes into a
+// buffer on the stack; the leaves and MerkleRoot's scratch copy of them
+// are all it allocates.
 func ReceiptRootOf(receipts []contract.Receipt) types.Hash {
 	leaves := make([]types.Hash, len(receipts))
 	for i, r := range receipts {
-		leaves[i] = types.HashBytes(r.EncodeForHash())
+		var buf [16]byte // a receipt encodes to 13 bytes
+		leaves[i] = types.HashBytes(r.AppendForHash(buf[:0]))
 	}
 	return crypto.MerkleRoot(leaves)
 }

@@ -25,12 +25,12 @@ import (
 //	profiles  u32 count; each: u32 tx, u32 entry count; each entry:
 //	          string scope, string key, u8 mode, u64 counter
 //
-// Call arguments carry the same type tags as contract.Call.EncodeForHash
+// Call arguments carry the same type tags as contract.Call.AppendForHash
 // (0x01 uint64 … 0x07 Amount); an argument outside the supported wire set
 // is an encode error — unlike the hash path's 0xff fallback, the wire
 // must round-trip losslessly.
 
-// Argument type tags, mirroring contract.encodeArg.
+// Argument type tags, mirroring contract.appendArg.
 const (
 	argUint64  byte = 0x01
 	argInt     byte = 0x02

@@ -23,6 +23,7 @@
 package contract
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -71,47 +72,49 @@ type Call struct {
 	GasLimit gas.Gas
 }
 
-// EncodeForHash renders the call canonically for Merkle commitment.
-func (c Call) EncodeForHash() []byte {
-	out := c.Sender.Bytes()
-	out = append(out, c.Contract.Bytes()...)
-	out = append(out, byte(len(c.Function)))
-	out = append(out, c.Function...)
-	out = append(out, types.Uint64Bytes(uint64(c.Value))...)
-	out = append(out, types.Uint64Bytes(uint64(c.GasLimit))...)
+// AppendForHash appends the call's canonical encoding to dst: the bytes
+// its transaction ID hashes, which are also its leaf in the block's tx
+// root. Appending into a buffer the caller reuses, it allocates nothing.
+func (c Call) AppendForHash(dst []byte) []byte {
+	dst = append(dst, c.Sender[:]...)
+	dst = append(dst, c.Contract[:]...)
+	dst = append(dst, byte(len(c.Function)))
+	dst = append(dst, c.Function...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(c.Value))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(c.GasLimit))
 	for _, a := range c.Args {
-		out = append(out, encodeArg(a)...)
+		dst = appendArg(dst, a)
 	}
-	return out
+	return dst
 }
 
-// encodeArg canonically encodes one argument with a type tag.
-func encodeArg(a any) []byte {
+// appendArg appends one argument's canonical encoding, with a type tag.
+func appendArg(dst []byte, a any) []byte {
 	switch x := a.(type) {
 	case uint64:
-		return append([]byte{0x01}, types.Uint64Bytes(x)...)
+		return binary.BigEndian.AppendUint64(append(dst, 0x01), x)
 	case int:
-		return append([]byte{0x02}, types.Uint64Bytes(uint64(x))...)
+		return binary.BigEndian.AppendUint64(append(dst, 0x02), uint64(x))
 	case bool:
 		if x {
-			return []byte{0x03, 1}
+			return append(dst, 0x03, 1)
 		}
-		return []byte{0x03, 0}
+		return append(dst, 0x03, 0)
 	case string:
-		out := append([]byte{0x04}, types.Uint32Bytes(uint32(len(x)))...)
-		return append(out, x...)
+		dst = binary.BigEndian.AppendUint32(append(dst, 0x04), uint32(len(x)))
+		return append(dst, x...)
 	case types.Address:
-		return append([]byte{0x05}, x.Bytes()...)
+		return append(append(dst, 0x05), x[:]...)
 	case types.Hash:
-		return append([]byte{0x06}, x.Bytes()...)
+		return append(append(dst, 0x06), x[:]...)
 	case types.Amount:
-		return append([]byte{0x07}, types.Uint64Bytes(uint64(x))...)
+		return binary.BigEndian.AppendUint64(append(dst, 0x07), uint64(x))
 	default:
 		// Unknown argument types hash by their formatted representation;
 		// contracts validate argument types themselves at invoke time.
 		s := fmt.Sprintf("%T:%v", a, a)
-		out := append([]byte{0xff}, types.Uint32Bytes(uint32(len(s)))...)
-		return append(out, s...)
+		dst = binary.BigEndian.AppendUint32(append(dst, 0xff), uint32(len(s)))
+		return append(dst, s...)
 	}
 }
 

@@ -333,7 +333,7 @@ func TestDeployDuplicate(t *testing.T) {
 	}
 }
 
-func TestEncodeForHashDistinguishesCalls(t *testing.T) {
+func TestAppendForHashDistinguishesCalls(t *testing.T) {
 	base := Call{Sender: sender, Contract: addrA, Function: "f", Args: []any{uint64(1)}, GasLimit: 10}
 	variants := []Call{
 		{Sender: addrB, Contract: addrA, Function: "f", Args: []any{uint64(1)}, GasLimit: 10},
@@ -345,9 +345,9 @@ func TestEncodeForHashDistinguishesCalls(t *testing.T) {
 		{Sender: sender, Contract: addrA, Function: "f", Args: []any{"1"}, GasLimit: 10},
 		{Sender: sender, Contract: addrA, Function: "f", Args: []any{true, uint64(1)}, GasLimit: 10},
 	}
-	enc := string(base.EncodeForHash())
+	enc := string(base.AppendForHash(nil))
 	for i, v := range variants {
-		if string(v.EncodeForHash()) == enc {
+		if string(v.AppendForHash(nil)) == enc {
 			t.Fatalf("variant %d encodes identically to base", i)
 		}
 	}
@@ -357,7 +357,7 @@ func TestEncodeArgAllKinds(t *testing.T) {
 	args := []any{uint64(1), int(2), true, false, "s", addrA, types.HashString("h"), types.Amount(3), 3.5}
 	seen := map[string]bool{}
 	for _, a := range args {
-		enc := string(encodeArg(a))
+		enc := string(appendArg(nil, a))
 		if seen[enc] {
 			t.Fatalf("encoding collision on %v", a)
 		}
@@ -365,18 +365,18 @@ func TestEncodeArgAllKinds(t *testing.T) {
 	}
 }
 
-func TestReceiptEncodeForHash(t *testing.T) {
+func TestReceiptAppendForHash(t *testing.T) {
 	a := Receipt{Tx: 1, Reverted: false, GasUsed: 100}
 	b := Receipt{Tx: 1, Reverted: true, GasUsed: 100}
 	c := Receipt{Tx: 1, Reverted: false, GasUsed: 101}
 	d := Receipt{Tx: 1, Reverted: false, GasUsed: 100, Reason: "ignored"}
-	if string(a.EncodeForHash()) == string(b.EncodeForHash()) {
+	if string(a.AppendForHash(nil)) == string(b.AppendForHash(nil)) {
 		t.Fatal("reverted flag not hashed")
 	}
-	if string(a.EncodeForHash()) == string(c.EncodeForHash()) {
+	if string(a.AppendForHash(nil)) == string(c.AppendForHash(nil)) {
 		t.Fatal("gas not hashed")
 	}
-	if string(a.EncodeForHash()) != string(d.EncodeForHash()) {
+	if string(a.AppendForHash(nil)) != string(d.AppendForHash(nil)) {
 		t.Fatal("reason must not affect the hash")
 	}
 }

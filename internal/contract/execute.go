@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"contractstm/internal/gas"
@@ -59,17 +60,18 @@ type Receipt struct {
 	Reason   string     `json:"reason,omitempty"`
 }
 
-// EncodeForHash renders the receipt canonically for Merkle commitment.
-// The human-readable Reason is deliberately excluded: equivalent reverts
-// must hash identically across implementations.
-func (r Receipt) EncodeForHash() []byte {
-	out := types.Uint32Bytes(uint32(r.Tx))
+// AppendForHash appends the receipt's canonical encoding, its leaf in the
+// block's receipt root, to dst. The human-readable Reason is deliberately
+// excluded: equivalent reverts must hash identically across
+// implementations.
+func (r Receipt) AppendForHash(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Tx))
 	if r.Reverted {
-		out = append(out, 1)
+		dst = append(dst, 1)
 	} else {
-		out = append(out, 0)
+		dst = append(dst, 0)
 	}
-	return append(out, types.Uint64Bytes(uint64(r.GasUsed))...)
+	return binary.BigEndian.AppendUint64(dst, uint64(r.GasUsed))
 }
 
 // Execute runs one contract call under an already-begun root transaction

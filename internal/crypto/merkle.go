@@ -25,7 +25,9 @@ func emptyRoot() types.Hash {
 
 // MerkleRoot computes the root of a binary Merkle tree over the given leaves.
 // Odd nodes at each level are promoted unpaired (Bitcoin-style duplication is
-// deliberately avoided: duplication admits known malleability).
+// deliberately avoided: duplication admits known malleability). The leaves
+// are left as they are: the tree is reduced in place in one scratch copy,
+// each level overwriting the front of the one below it.
 func MerkleRoot(leaves []types.Hash) types.Hash {
 	if len(leaves) == 0 {
 		return emptyRoot()
@@ -34,16 +36,14 @@ func MerkleRoot(leaves []types.Hash) types.Hash {
 	for i, leaf := range leaves {
 		level[i] = hashLeaf(leaf)
 	}
-	for len(level) > 1 {
-		next := make([]types.Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			if i+1 < n {
+				level[i/2] = hashNode(level[i], level[i+1])
 			} else {
-				next = append(next, level[i])
+				level[i/2] = level[i]
 			}
 		}
-		level = next
 	}
 	return level[0]
 }

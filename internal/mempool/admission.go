@@ -242,15 +242,19 @@ func (p *Pool) Stats() StatsSnapshot {
 // idle-sender sweep.
 const pruneEvery = 4096
 
-// Admit runs the admission pipeline for one untrusted submission and,
+// Admit is AdmitTx for a call not yet identified.
+func (p *Pool) Admit(call contract.Call, priority uint8) Decision {
+	return p.AdmitTx(TxOf(call), priority)
+}
+
+// AdmitTx runs the admission pipeline for one untrusted submission and,
 // on success, queues it. The stage order is fixed and documented in
 // DESIGN.md; changing it changes the decision table the fuzz target
 // locks down.
-func (p *Pool) Admit(call contract.Call, priority uint8) Decision {
-	id, size := txIDOf(call)
-	s := p.shardFor(call.Sender)
+func (p *Pool) AdmitTx(tx Tx, priority uint8) Decision {
+	s := p.shardFor(tx.Call.Sender)
 	s.mu.Lock()
-	d := p.admitLocked(s, call, priority, id, size)
+	d := p.admitLocked(s, tx, priority)
 	s.mu.Unlock()
 
 	switch d.Verdict {
@@ -279,13 +283,14 @@ func (p *Pool) Admit(call contract.Call, priority uint8) Decision {
 }
 
 // admitLocked is the pipeline body. Caller holds s.mu.
-func (p *Pool) admitLocked(s *shard, call contract.Call, priority uint8, id types.Hash, size int64) Decision {
-	d := Decision{TxID: id}
+func (p *Pool) admitLocked(s *shard, tx Tx, priority uint8) Decision {
+	call, size := tx.Call, tx.Size
+	d := Decision{TxID: tx.ID}
 
 	// Stage 1 — duplicate rejection: an identical queued transaction
 	// makes this submission a no-op; the caller already holds a receipt
 	// for it.
-	if s.known[id] > 0 {
+	if s.known[tx.ID] > 0 {
 		d.Verdict = VerdictDuplicate
 		return d
 	}
@@ -324,7 +329,7 @@ func (p *Pool) admitLocked(s *shard, call contract.Call, priority uint8, id type
 		}
 		p.removeLocked(s, victim)
 		d.Dropped = append(d.Dropped, Dropped{ID: victim.id, Call: victim.Call})
-		p.insertLocked(s, p.newEntry(call, priority))
+		p.insertLocked(s, p.newEntry(tx, priority))
 		d.Verdict = VerdictReplaced
 		p.maybePruneLocked(s)
 		return d
@@ -363,7 +368,7 @@ func (p *Pool) admitLocked(s *shard, call contract.Call, priority uint8, id type
 		}
 	}
 
-	p.insertLocked(s, p.newEntry(call, priority))
+	p.insertLocked(s, p.newEntry(tx, priority))
 	d.Verdict = VerdictAdmitted
 	p.maybePruneLocked(s)
 	return d

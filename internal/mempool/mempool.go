@@ -21,8 +21,9 @@
 // admission entirely — they serve the node's own traffic (workload
 // batches, WAL restart restore) which may legitimately contain
 // byte-identical calls (a double-vote pair is two distinct ballot
-// transactions). Admit runs the ordered admission pipeline (see
-// admission.go) and is the /v1 ingest path.
+// transactions). AdmitTx runs the ordered admission pipeline (see
+// admission.go) and is the /v1 ingest path. Both take a Tx, the call
+// with the ID and size its submitter already derived.
 package mempool
 
 import (
@@ -135,25 +136,35 @@ func (p *Pool) shardFor(sender types.Address) *shard {
 	return p.shards[h%uint64(len(p.shards))]
 }
 
-// txIDOf derives the content-addressed transaction ID — the same
-// derivation the wire layer uses (wire.TxIDOf), duplicated here so the
-// pool does not depend on the API packages.
-func txIDOf(c contract.Call) (types.Hash, int64) {
-	enc := c.EncodeForHash()
-	return types.HashBytes(enc), int64(len(enc))
+// Tx is a call with its identity: the content-derived transaction ID —
+// the hash of the call's canonical encoding (contract.Call.AppendForHash),
+// as wire.TxIDOf and the block's tx root have it — and that encoding's
+// length, which the byte budget charges. The node derives a Tx once per
+// transaction, keys its receipt index on the ID, and hands the Tx over, so
+// the pool never encodes or hashes a call again.
+type Tx struct {
+	Call contract.Call
+	ID   types.Hash
+	Size int64
 }
 
-// newEntry builds a pool entry for a call, assigning the next global
-// arrival sequence.
-func (p *Pool) newEntry(c contract.Call, priority uint8) *entry {
-	id, size := txIDOf(c)
+// TxOf derives a call's Tx.
+func TxOf(c contract.Call) Tx {
+	var buf [256]byte
+	enc := c.AppendForHash(buf[:0])
+	return Tx{Call: c, ID: types.HashBytes(enc), Size: int64(len(enc))}
+}
+
+// newEntry builds a pool entry for a transaction, assigning the next
+// global arrival sequence.
+func (p *Pool) newEntry(tx Tx, priority uint8) *entry {
 	return &entry{
-		Entry:    txpool.Entry{Call: c},
+		Entry:    txpool.Entry{Call: tx.Call},
 		seq:      p.nextSeq.Add(1) - 1,
-		id:       id,
-		sender:   c.Sender,
+		id:       tx.ID,
+		sender:   tx.Call.Sender,
 		priority: priority,
-		size:     size,
+		size:     tx.Size,
 	}
 }
 
@@ -217,27 +228,27 @@ func (p *Pool) forgetLocked(s *shard, e *entry) {
 	p.bytes.Add(-e.size)
 }
 
-// SubmitTrusted enqueues a call from the node's own intake (priority
-// 0), bypassing admission control: no dedup, no caps, no budget. The
-// trusted path must accept byte-identical calls — workload batches
-// legitimately contain them.
-func (p *Pool) SubmitTrusted(call contract.Call) {
-	e := p.newEntry(call, 0)
+// SubmitTrusted enqueues a transaction from the node's own intake
+// (priority 0), bypassing admission control: no dedup, no caps, no
+// budget. The trusted path must accept byte-identical calls — workload
+// batches legitimately contain them.
+func (p *Pool) SubmitTrusted(tx Tx) {
+	e := p.newEntry(tx, 0)
 	s := p.shardFor(e.sender)
 	s.mu.Lock()
 	p.insertLocked(s, e)
 	s.mu.Unlock()
 }
 
-// SubmitAllTrusted enqueues calls in order, atomically with respect to
-// selection: all shard locks are held while the batch lands, so a
-// concurrent SelectBatch can never observe a prefix of the batch —
+// SubmitAllTrusted enqueues transactions in order, atomically with
+// respect to selection: all shard locks are held while the batch lands,
+// so a concurrent SelectBatch can never observe a prefix of the batch —
 // the same guarantee txpool.SubmitAll gives under its single lock.
-func (p *Pool) SubmitAllTrusted(calls []contract.Call) {
+func (p *Pool) SubmitAllTrusted(txs []Tx) {
 	p.lockAll()
 	defer p.unlockAll()
-	for _, c := range calls {
-		e := p.newEntry(c, 0)
+	for _, tx := range txs {
+		e := p.newEntry(tx, 0)
 		p.insertLocked(p.shardFor(e.sender), e)
 	}
 }

@@ -2,9 +2,11 @@ package mempool
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"contractstm/internal/api/wire"
 	"contractstm/internal/contract"
 	"contractstm/internal/txpool"
 	"contractstm/internal/types"
@@ -24,6 +26,20 @@ func testCall(sender, nonce uint64) contract.Call {
 	}
 }
 
+// TestTxOfIsTheWireTxID: the identity the node hands the pool is the
+// transaction ID clients poll (wire.TxIDOf) and the length of the
+// encoding it hashes, also for a call too long for TxOf's stack buffer.
+func TestTxOfIsTheWireTxID(t *testing.T) {
+	long := testCall(1, 1)
+	long.Args = append(long.Args, strings.Repeat("x", 1000))
+	for _, c := range []contract.Call{testCall(0, 0), testCall(7, 3), long} {
+		tx := TxOf(c)
+		if tx.ID != wire.TxIDOf(c) || tx.Size != int64(len(c.AppendForHash(nil))) || !reflect.DeepEqual(tx.Call, c) {
+			t.Fatalf("TxOf(%v) = %s, %d bytes; wire.TxIDOf %s", c.Args, tx.ID.Short(), tx.Size, wire.TxIDOf(c).Short())
+		}
+	}
+}
+
 // TestTrustedSelectionParity drains the same submissions through the
 // sharded pool and the single-lock txpool under every policy and
 // requires identical block sequences: the sharded merge plus the shared
@@ -38,7 +54,7 @@ func TestTrustedSelectionParity(t *testing.T) {
 				calls = append(calls, testCall(uint64(i%17), uint64(i)))
 			}
 			for _, c := range calls {
-				mp.SubmitTrusted(c)
+				mp.SubmitTrusted(TxOf(c))
 				tp.Submit(c)
 			}
 			// The same conflict feedback on both sides, so the score-driven
@@ -76,7 +92,7 @@ func TestRequeueRestoresArrivalOrder(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c := testCall(uint64(i), uint64(i))
 		want = append(want, c)
-		mp.SubmitTrusted(c)
+		mp.SubmitTrusted(TxOf(c))
 	}
 	sel1, err := mp.SelectBatch(txpool.PolicyFIFO, 10)
 	if err != nil {

@@ -32,7 +32,7 @@ func TestConcurrentSubmitSelectRequeue(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
-				p.SubmitTrusted(testCall(uint64(g), uint64(i)))
+				p.SubmitTrusted(TxOf(testCall(uint64(g), uint64(i))))
 			}
 		}()
 	}

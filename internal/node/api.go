@@ -39,11 +39,12 @@ func (n *Node) Handler() http.Handler { return n.server }
 // because re-executing a forgotten transaction is the pre-admission
 // status quo, not a new hazard.
 func (n *Node) SubmitTx(call contract.Call, priority uint8) api.SubmitResult {
-	id := wire.TxIDOf(call)
+	tx := mempool.TxOf(call)
+	id := tx.ID
 	if rec, ok := n.receipts.Get(id); ok && rec.Status != wire.StatusEvicted {
 		return api.SubmitResult{ID: id, Verdict: mempool.VerdictDuplicate.String(), Duplicate: true}
 	}
-	d := n.pool.Admit(call, priority)
+	d := n.pool.AdmitTx(tx, priority)
 	res := api.SubmitResult{
 		ID:         id,
 		Verdict:    d.Verdict.String(),

@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"contractstm/internal/api"
-	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
@@ -366,12 +365,13 @@ func (n *Node) Kill() {
 // Submit queues a transaction and tracks it as pending in the receipt
 // index, so a client polling the content-derived ID reads "pending"
 // rather than "unknown" until the containing block is durable. The ID is
-// returned so serving layers derive it exactly once.
+// returned so serving layers derive it exactly once; the pool gets it
+// too, with the encoded size, rather than deriving it again.
 func (n *Node) Submit(call contract.Call) types.Hash {
-	id := wire.TxIDOf(call)
-	n.receipts.MarkPending(id)
-	n.pool.SubmitTrusted(call)
-	return id
+	tx := mempool.TxOf(call)
+	n.receipts.MarkPending(tx.ID)
+	n.pool.SubmitTrusted(tx)
+	return tx.ID
 }
 
 // SubmitAll queues a batch of transactions atomically: no other
@@ -380,10 +380,20 @@ func (n *Node) Submit(call contract.Call) types.Hash {
 // applies only to the API path (SubmitTx), because the node's own
 // batches may legitimately contain byte-identical calls.
 func (n *Node) SubmitAll(calls []contract.Call) {
-	for _, c := range calls {
-		n.receipts.MarkPending(wire.TxIDOf(c))
+	txs := txsOf(calls)
+	for _, tx := range txs {
+		n.receipts.MarkPending(tx.ID)
 	}
-	n.pool.SubmitAllTrusted(calls)
+	n.pool.SubmitAllTrusted(txs)
+}
+
+// txsOf identifies each call once, for the pool and the receipt index.
+func txsOf(calls []contract.Call) []mempool.Tx {
+	txs := make([]mempool.Tx, len(calls))
+	for i, c := range calls {
+		txs[i] = mempool.TxOf(c)
+	}
+	return txs
 }
 
 // PoolLen reports queued transactions.

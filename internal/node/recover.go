@@ -69,7 +69,7 @@ func (n *Node) openDurable(cfg Config, genesisRoot types.Hash) error {
 	if len(calls) > 0 {
 		// Restored calls were admitted in a previous life; they re-enter
 		// through the trusted path, never re-run admission.
-		n.pool.SubmitAllTrusted(calls)
+		n.pool.SubmitAllTrusted(txsOf(calls))
 	}
 
 	// An overdue checkpoint is written now, once. Otherwise a node that

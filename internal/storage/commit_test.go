@@ -667,3 +667,120 @@ func TestStateRootOfEmptyObjects(t *testing.T) {
 		t.Fatal("a map emptied by deletes does not hash like a map that was never written")
 	}
 }
+
+// TestStateRootHashesOnlyWrittenLeaves pins the leaf-hash cache: after a
+// root, a block that writes K distinct keys of a large map — overwrites,
+// inserts, deletes that pull a sibling back inline — makes the next root
+// hash exactly the K written leaves (a delete leaves none to hash). A
+// dirtied node's other entries and every entry that moved keep their
+// cached hash.
+func TestStateRootHashesOnlyWrittenLeaves(t *testing.T) {
+	const size, k = 1 << 14, 600
+	s := NewStore()
+	m := mustMap(t, s, "m")
+	contents := make(map[string]any, size+k)
+	for i := 0; i < size; i++ {
+		key := fmt.Sprint("k", i)
+		m.rawPut(key, uint64(i+1))
+		contents[key] = uint64(i + 1)
+	}
+	var h hasher
+	if _, err := s.stateRoot(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.leaves != size {
+		t.Fatalf("first root hashed %d leaves of %d", h.leaves, size)
+	}
+	s.Snapshot() // later writes copy their paths, as a block's do
+	for i := 0; i < k/2; i++ {
+		over, fresh, gone := fmt.Sprint("k", 7*i), fmt.Sprint("new", i), fmt.Sprint("k", 7*i+3)
+		m.rawPut(over, "v"+over)
+		contents[over] = "v" + over
+		m.rawPut(fresh, uint64(1))
+		contents[fresh] = uint64(1)
+		m.rawDelete(gone)
+		delete(contents, gone)
+	}
+	h = hasher{}
+	got, err := s.stateRoot(&h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.leaves != k {
+		t.Errorf("root after writing %d keys hashed %d leaves", k, h.leaves)
+	}
+	if want := oracleStore(map[string]types.Hash{"m": oracleMap(t, contents)}); got != want {
+		t.Fatalf("root %s, oracle %s", got.Short(), want.Short())
+	}
+}
+
+// TestGetInDuringStateRoot: the hasher fills the leaf and node caches of
+// nodes that retained snapshots share, while readers use GetIn on those
+// snapshots with no lock. Under -race this shows the caches are not
+// shared memory with the readers; without it, that every snapshot still
+// reads as it was taken.
+func TestGetInDuringStateRoot(t *testing.T) {
+	const keys, rounds, readers = 512, 40, 2
+	s := NewStore()
+	m := mustMap(t, s, "m")
+	key := func(i int) string { return fmt.Sprint("k", i) }
+	for i := 0; i < keys; i++ {
+		m.rawPut(key(i), uint64(1))
+	}
+	type retained struct {
+		snap Snapshot
+		val  uint64 // every key of the snapshot binds val
+	}
+	snaps := make([]chan retained, readers)
+	done := make(chan error, readers)
+	for r := range snaps {
+		snaps[r] = make(chan retained, rounds)
+		go func(in <-chan retained) {
+			var held []retained
+			for {
+				select {
+				case rt, ok := <-in:
+					if !ok {
+						done <- nil
+						return
+					}
+					held = append(held, rt)
+				default:
+				}
+				for _, rt := range held {
+					for i := 0; i < keys; i += 7 {
+						if v, ok := m.GetIn(rt.snap, key(i)); !ok || v != rt.val {
+							done <- fmt.Errorf("snapshot of round %d reads %q = %v (%v)", rt.val, key(i), v, ok)
+							return
+						}
+					}
+				}
+			}
+		}(snaps[r])
+	}
+	for round := uint64(1); round <= rounds; round++ {
+		for i := 0; i < keys; i++ {
+			m.rawPut(key(i), round)
+		}
+		// Taken before the root: its nodes carry no hash yet, so the root
+		// below fills caches in nodes the readers hold.
+		snap := s.Snapshot()
+		for _, in := range snaps {
+			in <- retained{snap, round}
+		}
+		if _, err := s.StateRoot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.EncodeState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, in := range snaps {
+		close(in)
+	}
+	for range snaps {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"contractstm/internal/codec"
 	"contractstm/internal/stm"
@@ -86,15 +87,18 @@ type Store struct {
 	objects []object
 	byName  map[string]object
 	nextID  uint64
+	// The ablation switches are read on every storage access, so they are
+	// atomics rather than fields under mu, which every worker would share.
+	//
 	// noIncrement downgrades increment-mode operations to exclusive; an
 	// ablation switch showing what the paper's Ballot result would look
 	// like without commutative boosting (see bench_test.go).
-	noIncrement bool
+	noIncrement atomic.Bool
 	// coarseLocks switches every object to a single object-level lock,
 	// reproducing the "more traditional implementation" the paper argues
 	// against (§3): locks on memory regions rather than semantic units,
 	// producing false conflicts between commuting operations.
-	coarseLocks bool
+	coarseLocks atomic.Bool
 }
 
 // NewStore returns an empty store.
@@ -130,12 +134,18 @@ func (s *Store) objectList() []object {
 // whatever version that happened. It must not be called while
 // transactions are in flight.
 func (s *Store) StateRoot() (types.Hash, error) {
+	var h hasher
+	return s.stateRoot(&h)
+}
+
+// stateRoot is StateRoot with the hasher supplied, so tests can count
+// what it hashed.
+func (s *Store) stateRoot(h *hasher) (types.Hash, error) {
 	objs := s.objectList()
 	sort.Slice(objs, func(i, j int) bool { return objs[i].objectName() < objs[j].objectName() })
-	var h hasher
 	fold := binary.BigEndian.AppendUint32([]byte{commitStore}, uint32(len(objs)))
 	for _, o := range objs {
-		root, err := o.root(&h)
+		root, err := o.root(h)
 		if err != nil {
 			return types.Hash{}, fmt.Errorf("state root of %q: %w", o.objectName(), err)
 		}
@@ -182,18 +192,12 @@ func (s *Store) Restore(snap Snapshot) {
 // SetNoIncrement toggles the increment-mode ablation: when enabled, every
 // AddUint acquires its abstract lock exclusively instead of in increment
 // mode, so commuting updates conflict. Benchmarks only.
-func (s *Store) SetNoIncrement(disable bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noIncrement = disable
-}
+func (s *Store) SetNoIncrement(disable bool) { s.noIncrement.Store(disable) }
 
 // incrementMode returns the lock mode for commutative adds under the
 // store's current ablation setting.
 func (s *Store) incrementMode() stm.Mode {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.noIncrement {
+	if s.noIncrement.Load() {
 		return stm.ModeExclusive
 	}
 	return stm.ModeIncrement
@@ -204,18 +208,10 @@ func (s *Store) incrementMode() stm.Mode {
 // (reads shared, all updates exclusive), like region/page locking. The
 // paper predicts — and BenchmarkAblationCoarseLocks confirms — that the
 // resulting false conflicts destroy most of the available concurrency.
-func (s *Store) SetCoarseLocks(coarse bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.coarseLocks = coarse
-}
+func (s *Store) SetCoarseLocks(coarse bool) { s.coarseLocks.Store(coarse) }
 
 // coarse reports whether object-level locking is in force.
-func (s *Store) coarse() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coarseLocks
-}
+func (s *Store) coarse() bool { return s.coarseLocks.Load() }
 
 // Objects returns the registered object names, sorted (diagnostics).
 func (s *Store) Objects() []string {

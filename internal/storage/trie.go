@@ -25,7 +25,14 @@ import (
 // node of the map's current epoch is edited in place, an older one is
 // copied before its first edit (path copying), and taking a snapshot bumps
 // the epoch. So everything a snapshot reaches is immutable apart from the
-// hash cache, which is a function of those immutable contents.
+// hash caches, which are functions of those immutable contents.
+//
+// The caches — a node's hash and an entry's leaf hash — are written by
+// the hasher on nodes a snapshot may share, while GetIn reads that
+// snapshot with no lock. That is no race: a cache is written only under
+// the map's raw mutex (Map.root), a snapshot reader reads only an entry's
+// key and value and a node's maps, entries slice and kids, never a
+// cache, and walk, which copies whole entries, runs under the raw mutex.
 
 // placement is a key's path through the trie, one nibble per level.
 type placement [sha256.Size]byte
@@ -47,10 +54,14 @@ func (p *placement) bit(depth int) uint16 {
 	return 1 << (b & 15)
 }
 
-// entry is one binding.
+// entry is one binding. hash caches its leaf commitment; the zero hash
+// means not computed. Whatever moves an entry — own, join, insertAt,
+// removeAt, the re-inlining in remove — moves the cache with it, since
+// the key and value come along unchanged; only a new value clears it.
 type entry struct {
-	key string
-	val any
+	key  string
+	val  any
+	hash types.Hash
 }
 
 // node is one trie level: up to 16 slots, each empty, an inline entry
@@ -61,15 +72,14 @@ type entry struct {
 // entries. A bucket (depth == maxDepth) has no slots: its entries are
 // sorted by key.
 type node struct {
-	// hash caches the node's commitment while hashed is set; every edit
-	// clears hashed along its path.
+	// hash caches the node's commitment; the zero hash means not
+	// computed, and every edit clears it along its path.
 	hash    types.Hash
 	entries []entry
 	kids    *[16]*node
 	epoch   uint64
 	datamap uint16
 	nodemap uint16
-	hashed  bool
 }
 
 // index is the packed position of bit's entry.
@@ -130,7 +140,7 @@ func (n *node) own(epoch uint64, spare int) *node {
 			n.entries = append(make([]entry, 0, len(old.entries)+spare), old.entries...)
 		}
 	}
-	n.hashed = false
+	n.hash = types.Hash{}
 	return n
 }
 
@@ -179,16 +189,17 @@ func (n *node) setKid(bit uint16, k *node) {
 // node to use in n's place, and whether the key is new.
 func (n *node) put(epoch uint64, p *placement, key string, val any, depth int) (*node, bool) {
 	if n == nil {
-		return &node{epoch: epoch, datamap: p.bit(depth), entries: []entry{{key, val}}}, true
+		return &node{epoch: epoch, datamap: p.bit(depth), entries: []entry{{key: key, val: val}}}, true
 	}
 	if depth == maxDepth {
 		n = n.own(epoch, 1)
 		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
 		if i < len(n.entries) && n.entries[i].key == key {
 			n.entries[i].val = val
+			n.entries[i].hash = types.Hash{}
 			return n, false
 		}
-		n.entries = insertAt(n.entries, i, entry{key, val})
+		n.entries = insertAt(n.entries, i, entry{key: key, val: val})
 		return n, true
 	}
 	bit := p.bit(depth)
@@ -202,6 +213,7 @@ func (n *node) put(epoch uint64, p *placement, key string, val any, depth int) (
 		i := n.index(bit)
 		if n.entries[i].key == key {
 			n.entries[i].val = val
+			n.entries[i].hash = types.Hash{}
 			return n, false
 		}
 		// Two keys under one slot: both move into a child.
@@ -209,14 +221,14 @@ func (n *node) put(epoch uint64, p *placement, key string, val any, depth int) (
 		oldPlace := placeKey(old.key)
 		n.entries = removeAt(n.entries, i)
 		n.datamap &^= bit
-		n.setKid(bit, join(epoch, old, &oldPlace, entry{key, val}, p, depth+1))
+		n.setKid(bit, join(epoch, old, &oldPlace, entry{key: key, val: val}, p, depth+1))
 		return n, true
 	case n.nodemap&bit != 0:
 		kid, added := n.kids[slot(bit)].put(epoch, p, key, val, depth+1)
 		n.kids[slot(bit)] = kid
 		return n, added
 	default:
-		n.entries = insertAt(n.entries, n.index(bit), entry{key, val})
+		n.entries = insertAt(n.entries, n.index(bit), entry{key: key, val: val})
 		n.datamap |= bit
 		return n, true
 	}
@@ -321,11 +333,19 @@ const (
 var emptyMapRoot = types.Hash(sha256.Sum256([]byte{commitEmpty}))
 
 // hasher carries the scratch buffer the commitment's preimages are
-// assembled in.
-type hasher struct{ buf []byte }
+// assembled in, and counts the leaves it hashed.
+type hasher struct {
+	buf    []byte
+	leaves int
+}
 
-// leaf hashes one entry: its full key and its tagged value encoding.
+// leaf returns one entry's commitment: the hash of its full key and its
+// tagged value encoding, computed once and cached in the entry. The
+// caller holds the map's raw mutex.
 func (h *hasher) leaf(e *entry) (types.Hash, error) {
+	if e.hash != (types.Hash{}) {
+		return e.hash, nil
+	}
 	b := append(h.buf[:0], commitLeaf)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(e.key)))
 	b = append(b, e.key...)
@@ -334,7 +354,9 @@ func (h *hasher) leaf(e *entry) (types.Hash, error) {
 		return types.Hash{}, err
 	}
 	h.buf = b
-	return sha256.Sum256(b), nil
+	h.leaves++
+	e.hash = sha256.Sum256(b)
+	return e.hash, nil
 }
 
 // mapRoot is the commitment of the map whose top node is n: a map with
@@ -353,7 +375,7 @@ func (h *hasher) mapRoot(n *node) (types.Hash, error) {
 // node returns the commitment of a subtree with two or more entries,
 // hashing only what has no cached hash.
 func (h *hasher) node(n *node, depth int) (types.Hash, error) {
-	if n.hashed {
+	if n.hash != (types.Hash{}) {
 		return n.hash, nil
 	}
 	if depth == maxDepth {
@@ -378,7 +400,7 @@ func (h *hasher) node(n *node, depth int) (types.Hash, error) {
 		}
 		b = append(b, sub[:]...)
 	}
-	n.hash, n.hashed = sha256.Sum256(b), true
+	n.hash = sha256.Sum256(b)
 	return n.hash, nil
 }
 
@@ -393,6 +415,6 @@ func (h *hasher) bucket(n *node) (types.Hash, error) {
 		}
 		b = append(b, sub[:]...)
 	}
-	n.hash, n.hashed = sha256.Sum256(b), true
+	n.hash = sha256.Sum256(b)
 	return n.hash, nil
 }
