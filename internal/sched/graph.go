@@ -3,16 +3,14 @@
 // miner's lock profiles, the serial order S obtained by topological sort
 // (Algorithm 1), and the fork-join plan the validator executes
 // (Algorithm 2). It also implements the validator-side safety checks: H
-// must be acyclic, S must be one of its topological orders, and the traces
-// collected during replay must be race-free under H.
+// must be acyclic, S must be one of its topological orders, and the
+// published profiles must be race-free under H.
 package sched
 
 import (
-	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"contractstm/internal/stm"
@@ -74,6 +72,16 @@ func (g *Graph) AddEdge(from, to int) {
 	g.edgeSet[key] = struct{}{}
 	g.succs[from] = append(g.succs[from], to)
 	g.preds[to] = append(g.preds[to], from)
+}
+
+// orders reports whether from→to is a direct edge of g, or from and to are
+// one transaction, which cannot race with itself.
+func (g *Graph) orders(from, to int) bool {
+	if from == to {
+		return true
+	}
+	_, ok := g.edgeSet[uint64(from)<<32|uint64(to)]
+	return ok
 }
 
 // Preds returns tx's immediate happens-before predecessors, sorted.
@@ -138,54 +146,45 @@ func GraphFromEdges(n int, edges []Edge) (*Graph, error) {
 // way; the speculative engine reads the histories off its lock table
 // (BuildScheduleFromHistories).
 func BuildHappensBefore(n int, profiles []stm.Profile) (*Graph, error) {
-	type use struct {
-		stm.HistoryEntry
-		counter uint64
-	}
-	// Locks are numbered in first-seen order, so the walk below visits
-	// them in an order that does not depend on map iteration.
-	slot := make(map[stm.LockID]int)
-	var locks []stm.LockID
-	var uses [][]use
-	for _, p := range profiles {
-		if int(p.Tx) >= n {
-			return nil, fmt.Errorf("%w: profile for %s with %d transactions", ErrMalformed, p.Tx, n)
-		}
-		for _, e := range p.Entries {
-			i, ok := slot[e.Lock]
-			if !ok {
-				i = len(locks)
-				slot[e.Lock] = i
-				locks = append(locks, e.Lock)
-				uses = append(uses, nil)
-			}
-			uses[i] = append(uses[i], use{stm.HistoryEntry{Tx: p.Tx, Mode: e.Mode}, e.Counter})
-		}
+	h, err := regroup(n, profiles)
+	if err != nil {
+		return nil, err
 	}
 	g := NewGraph(n)
-	var history []stm.HistoryEntry
-	for i, us := range uses {
-		slices.SortFunc(us, func(a, b use) int { return cmp.Compare(a.counter, b.counter) })
-		history = history[:0]
-		for j, u := range us {
-			if j > 0 && u.counter == us[j-1].counter {
-				return nil, fmt.Errorf("%w: duplicate counter %d on lock %s", ErrMalformed, u.counter, locks[i])
-			}
-			history = append(history, u.HistoryEntry)
+	for s := range h.locks() {
+		us := h.uses(s)
+		if len(us) < 2 {
+			continue
 		}
-		g.addHistory(history)
+		for j := 1; j < len(us); j++ {
+			if us[j].counter == us[j-1].counter {
+				return nil, fmt.Errorf("%w: duplicate counter %d on lock %s", ErrMalformed, us[j].counter, h.lock(us[j]))
+			}
+		}
+		g.addHistory(h.history(us))
 	}
 	return g, nil
 }
 
 // addHistory adds one lock's edges to H, given the lock's committed
-// holders in use-counter order: runs of mutually-compatible holders (same
-// non-exclusive mode) are grouped, and each holder gets an edge from every
-// member of the immediately preceding conflicting group. Compatible holders
-// get no mutual edges — that is what keeps Ballot's commuting vote
-// increments parallel for the validator too. This is the one grouping rule:
-// every engine's H, and every recomputation of it, goes through here.
+// holders in use-counter order (see eachEdge).
 func (g *Graph) addHistory(history []stm.HistoryEntry) {
+	eachEdge(history, func(from, to int) bool {
+		g.AddEdge(from, to)
+		return true
+	})
+}
+
+// eachEdge calls edge for every edge one lock's history gives H, until
+// edge returns false; it reports whether none did. The history lists the
+// lock's committed holders in use-counter order: runs of mutually-
+// compatible holders (same non-exclusive mode) are grouped, and each
+// holder gets an edge from every member of the immediately preceding
+// conflicting group. Compatible holders get no mutual edges — that is what
+// keeps Ballot's commuting vote increments parallel for the validator too.
+// This is the one grouping rule: every engine's H, every recomputation of
+// it and the validator's race check (CheckProfileRaces) go through here.
+func eachEdge(history []stm.HistoryEntry, edge func(from, to int) bool) bool {
 	// history[prev:cur] is the previous conflicting group, history[cur:i]
 	// the group being built.
 	prev, cur := 0, 0
@@ -194,9 +193,12 @@ func (g *Graph) addHistory(history []stm.HistoryEntry) {
 			prev, cur = cur, i
 		}
 		for _, p := range history[prev:cur] {
-			g.AddEdge(int(p.Tx), int(h.Tx))
+			if !edge(int(p.Tx), int(h.Tx)) {
+				return false
+			}
 		}
 	}
+	return true
 }
 
 // txHeap is a min-heap of transaction ids for deterministic Kahn sorting.
@@ -310,9 +312,10 @@ func Reachability(g *Graph) ([][]uint64, error) {
 		return nil, err
 	}
 	words := (g.n + 63) / 64
+	rows := make([]uint64, g.n*words)
 	reach := make([][]uint64, g.n)
 	for i := range reach {
-		reach[i] = make([]uint64, words)
+		reach[i] = rows[i*words : (i+1)*words : (i+1)*words]
 	}
 	// Walk in reverse topological order: successors are final when visited.
 	for i := len(order) - 1; i >= 0; i-- {
@@ -334,59 +337,6 @@ func Ordered(reach [][]uint64, a, b int) bool {
 		return true
 	}
 	return reach[b][a/64]&(1<<(uint(a)%64)) != 0
-}
-
-// CheckRaces verifies that every pair of transactions whose traces touch
-// the same lock in conflicting modes is ordered by H. This is the
-// validator's "data race (an unsynchronized concurrent access)" check (§5).
-func CheckRaces(g *Graph, traces []stm.Trace) error {
-	reach, err := Reachability(g)
-	if err != nil {
-		return err
-	}
-	type use struct {
-		tx   int
-		mode stm.Mode
-	}
-	// Dedup repeat (tx, mode) uses of one lock while grouping: a
-	// transaction hammering one hot lock contributes one entry per mode,
-	// not one per access, keeping the pairwise check below quadratic only
-	// in *distinct* users rather than in raw trace length.
-	type lockUse struct {
-		lock stm.LockID
-		u    use
-	}
-	perLock := make(map[stm.LockID][]use)
-	seen := make(map[lockUse]struct{})
-	for _, tr := range traces {
-		if int(tr.Tx) >= g.n {
-			return fmt.Errorf("%w: trace for %s with %d transactions", ErrMalformed, tr.Tx, g.n)
-		}
-		for _, e := range tr.Entries {
-			lu := lockUse{lock: e.Lock, u: use{tx: int(tr.Tx), mode: e.Mode}}
-			if _, dup := seen[lu]; dup {
-				continue
-			}
-			seen[lu] = struct{}{}
-			perLock[e.Lock] = append(perLock[e.Lock], lu.u)
-		}
-	}
-	//chainvet:allow(detmap) ∃-check: the accept/reject verdict is a conjunction over all lock-use pairs, so iteration order can only change which offending pair an ErrRace names, never whether the block verifies.
-	for lock, uses := range perLock {
-		for i := 0; i < len(uses); i++ {
-			for j := i + 1; j < len(uses); j++ {
-				a, b := uses[i], uses[j]
-				if a.tx == b.tx || stm.Compatible(a.mode, b.mode) {
-					continue
-				}
-				if !Ordered(reach, a.tx, b.tx) {
-					return fmt.Errorf("%w: %s and %s on lock %s (%s vs %s)",
-						ErrRace, types.TxID(a.tx), types.TxID(b.tx), lock, a.mode, b.mode)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Schedule bundles the miner's published metadata: the serial order S and

@@ -32,35 +32,36 @@ func BenchmarkAddEdgeHotSpot(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckRacesHotLock models a validator race check over a block
-// whose transactions all touch one lock exclusively, each several times (a
-// ballot counter updated in a loop). Without the (tx, mode) dedup the
-// pairwise loop ran over every raw trace entry — (n·uses)² pairs; with it,
-// n² over distinct users.
-func BenchmarkCheckRacesHotLock(b *testing.B) {
-	const repeats = 8
+// BenchmarkCheckProfileRacesHotLock models the validator's race check over
+// a block whose transactions all hold one lock exclusively (a ballot
+// counter), chained by H. With counters along the chain the check takes
+// the fast path: one edge lookup per transaction. With the counters
+// reversed every lookup misses, and the pairwise check over H's closure
+// runs instead: n² pairs.
+func BenchmarkCheckProfileRacesHotLock(b *testing.B) {
 	for _, n := range []int{64, 200} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			g := NewGraph(n)
-			for i := 1; i < n; i++ {
-				g.AddEdge(i-1, i)
-			}
-			hot := stm.LockID{Scope: "bench", Key: "hot"}
-			traces := make([]stm.Trace, n)
-			for i := range traces {
-				tr := stm.Trace{Tx: types.TxID(i)}
-				for r := 0; r < repeats; r++ {
-					tr.Entries = append(tr.Entries, stm.TraceEntry{Lock: hot, Mode: stm.ModeExclusive})
+		g := NewGraph(n)
+		for i := 1; i < n; i++ {
+			g.AddEdge(i-1, i)
+		}
+		hot := stm.LockID{Scope: "bench", Key: "hot"}
+		for _, path := range []string{"fast", "fallback"} {
+			profiles := make([]stm.Profile, n)
+			for i := range profiles {
+				counter := uint64(i + 1)
+				if path == "fallback" {
+					counter = uint64(n - i)
 				}
-				traces[i] = tr
+				profiles[i] = stm.Profile{Tx: types.TxID(i), Entries: []stm.ProfileEntry{{Lock: hot, Mode: stm.ModeExclusive, Counter: counter}}}
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := CheckRaces(g, traces); err != nil {
-					b.Fatal(err)
+			b.Run(fmt.Sprintf("n=%d/%s", n, path), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := CheckProfileRaces(g, profiles); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

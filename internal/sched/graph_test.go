@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -208,30 +209,203 @@ func TestReachabilityAndOrdered(t *testing.T) {
 	}
 }
 
-func TestCheckRacesDetectsUnorderedConflict(t *testing.T) {
+func TestCheckProfileRacesDetectsUnorderedConflict(t *testing.T) {
 	g := NewGraph(2) // no edges
-	traces := []stm.Trace{
-		{Tx: 0, Entries: []stm.TraceEntry{{Lock: lock("a"), Mode: stm.ModeExclusive}}},
-		{Tx: 1, Entries: []stm.TraceEntry{{Lock: lock("a"), Mode: stm.ModeShared}}},
+	profiles := []stm.Profile{
+		prof(0, entry("a", stm.ModeExclusive, 1)),
+		prof(1, entry("a", stm.ModeShared, 2)),
 	}
-	if err := CheckRaces(g, traces); !errors.Is(err, ErrRace) {
+	if err := CheckProfileRaces(g, profiles); !errors.Is(err, ErrRace) {
 		t.Fatalf("err = %v, want ErrRace", err)
 	}
 	// Adding the ordering edge fixes it.
 	g.AddEdge(0, 1)
-	if err := CheckRaces(g, traces); err != nil {
+	if err := CheckProfileRaces(g, profiles); err != nil {
 		t.Fatalf("ordered conflict flagged: %v", err)
 	}
 }
 
-func TestCheckRacesAllowsCompatibleUnordered(t *testing.T) {
+func TestCheckProfileRacesAllowsCompatibleUnordered(t *testing.T) {
 	g := NewGraph(2)
-	traces := []stm.Trace{
-		{Tx: 0, Entries: []stm.TraceEntry{{Lock: lock("a"), Mode: stm.ModeIncrement}}},
-		{Tx: 1, Entries: []stm.TraceEntry{{Lock: lock("a"), Mode: stm.ModeIncrement}}},
+	profiles := []stm.Profile{
+		prof(0, entry("a", stm.ModeIncrement, 1)),
+		prof(1, entry("a", stm.ModeIncrement, 2)),
 	}
-	if err := CheckRaces(g, traces); err != nil {
+	if err := CheckProfileRaces(g, profiles); err != nil {
 		t.Fatalf("compatible unordered accesses flagged: %v", err)
+	}
+}
+
+// TestCheckProfileRacesFastPathAndFallback: H built from the profiles takes
+// the fast path; an H that is race free only through a transitive path, or
+// only against the counters, takes the pairwise check and is accepted;
+// the pairwise check still refuses a real race.
+func TestCheckProfileRacesFastPathAndFallback(t *testing.T) {
+	profiles := []stm.Profile{
+		prof(0, entry("a", stm.ModeExclusive, 1)),
+		prof(1, entry("a", stm.ModeExclusive, 2)),
+		prof(2, entry("a", stm.ModeShared, 3)),
+		prof(3, entry("a", stm.ModeShared, 4)),
+	}
+	check := func(name string, g *Graph, wantFallback bool, want error) {
+		t.Helper()
+		before := raceFallbacks.Load()
+		err := CheckProfileRaces(g, profiles)
+		if !errors.Is(err, want) {
+			t.Errorf("%s: err = %v, want %v", name, err, want)
+		}
+		if fell := raceFallbacks.Load() != before; fell != wantFallback {
+			t.Errorf("%s: fallback = %v, want %v", name, fell, wantFallback)
+		}
+	}
+	built, err := BuildHappensBefore(4, profiles)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	check("built from the profiles", built, false, nil)
+
+	// 0→1, 1→2, 1→3 plus a redundant 0→2: still a superset of the rule's H.
+	super := NewGraph(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {1, 3}, {0, 2}} {
+		super.AddEdge(e[0], e[1])
+	}
+	check("superset of the rule's edges", super, false, nil)
+
+	// The rule draws 0→1, 1→2, 1→3. Replace 1→3 by 2→3: 1⇝3 through 2,
+	// and the shared pair 2, 3 is compatible either way.
+	implied := NewGraph(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+		implied.AddEdge(e[0], e[1])
+	}
+	check("implied transitively", implied, true, nil)
+
+	// Against the counters: 1→0 orders the two writers the other way.
+	reversed := NewGraph(4)
+	for _, e := range [][2]int{{1, 0}, {0, 2}, {0, 3}} {
+		reversed.AddEdge(e[0], e[1])
+	}
+	check("against counter order", reversed, true, nil)
+
+	// Drop 1→3 outright: the writer 1 and the reader 3 race.
+	dropped := NewGraph(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		dropped.AddEdge(e[0], e[1])
+	}
+	check("dropped", dropped, true, ErrRace)
+}
+
+// TestCheckProfileRacesMatchesPairwiseOracle: on random profiles and random
+// acyclic H, the check refuses exactly when some conflicting pair of uses of
+// one lock is unordered, as found by a depth-first search over H.
+func TestCheckProfileRacesMatchesPairwiseOracle(t *testing.T) {
+	modes := []stm.Mode{stm.ModeShared, stm.ModeIncrement, stm.ModeExclusive}
+	propFn := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(10)
+		counters := map[string]uint64{}
+		profiles := make([]stm.Profile, n)
+		for i := range profiles {
+			p := prof(i)
+			for _, k := range []string{"a", "b", "c"} {
+				if rng.Intn(2) == 0 {
+					counters[k]++
+					p.Entries = append(p.Entries, entry(k, modes[rng.Intn(len(modes))], counters[k]))
+				}
+			}
+			profiles[i] = p
+		}
+		// H: the rule's edges, each kept with probability 3/4, plus a few
+		// random forward edges.
+		built, err := BuildHappensBefore(n, profiles)
+		if err != nil {
+			return false
+		}
+		g := NewGraph(n)
+		for _, e := range built.Edges() {
+			if rng.Intn(4) != 0 {
+				g.AddEdge(int(e.From), int(e.To))
+			}
+		}
+		for k := rng.Intn(n); k > 0; k-- {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a < b {
+				g.AddEdge(a, b)
+			}
+		}
+		reaches := func(from, to int) bool {
+			seen := make([]bool, n)
+			stack := []int{from}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, s := range g.succs[v] {
+					if s == to {
+						return true
+					}
+					if !seen[s] {
+						seen[s] = true
+						stack = append(stack, s)
+					}
+				}
+			}
+			return false
+		}
+		race := false
+		for i := range profiles {
+			for j := i + 1; j < n; j++ {
+				for _, a := range profiles[i].Entries {
+					for _, b := range profiles[j].Entries {
+						if a.Lock == b.Lock && !stm.Compatible(a.Mode, b.Mode) && !reaches(i, j) && !reaches(j, i) {
+							race = true
+						}
+					}
+				}
+			}
+		}
+		err = CheckProfileRaces(g, profiles)
+		return errors.Is(err, ErrRace) == race && (race || err == nil)
+	}
+	if err := quick.Check(propFn, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckProfileRacesFastPathAllocs: the fast path allocates the same
+// number of times for a block of 100 transactions as for one of 500 — its
+// storage is a few slabs sized by the profile entries, not a slice per lock
+// or per use. Each transaction takes its own lock and, every fourth one, a
+// contended one.
+func TestCheckProfileRacesFastPathAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		profiles := make([]stm.Profile, n)
+		var hot uint64
+		for i := range profiles {
+			p := prof(i, entry("own"+strconv.Itoa(i), stm.ModeExclusive, 1))
+			if i%4 == 0 {
+				hot++
+				p.Entries = append([]stm.ProfileEntry{entry("hot", stm.ModeExclusive, hot)}, p.Entries...)
+			}
+			profiles[i] = p
+		}
+		g, err := BuildHappensBefore(n, profiles)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		before := raceFallbacks.Load()
+		got := testing.AllocsPerRun(10, func() {
+			if err := CheckProfileRaces(g, profiles); err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+		})
+		if raceFallbacks.Load() != before {
+			t.Fatalf("n=%d: left the fast path", n)
+		}
+		return got
+	}
+	small, large := allocs(100), allocs(500)
+	t.Logf("allocations: %.0f at n=100, %.0f at n=500", small, large)
+	if small != large {
+		t.Errorf("fast path allocates %.0f times at n=100 and %.0f at n=500, want the same", small, large)
 	}
 }
 

@@ -451,25 +451,11 @@ type TraceEntry struct {
 }
 
 // Trace is the validator-side analogue of Profile: the locks a transaction
-// would have acquired, recorded thread-locally during deterministic replay.
-// Entries are deduplicated (modes combined) and sorted by lock.
+// would have acquired, recorded thread-locally. Entries are deduplicated
+// (modes combined) and sorted by lock. The serial and OCC engines build
+// their profiles from traces; the validator compares a replay's trace with
+// its profile in place (Tx.TraceMatches).
 type Trace struct {
 	Tx      types.TxID   `json:"tx"`
 	Entries []TraceEntry `json:"entries"`
-}
-
-// MatchesProfile reports whether the trace matches a miner profile: the
-// same lock set with the same combined modes. Counter values are not
-// compared here — they order transactions and are checked by the schedule
-// verifier (internal/sched).
-func (tr Trace) MatchesProfile(p Profile) bool {
-	if len(tr.Entries) != len(p.Entries) {
-		return false
-	}
-	for i, e := range tr.Entries {
-		if e.Lock != p.Entries[i].Lock || e.Mode != p.Entries[i].Mode {
-			return false
-		}
-	}
-	return true
 }

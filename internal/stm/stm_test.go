@@ -290,22 +290,45 @@ func TestReplayTraceRecordsAndCombines(t *testing.T) {
 
 func TestTraceMatchesProfile(t *testing.T) {
 	lock := LockID{Scope: "m", Key: "k"}
+	other := LockID{Scope: "m", Key: "z"}
+	// replayed runs one replay transaction with the given accesses and
+	// reports whether its trace matches p.
+	replayed := func(p Profile, accesses ...TraceEntry) bool {
+		var match bool
+		singleThread(t, func(th runtime.Thread) {
+			tx := BeginReplay(1, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
+			for _, a := range accesses {
+				_ = tx.Access(a.Lock, a.Mode, 1)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Errorf("commit: %v", err)
+			}
+			match = tx.TraceMatches(p)
+			tx.Recycle()
+		})
+		return match
+	}
 	p := Profile{Tx: 1, Entries: []ProfileEntry{{Lock: lock, Mode: ModeExclusive, Counter: 5}}}
-	good := Trace{Tx: 1, Entries: []TraceEntry{{Lock: lock, Mode: ModeExclusive}}}
-	if !good.MatchesProfile(p) {
+	if !replayed(p, TraceEntry{Lock: lock, Mode: ModeShared}, TraceEntry{Lock: lock, Mode: ModeExclusive}) {
 		t.Fatal("matching trace rejected")
 	}
-	badMode := Trace{Tx: 1, Entries: []TraceEntry{{Lock: lock, Mode: ModeShared}}}
-	if badMode.MatchesProfile(p) {
+	if replayed(p, TraceEntry{Lock: lock, Mode: ModeShared}) {
 		t.Fatal("mode mismatch accepted")
 	}
-	badLock := Trace{Tx: 1, Entries: []TraceEntry{{Lock: LockID{Scope: "m", Key: "other"}, Mode: ModeExclusive}}}
-	if badLock.MatchesProfile(p) {
+	if replayed(p, TraceEntry{Lock: other, Mode: ModeExclusive}) {
 		t.Fatal("lock mismatch accepted")
 	}
-	empty := Trace{Tx: 1}
-	if empty.MatchesProfile(p) {
+	if replayed(p) {
 		t.Fatal("missing entries accepted")
+	}
+	if replayed(p, TraceEntry{Lock: lock, Mode: ModeExclusive}, TraceEntry{Lock: other, Mode: ModeShared}) {
+		t.Fatal("extra lock accepted")
+	}
+	two := Profile{Tx: 1, Entries: []ProfileEntry{
+		{Lock: lock, Mode: ModeExclusive, Counter: 1}, {Lock: other, Mode: ModeIncrement, Counter: 2},
+	}}
+	if !replayed(two, TraceEntry{Lock: other, Mode: ModeIncrement}, TraceEntry{Lock: lock, Mode: ModeExclusive}) {
+		t.Fatal("matching two-lock trace rejected (access order must not matter)")
 	}
 }
 

@@ -423,12 +423,33 @@ func (t *Tx) TraceResultInto(buf []TraceEntry) Trace {
 	return Trace{Tx: t.id, Entries: entries}
 }
 
+// TraceMatches reports whether a replay root's trace matches the miner's
+// profile p: the same lock set with the same combined modes. It reads the
+// trace map in place — one lookup per profile entry, nothing built or
+// sorted — so it is exact only for a profile that names each lock once,
+// which the validator's Precheck requires (entries strictly ascending by
+// lock). Counter values are not compared here: they order transactions,
+// and the race check (internal/sched) reads them.
+func (t *Tx) TraceMatches(p Profile) bool {
+	seen := t.root.traceSeen
+	if len(seen) != len(p.Entries) {
+		return false
+	}
+	for _, e := range p.Entries {
+		if m, ok := seen[e.Lock]; !ok || m != e.Mode {
+			return false
+		}
+	}
+	return true
+}
+
 // Recycle returns a settled root's pooled read/write-set map for reuse by
 // a later BeginReplay/BeginOCC. Call it only after the transaction has
-// committed, aborted, or reverted AND its TraceResult has been taken; the
-// trace map is gone afterwards. The overlay is deliberately NOT released
-// here — for OCC roots the engine still holds PendingWrites and releases
-// the overlay itself once the writes are applied or discarded.
+// committed, aborted, or reverted AND its trace has been read
+// (TraceResult, TraceMatches); the trace map is gone afterwards. The
+// overlay is deliberately NOT released here — for OCC roots the engine
+// still holds PendingWrites and releases the overlay itself once the
+// writes are applied or discarded.
 func (t *Tx) Recycle() {
 	if t.parent != nil || t.status == StatusActive {
 		return

@@ -5,13 +5,19 @@
 // diverges from what the miner published:
 //
 //   - malformed metadata: H cyclic, S not a topological order of H,
-//     commitments not matching the body;
+//     commitments not matching the body, a profile out of place or not in
+//     canonical form;
+//   - data race: two conflicting lock uses in the published profiles
+//     unordered by H;
 //   - trace mismatch: the abstract locks a transaction would have acquired
 //     differ from the miner's published profile;
-//   - data race: two conflicting lock uses unordered by H;
 //   - outcome mismatch: a transaction's receipt (reverted flag, gas used)
 //     differs from the block's;
 //   - state mismatch: the final state root differs from the header's.
+//
+// The first two are read off the block's bytes (Precheck); the rest need
+// the replay (ValidatePrechecked). Together, a race-free profile and a
+// trace equal to it make a race-free trace, which is the paper's check.
 //
 // Validation is deterministic and can use any number of threads ("the
 // validator is not required to match the miner's level of parallelism").
@@ -26,6 +32,7 @@ import (
 	"contractstm/internal/engine"
 	"contractstm/internal/runtime"
 	"contractstm/internal/sched"
+	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
 
@@ -56,22 +63,24 @@ type Result struct {
 
 // Prechecked carries the outputs of the stateless validation phase so the
 // stateful phase can reuse them instead of recomputing: the fork-join plan
-// and the happens-before graph compiled from the block's schedule.
+// compiled from the block's schedule.
 type Prechecked struct {
-	plan  sched.Plan
-	graph *sched.Graph
+	plan sched.Plan
 	// TxIDs are the calls' transaction IDs: the tx root's leaves.
 	TxIDs []types.Hash
 }
 
 // Precheck runs every check in Validate that never touches contract.World:
-// body/schedule commitments and schedule-graph construction (H acyclic, S a
-// topological order) — the one place a node checks the commitments of a
-// block it did not seal. It is pure with respect to b — safe to run
-// concurrently across a window of queued blocks (internal/importer's
-// Phase A). The returned errors are byte-identical to the ones Validate
-// produces for the same block, so a staged import pipeline that elects the
-// first Precheck error by height rejects exactly like Validate.
+// body/schedule commitments, schedule-graph construction (H acyclic, S a
+// topological order), each profile's place and canonical form, and the
+// race check on the published profiles — the one place a node checks the
+// commitments of a block it did not seal. A block whose schedule hides a
+// race is refused here, before anything executes. Precheck is pure with
+// respect to b — safe to run concurrently across a window of queued blocks
+// (internal/importer's Phase A). The returned errors are byte-identical to
+// the ones Validate produces for the same block, so a staged import
+// pipeline that elects the first Precheck error by height rejects exactly
+// like Validate.
 func Precheck(b chain.Block) (Prechecked, error) {
 	txIDs, err := chain.VerifyCommitments(b)
 	if err != nil {
@@ -81,7 +90,32 @@ func Precheck(b chain.Block) (Prechecked, error) {
 	if err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	return Prechecked{plan: plan, graph: graph, TxIDs: txIDs}, nil
+	for i, p := range b.Profiles {
+		if p.Tx != types.TxID(i) {
+			return Prechecked{}, fmt.Errorf("%w: profile %d labelled %s", ErrRejected, i, p.Tx)
+		}
+		if !canonical(p) {
+			return Prechecked{}, fmt.Errorf("%w: %s profile not strictly ascending by lock", ErrRejected, p.Tx)
+		}
+	}
+	// Race check (§5: reject "if the schedule has a data race").
+	if err := sched.CheckProfileRaces(graph, b.Profiles); err != nil {
+		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
+	}
+	return Prechecked{plan: plan, TxIDs: txIDs}, nil
+}
+
+// canonical reports whether p's entries are strictly ascending by lock,
+// the form every miner publishes. It names each lock once, which is what
+// lets the replay compare a trace with p by length and lookups
+// (stm.Tx.TraceMatches).
+func canonical(p stm.Profile) bool {
+	for j := 1; j < len(p.Entries); j++ {
+		if p.Entries[j-1].Lock.Compare(p.Entries[j].Lock) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate re-executes block b against w (which must hold the parent
@@ -97,37 +131,29 @@ func Validate(runner runtime.Runner, w *contract.World, b chain.Block, cfg Confi
 }
 
 // ValidatePrechecked is the stateful phase of Validate: fork-join replay
-// against world state plus the trace/race/receipt/state-root comparisons.
+// against world state, with each transaction's trace compared to its
+// profile inside the replay, then the receipt and state-root comparisons.
 // pre must come from Precheck on the same block; the split exists so the
 // staged import pipeline can run Precheck concurrently across a window and
 // keep only this phase strictly sequential in height order.
 func ValidatePrechecked(runner runtime.Runner, w *contract.World, b chain.Block, pre Prechecked, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	n := len(b.Calls)
-	plan, graph := pre.plan, pre.graph
 
 	// The replay execution loop lives in the engine layer (shared with the
-	// engines' schedule derivation); validation layers the checks on top.
-	run, err := engine.Replay(runner, w, b.Calls, plan, cfg.Workers)
+	// engines' schedule derivation). It compares each trace with the
+	// profile (§4: "the validator's VM compares the traces it generated
+	// with the lock profiles provided by the miner") and stops at the
+	// first mismatch.
+	run, err := engine.Replay(runner, w, b.Calls, b.Profiles, pre.plan, cfg.Workers)
+	if errors.Is(err, engine.ErrTraceMismatch) {
+		return Result{}, fmt.Errorf("%w: %v", ErrRejected, err)
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: fork-join execution: %v", ErrRejected, err)
 	}
-	receipts, traces, makespan := run.Receipts, run.Traces, run.Makespan
+	receipts, makespan := run.Receipts, run.Makespan
 
-	// Trace-vs-profile comparison (§4: "the validator's VM compares the
-	// traces it generated with the lock profiles provided by the miner").
-	for i := 0; i < n; i++ {
-		if b.Profiles[i].Tx != types.TxID(i) {
-			return Result{}, fmt.Errorf("%w: profile %d labelled %s", ErrRejected, i, b.Profiles[i].Tx)
-		}
-		if !traces[i].MatchesProfile(b.Profiles[i]) {
-			return Result{}, fmt.Errorf("%w: %s trace does not match published lock profile", ErrRejected, types.TxID(i))
-		}
-	}
-	// Race check (§5: reject "if the schedule has a data race").
-	if err := sched.CheckRaces(graph, traces); err != nil {
-		return Result{}, fmt.Errorf("%w: %v", ErrRejected, err)
-	}
 	// Outcome comparison: the block's receipts must match re-execution.
 	for i := 0; i < n; i++ {
 		got, want := receipts[i], b.Receipts[i]

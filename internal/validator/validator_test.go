@@ -2,7 +2,9 @@ package validator
 
 import (
 	"errors"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"contractstm/internal/chain"
@@ -138,8 +140,9 @@ func TestValidateRejectsForgedReceipts(t *testing.T) {
 func TestValidateRejectsStrippedSchedule(t *testing.T) {
 	// The central security property: a miner that publishes an
 	// over-parallel schedule (dropping happens-before edges between
-	// conflicting transactions) must be caught — the replay traces reveal
-	// the data race.
+	// conflicting transactions) must be caught. With the profiles stripped
+	// too, the profiles show no race, and the replay's traces reveal that
+	// they lie.
 	w, block := mineBlock(t, workload.Params{
 		Kind: workload.KindAuction, Transactions: 30, ConflictPercent: 60, Seed: 2,
 	})
@@ -161,7 +164,8 @@ func TestValidateRejectsStrippedSchedule(t *testing.T) {
 func TestValidateRejectsDroppedEdgesKeepingProfiles(t *testing.T) {
 	// Dropping edges while keeping honest profiles is inconsistent: the
 	// happens-before graph rebuilt by the validator comes from the block's
-	// edge list, and CheckRaces sees conflicting traces unordered.
+	// edge list, and Precheck's race check (sched.CheckProfileRaces) finds
+	// conflicting profile uses unordered before anything executes.
 	w, block := mineBlock(t, workload.Params{
 		Kind: workload.KindEtherDoc, Transactions: 30, ConflictPercent: 80, Seed: 3,
 	})
@@ -170,9 +174,33 @@ func TestValidateRejectsDroppedEdgesKeepingProfiles(t *testing.T) {
 	}
 	block.Schedule.Edges = nil
 	block = reseal(block)
+	if _, err := Precheck(block); !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), sched.ErrRace.Error()) {
+		t.Fatalf("Precheck err = %v, want ErrRejected for a race", err)
+	}
 	_, err := Validate(runtime.NewSimRunner(), w.World, block, Config{Workers: 3})
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
+	}
+}
+
+func TestValidateRejectsDuplicatedProfileEntry(t *testing.T) {
+	// A profile that names its first lock twice in place of its second
+	// has the length of the trace, and each of its entries is found in
+	// the trace; the replay compares a trace with its profile by length
+	// and lookups, so Precheck must refuse the duplicate first. Accepting
+	// it would hide the second lock from the race check.
+	w, block := mineBlock(t, workload.Params{
+		Kind: workload.KindBallot, Transactions: 30, ConflictPercent: 15, Seed: 4,
+	})
+	i := slices.IndexFunc(block.Profiles, func(p stm.Profile) bool { return len(p.Entries) > 1 })
+	if i < 0 {
+		t.Fatal("fixture: no profile with two entries")
+	}
+	block.Profiles[i].Entries[1] = block.Profiles[i].Entries[0]
+	block = reseal(block)
+	if _, err := Validate(runtime.NewSimRunner(), w.World, block, Config{Workers: 3}); !errors.Is(err, ErrRejected) ||
+		!strings.Contains(err.Error(), "not strictly ascending") {
+		t.Fatalf("err = %v, want ErrRejected (profile not canonical)", err)
 	}
 }
 
