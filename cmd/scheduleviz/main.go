@@ -89,14 +89,19 @@ func run() error {
 
 	fmt.Printf("serial order S: %v\n\n", res.Block.Schedule.Order)
 
+	// The edges are sorted by (from, to), so each task's joins come out
+	// ascending.
+	joins := make([][]int, len(wl.Calls))
+	for _, e := range res.Block.Schedule.Edges {
+		joins[e.To] = append(joins[e.To], int(e.From))
+	}
 	fmt.Println("fork-join program (Algorithm 2): task -> joins")
 	for _, tx := range res.Block.Schedule.Order {
-		preds := res.Graph.Preds(int(tx))
-		if len(preds) == 0 {
+		if len(joins[tx]) == 0 {
 			fmt.Printf("  %-6s [%s] runs immediately\n", tx, wl.Calls[tx].Function)
 			continue
 		}
-		fmt.Printf("  %-6s [%s] joins %v\n", tx, wl.Calls[tx].Function, preds)
+		fmt.Printf("  %-6s [%s] joins %v\n", tx, wl.Calls[tx].Function, joins[tx])
 	}
 
 	if *profiles {

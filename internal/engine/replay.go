@@ -9,7 +9,6 @@ import (
 	"contractstm/internal/forkjoin"
 	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
-	"contractstm/internal/sched"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
@@ -27,7 +26,8 @@ type ReplayRun struct {
 }
 
 // Replay is the validator-side execution core (the paper's Algorithm 2):
-// run the published schedule's fork-join plan as dependency-counted tasks,
+// run the published schedule's compiled fork-join program (Precheck builds
+// it with sched.ConstructValidator) as dependency-counted tasks,
 // longest happens-before chain first, re-executing the block in parallel
 // with no locks, no conflict detection and no rollback machinery. Each
 // task compares its transaction's trace with profiles[i] as it finishes
@@ -36,7 +36,7 @@ type ReplayRun struct {
 // executing, leaving the world unspecified. It is the one place the replay
 // execution loop lives; the validator package layers the other §4-§5
 // checks on top.
-func Replay(runner runtime.Runner, w *contract.World, calls []contract.Call, profiles []stm.Profile, plan sched.Plan, workers int) (ReplayRun, error) {
+func Replay(runner runtime.Runner, w *contract.World, calls []contract.Call, profiles []stm.Profile, prog *forkjoin.Program, workers int) (ReplayRun, error) {
 	n := len(calls)
 	if len(profiles) != n {
 		return ReplayRun{}, fmt.Errorf("engine: %d profiles for %d calls", len(profiles), n)
@@ -51,13 +51,13 @@ func Replay(runner runtime.Runner, w *contract.World, calls []contract.Call, pro
 	if workers > 1 {
 		pool = runtime.WithStartupWork(runner, costs.PoolStartup)
 	}
-	makespan, err := forkjoin.Run(pool, workers, plan.Preds, func(th runtime.Thread, i int) {
+	makespan, err := forkjoin.Run(pool, workers, prog, func(th runtime.Thread, i int) {
 		if mismatch.Load() != 0 {
 			return
 		}
 		// Task setup plus one join per happens-before predecessor: the
 		// only synchronization the validator pays for (§4).
-		th.Work(costs.TaskSetup + costs.JoinOverhead*gas.Gas(len(plan.Preds[i])))
+		th.Work(costs.TaskSetup + costs.JoinOverhead*gas.Gas(prog.Joins(i)))
 		call := calls[i]
 		id := types.TxID(i)
 		tx := stm.BeginReplay(id, th, gas.NewMeter(call.GasLimit), costs)

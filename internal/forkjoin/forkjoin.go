@@ -8,6 +8,8 @@
 // task (which would deadlock a bounded pool). Among the ready tasks a free
 // worker always takes the one with the longest chain of successors still
 // behind it (its bottom level, unit weights), lowest index first on ties.
+// Compile works those priorities out once, from a topological order the
+// caller has already verified; Run only executes the compiled Program.
 //
 // Deviation from the paper, which cites a Cilk work-stealing scheduler:
 // work stealing is built for DAGs that unfold as they run. A validator's
@@ -22,78 +24,53 @@
 package forkjoin
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
 
 	"contractstm/internal/runtime"
+	"contractstm/internal/types"
 )
 
-// ErrUnreachableTasks reports tasks whose dependencies can never be
-// satisfied (a cycle), detected before any task runs.
-var ErrUnreachableTasks = errors.New("forkjoin: tasks unreachable (cyclic dependencies)")
-
-// dag is the task graph as the workers use it.
-type dag struct {
-	// succs[start[p]:start[p+1]] are the tasks waiting on p (a duplicate
-	// predecessor appears, and is counted, twice).
+// Program is a task DAG compiled for Run: the tasks waiting on each task,
+// the joins each task waits for, and the dispatch priority. Build it with
+// Compile; the zero Program has no tasks.
+type Program struct {
+	// succs[start[p]:start[p+1]] are the tasks waiting on p.
 	start, succs []int
+	// joins[i] is the number of edges into i.
+	joins []int
 	// rank orders tasks by priority — bottom level descending, index
 	// ascending — and byRank is its inverse: byRank[rank[i]] == i.
 	rank, byRank []int
 }
 
-// after returns the tasks waiting on p.
-func (g *dag) after(p int) []int { return g.succs[g.start[p]:g.start[p+1]] }
-
-// newDAG inverts preds and ranks the tasks, in O(tasks + edges).
-func newDAG(preds [][]int) (*dag, error) {
-	n := len(preds)
-	g := &dag{start: make([]int, n+1), rank: make([]int, n), byRank: make([]int, n)}
-	for i, ps := range preds {
-		for _, p := range ps {
-			if p < 0 || p >= n || p == i {
-				return nil, fmt.Errorf("forkjoin: task %d has invalid predecessor %d", i, p)
-			}
-			g.start[p+1]++
+// Compile builds the program of the tasks 0..len(order)-1 in which task i
+// must return before any task in succs[i] starts, in O(tasks + edges).
+// order must be a topological order of that DAG and every succs entry in
+// range: the caller has proved both (for a block, sched.VerifyOrder has),
+// and Compile checks neither. A duplicate successor is joined twice.
+func Compile(order []types.TxID, succs [][]int) *Program {
+	n := len(order)
+	g := &Program{start: make([]int, n+1), joins: make([]int, n), rank: make([]int, n), byRank: make([]int, n)}
+	for p, ss := range succs {
+		g.start[p+1] = g.start[p] + len(ss)
+		for _, s := range ss {
+			g.joins[s]++
 		}
 	}
-	for p := 0; p < n; p++ {
-		g.start[p+1] += g.start[p]
-	}
-	g.succs = make([]int, g.start[n])
-	fill := append([]int(nil), g.start[:n]...)
-	for i, ps := range preds {
-		for _, p := range ps {
-			g.succs[fill[p]] = i
-			fill[p]++
-		}
+	g.succs = make([]int, 0, g.start[n])
+	for _, ss := range succs {
+		g.succs = append(g.succs, ss...)
 	}
 
-	// Topological order (Kahn), then bottom levels in reverse: level[i] is
-	// the number of tasks on the longest chain starting at i.
-	remaining := make([]int, n)
-	order := make([]int, 0, n)
-	for i, ps := range preds {
-		if remaining[i] = len(ps); remaining[i] == 0 {
-			order = append(order, i)
-		}
-	}
-	for h := 0; h < len(order); h++ {
-		for _, s := range g.after(order[h]) {
-			if remaining[s]--; remaining[s] == 0 {
-				order = append(order, s)
-			}
-		}
-	}
-	if len(order) < n {
-		return nil, fmt.Errorf("%w: %d of %d tasks can run", ErrUnreachableTasks, len(order), n)
-	}
-	level := make([]int, n)
+	// Bottom levels in reverse topological order: level[i] is the number of
+	// tasks on the longest chain starting at i. rank holds them until the
+	// sort below overwrites each with its rank.
+	level := g.rank
 	depth := 0
 	for h := n - 1; h >= 0; h-- {
-		i := order[h]
+		i := int(order[h])
 		level[i] = 1
 		for _, s := range g.after(i) {
 			level[i] = max(level[i], level[s]+1)
@@ -115,8 +92,14 @@ func newDAG(preds [][]int) (*dag, error) {
 		g.byRank[g.rank[i]] = i
 		first[depth-l]++
 	}
-	return g, nil
+	return g
 }
+
+// Joins returns the number of tasks task i waits for.
+func (g *Program) Joins(i int) int { return g.joins[i] }
+
+// after returns the tasks waiting on p.
+func (g *Program) after(p int) []int { return g.succs[g.start[p]:g.start[p+1]] }
 
 // pool is the shared scheduling state for one Run call.
 type pool struct {
@@ -129,34 +112,31 @@ type pool struct {
 	done   int
 }
 
-// Run executes body(th, i) once for every task i in [0, len(preds)) on
-// `workers` threads of the given runner, starting i only after every task
-// in preds[i] has returned, and reports the makespan in the runner's time
-// unit. Entries of preds[i] must be in range and not i itself; duplicates
-// are harmless.
-func Run(runner runtime.Runner, workers int, preds [][]int, body func(th runtime.Thread, i int)) (uint64, error) {
-	n := len(preds)
-	g, err := newDAG(preds)
-	if err != nil {
-		return 0, err
-	}
+// Run executes body(th, i) once for every task i of prog on `workers`
+// threads of the given runner, starting i only after every task it joins
+// has returned, and reports the makespan in the runner's time unit.
+func Run(runner runtime.Runner, workers int, prog *Program, body func(th runtime.Thread, i int)) (uint64, error) {
+	n := len(prog.rank)
 	p := &pool{ready: make([]uint64, (n+63)/64)}
-	remaining := make([]int, n) // predecessors of i yet to finish
-	for i, ps := range preds {
-		if remaining[i] = len(ps); remaining[i] == 0 {
-			p.push(g.rank[i])
+	remaining := append([]int(nil), prog.joins...) // joins of i yet to return
+	for i, j := range remaining {
+		if j == 0 {
+			p.push(prog.rank[i])
 		}
 	}
 
 	makespan, err := runner.Run(workers, func(th runtime.Thread) {
 		id := -1 // the task this worker has just finished, if any
+		// woken holds the idle workers this one wakes, copied out under p.mu
+		// and reused across its dispatches.
+		var woken []runtime.Thread
 		for {
 			p.mu.Lock()
 			if id >= 0 {
 				p.done++
-				for _, s := range g.after(id) {
+				for _, s := range prog.after(id) {
 					if remaining[s]--; remaining[s] == 0 {
-						p.push(g.rank[s])
+						p.push(prog.rank[s])
 					}
 				}
 			}
@@ -170,7 +150,7 @@ func Run(runner runtime.Runner, workers int, preds [][]int, body func(th runtime
 			} else if r < 0 {
 				p.idle = append(p.idle, th)
 			}
-			woken := append([]runtime.Thread(nil), p.idle[len(p.idle)-wake:]...)
+			woken = append(woken[:0], p.idle[len(p.idle)-wake:]...)
 			p.idle = p.idle[:len(p.idle)-wake]
 			p.mu.Unlock()
 			for _, w := range woken {
@@ -185,7 +165,7 @@ func Run(runner runtime.Runner, workers int, preds [][]int, body func(th runtime
 				id = -1
 				th.Park()
 			default:
-				id = g.byRank[r]
+				id = prog.byRank[r]
 				body(th, id)
 			}
 		}

@@ -1,18 +1,42 @@
 package forkjoin
 
 import (
-	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
+	"contractstm/internal/types"
 )
 
-// noop is a body for tests that only care whether Run accepts the DAG.
+// noop is a body for tests that only care whether Run finishes.
 func noop(runtime.Thread, int) {}
+
+// program compiles preds, where preds[i] are the tasks i joins. Every
+// test DAG built this way points from lower to higher indices, so index
+// order is a topological order.
+func program(preds [][]int) *Program {
+	order := make([]types.TxID, len(preds))
+	for i := range order {
+		order[i] = types.TxID(i)
+	}
+	return Compile(order, successors(preds))
+}
+
+// successors inverts preds: successors(preds)[p] lists every i with p in
+// preds[i], once per occurrence.
+func successors(preds [][]int) [][]int {
+	succs := make([][]int, len(preds))
+	for i, ps := range preds {
+		for _, p := range ps {
+			succs[p] = append(succs[p], i)
+		}
+	}
+	return succs
+}
 
 // chain returns the preds of a linear chain 0 -> 1 -> ... -> n-1.
 func chain(n int) [][]int {
@@ -43,7 +67,7 @@ func finishOrder(t *testing.T, workers int, preds [][]int, cost func(i int) gas.
 	t.Helper()
 	var mu sync.Mutex
 	var order []int
-	ms, err := Run(runtime.NewSimRunner(), workers, preds, func(th runtime.Thread, i int) {
+	ms, err := Run(runtime.NewSimRunner(), workers, program(preds), func(th runtime.Thread, i int) {
 		th.Work(cost(i))
 		mu.Lock()
 		order = append(order, i)
@@ -167,7 +191,7 @@ func TestRunOnOSThreads(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var order []int
-	if _, err := Run(runtime.NewOSRunner(nil), 4, preds, func(_ runtime.Thread, i int) {
+	if _, err := Run(runtime.NewOSRunner(nil), 4, program(preds), func(_ runtime.Thread, i int) {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
@@ -188,31 +212,8 @@ func TestRunOnOSThreads(t *testing.T) {
 	}
 }
 
-func TestInvalidPredecessorRejected(t *testing.T) {
-	if _, err := Run(runtime.NewSimRunner(), 2, [][]int{{5}}, noop); err == nil {
-		t.Fatal("out-of-range predecessor accepted")
-	}
-	if _, err := Run(runtime.NewSimRunner(), 2, [][]int{{0}}, noop); err == nil {
-		t.Fatal("self-predecessor accepted")
-	}
-}
-
-func TestCyclicTasksReported(t *testing.T) {
-	// 0 is a source; 1 and 2 wait on each other.
-	_, err := Run(runtime.NewSimRunner(), 2, [][]int{nil, {2}, {1}}, noop)
-	if !errors.Is(err, ErrUnreachableTasks) {
-		t.Fatalf("err = %v, want ErrUnreachableTasks", err)
-	}
-}
-
-func TestAllTasksCyclicNoSources(t *testing.T) {
-	if _, err := Run(runtime.NewSimRunner(), 2, [][]int{{1}, {0}}, noop); !errors.Is(err, ErrUnreachableTasks) {
-		t.Fatalf("err = %v, want ErrUnreachableTasks", err)
-	}
-}
-
 func TestEmptyTaskList(t *testing.T) {
-	ms, err := Run(runtime.NewSimRunner(), 2, nil, noop)
+	ms, err := Run(runtime.NewSimRunner(), 2, program(nil), noop)
 	if err != nil {
 		t.Fatalf("Run(empty): %v", err)
 	}
@@ -223,7 +224,7 @@ func TestEmptyTaskList(t *testing.T) {
 
 func TestDuplicatePredsCountedOnce(t *testing.T) {
 	ran := false
-	_, err := Run(runtime.NewSimRunner(), 1, [][]int{nil, {0, 0, 0}}, func(_ runtime.Thread, i int) {
+	_, err := Run(runtime.NewSimRunner(), 1, program([][]int{nil, {0, 0, 0}}), func(_ runtime.Thread, i int) {
 		if i == 1 {
 			ran = true
 		}
@@ -267,8 +268,9 @@ func TestMoreWorkersNeverSlower(t *testing.T) {
 			costs[i] = gas.Gas(1 + rng.Intn(10))
 		}
 		body := func(th runtime.Thread, i int) { th.Work(costs[i]) }
-		ms1, err1 := Run(runtime.NewSimRunner(), 1, preds, body)
-		ms3, err3 := Run(runtime.NewSimRunner(), 3, preds, body)
+		prog := program(preds)
+		ms1, err1 := Run(runtime.NewSimRunner(), 1, prog, body)
+		ms3, err3 := Run(runtime.NewSimRunner(), 3, prog, body)
 		if err1 != nil || err3 != nil {
 			t.Logf("seed %d: errors %v, %v", seed, err1, err3)
 			return false
@@ -281,4 +283,166 @@ func TestMoreWorkersNeverSlower(t *testing.T) {
 	if err := quick.Check(propFn, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// oracle ranks preds the way Run did before programs were compiled:
+// invert the lists, order the tasks by Kahn's algorithm, take bottom levels
+// in reverse, and counting-sort by level descending, index ascending. It
+// returns nil when preds has a cycle.
+func oracle(preds [][]int) *Program {
+	n := len(preds)
+	g := &Program{start: make([]int, n+1), joins: make([]int, n), rank: make([]int, n), byRank: make([]int, n)}
+	for i, ps := range preds {
+		g.joins[i] = len(ps)
+		for _, p := range ps {
+			g.start[p+1]++
+		}
+	}
+	for p := 0; p < n; p++ {
+		g.start[p+1] += g.start[p]
+	}
+	g.succs = make([]int, g.start[n])
+	fill := append([]int(nil), g.start[:n]...)
+	for i, ps := range preds {
+		for _, p := range ps {
+			g.succs[fill[p]] = i
+			fill[p]++
+		}
+	}
+
+	remaining := append([]int(nil), g.joins...)
+	order := make([]int, 0, n)
+	for i, r := range remaining {
+		if r == 0 {
+			order = append(order, i)
+		}
+	}
+	for h := 0; h < len(order); h++ {
+		for _, s := range g.after(order[h]) {
+			if remaining[s]--; remaining[s] == 0 {
+				order = append(order, s)
+			}
+		}
+	}
+	if len(order) < n {
+		return nil
+	}
+	level := make([]int, n)
+	depth := 0
+	for h := n - 1; h >= 0; h-- {
+		i := order[h]
+		level[i] = 1
+		for _, s := range g.after(i) {
+			level[i] = max(level[i], level[s]+1)
+		}
+		depth = max(depth, level[i])
+	}
+
+	first := make([]int, depth+1)
+	for _, l := range level {
+		first[depth-l+1]++
+	}
+	for d := 0; d < depth; d++ {
+		first[d+1] += first[d]
+	}
+	for i, l := range level {
+		g.rank[i] = first[depth-l]
+		g.byRank[g.rank[i]] = i
+		first[depth-l]++
+	}
+	return g
+}
+
+// checkAgainstOracle builds a DAG over len(perm) tasks with an edge
+// perm[a] -> perm[b] for every pair (a, b), a < b (pairs are swapped into
+// that order; a == b is dropped; duplicates stay), compiles it on a
+// topological order drawn by pick — Kahn's algorithm taking ready task
+// pick(k) of the k ready — and requires the program to equal the oracle's:
+// the same ranks, joins and successors.
+func checkAgainstOracle(t *testing.T, perm []int, pairs [][2]int, pick func(k int) int) {
+	t.Helper()
+	n := len(perm)
+	preds := make([][]int, n)
+	for _, e := range pairs {
+		a, b := min(e[0], e[1]), max(e[0], e[1])
+		if a != b {
+			preds[perm[b]] = append(preds[perm[b]], perm[a])
+		}
+	}
+	succs := successors(preds)
+
+	remaining := make([]int, n)
+	var ready []int
+	for i, ps := range preds {
+		if remaining[i] = len(ps); remaining[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
+	order := make([]types.TxID, 0, n)
+	for len(ready) > 0 {
+		k := pick(len(ready))
+		v := ready[k]
+		ready[k] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		order = append(order, types.TxID(v))
+		for _, s := range succs[v] {
+			if remaining[s]--; remaining[s] == 0 {
+				ready = append(ready, s)
+			}
+		}
+	}
+
+	got, want := Compile(order, succs), oracle(preds)
+	if want == nil {
+		t.Fatalf("oracle refused an acyclic DAG: perm %v, pairs %v", perm, pairs)
+	}
+	for name, pair := range map[string][2][]int{
+		"rank":   {got.rank, want.rank},
+		"byRank": {got.byRank, want.byRank},
+		"joins":  {got.joins, want.joins},
+	} {
+		if !slices.Equal(pair[0], pair[1]) {
+			t.Fatalf("order %v, pairs %v: %s = %v, oracle %v", order, pairs, name, pair[0], pair[1])
+		}
+	}
+	for i := 0; i < n; i++ {
+		a, b := slices.Clone(got.after(i)), slices.Clone(want.after(i))
+		slices.Sort(a)
+		slices.Sort(b)
+		if !slices.Equal(a, b) {
+			t.Fatalf("order %v, pairs %v: tasks after %d = %v, oracle %v", order, pairs, i, a, b)
+		}
+	}
+}
+
+// TestCompileMatchesOracle: on random DAGs with random labels, compiled on
+// random topological orders (not only the smallest-id-first one), the
+// program ranks, joins and links tasks exactly as the oracle does.
+func TestCompileMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(80)
+		pairs := make([][2]int, rng.Intn(3*n))
+		for k := range pairs {
+			pairs[k] = [2]int{rng.Intn(n), rng.Intn(n)}
+		}
+		checkAgainstOracle(t, rng.Perm(n), pairs, rng.Intn)
+	}
+}
+
+// FuzzCompile drives checkAgainstOracle from fuzz bytes: a label seed, a
+// task count, and one edge per byte pair.
+func FuzzCompile(f *testing.F) {
+	f.Add(int64(1), uint8(1), []byte{})
+	f.Add(int64(2), uint8(4), []byte{0, 1, 0, 2, 1, 3, 2, 3})
+	f.Add(int64(3), uint8(30), []byte{0, 29, 0, 29, 5, 5, 7, 3, 12, 1})
+	f.Fuzz(func(t *testing.T, seed int64, tasks uint8, edges []byte) {
+		n := 1 + int(tasks)%96
+		rng := rand.New(rand.NewSource(seed))
+		pairs := make([][2]int, len(edges)/2)
+		for k := range pairs {
+			pairs[k] = [2]int{int(edges[2*k]) % n, int(edges[2*k+1]) % n}
+		}
+		checkAgainstOracle(t, rng.Perm(n), pairs, rng.Intn)
+	})
 }

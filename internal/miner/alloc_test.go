@@ -15,8 +15,8 @@ import (
 // Time is judged elsewhere (benchmark/); allocations are deterministic
 // and are judged here. Each ceiling is 1.1 times the measured count, or
 // the count under -race where that is larger (the highest of five runs:
-// the race detector makes sync.Pool drop items): serial 1771 / 1847,
-// speculative 1685 / 1697 and OCC 4097 / 4810.
+// the race detector makes sync.Pool drop items): serial 1733 / 1805,
+// speculative 1647 / 1657 and OCC 4060 / 4776.
 // The speculative miner must also allocate no more than the serial one:
 // its lock table is pooled, and H is read off the table.
 func TestMineAllocCeilings(t *testing.T) {
@@ -25,9 +25,9 @@ func TestMineAllocCeilings(t *testing.T) {
 		kind    engine.Kind
 		ceiling float64
 	}{
-		{engine.KindSerial, 2032},
-		{engine.KindSpeculative, 1867},
-		{engine.KindOCC, 5291},
+		{engine.KindSerial, 1986},
+		{engine.KindSpeculative, 1823},
+		{engine.KindOCC, 5254},
 	} {
 		eng := engine.MustNew(c.kind)
 		wl := mustGen(t, workload.HotPathParams)

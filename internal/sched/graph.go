@@ -1,18 +1,19 @@
 // Package sched builds and validates the scheduling metadata at the heart
 // of the paper's proposal: the happens-before graph H derived from the
 // miner's lock profiles, the serial order S obtained by topological sort
-// (Algorithm 1), and the fork-join plan the validator executes
+// (Algorithm 1), and the fork-join program the validator executes
 // (Algorithm 2). It also implements the validator-side safety checks: H
 // must be acyclic, S must be one of its topological orders, and the
 // published profiles must be race-free under H.
 package sched
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
+	"contractstm/internal/forkjoin"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
@@ -40,7 +41,6 @@ type Edge struct {
 type Graph struct {
 	n     int
 	succs [][]int
-	preds [][]int
 	// edgeSet dedups AddEdge in O(1); a hot lock (one ballot counter
 	// touched by every transaction) otherwise turns the per-edge linear
 	// scan of succs[from] quadratic.
@@ -52,7 +52,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{
 		n:       n,
 		succs:   make([][]int, n),
-		preds:   make([][]int, n),
 		edgeSet: make(map[uint64]struct{}),
 	}
 }
@@ -71,7 +70,6 @@ func (g *Graph) AddEdge(from, to int) {
 	}
 	g.edgeSet[key] = struct{}{}
 	g.succs[from] = append(g.succs[from], to)
-	g.preds[to] = append(g.preds[to], from)
 }
 
 // orders reports whether from→to is a direct edge of g, or from and to are
@@ -82,13 +80,6 @@ func (g *Graph) orders(from, to int) bool {
 	}
 	_, ok := g.edgeSet[uint64(from)<<32|uint64(to)]
 	return ok
-}
-
-// Preds returns tx's immediate happens-before predecessors, sorted.
-func (g *Graph) Preds(tx int) []int {
-	out := append([]int(nil), g.preds[tx]...)
-	sort.Ints(out)
-	return out
 }
 
 // Succs returns tx's immediate successors, sorted.
@@ -201,23 +192,9 @@ func eachEdge(history []stm.HistoryEntry, edge func(from, to int) bool) bool {
 	return true
 }
 
-// txHeap is a min-heap of transaction ids for deterministic Kahn sorting.
-type txHeap []int
-
-func (h txHeap) Len() int            { return len(h) }
-func (h txHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h txHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *txHeap) Push(x interface{}) { *h = append(*h, x.(int)) }
-func (h *txHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // TopoSort returns the deterministic topological order of g (Kahn's
-// algorithm, smallest-id-first tie-breaking), or ErrCyclic.
+// algorithm, smallest-id-first tie-breaking), or ErrCyclic. It is the one
+// topological sort in the tree.
 func TopoSort(g *Graph) ([]types.TxID, error) {
 	indeg := make([]int, g.n)
 	for _, ss := range g.succs {
@@ -225,20 +202,28 @@ func TopoSort(g *Graph) ([]types.TxID, error) {
 			indeg[to]++
 		}
 	}
-	h := &txHeap{}
-	for i := 0; i < g.n; i++ {
-		if indeg[i] == 0 {
-			heap.Push(h, i)
+	// ready has bit v set while v's predecessors are all ordered and v is
+	// not; every word before ready[w] is zero, so the smallest ready id is
+	// the first set bit from w on.
+	ready := make([]uint64, (g.n+63)/64)
+	for v, d := range indeg {
+		if d == 0 {
+			ready[v>>6] |= 1 << (v & 63)
 		}
 	}
 	order := make([]types.TxID, 0, g.n)
-	for h.Len() > 0 {
-		v := heap.Pop(h).(int)
+	for w := 0; w < len(ready); {
+		if ready[w] == 0 {
+			w++
+			continue
+		}
+		v := w<<6 | bits.TrailingZeros64(ready[w])
+		ready[w] &^= 1 << (v & 63)
 		order = append(order, types.TxID(v))
 		for _, to := range g.succs[v] {
-			indeg[to]--
-			if indeg[to] == 0 {
-				heap.Push(h, to)
+			if indeg[to]--; indeg[to] == 0 {
+				ready[to>>6] |= 1 << (to & 63)
+				w = min(w, to>>6)
 			}
 		}
 	}
@@ -285,22 +270,21 @@ func CriticalPath(g *Graph, weight []uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	finish := make([]uint64, g.n)
-	var max uint64
-	for _, tx := range order {
-		v := int(tx)
-		var start uint64
-		for _, p := range g.preds[v] {
-			if finish[p] > start {
-				start = finish[p]
-			}
+	// Walk in reverse topological order: tail[v] is the weight of the
+	// heaviest path starting at v, final for v's successors when v is
+	// visited.
+	tail := make([]uint64, g.n)
+	var heaviest uint64
+	for i := len(order) - 1; i >= 0; i-- {
+		v := int(order[i])
+		var next uint64
+		for _, s := range g.succs[v] {
+			next = max(next, tail[s])
 		}
-		finish[v] = start + weight[v]
-		if finish[v] > max {
-			max = finish[v]
-		}
+		tail[v] = next + weight[v]
+		heaviest = max(heaviest, tail[v])
 	}
-	return max, nil
+	return heaviest, nil
 }
 
 // Reachability computes the transitive closure of g as bitsets: bit t of
@@ -377,30 +361,19 @@ func scheduleOf(g *Graph) (Schedule, *Graph, error) {
 	return Schedule{Order: order, Edges: g.Edges()}, g, nil
 }
 
-// Plan is the validator's fork-join program (Algorithm 2): for each
-// transaction, the tasks it must join before executing. Preds is indexed by
-// transaction id.
-type Plan struct {
-	Order []types.TxID
-	Preds [][]int
-}
-
-// ConstructValidator compiles a published schedule into a fork-join plan,
-// verifying the schedule's integrity first (H acyclic and S one of its
-// topological orders). This is Algorithm 2.
-func ConstructValidator(n int, s Schedule) (Plan, *Graph, error) {
+// ConstructValidator compiles a published schedule into the validator's
+// fork-join program (Algorithm 2), verifying the schedule's integrity first:
+// S must be a topological order of H, which also proves H acyclic. The
+// program's priorities come from one reverse walk of the verified S.
+func ConstructValidator(n int, s Schedule) (*forkjoin.Program, *Graph, error) {
 	g, err := GraphFromEdges(n, s.Edges)
 	if err != nil {
-		return Plan{}, nil, err
+		return nil, nil, err
 	}
 	if err := VerifyOrder(g, s.Order); err != nil {
-		return Plan{}, nil, err
+		return nil, nil, err
 	}
-	plan := Plan{Order: s.Order, Preds: make([][]int, n)}
-	for tx := 0; tx < n; tx++ {
-		plan.Preds[tx] = g.Preds(tx)
-	}
-	return plan, g, nil
+	return forkjoin.Compile(s.Order, g.succs), g, nil
 }
 
 // ParallelismMetrics summarizes a schedule's inherent parallelism; the
@@ -413,8 +386,8 @@ type ParallelismMetrics struct {
 	Edges int
 	// CriticalPathLen is the longest chain length (unit weights).
 	CriticalPathLen uint64
-	// MaxWidth is Transactions/CriticalPathLen rounded up — an upper bound
-	// proxy for achievable speedup.
+	// MaxWidth is Transactions/CriticalPathLen, not rounded (0 for an empty
+	// block) — an upper bound proxy for achievable speedup.
 	MaxWidth float64
 }
 

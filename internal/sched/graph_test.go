@@ -423,18 +423,17 @@ func TestBuildScheduleAndConstructValidatorRoundTrip(t *testing.T) {
 	if err := VerifyOrder(g, s.Order); err != nil {
 		t.Fatalf("own order invalid: %v", err)
 	}
-	plan, g2, err := ConstructValidator(4, s)
+	prog, g2, err := ConstructValidator(4, s)
 	if err != nil {
 		t.Fatalf("ConstructValidator: %v", err)
 	}
 	if g2.EdgeCount() != g.EdgeCount() {
 		t.Fatalf("round-trip edge count %d != %d", g2.EdgeCount(), g.EdgeCount())
 	}
-	if len(plan.Preds[1]) != 1 || plan.Preds[1][0] != 0 {
-		t.Fatalf("preds(1) = %v, want [0]", plan.Preds[1])
-	}
-	if len(plan.Preds[3]) != 0 {
-		t.Fatalf("preds(3) = %v, want none", plan.Preds[3])
+	for tx, want := range []int{0, 1, 1, 0} {
+		if got := prog.Joins(tx); got != want {
+			t.Errorf("tx%d joins %d tasks, want %d", tx, got, want)
+		}
 	}
 }
 
@@ -446,9 +445,11 @@ func TestConstructValidatorRejectsTamperedSchedules(t *testing.T) {
 	if _, _, err := ConstructValidator(2, s); !errors.Is(err, ErrBadOrder) {
 		t.Fatalf("err = %v, want ErrBadOrder", err)
 	}
-	s = Schedule{Order: []types.TxID{0, 1}, Edges: []Edge{{From: 0, To: 9}}}
-	if _, _, err := ConstructValidator(2, s); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("err = %v, want ErrMalformed", err)
+	for _, e := range []Edge{{From: 0, To: 9}, {From: 1, To: 1}} {
+		s = Schedule{Order: []types.TxID{0, 1}, Edges: []Edge{e}}
+		if _, _, err := ConstructValidator(2, s); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("edge %v: err = %v, want ErrMalformed", e, err)
+		}
 	}
 	// Cyclic H: also rejected (cycle makes VerifyOrder fail for any order).
 	s = Schedule{Order: []types.TxID{0, 1}, Edges: []Edge{{From: 0, To: 1}, {From: 1, To: 0}}}
@@ -469,6 +470,12 @@ func TestMetrics(t *testing.T) {
 	}
 	if m.MaxWidth != 2 {
 		t.Fatalf("MaxWidth = %f, want 2", m.MaxWidth)
+	}
+	// Not rounded: 5 transactions over a critical path of 2.
+	g = NewGraph(5)
+	g.AddEdge(0, 1)
+	if m, err = Metrics(g); err != nil || m.MaxWidth != 2.5 {
+		t.Fatalf("MaxWidth = %f (%v), want 2.5", m.MaxWidth, err)
 	}
 }
 

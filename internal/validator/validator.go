@@ -30,6 +30,7 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
+	"contractstm/internal/forkjoin"
 	"contractstm/internal/runtime"
 	"contractstm/internal/sched"
 	"contractstm/internal/stm"
@@ -62,10 +63,10 @@ type Result struct {
 }
 
 // Prechecked carries the outputs of the stateless validation phase so the
-// stateful phase can reuse them instead of recomputing: the fork-join plan
-// compiled from the block's schedule.
+// stateful phase can reuse them instead of recomputing: the fork-join
+// program compiled from the block's schedule.
 type Prechecked struct {
-	plan sched.Plan
+	prog *forkjoin.Program
 	// TxIDs are the calls' transaction IDs: the tx root's leaves.
 	TxIDs []types.Hash
 }
@@ -86,7 +87,7 @@ func Precheck(b chain.Block) (Prechecked, error) {
 	if err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	plan, graph, err := sched.ConstructValidator(len(b.Calls), b.Schedule)
+	prog, graph, err := sched.ConstructValidator(len(b.Calls), b.Schedule)
 	if err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
@@ -102,7 +103,7 @@ func Precheck(b chain.Block) (Prechecked, error) {
 	if err := sched.CheckProfileRaces(graph, b.Profiles); err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	return Prechecked{plan: plan, TxIDs: txIDs}, nil
+	return Prechecked{prog: prog, TxIDs: txIDs}, nil
 }
 
 // canonical reports whether p's entries are strictly ascending by lock,
@@ -145,7 +146,7 @@ func ValidatePrechecked(runner runtime.Runner, w *contract.World, b chain.Block,
 	// profile (§4: "the validator's VM compares the traces it generated
 	// with the lock profiles provided by the miner") and stops at the
 	// first mismatch.
-	run, err := engine.Replay(runner, w, b.Calls, b.Profiles, pre.plan, cfg.Workers)
+	run, err := engine.Replay(runner, w, b.Calls, b.Profiles, pre.prog, cfg.Workers)
 	if errors.Is(err, engine.ErrTraceMismatch) {
 		return Result{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
