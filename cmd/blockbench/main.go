@@ -31,14 +31,15 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "blockbench:", err)
 		os.Exit(1)
 	}
 }
 
-// writeCSV emits one sweep's data points to path ("" = no CSV wanted).
-func writeCSV(path string, emit func(io.Writer)) error {
+// writeCSV emits one sweep's data points to path ("" = no CSV wanted) and
+// reports the file on stdout.
+func writeCSV(stdout io.Writer, path string, emit func(io.Writer)) error {
 	if path == "" {
 		return nil
 	}
@@ -50,28 +51,33 @@ func writeCSV(path string, emit func(io.Writer)) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("close csv: %w", err)
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }
 
-func run() error {
+// run parses args (without the program name) and writes the requested
+// tables to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("blockbench", flag.ExitOnError)
 	var (
-		table1    = flag.Bool("table1", false, "print Table 1 (average speedups)")
-		figure1   = flag.Bool("figure1", false, "print Figure 1 series (speedups over block size and conflict)")
-		appendixB = flag.Bool("appendixb", false, "print Appendix B (running times, mean ± stddev)")
-		csvPath   = flag.String("csv", "", "write all data points to this CSV file")
-		quick     = flag.Bool("quick", false, "use reduced sweeps")
-		workers   = flag.Int("workers", 3, "miner/validator pool size (paper: 3)")
-		runs      = flag.Int("runs", 0, "measured runs per point (default: 1 sim, 5 real)")
-		warmups   = flag.Int("warmups", 0, "warm-up runs per point (default: 0 sim, 3 real)")
-		mode      = flag.String("mode", "sim", `time base: "sim" (deterministic virtual time) or "real" (wall clock)`)
-		policy    = flag.String("policy", "eager", `speculative write policy: "eager" or "lazy"`)
-		engName   = flag.String("engine", "speculative", `execution engine measured as the miner: "serial", "speculative" or "occ"`)
-		engines   = flag.Bool("engines", false, "print the engine comparison (every benchmark under every engine)")
-		interfere = flag.Int("interference", bench.DefaultInterferencePerMille,
+		table1    = fs.Bool("table1", false, "print Table 1 (average speedups)")
+		figure1   = fs.Bool("figure1", false, "print Figure 1 series (speedups over block size and conflict)")
+		appendixB = fs.Bool("appendixb", false, "print Appendix B (running times, mean ± stddev)")
+		csvPath   = fs.String("csv", "", "write all data points to this CSV file")
+		quick     = fs.Bool("quick", false, "use reduced sweeps")
+		workers   = fs.Int("workers", 3, "miner/validator pool size (paper: 3)")
+		runs      = fs.Int("runs", 0, "measured runs per point (default: 1 sim, 5 real)")
+		warmups   = fs.Int("warmups", 0, "warm-up runs per point (default: 0 sim, 3 real)")
+		mode      = fs.String("mode", "sim", `time base: "sim" (deterministic virtual time) or "real" (wall clock)`)
+		policy    = fs.String("policy", "eager", `speculative write policy: "eager" or "lazy"`)
+		engName   = fs.String("engine", "speculative", `execution engine measured as the miner: "serial", "speculative" or "occ"`)
+		engines   = fs.Bool("engines", false, "print the engine comparison (every benchmark under every engine)")
+		interfere = fs.Int("interference", bench.DefaultInterferencePerMille,
 			"simulated memory contention in per-mille per extra active core; negative = ideal cores")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	all := !*table1 && !*figure1 && !*appendixB && !*engines
 	cfg := bench.Config{
@@ -112,7 +118,7 @@ func run() error {
 	if *engines {
 		engLabel = "all"
 	}
-	fmt.Printf("blockbench: mode=%s workers=%d policy=%s engine=%s sizes=%v conflicts=%v\n\n",
+	fmt.Fprintf(stdout, "blockbench: mode=%s workers=%d policy=%s engine=%s sizes=%v conflicts=%v\n\n",
 		cfg.Mode, *workers, cfg.Policy, engLabel, sizes, conflicts)
 
 	if *engines {
@@ -121,9 +127,9 @@ func run() error {
 			return err
 		}
 		for _, c := range cmps {
-			bench.WriteEngineComparison(os.Stdout, c)
+			bench.WriteEngineComparison(stdout, c)
 		}
-		return writeCSV(*csvPath, func(w io.Writer) { bench.WriteEngineCSV(w, cmps) })
+		return writeCSV(stdout, *csvPath, func(w io.Writer) { bench.WriteEngineCSV(w, cmps) })
 	}
 
 	figs, table, err := bench.RunAll(cfg, sizes, conflicts)
@@ -133,16 +139,16 @@ func run() error {
 
 	if all || *figure1 {
 		for _, f := range figs {
-			bench.WriteFigure1(os.Stdout, f)
+			bench.WriteFigure1(stdout, f)
 		}
 	}
 	if all || *appendixB {
 		for _, f := range figs {
-			bench.WriteAppendixB(os.Stdout, f, bench.TimeUnit(cfg.Mode))
+			bench.WriteAppendixB(stdout, f, bench.TimeUnit(cfg.Mode))
 		}
 	}
 	if all || *table1 {
-		bench.WriteTable1(os.Stdout, table)
+		bench.WriteTable1(stdout, table)
 	}
-	return writeCSV(*csvPath, func(w io.Writer) { bench.WriteCSV(w, figs) })
+	return writeCSV(stdout, *csvPath, func(w io.Writer) { bench.WriteCSV(w, figs) })
 }

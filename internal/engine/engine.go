@@ -11,11 +11,15 @@
 //     buffered writes and recorded read/write sets, then validate and
 //     commit in deterministic rounds.
 //
-// Every engine derives the same (S, H, profiles) schedule from its
-// execution, so blocks sealed from any engine's result are accepted by the
-// deterministic fork-join validator unchanged. The package also hosts that
-// validator's replay core (Replay), so the per-transaction execution loop
-// exists exactly once in the codebase.
+// Every engine settles each transaction into one stm.Manager lock table at
+// its commit — the speculative engine by releasing its locks, the serial
+// and OCC engines, which run without locks, by recording the locks they
+// traced (Manager.Record) — and reads (S, H) off the table's per-lock
+// histories with sched.BuildScheduleFromHistories. So the paper's counter
+// rule lives in one place, and blocks sealed from any engine's result are
+// accepted by the deterministic fork-join validator unchanged. The package
+// also hosts that validator's replay core (Replay), so the per-transaction
+// execution loop exists exactly once in the codebase.
 //
 // The miner (internal/miner) and validator (internal/validator) are thin
 // adapters over this package; internal/node, internal/bench and the cmd/
@@ -232,22 +236,16 @@ func (s *Stats) tally(receipts []contract.Receipt) {
 	}
 }
 
-// profilesFromTraces synthesizes publishable lock profiles from per-
-// transaction read/write sets and a commit order: each lock's use counter
-// is assigned in commit order, which is exactly how the speculative lock
-// manager numbers committing holders. BuildHappensBefore then reconstructs
-// the commit order's conflict structure, so the validator accepts the
-// derived schedule.
-func profilesFromTraces(n int, traces []stm.Trace, commitOrder []int) []stm.Profile {
-	counters := make(map[stm.LockID]uint64)
-	profiles := make([]stm.Profile, n)
-	for _, i := range commitOrder {
-		entries := make([]stm.ProfileEntry, 0, len(traces[i].Entries))
-		for _, e := range traces[i].Entries {
-			counters[e.Lock]++
-			entries = append(entries, stm.ProfileEntry{Lock: e.Lock, Mode: e.Mode, Counter: counters[e.Lock]})
-		}
-		profiles[i] = stm.Profile{Tx: types.TxID(i), Entries: entries}
+// settle completes res from the block's lock table: it reads (S, H) off
+// mgr's per-lock histories, derives the conflict feedback and tallies the
+// outcomes. Every engine finishes here, so the three share one H builder.
+func settle(n int, mgr *stm.Manager, res Result) (Result, error) {
+	schedule, graph, err := sched.BuildScheduleFromHistories(n, mgr.Histories)
+	if err != nil {
+		return Result{}, fmt.Errorf("engine: building schedule: %w", err)
 	}
-	return profiles
+	res.Schedule, res.Graph = schedule, graph
+	res.Stats.ConflictPairs = conflictPairsOf(schedule)
+	res.Stats.tally(res.Receipts)
+	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"contractstm/internal/contract"
 	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
-	"contractstm/internal/sched"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
@@ -23,10 +22,12 @@ import (
 // applied); an incompatible one is discarded and re-executed next round
 // against the newly committed state.
 //
-// The commit order is a conflict-serializable order by construction, so
-// assigning each lock's use counters in commit order yields profiles whose
-// derived (S, H) schedule replays to identical receipts and state — the
-// validator accepts OCC blocks exactly as it accepts speculative ones.
+// The commit order is a conflict-serializable order by construction. Each
+// committing transaction is settled into the lock table in that order, as
+// if it had held its read/write set's locks until its commit
+// (stm.Manager.Record), so the (S, H) read off the table replays to
+// identical receipts and state — the validator accepts OCC blocks exactly
+// as it accepts speculative ones.
 //
 // Progress is structural: the first pending transaction of every round
 // validates against an empty committed set, so each round commits at least
@@ -41,7 +42,7 @@ func (OCCEngine) Kind() Kind { return KindOCC }
 // occAttempt is one transaction's latest optimistic execution.
 type occAttempt struct {
 	receipt contract.Receipt
-	trace   stm.Trace
+	locks   []stm.ProfileEntry
 	writes  *stm.Overlay
 }
 
@@ -54,10 +55,12 @@ func (OCCEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []
 		maxRounds = n
 	}
 	costs := w.Schedule()
+	mgr := stm.NewManager(costs)
+	defer mgr.Release()
 
 	attempts := make([]occAttempt, n)
+	profiles := make([]stm.Profile, n)
 	retried := make([]bool, n)
-	commitOrder := make([]int, 0, n)
 	pending := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		pending = append(pending, i)
@@ -100,10 +103,10 @@ func (OCCEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []
 				return fmt.Errorf("engine: occ execution of %s demanded retry: %s", id, out.Reason)
 			}
 			// A deferred transaction's prior attempt was discarded in the
-			// commit phase, so its trace storage is free to reuse here.
+			// commit phase, so its lock storage is free to reuse here.
 			attempts[i] = occAttempt{
 				receipt: contract.ReceiptFor(id, out),
-				trace:   tx.TraceResultInto(attempts[i].trace.Entries),
+				locks:   tx.Locks(attempts[i].locks),
 				writes:  tx.PendingWrites(),
 			}
 			tx.Recycle()
@@ -121,10 +124,10 @@ func (OCCEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []
 		commitSpan, err := runner.Run(1, func(th runtime.Thread) {
 			clear(committed)
 			for _, i := range round {
-				tr := attempts[i].trace
-				th.Work(costs.OCCValidate * gas.Gas(len(tr.Entries)+1))
+				locks := attempts[i].locks
+				th.Work(costs.OCCValidate * gas.Gas(len(locks)+1))
 				conflict := false
-				for _, e := range tr.Entries {
+				for _, e := range locks {
 					if m, ok := committed[e.Lock]; ok && !stm.Compatible(m, e.Mode) {
 						conflict = true
 						break
@@ -142,7 +145,7 @@ func (OCCEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []
 					}
 					continue
 				}
-				for _, e := range tr.Entries {
+				for _, e := range locks {
 					if m, ok := committed[e.Lock]; ok {
 						committed[e.Lock] = stm.Combine(m, e.Mode)
 					} else {
@@ -157,7 +160,7 @@ func (OCCEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []
 					attempts[i].writes = nil
 					wr.Release()
 				}
-				commitOrder = append(commitOrder, i)
+				profiles[i] = mgr.Record(types.TxID(i), locks)
 			}
 		})
 		if err != nil {
@@ -170,30 +173,13 @@ func (OCCEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []
 	}
 
 	receipts := make([]contract.Receipt, n)
-	traces := make([]stm.Trace, n)
-	for i := 0; i < n; i++ {
+	for i := range attempts {
 		receipts[i] = attempts[i].receipt
-		traces[i] = attempts[i].trace
 	}
 	for i, r := range retried {
 		if r {
 			stats.RetriedTxs = append(stats.RetriedTxs, types.TxID(i))
 		}
 	}
-	stats.tally(receipts)
-
-	profiles := profilesFromTraces(n, traces, commitOrder)
-	schedule, graph, err := sched.BuildSchedule(n, profiles)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine: building schedule: %w", err)
-	}
-	stats.ConflictPairs = conflictPairsOf(schedule)
-	return Result{
-		Receipts: receipts,
-		Profiles: profiles,
-		Schedule: schedule,
-		Graph:    graph,
-		Makespan: makespan,
-		Stats:    stats,
-	}, nil
+	return settle(n, mgr, Result{Receipts: receipts, Profiles: profiles, Makespan: makespan, Stats: stats})
 }

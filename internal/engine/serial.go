@@ -13,12 +13,13 @@ import (
 
 // SerialEngine executes the block one transaction at a time, in block
 // order, with no locks and no speculation — the paper's baseline "serial
-// miner that runs the block without parallelization". It still records
-// each transaction's would-be lock set (the validator's cheap trace
-// machinery) so it can publish a schedule: counters are assigned in block
-// order, making the serial order itself the happens-before structure. That
-// is what lets serially-mined blocks flow through the same parallel
-// validator as everything else.
+// miner that runs the block without parallelization". Each transaction
+// runs in the replay regime, which traces its would-be lock set, and is
+// then settled into the lock table as if it had held those locks from its
+// start to its commit (stm.Manager.Record): counters follow block order,
+// making the serial order itself the happens-before structure. That is
+// what lets serially-mined blocks flow through the same parallel validator
+// as everything else.
 type SerialEngine struct{}
 
 var _ Engine = SerialEngine{}
@@ -29,32 +30,17 @@ func (SerialEngine) Kind() Kind { return KindSerial }
 // ExecuteBlock implements Engine.
 func (SerialEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []contract.Call, opts Options) (Result, error) {
 	n := len(calls)
-	commitOrder := make([]int, n)
-	for i := range commitOrder {
-		commitOrder[i] = i
-	}
-	traces := make([]stm.Trace, n)
-	receipts, makespan, err := runSerialLoop(runner, w, calls, commitOrder, stm.BeginReplay,
-		func(i int, tx *stm.Tx) { traces[i] = tx.TraceResult(); tx.Recycle() })
+	mgr := stm.NewManager(w.Schedule())
+	defer mgr.Release()
+	profiles := make([]stm.Profile, n)
+	receipts, makespan, err := runSerialLoop(runner, w, calls, nil, stm.BeginReplay, func(tx *stm.Tx) {
+		profiles[tx.ID()] = mgr.Record(tx.ID(), tx.Locks(nil))
+		tx.Recycle()
+	})
 	if err != nil {
 		return Result{}, err
 	}
-
-	profiles := profilesFromTraces(n, traces, commitOrder)
-	schedule, graph, err := sched.BuildSchedule(n, profiles)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine: building schedule: %w", err)
-	}
-	res := Result{
-		Receipts: receipts,
-		Profiles: profiles,
-		Schedule: schedule,
-		Graph:    graph,
-		Makespan: makespan,
-		Stats:    Stats{Rounds: 1, ConflictPairs: conflictPairsOf(schedule)},
-	}
-	res.Stats.tally(receipts)
-	return res, nil
+	return settle(n, mgr, Result{Receipts: receipts, Profiles: profiles, Makespan: makespan, Stats: Stats{Rounds: 1}})
 }
 
 // OrderedRun is the outcome of RunOrdered.
@@ -68,53 +54,47 @@ type OrderedRun struct {
 // traces, no schedule — only inverse logging so a contract throw can
 // revert its own effects. It is the reference implementation tests use to
 // check that every parallel engine is serializable, and the replay tool
-// for a published serial order S.
+// for a published serial order S. An order that is not a permutation of
+// the calls is refused.
 func RunOrdered(runner runtime.Runner, w *contract.World, calls []contract.Call, order []types.TxID) (OrderedRun, error) {
-	idx := make([]int, 0, len(calls))
-	if order == nil {
-		for i := range calls {
-			idx = append(idx, i)
-		}
-	} else {
-		if len(order) != len(calls) {
-			return OrderedRun{}, fmt.Errorf("engine: order has %d entries for %d calls", len(order), len(calls))
-		}
-		for _, tx := range order {
-			if int(tx) >= len(calls) {
-				return OrderedRun{}, fmt.Errorf("engine: order entry %s out of range", tx)
-			}
-			idx = append(idx, int(tx))
+	if order != nil {
+		if err := sched.VerifyOrder(sched.NewGraph(len(calls)), order); err != nil {
+			return OrderedRun{}, fmt.Errorf("engine: order is not a permutation of the calls: %w", err)
 		}
 	}
-	receipts, makespan, err := runSerialLoop(runner, w, calls, idx, stm.BeginSerial, nil)
+	receipts, makespan, err := runSerialLoop(runner, w, calls, order, stm.BeginSerial, nil)
 	if err != nil {
 		return OrderedRun{}, err
 	}
 	return OrderedRun{Receipts: receipts, Makespan: makespan}, nil
 }
 
-// runSerialLoop is the one serial execution loop: run calls[idx...] in
-// order on a single thread, beginning each transaction via begin and
-// invoking after (if non-nil) on the settled transaction.
+// runSerialLoop is the one serial execution loop: run calls in order (in
+// block order when order is nil) on a single thread, beginning each
+// transaction via begin and invoking after (if non-nil) on the settled
+// transaction.
 func runSerialLoop(
-	runner runtime.Runner, w *contract.World, calls []contract.Call, idx []int,
+	runner runtime.Runner, w *contract.World, calls []contract.Call, order []types.TxID,
 	begin func(types.TxID, runtime.Thread, *gas.Meter, gas.Schedule) *stm.Tx,
-	after func(i int, tx *stm.Tx),
+	after func(tx *stm.Tx),
 ) ([]contract.Receipt, uint64, error) {
 	receipts := make([]contract.Receipt, len(calls))
 	makespan, err := runner.Run(1, func(th runtime.Thread) {
-		for _, i := range idx {
-			call := calls[i]
-			id := types.TxID(i)
+		for k := range calls {
+			id := types.TxID(k)
+			if order != nil {
+				id = order[k]
+			}
+			call := calls[id]
 			tx := begin(id, th, gas.NewMeter(call.GasLimit), w.Schedule())
 			out := contract.Execute(w, tx, call)
 			if out.Kind == contract.OutcomeRetry {
 				// Serial transactions cannot conflict; a retry here is a bug.
 				panic(fmt.Sprintf("engine: serial execution of %s demanded retry: %s", id, out.Reason))
 			}
-			receipts[i] = contract.ReceiptFor(id, out)
+			receipts[id] = contract.ReceiptFor(id, out)
 			if after != nil {
-				after(i, tx)
+				after(tx)
 			}
 		}
 	})

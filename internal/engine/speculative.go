@@ -7,7 +7,6 @@ import (
 	"contractstm/internal/contract"
 	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
-	"contractstm/internal/sched"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
@@ -18,8 +17,9 @@ import (
 // aborting and retrying deadlock victims; then read the happens-before
 // graph H off the lock table — each lock's history of committed holders,
 // in use-counter order — and topologically sort it into the serial order
-// S. The published profiles describe the same H (sched.BuildSchedule
-// derives it from them); the table just already has it grouped.
+// S, as every engine does (settle). The published profiles describe the
+// same H (sched.BuildSchedule derives it from them); the table just
+// already has it grouped.
 type SpeculativeEngine struct{}
 
 var _ Engine = SpeculativeEngine{}
@@ -84,19 +84,5 @@ func (SpeculativeEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, 
 			stats.RetriedTxs = append(stats.RetriedTxs, types.TxID(i))
 		}
 	}
-	stats.tally(receipts)
-
-	schedule, graph, err := sched.BuildScheduleFromHistories(n, mgr.Histories)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine: building schedule: %w", err)
-	}
-	stats.ConflictPairs = conflictPairsOf(schedule)
-	return Result{
-		Receipts: receipts,
-		Profiles: profiles,
-		Schedule: schedule,
-		Graph:    graph,
-		Makespan: makespan,
-		Stats:    stats,
-	}, nil
+	return settle(n, mgr, Result{Receipts: receipts, Profiles: profiles, Makespan: makespan, Stats: stats})
 }

@@ -245,6 +245,10 @@ func TestExecuteSerialOrderValidation(t *testing.T) {
 	if _, err := ExecuteSerial(runtime.NewSimRunner(), w.World, w.Calls, []types.TxID{0, 1, 2, 3, 99}); err == nil {
 		t.Fatal("out-of-range order accepted")
 	}
+	w.Reset()
+	if _, err := ExecuteSerial(runtime.NewSimRunner(), w.World, w.Calls, []types.TxID{0, 1, 2, 3, 3}); err == nil {
+		t.Fatal("order repeating a transaction accepted")
+	}
 }
 
 func TestMinerStatsAccounting(t *testing.T) {

@@ -1,6 +1,7 @@
 // Package sched builds and validates the scheduling metadata at the heart
 // of the paper's proposal: the happens-before graph H derived from the
-// miner's lock profiles, the serial order S obtained by topological sort
+// miner's per-lock use histories (or, holding only a block, from its lock
+// profiles), the serial order S obtained by topological sort
 // (Algorithm 1), and the fork-join program the validator executes
 // (Algorithm 2). It also implements the validator-side safety checks: H
 // must be acyclic, S must be one of its topological orders, and the
@@ -125,34 +126,6 @@ func GraphFromEdges(n int, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("%w: edge %d->%d with %d transactions", ErrMalformed, e.From, e.To, n)
 		}
 		g.AddEdge(int(e.From), int(e.To))
-	}
-	return g, nil
-}
-
-// BuildHappensBefore derives H from the lock profiles the transactions
-// registered at commit (§4): it regroups the profile entries into each
-// lock's history — its committed holders in use-counter order — and walks
-// the histories as addHistory does. Serial and OCC blocks, whose profiles
-// are synthesized, and anyone holding only a block's profiles get H this
-// way; the speculative engine reads the histories off its lock table
-// (BuildScheduleFromHistories).
-func BuildHappensBefore(n int, profiles []stm.Profile) (*Graph, error) {
-	h, err := regroup(n, profiles)
-	if err != nil {
-		return nil, err
-	}
-	g := NewGraph(n)
-	for s := range h.locks() {
-		us := h.uses(s)
-		if len(us) < 2 {
-			continue
-		}
-		for j := 1; j < len(us); j++ {
-			if us[j].counter == us[j-1].counter {
-				return nil, fmt.Errorf("%w: duplicate counter %d on lock %s", ErrMalformed, us[j].counter, h.lock(us[j]))
-			}
-		}
-		g.addHistory(h.history(us))
 	}
 	return g, nil
 }
@@ -331,23 +304,40 @@ type Schedule struct {
 	Edges []Edge       `json:"edges"`
 }
 
-// BuildSchedule runs the data half of Algorithm 1: derive H from the
-// profiles and produce the serial order S by topological sort.
-func BuildSchedule(n int, profiles []stm.Profile) (Schedule, *Graph, error) {
-	g, err := BuildHappensBefore(n, profiles)
-	if err != nil {
-		return Schedule{}, nil, err
-	}
-	return scheduleOf(g)
-}
-
-// BuildScheduleFromHistories is BuildSchedule for a miner that kept each
-// lock's history — its committed holders in use-counter order, as
-// stm.Manager.Histories yields them: the same H from the same grouping
-// rule, without regrouping profiles.
+// BuildScheduleFromHistories runs the data half of Algorithm 1 for a
+// miner: H from each lock's history — its committed holders in use-counter
+// order, as stm.Manager.Histories yields them — and the serial order S by
+// topological sort. Every engine builds its (S, H) here.
 func BuildScheduleFromHistories(n int, histories func(yield func([]stm.HistoryEntry))) (Schedule, *Graph, error) {
 	g := NewGraph(n)
 	histories(g.addHistory)
+	return scheduleOf(g)
+}
+
+// BuildSchedule is BuildScheduleFromHistories for anyone holding only a
+// block's profiles: it regroups the profile entries into each lock's
+// history (the counters order them) and applies the same grouping rule, so
+// an honest block's profiles give back the miner's (S, H). It rejects a
+// profile for a transaction outside 0..n-1 and a counter repeated on one
+// lock.
+func BuildSchedule(n int, profiles []stm.Profile) (Schedule, *Graph, error) {
+	h, err := regroup(n, profiles)
+	if err != nil {
+		return Schedule{}, nil, err
+	}
+	g := NewGraph(n)
+	for s := range h.locks() {
+		us := h.uses(s)
+		if len(us) < 2 {
+			continue
+		}
+		for j := 1; j < len(us); j++ {
+			if us[j].counter == us[j-1].counter {
+				return Schedule{}, nil, fmt.Errorf("%w: duplicate counter %d on lock %s", ErrMalformed, us[j].counter, h.lock(us[j]))
+			}
+		}
+		g.addHistory(h.history(us))
+	}
 	return scheduleOf(g)
 }
 

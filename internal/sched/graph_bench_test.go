@@ -8,7 +8,7 @@ import (
 	"contractstm/internal/types"
 )
 
-// BenchmarkAddEdgeHotSpot models the hot-lock edge pattern BuildHappensBefore
+// BenchmarkAddEdgeHotSpot models the hot-lock edge pattern H building
 // produces for a shared counter written by every transaction: one node
 // accumulates an edge to every other, and each edge is re-asserted several
 // times (once per repeated lock use). With the linear duplicate scan this

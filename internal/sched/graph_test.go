@@ -24,7 +24,7 @@ func entry(k string, m stm.Mode, c uint64) stm.ProfileEntry {
 func TestBuildHappensBeforeChainsExclusives(t *testing.T) {
 	// Three txs hold lock "a" exclusively with counters 1,2,3: must chain
 	// 0 -> 1 -> 2 with no shortcut edge required.
-	g, err := BuildHappensBefore(3, []stm.Profile{
+	_, g, err := BuildSchedule(3, []stm.Profile{
 		prof(0, entry("a", stm.ModeExclusive, 1)),
 		prof(1, entry("a", stm.ModeExclusive, 2)),
 		prof(2, entry("a", stm.ModeExclusive, 3)),
@@ -43,7 +43,7 @@ func TestBuildHappensBeforeChainsExclusives(t *testing.T) {
 func TestBuildHappensBeforeNoEdgesBetweenCompatible(t *testing.T) {
 	// Shared(1), Shared(2): no edges. Increment(1), Increment(2) on another
 	// lock: no edges either.
-	g, err := BuildHappensBefore(4, []stm.Profile{
+	_, g, err := BuildSchedule(4, []stm.Profile{
 		prof(0, entry("r", stm.ModeShared, 1)),
 		prof(1, entry("r", stm.ModeShared, 2)),
 		prof(2, entry("i", stm.ModeIncrement, 1)),
@@ -61,7 +61,7 @@ func TestBuildHappensBeforeReaderWriterGroups(t *testing.T) {
 	// writer(1), reader(2), reader(3), writer(4):
 	// w0 -> r1, w0 -> ... edges: w0->r1, w0->r2? No: r1 and r2 form a group
 	// with edges from w0 each; w3 gets edges from both readers.
-	g, err := BuildHappensBefore(4, []stm.Profile{
+	_, g, err := BuildSchedule(4, []stm.Profile{
 		prof(0, entry("a", stm.ModeExclusive, 1)),
 		prof(1, entry("a", stm.ModeShared, 2)),
 		prof(2, entry("a", stm.ModeShared, 3)),
@@ -89,7 +89,7 @@ func TestBuildHappensBeforeReaderWriterGroups(t *testing.T) {
 
 func TestBuildHappensBeforeSharedThenIncrementConflict(t *testing.T) {
 	// Shared and increment modes conflict: must be ordered.
-	g, err := BuildHappensBefore(2, []stm.Profile{
+	_, g, err := BuildSchedule(2, []stm.Profile{
 		prof(0, entry("a", stm.ModeShared, 1)),
 		prof(1, entry("a", stm.ModeIncrement, 2)),
 	})
@@ -102,7 +102,7 @@ func TestBuildHappensBeforeSharedThenIncrementConflict(t *testing.T) {
 }
 
 func TestBuildHappensBeforeDuplicateCounterRejected(t *testing.T) {
-	_, err := BuildHappensBefore(2, []stm.Profile{
+	_, _, err := BuildSchedule(2, []stm.Profile{
 		prof(0, entry("a", stm.ModeExclusive, 1)),
 		prof(1, entry("a", stm.ModeExclusive, 1)),
 	})
@@ -112,7 +112,7 @@ func TestBuildHappensBeforeDuplicateCounterRejected(t *testing.T) {
 }
 
 func TestBuildHappensBeforeOutOfRangeTx(t *testing.T) {
-	_, err := BuildHappensBefore(1, []stm.Profile{prof(5, entry("a", stm.ModeShared, 1))})
+	_, _, err := BuildSchedule(1, []stm.Profile{prof(5, entry("a", stm.ModeShared, 1))})
 	if !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
@@ -258,7 +258,7 @@ func TestCheckProfileRacesFastPathAndFallback(t *testing.T) {
 			t.Errorf("%s: fallback = %v, want %v", name, fell, wantFallback)
 		}
 	}
-	built, err := BuildHappensBefore(4, profiles)
+	_, built, err := BuildSchedule(4, profiles)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestCheckProfileRacesMatchesPairwiseOracle(t *testing.T) {
 		}
 		// H: the rule's edges, each kept with probability 3/4, plus a few
 		// random forward edges.
-		built, err := BuildHappensBefore(n, profiles)
+		_, built, err := BuildSchedule(n, profiles)
 		if err != nil {
 			return false
 		}
@@ -387,7 +387,7 @@ func TestCheckProfileRacesFastPathAllocs(t *testing.T) {
 			}
 			profiles[i] = p
 		}
-		g, err := BuildHappensBefore(n, profiles)
+		_, g, err := BuildSchedule(n, profiles)
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

@@ -11,9 +11,8 @@ import (
 
 // profileHistories is a block's profiles regrouped by lock: each lock's
 // uses in use-counter order, which is the lock's history. It is the one
-// regrouping of profiles in the tree: BuildHappensBefore walks the
-// histories into H, and CheckProfileRaces checks a published H against
-// them. Locks are numbered in the order the profiles first name them, so
+// regrouping of profiles in the tree: BuildSchedule walks the histories
+// into H, and CheckProfileRaces checks a published H against them. Locks are numbered in the order the profiles first name them, so
 // no walk over them depends on map iteration, and the storage is a few
 // flat slabs sized by the number of profile entries, not a slice per lock.
 type profileHistories struct {

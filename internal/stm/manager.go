@@ -12,10 +12,12 @@ import (
 // Manager is the abstract-lock table for one block being mined. It tracks
 // holders, waiters, per-lock use counters, and the wait-for graph used for
 // deadlock detection. Every lock also keeps its history: the roots that
-// committed or reverted while holding it, in use-counter order. The table
-// has therefore already fixed the happens-before graph H when the block's
-// last transaction settles; Histories hands it over, and nothing has to
-// regroup the published profiles to find it again.
+// committed or reverted while holding it, in use-counter order. Engines
+// that run without locks settle each root into the table at its commit
+// (Record), so their histories come from the same counters. The table has
+// therefore already fixed the happens-before graph H when the block's last
+// transaction settles; Histories hands it over, and nothing has to regroup
+// the published profiles to find it again.
 //
 // Managers are pooled. NewManager takes one from the pool and Release
 // resets it and puts it back; the reset is the paper's "when a miner starts
@@ -418,6 +420,28 @@ func (m *Manager) Counter(l LockID) uint64 {
 	return 0
 }
 
+// Record settles root id, which ran without locks (the serial and OCC
+// engines), as if it had been granted every lock in entries at once and
+// released them all at its commit: each lock's use counter is bumped and
+// id appended to its history, exactly as releaseAll does for a committing
+// speculative root. entries must name each lock once, sorted by lock
+// (Tx.Locks); their counters are filled in place and the slice becomes the
+// returned profile's.
+func (m *Manager) Record(id types.TxID, entries []ProfileEntry) Profile {
+	m.mu.Lock()
+	for i := range entries {
+		e := &entries[i]
+		ls := m.index[e.Lock]
+		if ls == nil {
+			ls = m.newLock(e.Lock)
+		}
+		ls.history = append(ls.history, HistoryEntry{Tx: id, Mode: e.Mode})
+		e.Counter = uint64(len(ls.history))
+	}
+	m.mu.Unlock()
+	return Profile{Tx: id, Entries: entries}
+}
+
 // Histories calls yield with every lock's history, in the order the block
 // first took the locks. Call it once every thread of the block has
 // returned: it reads the table without m.mu, so that yield runs unlocked.
@@ -442,20 +466,4 @@ type ProfileEntry struct {
 type Profile struct {
 	Tx      types.TxID     `json:"tx"`
 	Entries []ProfileEntry `json:"entries"`
-}
-
-// TraceEntry is one (lock, mode) pair recorded by the validator's replay.
-type TraceEntry struct {
-	Lock LockID `json:"lock"`
-	Mode Mode   `json:"mode"`
-}
-
-// Trace is the validator-side analogue of Profile: the locks a transaction
-// would have acquired, recorded thread-locally. Entries are deduplicated
-// (modes combined) and sorted by lock. The serial and OCC engines build
-// their profiles from traces; the validator compares a replay's trace with
-// its profile in place (Tx.TraceMatches).
-type Trace struct {
-	Tx      types.TxID   `json:"tx"`
-	Entries []TraceEntry `json:"entries"`
 }

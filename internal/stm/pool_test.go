@@ -93,9 +93,8 @@ func TestTxRecycleLifecycle(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit: %v", err)
 		}
-		tr := tx.TraceResult()
-		if len(tr.Entries) != 1 {
-			t.Fatalf("trace entries = %d, want 1", len(tr.Entries))
+		if locks := tx.Locks(nil); len(locks) != 1 {
+			t.Fatalf("traced locks = %d, want 1", len(locks))
 		}
 		tx.Recycle()
 		wr := tx.PendingWrites()
@@ -107,8 +106,8 @@ func TestTxRecycleLifecycle(t *testing.T) {
 
 		// A fresh pooled root must start with an empty trace.
 		tx2 := BeginOCC(2, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
-		if got := tx2.TraceResult(); len(got.Entries) != 0 {
-			t.Fatalf("recycled trace map leaked %d entries into a new root", len(got.Entries))
+		if got := tx2.Locks(nil); len(got) != 0 {
+			t.Fatalf("recycled trace map leaked %d entries into a new root", len(got))
 		}
 	})
 }

@@ -18,11 +18,15 @@
 //     is exactly the scheduling metadata the miner publishes in the block
 //     (§4) and from which the happens-before graph is rebuilt. The lock
 //     table also keeps each lock's history in counter order, from which the
-//     miner reads that graph without rebuilding it.
+//     miner reads that graph without rebuilding it. Engines that run
+//     without locks settle each transaction's traced lock set into the same
+//     table at its commit (Manager.Record), so the counter rule lives here
+//     alone.
 //
-// The same transaction type also runs in two non-speculative kinds used by
-// the serial baseline miner and by the validator's deterministic replay, so
-// contract code is written once and executed under all three regimes.
+// The same transaction type also runs in non-speculative kinds — bare
+// serial, the trace-recording replay kind the validator and the serial
+// engine use, and OCC — so contract code is written once and executed
+// under every regime.
 //
 // # Deviation from the paper (documented in DESIGN.md)
 //
@@ -113,8 +117,7 @@ func (l LockID) String() string {
 }
 
 // Compare orders locks lexicographically by scope, then key, as a
-// three-way comparison for slices.SortFunc; profiles and traces are sorted
-// by it.
+// three-way comparison for slices.SortFunc; profiles are sorted by it.
 func (l LockID) Compare(other LockID) int {
 	if c := strings.Compare(l.Scope, other.Scope); c != 0 {
 		return c
@@ -129,12 +132,13 @@ const (
 	// KindSpeculative is the miner's regime: abstract locks, inverse logs,
 	// conflict blocking, deadlock aborts, lock profiles at commit.
 	KindSpeculative Kind = iota + 1
-	// KindSerial is the baseline regime: no locks, no traces; inverse logs
-	// are still kept so a contract throw can revert its own effects.
+	// KindSerial is the bare serial regime: no locks, no traces; inverse
+	// logs are still kept so a contract throw can revert its own effects.
 	KindSerial
 	// KindReplay is the validator's regime: no locks; a thread-local trace
 	// records the (lock, mode) pairs the transaction would have acquired,
-	// for comparison against the miner's published profile.
+	// for comparison against the miner's published profile. The serial
+	// engine runs in it too, and records each trace into its lock table.
 	KindReplay
 	// KindOCC is the optimistic batch regime (Block-STM style): no locks
 	// and no blocking. Every write lands in an isolated per-transaction

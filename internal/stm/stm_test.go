@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"contractstm/internal/gas"
@@ -151,6 +152,46 @@ func TestAbortDoesNotBumpCounter(t *testing.T) {
 	}
 }
 
+// TestRecordSettlesLikeCommit: a root that ran without locks and is
+// settled with Record bumps the same counters and appends to the same
+// histories as a speculative root committing with those locks held.
+func TestRecordSettlesLikeCommit(t *testing.T) {
+	mgr := NewManager(gas.DefaultSchedule())
+	defer mgr.Release()
+	lockA := LockID{Scope: "m", Key: "a"}
+	lockB := LockID{Scope: "m", Key: "b"}
+	singleThread(t, func(th runtime.Thread) {
+		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		if err := tx.Access(lockA, ModeExclusive, 10); err != nil {
+			t.Errorf("access: %v", err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+		rp := BeginReplay(1, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
+		_ = rp.Access(lockB, ModeShared, 1)
+		_ = rp.Access(lockA, ModeIncrement, 1)
+		if err := rp.Commit(); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+		p := mgr.Record(rp.ID(), rp.Locks(nil))
+		rp.Recycle()
+		want := []ProfileEntry{{Lock: lockA, Mode: ModeIncrement, Counter: 2}, {Lock: lockB, Mode: ModeShared, Counter: 1}}
+		if p.Tx != 1 || !slices.Equal(p.Entries, want) {
+			t.Errorf("profile = %+v, want tx1 %+v", p, want)
+		}
+	})
+	var got [][]HistoryEntry
+	mgr.Histories(func(h []HistoryEntry) { got = append(got, slices.Clone(h)) })
+	want := [][]HistoryEntry{
+		{{Tx: 0, Mode: ModeExclusive}, {Tx: 1, Mode: ModeIncrement}},
+		{{Tx: 1, Mode: ModeShared}},
+	}
+	if !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("histories = %v, want %v", got, want)
+	}
+}
+
 func TestUndoLogReplayedInReverseOrder(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	var log []int
@@ -275,15 +316,15 @@ func TestReplayTraceRecordsAndCombines(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Errorf("commit: %v", err)
 		}
-		tr := tx.TraceResult()
-		if tr.Tx != 3 || len(tr.Entries) != 2 {
-			t.Fatalf("trace = %+v", tr)
+		locks := tx.Locks(nil)
+		if len(locks) != 2 {
+			t.Fatalf("locks = %+v", locks)
 		}
-		if tr.Entries[0].Lock != lock || tr.Entries[0].Mode != ModeExclusive {
-			t.Errorf("entry 0 = %+v, want %v exclusive", tr.Entries[0], lock)
+		if locks[0] != (ProfileEntry{Lock: lock, Mode: ModeExclusive}) {
+			t.Errorf("entry 0 = %+v, want %v exclusive", locks[0], lock)
 		}
-		if tr.Entries[1].Lock != other || tr.Entries[1].Mode != ModeIncrement {
-			t.Errorf("entry 1 = %+v", tr.Entries[1])
+		if locks[1] != (ProfileEntry{Lock: other, Mode: ModeIncrement}) {
+			t.Errorf("entry 1 = %+v", locks[1])
 		}
 	})
 }
@@ -293,7 +334,7 @@ func TestTraceMatchesProfile(t *testing.T) {
 	other := LockID{Scope: "m", Key: "z"}
 	// replayed runs one replay transaction with the given accesses and
 	// reports whether its trace matches p.
-	replayed := func(p Profile, accesses ...TraceEntry) bool {
+	replayed := func(p Profile, accesses ...ProfileEntry) bool {
 		var match bool
 		singleThread(t, func(th runtime.Thread) {
 			tx := BeginReplay(1, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
@@ -309,25 +350,25 @@ func TestTraceMatchesProfile(t *testing.T) {
 		return match
 	}
 	p := Profile{Tx: 1, Entries: []ProfileEntry{{Lock: lock, Mode: ModeExclusive, Counter: 5}}}
-	if !replayed(p, TraceEntry{Lock: lock, Mode: ModeShared}, TraceEntry{Lock: lock, Mode: ModeExclusive}) {
+	if !replayed(p, ProfileEntry{Lock: lock, Mode: ModeShared}, ProfileEntry{Lock: lock, Mode: ModeExclusive}) {
 		t.Fatal("matching trace rejected")
 	}
-	if replayed(p, TraceEntry{Lock: lock, Mode: ModeShared}) {
+	if replayed(p, ProfileEntry{Lock: lock, Mode: ModeShared}) {
 		t.Fatal("mode mismatch accepted")
 	}
-	if replayed(p, TraceEntry{Lock: other, Mode: ModeExclusive}) {
+	if replayed(p, ProfileEntry{Lock: other, Mode: ModeExclusive}) {
 		t.Fatal("lock mismatch accepted")
 	}
 	if replayed(p) {
 		t.Fatal("missing entries accepted")
 	}
-	if replayed(p, TraceEntry{Lock: lock, Mode: ModeExclusive}, TraceEntry{Lock: other, Mode: ModeShared}) {
+	if replayed(p, ProfileEntry{Lock: lock, Mode: ModeExclusive}, ProfileEntry{Lock: other, Mode: ModeShared}) {
 		t.Fatal("extra lock accepted")
 	}
 	two := Profile{Tx: 1, Entries: []ProfileEntry{
 		{Lock: lock, Mode: ModeExclusive, Counter: 1}, {Lock: other, Mode: ModeIncrement, Counter: 2},
 	}}
-	if !replayed(two, TraceEntry{Lock: other, Mode: ModeIncrement}, TraceEntry{Lock: lock, Mode: ModeExclusive}) {
+	if !replayed(two, ProfileEntry{Lock: other, Mode: ModeIncrement}, ProfileEntry{Lock: lock, Mode: ModeExclusive}) {
 		t.Fatal("matching two-lock trace rejected (access order must not matter)")
 	}
 }

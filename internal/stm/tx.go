@@ -70,7 +70,7 @@ type Tx struct {
 	undo []func()
 	// overlay is this frame's lazy write buffer (PolicyLazy only).
 	overlay *Overlay
-	// traceSeen is root-only (KindReplay): combined modes per lock.
+	// traceSeen is root-only (KindReplay, KindOCC): combined modes per lock.
 	traceSeen map[LockID]Mode
 	// profile is root-only: set at commit/revert of a speculative root.
 	profile Profile
@@ -129,14 +129,16 @@ func BeginSpeculative(mgr *Manager, id types.TxID, th runtime.Thread, meter *gas
 	return t
 }
 
-// BeginSerial starts a root transaction for the serial baseline: no locks,
-// no trace, but inverse logging so a throw can revert.
+// BeginSerial starts a root transaction for a bare serial run in a given
+// order (engine.RunOrdered): no locks, no trace, but inverse logging so a
+// throw can revert.
 func BeginSerial(id types.TxID, th runtime.Thread, meter *gas.Meter, sched gas.Schedule) *Tx {
 	return newRoot(KindSerial, id, th, meter, sched)
 }
 
 // BeginReplay starts a root transaction for the validator's deterministic
-// replay: no locks; every access is recorded in a thread-local trace.
+// replay, and for the serial engine: no locks; every access is recorded in
+// a thread-local trace.
 func BeginReplay(id types.TxID, th runtime.Thread, meter *gas.Meter, sched gas.Schedule) *Tx {
 	t := newRoot(KindReplay, id, th, meter, sched)
 	t.traceSeen = traceSeenPool.Get().(map[LockID]Mode)
@@ -405,22 +407,22 @@ func (t *Tx) PendingWrites() *Overlay {
 	return t.overlay
 }
 
-// TraceResult returns the deduplicated, sorted trace of a replay root.
-func (t *Tx) TraceResult() Trace {
-	return t.TraceResultInto(nil)
-}
-
-// TraceResultInto is TraceResult with a caller-supplied entry buffer:
-// entries are appended into buf[:0], reusing its backing array when it is
-// large enough. Engines that re-execute transactions across rounds pass
-// the discarded attempt's trace storage here instead of allocating anew.
-func (t *Tx) TraceResultInto(buf []TraceEntry) Trace {
+// Locks returns the locks a replay or OCC root traced, one entry per
+// lock with its combined mode, sorted by lock and with zero counters: its
+// read/write set, and the profile Manager.Record completes. Entries are
+// appended into buf[:0], reusing its backing array when it is large
+// enough; engines that re-execute a transaction pass the discarded
+// attempt's entries here instead of allocating anew.
+func (t *Tx) Locks(buf []ProfileEntry) []ProfileEntry {
 	entries := buf[:0]
-	for l, m := range t.traceSeen {
-		entries = append(entries, TraceEntry{Lock: l, Mode: m})
+	if entries == nil || cap(entries) < len(t.traceSeen) {
+		entries = make([]ProfileEntry, 0, len(t.traceSeen))
 	}
-	slices.SortFunc(entries, func(a, b TraceEntry) int { return a.Lock.Compare(b.Lock) })
-	return Trace{Tx: t.id, Entries: entries}
+	for l, m := range t.traceSeen {
+		entries = append(entries, ProfileEntry{Lock: l, Mode: m})
+	}
+	slices.SortFunc(entries, func(a, b ProfileEntry) int { return a.Lock.Compare(b.Lock) })
+	return entries
 }
 
 // TraceMatches reports whether a replay root's trace matches the miner's
@@ -445,8 +447,8 @@ func (t *Tx) TraceMatches(p Profile) bool {
 
 // Recycle returns a settled root's pooled read/write-set map for reuse by
 // a later BeginReplay/BeginOCC. Call it only after the transaction has
-// committed, aborted, or reverted AND its trace has been read
-// (TraceResult, TraceMatches); the trace map is gone afterwards. The
+// committed, aborted, or reverted AND its trace has been read (Locks,
+// TraceMatches); the trace map is gone afterwards. The
 // overlay is deliberately NOT released here — for OCC roots the engine
 // still holds PendingWrites and releases the overlay itself once the
 // writes are applied or discarded.
