@@ -112,7 +112,7 @@ func run() error {
 	// Read the result through a serial transaction.
 	var winner string
 	_, err = runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), world.Schedule())
+		tx := stm.BeginSerial(0, th, 1_000_000, world.Schedule())
 		out := contract.Execute(world, tx, contract.Call{
 			Sender: chair, Contract: ballotAddr, Function: "winnerName", GasLimit: 1_000_000,
 		})

@@ -118,7 +118,7 @@ func run() error {
 
 	// Inspect final ownership through a serial read.
 	_, err = runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), world.Schedule())
+		tx := stm.BeginSerial(0, th, 1_000_000, world.Schedule())
 		out := contract.Execute(world, tx, contract.Call{
 			Sender: publisher, Contract: docAddr, Function: "countForOwner",
 			Args: []any{archive}, GasLimit: 1_000_000,

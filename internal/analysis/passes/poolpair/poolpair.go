@@ -21,7 +21,7 @@
 // functions that return a Get result, and the curated cross-package
 // acquirers (codec.GetBuffer). The release vocabulary is Release,
 // Recycle, and (*sync.Pool).Put. The pass runs in the pooled packages:
-// codec, stm, chain, persist.
+// codec, stm, chain, persist, and contract (the execution environment).
 package poolpair
 
 import (
@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 
 // pooledPackages are where the pooled-object discipline binds.
 var pooledPackages = map[string]bool{
-	"codec": true, "stm": true, "chain": true, "persist": true,
+	"codec": true, "stm": true, "chain": true, "persist": true, "contract": true,
 }
 
 // crossPackageAcquirers maps fully qualified function names to true:

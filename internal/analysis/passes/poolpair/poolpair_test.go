@@ -10,3 +10,9 @@ import (
 func TestPoolpair(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), poolpair.Analyzer, "codec")
 }
+
+// TestPoolpairContract covers the contract package's pooled execution
+// environment.
+func TestPoolpairContract(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), poolpair.Analyzer, "contract")
+}

@@ -17,7 +17,8 @@ import (
 // mined by the OCC engine so calls, receipts, schedule and profiles are
 // all realistic. UnmarshalBlock's ceiling is 1.1 times its measured
 // count, 831 per block both plain and under -race. The commitment
-// preimages are built in reused or stack buffers, so TxLeavesOf allocates
+// preimages are built in pooled, reused or stack buffers, so
+// ScheduleHashOf allocates nothing, TxLeavesOf allocates
 // its result and nothing else, and ReceiptRootOf its leaves and
 // MerkleRoot's one scratch copy of them, whatever the block's size.
 func TestBlockCodecAllocCeilings(t *testing.T) {
@@ -48,7 +49,8 @@ func TestBlockCodecAllocCeilings(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	// The preimage buffer, sized up front, and nothing else that grows.
+	// The preimage is built in a pooled buffer, so a warm pool allocates
+	// nothing (poolSlack allows for the race detector's pool drops).
 	schedule := testing.AllocsPerRun(20, func() {
 		if chain.ScheduleHashOf(res.Block.Schedule, res.Block.Profiles) != res.Block.Header.ScheduleHash {
 			t.Fatal("schedule hash changed")
@@ -60,13 +62,13 @@ func TestBlockCodecAllocCeilings(t *testing.T) {
 			t.Fatal("receipt root changed")
 		}
 	})
-	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 914), ScheduleHashOf %.0f (ceiling 2), TxLeavesOf %.0f (ceiling 1), ReceiptRootOf %.0f (ceiling 2)",
+	t.Logf("AppendBlockWire %.0f allocs per block (ceiling 4), UnmarshalBlock %.0f (ceiling 914), ScheduleHashOf %.0f (ceiling 0), TxLeavesOf %.0f (ceiling 1), ReceiptRootOf %.0f (ceiling 2)",
 		encode, decode, schedule, leaves, receipts)
 	if encode > 4 {
 		t.Errorf("AppendBlockWire allocates %.0f times per block, ceiling 4", encode)
 	}
-	if schedule > 2 {
-		t.Errorf("ScheduleHashOf allocates %.0f times per block, ceiling 2", schedule)
+	if schedule > poolSlack {
+		t.Errorf("ScheduleHashOf allocates %.0f times per block, ceiling 0", schedule)
 	}
 	if decode > 914 {
 		t.Errorf("UnmarshalBlock allocates %.0f times per block, ceiling 914", decode)

@@ -9,9 +9,11 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"contractstm/internal/codec"
 	"contractstm/internal/contract"
 	"contractstm/internal/crypto"
 	"contractstm/internal/sched"
@@ -102,7 +104,7 @@ func ReceiptRootOf(receipts []contract.Receipt) types.Hash {
 }
 
 // ScheduleHashOf commits to the published schedule: S, H and the profiles,
-// all canonically encoded.
+// all canonically encoded. The preimage is built in a pooled buffer.
 func ScheduleHashOf(s sched.Schedule, profiles []stm.Profile) types.Hash {
 	// Sized first: grown by append it cost twice its size in reallocations.
 	size := 12 + 4*len(s.Order) + 8*len(s.Edges) + 8*len(profiles)
@@ -111,7 +113,9 @@ func ScheduleHashOf(s sched.Schedule, profiles []stm.Profile) types.Hash {
 			size += 17 + len(e.Lock.Scope) + len(e.Lock.Key)
 		}
 	}
-	buf := make([]byte, 0, size)
+	pooled := codec.GetBuffer()
+	defer pooled.Release()
+	buf := slices.Grow(pooled.B, size)
 	buf = append(buf, types.Uint32Bytes(uint32(len(s.Order)))...)
 	for _, tx := range s.Order {
 		buf = append(buf, types.Uint32Bytes(uint32(tx))...)
@@ -134,6 +138,7 @@ func ScheduleHashOf(s sched.Schedule, profiles []stm.Profile) types.Hash {
 			buf = append(buf, types.Uint64Bytes(e.Counter)...)
 		}
 	}
+	pooled.B = buf
 	return types.HashBytes(buf)
 }
 

@@ -243,16 +243,6 @@ type Env struct {
 // (1024 there; smaller here because simulated workloads never approach it).
 const MaxCallDepth = 128
 
-// newEnv builds the root environment for a transaction.
-func newEnv(w *World, tx *stm.Tx, call Call) *Env {
-	return &Env{
-		world: w,
-		tx:    tx,
-		msg:   Msg{Sender: call.Sender, Value: call.Value},
-		self:  call.Contract,
-	}
-}
-
 // Msg returns the current invocation context.
 func (e *Env) Msg() Msg { return e.msg }
 

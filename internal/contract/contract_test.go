@@ -92,7 +92,7 @@ func execOne(t *testing.T, w *World, call Call) Outcome {
 	var out Outcome
 	mgr := stm.NewManager(w.Schedule())
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSpeculative(mgr, 0, th, gas.NewMeter(call.GasLimit), stm.PolicyEager)
+		tx := stm.BeginSpeculative(mgr, 0, th, call.GasLimit, stm.PolicyEager)
 		out = Execute(w, tx, call)
 	})
 	if err != nil {
@@ -206,7 +206,7 @@ func TestTransfers(t *testing.T) {
 	_ = c
 	// Seed the contract's balance at genesis.
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), w.Schedule())
+		tx := stm.BeginSerial(0, th, 1_000_000, w.Schedule())
 		if err := w.Mint(tx, addrA, 100); err != nil {
 			t.Errorf("Mint: %v", err)
 		}
@@ -223,7 +223,7 @@ func TestTransfers(t *testing.T) {
 	}
 	// Check balances.
 	_, err = runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(1, th, gas.NewMeter(1_000_000), w.Schedule())
+		tx := stm.BeginSerial(1, th, 1_000_000, w.Schedule())
 		a, _ := w.BalanceOf(tx, addrA)
 		b, _ := w.BalanceOf(tx, addrB)
 		if a != 60 || b != 40 {

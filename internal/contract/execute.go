@@ -3,6 +3,7 @@ package contract
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"contractstm/internal/gas"
 	"contractstm/internal/stm"
@@ -74,13 +75,22 @@ func (r Receipt) AppendForHash(dst []byte) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(r.GasUsed))
 }
 
+// envPool recycles the root environments Execute hands to contract code.
+// An environment lives exactly as long as its Execute call: contracts
+// must not keep it.
+var envPool = sync.Pool{New: func() any { return new(Env) }}
+
 // Execute runs one contract call under an already-begun root transaction
 // and settles it: Commit on success, Revert on a contract throw, Abort on a
 // speculative conflict. It never lets contract panics escape except for
 // genuine bugs (non-signal panics), which propagate.
 func Execute(w *World, tx *stm.Tx, call Call) (out Outcome) {
+	env := envPool.Get().(*Env)
+	*env = Env{world: w, tx: tx, msg: Msg{Sender: call.Sender, Value: call.Value}, self: call.Contract}
 	defer func() {
 		r := recover()
+		*env = Env{}
+		envPool.Put(env)
 		switch sig := r.(type) {
 		case nil:
 			return
@@ -99,7 +109,6 @@ func Execute(w *World, tx *stm.Tx, call Call) (out Outcome) {
 		}
 	}()
 
-	env := newEnv(w, tx, call)
 	env.Do(tx.ChargeStep(uint64(w.sched.TxBase)))
 
 	callee, ok := w.contracts[call.Contract]

@@ -52,7 +52,7 @@ func runCall(t *testing.T, w *contract.World, call contract.Call) contract.Outco
 	t.Helper()
 	var out contract.Outcome
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(call.GasLimit), w.Schedule())
+		tx := stm.BeginSerial(0, th, call.GasLimit, w.Schedule())
 		out = contract.Execute(w, tx, call)
 	})
 	if err != nil {
@@ -66,7 +66,7 @@ func readBalance(t *testing.T, w *contract.World, a types.Address) uint64 {
 	t.Helper()
 	var out uint64
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), w.Schedule())
+		tx := stm.BeginSerial(0, th, 1_000_000, w.Schedule())
 		amt, err := w.BalanceOf(tx, a)
 		if err != nil {
 			t.Errorf("BalanceOf: %v", err)

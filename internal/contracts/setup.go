@@ -20,7 +20,7 @@ type setupExec struct {
 var _ stm.Executor = (*setupExec)(nil)
 
 func (s *setupExec) Access(stm.LockID, stm.Mode, gas.Gas) error { return nil }
-func (s *setupExec) LogUndo(func())                             {}
+func (s *setupExec) LogUndo(stm.Undo)                           {}
 func (s *setupExec) Overlay() *stm.Overlay                      { return nil }
 func (s *setupExec) ChargeStep(uint64) error                    { return nil }
 func (s *setupExec) Thread() runtime.Thread                     { return nil }

@@ -96,7 +96,7 @@ func (OCCEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls []
 			i := round[k]
 			call := calls[i]
 			id := types.TxID(i)
-			tx := stm.BeginOCC(id, th, gas.NewMeter(call.GasLimit), costs)
+			tx := stm.BeginOCC(id, th, call.GasLimit, costs)
 			out := contract.Execute(w, tx, call)
 			if out.Kind == contract.OutcomeRetry {
 				// The OCC regime never blocks, so it can never deadlock.

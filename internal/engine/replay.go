@@ -60,7 +60,7 @@ func Replay(runner runtime.Runner, w *contract.World, calls []contract.Call, pro
 		th.Work(costs.TaskSetup + costs.JoinOverhead*gas.Gas(prog.Joins(i)))
 		call := calls[i]
 		id := types.TxID(i)
-		tx := stm.BeginReplay(id, th, gas.NewMeter(call.GasLimit), costs)
+		tx := stm.BeginReplay(id, th, call.GasLimit, costs)
 		out := contract.Execute(w, tx, call)
 		receipts[i] = contract.ReceiptFor(id, out)
 		if !tx.TraceMatches(profiles[i]) {

@@ -62,7 +62,7 @@ func RunOrdered(runner runtime.Runner, w *contract.World, calls []contract.Call,
 			return OrderedRun{}, fmt.Errorf("engine: order is not a permutation of the calls: %w", err)
 		}
 	}
-	receipts, makespan, err := runSerialLoop(runner, w, calls, order, stm.BeginSerial, nil)
+	receipts, makespan, err := runSerialLoop(runner, w, calls, order, stm.BeginSerial, (*stm.Tx).Recycle)
 	if err != nil {
 		return OrderedRun{}, err
 	}
@@ -71,11 +71,11 @@ func RunOrdered(runner runtime.Runner, w *contract.World, calls []contract.Call,
 
 // runSerialLoop is the one serial execution loop: run calls in order (in
 // block order when order is nil) on a single thread, beginning each
-// transaction via begin and invoking after (if non-nil) on the settled
-// transaction.
+// transaction via begin and handing the settled transaction to after,
+// which recycles it.
 func runSerialLoop(
 	runner runtime.Runner, w *contract.World, calls []contract.Call, order []types.TxID,
-	begin func(types.TxID, runtime.Thread, *gas.Meter, gas.Schedule) *stm.Tx,
+	begin func(types.TxID, runtime.Thread, gas.Gas, gas.Schedule) *stm.Tx,
 	after func(tx *stm.Tx),
 ) ([]contract.Receipt, uint64, error) {
 	receipts := make([]contract.Receipt, len(calls))
@@ -86,16 +86,14 @@ func runSerialLoop(
 				id = order[k]
 			}
 			call := calls[id]
-			tx := begin(id, th, gas.NewMeter(call.GasLimit), w.Schedule())
+			tx := begin(id, th, call.GasLimit, w.Schedule())
 			out := contract.Execute(w, tx, call)
 			if out.Kind == contract.OutcomeRetry {
 				// Serial transactions cannot conflict; a retry here is a bug.
 				panic(fmt.Sprintf("engine: serial execution of %s demanded retry: %s", id, out.Reason))
 			}
 			receipts[id] = contract.ReceiptFor(id, out)
-			if after != nil {
-				after(tx)
-			}
+			after(tx)
 		}
 	})
 	if err != nil {

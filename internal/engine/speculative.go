@@ -55,7 +55,7 @@ func (SpeculativeEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, 
 		id := types.TxID(i)
 		attempt := 0
 		for {
-			tx := stm.BeginSpeculative(mgr, id, th, gas.NewMeter(call.GasLimit), opts.Policy)
+			tx := stm.BeginSpeculative(mgr, id, th, call.GasLimit, opts.Policy)
 			tx.SetRetries(attempt)
 			out := contract.Execute(w, tx, call)
 			if out.Kind == contract.OutcomeRetry {
@@ -66,11 +66,13 @@ func (SpeculativeEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, 
 				}
 				th.Work(opts.RetryBackoff * gas.Gas(attempt))
 				tx.AwaitRefusedLock()
+				tx.Recycle()
 				continue
 			}
 			receipts[i] = contract.ReceiptFor(id, out)
 			profiles[i] = tx.Profile()
 			attempts[i] = attempt
+			tx.Recycle()
 			return nil
 		}
 	})

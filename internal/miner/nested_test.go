@@ -132,7 +132,7 @@ func buildVaultWorld(t *testing.T, n, broke int) (*contract.World, []contract.Ca
 func fundVaultBalance(t *testing.T, w *contract.World, balances *storage.Map, a types.Address, amount uint64) {
 	t.Helper()
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), w.Schedule())
+		tx := stm.BeginSerial(0, th, 1_000_000, w.Schedule())
 		if err := balances.AddUint(tx, storage.KeyAddr(a), amount); err != nil {
 			t.Errorf("fund: %v", err)
 		}

@@ -15,7 +15,6 @@ import (
 	"contractstm/internal/api/wire"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
-	"contractstm/internal/gas"
 	"contractstm/internal/persist"
 	"contractstm/internal/runtime"
 	"contractstm/internal/stm"
@@ -381,7 +380,7 @@ func TestV1Balance(t *testing.T) {
 	// Fund holder 0 in the currency ledger at genesis (setup-time mint,
 	// the same pattern the contract tests use).
 	if _, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), w.Schedule())
+		tx := stm.BeginSerial(0, th, 1_000_000, w.Schedule())
 		if err := w.Mint(tx, holders[0], 777); err != nil {
 			t.Errorf("Mint: %v", err)
 		}

@@ -440,7 +440,7 @@ func balanceOf(t *testing.T, w *contract.World, addr types.Address) types.Amount
 	var bal types.Amount
 	var readErr error
 	if _, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSerial(0, th, gas.NewMeter(1_000_000), w.Schedule())
+		tx := stm.BeginSerial(0, th, 1_000_000, w.Schedule())
 		if bal, readErr = w.BalanceOf(tx, addr); readErr == nil {
 			readErr = tx.Commit()
 		}

@@ -15,7 +15,7 @@ func TestExclusiveLockSerializesCriticalSections(t *testing.T) {
 	newBody := func(mgr *Manager, inCS *int, violations *int, mu *sync.Mutex) func(runtime.Thread) {
 		return func(th runtime.Thread) {
 			for i := 0; i < 20; i++ {
-				tx := BeginSpeculative(mgr, types.TxID(th.ID()*100+i), th, gas.NewMeter(1_000_000), PolicyEager)
+				tx := BeginSpeculative(mgr, types.TxID(th.ID()*100+i), th, 1_000_000, PolicyEager)
 				if err := tx.Access(lock, ModeExclusive, 5); err != nil {
 					if errors.Is(err, ErrDeadlock) {
 						_ = tx.Abort()
@@ -70,7 +70,7 @@ func TestSharedHoldersOverlap(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lock := LockID{Scope: "m", Key: "k"}
 	ms, err := runtime.NewSimRunner().Run(2, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeShared, 10); err != nil {
 			t.Errorf("access: %v", err)
 		}
@@ -97,7 +97,7 @@ func TestIncrementHoldersOverlap(t *testing.T) {
 	counter := 0
 	var mu sync.Mutex
 	ms, err := runtime.NewSimRunner().Run(3, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeIncrement, 10); err != nil {
 			t.Errorf("access: %v", err)
 		}
@@ -128,7 +128,7 @@ func TestExclusiveBlocksUntilRelease(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lock := LockID{Scope: "m", Key: "k"}
 	ms, err := runtime.NewSimRunner().Run(2, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeExclusive, 10); err != nil {
 			t.Errorf("access: %v", err)
 		}
@@ -160,7 +160,7 @@ func TestDeadlockDetectedAndVictimAborts(t *testing.T) {
 			first, second = lockB, lockA
 		}
 		for attempt := 0; attempt < 5; attempt++ {
-			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 			if err := tx.Access(first, ModeExclusive, 5); err != nil {
 				t.Errorf("first access: %v", err)
 				return
@@ -211,7 +211,7 @@ func TestUpgradeDeadlockBetweenTwoReaders(t *testing.T) {
 	deadlocks, commits := 0, 0
 	_, err := runtime.NewSimRunner().Run(2, func(th runtime.Thread) {
 		for attempt := 0; attempt < 5; attempt++ {
-			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 			if err := tx.Access(lock, ModeShared, 5); err != nil {
 				t.Errorf("shared access: %v", err)
 				return
@@ -255,7 +255,7 @@ func TestCommitWakesWaiter(t *testing.T) {
 	// possibility; both must eventually commit (waiter is woken).
 	newBody := func(mgr *Manager) func(runtime.Thread) {
 		return func(th runtime.Thread) {
-			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 			if err := tx.Access(LockID{Scope: "w", Key: "k"}, ModeExclusive, 5); err != nil {
 				t.Errorf("access: %v", err)
 				return
@@ -282,7 +282,7 @@ func TestStatsCounters(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lock := LockID{Scope: "m", Key: "k"}
 	_, err := runtime.NewSimRunner().Run(2, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeExclusive, 5); err != nil {
 			t.Errorf("access: %v", err)
 			return

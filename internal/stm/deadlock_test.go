@@ -28,7 +28,7 @@ func TestThreeCycleDeadlockDetected(t *testing.T) {
 		first := locks[th.ID()]
 		second := locks[(th.ID()+1)%3]
 		for attempt := 0; attempt < 8; attempt++ {
-			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 			if err := tx.Access(first, ModeExclusive, 5); err != nil {
 				t.Errorf("first access: %v", err)
 				return
@@ -83,7 +83,7 @@ func TestProfileCountersUniquePerLock(t *testing.T) {
 		var counters []uint64
 		_, err := runtime.NewSimRunner().Run(workers, func(th runtime.Thread) {
 			for i := 0; i < perWorker; i++ {
-				tx := BeginSpeculative(mgr, types.TxID(th.ID()*10+i), th, gas.NewMeter(1_000_000), PolicyEager)
+				tx := BeginSpeculative(mgr, types.TxID(th.ID()*10+i), th, 1_000_000, PolicyEager)
 				if err := tx.Access(lock, ModeExclusive, 5); err != nil {
 					// Single lock: deadlock impossible.
 					return
@@ -131,7 +131,7 @@ func TestWaiterDoesNotStarveUnderChurn(t *testing.T) {
 	done := 0
 	_, err := runtime.NewSimRunner().Run(3, func(th runtime.Thread) {
 		for i := 0; i < perWorker; i++ {
-			tx := BeginSpeculative(mgr, types.TxID(th.ID()*100+i), th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(mgr, types.TxID(th.ID()*100+i), th, 1_000_000, PolicyEager)
 			if err := tx.Access(lock, ModeExclusive, 2); err != nil {
 				t.Errorf("access: %v", err)
 				return
@@ -168,7 +168,7 @@ func TestMixedModeQueueing(t *testing.T) {
 	_, err := runtime.NewSimRunner().Run(3, func(th runtime.Thread) {
 		for i := 0; i < 12; i++ {
 			mode := modes[(th.ID()+i)%3]
-			tx := BeginSpeculative(mgr, types.TxID(th.ID()*100+i), th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(mgr, types.TxID(th.ID()*100+i), th, 1_000_000, PolicyEager)
 			if err := tx.Access(lock, mode, 3); err != nil {
 				t.Errorf("access %v: %v", mode, err)
 				return
@@ -212,7 +212,7 @@ func TestUpgradeLivelockOnOSThreads(t *testing.T) {
 		allRead.Add(workers)
 		_, err := runtime.NewOSRunner(nil).Run(workers, func(th runtime.Thread) {
 			for attempt := 0; ; attempt++ {
-				tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), PolicyEager)
+				tx := BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, PolicyEager)
 				if err := tx.Access(lock, ModeShared, 1); err != nil {
 					t.Errorf("iteration %d: shared access: %v", it, err)
 					return

@@ -377,7 +377,8 @@ func (m *Manager) releaseAll(root *Tx, th runtime.Thread, bump bool) []ProfileEn
 		ls.drop(root)
 		toWake = m.grantWaiters(ls, toWake)
 	}
-	root.held = nil
+	clear(root.held)
+	root.held = root.held[:0]
 	root.blockedOn = nil
 	m.mu.Unlock()
 

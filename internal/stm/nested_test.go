@@ -11,15 +11,15 @@ func TestNestedCommitMergesUndoIntoParent(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	value := 0
 	singleThread(t, func(th runtime.Thread) {
-		parent := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
-		parent.LogUndo(func() { value -= 1 })
+		parent := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
+		parent.LogUndo(undoFunc(func() { value -= 1 }))
 		value += 1
 
 		child, err := parent.BeginNested()
 		if err != nil {
 			t.Fatalf("BeginNested: %v", err)
 		}
-		child.LogUndo(func() { value -= 10 })
+		child.LogUndo(undoFunc(func() { value -= 10 }))
 		value += 10
 		if err := child.Commit(); err != nil {
 			t.Fatalf("child commit: %v", err)
@@ -41,15 +41,15 @@ func TestNestedAbortDoesNotAbortParent(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	value := 0
 	singleThread(t, func(th runtime.Thread) {
-		parent := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
-		parent.LogUndo(func() { value -= 1 })
+		parent := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
+		parent.LogUndo(undoFunc(func() { value -= 1 }))
 		value += 1
 
 		child, err := parent.BeginNested()
 		if err != nil {
 			t.Fatalf("BeginNested: %v", err)
 		}
-		child.LogUndo(func() { value -= 10 })
+		child.LogUndo(undoFunc(func() { value -= 10 }))
 		value += 10
 		if err := child.Abort(); err != nil {
 			t.Fatalf("child abort: %v", err)
@@ -75,7 +75,7 @@ func TestNestedLocksKeptByRootOnChildAbort(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	childLock := LockID{Scope: "m", Key: "child"}
 	singleThread(t, func(th runtime.Thread) {
-		parent := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		parent := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		child, err := parent.BeginNested()
 		if err != nil {
 			t.Fatalf("BeginNested: %v", err)
@@ -100,7 +100,7 @@ func TestNestedChildInheritsParentLocks(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lock := LockID{Scope: "m", Key: "k"}
 	singleThread(t, func(th runtime.Thread) {
-		parent := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		parent := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := parent.Access(lock, ModeExclusive, 5); err != nil {
 			t.Fatalf("parent access: %v", err)
 		}
@@ -130,7 +130,7 @@ func TestDeepNesting(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	value := 0
 	singleThread(t, func(th runtime.Thread) {
-		root := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		root := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		cur := root
 		for depth := 0; depth < 5; depth++ {
 			child, err := cur.BeginNested()
@@ -138,7 +138,7 @@ func TestDeepNesting(t *testing.T) {
 				t.Fatalf("nest depth %d: %v", depth, err)
 			}
 			d := depth
-			child.LogUndo(func() { value -= 1 << d })
+			child.LogUndo(undoFunc(func() { value -= 1 << d }))
 			value += 1 << d
 			cur = child
 		}
@@ -238,7 +238,7 @@ func TestLazyPolicyAbortDropsOverlay(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	value := 0
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyLazy)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyLazy)
 		ov := tx.Overlay()
 		if ov == nil {
 			t.Fatal("lazy tx must expose an overlay")
@@ -257,7 +257,7 @@ func TestLazyPolicyCommitAppliesOverlay(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	value := 0
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyLazy)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyLazy)
 		tx.Overlay().Put(OverlayKey{Obj: 1, Key: "x"}, 42, false, func(v any, del bool) { value = v.(int) })
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit: %v", err)
@@ -272,7 +272,7 @@ func TestLazyNestedCommitMergesOverlay(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	value := 0
 	singleThread(t, func(th runtime.Thread) {
-		parent := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyLazy)
+		parent := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyLazy)
 		child, err := parent.BeginNested()
 		if err != nil {
 			t.Fatalf("BeginNested: %v", err)
@@ -297,7 +297,7 @@ func TestLazyNestedAbortDiscardsChildOverlay(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	value := 0
 	singleThread(t, func(th runtime.Thread) {
-		parent := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyLazy)
+		parent := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyLazy)
 		parent.Overlay().Put(OverlayKey{Obj: 1, Key: "keep"}, 1, false, func(v any, del bool) { value += v.(int) })
 		child, err := parent.BeginNested()
 		if err != nil {
@@ -319,13 +319,13 @@ func TestLazyNestedAbortDiscardsChildOverlay(t *testing.T) {
 func TestNonLazyTxHasNilOverlay(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	singleThread(t, func(th runtime.Thread) {
-		if tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1000), PolicyEager); tx.Overlay() != nil {
+		if tx := BeginSpeculative(mgr, 0, th, 1000, PolicyEager); tx.Overlay() != nil {
 			t.Error("eager tx exposes an overlay")
 		}
-		if tx := BeginSerial(0, th, gas.NewMeter(1000), gas.DefaultSchedule()); tx.Overlay() != nil {
+		if tx := BeginSerial(0, th, 1000, gas.DefaultSchedule()); tx.Overlay() != nil {
 			t.Error("serial tx exposes an overlay")
 		}
-		if tx := BeginReplay(0, th, gas.NewMeter(1000), gas.DefaultSchedule()); tx.Overlay() != nil {
+		if tx := BeginReplay(0, th, 1000, gas.DefaultSchedule()); tx.Overlay() != nil {
 			t.Error("replay tx exposes an overlay")
 		}
 	})
@@ -333,13 +333,12 @@ func TestNonLazyTxHasNilOverlay(t *testing.T) {
 
 func TestChargeStep(t *testing.T) {
 	singleThread(t, func(th runtime.Thread) {
-		meter := gas.NewMeter(100)
-		tx := BeginSerial(0, th, meter, gas.DefaultSchedule())
+		tx := BeginSerial(0, th, 100, gas.DefaultSchedule())
 		if err := tx.ChargeStep(40); err != nil {
 			t.Fatalf("ChargeStep: %v", err)
 		}
-		if meter.Used() != 40 {
-			t.Fatalf("used = %d, want 40", meter.Used())
+		if used := tx.Meter().Used(); used != 40 {
+			t.Fatalf("used = %d, want 40", used)
 		}
 		if err := tx.ChargeStep(100); err == nil {
 			t.Fatal("over-limit ChargeStep succeeded")

@@ -78,36 +78,98 @@ func TestOverlayEntryFreelistReuse(t *testing.T) {
 	}
 }
 
-// TestTxRecycleLifecycle pins Recycle's safety rules: it is a no-op on
-// active roots and on children, and after recycling a settled OCC root its
-// overlay — still referenced by the engine via PendingWrites — survives.
+// TestTxRecycleLifecycle pins Recycle's ownership rule: it is a no-op on
+// an active root and on a child, and a root that is recycled goes back to
+// the pool whole, so nothing may read it afterwards; the engines read
+// PendingWrites, Locks and the Profile first. A root that was reverted
+// with writes logged, recycled and begun again starts clean: an empty
+// undo log, a zero meter with the new limit, an empty trace, no overlay
+// and no profile.
 func TestTxRecycleLifecycle(t *testing.T) {
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginOCC(1, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
-		tx.Recycle() // active: must not recycle the live trace map
-		if err := tx.Access(LockID{Scope: "s", Key: "k"}, ModeExclusive, 1); err != nil {
+		mgr := NewManager(gas.DefaultSchedule())
+		defer mgr.Release()
+		lock := LockID{Scope: "s", Key: "k"}
+
+		tx := BeginOCC(1, th, 1_000_000, gas.DefaultSchedule())
+		tx.Recycle() // active: must not recycle the live root
+		if err := tx.Access(lock, ModeExclusive, 1); err != nil {
 			t.Fatalf("access: %v", err)
 		}
-		ov := tx.Overlay()
-		ov.Put(OverlayKey{Obj: 1, Key: "k"}, uint64(1), false, func(any, bool) {})
+		child, err := tx.BeginNested()
+		if err != nil {
+			t.Fatalf("begin nested: %v", err)
+		}
+		if err := child.Commit(); err != nil {
+			t.Fatalf("commit child: %v", err)
+		}
+		child.Recycle() // a child: must not recycle anything
+		if tx.Status() != StatusActive || len(tx.trace) != 1 {
+			t.Fatal("Recycle touched an active root or a child's root")
+		}
+		tx.Overlay().Put(OverlayKey{Obj: 1, Key: "k"}, uint64(1), false, func(any, bool) {})
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit: %v", err)
 		}
-		if locks := tx.Locks(nil); len(locks) != 1 {
-			t.Fatalf("traced locks = %d, want 1", len(locks))
+		wr := tx.PendingWrites()
+		if locks := tx.Locks(nil); len(locks) != 1 || wr == nil || wr.Len() != 1 {
+			t.Fatalf("settled OCC root: %d locks, pending writes %v", len(locks), wr)
 		}
 		tx.Recycle()
-		wr := tx.PendingWrites()
-		if wr == nil || wr.Len() != 1 {
-			t.Fatal("Recycle must leave the pending-writes overlay intact")
-		}
-		wr.Apply()
-		wr.Release()
+		wr.Release() // the engine owns the overlay it read before Recycle
 
-		// A fresh pooled root must start with an empty trace.
-		tx2 := BeginOCC(2, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
-		if got := tx2.Locks(nil); len(got) != 0 {
-			t.Fatalf("recycled trace map leaked %d entries into a new root", len(got))
+		// A speculative root that holds a lock, charges gas, logs a write
+		// and reverts — or commits, keeping its log — then is recycled,
+		// begins its next use clean, in whatever kind.
+		dirty := func(settle func(*Tx) error) *Tx {
+			used := BeginSpeculative(mgr, 2, th, 1_000_000, PolicyEager)
+			if err := used.Access(lock, ModeExclusive, 10); err != nil {
+				t.Fatalf("access: %v", err)
+			}
+			value := 1
+			used.LogUndo(undoFunc(func() { value = 0 }))
+			if err := settle(used); err != nil {
+				t.Fatalf("settle: %v", err)
+			}
+			if reverted := used.Status() == StatusReverted; reverted != (value == 0) || len(used.Profile().Entries) != 1 {
+				t.Fatalf("%v root left value %d and %d profile entries", used.Status(), value, len(used.Profile().Entries))
+			}
+			used.Recycle()
+			return used
+		}
+		for _, settle := range []func(*Tx) error{(*Tx).Revert, (*Tx).Commit} {
+			for _, begin := range []func() *Tx{
+				func() *Tx { return BeginReplay(3, th, 500, gas.DefaultSchedule()) },
+				func() *Tx { return BeginSerial(4, th, 500, gas.DefaultSchedule()) },
+				func() *Tx { return BeginSpeculative(mgr, 5, th, 500, PolicyEager) },
+			} {
+				reused := false
+				for attempt := 0; attempt < 100 && !reused; attempt++ {
+					used := dirty(settle)
+					again := begin()
+					// The pool may drop a root (as it does under -race); only a
+					// root it handed back proves anything.
+					if reused = again == used; reused {
+						if len(again.undo) != 0 || len(again.held) != 0 || len(again.trace) != 0 {
+							t.Fatalf("%v root begins with %d undo records, %d held locks, %d traced locks",
+								again.Kind(), len(again.undo), len(again.held), len(again.trace))
+						}
+						if m := again.Meter(); m.Used() != 0 || m.Limit() != 500 {
+							t.Fatalf("%v root begins with meter %d/%d, want 0/500", again.Kind(), m.Used(), m.Limit())
+						}
+						if again.overlay != nil || len(again.Profile().Entries) != 0 || again.refusedMode != 0 || again.root != again {
+							t.Fatalf("%v root begins with state of its last use", again.Kind())
+						}
+					}
+					if err := again.Commit(); err != nil {
+						t.Fatalf("commit: %v", err)
+					}
+					again.Recycle()
+				}
+				if !reused {
+					t.Fatal("the pool never handed a recycled root back")
+				}
+			}
 		}
 	})
 }
@@ -125,7 +187,7 @@ func TestManagerReleaseResets(t *testing.T) {
 		mgr := NewManager(gas.DefaultSchedule())
 		singleThread(t, func(th runtime.Thread) {
 			for i := 0; i < locks; i++ {
-				tx := BeginSpeculative(mgr, types.TxID(i), th, gas.NewMeter(1_000_000), PolicyEager)
+				tx := BeginSpeculative(mgr, types.TxID(i), th, 1_000_000, PolicyEager)
 				if err := tx.Access(lockID(i), ModeExclusive, 1); err != nil {
 					t.Errorf("access: %v", err)
 					return
@@ -135,7 +197,7 @@ func TestManagerReleaseResets(t *testing.T) {
 					return
 				}
 			}
-			open := BeginSpeculative(mgr, locks, th, gas.NewMeter(1_000_000), PolicyEager)
+			open := BeginSpeculative(mgr, locks, th, 1_000_000, PolicyEager)
 			if err := open.Access(lockID(0), ModeShared, 1); err != nil {
 				t.Errorf("access: %v", err)
 			}
@@ -182,7 +244,7 @@ func TestManagerReleaseResets(t *testing.T) {
 		}
 		again.Histories(func([]HistoryEntry) { t.Fatal("reused table lists a history") })
 		singleThread(t, func(th runtime.Thread) {
-			tx := BeginSpeculative(again, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(again, 0, th, 1_000_000, PolicyEager)
 			if err := tx.Access(lockID(0), ModeExclusive, 1); err != nil {
 				t.Errorf("access: %v", err)
 				return

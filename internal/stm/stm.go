@@ -10,8 +10,10 @@
 //     commute (§3 "Storage Operations"). Locks support three modes —
 //     exclusive, shared (read) and increment (commutative update) — as
 //     allowed by the paper's footnote 3;
-//   - inverse logs: each speculative operation records an undo closure;
-//     aborting replays the log most-recent-first;
+//   - inverse logs: each in-place write records an Undo, a typed value
+//     naming the object, the key or index and the old value or delta;
+//     aborting or reverting applies the log most-recent-first, each
+//     object taking back its own records (Undoer);
 //   - nested speculative actions for contract→contract calls;
 //   - use counters and lock profiles: at commit, every held lock's counter
 //     is bumped and the (lock, counter, mode) triples are registered, which

@@ -84,12 +84,20 @@ func singleThread(t *testing.T, body func(th runtime.Thread)) uint64 {
 	return ms
 }
 
+// funcUndoer applies an inverse record by calling itself.
+type funcUndoer func()
+
+func (f funcUndoer) Undo(*Undo) { f() }
+
+// undoFunc wraps f as an inverse record.
+func undoFunc(f func()) Undo { return Undo{Obj: funcUndoer(f)} }
+
 func TestSpeculativeCommitProducesProfile(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lockA := LockID{Scope: "m", Key: "a"}
 	lockB := LockID{Scope: "m", Key: "b"}
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := tx.Access(lockA, ModeExclusive, 10); err != nil {
 			t.Errorf("access A: %v", err)
 		}
@@ -118,7 +126,7 @@ func TestUseCountersIncrementAcrossCommits(t *testing.T) {
 	lock := LockID{Scope: "m", Key: "k"}
 	singleThread(t, func(th runtime.Thread) {
 		for i := 0; i < 3; i++ {
-			tx := BeginSpeculative(mgr, types.TxID(i), th, gas.NewMeter(1_000_000), PolicyEager)
+			tx := BeginSpeculative(mgr, types.TxID(i), th, 1_000_000, PolicyEager)
 			if err := tx.Access(lock, ModeExclusive, 10); err != nil {
 				t.Errorf("access: %v", err)
 			}
@@ -139,7 +147,7 @@ func TestAbortDoesNotBumpCounter(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lock := LockID{Scope: "m", Key: "k"}
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeExclusive, 10); err != nil {
 			t.Errorf("access: %v", err)
 		}
@@ -161,14 +169,14 @@ func TestRecordSettlesLikeCommit(t *testing.T) {
 	lockA := LockID{Scope: "m", Key: "a"}
 	lockB := LockID{Scope: "m", Key: "b"}
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := tx.Access(lockA, ModeExclusive, 10); err != nil {
 			t.Errorf("access: %v", err)
 		}
 		if err := tx.Commit(); err != nil {
 			t.Errorf("commit: %v", err)
 		}
-		rp := BeginReplay(1, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
+		rp := BeginReplay(1, th, 1_000_000, gas.DefaultSchedule())
 		_ = rp.Access(lockB, ModeShared, 1)
 		_ = rp.Access(lockA, ModeIncrement, 1)
 		if err := rp.Commit(); err != nil {
@@ -196,10 +204,10 @@ func TestUndoLogReplayedInReverseOrder(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	var log []int
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
-		tx.LogUndo(func() { log = append(log, 1) })
-		tx.LogUndo(func() { log = append(log, 2) })
-		tx.LogUndo(func() { log = append(log, 3) })
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
+		tx.LogUndo(undoFunc(func() { log = append(log, 1) }))
+		tx.LogUndo(undoFunc(func() { log = append(log, 2) }))
+		tx.LogUndo(undoFunc(func() { log = append(log, 3) }))
 		if err := tx.Abort(); err != nil {
 			t.Errorf("abort: %v", err)
 		}
@@ -214,12 +222,12 @@ func TestRevertUndoesButKeepsSchedulePresence(t *testing.T) {
 	lock := LockID{Scope: "m", Key: "k"}
 	value := 10
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeExclusive, 10); err != nil {
 			t.Errorf("access: %v", err)
 		}
 		old := value
-		tx.LogUndo(func() { value = old })
+		tx.LogUndo(undoFunc(func() { value = old }))
 		value = 99
 		if err := tx.Revert(); err != nil {
 			t.Errorf("revert: %v", err)
@@ -242,7 +250,7 @@ func TestRevertUndoesButKeepsSchedulePresence(t *testing.T) {
 func TestOutOfGasSurfacesFromAccess(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(5), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 5, PolicyEager)
 		err := tx.Access(LockID{Scope: "m", Key: "k"}, ModeShared, 10)
 		if !errors.Is(err, gas.ErrOutOfGas) {
 			t.Errorf("err = %v, want ErrOutOfGas", err)
@@ -253,7 +261,7 @@ func TestOutOfGasSurfacesFromAccess(t *testing.T) {
 func TestDoneTxRejectsFurtherUse(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := tx.Commit(); err != nil {
 			t.Errorf("commit: %v", err)
 		}
@@ -275,11 +283,11 @@ func TestDoneTxRejectsFurtherUse(t *testing.T) {
 func TestSerialKindNeedsNoManager(t *testing.T) {
 	var value int
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSerial(0, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
+		tx := BeginSerial(0, th, 1_000_000, gas.DefaultSchedule())
 		if err := tx.Access(LockID{Scope: "m", Key: "k"}, ModeExclusive, 10); err != nil {
 			t.Errorf("access: %v", err)
 		}
-		tx.LogUndo(func() { value = 0 })
+		tx.LogUndo(undoFunc(func() { value = 0 }))
 		value = 7
 		if err := tx.Commit(); err != nil {
 			t.Errorf("commit: %v", err)
@@ -293,8 +301,8 @@ func TestSerialKindNeedsNoManager(t *testing.T) {
 func TestSerialRevertUndoes(t *testing.T) {
 	value := 1
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSerial(0, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
-		tx.LogUndo(func() { value = 1 })
+		tx := BeginSerial(0, th, 1_000_000, gas.DefaultSchedule())
+		tx.LogUndo(undoFunc(func() { value = 1 }))
 		value = 2
 		if err := tx.Revert(); err != nil {
 			t.Errorf("revert: %v", err)
@@ -309,7 +317,7 @@ func TestReplayTraceRecordsAndCombines(t *testing.T) {
 	lock := LockID{Scope: "m", Key: "k"}
 	other := LockID{Scope: "m", Key: "z"}
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginReplay(3, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
+		tx := BeginReplay(3, th, 1_000_000, gas.DefaultSchedule())
 		_ = tx.Access(lock, ModeShared, 1)
 		_ = tx.Access(lock, ModeExclusive, 1) // combine -> exclusive
 		_ = tx.Access(other, ModeIncrement, 1)
@@ -337,7 +345,7 @@ func TestTraceMatchesProfile(t *testing.T) {
 	replayed := func(p Profile, accesses ...ProfileEntry) bool {
 		var match bool
 		singleThread(t, func(th runtime.Thread) {
-			tx := BeginReplay(1, th, gas.NewMeter(1_000_000), gas.DefaultSchedule())
+			tx := BeginReplay(1, th, 1_000_000, gas.DefaultSchedule())
 			for _, a := range accesses {
 				_ = tx.Access(a.Lock, a.Mode, 1)
 			}
@@ -377,7 +385,7 @@ func TestFastPathAlreadyHeld(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lock := LockID{Scope: "m", Key: "k"}
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeExclusive, 10); err != nil {
 			t.Errorf("first access: %v", err)
 		}
@@ -405,7 +413,7 @@ func TestSharedUpgradeToExclusiveWhenSoleHolder(t *testing.T) {
 	mgr := NewManager(gas.DefaultSchedule())
 	lock := LockID{Scope: "m", Key: "k"}
 	singleThread(t, func(th runtime.Thread) {
-		tx := BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), PolicyEager)
+		tx := BeginSpeculative(mgr, 0, th, 1_000_000, PolicyEager)
 		if err := tx.Access(lock, ModeShared, 10); err != nil {
 			t.Errorf("shared: %v", err)
 		}

@@ -10,12 +10,30 @@ import (
 	"contractstm/internal/types"
 )
 
-// traceSeenPool recycles the per-root read/write-set maps of replay and
-// OCC transactions. An OCC block execution begins one root per transaction
-// per round; reusing the maps (cleared, buckets kept) removes that
-// allocation from the hot path. Maps re-enter the pool via Tx.Recycle.
-var traceSeenPool = sync.Pool{
-	New: func() any { return make(map[LockID]Mode) },
+// txPool recycles roots. A root keeps its undo log, its held locks and its
+// trace between uses, emptied but with their storage, so a warm root
+// begins, runs and settles without allocating. Roots re-enter the pool via
+// Tx.Recycle.
+var txPool = sync.Pool{New: func() any { return new(Tx) }}
+
+// Undoer is a boosted storage object that can apply its own inverse
+// records. The storage layer's Map, Array and Cell implement it.
+type Undoer interface {
+	// Undo applies one inverse record the object logged.
+	Undo(u *Undo)
+}
+
+// Undo is one inverse-log record: a value, so logging an inverse costs
+// no allocation. Obj applies it; what Op, Key, Index, Old and Delta mean
+// is Obj's business (the key or index written, and the old value or the
+// delta to take back).
+type Undo struct {
+	Obj   Undoer
+	Op    uint8
+	Key   string
+	Index int
+	Old   any
+	Delta int64
 }
 
 // Executor is the interface through which boosted storage objects perform
@@ -28,9 +46,9 @@ type Executor interface {
 	// ErrDeadlock if blocking would deadlock, or a gas.ErrOutOfGas-wrapping
 	// error if the meter is exhausted.
 	Access(l LockID, mode Mode, cost gas.Gas) error
-	// LogUndo registers an inverse operation; aborting or reverting the
-	// transaction replays inverses most-recent-first.
-	LogUndo(inverse func())
+	// LogUndo registers an inverse record; aborting or reverting the
+	// transaction applies the records most-recent-first.
+	LogUndo(u Undo)
 	// Overlay returns the transaction-local write buffer when running
 	// speculatively under PolicyLazy, or nil when operations should be
 	// applied in place.
@@ -51,9 +69,10 @@ type Tx struct {
 	policy Policy
 	mgr    *Manager // non-nil only for KindSpeculative
 	thread runtime.Thread
-	meter  *gas.Meter
 	sched  gas.Schedule
 	status Status
+	// meter is root-only: the family's gas, charged through root.
+	meter gas.Meter
 
 	parent *Tx
 	root   *Tx
@@ -67,11 +86,15 @@ type Tx struct {
 	// manager's mutex.
 	blockedOn *waiter
 	// undo is this frame's inverse log.
-	undo []func()
+	undo []Undo
 	// overlay is this frame's lazy write buffer (PolicyLazy only).
 	overlay *Overlay
-	// traceSeen is root-only (KindReplay, KindOCC): combined modes per lock.
-	traceSeen map[LockID]Mode
+	// trace is root-only (KindReplay, KindOCC): every lock the family
+	// accessed, once, with its combined mode and a zero counter, in the
+	// order first accessed. Up to traceScan entries it is searched
+	// linearly; a longer one is indexed by traceIndex.
+	trace      []ProfileEntry
+	traceIndex map[LockID]int
 	// profile is root-only: set at commit/revert of a speculative root.
 	profile Profile
 	// retries counts speculative abort-and-retry cycles (set by the miner).
@@ -117,9 +140,9 @@ func (t *Tx) setHeld(ls *lockState, mode Mode) {
 var _ Executor = (*Tx)(nil)
 
 // BeginSpeculative starts a root speculative transaction against the given
-// lock manager (one manager per block).
-func BeginSpeculative(mgr *Manager, id types.TxID, th runtime.Thread, meter *gas.Meter, policy Policy) *Tx {
-	t := newRoot(KindSpeculative, id, th, meter, mgr.sched)
+// lock manager (one manager per block), with gasLimit gas.
+func BeginSpeculative(mgr *Manager, id types.TxID, th runtime.Thread, gasLimit gas.Gas, policy Policy) *Tx {
+	t := newRoot(KindSpeculative, id, th, gasLimit, mgr.sched)
 	t.mgr = mgr
 	t.policy = policy
 	if policy == PolicyLazy {
@@ -132,17 +155,15 @@ func BeginSpeculative(mgr *Manager, id types.TxID, th runtime.Thread, meter *gas
 // BeginSerial starts a root transaction for a bare serial run in a given
 // order (engine.RunOrdered): no locks, no trace, but inverse logging so a
 // throw can revert.
-func BeginSerial(id types.TxID, th runtime.Thread, meter *gas.Meter, sched gas.Schedule) *Tx {
-	return newRoot(KindSerial, id, th, meter, sched)
+func BeginSerial(id types.TxID, th runtime.Thread, gasLimit gas.Gas, sched gas.Schedule) *Tx {
+	return newRoot(KindSerial, id, th, gasLimit, sched)
 }
 
 // BeginReplay starts a root transaction for the validator's deterministic
 // replay, and for the serial engine: no locks; every access is recorded in
 // a thread-local trace.
-func BeginReplay(id types.TxID, th runtime.Thread, meter *gas.Meter, sched gas.Schedule) *Tx {
-	t := newRoot(KindReplay, id, th, meter, sched)
-	t.traceSeen = traceSeenPool.Get().(map[LockID]Mode)
-	return t
+func BeginReplay(id types.TxID, th runtime.Thread, gasLimit gas.Gas, sched gas.Schedule) *Tx {
+	return newRoot(KindReplay, id, th, gasLimit, sched)
 }
 
 // BeginOCC starts a root transaction for the optimistic batch regime: no
@@ -150,24 +171,19 @@ func BeginReplay(id types.TxID, th runtime.Thread, meter *gas.Meter, sched gas.S
 // thread-local read/write set. Commit does NOT apply the overlay — the OCC
 // engine validates the attempt against concurrently committed transactions
 // first and then applies PendingWrites itself (or discards the attempt).
-func BeginOCC(id types.TxID, th runtime.Thread, meter *gas.Meter, sched gas.Schedule) *Tx {
-	t := newRoot(KindOCC, id, th, meter, sched)
-	t.traceSeen = traceSeenPool.Get().(map[LockID]Mode)
+func BeginOCC(id types.TxID, th runtime.Thread, gasLimit gas.Gas, sched gas.Schedule) *Tx {
+	t := newRoot(KindOCC, id, th, gasLimit, sched)
 	t.overlay = acquireIsolatedOverlay()
 	th.Work(sched.SpecTxSetup)
 	return t
 }
 
-func newRoot(kind Kind, id types.TxID, th runtime.Thread, meter *gas.Meter, sched gas.Schedule) *Tx {
-	t := &Tx{
-		id:     id,
-		kind:   kind,
-		policy: PolicyEager,
-		thread: th,
-		meter:  meter,
-		sched:  sched,
-		status: StatusActive,
-	}
+// newRoot takes a root from the pool and begins it. Recycle left the
+// root's slices and trace index empty; they keep their storage.
+func newRoot(kind Kind, id types.TxID, th runtime.Thread, gasLimit gas.Gas, sched gas.Schedule) *Tx {
+	t := txPool.Get().(*Tx)
+	t.id, t.kind, t.policy, t.thread, t.sched, t.status = id, kind, PolicyEager, th, sched, StatusActive
+	t.meter = *gas.NewMeter(gasLimit)
 	t.root = t
 	return t
 }
@@ -187,8 +203,9 @@ func (t *Tx) Thread() runtime.Thread { return t.thread }
 // Schedule implements Executor.
 func (t *Tx) Schedule() gas.Schedule { return t.sched }
 
-// Meter returns the transaction's gas meter.
-func (t *Tx) Meter() *gas.Meter { return t.meter }
+// Meter returns the transaction family's gas meter. It belongs to the
+// root and goes back to the pool with it.
+func (t *Tx) Meter() *gas.Meter { return &t.root.meter }
 
 // Retries reports how many speculative attempts were aborted before this
 // one; the miner maintains it across retry loops.
@@ -211,7 +228,6 @@ func (t *Tx) BeginNested() (*Tx, error) {
 		policy: t.policy,
 		mgr:    t.mgr,
 		thread: t.thread,
-		meter:  t.meter,
 		sched:  t.sched,
 		status: StatusActive,
 		parent: t,
@@ -231,7 +247,7 @@ func (t *Tx) Access(l LockID, mode Mode, cost gas.Gas) error {
 	if t.status != StatusActive {
 		return fmt.Errorf("access %s on %s transaction: %w", l, t.status, ErrTxDone)
 	}
-	if err := t.meter.Charge(cost); err != nil {
+	if err := t.root.meter.Charge(cost); err != nil {
 		return err
 	}
 	t.thread.Work(cost)
@@ -251,12 +267,7 @@ func (t *Tx) Access(l LockID, mode Mode, cost gas.Gas) error {
 		} else {
 			t.thread.Work(t.sched.TraceOverhead)
 		}
-		root := t.root
-		if cur, seen := root.traceSeen[l]; seen {
-			root.traceSeen[l] = Combine(cur, mode)
-		} else {
-			root.traceSeen[l] = mode
-		}
+		t.root.traceLock(l, mode)
 		return nil
 	case KindSerial:
 		return nil
@@ -265,9 +276,51 @@ func (t *Tx) Access(l LockID, mode Mode, cost gas.Gas) error {
 	}
 }
 
+// traceScan is the trace length up to which a root's trace is searched
+// linearly. Roots trace two to four locks in every workload; a longer
+// trace is indexed, so a transaction that touches many locks stays linear.
+const traceScan = 8
+
+// traceFind returns l's position in the root's trace.
+func (t *Tx) traceFind(l LockID) (int, bool) {
+	if len(t.trace) > traceScan {
+		i, ok := t.traceIndex[l]
+		return i, ok
+	}
+	for i := range t.trace {
+		if t.trace[i].Lock == l {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// traceLock records an access to l in mode in the root's trace.
+func (t *Tx) traceLock(l LockID, mode Mode) {
+	if i, ok := t.traceFind(l); ok {
+		t.trace[i].Mode = Combine(t.trace[i].Mode, mode)
+		return
+	}
+	if t.trace == nil {
+		t.trace = make([]ProfileEntry, 0, traceScan)
+	}
+	t.trace = append(t.trace, ProfileEntry{Lock: l, Mode: mode})
+	switch n := len(t.trace); {
+	case n == traceScan+1:
+		if t.traceIndex == nil {
+			t.traceIndex = make(map[LockID]int, 2*traceScan)
+		}
+		for i, e := range t.trace {
+			t.traceIndex[e.Lock] = i
+		}
+	case n > traceScan+1:
+		t.traceIndex[l] = n - 1
+	}
+}
+
 // LogUndo implements Executor.
-func (t *Tx) LogUndo(inverse func()) {
-	t.undo = append(t.undo, inverse)
+func (t *Tx) LogUndo(u Undo) {
+	t.undo = append(t.undo, u)
 }
 
 // Overlay implements Executor.
@@ -283,23 +336,24 @@ func (t *Tx) Overlay() *Overlay {
 
 // ChargeStep implements Executor: n units of pure computation.
 func (t *Tx) ChargeStep(n uint64) error {
-	if err := t.meter.Charge(gas.Gas(n) * t.sched.Step); err != nil {
+	if err := t.root.meter.Charge(gas.Gas(n) * t.sched.Step); err != nil {
 		return err
 	}
 	t.thread.Work(gas.Gas(n) * t.sched.Step)
 	return nil
 }
 
-// rollback replays this frame's inverse log most-recent-first, charging
+// rollback applies this frame's inverse log most-recent-first, charging
 // undo work, and drops the frame's overlay.
 func (t *Tx) rollback() {
 	if n := len(t.undo); n > 0 {
 		t.thread.Work(t.sched.UndoPerOp * gas.Gas(n))
 		for i := n - 1; i >= 0; i-- {
-			t.undo[i]()
+			u := &t.undo[i]
+			u.Obj.Undo(u)
 		}
 	}
-	t.undo = nil
+	t.dropUndo()
 	if t.overlay != nil {
 		t.overlay.Clear()
 	}
@@ -321,7 +375,7 @@ func (t *Tx) Commit() error {
 	}
 	if t.parent != nil {
 		t.parent.undo = append(t.parent.undo, t.undo...)
-		t.undo = nil
+		t.dropUndo()
 		if t.overlay != nil {
 			parentOv := t.parent.overlay
 			if parentOv == nil {
@@ -415,50 +469,57 @@ func (t *Tx) PendingWrites() *Overlay {
 // attempt's entries here instead of allocating anew.
 func (t *Tx) Locks(buf []ProfileEntry) []ProfileEntry {
 	entries := buf[:0]
-	if entries == nil || cap(entries) < len(t.traceSeen) {
-		entries = make([]ProfileEntry, 0, len(t.traceSeen))
+	if entries == nil || cap(entries) < len(t.trace) {
+		entries = make([]ProfileEntry, 0, len(t.trace))
 	}
-	for l, m := range t.traceSeen {
-		entries = append(entries, ProfileEntry{Lock: l, Mode: m})
-	}
+	entries = append(entries, t.trace...)
 	slices.SortFunc(entries, func(a, b ProfileEntry) int { return a.Lock.Compare(b.Lock) })
 	return entries
 }
 
 // TraceMatches reports whether a replay root's trace matches the miner's
 // profile p: the same lock set with the same combined modes. It reads the
-// trace map in place — one lookup per profile entry, nothing built or
-// sorted — so it is exact only for a profile that names each lock once,
+// trace in place — one lookup per profile entry, nothing built or sorted —
+// so it is exact only for a profile that names each lock once,
 // which the validator's Precheck requires (entries strictly ascending by
 // lock). Counter values are not compared here: they order transactions,
 // and the race check (internal/sched) reads them.
 func (t *Tx) TraceMatches(p Profile) bool {
-	seen := t.root.traceSeen
-	if len(seen) != len(p.Entries) {
+	root := t.root
+	if len(root.trace) != len(p.Entries) {
 		return false
 	}
 	for _, e := range p.Entries {
-		if m, ok := seen[e.Lock]; !ok || m != e.Mode {
+		if i, ok := root.traceFind(e.Lock); !ok || root.trace[i].Mode != e.Mode {
 			return false
 		}
 	}
 	return true
 }
 
-// Recycle returns a settled root's pooled read/write-set map for reuse by
-// a later BeginReplay/BeginOCC. Call it only after the transaction has
-// committed, aborted, or reverted AND its trace has been read (Locks,
-// TraceMatches); the trace map is gone afterwards. The
-// overlay is deliberately NOT released here — for OCC roots the engine
-// still holds PendingWrites and releases the overlay itself once the
-// writes are applied or discarded.
+// dropUndo empties the frame's inverse log, keeping its storage. The
+// records are zeroed so they pin neither objects nor old values.
+func (t *Tx) dropUndo() {
+	clear(t.undo)
+	t.undo = t.undo[:0]
+}
+
+// Recycle returns a settled root to the pool for a later Begin*. Call it
+// only after the transaction has committed, aborted or reverted AND
+// everything the caller needs of it has been read: its Profile, its trace
+// (Locks, TraceMatches), its Meter and an OCC root's PendingWrites. After
+// Recycle nothing may touch the root. The pending-writes overlay is not
+// released here: the OCC engine still holds it and releases it itself once
+// the writes are applied or discarded. Recycle is a no-op on an active
+// root and on a child.
 func (t *Tx) Recycle() {
 	if t.parent != nil || t.status == StatusActive {
 		return
 	}
-	if t.traceSeen != nil {
-		clear(t.traceSeen)
-		traceSeenPool.Put(t.traceSeen)
-		t.traceSeen = nil
-	}
+	t.dropUndo()
+	clear(t.held)
+	clear(t.trace)
+	clear(t.traceIndex)
+	*t = Tx{undo: t.undo, held: t.held[:0], trace: t.trace[:0], traceIndex: t.traceIndex}
+	txPool.Put(t)
 }

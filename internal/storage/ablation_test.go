@@ -18,7 +18,7 @@ func TestNoIncrementModeDowngradesAdds(t *testing.T) {
 
 	mgr := stm.NewManager(gas.DefaultSchedule())
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), stm.PolicyEager)
+		tx := stm.BeginSpeculative(mgr, 0, th, 1_000_000, stm.PolicyEager)
 		if err := m.AddUint(tx, "k", 1); err != nil {
 			t.Errorf("map add: %v", err)
 		}
@@ -52,7 +52,7 @@ func TestCoarseLocksCollapseToObjectLock(t *testing.T) {
 
 	mgr := stm.NewManager(gas.DefaultSchedule())
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSpeculative(mgr, 0, th, gas.NewMeter(1_000_000), stm.PolicyEager)
+		tx := stm.BeginSpeculative(mgr, 0, th, 1_000_000, stm.PolicyEager)
 		if err := m.Put(tx, "k1", uint64(1)); err != nil {
 			t.Errorf("put k1: %v", err)
 		}
@@ -89,7 +89,7 @@ func TestCoarseLocksCreateFalseConflicts(t *testing.T) {
 		mgr := stm.NewManager(gas.DefaultSchedule())
 		ms, err := runtime.NewSimRunner().Run(2, func(th runtime.Thread) {
 			key := "k" + KeyUint(uint64(th.ID()))
-			tx := stm.BeginSpeculative(mgr, types.TxID(th.ID()), th, gas.NewMeter(1_000_000), stm.PolicyEager)
+			tx := stm.BeginSpeculative(mgr, types.TxID(th.ID()), th, 1_000_000, stm.PolicyEager)
 			if err := m.Put(tx, key, uint64(7)); err != nil {
 				t.Errorf("put: %v", err)
 			}
@@ -123,7 +123,7 @@ func TestCoarseLocksStillSerializable(t *testing.T) {
 		mgr := stm.NewManager(gas.DefaultSchedule())
 		_, err := runtime.NewSimRunner().Run(3, func(th runtime.Thread) {
 			for i := 0; i < 5; i++ {
-				tx := stm.BeginSpeculative(mgr, types.TxID(th.ID()*10+i), th, gas.NewMeter(1_000_000), stm.PolicyEager)
+				tx := stm.BeginSpeculative(mgr, types.TxID(th.ID()*10+i), th, 1_000_000, stm.PolicyEager)
 				if err := m.AddUint(tx, "k"+KeyUint(uint64(th.ID())), uint64(i)); err != nil {
 					t.Errorf("add: %v", err)
 				}

@@ -152,7 +152,7 @@ func (a *Array) Set(ex stm.Executor, i int, v any) error {
 		return fmt.Errorf("%s[%d] with len %d: %w", a.name, i, a.rawLen(), ErrOutOfRange)
 	}
 	prev, _ := a.rawGet(i)
-	ex.LogUndo(func() { a.rawSet(i, prev) })
+	ex.LogUndo(stm.Undo{Obj: a, Op: undoRestore, Index: i, Old: prev})
 	a.rawSet(i, v)
 	return nil
 }
@@ -182,7 +182,7 @@ func (a *Array) Push(ex stm.Executor, v any) (int, error) {
 	if err := ex.Access(a.elemLock(i), stm.ModeExclusive, ex.Schedule().ArrayWrite); err != nil {
 		return 0, err
 	}
-	ex.LogUndo(func() { a.rawTruncate(i) })
+	ex.LogUndo(stm.Undo{Obj: a, Op: undoTruncate, Index: i})
 	a.rawAppend(v)
 	return i, nil
 }
@@ -218,7 +218,7 @@ func (a *Array) AddUint(ex stm.Executor, i int, delta uint64) error {
 	if _, isUint := cur.(uint64); !isUint {
 		return fmt.Errorf("%w: %s[%d] holds %T", ErrNotCounter, a.name, i, cur)
 	}
-	ex.LogUndo(func() { a.rawAdd(i, -int64(delta)) })
+	ex.LogUndo(stm.Undo{Obj: a, Op: undoAdd, Index: i, Delta: int64(delta)})
 	a.rawAdd(i, int64(delta))
 	return nil
 }
@@ -303,6 +303,18 @@ func (a *Array) rawAdd(i int, delta int64) {
 	cur := a.edit()
 	n, _ := cur.elems[i].(uint64)
 	cur.elems[i] = uint64(int64(n) + delta)
+}
+
+// Undo implements stm.Undoer: it takes back one write this array logged.
+func (a *Array) Undo(u *stm.Undo) {
+	switch u.Op {
+	case undoRestore:
+		a.rawSet(u.Index, u.Old)
+	case undoTruncate:
+		a.rawTruncate(u.Index)
+	case undoAdd:
+		a.rawAdd(u.Index, -u.Delta)
+	}
 }
 
 // objectName implements object.

@@ -80,8 +80,7 @@ func (c *Cell) Write(ex stm.Executor, v any) error {
 		})
 		return nil
 	}
-	prev := c.rawRead()
-	ex.LogUndo(func() { c.rawWrite(prev) })
+	ex.LogUndo(stm.Undo{Obj: c, Op: undoRestore, Old: c.rawRead()})
 	c.rawWrite(v)
 	return nil
 }
@@ -113,7 +112,7 @@ func (c *Cell) AddUint(ex stm.Executor, delta uint64) error {
 	if _, ok := c.rawRead().(uint64); !ok {
 		return fmt.Errorf("%w: cell %s holds %T", ErrNotCounter, c.name, c.rawRead())
 	}
-	ex.LogUndo(func() { c.rawAdd(-int64(delta)) })
+	ex.LogUndo(stm.Undo{Obj: c, Op: undoAdd, Delta: int64(delta)})
 	c.rawAdd(int64(delta))
 	return nil
 }
@@ -160,6 +159,16 @@ func (c *Cell) set(v any) {
 		c.cur, c.owned = &cellVersion{}, true
 	}
 	c.cur.val, c.cur.rooted = v, false
+}
+
+// Undo implements stm.Undoer: it takes back one write this cell logged.
+func (c *Cell) Undo(u *stm.Undo) {
+	switch u.Op {
+	case undoRestore:
+		c.rawWrite(u.Old)
+	case undoAdd:
+		c.rawAdd(-u.Delta)
+	}
 }
 
 // objectName implements object.

@@ -145,16 +145,29 @@ func (md model) root(t testing.TB) types.Hash {
 	})
 }
 
+// getRaw, putRaw and deleteRaw are the raw accessors with the key placed
+// for them, for tests that edit a map outside any transaction.
+func (m *Map) getRaw(key string) (any, bool) {
+	p := placeKey(key)
+	return m.rawGet(&p, key)
+}
+
+func (m *Map) putRaw(key string, v any) {
+	p := placeKey(key)
+	m.rawPut(&p, key, v)
+}
+
+func (m *Map) deleteRaw(key string) {
+	p := placeKey(key)
+	m.rawDelete(&p, key)
+}
+
 // weakPlacement keeps one byte of the real placement, so a few dozen keys
 // already share whole paths: long single-child chains and collision
 // buckets, which SHA-256 itself never produces.
 func weakPlacement(t testing.TB) {
-	real := placeKey
-	placeKey = func(key string) placement {
-		p := real(key)
-		return placement{0: p[0]}
-	}
-	t.Cleanup(func() { placeKey = real })
+	weakenPlacement = func(p placement) placement { return placement{0: p[0]} }
+	t.Cleanup(func() { weakenPlacement = nil })
 }
 
 // diffWorld is a store with one object of each kind (two maps, one of
@@ -166,6 +179,8 @@ type diffWorld struct {
 	c     *Cell
 	model model
 	kept  []keptSnapshot
+	// undone records the writes a revert or a child's abort took back.
+	undone map[undone]bool
 }
 
 // keptSnapshot is a retained snapshot with what it must restore to.
@@ -200,7 +215,7 @@ func newDiffObjects(t testing.TB) (*Store, *Map, *Map, *Array, *Cell) {
 }
 
 func newDiffWorld(t testing.TB) *diffWorld {
-	w := &diffWorld{model: model{m: map[string]any{}, sm: map[string]any{}, c: uint64(0)}}
+	w := &diffWorld{model: model{m: map[string]any{}, sm: map[string]any{}, c: uint64(0)}, undone: map[undone]bool{}}
 	w.s, w.m, w.sm, w.a, w.c = newDiffObjects(t)
 	return w
 }
@@ -288,59 +303,151 @@ func (w *diffWorld) check(t testing.TB) {
 			t.Fatalf("%s holds %d entries, model %d", side.m.Name(), side.m.Len(), len(side.want))
 		}
 		for k, v := range side.want {
-			if got, ok := side.m.rawGet(k); !ok || got != v {
+			if got, ok := side.m.getRaw(k); !ok || got != v {
 				t.Fatalf("%s[%q] = %#v (bound %v), model %#v", side.m.Name(), k, got, ok, v)
 			}
 		}
 	}
 }
 
-// transact runs a few operations in one transaction under a scripted
-// regime and commits or aborts it. Operations may fail (underflow, not a
-// counter, out of range); a failed one has no effect.
+// regimes begin the root transactions diffWorld runs, one per way a root
+// can execute storage operations. The eager speculative, serial and
+// replay roots write in place and undo from their log (undo); the lazy
+// speculative and OCC roots buffer their writes.
+var regimes = []struct {
+	name  string
+	undo  bool
+	begin func(th runtime.Thread) *stm.Tx
+}{
+	{"eager", true, func(th runtime.Thread) *stm.Tx {
+		return stm.BeginSpeculative(stm.NewManager(gas.DefaultSchedule()), 0, th, 10_000_000, stm.PolicyEager)
+	}},
+	{"serial", true, func(th runtime.Thread) *stm.Tx { return stm.BeginSerial(0, th, 10_000_000, gas.DefaultSchedule()) }},
+	{"replay", true, func(th runtime.Thread) *stm.Tx { return stm.BeginReplay(0, th, 10_000_000, gas.DefaultSchedule()) }},
+	{"lazy", false, func(th runtime.Thread) *stm.Tx {
+		return stm.BeginSpeculative(stm.NewManager(gas.DefaultSchedule()), 0, th, 10_000_000, stm.PolicyLazy)
+	}},
+	{"occ", false, func(th runtime.Thread) *stm.Tx { return stm.BeginOCC(0, th, 10_000_000, gas.DefaultSchedule()) }},
+}
+
+// undoOps names every write that has an inverse, as operate reports it.
+var undoOps = []string{
+	"Map.Put new", "Map.Put overwrite", "Map.Delete", "Map.AddUint", "Map.SubUint",
+	"Array.Set", "Array.Push", "Array.AddUint", "Cell.Write", "Cell.AddUint",
+}
+
+// undone is one write taken back: in which regime, and by a revert of
+// its root or an abort of the nested child it ran in.
+type undone struct {
+	regime, op string
+	byChild    bool
+}
+
+// transact runs a few operations in one root transaction under a scripted
+// regime, sometimes followed by a few in a nested child that commits or
+// aborts, and then commits, aborts or reverts the root. Operations may
+// fail (underflow, not a counter, out of range); a failed one has no
+// effect. A child's abort must put the state root back byte for byte to
+// what it was when the child began, and a root's abort or revert to what
+// it was before the transaction; each write taken back is recorded in
+// w.undone.
 func (w *diffWorld) transact(t testing.TB, sc *script) {
 	t.Helper()
-	regime := sc.next() % 3
-	before := w.model.clone()
-	commit := true
+	rg := regimes[sc.next()%len(regimes)]
+	before, rootBefore := w.model.clone(), w.root(t)
+	settled := true
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		meter, sched := gas.NewMeter(10_000_000), gas.DefaultSchedule()
-		var tx *stm.Tx
-		switch regime {
+		tx := rg.begin(th)
+		ops := w.operations(tx, sc)
+		if sc.next()%2 == 0 {
+			child, err := tx.BeginNested()
+			if err != nil {
+				t.Errorf("begin nested: %v", err)
+				return
+			}
+			mid, midRoot := w.model.clone(), w.root(t)
+			childOps := w.operations(child, sc)
+			if sc.next()%2 == 0 {
+				if err := child.Abort(); err != nil {
+					t.Errorf("abort child: %v", err)
+				}
+				w.model = mid
+				if got := w.root(t); got != midRoot {
+					t.Errorf("%s: child abort leaves root %s, was %s when it began", rg.name, got.Short(), midRoot.Short())
+				}
+				w.recordUndone(rg.name, childOps, true)
+			} else {
+				if err := child.Commit(); err != nil {
+					t.Errorf("commit child: %v", err)
+				}
+				ops = append(ops, childOps...)
+			}
+		}
+		switch sc.next() % 4 {
 		case 0:
-			tx = stm.BeginSpeculative(stm.NewManager(sched), 0, th, meter, stm.PolicyEager)
-		case 1:
-			tx = stm.BeginSpeculative(stm.NewManager(sched), 0, th, meter, stm.PolicyLazy)
-		default:
-			tx = stm.BeginOCC(0, th, meter, sched)
-		}
-		for n := 1 + sc.next()%4; n > 0; n-- {
-			w.operate(tx, sc)
-		}
-		if commit = sc.next()%4 != 0; !commit {
+			settled = false
 			if err := tx.Abort(); err != nil {
 				t.Errorf("abort: %v", err)
 			}
-			return
-		}
-		if err := tx.Commit(); err != nil {
-			t.Errorf("commit: %v", err)
-		}
-		if ov := tx.PendingWrites(); ov != nil {
-			ov.Apply()
+		case 1:
+			settled = false
+			if err := tx.Revert(); err != nil {
+				t.Errorf("revert: %v", err)
+			}
+			w.recordUndone(rg.name, ops, false)
+		default:
+			if err := tx.Commit(); err != nil {
+				t.Errorf("commit: %v", err)
+			}
+			if ov := tx.PendingWrites(); ov != nil {
+				ov.Apply()
+			}
 		}
 	})
 	if err != nil {
 		t.Fatalf("sim run: %v", err)
 	}
-	if !commit {
+	if t.Failed() {
+		t.FailNow()
+	}
+	if !settled {
 		w.model = before
+		if got := w.root(t); got != rootBefore {
+			t.Fatalf("%s: undoing the root leaves root %s, was %s before it", rg.name, got.Short(), rootBefore.Short())
+		}
+	}
+}
+
+// root returns the store's current state root, failing the test on error.
+func (w *diffWorld) root(t testing.TB) types.Hash {
+	root, err := w.s.StateRoot()
+	if err != nil {
+		t.Errorf("state root: %v", err)
+	}
+	return root
+}
+
+// operations performs one to four scripted operations under tx and
+// returns the names of those that took effect.
+func (w *diffWorld) operations(tx *stm.Tx, sc *script) []string {
+	var ops []string
+	for n := 1 + sc.next()%4; n > 0; n-- {
+		if op := w.operate(tx, sc); op != "" {
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
+func (w *diffWorld) recordUndone(regime string, ops []string, byChild bool) {
+	for _, op := range ops {
+		w.undone[undone{regime: regime, op: op, byChild: byChild}] = true
 	}
 }
 
 // operate performs one scripted storage operation on the store and, if it
-// succeeded, on the model.
-func (w *diffWorld) operate(tx *stm.Tx, sc *script) {
+// succeeded, on the model, and returns its name ("" if it failed).
+func (w *diffWorld) operate(tx *stm.Tx, sc *script) string {
 	md := &w.model
 	key := fmt.Sprint("k", sc.next()%40)
 	setCounter := func(m map[string]any, n uint64) {
@@ -350,25 +457,34 @@ func (w *diffWorld) operate(tx *stm.Tx, sc *script) {
 			m[key] = n
 		}
 	}
+	put := func(m map[string]any) string {
+		if _, had := m[key]; had {
+			return "Map.Put overwrite"
+		}
+		return "Map.Put new"
+	}
 	switch sc.next() % 12 {
 	case 0, 1:
-		v := sc.value()
+		v, op := sc.value(), put(md.m)
 		if w.m.Put(tx, key, v) == nil {
 			if v == uint64(0) {
 				delete(md.m, key)
 			} else {
 				md.m[key] = v
 			}
+			return op
 		}
 	case 2:
-		if w.m.Delete(tx, key) == nil {
+		if _, had := md.m[key]; w.m.Delete(tx, key) == nil && had {
 			delete(md.m, key)
+			return "Map.Delete"
 		}
 	case 3, 4:
 		d := uint64(1 + sc.next()%3)
 		if w.m.AddUint(tx, key, d) == nil {
 			cur, _ := md.m[key].(uint64)
 			setCounter(md.m, cur+d)
+			return "Map.AddUint"
 		}
 	case 5, 6:
 		// Often exactly the current value: down to zero and absent.
@@ -379,41 +495,54 @@ func (w *diffWorld) operate(tx *stm.Tx, sc *script) {
 		}
 		if w.m.SubUint(tx, key, d) == nil {
 			setCounter(md.m, cur-d)
+			return "Map.SubUint"
 		}
 	case 7:
 		p := pair{byte(sc.next()), byte(sc.next())}
 		if sc.next()%4 == 0 {
-			if w.sm.Delete(tx, key) == nil {
+			if _, had := md.sm[key]; w.sm.Delete(tx, key) == nil && had {
 				delete(md.sm, key)
+				return "Map.Delete"
 			}
-		} else if w.sm.Put(tx, key, p) == nil {
+		} else if op := put(md.sm); w.sm.Put(tx, key, p) == nil {
 			md.sm[key] = p
+			return op
 		}
 	case 8:
+		// Counters half the time, so that Array.AddUint finds some.
 		v := sc.value()
+		if sc.next()%2 == 0 {
+			v = uint64(1 + sc.next())
+		}
 		if _, err := w.a.Push(tx, v); err == nil {
 			md.a = append(md.a, v)
+			return "Array.Push"
 		}
 	case 9:
 		i, v := sc.next()%8, sc.value()
 		if w.a.Set(tx, i, v) == nil {
 			md.a[i] = v
+			return "Array.Set"
 		}
 	case 10:
 		i, d := sc.next()%8, uint64(1+sc.next()%3)
 		if w.a.AddUint(tx, i, d) == nil {
 			md.a[i] = md.a[i].(uint64) + d
+			return "Array.AddUint"
 		}
 	default:
 		if sc.next()%2 == 0 {
 			v := sc.value()
 			if w.c.Write(tx, v) == nil {
 				md.c = v
+				return "Cell.Write"
 			}
 		} else if d := uint64(1 + sc.next()%3); w.c.AddUint(tx, d) == nil {
 			md.c = md.c.(uint64) + d
+			return "Cell.AddUint"
 		}
 	}
+	return ""
 }
 
 // keep retains a snapshot of the current state, replacing a scripted one
@@ -483,8 +612,8 @@ func (w *diffWorld) rebuild(t testing.TB) {
 }
 
 // runScript drives a whole script (at most steps steps of it) and ends by
-// checking every retained snapshot.
-func runScript(t testing.TB, data []byte, steps int) {
+// checking every retained snapshot. It returns the writes it saw undone.
+func runScript(t testing.TB, data []byte, steps int) map[undone]bool {
 	t.Helper()
 	w, sc := newDiffWorld(t), &script{data: data}
 	w.check(t)
@@ -495,6 +624,7 @@ func runScript(t testing.TB, data []byte, steps int) {
 		w.checkKept(t, i)
 	}
 	w.check(t)
+	return w.undone
 }
 
 // TestStateRootIncremental is the generated differential test of the
@@ -502,12 +632,15 @@ func runScript(t testing.TB, data []byte, steps int) {
 // interleaved with snapshots, restores to any retained snapshot and trips
 // through the state stream, against the from-scratch oracle after every
 // step. The weak placement runs the same histories through chains and
-// collision buckets.
+// collision buckets. The histories must take back every write that has an
+// inverse both by reverting its root and by aborting the nested child it
+// ran in, under every regime that keeps an undo log.
 func TestStateRootIncremental(t *testing.T) {
 	seeds, steps := 24, 160
 	if testing.Short() {
 		seeds = 6
 	}
+	seen := map[undone]bool{}
 	for _, placementName := range []string{"sha256", "weak"} {
 		t.Run(placementName, func(t *testing.T) {
 			if placementName == "weak" {
@@ -516,12 +649,28 @@ func TestStateRootIncremental(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				data := make([]byte, 16*steps)
 				rand.New(rand.NewSource(seed)).Read(data)
-				ok := t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runScript(t, data, steps) })
+				ok := t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+					for u := range runScript(t, data, steps) {
+						seen[u] = true
+					}
+				})
 				if !ok {
 					t.Fatalf("failing seed: %d (placement %s)", seed, placementName)
 				}
 			}
 		})
+	}
+	if testing.Short() {
+		return // six seeds are too few to reach every write under every regime
+	}
+	for _, rg := range regimes {
+		for _, op := range undoOps {
+			for _, byChild := range []bool{false, true} {
+				if u := (undone{regime: rg.name, op: op, byChild: byChild}); rg.undo && !seen[u] {
+					t.Errorf("no history undid %s under %s (by a child's abort: %v)", op, rg.name, byChild)
+				}
+			}
+		}
 	}
 }
 
@@ -546,20 +695,20 @@ func FuzzStateRootIncremental(f *testing.F) {
 // bucket, in key order whatever the insertion order, and leave it one by
 // one without trace.
 func TestCollisionBucket(t *testing.T) {
-	real := placeKey
-	placeKey = func(key string) placement {
-		if key == "elsewhere" {
-			return real(key)
+	elsewhere := placement(sha256.Sum256([]byte("elsewhere")))
+	weakenPlacement = func(p placement) placement {
+		if p == elsewhere {
+			return p
 		}
 		return placement{}
 	}
-	t.Cleanup(func() { placeKey = real })
+	t.Cleanup(func() { weakenPlacement = nil })
 
 	build := func(keys ...string) (*Store, *Map) {
 		s := NewStore()
 		m := mustMap(t, s, "m")
 		for _, k := range keys {
-			m.rawPut(k, uint64(len(k)))
+			m.putRaw(k, uint64(len(k)))
 		}
 		return s, m
 	}
@@ -584,23 +733,23 @@ func TestCollisionBucket(t *testing.T) {
 		t.Fatal("a collision bucket's root depends on insertion order, or is not the oracle's")
 	}
 	for _, k := range []string{"a", "bb", "ccc"} {
-		if v, ok := m1.rawGet(k); !ok || v != uint64(len(k)) {
+		if v, ok := m1.getRaw(k); !ok || v != uint64(len(k)) {
 			t.Fatalf("bucket lookup of %q: %v %v", k, v, ok)
 		}
 	}
-	if _, ok := m1.rawGet("dddd"); ok {
+	if _, ok := m1.getRaw("dddd"); ok {
 		t.Fatal("found a key that collides with the bucket but is not in it")
 	}
 	snap := s1.Snapshot()
-	m1.rawDelete("bb")
+	m1.deleteRaw("bb")
 	if root(s1) != want("a", "ccc", "elsewhere") {
 		t.Fatal("root after leaving a three-key bucket")
 	}
-	m1.rawDelete("a")
+	m1.deleteRaw("a")
 	if root(s1) != want("ccc", "elsewhere") {
 		t.Fatal("root after the bucket shrank to one key: it must collapse to an inline entry")
 	}
-	m1.rawDelete("elsewhere")
+	m1.deleteRaw("elsewhere")
 	if root(s1) != want("ccc") || m1.Len() != 1 {
 		t.Fatal("root of a single entry must be its leaf")
 	}
@@ -615,7 +764,7 @@ func TestCollisionBucket(t *testing.T) {
 func TestStateRootSeparatesKeyFromValue(t *testing.T) {
 	rootOf := func(key, val string) types.Hash {
 		s := NewStore()
-		mustMap(t, s, "m").rawPut(key, val)
+		mustMap(t, s, "m").putRaw(key, val)
 		h, err := s.StateRoot()
 		if err != nil {
 			t.Fatal(err)
@@ -659,10 +808,10 @@ func TestStateRootOfEmptyObjects(t *testing.T) {
 	// A map emptied by deletes is an empty map again.
 	s := NewStore()
 	m := mustMap(t, s, "x")
-	m.rawPut("a", uint64(1))
-	m.rawPut("b", uint64(2))
+	m.putRaw("a", uint64(1))
+	m.putRaw("b", uint64(2))
 	m.rawAdd("a", -1)
-	m.rawDelete("b")
+	m.deleteRaw("b")
 	if h, _ := s.StateRoot(); h != emptyMap {
 		t.Fatal("a map emptied by deletes does not hash like a map that was never written")
 	}
@@ -681,7 +830,7 @@ func TestStateRootHashesOnlyWrittenLeaves(t *testing.T) {
 	contents := make(map[string]any, size+k)
 	for i := 0; i < size; i++ {
 		key := fmt.Sprint("k", i)
-		m.rawPut(key, uint64(i+1))
+		m.putRaw(key, uint64(i+1))
 		contents[key] = uint64(i + 1)
 	}
 	var h hasher
@@ -694,11 +843,11 @@ func TestStateRootHashesOnlyWrittenLeaves(t *testing.T) {
 	s.Snapshot() // later writes copy their paths, as a block's do
 	for i := 0; i < k/2; i++ {
 		over, fresh, gone := fmt.Sprint("k", 7*i), fmt.Sprint("new", i), fmt.Sprint("k", 7*i+3)
-		m.rawPut(over, "v"+over)
+		m.putRaw(over, "v"+over)
 		contents[over] = "v" + over
-		m.rawPut(fresh, uint64(1))
+		m.putRaw(fresh, uint64(1))
 		contents[fresh] = uint64(1)
-		m.rawDelete(gone)
+		m.deleteRaw(gone)
 		delete(contents, gone)
 	}
 	h = hasher{}
@@ -725,7 +874,7 @@ func TestGetInDuringStateRoot(t *testing.T) {
 	m := mustMap(t, s, "m")
 	key := func(i int) string { return fmt.Sprint("k", i) }
 	for i := 0; i < keys; i++ {
-		m.rawPut(key(i), uint64(1))
+		m.putRaw(key(i), uint64(1))
 	}
 	type retained struct {
 		snap Snapshot
@@ -760,7 +909,7 @@ func TestGetInDuringStateRoot(t *testing.T) {
 	}
 	for round := uint64(1); round <= rounds; round++ {
 		for i := 0; i < keys; i++ {
-			m.rawPut(key(i), round)
+			m.putRaw(key(i), round)
 		}
 		// Taken before the root: its nodes carry no hash yet, so the root
 		// below fills caches in nodes the readers hold.

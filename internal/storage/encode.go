@@ -139,9 +139,26 @@ func KeyAddr(a types.Address) string { return string(a[:]) }
 func KeyHash(h types.Hash) string { return string(h[:]) }
 
 // KeyUint derives a map key from an integer (big-endian, fixed width, so
-// lexicographic order equals numeric order).
+// lexicographic order equals numeric order). The keys of the first
+// indices are made once, so that naming an array element's lock does not
+// allocate.
 func KeyUint(n uint64) string {
+	if n < uint64(len(smallUintKeys)) {
+		return smallUintKeys[n]
+	}
+	return keyUint(n)
+}
+
+func keyUint(n uint64) string {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], n)
 	return string(buf[:])
 }
+
+// smallUintKeys holds KeyUint's keys below 256.
+var smallUintKeys = func() (keys [256]string) {
+	for i := range keys {
+		keys[i] = keyUint(uint64(i))
+	}
+	return keys
+}()

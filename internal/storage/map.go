@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"contractstm/internal/stm"
@@ -65,9 +66,34 @@ func (m *Map) lock(key string) stm.LockID {
 	return stm.LockID{Scope: m.name, Key: key}
 }
 
+// intern places key and returns the map's own copy of it: the string its
+// binding already stores, or a fresh copy when key is unbound. Every
+// operation works with what intern returns and keeps no reference to the
+// key it was given, so a caller's key may live on its stack (KeyAddr's
+// does) and only a key the map does not bind allocates.
+func (m *Map) intern(key string) (placement, string) {
+	p := placeKey(key)
+	m.raw.mu.Lock()
+	e := m.raw.root.lookup(&p, key)
+	var k string
+	if e != nil {
+		k = e.key
+	}
+	m.raw.mu.Unlock()
+	if e == nil {
+		k = strings.Clone(key)
+	}
+	return p, k
+}
+
 // Get returns the value bound to key, or (nil, false) when absent.
 // A shared-mode storage operation.
 func (m *Map) Get(ex stm.Executor, key string) (any, bool, error) {
+	p, k := m.intern(key)
+	return m.get(ex, &p, k)
+}
+
+func (m *Map) get(ex stm.Executor, p *placement, key string) (any, bool, error) {
 	if err := ex.Access(m.lock(key), stm.ModeShared, ex.Schedule().MapRead); err != nil {
 		return nil, false, err
 	}
@@ -82,7 +108,7 @@ func (m *Map) Get(ex stm.Executor, key string) (any, bool, error) {
 			// Read-your-increments: a buffered delta is visible to the
 			// buffering transaction as raw value plus delta. Deltas are
 			// only buffered against verified uint64 counters.
-			base, _ := m.rawGet(key)
+			base, _ := m.rawGet(p, key)
 			n, _ := base.(uint64)
 			n = uint64(int64(n) + d)
 			if n == 0 {
@@ -91,7 +117,7 @@ func (m *Map) Get(ex stm.Executor, key string) (any, bool, error) {
 			return n, true, nil
 		}
 	}
-	v, ok := m.rawGet(key)
+	v, ok := m.rawGet(p, key)
 	return v, ok, nil
 }
 
@@ -104,45 +130,45 @@ func (m *Map) Contains(ex stm.Executor, key string) (bool, error) {
 // Put binds key to val. An exclusive-mode storage operation whose inverse
 // restores the prior binding (or absence).
 func (m *Map) Put(ex stm.Executor, key string, val any) error {
-	if err := ex.Access(m.lock(key), stm.ModeExclusive, ex.Schedule().MapWrite); err != nil {
+	p, k := m.intern(key)
+	if err := ex.Access(m.lock(k), stm.ModeExclusive, ex.Schedule().MapWrite); err != nil {
 		return err
 	}
 	if ov := ex.Overlay(); ov != nil {
-		ov.Put(m.overlayKey(key), val, false, func(v any, deleted bool) {
-			m.applyOverlay(key, v, deleted)
+		ov.Put(m.overlayKey(k), val, false, func(v any, deleted bool) {
+			m.applyOverlay(k, v, deleted)
 		})
 		return nil
 	}
-	prev, had := m.rawGet(key)
-	ex.LogUndo(func() {
-		if had {
-			m.rawPut(key, prev)
-		} else {
-			m.rawDelete(key)
-		}
-	})
-	m.rawPut(key, val)
+	prev, had := m.rawGet(&p, k)
+	if had {
+		ex.LogUndo(stm.Undo{Obj: m, Op: undoRestore, Key: k, Old: prev})
+	} else {
+		ex.LogUndo(stm.Undo{Obj: m, Op: undoUnbind, Key: k})
+	}
+	m.rawPut(&p, k, val)
 	return nil
 }
 
 // Delete removes key's binding. An exclusive-mode storage operation whose
 // inverse re-adds the binding.
 func (m *Map) Delete(ex stm.Executor, key string) error {
-	if err := ex.Access(m.lock(key), stm.ModeExclusive, ex.Schedule().MapDelete); err != nil {
+	p, k := m.intern(key)
+	if err := ex.Access(m.lock(k), stm.ModeExclusive, ex.Schedule().MapDelete); err != nil {
 		return err
 	}
 	if ov := ex.Overlay(); ov != nil {
-		ov.Put(m.overlayKey(key), nil, true, func(v any, deleted bool) {
-			m.applyOverlay(key, v, deleted)
+		ov.Put(m.overlayKey(k), nil, true, func(v any, deleted bool) {
+			m.applyOverlay(k, v, deleted)
 		})
 		return nil
 	}
-	prev, had := m.rawGet(key)
+	prev, had := m.rawGet(&p, k)
 	if !had {
 		return nil
 	}
-	ex.LogUndo(func() { m.rawPut(key, prev) })
-	m.rawDelete(key)
+	ex.LogUndo(stm.Undo{Obj: m, Op: undoRestore, Key: k, Old: prev})
+	m.rawDelete(&p, k)
 	return nil
 }
 
@@ -151,7 +177,8 @@ func (m *Map) Delete(ex stm.Executor, key string) error {
 // key commute, which is what keeps Ballot's vote tallies parallel. The
 // inverse subtracts delta.
 func (m *Map) AddUint(ex stm.Executor, key string, delta uint64) error {
-	return m.addUint(ex, key, m.addMode(), int64(delta), 0)
+	p, k := m.intern(key)
+	return m.addUint(ex, &p, k, m.addMode(), int64(delta), 0)
 }
 
 // addMode returns the lock mode for AddUint: increment normally, but
@@ -169,12 +196,13 @@ func (m *Map) addMode() stm.Mode {
 // this is NOT commutative (it observes the current value), so it takes the
 // lock exclusively. The inverse adds delta back.
 func (m *Map) SubUint(ex stm.Executor, key string, delta uint64) error {
-	return m.addUint(ex, key, stm.ModeExclusive, -int64(delta), delta)
+	p, k := m.intern(key)
+	return m.addUint(ex, &p, k, stm.ModeExclusive, -int64(delta), delta)
 }
 
 // addUint is AddUint and SubUint: add delta to the counter at key, which
 // must not be below floor.
-func (m *Map) addUint(ex stm.Executor, key string, mode stm.Mode, delta int64, floor uint64) error {
+func (m *Map) addUint(ex stm.Executor, p *placement, key string, mode stm.Mode, delta int64, floor uint64) error {
 	if err := ex.Access(m.lock(key), mode, ex.Schedule().MapWrite); err != nil {
 		return err
 	}
@@ -185,7 +213,7 @@ func (m *Map) addUint(ex stm.Executor, key string, mode stm.Mode, delta int64, f
 	// to the same slot, because delta-after-Put folds into the buffered
 	// value.
 	if ov := ex.Overlay(); ov != nil {
-		base, err := m.effectiveUint(ov, key)
+		base, err := m.effectiveUint(ov, p, key)
 		if err != nil {
 			return err
 		}
@@ -195,22 +223,21 @@ func (m *Map) addUint(ex stm.Executor, key string, mode stm.Mode, delta int64, f
 		ov.Add(m.overlayKey(key), delta, func(d int64) { m.rawAdd(key, d) })
 		return nil
 	}
-	// Eager: one placement hash and one critical section, and the inverse
-	// reuses the placement. Plain subtraction is a correct inverse in any
-	// interleaving of commuting adds because the raw layer canonicalizes
-	// zero counters to absent bindings (EVM storage semantics); see rawPut.
-	p := placeKey(key)
+	// Eager: one critical section. Plain subtraction is a correct inverse
+	// in any interleaving of commuting adds because the raw layer
+	// canonicalizes zero counters to absent bindings (EVM storage
+	// semantics); see rawPut.
 	if err := m.rawAddAt(p, key, delta, floor); err != nil {
 		return err
 	}
-	ex.LogUndo(func() { _ = m.rawAddAt(p, key, -delta, 0) })
+	ex.LogUndo(stm.Undo{Obj: m, Op: undoAdd, Key: key, Delta: delta})
 	return nil
 }
 
 // effectiveUint reads the counter at key as seen through an overlay: a
 // buffered absolute value, raw plus a buffered delta, or raw (absent
 // counts as zero). It fails with ErrNotCounter on non-uint64 slots.
-func (m *Map) effectiveUint(ov *stm.Overlay, key string) (uint64, error) {
+func (m *Map) effectiveUint(ov *stm.Overlay, p *placement, key string) (uint64, error) {
 	if v, deleted, ok := ov.Get(m.overlayKey(key)); ok {
 		if deleted {
 			return 0, nil
@@ -222,7 +249,7 @@ func (m *Map) effectiveUint(ov *stm.Overlay, key string) (uint64, error) {
 		return n, nil
 	}
 	var base uint64
-	if cur, had := m.rawGet(key); had {
+	if cur, had := m.rawGet(p, key); had {
 		n, isUint := cur.(uint64)
 		if !isUint {
 			return 0, fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, key, cur)
@@ -235,7 +262,8 @@ func (m *Map) effectiveUint(ov *stm.Overlay, key string) (uint64, error) {
 
 // GetUint reads the counter at key (0 when absent). Shared mode.
 func (m *Map) GetUint(ex stm.Executor, key string) (uint64, error) {
-	v, ok, err := m.Get(ex, key)
+	p, k := m.intern(key)
+	v, ok, err := m.get(ex, &p, k)
 	if err != nil {
 		return 0, err
 	}
@@ -244,7 +272,7 @@ func (m *Map) GetUint(ex stm.Executor, key string) (uint64, error) {
 	}
 	n, isUint := v.(uint64)
 	if !isUint {
-		return 0, fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, key, v)
+		return 0, fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, k, v)
 	}
 	return n, nil
 }
@@ -254,39 +282,37 @@ func (m *Map) overlayKey(key string) stm.OverlayKey {
 }
 
 func (m *Map) applyOverlay(key string, v any, deleted bool) {
+	p := placeKey(key)
 	if deleted {
-		m.rawDelete(key)
+		m.rawDelete(&p, key)
 		return
 	}
-	m.rawPut(key, v)
+	m.rawPut(&p, key, v)
 }
 
 // raw accessors, each a short critical section on the raw mutex; the
 // key's placement is hashed before the mutex is taken.
 
-func (m *Map) rawGet(key string) (any, bool) {
-	p := placeKey(key)
+func (m *Map) rawGet(p *placement, key string) (any, bool) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	return m.raw.root.find(&p, key)
+	return m.raw.root.find(p, key)
 }
 
 // rawPut stores a binding. Like EVM storage, writing the zero counter
 // clears the slot: uint64(0) and "absent" are one canonical state, which is
 // what makes subtraction a correct inverse for commutative adds in every
 // abort interleaving.
-func (m *Map) rawPut(key string, v any) {
-	p := placeKey(key)
+func (m *Map) rawPut(p *placement, key string, v any) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	m.raw.set(&p, key, v)
+	m.raw.set(p, key, v)
 }
 
-func (m *Map) rawDelete(key string) {
-	p := placeKey(key)
+func (m *Map) rawDelete(p *placement, key string) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	m.raw.unset(&p, key)
+	m.raw.unset(p, key)
 }
 
 func (m *Map) rawAdd(key string, delta int64) {
@@ -301,10 +327,10 @@ func (m *Map) rawAdd(key string, delta int64) {
 // rawAddAt is rawAdd with the key already placed and the eager path's
 // checks inside the critical section: a slot that holds no counter, or a
 // counter below floor, is refused unchanged.
-func (m *Map) rawAddAt(p placement, key string, delta int64, floor uint64) error {
+func (m *Map) rawAddAt(p *placement, key string, delta int64, floor uint64) error {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
-	v, had := m.raw.root.find(&p, key)
+	v, had := m.raw.root.find(p, key)
 	cur, isUint := v.(uint64)
 	if had && !isUint {
 		return fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, key, v)
@@ -312,7 +338,7 @@ func (m *Map) rawAddAt(p placement, key string, delta int64, floor uint64) error
 	if cur < floor {
 		return fmt.Errorf("%s[%q]: %d - %d: %w", m.name, key, cur, floor, ErrUnderflow)
 	}
-	m.raw.set(&p, key, uint64(int64(cur)+delta))
+	m.raw.set(p, key, uint64(int64(cur)+delta))
 	return nil
 }
 
@@ -340,6 +366,19 @@ func (r *rawMap) unset(p *placement, key string) {
 		root = nil
 	}
 	r.root = root
+}
+
+// Undo implements stm.Undoer: it takes back one write this map logged.
+func (m *Map) Undo(u *stm.Undo) {
+	p := placeKey(u.Key)
+	switch u.Op {
+	case undoRestore:
+		m.rawPut(&p, u.Key, u.Old)
+	case undoUnbind:
+		m.rawDelete(&p, u.Key)
+	case undoAdd:
+		_ = m.rawAddAt(&p, u.Key, -u.Delta, 0)
+	}
 }
 
 // Len returns the raw size (diagnostics/tests only; not transactional).

@@ -42,14 +42,14 @@ func buildStore(t testing.TB) (*Store, *Map, *Cell) {
 	if err != nil {
 		t.Fatalf("NewCell: %v", err)
 	}
-	m.rawPut("balance", uint64(41))
-	m.rawPut("owner", types.AddressFromUint64(9))
-	m.rawPut("label", "hello")
-	m.rawPut("flag", true)
-	m.rawPut("count", int(3))
-	m.rawPut("doc", types.HashString("doc"))
-	m.rawPut("amount", types.Amount(12))
-	m.rawPut("pair", pair{1, 2})
+	m.putRaw("balance", uint64(41))
+	m.putRaw("owner", types.AddressFromUint64(9))
+	m.putRaw("label", "hello")
+	m.putRaw("flag", true)
+	m.putRaw("count", int(3))
+	m.putRaw("doc", types.HashString("doc"))
+	m.putRaw("amount", types.Amount(12))
+	m.putRaw("pair", pair{1, 2})
 	for _, v := range []any{uint64(7), nil, "x"} {
 		a.rawAppend(v)
 	}
@@ -74,8 +74,8 @@ func TestStateEncodeDecodeRoundTrip(t *testing.T) {
 	// A freshly built store (same genesis setup, diverged contents)
 	// restores the encoded state and reaches the identical commitment.
 	dst, dm, dc := buildStore(t)
-	dm.rawPut("balance", uint64(999))
-	dm.rawDelete("label")
+	dm.putRaw("balance", uint64(999))
+	dm.deleteRaw("label")
 	dc.rawWrite("junk")
 	snap, err := dst.DecodeState(data)
 	if err != nil {
@@ -97,10 +97,10 @@ func TestStateEncodeDecodeRoundTrip(t *testing.T) {
 	if v := dc.rawRead(); v != nil {
 		t.Fatalf("cell restored to %v, want nil", v)
 	}
-	if got, _ := dm.rawGet("balance"); got != uint64(41) {
+	if got, _ := dm.getRaw("balance"); got != uint64(41) {
 		t.Fatalf("balance restored to %#v", got)
 	}
-	if got, _ := dm.rawGet("pair"); got != (pair{1, 2}) {
+	if got, _ := dm.getRaw("pair"); got != (pair{1, 2}) {
 		t.Fatalf("struct value restored to %#v", got)
 	}
 }

@@ -17,7 +17,7 @@ func withTx(t *testing.T, policy stm.Policy, body func(tx *stm.Tx)) {
 	t.Helper()
 	mgr := stm.NewManager(gas.DefaultSchedule())
 	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSpeculative(mgr, 0, th, gas.NewMeter(10_000_000), policy)
+		tx := stm.BeginSpeculative(mgr, 0, th, 10_000_000, policy)
 		body(tx)
 	})
 	if err != nil {

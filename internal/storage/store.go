@@ -47,6 +47,21 @@ var (
 	ErrDuplicateName = errors.New("storage: duplicate object name")
 )
 
+// Ops of the stm.Undo records the objects log (eager policy): each record
+// names what its Undo must do to take one write back.
+const (
+	// undoRestore puts Old back: at Key (Map), at Index (Array) or as the
+	// value (Cell).
+	undoRestore uint8 = iota + 1
+	// undoUnbind removes Key, which the write bound (Map).
+	undoUnbind
+	// undoAdd subtracts Delta from the counter at Key, at Index or in the
+	// cell.
+	undoAdd
+	// undoTruncate cuts the array back to Index elements (Push).
+	undoTruncate
+)
+
 // object is the interface all boosted objects implement for the Store.
 type object interface {
 	// objectName returns the lock scope, the name the state root binds

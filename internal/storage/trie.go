@@ -41,9 +41,20 @@ type placement [sha256.Size]byte
 // are collision buckets.
 const maxDepth = 2 * sha256.Size
 
-// placeKey hashes a key to its placement. A variable only so tests can
-// force the collisions SHA-256 never yields.
-var placeKey = func(key string) placement { return sha256.Sum256([]byte(key)) }
+// placeKey hashes a key to its placement. It keeps no reference to key,
+// so a caller's key may live on its stack.
+func placeKey(key string) placement {
+	p := placement(sha256.Sum256([]byte(key)))
+	if weakenPlacement != nil {
+		p = weakenPlacement(p)
+	}
+	return p
+}
+
+// weakenPlacement, when set, rewrites every placement, so tests can force
+// the collisions SHA-256 never yields. It sees the placement, not the key,
+// so that placeKey keeps none.
+var weakenPlacement func(placement) placement
 
 // bit returns the slot bit of the nibble at depth.
 func (p *placement) bit(depth int) uint16 {
@@ -94,27 +105,36 @@ func (n *node) single() bool { return len(n.entries) == 1 && n.nodemap == 0 }
 
 // find looks key up under n.
 func (n *node) find(p *placement, key string) (any, bool) {
+	if e := n.lookup(p, key); e != nil {
+		return e.val, true
+	}
+	return nil, false
+}
+
+// lookup returns key's entry under n, or nil when key is unbound. The
+// entry is valid only as long as nothing edits n.
+func (n *node) lookup(p *placement, key string) *entry {
 	for depth := 0; n != nil; depth++ {
 		if depth == maxDepth {
 			i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
 			if i < len(n.entries) && n.entries[i].key == key {
-				return n.entries[i].val, true
+				return &n.entries[i]
 			}
-			return nil, false
+			return nil
 		}
 		bit := p.bit(depth)
 		if n.datamap&bit != 0 {
 			if e := &n.entries[n.index(bit)]; e.key == key {
-				return e.val, true
+				return e
 			}
-			return nil, false
+			return nil
 		}
 		if n.nodemap&bit == 0 {
-			return nil, false
+			return nil
 		}
 		n = n.kids[slot(bit)]
 	}
-	return nil, false
+	return nil
 }
 
 // own returns n ready to be edited in epoch: n itself if it was born in
