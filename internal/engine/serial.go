@@ -24,6 +24,10 @@ type SerialEngine struct{}
 
 var _ Engine = SerialEngine{}
 
+// profileChunk is how many profile entries the serial engine allocates at
+// once: a transaction traces a few locks, so one chunk serves dozens.
+const profileChunk = 256
+
 // Kind implements Engine.
 func (SerialEngine) Kind() Kind { return KindSerial }
 
@@ -33,8 +37,16 @@ func (SerialEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, calls
 	mgr := stm.NewManager(w.Schedule())
 	defer mgr.Release()
 	profiles := make([]stm.Profile, n)
+	// Each transaction's profile entries are cut from a block-wide slab, a
+	// chunk at a time, rather than allocated apiece.
+	var slab []stm.ProfileEntry
 	receipts, makespan, err := runSerialLoop(runner, w, calls, nil, stm.BeginReplay, func(tx *stm.Tx) {
-		profiles[tx.ID()] = mgr.Record(tx.ID(), tx.Locks(nil))
+		if traced := tx.Traced(); cap(slab)-len(slab) < traced {
+			slab = make([]stm.ProfileEntry, 0, max(profileChunk, traced))
+		}
+		entries := tx.Locks(slab[len(slab):len(slab)])
+		slab = slab[:len(slab)+len(entries)]
+		profiles[tx.ID()] = mgr.Record(tx.ID(), entries[:len(entries):len(entries)])
 		tx.Recycle()
 	})
 	if err != nil {

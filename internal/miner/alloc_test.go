@@ -13,12 +13,14 @@ import (
 // representative one, workload.HotPathParams — starts to allocate more:
 // reset the world, execute with the engine, compute the state root, seal.
 // Time is judged elsewhere (benchmark/); allocations are deterministic
-// and are judged here. Each ceiling is 1.1 times the count under -race,
-// the highest of ten runs (the race detector makes sync.Pool drop items,
-// so the count is higher there), with the plain count after it: serial
-// 663 / 479, speculative 687 / 499 and OCC 2990 / 2165. Each count is the
-// mean of 20 blocks, which keeps the pool's random drops under -race from
-// deciding the serial-versus-speculative comparison below.
+// and are judged here. Each ceiling is 1.1 times the plain count: serial
+// 352, speculative 499 and OCC 2165. The race detector makes sync.Pool
+// drop a quarter of what is put back, so under -race each engine has a
+// ceiling of its own, 1.1 times the highest of five runs (serial 573,
+// speculative 686) or, where that would raise it, the earlier one (OCC:
+// 3289, against 3052). Each count is the mean of 20 blocks, which keeps
+// the pool's random drops under -race from deciding the
+// serial-versus-speculative comparison below.
 // The serial miner must also allocate no more than the speculative one:
 // every engine settles into the same pooled lock table and reads H off
 // it, and only the speculative one pays for held locks, waiters and
@@ -26,13 +28,17 @@ import (
 func TestMineAllocCeilings(t *testing.T) {
 	perBlock := make(map[engine.Kind]float64)
 	for _, c := range []struct {
-		kind    engine.Kind
-		ceiling float64
+		kind             engine.Kind
+		plain, underRace float64
 	}{
-		{engine.KindSerial, 730},
-		{engine.KindSpeculative, 756},
-		{engine.KindOCC, 3289},
+		{engine.KindSerial, 387, 630},
+		{engine.KindSpeculative, 549, 755},
+		{engine.KindOCC, 2382, 3289},
 	} {
+		ceiling := c.plain
+		if raceDetector {
+			ceiling = c.underRace
+		}
 		eng := engine.MustNew(c.kind)
 		wl := mustGen(t, workload.HotPathParams)
 		opts := engine.Options{Workers: 3}
@@ -42,9 +48,9 @@ func TestMineAllocCeilings(t *testing.T) {
 				t.Fatalf("%v: mine: %v", c.kind, err)
 			}
 		})
-		t.Logf("%v: %.0f allocs per block, ceiling %.0f", c.kind, allocs, c.ceiling)
-		if allocs > c.ceiling {
-			t.Errorf("%v: Mine allocates %.0f times per block, ceiling %.0f", c.kind, allocs, c.ceiling)
+		t.Logf("%v: %.0f allocs per block, ceiling %.0f", c.kind, allocs, ceiling)
+		if allocs > ceiling {
+			t.Errorf("%v: Mine allocates %.0f times per block, ceiling %.0f", c.kind, allocs, ceiling)
 		}
 		perBlock[c.kind] = allocs
 	}

@@ -107,7 +107,8 @@ func TestTxRecycleLifecycle(t *testing.T) {
 		if tx.Status() != StatusActive || len(tx.trace) != 1 {
 			t.Fatal("Recycle touched an active root or a child's root")
 		}
-		tx.Overlay().Put(OverlayKey{Obj: 1, Key: "k"}, uint64(1), false, func(any, bool) {})
+		applied := false
+		tx.Overlay().Put(OverlayKey{Obj: 1, Key: "k"}, uint64(1), false, func(any, bool) { applied = true })
 		if err := tx.Commit(); err != nil {
 			t.Fatalf("commit: %v", err)
 		}
@@ -116,7 +117,15 @@ func TestTxRecycleLifecycle(t *testing.T) {
 			t.Fatalf("settled OCC root: %d locks, pending writes %v", len(locks), wr)
 		}
 		tx.Recycle()
-		wr.Release() // the engine owns the overlay it read before Recycle
+		// The engine owns the overlay it read before Recycle: it survives
+		// the root and applies or releases later.
+		if wr.Len() != 1 {
+			t.Fatalf("pending writes after Recycle: %d entries, want 1", wr.Len())
+		}
+		if wr.Apply(); !applied {
+			t.Fatal("pending writes read before Recycle did not apply")
+		}
+		wr.Release()
 
 		// A speculative root that holds a lock, charges gas, logs a write
 		// and reverts — or commits, keeping its log — then is recycled,

@@ -89,12 +89,10 @@ type Tx struct {
 	undo []Undo
 	// overlay is this frame's lazy write buffer (PolicyLazy only).
 	overlay *Overlay
-	// trace is root-only (KindReplay, KindOCC): every lock the family
-	// accessed, once, with its combined mode and a zero counter, in the
-	// order first accessed. Up to traceScan entries it is searched
-	// linearly; a longer one is indexed by traceIndex.
-	trace      []ProfileEntry
-	traceIndex map[LockID]int
+	// trace is root-only (KindReplay, KindOCC): combined modes per lock
+	// the family accessed. Recycle clears it, so a warm root keeps its
+	// buckets.
+	trace map[LockID]Mode
 	// profile is root-only: set at commit/revert of a speculative root.
 	profile Profile
 	// retries counts speculative abort-and-retry cycles (set by the miner).
@@ -179,7 +177,7 @@ func BeginOCC(id types.TxID, th runtime.Thread, gasLimit gas.Gas, sched gas.Sche
 }
 
 // newRoot takes a root from the pool and begins it. Recycle left the
-// root's slices and trace index empty; they keep their storage.
+// root's slices and trace empty; they keep their storage.
 func newRoot(kind Kind, id types.TxID, th runtime.Thread, gasLimit gas.Gas, sched gas.Schedule) *Tx {
 	t := txPool.Get().(*Tx)
 	t.id, t.kind, t.policy, t.thread, t.sched, t.status = id, kind, PolicyEager, th, sched, StatusActive
@@ -276,46 +274,15 @@ func (t *Tx) Access(l LockID, mode Mode, cost gas.Gas) error {
 	}
 }
 
-// traceScan is the trace length up to which a root's trace is searched
-// linearly. Roots trace two to four locks in every workload; a longer
-// trace is indexed, so a transaction that touches many locks stays linear.
-const traceScan = 8
-
-// traceFind returns l's position in the root's trace.
-func (t *Tx) traceFind(l LockID) (int, bool) {
-	if len(t.trace) > traceScan {
-		i, ok := t.traceIndex[l]
-		return i, ok
-	}
-	for i := range t.trace {
-		if t.trace[i].Lock == l {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // traceLock records an access to l in mode in the root's trace.
 func (t *Tx) traceLock(l LockID, mode Mode) {
-	if i, ok := t.traceFind(l); ok {
-		t.trace[i].Mode = Combine(t.trace[i].Mode, mode)
-		return
-	}
 	if t.trace == nil {
-		t.trace = make([]ProfileEntry, 0, traceScan)
+		t.trace = make(map[LockID]Mode)
 	}
-	t.trace = append(t.trace, ProfileEntry{Lock: l, Mode: mode})
-	switch n := len(t.trace); {
-	case n == traceScan+1:
-		if t.traceIndex == nil {
-			t.traceIndex = make(map[LockID]int, 2*traceScan)
-		}
-		for i, e := range t.trace {
-			t.traceIndex[e.Lock] = i
-		}
-	case n > traceScan+1:
-		t.traceIndex[l] = n - 1
+	if cur, seen := t.trace[l]; seen {
+		mode = Combine(cur, mode)
 	}
+	t.trace[l] = mode
 }
 
 // LogUndo implements Executor.
@@ -461,6 +428,10 @@ func (t *Tx) PendingWrites() *Overlay {
 	return t.overlay
 }
 
+// Traced returns how many locks a replay or OCC root traced: the length
+// of what Locks returns.
+func (t *Tx) Traced() int { return len(t.root.trace) }
+
 // Locks returns the locks a replay or OCC root traced, one entry per
 // lock with its combined mode, sorted by lock and with zero counters: its
 // read/write set, and the profile Manager.Record completes. Entries are
@@ -472,7 +443,9 @@ func (t *Tx) Locks(buf []ProfileEntry) []ProfileEntry {
 	if entries == nil || cap(entries) < len(t.trace) {
 		entries = make([]ProfileEntry, 0, len(t.trace))
 	}
-	entries = append(entries, t.trace...)
+	for l, m := range t.trace {
+		entries = append(entries, ProfileEntry{Lock: l, Mode: m})
+	}
 	slices.SortFunc(entries, func(a, b ProfileEntry) int { return a.Lock.Compare(b.Lock) })
 	return entries
 }
@@ -485,12 +458,12 @@ func (t *Tx) Locks(buf []ProfileEntry) []ProfileEntry {
 // lock). Counter values are not compared here: they order transactions,
 // and the race check (internal/sched) reads them.
 func (t *Tx) TraceMatches(p Profile) bool {
-	root := t.root
-	if len(root.trace) != len(p.Entries) {
+	trace := t.root.trace
+	if len(trace) != len(p.Entries) {
 		return false
 	}
 	for _, e := range p.Entries {
-		if i, ok := root.traceFind(e.Lock); !ok || root.trace[i].Mode != e.Mode {
+		if m, ok := trace[e.Lock]; !ok || m != e.Mode {
 			return false
 		}
 	}
@@ -519,7 +492,6 @@ func (t *Tx) Recycle() {
 	t.dropUndo()
 	clear(t.held)
 	clear(t.trace)
-	clear(t.traceIndex)
-	*t = Tx{undo: t.undo, held: t.held[:0], trace: t.trace[:0], traceIndex: t.traceIndex}
+	*t = Tx{undo: t.undo, held: t.held[:0], trace: t.trace}
 	txPool.Put(t)
 }

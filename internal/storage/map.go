@@ -70,7 +70,12 @@ func (m *Map) lock(key string) stm.LockID {
 // binding already stores, or a fresh copy when key is unbound. Every
 // operation works with what intern returns and keeps no reference to the
 // key it was given, so a caller's key may live on its stack (KeyAddr's
-// does) and only a key the map does not bind allocates.
+// does) and only a key the map does not bind allocates. That copy is paid
+// by reads too: a Get, GetUint or Contains of an unbound key copies it,
+// since the lock it names may outlive the call (in a held set, a trace or
+// a profile), and a KeyUint key of 256 or more, already made on the heap,
+// is copied once more. The lookup is a critical section of its own; the
+// operation's read or write takes the lock again.
 func (m *Map) intern(key string) (placement, string) {
 	p := placeKey(key)
 	m.raw.mu.Lock()
@@ -223,7 +228,8 @@ func (m *Map) addUint(ex stm.Executor, p *placement, key string, mode stm.Mode, 
 		ov.Add(m.overlayKey(key), delta, func(d int64) { m.rawAdd(key, d) })
 		return nil
 	}
-	// Eager: one critical section. Plain subtraction is a correct inverse
+	// Eager: two critical sections, intern's lookup and then rawAddAt's
+	// floor check and add. Plain subtraction is a correct inverse
 	// in any interleaving of commuting adds because the raw layer
 	// canonicalizes zero counters to absent bindings (EVM storage
 	// semantics); see rawPut.

@@ -12,8 +12,10 @@ import (
 // TestValidateAllocCeiling fails when validating one block — the cost
 // every follower pays per imported block — starts to allocate more. The
 // block is the representative one (see workload.HotPathParams), mined
-// by the OCC engine. The ceiling is 1.1 times the count under -race
-// (561, the highest of ten runs; 370 without).
+// by the OCC engine. The ceiling is 1.1 times the plain count, 370. The
+// race detector makes sync.Pool drop a quarter of what is put back, so
+// under -race the ceiling stays the earlier 618, against a highest count
+// of 594 in ten runs.
 func TestValidateAllocCeiling(t *testing.T) {
 	wl, err := workload.Generate(workload.HotPathParams)
 	if err != nil {
@@ -23,16 +25,19 @@ func TestValidateAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
-	const ceiling = 618
+	ceiling := 407.0
+	if raceDetector {
+		ceiling = 618
+	}
 	allocs := testing.AllocsPerRun(5, func() {
 		wl.Reset()
 		if _, err := Validate(runtime.NewSimRunner(), wl.World, res.Block, Config{Workers: 3}); err != nil {
 			t.Fatalf("validate: %v", err)
 		}
 	})
-	t.Logf("%.0f allocs per block, ceiling %d", allocs, ceiling)
+	t.Logf("%.0f allocs per block, ceiling %.0f", allocs, ceiling)
 	if allocs > ceiling {
-		t.Errorf("Validate allocates %.0f times per block, ceiling %d", allocs, ceiling)
+		t.Errorf("Validate allocates %.0f times per block, ceiling %.0f", allocs, ceiling)
 	}
 }
 
