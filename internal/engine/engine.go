@@ -122,10 +122,6 @@ type Options struct {
 	// aborted transaction, scaled linearly by attempt number
 	// (SpeculativeEngine).
 	RetryBackoff gas.Gas
-	// MaxRounds bounds OCC validate-and-commit rounds; 0 means one round
-	// per transaction (the structural worst case, since every round
-	// commits at least one transaction).
-	MaxRounds int
 }
 
 // DefaultMaxRetries bounds speculative retry loops; deadlock victims
@@ -156,8 +152,9 @@ func (o Options) withDefaults() Options {
 // meaningful for an engine stay zero.
 type Stats struct {
 	// Retries counts discarded execution attempts: deadlock-victim aborts
-	// for the speculative engine, failed validations (re-executions) for
-	// the OCC engine.
+	// for the speculative engine, failed validations for the OCC engine
+	// (each re-executes, either next round or at once on the commit
+	// thread).
 	Retries int
 	// RetriedTxs lists the transactions that needed at least one retry;
 	// transaction pools use this as conflict feedback (§7.3).
@@ -166,6 +163,8 @@ type Stats struct {
 	Committed int
 	Reverted  int
 	// Rounds counts OCC validate-and-commit rounds (1 for other engines).
+	// Chained conflicts re-execute inside a round's commit pass, so a hot
+	// key costs OCC two rounds, not one per writer.
 	Rounds int
 	// LockStats echoes the speculative lock manager's counters.
 	LockStats stm.Stats

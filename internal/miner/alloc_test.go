@@ -14,11 +14,10 @@ import (
 // reset the world, execute with the engine, compute the state root, seal.
 // Time is judged elsewhere (benchmark/); allocations are deterministic
 // and are judged here. Each ceiling is 1.1 times the plain count: serial
-// 352, speculative 499 and OCC 2165. The race detector makes sync.Pool
+// 352, speculative 499 and OCC 1217. The race detector makes sync.Pool
 // drop a quarter of what is put back, so under -race each engine has a
 // ceiling of its own, 1.1 times the highest of five runs (serial 573,
-// speculative 686) or, where that would raise it, the earlier one (OCC:
-// 3289, against 3052). Each count is the mean of 20 blocks, which keeps
+// speculative 686, OCC 1693). Each count is the mean of 20 blocks, which keeps
 // the pool's random drops under -race from deciding the
 // serial-versus-speculative comparison below.
 // The serial miner must also allocate no more than the speculative one:
@@ -33,7 +32,7 @@ func TestMineAllocCeilings(t *testing.T) {
 	}{
 		{engine.KindSerial, 387, 630},
 		{engine.KindSpeculative, 549, 755},
-		{engine.KindOCC, 2382, 3289},
+		{engine.KindOCC, 1339, 1863},
 	} {
 		ceiling := c.plain
 		if raceDetector {
