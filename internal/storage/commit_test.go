@@ -933,3 +933,152 @@ func TestGetInDuringStateRoot(t *testing.T) {
 		}
 	}
 }
+
+// plainTrie builds contents as one trie at depth 0, the way readState
+// does: the shape a map's stripes must be indistinguishable from.
+func plainTrie(contents map[string]any) *node {
+	var n *node
+	for k, v := range contents {
+		p := placeKey(k)
+		n, _ = n.put(0, &p, k, v, 0)
+	}
+	return n
+}
+
+// checkPlain compares m with the plain trie of want: size, every binding,
+// the map's root, and a snapshot's version read through GetIn and hashed.
+func checkPlain(t testing.TB, s *Store, m *Map, want map[string]any) {
+	t.Helper()
+	var h hasher
+	wantRoot, err := h.mapRoot(plainTrie(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.root(&h); err != nil || got != wantRoot {
+		t.Fatalf("%s: root %s (err %v), plain trie %s", m.Name(), got.Short(), err, wantRoot.Short())
+	}
+	if m.Len() != len(want) {
+		t.Fatalf("%s holds %d entries, model %d", m.Name(), m.Len(), len(want))
+	}
+	snap := s.Snapshot()
+	if v := snap.versions[m.id]; v.count != len(want) {
+		t.Fatalf("%s: snapshot counts %d entries, model %d", m.Name(), v.count, len(want))
+	} else if got, err := h.mapRoot(v.trie); err != nil || got != wantRoot {
+		t.Fatalf("%s: snapshot's top node hashes to %s (err %v), plain trie %s", m.Name(), got.Short(), err, wantRoot.Short())
+	}
+	for k, v := range want {
+		if got, ok := m.getRaw(k); !ok || got != v {
+			t.Fatalf("%s[%q] = %#v (bound %v), model %#v", m.Name(), k, got, ok, v)
+		}
+		if got, ok := m.GetIn(snap, k); !ok || got != v {
+			t.Fatalf("GetIn %s[%q] = %#v (bound %v), model %#v", m.Name(), k, got, ok, v)
+		}
+	}
+}
+
+// raceOp is one operation of a concurrent round: AddUint when add is set,
+// otherwise a Put of val (the zero counter unbinds) or, when del is set, a
+// Delete.
+type raceOp struct {
+	key      string
+	add, del bool
+	val      uint64
+}
+
+// raceRound has two goroutines run ops[0] and ops[1] at once, each in a
+// replay root on a thread of its own — the validator's lock-free replay,
+// where only the map's mutexes order the two — and then applies both to
+// the model. Puts and deletes touch only their goroutine's own keys and
+// adds commute, so the outcome is the model's whatever the interleaving.
+func (w *diffWorld) raceRound(t testing.TB, ops [2][]raceOp) {
+	t.Helper()
+	_, err := runtime.NewOSRunner(nil).Run(2, func(th runtime.Thread) {
+		tx := stm.BeginReplay(types.TxID(th.ID()), th, 10_000_000, gas.DefaultSchedule())
+		for _, op := range ops[th.ID()] {
+			var err error
+			switch {
+			case op.add:
+				err = w.m.AddUint(tx, op.key, op.val)
+			case op.del:
+				err = w.m.Delete(tx, op.key)
+			default:
+				err = w.m.Put(tx, op.key, op.val)
+			}
+			if err != nil {
+				t.Errorf("%+v: %v", op, err)
+				return
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Errorf("commit: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	md := w.model.m
+	for _, side := range ops {
+		for _, op := range side {
+			cur, _ := md[op.key].(uint64)
+			switch {
+			case op.add:
+				cur += op.val
+			case op.del:
+				cur = 0
+			default:
+				cur = op.val
+			}
+			if cur == 0 {
+				delete(md, op.key)
+			} else {
+				md[op.key] = cur
+			}
+		}
+	}
+}
+
+// TestConcurrentStripes: two goroutines edit one striped map at once,
+// first on disjoint keys and then also adding to keys both touch, and
+// after each round the map must be the plain trie of the model — same
+// contents, same root — and the store the from-scratch oracle's. A
+// snapshot between rounds starts a new epoch, so each round's first write
+// to a stripe copies its nodes while the other goroutine edits another.
+// CI runs it repeatedly under -race.
+func TestConcurrentStripes(t *testing.T) {
+	const rounds, perRound, shared = 16, 48, 8
+	w := newDiffWorld(t)
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprint("base", i)
+		w.m.putRaw(k, uint64(i+1))
+		w.model.m[k] = uint64(i + 1)
+	}
+	w.s.Snapshot()
+	if !w.m.raw.striped.Load() {
+		t.Fatal("a map of 400 keys is not striped")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < rounds; round++ {
+		overlap := round >= rounds/2
+		var ops [2][]raceOp
+		for g := range ops {
+			for i := 0; i < perRound; i++ {
+				op := raceOp{key: fmt.Sprintf("own%d/%d", g, rng.Intn(64)), val: uint64(rng.Intn(4))}
+				switch r := rng.Intn(8); {
+				case overlap && r < 3:
+					op = raceOp{key: fmt.Sprint("shared", rng.Intn(shared)), add: true, val: uint64(1 + rng.Intn(3))}
+				case r < 5:
+					op.add, op.val = true, op.val+1
+				case r == 5:
+					op.del = true
+				}
+				ops[g] = append(ops[g], op)
+			}
+		}
+		w.raceRound(t, ops)
+		w.check(t)
+		checkPlain(t, w.s, w.m, w.model.m)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
@@ -15,8 +16,12 @@ import (
 // where key values are used to index abstract locks").
 //
 // Concurrency: the abstract lock for key k is {Scope: name, Key: k}; the raw
-// table (a persistent trie, trie.go) is additionally guarded by a plain
-// mutex because edits to distinct keys share the nodes above them. The
+// table (a persistent trie, trie.go) is the linearizable base object
+// boosting wraps, and is guarded by plain mutexes because edits to
+// distinct keys share the nodes above them. A large map is split into 16
+// stripes by the first nibble of a key's placement, each under a mutex of
+// its own, so operations on keys in different stripes — the commuting
+// operations of a validator's lock-free replay — do not take turns. A
 // mutex is held only for the raw operation, never across a lock wait.
 type Map struct {
 	name  string
@@ -28,13 +33,44 @@ type Map struct {
 	structs func([]byte) (any, error)
 }
 
-// rawMap is the map's current version: the trie's top node, how many
-// entries it holds, and the epoch whose nodes may be edited in place.
+// rawMap is the map's current version, held either whole or in stripes.
+// A map is striped exactly when every slot of its trie's top node holds a
+// child: then stripe s holds, at depth 1, the subtree the top node holds
+// in slot s, and splitting or reassembling the top node moves pointers
+// only. Small maps, which cannot meet the rule, stay one trie at depth 0
+// under whole's mutex and pay for no stripe. The rule is applied only in
+// snapshot and restore, with every mutex held; between two of those the
+// stripes may shrink or empty, and the next snapshot reassembles them.
+//
+// The entry count is base, the count at the last snapshot or restore,
+// plus what each stripe has added since, so neither snapshot nor restore
+// walks the trie to count it.
 type rawMap struct {
+	whole stripe
+	// stripes is allocated the first time the map stripes, and kept. An
+	// operation uses it only while striped is true; both change only
+	// with every mutex held.
+	stripes *[16]stripe
+	striped atomic.Bool
+	base    int
+	// epoch is the epoch whose nodes may be edited in place. It changes
+	// only with every mutex held, so any one of them is enough to read it.
+	epoch uint64
+}
+
+// stripe is one mutex's share of a map: the whole trie at depth 0, or the
+// subtree of one top-node slot at depth 1. A one-entry stripe is a node
+// holding only that entry, which the top node would hold inline.
+type stripe struct {
 	mu    sync.Mutex
 	root  *node
-	count int
-	epoch uint64
+	depth int
+	// added is the entries inserted minus those removed since the map's
+	// last snapshot or restore.
+	added int
+	// Padding to a cache line, so that workers on neighbouring stripes do
+	// not share one.
+	_ [32]byte
 }
 
 // NewMap creates a boosted map registered in s under the given name (which
@@ -75,16 +111,16 @@ func (m *Map) lock(key string) stm.LockID {
 // since the lock it names may outlive the call (in a held set, a trace or
 // a profile), and a KeyUint key of 256 or more, already made on the heap,
 // is copied once more. The lookup is a critical section of its own; the
-// operation's read or write takes the lock again.
+// operation's read or write takes the key's stripe mutex again.
 func (m *Map) intern(key string) (placement, string) {
 	p := placeKey(key)
-	m.raw.mu.Lock()
-	e := m.raw.root.lookup(&p, key)
+	st := m.raw.lock(&p)
+	e := st.root.lookup(&p, key, st.depth)
 	var k string
 	if e != nil {
 		k = e.key
 	}
-	m.raw.mu.Unlock()
+	st.mu.Unlock()
 	if e == nil {
 		k = strings.Clone(key)
 	}
@@ -296,13 +332,13 @@ func (m *Map) applyOverlay(key string, v any, deleted bool) {
 	m.rawPut(&p, key, v)
 }
 
-// raw accessors, each a short critical section on the raw mutex; the
-// key's placement is hashed before the mutex is taken.
+// raw accessors, each a short critical section on the mutex of the key's
+// stripe; the key's placement is hashed before the mutex is taken.
 
 func (m *Map) rawGet(p *placement, key string) (any, bool) {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	return m.raw.root.find(p, key)
+	st := m.raw.lock(p)
+	defer st.mu.Unlock()
+	return st.root.find(p, key, st.depth)
 }
 
 // rawPut stores a binding. Like EVM storage, writing the zero counter
@@ -310,33 +346,33 @@ func (m *Map) rawGet(p *placement, key string) (any, bool) {
 // what makes subtraction a correct inverse for commutative adds in every
 // abort interleaving.
 func (m *Map) rawPut(p *placement, key string, v any) {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	m.raw.set(p, key, v)
+	st := m.raw.lock(p)
+	defer st.mu.Unlock()
+	st.set(m.raw.epoch, p, key, v)
 }
 
 func (m *Map) rawDelete(p *placement, key string) {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	m.raw.unset(p, key)
+	st := m.raw.lock(p)
+	defer st.mu.Unlock()
+	st.unset(m.raw.epoch, p, key)
 }
 
 func (m *Map) rawAdd(key string, delta int64) {
 	p := placeKey(key)
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	v, _ := m.raw.root.find(&p, key)
+	st := m.raw.lock(&p)
+	defer st.mu.Unlock()
+	v, _ := st.root.find(&p, key, st.depth)
 	cur, _ := v.(uint64)
-	m.raw.set(&p, key, uint64(int64(cur)+delta))
+	st.set(m.raw.epoch, &p, key, uint64(int64(cur)+delta))
 }
 
 // rawAddAt is rawAdd with the key already placed and the eager path's
 // checks inside the critical section: a slot that holds no counter, or a
 // counter below floor, is refused unchanged.
 func (m *Map) rawAddAt(p *placement, key string, delta int64, floor uint64) error {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	v, had := m.raw.root.find(p, key)
+	st := m.raw.lock(p)
+	defer st.mu.Unlock()
+	v, had := st.root.find(p, key, st.depth)
 	cur, isUint := v.(uint64)
 	if had && !isUint {
 		return fmt.Errorf("%w: %s[%q] holds %T", ErrNotCounter, m.name, key, v)
@@ -344,34 +380,124 @@ func (m *Map) rawAddAt(p *placement, key string, delta int64, floor uint64) erro
 	if cur < floor {
 		return fmt.Errorf("%s[%q]: %d - %d: %w", m.name, key, cur, floor, ErrUnderflow)
 	}
-	m.raw.set(p, key, uint64(int64(cur)+delta))
+	st.set(m.raw.epoch, p, key, uint64(int64(cur)+delta))
 	return nil
 }
 
-// set binds key to v, or unbinds it when v is the zero counter. Caller
-// holds the mutex.
-func (r *rawMap) set(p *placement, key string, v any) {
-	if n, isUint := v.(uint64); isUint && n == 0 {
-		r.unset(p, key) // canonical zero: see rawPut
-		return
-	}
-	root, added := r.root.put(r.epoch, p, key, v, 0)
-	r.root = root
-	if added {
-		r.count++
+// lock locks and returns the stripe that holds the key placed at p: the
+// whole map, or the stripe of p's first nibble. A snapshot or restore may
+// stripe or unstripe the map while lock waits, so the choice is checked
+// again under the mutex.
+func (r *rawMap) lock(p *placement) *stripe {
+	for {
+		st := &r.whole
+		if r.striped.Load() {
+			st = &r.stripes[p[0]>>4]
+		}
+		st.mu.Lock()
+		if r.striped.Load() == (st != &r.whole) {
+			return st
+		}
+		st.mu.Unlock()
 	}
 }
 
-// unset unbinds key. Caller holds the mutex.
-func (r *rawMap) unset(p *placement, key string) {
-	root, removed := r.root.remove(r.epoch, p, key, 0)
+// lockAll takes every mutex of the map, whole's first.
+func (r *rawMap) lockAll() {
+	r.whole.mu.Lock()
+	if r.stripes != nil {
+		for i := range r.stripes {
+			r.stripes[i].mu.Lock()
+		}
+	}
+}
+
+func (r *rawMap) unlockAll() {
+	if r.stripes != nil {
+		for i := range r.stripes {
+			r.stripes[i].mu.Unlock()
+		}
+	}
+	r.whole.mu.Unlock()
+}
+
+// count returns the number of entries. The caller holds every mutex.
+func (r *rawMap) count() int {
+	n := r.base + r.whole.added
+	if r.stripes != nil {
+		for i := range r.stripes {
+			n += r.stripes[i].added
+		}
+	}
+	return n
+}
+
+// roots returns the stripes' roots. The caller holds every mutex and the
+// map is striped.
+func (r *rawMap) roots() *[16]*node {
+	var roots [16]*node
+	for i := range r.stripes {
+		roots[i] = r.stripes[i].root
+	}
+	return &roots
+}
+
+// settle makes v the current contents and applies the striping rule to
+// its top node: O(16) whatever the map holds. The caller holds every
+// mutex.
+func (r *rawMap) settle(v version) {
+	r.base = v.count
+	r.whole.added = 0
+	striped := v.trie != nil && v.trie.nodemap == 1<<16-1
+	if striped && r.stripes == nil {
+		// Held from birth, like every other mutex, for unlockAll.
+		r.stripes = new([16]stripe)
+		for i := range r.stripes {
+			r.stripes[i].depth = 1
+			r.stripes[i].mu.Lock()
+		}
+	}
+	if r.stripes != nil {
+		for i := range r.stripes {
+			r.stripes[i].root, r.stripes[i].added = nil, 0
+			if striped {
+				r.stripes[i].root = v.trie.kids[i]
+			}
+		}
+	}
+	r.whole.root = nil
+	if !striped {
+		r.whole.root = v.trie
+	}
+	r.striped.Store(striped)
+}
+
+// set binds key to v, or unbinds it when v is the zero counter, editing
+// nodes of epoch in place. The caller holds st's mutex.
+func (st *stripe) set(epoch uint64, p *placement, key string, v any) {
+	if n, isUint := v.(uint64); isUint && n == 0 {
+		st.unset(epoch, p, key) // canonical zero: see rawPut
+		return
+	}
+	root, added := st.root.put(epoch, p, key, v, st.depth)
+	st.root = root
+	if added {
+		st.added++
+	}
+}
+
+// unset unbinds key. A root left with no entry and no child is an empty
+// stripe. The caller holds st's mutex.
+func (st *stripe) unset(epoch uint64, p *placement, key string) {
+	root, removed := st.root.remove(epoch, p, key, st.depth)
 	if !removed {
 		return
 	}
-	if r.count--; r.count == 0 {
+	st.added--
+	if root.datamap|root.nodemap == 0 {
 		root = nil
 	}
-	r.root = root
+	st.root = root
 }
 
 // Undo implements stm.Undoer: it takes back one write this map logged.
@@ -389,9 +515,9 @@ func (m *Map) Undo(u *stm.Undo) {
 
 // Len returns the raw size (diagnostics/tests only; not transactional).
 func (m *Map) Len() int {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	return m.raw.count
+	m.raw.lockAll()
+	defer m.raw.unlockAll()
+	return m.raw.count()
 }
 
 // GetIn reads key's binding in the version of this map that snap holds,
@@ -402,34 +528,45 @@ func (m *Map) GetIn(snap Snapshot, key string) (any, bool) {
 		return nil, false
 	}
 	p := placeKey(key)
-	return snap.versions[m.id].trie.find(&p, key)
+	return snap.versions[m.id].trie.find(&p, key, 0)
 }
 
 // objectName implements object.
 func (m *Map) objectName() string { return m.name }
 
-// root implements object.
+// root implements object. A striped map's stripes are hashed straight
+// into the top node's preimage, with no top node built.
 func (m *Map) root(h *hasher) (types.Hash, error) {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	return h.mapRoot(m.raw.root)
+	m.raw.lockAll()
+	defer m.raw.unlockAll()
+	if !m.raw.striped.Load() {
+		return h.mapRoot(m.raw.whole.root)
+	}
+	return h.slots(m.raw.roots())
 }
 
 // snapshot implements object: the version is the top node, and bumping the
-// epoch freezes everything under it.
+// epoch freezes everything under it. A striped map's top node is
+// assembled from the stripes.
 func (m *Map) snapshot() version {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
+	m.raw.lockAll()
+	defer m.raw.unlockAll()
+	v := version{trie: m.raw.whole.root, count: m.raw.count()}
+	if m.raw.striped.Load() {
+		v.trie = assemble(m.raw.epoch, m.raw.roots())
+	}
 	m.raw.epoch++
-	return version{trie: m.raw.root, count: m.raw.count}
+	m.raw.settle(v)
+	return v
 }
 
-// restore implements object. The map's epoch is newer than every node v
+// restore implements object: v's top node is split into stripes when the
+// striping rule holds. The map's epoch is newer than every node v
 // reaches, so the first edit of each copies it.
 func (m *Map) restore(v version) {
-	m.raw.mu.Lock()
-	defer m.raw.mu.Unlock()
-	m.raw.root, m.raw.count = v.trie, v.count
+	m.raw.lockAll()
+	defer m.raw.unlockAll()
+	m.raw.settle(v)
 }
 
 // itoa is a tiny helper shared with Array for index keys in diagnostics.

@@ -118,9 +118,16 @@ func (c *Cell) readState(r *codec.Reader) (version, error) {
 // appendState implements object. The trie holds its entries in placement
 // order; the stream wants them by key.
 func (m *Map) appendState(dst []byte) ([]byte, error) {
-	m.raw.mu.Lock()
-	entries := m.raw.root.walk(make([]entry, 0, m.raw.count))
-	m.raw.mu.Unlock()
+	m.raw.lockAll()
+	entries := make([]entry, 0, m.raw.count())
+	if m.raw.striped.Load() {
+		for i := range m.raw.stripes {
+			entries = m.raw.stripes[i].root.walk(entries)
+		}
+	} else {
+		entries = m.raw.whole.root.walk(entries)
+	}
+	m.raw.unlockAll()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	dst = codec.AppendU32(dst, uint32(len(entries)))
 	for _, e := range entries {
@@ -142,7 +149,7 @@ func (m *Map) readState(r *codec.Reader) (version, error) {
 	if err != nil {
 		return version{}, err
 	}
-	var built rawMap
+	var built *node
 	prev := ""
 	for i := 0; i < n; i++ {
 		k, err := r.String()
@@ -162,10 +169,10 @@ func (m *Map) readState(r *codec.Reader) (version, error) {
 			return version{}, fmt.Errorf("%w: key %q binds the zero counter, which is stored as absent", codec.ErrFormat, k)
 		}
 		p := placeKey(k)
-		built.set(&p, k, v)
+		built, _ = built.put(0, &p, k, v, 0)
 		prev = k
 	}
-	return version{trie: built.root, count: built.count}, nil
+	return version{trie: built, count: n}, nil
 }
 
 // appendState implements object.

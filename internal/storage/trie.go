@@ -29,10 +29,16 @@ import (
 //
 // The caches — a node's hash and an entry's leaf hash — are written by
 // the hasher on nodes a snapshot may share, while GetIn reads that
-// snapshot with no lock. That is no race: a cache is written only under
-// the map's raw mutex (Map.root), a snapshot reader reads only an entry's
-// key and value and a node's maps, entries slice and kids, never a
-// cache, and walk, which copies whole entries, runs under the raw mutex.
+// snapshot with no lock. That is no race: a cache is written only with
+// every mutex of the map held (Map.root), a snapshot reader reads only an
+// entry's key and value and a node's maps, entries slice and kids, never
+// a cache, and walk, which copies whole entries, runs with every mutex
+// held too.
+//
+// A large map keeps its trie in 16 stripes (Map), each the subtree of one
+// slot of the top node, at depth 1. assemble builds the ordinary top node
+// from them and hasher.slots hashes them as that node, so versions, the
+// state stream and the commitment never see a stripe.
 
 // placement is a key's path through the trie, one nibble per level.
 type placement [sha256.Size]byte
@@ -103,18 +109,18 @@ func slot(bit uint16) int { return bits.TrailingZeros16(bit) }
 // shape that must be inlined into the parent.
 func (n *node) single() bool { return len(n.entries) == 1 && n.nodemap == 0 }
 
-// find looks key up under n.
-func (n *node) find(p *placement, key string) (any, bool) {
-	if e := n.lookup(p, key); e != nil {
+// find looks key up under n, a node at depth.
+func (n *node) find(p *placement, key string, depth int) (any, bool) {
+	if e := n.lookup(p, key, depth); e != nil {
 		return e.val, true
 	}
 	return nil, false
 }
 
-// lookup returns key's entry under n, or nil when key is unbound. The
-// entry is valid only as long as nothing edits n.
-func (n *node) lookup(p *placement, key string) *entry {
-	for depth := 0; n != nil; depth++ {
+// lookup returns key's entry under n, a node at depth, or nil when key is
+// unbound. The entry is valid only as long as nothing edits n.
+func (n *node) lookup(p *placement, key string, depth int) *entry {
+	for ; n != nil; depth++ {
 		if depth == maxDepth {
 			i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].key >= key })
 			if i < len(n.entries) && n.entries[i].key == key {
@@ -320,6 +326,52 @@ func (n *node) remove(epoch uint64, p *placement, key string, depth int) (*node,
 	return n, true
 }
 
+// assemble returns the top node whose slot s holds roots[s], a subtree at
+// depth 1: nothing when nil, its entry inline when it holds one, a child
+// otherwise. It is nil when every root is. The node is born in epoch.
+func assemble(epoch uint64, roots *[16]*node) *node {
+	var datamap, nodemap uint16
+	inline := 0
+	for s, r := range roots {
+		switch {
+		case r == nil:
+		case r.single():
+			datamap |= 1 << s
+			inline++
+		default:
+			nodemap |= 1 << s
+		}
+	}
+	if datamap|nodemap == 0 {
+		return nil
+	}
+	var n *node
+	if nodemap != 0 {
+		b := &struct {
+			node
+			array [16]*node
+		}{}
+		n = &b.node
+		n.kids = &b.array
+	} else {
+		n = new(node)
+	}
+	n.epoch, n.datamap, n.nodemap = epoch, datamap, nodemap
+	if inline > 0 {
+		n.entries = make([]entry, 0, inline)
+	}
+	for s, r := range roots {
+		switch {
+		case r == nil:
+		case r.single():
+			n.entries = append(n.entries, r.entries[0])
+		default:
+			n.kids[s] = r
+		}
+	}
+	return n
+}
+
 // walk appends every entry under n to dst, in an order that depends only
 // on the contents.
 func (n *node) walk(dst []entry) []entry {
@@ -361,7 +413,7 @@ type hasher struct {
 
 // leaf returns one entry's commitment: the hash of its full key and its
 // tagged value encoding, computed once and cached in the entry. The
-// caller holds the map's raw mutex.
+// caller holds every mutex of the map.
 func (h *hasher) leaf(e *entry) (types.Hash, error) {
 	if e.hash != (types.Hash{}) {
 		return e.hash, nil
@@ -390,6 +442,41 @@ func (h *hasher) mapRoot(n *node) (types.Hash, error) {
 	default:
 		return h.node(n, 0)
 	}
+}
+
+// slots is the commitment of the map whose top node assemble would build
+// from roots, hashed without building it.
+func (h *hasher) slots(roots *[16]*node) (types.Hash, error) {
+	var occupied uint16
+	for s, r := range roots {
+		if r != nil {
+			occupied |= 1 << s
+		}
+	}
+	switch {
+	case occupied == 0:
+		return emptyMapRoot, nil
+	case occupied&(occupied-1) == 0 && roots[slot(occupied)].single():
+		return h.leaf(&roots[slot(occupied)].entries[0])
+	}
+	var stack [3 + 16*types.HashLen]byte
+	b := append(stack[:0], commitNode)
+	b = binary.BigEndian.AppendUint16(b, occupied)
+	for ; occupied != 0; occupied &= occupied - 1 {
+		r := roots[slot(occupied&-occupied)]
+		var sub types.Hash
+		var err error
+		if r.single() {
+			sub, err = h.leaf(&r.entries[0])
+		} else {
+			sub, err = h.node(r, 1)
+		}
+		if err != nil {
+			return types.Hash{}, err
+		}
+		b = append(b, sub[:]...)
+	}
+	return sha256.Sum256(b), nil
 }
 
 // node returns the commitment of a subtree with two or more entries,
