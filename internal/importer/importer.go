@@ -8,12 +8,12 @@
 // header-linkage precheck — everything in validator.Validate that never
 // touches contract.World. It runs concurrently across a bounded window of
 // queued blocks on a worker pool, fed by a prefetcher that amortizes peer
-// round-trips with range fetches (falling back to single-block fetches
-// when a range fetch fails). Phase B is stateful — fork-join replay
-// against world state, WAL append, chain append, receipts — and stays
-// strictly sequential in height order (it is node.ImportPrechecked, the
-// same import core as node.AcceptBlock, which runs Phase A inline for a
-// pushed block).
+// round-trips with range fetches that double from one block up to Batch
+// (falling back to single-block fetches when a range fetch fails). Phase
+// B is stateful — fork-join replay against world state, WAL append, chain
+// append, receipts — and stays strictly sequential in height order (it is
+// node.ImportPrechecked, the same import core as node.AcceptBlock, which
+// runs Phase A inline for a pushed block).
 //
 // Determinism contract: Phase A results complete in arbitrary order, but a
 // reorder buffer hands them to Phase B strictly by height, so the first
@@ -23,8 +23,12 @@
 // stops the prefetcher early; the authoritative linkage verdict is the
 // commit stage's, checked against the live head.
 //
-// This is the one way a follower pulls blocks: cluster.Sync's catch-up and
-// the replica relay's live follow and gap fill are both calls to Run.
+// The worker pool and the reorder buffer are validator.Pipeline, which
+// this package shares with its sibling caller, a restarting node's WAL
+// replay (node.New): Run adds the prefetcher in front and the import
+// stage behind. Run is the one way a follower pulls blocks: cluster.Sync's
+// catch-up and the replica relay's live follow and gap fill are both
+// calls to it.
 package importer
 
 import (
@@ -64,8 +68,9 @@ type Config struct {
 	// it must hold enough prefetched blocks that the commit stage never
 	// waits on a peer round trip, even when Phase A runs on one worker.
 	Window int
-	// Batch is the range-fetch size the prefetcher requests per peer
-	// round-trip (default min(Window, 16)).
+	// Batch caps the range-fetch size: the first range asks for one
+	// block, each next one for twice as many, up to Batch (default
+	// min(Window, 16)).
 	Batch int
 }
 
@@ -74,16 +79,10 @@ func (c Config) withDefaults() Config {
 		c.Workers = 4
 	}
 	if c.Window <= 0 {
-		c.Window = 4 * c.Workers
-		if c.Window < 8 {
-			c.Window = 8
-		}
+		c.Window = validator.DefaultWindow(c.Workers)
 	}
 	if c.Batch <= 0 {
-		c.Batch = c.Window
-		if c.Batch > 16 {
-			c.Batch = 16
-		}
+		c.Batch = min(c.Window, 16)
 	}
 	return c
 }
@@ -104,17 +103,6 @@ func (e *BlockError) Error() string {
 // Unwrap exposes the import error for errors.Is/As.
 func (e *BlockError) Unwrap() error { return e.Err }
 
-// job is one block moving through the pipeline. done is closed by the
-// Phase A worker once pre/preErr are populated; the commit stage receives
-// jobs through a height-ordered channel, so waiting on done before
-// committing is the reorder buffer.
-type job struct {
-	block  chain.Block
-	pre    validator.Prechecked
-	preErr error
-	done   chan struct{}
-}
-
 // Run imports heights [from, to] from src into t through the staged
 // pipeline and returns how many blocks were imported (already-known
 // heights are skipped, not counted, not errors). The first failing height
@@ -127,39 +115,24 @@ func Run(ctx context.Context, t Target, src Source, from, to uint64, cfg Config)
 	}
 	cfg = cfg.withDefaults()
 
-	pctx := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		jobs     = make(chan *job, cfg.Window) // Phase A worker feed
-		ordered  = make(chan *job, cfg.Window) // commit feed, height order
-		fetchErr error                         // set before ordered closes
-	)
-
-	// Prefetcher: walk [from, to] in order, range-fetching Batch blocks per
+	// Producer: walk [from, to] in order, range-fetching blocks per peer
 	// round-trip and degrading to single-block fetches when a range fetch
-	// fails. Every fetched block is sent to ordered (the commit
-	// queue) first and jobs (the worker feed) second; ordered's capacity is
-	// the pipeline's in-flight window.
-	go func() {
-		defer close(jobs)
-		defer close(ordered)
+	// fails. The first range asks for one block and each next one for
+	// twice as many, up to Batch, so Phase A starts on the first block
+	// instead of after a whole range has arrived.
+	prefetch := func(ctx context.Context, emit func(chain.Block) error) error {
 		rangeOK := true
+		size := 1
 		havePrev := false
 		var prev chain.Block
 		h := from
 		for h <= to {
-			if pctx.Err() != nil {
-				fetchErr = context.Cause(pctx)
-				return
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
 			}
 			var batch []chain.Block
 			if rangeOK {
-				want := int(to-h) + 1
-				if want > cfg.Batch {
-					want = cfg.Batch
-				}
+				want := min(int(to-h)+1, size)
 				bs, err := src.Blocks(ctx, h, want)
 				if err != nil || len(bs) == 0 {
 					// The range fetch failed: remember and fall back to
@@ -168,81 +141,55 @@ func Run(ctx context.Context, t Target, src Source, from, to uint64, cfg Config)
 					rangeOK = false
 				} else {
 					batch = bs
+					size = min(2*size, cfg.Batch)
 				}
 			}
 			if batch == nil {
 				b, err := src.Block(ctx, h)
 				if err != nil {
-					fetchErr = err
-					return
+					return err
 				}
 				batch = []chain.Block{b}
 			}
 			for _, b := range batch {
 				if b.Header.Number != h {
-					fetchErr = fmt.Errorf("importer: fetched height %d, want %d", b.Header.Number, h)
-					return
+					return fmt.Errorf("importer: fetched height %d, want %d", b.Header.Number, h)
 				}
 				// Window-internal linkage precheck: a block that does not
 				// extend its predecessor makes every later fetch wasted
-				// work. Enqueue it (the commit stage owns the canonical
+				// work. Emit it (the commit stage owns the canonical
 				// bad-parent verdict against the live head) and stop
 				// prefetching past it.
 				linked := !havePrev || b.Header.ParentHash == prev.Header.Hash()
-				j := &job{block: b, done: make(chan struct{})}
-				select {
-				case ordered <- j:
-				case <-ctx.Done():
-					fetchErr = context.Cause(pctx)
-					return
-				}
-				select {
-				case jobs <- j:
-				case <-ctx.Done():
-					fetchErr = context.Cause(pctx)
-					return
+				if err := emit(b); err != nil {
+					return err
 				}
 				if !linked {
-					return
+					return nil
 				}
 				prev, havePrev = b, true
 				h++
 			}
 		}
-	}()
-
-	// Phase A pool: stateless validation, any order, any parallelism —
-	// "the validator is not required to match the miner's level of
-	// parallelism" (§5). A range shorter than the pool (the relay's
-	// one-block pulls) starts one worker per block.
-	for i := uint64(0); i < uint64(cfg.Workers) && i <= to-from; i++ {
-		go func() {
-			for j := range jobs {
-				j.pre, j.preErr = validator.Precheck(j.block)
-				close(j.done)
-			}
-		}()
+		return nil
 	}
 
-	// Commit stage: strictly sequential in height order. Waiting on each
-	// job's done channel in queue order is the deterministic reducer —
-	// the first error is elected by height, not completion order.
-	for j := range ordered {
-		select {
-		case <-j.done:
-		case <-pctx.Done():
-			return imported, context.Cause(pctx)
-		}
-		ierr := t.ImportPrechecked(j.block, j.pre, j.preErr)
+	// Commit stage: validator.Pipeline hands blocks over strictly by
+	// height, so the first error is elected by height, not by which Phase
+	// A worker finished first.
+	commit := func(b chain.Block, pre validator.Prechecked, preErr error) error {
+		ierr := t.ImportPrechecked(b, pre, preErr)
 		switch {
 		case ierr == nil:
 			imported++
 		case errors.Is(ierr, node.ErrAlreadyKnown):
 			// Imports are idempotent.
 		default:
-			cancel()
-			return imported, &BlockError{Height: j.block.Header.Number, Err: ierr}
+			return &BlockError{Height: b.Header.Number, Err: ierr}
 		}
+		return nil
 	}
-	return imported, fetchErr
+
+	err = validator.Pipeline(ctx, cfg.Workers, cfg.Window, prefetch, commit)
+	return imported, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"contractstm/internal/api/wire"
@@ -75,6 +76,7 @@ type sliceSource struct {
 	noRange     bool
 	rangeCalls  int
 	singleCalls int
+	counts      []int // count asked of each range fetch
 }
 
 func (s *sliceSource) Block(_ context.Context, h uint64) (chain.Block, error) {
@@ -87,6 +89,7 @@ func (s *sliceSource) Block(_ context.Context, h uint64) (chain.Block, error) {
 
 func (s *sliceSource) Blocks(_ context.Context, from uint64, count int) ([]chain.Block, error) {
 	s.rangeCalls++
+	s.counts = append(s.counts, count)
 	if s.noRange {
 		return nil, errors.New("source: range unsupported")
 	}
@@ -154,6 +157,32 @@ func TestStagedMatchesSerialClean(t *testing.T) {
 					t.Fatalf("heads diverged: serial %s, staged %s", sh.Hash().Short(), ph.Hash().Short())
 				}
 			})
+		}
+	}
+}
+
+// TestPrefetchRampsUpToBatch: the first range fetch asks for one block
+// and each next one for twice as many, capped by Batch and by what is
+// left of the range, so Phase A starts on the first block instead of
+// after a whole batch has arrived.
+func TestPrefetchRampsUpToBatch(t *testing.T) {
+	const blocks, blockSize = 50, 2
+	chainBlocks := mineChain(t, engine.KindSerial, blocks, blockSize)
+	for _, tc := range []struct {
+		batch int
+		want  []int
+	}{
+		{0, []int{1, 2, 4, 8, 16, 16, 3}}, // default: min(Window, 16)
+		{5, []int{1, 2, 4, 5, 5, 5, 5, 5, 5, 5, 5, 3}},
+	} {
+		follower, _ := newNode(t, engine.KindSerial, blocks*blockSize)
+		src := &sliceSource{blocks: chainBlocks}
+		n, err := importer.Run(context.Background(), follower, src, 1, blocks, importer.Config{Batch: tc.batch})
+		if err != nil || n != blocks {
+			t.Fatalf("batch %d: Run = %d, %v", tc.batch, n, err)
+		}
+		if !slices.Equal(src.counts, tc.want) {
+			t.Fatalf("batch %d: range fetches asked for %v, want %v", tc.batch, src.counts, tc.want)
 		}
 	}
 }

@@ -212,7 +212,10 @@ func TestCommitmentTamperedBlockRejectedOnEveryPath(t *testing.T) {
 			}
 			log, err := persist.Open(dir, persist.Options{})
 			if err == nil {
-				err = log.Blocks(1, func(chain.Block) error { return nil })
+				var tail persist.Tail
+				if tail, err = log.Scan(1, func(chain.Block) error { return nil }); err == nil {
+					err = log.Resume(tail)
+				}
 			}
 			if err == nil {
 				err = log.Append(forged) // framed under a valid CRC

@@ -51,7 +51,7 @@ func (n *Node) AcceptBlock(b chain.Block) error {
 // mislinked block is answered before preErr is; then fork-join replay and
 // the crash rules — the same core AcceptBlock runs.
 func (n *Node) ImportPrechecked(b chain.Block, pre validator.Prechecked, preErr error) error {
-	return n.acceptBlock(b, func(chain.Block) (validator.Prechecked, error) { return pre, preErr })
+	return n.acceptBlock(b, ready(pre, preErr))
 }
 
 // acceptBlock is the one import core, behind AcceptBlock (a pushed block,
@@ -112,9 +112,15 @@ func (n *Node) importEntry(b chain.Block, pc precheck) (*inflightEntry, error) {
 
 // precheck yields the outputs of validation's stateless phase for a
 // block: validator.Precheck itself where the phase runs inline (a pushed
-// block, WAL recovery), or the result the staged pipeline computed ahead
-// of time.
+// block), or the result the staged pipeline computed ahead of time (a
+// pulled block, WAL recovery).
 type precheck func(chain.Block) (validator.Prechecked, error)
+
+// ready is the precheck whose outputs the staged pipeline computed ahead
+// of time.
+func ready(pre validator.Prechecked, preErr error) precheck {
+	return func(chain.Block) (validator.Prechecked, error) { return pre, preErr }
+}
 
 // validateEntry is the execute stage for a block somebody else sealed: a
 // peer's (imported) or this node's previous life's (recovered) — the

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"fmt"
 
 	"contractstm/internal/chain"
@@ -54,11 +55,25 @@ func (n *Node) openDurable(cfg Config, genesisRoot types.Hash) error {
 
 	// Replay the WAL tail through the full validation path: recovery
 	// re-verifies every published schedule, so corrupt-but-well-framed
-	// records cannot smuggle state in. Each replayed block counts against
-	// the snapshot cadence at its seal, so the cadence resumes where the
-	// previous run left it.
+	// records cannot smuggle state in. The replay is the staged pipeline
+	// a follower's pull runs: the WAL is read and blocks h+1… prechecked
+	// on the node's workers while block h replays, and the first error is
+	// elected by height. Only once every block is in does Resume touch
+	// the disk (truncate a torn tail, open the append cursor), so a
+	// failed recovery changes no file. Each replayed block counts
+	// against the snapshot cadence at its seal, so the cadence resumes
+	// where the previous run left it.
 	from := n.chain.Head().Header.Number + 1
-	if err := log.Blocks(from, n.replayBlock); err != nil {
+	var tail persist.Tail
+	read := func(_ context.Context, emit func(chain.Block) error) (err error) {
+		tail, err = log.Scan(from, emit)
+		return err
+	}
+	err = validator.Pipeline(context.TODO(), n.workers, validator.DefaultWindow(n.workers), read, n.replayBlock)
+	if err == nil {
+		err = log.Resume(tail)
+	}
+	if err != nil {
 		return fmt.Errorf("node: recover: %w", err)
 	}
 
@@ -101,18 +116,19 @@ func (n *Node) restoreCheckpoint(s persist.Snapshot) error {
 	return nil
 }
 
-// replayBlock takes one recovered block through the lifecycle: validated
-// like a peer's block, sealed, and — the WAL already holding it — given
-// its verdict on the spot, so its receipts are queryable from the moment
-// the node comes back up. Only New calls it, before the node is shared,
-// so it takes neither a window slot nor a lock.
-func (n *Node) replayBlock(b chain.Block) error {
-	e, err := n.validateEntry(b, validator.Precheck, recovered)
+// replayBlock is recovery's Phase B for one block whose Phase A already
+// ran: validated like a peer's block, sealed, and — the WAL already
+// holding it — given its verdict on the spot, so its receipts are
+// queryable from the moment the node comes back up. Only New calls it,
+// before the node is shared, so it takes neither a window slot nor a
+// lock.
+func (n *Node) replayBlock(b chain.Block, pre validator.Prechecked, preErr error) error {
+	e, err := n.validateEntry(b, ready(pre, preErr), recovered)
 	if err == nil {
 		err = n.seal(e)
 	}
 	if err != nil {
-		return err
+		return &persist.ReplayError{Height: b.Header.Number, Err: err}
 	}
 	n.verdict(e)
 	return nil

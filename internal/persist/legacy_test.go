@@ -66,7 +66,7 @@ func TestGobEraDataRefused(t *testing.T) {
 			t.Fatalf("open: %v", err)
 		}
 		defer l.Close()
-		err = l.Blocks(1, func(chain.Block) error {
+		err = replay(l, 1, func(chain.Block) error {
 			t.Fatal("a gob-era record replayed")
 			return nil
 		})
@@ -229,7 +229,7 @@ func TestPreTrieDataRefused(t *testing.T) {
 	if !errors.Is(err, codec.ErrFormat) || !strings.Contains(err.Error(), "layout version 2, want 3") {
 		t.Fatalf("layout-2 checkpoint: got %v, want a version error", err)
 	}
-	err = l.Blocks(1, func(chain.Block) error {
+	err = replay(l, 1, func(chain.Block) error {
 		t.Fatal("a layout-1 block replayed")
 		return nil
 	})

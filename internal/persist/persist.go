@@ -151,8 +151,8 @@ type Log struct {
 	// height is the last durable block height (snapshot height when the
 	// WAL holds nothing newer).
 	height uint64
-	// replayed flips when Blocks has scanned the WAL tail; appends before
-	// that would fork the log.
+	// replayed flips when Resume has finished the WAL's replay; appends
+	// before that would fork the log.
 	replayed bool
 	// latest is the newest valid snapshot, kept in memory so /snapshot
 	// serving and recovery never re-read the file; latestWire is its
@@ -255,9 +255,9 @@ func acquireDirLock(dir string) (*os.File, error) {
 }
 
 // Open opens (creating if needed) the data directory and loads snapshot
-// metadata. It does not replay the WAL: call Blocks to stream the tail
-// through recovery — appends are refused until that happened, except on a
-// directory with no WAL at all.
+// metadata. It does not replay the WAL: call Scan to stream the tail
+// through recovery, then Resume — appends are refused until that
+// happened, except on a directory with no WAL at all.
 func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: open %s: %w", dir, err)
@@ -287,7 +287,8 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, err
 	}
 	if len(segs) == 0 {
-		// Nothing to replay; Blocks is still fine to call (a no-op).
+		// Nothing to replay; Scan and Resume are still fine to call
+		// (no-ops).
 		l.replayed = true
 	}
 	return l, nil
@@ -346,21 +347,51 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// Blocks streams every WAL block with height >= from, in height order,
-// through fn, then positions the append cursor at the log tail. A torn or
-// invalid record in the final segment truncates the file there (the
-// standard WAL contract: an interrupted append loses only itself); the
-// same damage in a non-final segment is ErrCorrupt, because blocks behind
-// the hole would be unreachable. fn returning an error aborts the scan.
+// ReplayError reports a block that the consumer of a WAL scan refused.
+type ReplayError struct {
+	Height uint64
+	Err    error
+}
+
+// Error implements error.
+func (e *ReplayError) Error() string {
+	return fmt.Sprintf("persist: replay height %d: %v", e.Height, e.Err)
+}
+
+// Unwrap exposes the consumer's error for errors.Is/As.
+func (e *ReplayError) Unwrap() error { return e.Err }
+
+// Tail is where Scan found the end of the WAL; Resume acts on it.
+type Tail struct {
+	// last is the final segment; its path is empty if there is none.
+	last segment
+	// torn is set when the final segment ends in a torn record, which
+	// starts at offset cut.
+	torn bool
+	cut  int64
+	// height is the last height scanned; zero if none was.
+	height uint64
+}
+
+// Scan streams every WAL block with height >= from, in height order,
+// through fn, and changes nothing: not the files, not the log. fn
+// returning an error aborts the scan with a *ReplayError. A torn or
+// invalid record in the final segment ends the scan there (the standard
+// WAL contract: an interrupted append loses only itself) and is left for
+// Resume to truncate; the same damage in a non-final segment is
+// ErrCorrupt, because blocks behind the hole would be unreachable.
 //
-// Blocks must be called exactly once, before the first Append.
-func (l *Log) Blocks(from uint64, fn func(chain.Block) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// Because it has no side effect, Scan may run ahead of whatever consumes
+// its blocks: a consumer that refuses a block after the scan has reached
+// a torn tail leaves the directory as it found it, as long as Resume is
+// not called. Scan takes no lock. Call it once, before Resume and before
+// the first Append.
+func (l *Log) Scan(from uint64, fn func(chain.Block) error) (Tail, error) {
 	segs, err := listSegments(l.dir)
 	if err != nil {
-		return err
+		return Tail{}, err
 	}
+	var tail Tail
 	next := from
 	for i, seg := range segs {
 		last := i == len(segs)-1
@@ -371,39 +402,55 @@ func (l *Log) Blocks(from uint64, fn func(chain.Block) error) error {
 		}
 		end, torn, err := l.replaySegment(seg, from, &next, fn)
 		if err != nil {
-			return err
+			return Tail{}, err
 		}
-		if torn {
-			if !last {
-				return fmt.Errorf("%w: bad record in %s with later segments present", ErrCorrupt, seg.path)
-			}
-			if err := os.Truncate(seg.path, end); err != nil {
-				return fmt.Errorf("persist: truncate torn tail of %s: %w", seg.path, err)
-			}
+		if torn && !last {
+			return Tail{}, fmt.Errorf("%w: bad record in %s with later segments present", ErrCorrupt, seg.path)
 		}
+		tail.torn, tail.cut = torn, end
+	}
+	if len(segs) > 0 {
+		tail.last = segs[len(segs)-1]
 	}
 	if next > from {
-		l.height = next - 1
+		tail.height = next - 1
+	}
+	return tail, nil
+}
+
+// Resume finishes a replay once every block Scan streamed has been
+// accepted: it truncates the torn record Scan found, if any, and
+// positions the append cursor at the log tail. Appends are refused until
+// it has run.
+func (l *Log) Resume(t Tail) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if t.torn {
+		if err := os.Truncate(t.last.path, t.cut); err != nil {
+			return fmt.Errorf("persist: truncate torn tail of %s: %w", t.last.path, err)
+		}
+	}
+	if t.height > 0 {
+		l.height = t.height
 	}
 	// Position the append cursor: reopen the last segment if it still has
 	// records; an emptied (fully truncated) segment is removed so the next
 	// append names a fresh one.
-	if len(segs) > 0 {
-		lastSeg := segs[len(segs)-1]
-		info, err := os.Stat(lastSeg.path)
+	if t.last.path != "" {
+		info, err := os.Stat(t.last.path)
 		switch {
 		case err != nil:
-			return fmt.Errorf("persist: stat %s: %w", lastSeg.path, err)
+			return fmt.Errorf("persist: stat %s: %w", t.last.path, err)
 		case info.Size() == 0:
-			if err := os.Remove(lastSeg.path); err != nil {
+			if err := os.Remove(t.last.path); err != nil {
 				return fmt.Errorf("persist: remove empty segment: %w", err)
 			}
 		default:
-			f, err := os.OpenFile(lastSeg.path, os.O_WRONLY|os.O_APPEND, 0o644)
+			f, err := os.OpenFile(t.last.path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("persist: reopen segment: %w", err)
 			}
-			l.seg, l.segStart = f, lastSeg.start
+			l.seg, l.segStart = f, t.last.start
 		}
 	}
 	l.replayed = true
@@ -468,7 +515,7 @@ func (l *Log) replaySegment(seg segment, from uint64, next *uint64, fn func(chai
 					ErrCorrupt, seg.path, b.Header.Number, *next)
 			}
 			if err := fn(b); err != nil {
-				return 0, false, fmt.Errorf("persist: replay height %d: %w", b.Header.Number, err)
+				return 0, false, &ReplayError{Height: b.Header.Number, Err: err}
 			}
 			*next = b.Header.Number + 1
 		}

@@ -55,6 +55,16 @@ func makeBlocks(t *testing.T, n, perBlock int) ([]chain.Block, []Snapshot) {
 	return blocks, snaps
 }
 
+// replay is a whole WAL recovery with nothing overlapped: Scan through
+// fn, then Resume.
+func replay(l *Log, from uint64, fn func(chain.Block) error) error {
+	tail, err := l.Scan(from, fn)
+	if err != nil {
+		return err
+	}
+	return l.Resume(tail)
+}
+
 // openReplay opens dir and replays everything, returning the recovered
 // blocks.
 func openReplay(t *testing.T, dir string, opts Options, from uint64) (*Log, []chain.Block) {
@@ -64,7 +74,7 @@ func openReplay(t *testing.T, dir string, opts Options, from uint64) (*Log, []ch
 		t.Fatalf("open: %v", err)
 	}
 	var got []chain.Block
-	if err := l.Blocks(from, func(b chain.Block) error {
+	if err := replay(l, from, func(b chain.Block) error {
 		got = append(got, b)
 		return nil
 	}); err != nil {
@@ -163,6 +173,27 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatalf("truncate: %v", err)
 	}
 
+	// Scan alone reads past the torn record and leaves it on disk: only
+	// Resume cuts it, so a consumer that refuses an earlier block after
+	// the scan has reached the tail leaves the file as it was.
+	ls, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	scanned := 0
+	if _, err := ls.Scan(1, func(chain.Block) error { scanned++; return nil }); err != nil || scanned != len(blocks)-1 {
+		t.Fatalf("scan = %d blocks, %v; want %d", scanned, err, len(blocks)-1)
+	}
+	if after, _ := os.Stat(segs[0].path); after.Size() != info.Size()-7 {
+		t.Fatalf("scan changed the segment: %d bytes, want %d", after.Size(), info.Size()-7)
+	}
+	if err := ls.Append(blocks[len(blocks)-1]); !errors.Is(err, ErrNotReplayed) {
+		t.Fatalf("append after scan, before resume: %v, want ErrNotReplayed", err)
+	}
+	if err := ls.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
 	l2, got := openReplay(t, dir, Options{}, 1)
 	if len(got) != len(blocks)-1 {
 		t.Fatalf("recovered %d blocks, want %d (torn tail dropped)", len(got), len(blocks)-1)
@@ -228,7 +259,7 @@ func TestWALCorruptMidSegmentRefuses(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer l2.Close()
-	if err := l2.Blocks(1, func(chain.Block) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if err := replay(l2, 1, func(chain.Block) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-segment corruption: %v, want ErrCorrupt (records behind the damage)", err)
 	}
 }
@@ -287,7 +318,7 @@ func TestSnapshotRoundTripAndRecoveryCut(t *testing.T) {
 	}
 	// Recovery replays only the tail after the snapshot.
 	var got []chain.Block
-	if err := l2.Blocks(s.Height()+1, func(b chain.Block) error {
+	if err := replay(l2, s.Height()+1, func(b chain.Block) error {
 		got = append(got, b)
 		return nil
 	}); err != nil {
@@ -430,7 +461,7 @@ func TestAllSnapshotsCorruptRefusesWithoutDestroying(t *testing.T) {
 		t.Fatalf("genesis snapshot: %v", err)
 	}
 	segsBefore, _ := listSegments(dir)
-	if err := l2.Blocks(1, func(chain.Block) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if err := replay(l2, 1, func(chain.Block) error { return nil }); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("recovery over the pruned gap: %v, want ErrCorrupt", err)
 	}
 	segsAfter, _ := listSegments(dir)
