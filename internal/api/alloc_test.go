@@ -26,7 +26,7 @@ func TestPublishAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
-	ev := wire.Event{Block: wire.BlockInfoOf(res.Block), Receipts: wire.ReceiptsOf(res.Block, res.TxIDs)}
+	rec := wire.RecordOf(res.Block, res.TxIDs)
 
 	broker := NewBroker()
 	subs := make([]*Subscription, 256)
@@ -35,7 +35,7 @@ func TestPublishAllocCeiling(t *testing.T) {
 		defer subs[i].Close()
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		broker.Publish(ev)
+		broker.Publish(rec)
 		for _, s := range subs {
 			<-s.C
 		}

@@ -2,13 +2,27 @@ package api
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"contractstm/internal/api/wire"
+	"contractstm/internal/contract"
+	"contractstm/internal/gas"
 	"contractstm/internal/types"
 )
 
 func id(i int) types.Hash { return types.HashString(fmt.Sprintf("tx-%d", i)) }
+
+// blockOf is a durable block record of the given transactions, each
+// committed with the given gas, in call order.
+func blockOf(height uint64, gasUsed uint64, ids ...types.Hash) *wire.BlockRecord {
+	b := &wire.BlockRecord{Number: height, IDs: ids, SchedPos: make([]int32, len(ids))}
+	for i := range ids {
+		b.Receipts = append(b.Receipts, contract.Receipt{Tx: types.TxID(i), GasUsed: gas.Gas(gasUsed)})
+		b.SchedPos[i] = int32(i)
+	}
+	return b
+}
 
 func TestReceiptStorePendingThenRecord(t *testing.T) {
 	s := NewReceiptStore(8)
@@ -20,9 +34,9 @@ func TestReceiptStorePendingThenRecord(t *testing.T) {
 	if rec.TxIndex != -1 || rec.ScheduleIndex != -1 {
 		t.Fatalf("pending marker carries block coordinates: %+v", rec)
 	}
-	s.Record(id(1), wire.TxReceipt{ID: id(1).String(), Status: wire.StatusCommitted, GasUsed: 9, BlockHeight: 3})
+	s.RecordBlock(blockOf(3, 9, id(1)))
 	rec, _ = s.Get(id(1))
-	if rec.Status != wire.StatusCommitted || rec.GasUsed != 9 {
+	if rec.Status != wire.StatusCommitted || rec.GasUsed != 9 || rec.BlockHeight != 3 {
 		t.Fatalf("recorded receipt = %+v", rec)
 	}
 	// A resubmission of identical bytes must not mask the recorded
@@ -40,7 +54,7 @@ func TestReceiptStoreBounded(t *testing.T) {
 	const cap = 16
 	s := NewReceiptStore(cap)
 	for i := 0; i < 5*cap; i++ {
-		s.Record(id(i), wire.TxReceipt{ID: id(i).String(), Status: wire.StatusCommitted})
+		s.RecordBlock(blockOf(uint64(i+1), 1, id(i)))
 	}
 	if s.Len() != cap {
 		t.Fatalf("len = %d, want %d", s.Len(), cap)
@@ -59,7 +73,7 @@ func TestBrokerDeliversInOrder(t *testing.T) {
 	sub := b.Subscribe(4)
 	defer sub.Close()
 	for i := 0; i < 3; i++ {
-		b.Publish(wire.Event{Block: wire.BlockInfo{Number: uint64(i + 1)}})
+		b.Publish(&wire.BlockRecord{Number: uint64(i + 1)})
 	}
 	for i := 0; i < 3; i++ {
 		ev := <-sub.C
@@ -77,9 +91,9 @@ func TestBrokerDropsSlowSubscriber(t *testing.T) {
 	fast := b.Subscribe(16)
 	defer fast.Close()
 	// First fills slow's buffer; second overflows it → dropped.
-	b.Publish(wire.Event{})
-	b.Publish(wire.Event{})
-	b.Publish(wire.Event{})
+	b.Publish(&wire.BlockRecord{})
+	b.Publish(&wire.BlockRecord{})
+	b.Publish(&wire.BlockRecord{})
 	if b.Subscribers() != 1 {
 		t.Fatalf("subscribers = %d, want 1 (slow dropped)", b.Subscribers())
 	}
@@ -99,5 +113,84 @@ func TestBrokerDropsSlowSubscriber(t *testing.T) {
 	}
 	// Closing twice is fine; publishing after close doesn't panic.
 	slow.Close()
-	b.Publish(wire.Event{})
+	b.Publish(&wire.BlockRecord{})
+}
+
+// TestReceiptStoreAndBrokerShareRecords runs the verdict's writer — one
+// block record into the store and the broker, evicting older blocks —
+// beside submitters marking pending and evicted, GET-style readers
+// rendering whatever the store points at, a reconnecting reader
+// rendering the replay ring, and a live subscriber rendering every
+// event: under -race, any write to a shared record shows.
+func TestReceiptStoreAndBrokerShareRecords(t *testing.T) {
+	const blocks, size = 200, 20
+	store, broker := NewReceiptStore(3*size), NewBrokerRetaining(4)
+	recs := make([]*wire.BlockRecord, blocks)
+	for b := range recs {
+		ids := make([]types.Hash, size)
+		for i := range ids {
+			ids[i] = id(b*size + i)
+		}
+		recs[b] = blockOf(uint64(b+1), uint64(b), ids...)
+	}
+	sub := broker.Subscribe(blocks)
+	defer sub.Close()
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+					f(i)
+				}
+			}
+		}()
+	}
+	var buf []byte
+	run(func(i int) {
+		store.MarkPending(id(i % (blocks * size)))
+		store.MarkEvicted(id((7 * i) % (blocks * size)))
+	})
+	run(func(i int) {
+		if ref, ok := store.Lookup(id(i % (blocks * size))); ok {
+			buf = ref.AppendJSON(buf[:0])
+		}
+	})
+	var replayBuf []byte
+	run(func(i int) {
+		evs, _ := broker.Replay(uint64(i % blocks))
+		for _, ev := range evs {
+			replayBuf, _ = wire.AppendEvent(replayBuf[:0], ev.Seq, ev.Block, 0, nil)
+		}
+	})
+	rendered := make(chan int)
+	go func() {
+		n := 0
+		var frame []byte
+		for ev := range sub.C {
+			frame, _ = wire.AppendEvent(frame[:0], ev.Seq, ev.Block, 0, nil)
+			if n++; n == blocks {
+				break
+			}
+		}
+		rendered <- n
+	}()
+	for _, rec := range recs {
+		store.RecordBlock(rec)
+		broker.Publish(rec)
+	}
+	if n := <-rendered; n != blocks {
+		t.Fatalf("subscriber rendered %d events, want %d", n, blocks)
+	}
+	close(done)
+	wg.Wait()
+	if store.Len() != 3*size {
+		t.Fatalf("store holds %d entries, want %d", store.Len(), 3*size)
+	}
 }

@@ -28,18 +28,28 @@ type Broker struct {
 	subs map[*Subscription]struct{}
 	// ring holds the last retain published events, oldest first, for
 	// reconnect replay. Sequence numbers are dense: ring[i].Seq ==
-	// next - len(ring) + i.
-	ring   []wire.Event
+	// next - len(ring) + i. It holds block records, which the receipt
+	// store shares: nothing rendered is retained.
+	ring   []Event
 	retain int
 	// dropped counts subscriptions terminated for falling behind.
 	dropped atomic.Int64
 }
 
+// Event is one published durable block: the block's record and the
+// sequence number the broker gave it. The record is shared by every
+// subscriber and must not be modified; the SSE writer renders it
+// (wire.AppendEvent).
+type Event struct {
+	Seq   uint64
+	Block *wire.BlockRecord
+}
+
 // Subscription is one subscriber's event feed. C is closed when the
 // subscriber is dropped (buffer overflow) or Close is called.
 type Subscription struct {
-	C      <-chan wire.Event
-	ch     chan wire.Event
+	C      <-chan Event
+	ch     chan Event
 	broker *Broker
 	once   sync.Once
 }
@@ -70,7 +80,7 @@ func (b *Broker) Subscribe(buffer int) *Subscription {
 	if buffer <= 0 {
 		buffer = DefaultSubscriberBuffer
 	}
-	s := &Subscription{broker: b, ch: make(chan wire.Event, buffer)}
+	s := &Subscription{broker: b, ch: make(chan Event, buffer)}
 	s.C = s.ch
 	b.mu.Lock()
 	b.subs[s] = struct{}{}
@@ -85,11 +95,12 @@ func (b *Broker) remove(s *Subscription) {
 	b.mu.Unlock()
 }
 
-// Publish assigns ev the next sequence number and delivers it to every
-// subscriber that has room, dropping those that do not. It never blocks.
-func (b *Broker) Publish(ev wire.Event) {
+// Publish gives a durable block's record the next sequence number and
+// delivers it to every subscriber that has room, dropping those that do
+// not. It never blocks.
+func (b *Broker) Publish(rec *wire.BlockRecord) {
 	b.mu.Lock()
-	ev.Seq = b.next
+	ev := Event{Seq: b.next, Block: rec}
 	b.next++
 	if b.retain > 0 {
 		if len(b.ring) == b.retain {
@@ -124,7 +135,7 @@ func (b *Broker) Publish(ev wire.Event) {
 // yet (a stale id from another node, or another epoch of this one)
 // reports incomplete with no events: the caller should signal a reset
 // rather than silently skip. The returned slice is the caller's own.
-func (b *Broker) Replay(afterSeq uint64) ([]wire.Event, bool) {
+func (b *Broker) Replay(afterSeq uint64) ([]Event, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if afterSeq+1 > b.next {
@@ -135,12 +146,12 @@ func (b *Broker) Replay(afterSeq uint64) ([]wire.Event, bool) {
 	}
 	oldest := b.next - uint64(len(b.ring))
 	if afterSeq+1 < oldest {
-		out := make([]wire.Event, len(b.ring))
+		out := make([]Event, len(b.ring))
 		copy(out, b.ring)
 		return out, false
 	}
 	tail := b.ring[afterSeq+1-oldest:]
-	out := make([]wire.Event, len(tail))
+	out := make([]Event, len(tail))
 	copy(out, tail)
 	return out, true
 }

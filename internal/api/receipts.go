@@ -1,7 +1,7 @@
 package api
 
 import (
-	"container/list"
+	"hash/maphash"
 	"sync"
 
 	"contractstm/internal/types"
@@ -15,8 +15,10 @@ const DefaultReceiptCapacity = 4096
 
 // ReceiptStore is the bounded receipt index behind GET /v1/tx/{id}: a
 // map from content-derived transaction ID to the transaction's current
-// lifecycle state (pending, or a full receipt once its block is
-// durable), evicting least-recently-written entries past the capacity.
+// lifecycle state — pending, evicted, or a reference into the durable
+// block record holding its receipt — evicting least-recently-written
+// entries past the capacity. An entry is a fixed-size slot; nothing is
+// rendered until a client reads it.
 //
 // The store never decides durability — callers record receipts only for
 // blocks the persistence layer has acknowledged (the node's crash rule),
@@ -24,16 +26,25 @@ const DefaultReceiptCapacity = 4096
 type ReceiptStore struct {
 	mu  sync.Mutex
 	cap int
-	// entries maps tx ID to its list element; the list is LRU order,
-	// front = most recently written.
-	entries map[types.Hash]*list.Element
-	lru     *list.List
+	// slots hold the tracked transactions and form a doubly linked list
+	// in write order, head = most recently written; once cap slots exist,
+	// a new ID takes over the tail's.
+	slots      []receiptSlot
+	head, tail int32
+	// table indexes the slots by ID: open addressing with linear probing
+	// over 1 + slot number (0 = empty), at least twice the capacity so
+	// probe runs stay short. A fixed 4 B per position, where a Go map
+	// keyed by the 32-byte ID holds 80–160 B per entry. Positions come
+	// from a hash seeded per store, so IDs a client grinds cannot pile
+	// up in one run.
+	table []int32
+	seed  maphash.Seed
 }
 
-// receiptEntry is one tracked transaction.
-type receiptEntry struct {
-	id types.Hash
-	r  wire.TxReceipt
+// receiptSlot is one tracked transaction and its list links (-1 ends).
+type receiptSlot struct {
+	ref        wire.ReceiptRef
+	prev, next int32
 }
 
 // NewReceiptStore returns a store bounded to capacity entries
@@ -42,11 +53,11 @@ func NewReceiptStore(capacity int) *ReceiptStore {
 	if capacity <= 0 {
 		capacity = DefaultReceiptCapacity
 	}
-	return &ReceiptStore{
-		cap:     capacity,
-		entries: make(map[types.Hash]*list.Element),
-		lru:     list.New(),
+	size := 2
+	for size < 2*capacity {
+		size *= 2
 	}
+	return &ReceiptStore{cap: capacity, head: -1, tail: -1, table: make([]int32, size), seed: maphash.MakeSeed()}
 }
 
 // MarkPending records a submitted-but-not-yet-durable transaction, so a
@@ -56,54 +67,143 @@ func NewReceiptStore(capacity int) *ReceiptStore {
 func (s *ReceiptStore) MarkPending(id types.Hash) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[id]; ok {
-		if el.Value.(*receiptEntry).r.Status == wire.StatusPending {
-			s.lru.MoveToFront(el)
+	if _, i := s.find(id); i >= 0 {
+		if ref := &s.slots[i].ref; ref.Block == nil && !ref.Evicted {
+			s.toFront(i)
 		}
 		return
 	}
-	s.put(id, wire.TxReceipt{ID: id.String(), Status: wire.StatusPending, TxIndex: -1, ScheduleIndex: -1})
+	s.put(wire.ReceiptRef{ID: id})
 }
 
-// Record stores a durable receipt, overwriting any pending marker (or a
-// previous execution of byte-identical calls).
-func (s *ReceiptStore) Record(id types.Hash, r wire.TxReceipt) {
+// MarkEvicted records that a transaction was dropped from the mempool
+// before it executed, overwriting its pending marker.
+func (s *ReceiptStore) MarkEvicted(id types.Hash) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[id]; ok {
-		el.Value.(*receiptEntry).r = r
-		s.lru.MoveToFront(el)
+	s.put(wire.ReceiptRef{ID: id, Evicted: true})
+}
+
+// RecordBlock stores the receipts of a durable block, in call order,
+// each overwriting any pending marker (or a previous execution of
+// byte-identical calls — the later call in one block wins).
+func (s *ReceiptStore) RecordBlock(b *wire.BlockRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range b.IDs {
+		s.put(b.Ref(i))
+	}
+}
+
+// put writes ref under its ID as the most recently written entry,
+// taking over the least recently written slot once the store is full.
+// Caller holds s.mu.
+func (s *ReceiptStore) put(ref wire.ReceiptRef) {
+	pos, i := s.find(ref.ID)
+	switch {
+	case i >= 0:
+		s.toFront(i)
+	case len(s.slots) < s.cap:
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, receiptSlot{prev: -1, next: -1})
+		s.link(i)
+		s.table[pos] = i + 1
+	default:
+		i = s.tail
+		old, _ := s.find(s.slots[i].ref.ID)
+		s.unindex(old)
+		// The removal may have shifted the run ref.ID probes.
+		pos, _ = s.find(ref.ID)
+		s.table[pos] = i + 1
+		s.toFront(i)
+	}
+	s.slots[i].ref = ref
+}
+
+// home is id's first table position.
+func (s *ReceiptStore) home(id types.Hash) int {
+	return int(maphash.Bytes(s.seed, id[:]) & uint64(len(s.table)-1))
+}
+
+// find returns the table position holding id and its slot, or the empty
+// position that ends id's probe run and -1. Caller holds s.mu.
+func (s *ReceiptStore) find(id types.Hash) (pos int, slot int32) {
+	mask := len(s.table) - 1
+	for pos = s.home(id); ; pos = (pos + 1) & mask {
+		v := s.table[pos]
+		if v == 0 {
+			return pos, -1
+		}
+		if s.slots[v-1].ref.ID == id {
+			return pos, v - 1
+		}
+	}
+}
+
+// unindex empties table position pos and closes the gap behind it: an
+// entry later in the run whose probe started at or before pos moves
+// back into it, so every run stays unbroken. Caller holds s.mu.
+func (s *ReceiptStore) unindex(pos int) {
+	mask := len(s.table) - 1
+	for q := (pos + 1) & mask; s.table[q] != 0; q = (q + 1) & mask {
+		if h := s.home(s.slots[s.table[q]-1].ref.ID); (q-h)&mask >= (q-pos)&mask {
+			s.table[pos] = s.table[q]
+			pos = q
+		}
+	}
+	s.table[pos] = 0
+}
+
+// toFront moves slot i to the head of the write order. Caller holds s.mu.
+func (s *ReceiptStore) toFront(i int32) {
+	if s.head == i {
 		return
 	}
-	s.put(id, r)
-}
-
-// put inserts a fresh entry, evicting the oldest past capacity. Caller
-// holds s.mu.
-func (s *ReceiptStore) put(id types.Hash, r wire.TxReceipt) {
-	s.entries[id] = s.lru.PushFront(&receiptEntry{id: id, r: r})
-	for s.lru.Len() > s.cap {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*receiptEntry).id)
+	sl := &s.slots[i]
+	s.slots[sl.prev].next = sl.next
+	if sl.next >= 0 {
+		s.slots[sl.next].prev = sl.prev
+	} else {
+		s.tail = sl.prev
 	}
+	s.link(i)
 }
 
-// Get returns the transaction's current receipt (possibly a pending
-// marker) and whether the store knows the ID at all.
-func (s *ReceiptStore) Get(id types.Hash) (wire.TxReceipt, bool) {
+// link makes the detached slot i the head. Caller holds s.mu.
+func (s *ReceiptStore) link(i int32) {
+	s.slots[i].prev, s.slots[i].next = -1, s.head
+	if s.head >= 0 {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// Lookup returns the transaction's receipt reference (possibly a pending
+// or evicted marker) and whether the store knows the ID at all.
+func (s *ReceiptStore) Lookup(id types.Hash) (wire.ReceiptRef, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[id]
+	if _, i := s.find(id); i >= 0 {
+		return s.slots[i].ref, true
+	}
+	return wire.ReceiptRef{}, false
+}
+
+// Get returns the transaction's current receipt as its DTO (possibly a
+// pending marker) and whether the store knows the ID at all.
+func (s *ReceiptStore) Get(id types.Hash) (wire.TxReceipt, bool) {
+	ref, ok := s.Lookup(id)
 	if !ok {
 		return wire.TxReceipt{}, false
 	}
-	return el.Value.(*receiptEntry).r, true
+	return ref.Receipt(), true
 }
 
 // Len reports tracked transactions (pending and receipted).
 func (s *ReceiptStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.lru.Len()
+	return len(s.slots)
 }

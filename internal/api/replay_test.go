@@ -8,7 +8,7 @@ import (
 
 func publishN(b *Broker, n int) {
 	for i := 0; i < n; i++ {
-		b.Publish(wire.Event{Block: wire.BlockInfo{Number: uint64(i + 1)}})
+		b.Publish(&wire.BlockRecord{Number: uint64(i + 1)})
 	}
 }
 

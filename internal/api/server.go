@@ -474,13 +474,17 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Errorf("tx id: %w", err))
 		return
 	}
-	rec, ok := s.cfg.Receipts.Get(id)
+	ref, ok := s.cfg.Receipts.Lookup(id)
 	if !ok {
 		s.fail(w, http.StatusNotFound, wire.CodeTxNotFound,
 			fmt.Errorf("no receipt for %s (unknown, evicted, or not yet submitted here)", id.Short()))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, rec)
+	// The bytes writeJSON would send for ref.Receipt(), rendered from
+	// the reference: the receipt is hexed only here, when a client asks.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(ref.AppendJSON(make([]byte, 0, 512)), '\n'))
 }
 
 // handleMine is POST /v1/mine.
@@ -695,6 +699,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
+// sseChunk is about how many bytes of an SSE frame the writer renders
+// before handing them to the connection: a 500-receipt block's frame
+// goes out in a handful of writes.
+const sseChunk = 32 << 10
+
+// framePool holds the SSE writers' render buffers. A frame is rendered
+// into one a chunk at a time and the buffer goes back after the frame,
+// so an idle subscriber holds none.
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, sseChunk+4<<10); return &b }}
+
 // handleSubscribe is GET /v1/subscribe: a server-sent-event stream of
 // durable blocks and their receipts, in height order, each carrying its
 // broker sequence number as the SSE id. A reconnecting client sends the
@@ -722,7 +736,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	sub := s.cfg.Events.Subscribe(s.cfg.SubscriberBuffer)
 	defer sub.Close()
 
-	var replay []wire.Event
+	var replay []Event
 	needReset := false
 	replayed := false // whether a delivered-through floor applies
 	var seenThrough uint64
@@ -757,13 +771,26 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher.Flush()
 
-	writeEvent := func(ev wire.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			s.logErr(fmt.Errorf("api: encode event: %w", err))
-			return false
+	// Each frame is rendered from the shared block record, sseChunk
+	// bytes at a time, into a pooled buffer: no subscriber holds a
+	// block's whole event.
+	write := func(b []byte) error {
+		_, err := w.Write(b)
+		return err
+	}
+	writeEvent := func(ev Event) bool {
+		buf := framePool.Get().(*[]byte)
+		frame := append((*buf)[:0], "id: "...)
+		frame = strconv.AppendUint(frame, ev.Seq, 10)
+		frame = append(frame, "\nevent: block\ndata: "...)
+		frame, err := wire.AppendEvent(frame, ev.Seq, ev.Block, sseChunk, write)
+		if err == nil {
+			frame = append(frame, "\n\n"...)
+			err = write(frame)
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: block\ndata: %s\n\n", ev.Seq, data); err != nil {
+		*buf = frame
+		framePool.Put(buf)
+		if err != nil {
 			return false
 		}
 		flusher.Flush()

@@ -9,6 +9,11 @@
 // Hashes and addresses travel as 0x-prefixed hex strings; gas and
 // amounts as JSON numbers.
 //
+// Receipts and block events also have a compact, unrendered form: the
+// node keeps one BlockRecord per durable block, and ReceiptRef and
+// AppendEvent write from it exactly the JSON encoding/json writes for
+// the TxReceipt and Event DTOs, when a client reads.
+//
 // Transaction identity is content-derived: TxIDOf hashes the call's
 // canonical encoding (the same bytes the block's transaction Merkle root
 // commits to), so every node — miner or validator — derives the same ID
@@ -341,40 +346,6 @@ func BlockInfoOf(b chain.Block) BlockInfo {
 		Edges:        len(b.Schedule.Edges),
 		ScheduleHash: b.Header.ScheduleHash.String(),
 	}
-}
-
-// ReceiptsOf derives the wire receipts of a (durable) block: one per
-// call, schedule positions read off the published serial order S. ids
-// are the calls' transaction IDs (chain.TxLeavesOf), which whoever sealed
-// or prechecked the block holds.
-func ReceiptsOf(b chain.Block, ids []types.Hash) []TxReceipt {
-	schedPos := make([]int, len(b.Calls))
-	for pos, tx := range b.Schedule.Order {
-		if int(tx) < len(schedPos) {
-			schedPos[int(tx)] = pos
-		}
-	}
-	hash := b.Header.Hash().String()
-	out := make([]TxReceipt, len(b.Calls))
-	for i := range b.Calls {
-		r := TxReceipt{
-			ID:            ids[i].String(),
-			Status:        StatusCommitted,
-			BlockHeight:   b.Header.Number,
-			BlockHash:     hash,
-			TxIndex:       i,
-			ScheduleIndex: schedPos[i],
-		}
-		if i < len(b.Receipts) {
-			r.GasUsed = uint64(b.Receipts[i].GasUsed)
-			if b.Receipts[i].Reverted {
-				r.Status = StatusAborted
-				r.AbortReason = b.Receipts[i].Reason
-			}
-		}
-		out[i] = r
-	}
-	return out
 }
 
 // Mine is the POST /v1/mine request body.

@@ -152,8 +152,16 @@ func CommitmentPasses() int64 { return commitmentPasses.Load() }
 // completed block and its tx leaves. parent is the previous block's header.
 func Seal(parent Header, calls []contract.Call, receipts []contract.Receipt,
 	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) (Block, []types.Hash) {
-	commitmentPasses.Add(1)
 	txIDs := TxLeavesOf(calls)
+	return SealHashed(parent, calls, txIDs, receipts, s, profiles, stateRoot), txIDs
+}
+
+// SealHashed is Seal for a caller that already holds the calls' tx leaves
+// (TxLeavesOf(calls), each call's transaction ID): the tx root is built
+// from txIDs as given, so they must be exactly those leaves.
+func SealHashed(parent Header, calls []contract.Call, txIDs []types.Hash, receipts []contract.Receipt,
+	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) Block {
+	commitmentPasses.Add(1)
 	b := Block{
 		Calls:    calls,
 		Receipts: receipts,
@@ -168,7 +176,7 @@ func Seal(parent Header, calls []contract.Call, receipts []contract.Receipt,
 		StateRoot:    stateRoot,
 		ScheduleHash: ScheduleHashOf(s, profiles),
 	}
-	return b, txIDs
+	return b
 }
 
 // VerifyCommitments checks that a block's header commitments match its

@@ -277,6 +277,16 @@ type Selection struct {
 // Len reports the selected call count.
 func (s Selection) Len() int { return len(s.Calls) }
 
+// TxIDs returns the selected calls' transaction IDs, in call order: the
+// IDs their Tx carried into the pool, so nothing is hashed again.
+func (s Selection) TxIDs() []types.Hash {
+	ids := make([]types.Hash, len(s.entries))
+	for i, e := range s.entries {
+		ids[i] = e.id
+	}
+	return ids
+}
+
 // SelectBatch removes and returns up to blockSize transactions under
 // the policy, merging all shards into one (priority desc, seq asc)
 // window — the exact window order a single-lock pool with the same

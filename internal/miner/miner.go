@@ -80,6 +80,14 @@ type Result struct {
 // parent. The world must be at parent's state; on success it has advanced
 // to the block's post-state.
 func Mine(eng engine.Engine, runner runtime.Runner, w *contract.World, parent chain.Header, calls []contract.Call, opts engine.Options) (Result, error) {
+	return MineHashed(eng, runner, w, parent, calls, chain.TxLeavesOf(calls), opts)
+}
+
+// MineHashed is Mine for a caller that already holds the calls'
+// transaction IDs (chain.TxLeavesOf of calls — a node's pool derives
+// each one at intake): the block is sealed over them, not over a second
+// hashing of every call.
+func MineHashed(eng engine.Engine, runner runtime.Runner, w *contract.World, parent chain.Header, calls []contract.Call, txIDs []types.Hash, opts engine.Options) (Result, error) {
 	res, err := eng.ExecuteBlock(runner, w, calls, opts)
 	if err != nil {
 		return Result{}, fmt.Errorf("miner: %w", err)
@@ -88,7 +96,7 @@ func Mine(eng engine.Engine, runner runtime.Runner, w *contract.World, parent ch
 	if err != nil {
 		return Result{}, fmt.Errorf("miner: state root: %w", err)
 	}
-	block, txIDs := chain.Seal(parent, calls, res.Receipts, res.Schedule, res.Profiles, stateRoot)
+	block := chain.SealHashed(parent, calls, txIDs, res.Receipts, res.Schedule, res.Profiles, stateRoot)
 	return Result{Block: block, TxIDs: txIDs, Makespan: res.Makespan, Stats: res.Stats, Graph: res.Graph}, nil
 }
 

@@ -41,7 +41,7 @@ func (n *Node) Handler() http.Handler { return n.server }
 func (n *Node) SubmitTx(call contract.Call, priority uint8) api.SubmitResult {
 	tx := mempool.TxOf(call)
 	id := tx.ID
-	if rec, ok := n.receipts.Get(id); ok && rec.Status != wire.StatusEvicted {
+	if ref, ok := n.receipts.Lookup(id); ok && ref.Status() != wire.StatusEvicted {
 		return api.SubmitResult{ID: id, Verdict: mempool.VerdictDuplicate.String(), Duplicate: true}
 	}
 	d := n.pool.AdmitTx(tx, priority)
@@ -56,7 +56,7 @@ func (n *Node) SubmitTx(call contract.Call, priority uint8) api.SubmitResult {
 		n.receipts.MarkPending(id)
 	}
 	for _, dr := range d.Dropped {
-		n.receipts.Record(dr.ID, wire.TxReceipt{ID: dr.ID.String(), Status: wire.StatusEvicted})
+		n.receipts.MarkEvicted(dr.ID)
 	}
 	return res
 }

@@ -16,7 +16,9 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/cluster"
 	"contractstm/internal/contract"
+	"contractstm/internal/crypto"
 	"contractstm/internal/importer"
+	"contractstm/internal/mempool"
 	"contractstm/internal/node"
 	"contractstm/internal/persist"
 	"contractstm/internal/replica"
@@ -326,9 +328,10 @@ func TestCommitmentOnePassPerBlock(t *testing.T) {
 
 // TestCommitmentLeavesAreTheRecordedTxIDs: for generated blocks of every
 // workload kind, with byte-identical calls among them, the tx root's
-// leaves equal wire.TxIDOf of each call, and GET /v1/tx/{id} on the
-// leader, on a follower and on the reopened leader answers, under every
-// such ID, the receipt of its latest execution.
+// leaves equal wire.TxIDOf of each call, the leader sealed its tx roots
+// over the IDs its pool admitted the calls under (mempool.TxOf), and GET
+// /v1/tx/{id} on the leader, on a follower and on the reopened leader
+// answers, under every such ID, the receipt of its latest execution.
 func TestCommitmentLeavesAreTheRecordedTxIDs(t *testing.T) {
 	ctx := context.Background()
 	for _, kind := range workload.AllKinds() {
@@ -352,6 +355,13 @@ func TestCommitmentLeavesAreTheRecordedTxIDs(t *testing.T) {
 					t.Fatalf("follower: block %d: %v", b.Header.Number, err)
 				}
 				ids := chain.TxLeavesOf(b.Calls)
+				admitted := make([]types.Hash, len(b.Calls))
+				for i, c := range b.Calls {
+					admitted[i] = mempool.TxOf(c).ID
+				}
+				if crypto.MerkleRoot(admitted) != b.Header.TxRoot {
+					t.Fatalf("block %d: the leader's tx root is not over the admitted IDs", b.Header.Number)
+				}
 				for i, rc := range wire.ReceiptsOf(b, ids) {
 					if ids[i] != wire.TxIDOf(b.Calls[i]) {
 						t.Fatalf("block %d: leaf %d is not the call's TxIDOf", b.Header.Number, i)

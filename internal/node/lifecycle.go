@@ -306,14 +306,13 @@ func (n *Node) verdict(e *inflightEntry) {
 }
 
 // recordDurable indexes a durable block's receipts and fans the block
-// out to event-stream subscribers. Only the verdict calls it — never for
-// a sealed-not-durable block, which a crash could still void.
+// out to event-stream subscribers: one record for both, nothing rendered
+// until a client reads. Only the verdict calls it — never for a
+// sealed-not-durable block, which a crash could still void.
 func (n *Node) recordDurable(e *inflightEntry) {
-	recs := wire.ReceiptsOf(e.block, e.txIDs)
-	for i, id := range e.txIDs {
-		n.receipts.Record(id, recs[i])
-	}
-	n.events.Publish(wire.Event{Block: wire.BlockInfoOf(e.block), Receipts: recs})
+	rec := wire.RecordOf(e.block, e.txIDs)
+	n.receipts.RecordBlock(rec)
+	n.events.Publish(rec)
 }
 
 // markDurable publishes a new durable boundary — the height and the

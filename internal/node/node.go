@@ -474,7 +474,7 @@ func (n *Node) mineEntry(blockSize int) (*inflightEntry, miner.Result, error) {
 		return nil, miner.Result{}, fmt.Errorf("node: select: %w", err)
 	}
 	snap := n.world.Snapshot()
-	res, err := miner.Mine(n.eng, n.runner, n.world, parent, sel.Calls,
+	res, err := miner.MineHashed(n.eng, n.runner, n.world, parent, sel.Calls, sel.TxIDs(),
 		engine.Options{Workers: n.workers})
 	if err != nil {
 		n.world.Restore(snap)

@@ -28,6 +28,16 @@ import (
 // filter must keep it for the others to report a speedup. The numbers mean
 // nothing without the core count, so every cell also reports nproc and
 // GOMAXPROCS.
+//
+// A whole-grid run is not before/after evidence on a 2-core machine, even
+// at -benchtime 20x: between two test binaries whose functions sat at
+// identical addresses, the median cell moved −9.9 … +12.8 % from run to
+// run, and 8 of 100 cells left the parent's own interquartile range. To
+// compare a cell across commits, run that cell alone, alternating the two
+// binaries, at least 16 times each, e.g.
+//
+//	go test -c -o new.test . && ./new.test -test.run '^$' \
+//	    -test.bench 'BenchmarkSpeedup/Token/spin=0/serial$' -test.benchtime 20x
 
 // speedupBlocks are the sweep's blocks.
 func speedupBlocks() []workload.Params {
