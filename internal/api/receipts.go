@@ -48,7 +48,8 @@ type receiptSlot struct {
 }
 
 // NewReceiptStore returns a store bounded to capacity entries
-// (<=0 selects DefaultReceiptCapacity).
+// (<=0 selects DefaultReceiptCapacity). The ID table is allocated here,
+// 8–16 B per entry of capacity; the slots grow as entries arrive.
 func NewReceiptStore(capacity int) *ReceiptStore {
 	if capacity <= 0 {
 		capacity = DefaultReceiptCapacity
