@@ -50,6 +50,28 @@ func TestReceiptStorePendingThenRecord(t *testing.T) {
 	}
 }
 
+// TestReceiptStoreReadmittedAfterEviction: MarkPending → MarkEvicted →
+// MarkPending reads "pending", as a transaction evicted from the mempool
+// and admitted again is queued; its block's receipt then replaces the
+// marker.
+func TestReceiptStoreReadmittedAfterEviction(t *testing.T) {
+	s := NewReceiptStore(8)
+	s.MarkPending(id(1))
+	s.MarkEvicted(id(1))
+	if rec, _ := s.Get(id(1)); rec.Status != wire.StatusEvicted {
+		t.Fatalf("evicted lookup = %+v", rec)
+	}
+	s.MarkPending(id(1))
+	rec, ok := s.Get(id(1))
+	if !ok || rec.Status != wire.StatusPending || rec.TxIndex != -1 || rec.ScheduleIndex != -1 {
+		t.Fatalf("re-admitted lookup = %+v ok=%v", rec, ok)
+	}
+	s.RecordBlock(blockOf(4, 7, id(1)))
+	if rec, _ := s.Get(id(1)); rec.Status != wire.StatusCommitted || rec.BlockHeight != 4 {
+		t.Fatalf("recorded receipt = %+v", rec)
+	}
+}
+
 func TestReceiptStoreBounded(t *testing.T) {
 	const cap = 16
 	s := NewReceiptStore(cap)

@@ -597,6 +597,7 @@ func (c *Client) Snapshot(ctx context.Context) (persist.Snapshot, error) {
 type Stream struct {
 	resp    *http.Response
 	scanner *bufio.Scanner
+	ctx     context.Context
 	cancel  context.CancelFunc
 	// lastID is the newest SSE id (event sequence number) seen, and
 	// haveID whether any was. Feed it back via WithLastEventID on
@@ -669,7 +670,7 @@ func (c *Client) Subscribe(ctx context.Context, opts ...SubscribeOpt) (*Stream, 
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	return &Stream{resp: resp, scanner: sc, cancel: cancel}, nil
+	return &Stream{resp: resp, scanner: sc, ctx: ctx, cancel: cancel}, nil
 }
 
 // LastEventID reports the newest event sequence number this stream has
@@ -680,7 +681,8 @@ func (s *Stream) LastEventID() (uint64, bool) { return s.lastID, s.haveID }
 // Next blocks for the next event. It returns ErrStreamDropped when the
 // server disconnected a lagging subscriber, ErrStreamReset when a
 // requested replay gap was not fully coverable (stream stays usable),
-// and io.EOF on a clean close.
+// io.EOF on a clean close, and the context's error once Close or the
+// context ended the stream.
 func (s *Stream) Next() (wire.Event, error) {
 	var event string
 	for s.scanner.Scan() {
@@ -710,6 +712,11 @@ func (s *Stream) Next() (wire.Event, error) {
 		}
 	}
 	if err := s.scanner.Err(); err != nil {
+		// Close cancels before it closes the body, so a read the close
+		// broke sees the cancellation here.
+		if ctxErr := s.ctx.Err(); ctxErr != nil {
+			return wire.Event{}, ctxErr
+		}
 		return wire.Event{}, err
 	}
 	return wire.Event{}, io.EOF

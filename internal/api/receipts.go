@@ -64,12 +64,15 @@ func NewReceiptStore(capacity int) *ReceiptStore {
 // MarkPending records a submitted-but-not-yet-durable transaction, so a
 // client that just submitted polls "pending" rather than "not found".
 // A transaction that already has a durable receipt is left alone — a
-// resubmission of identical bytes must not mask the recorded outcome.
+// resubmission of identical bytes must not mask the recorded outcome —
+// but an evicted marker is overwritten: the transaction was admitted
+// again and is queued.
 func (s *ReceiptStore) MarkPending(id types.Hash) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, i := s.find(id); i >= 0 {
-		if ref := &s.slots[i].ref; ref.Block == nil && !ref.Evicted {
+		if ref := &s.slots[i].ref; ref.Block == nil {
+			ref.Evicted = false
 			s.toFront(i)
 		}
 		return

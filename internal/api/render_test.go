@@ -145,9 +145,12 @@ func newOracleStore(capacity int) *oracleStore {
 	return &oracleStore{cap: capacity, entries: map[types.Hash]*list.Element{}, lru: list.New()}
 }
 
+// markPending overwrites a pending or evicted entry: a transaction
+// admitted again after an eviction reads "pending".
 func (s *oracleStore) markPending(id types.Hash) {
 	if el, ok := s.entries[id]; ok {
-		if el.Value.(*oracleEntry).r.Status == wire.StatusPending {
+		if e := el.Value.(*oracleEntry); e.r.Status == wire.StatusPending || e.r.Status == wire.StatusEvicted {
+			e.r = wire.TxReceipt{ID: id.String(), Status: wire.StatusPending, TxIndex: -1, ScheduleIndex: -1}
 			s.lru.MoveToFront(el)
 		}
 		return

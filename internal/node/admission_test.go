@@ -126,3 +126,57 @@ func TestSubmitShedsWith429AndRetryAfter(t *testing.T) {
 		t.Fatalf("mempool counters = %+v", st.Mempool)
 	}
 }
+
+// TestReceiptReadmittedAfterEviction: a transaction evicted from the
+// mempool and then admitted again through SubmitTx answers GET
+// /v1/tx/{id} with "pending" while it is queued, not with the evicted
+// marker of its earlier attempt, and with its receipt once its block is
+// durable.
+func TestReceiptReadmittedAfterEviction(t *testing.T) {
+	w, holders := newTokenWorld(t, 2)
+	n, err := New(Config{
+		World: w, Workers: 2, Runner: runtime.NewSimRunner(),
+		Mempool: mempool.Config{Shards: 1, PerSenderSlots: 1},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sdk := sdkFor(t, n)
+	ctx := context.Background()
+	status := func(id string) string {
+		t.Helper()
+		rec, err := sdk.Receipt(ctx, id)
+		if err != nil {
+			t.Fatalf("receipt %s: %v", id, err)
+		}
+		return rec.Status
+	}
+
+	a, b := transferTx(holders[0], holders[1], 1), transferTx(holders[0], holders[1], 2)
+	first, err := sdk.SubmitTx(ctx, a)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	// At the sender's one slot, a higher lane evicts the queued call.
+	b.Priority = 1
+	if _, err := sdk.SubmitTx(ctx, b); err != nil {
+		t.Fatalf("submit the replacement: %v", err)
+	}
+	if got := status(first.ID); got != wire.StatusEvicted {
+		t.Fatalf("replaced transaction reads %q, want %q", got, wire.StatusEvicted)
+	}
+	a.Priority = 2
+	again, err := sdk.SubmitTx(ctx, a)
+	if err != nil || again.ID != first.ID || again.Verdict != mempool.VerdictReplaced.String() {
+		t.Fatalf("re-admission = %+v, err %v; want %s replacing the queued call", again, err, first.ID)
+	}
+	if got := status(first.ID); got != wire.StatusPending {
+		t.Fatalf("re-admitted transaction reads %q, want %q", got, wire.StatusPending)
+	}
+	if _, err := n.MineOne(10); err != nil {
+		t.Fatalf("mine: %v", err)
+	}
+	if got := status(first.ID); got != wire.StatusCommitted {
+		t.Fatalf("mined transaction reads %q, want %q", got, wire.StatusCommitted)
+	}
+}

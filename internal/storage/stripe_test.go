@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sort"
+	"strings"
 	"testing"
+
+	"contractstm/internal/types"
 )
 
 // unstriped returns a store whose one map, named name, holds contents as
@@ -261,4 +265,195 @@ func TestStripeRule(t *testing.T) {
 			}
 		})
 	}
+}
+
+// clearCaches drops every hash cache in m's current version, so that the
+// next root hashes each of its nodes and leaves again.
+func clearCaches(m *Map) {
+	m.raw.lockAll()
+	defer m.raw.unlockAll()
+	var clear func(n *node)
+	clear = func(n *node) {
+		if n == nil {
+			return
+		}
+		n.hash = types.Hash{}
+		for i := range n.entries {
+			n.entries[i].hash = types.Hash{}
+		}
+		if n.kids != nil {
+			for _, k := range n.kids {
+				clear(k)
+			}
+		}
+	}
+	clear(m.raw.whole.root)
+	if m.raw.stripes != nil {
+		for i := range m.raw.stripes {
+			clear(m.raw.stripes[i].root)
+		}
+	}
+}
+
+// checkFanOut hashes s from cold caches at GOMAXPROCS = 1, where every
+// stripe of m is hashed on the caller, and again at 2, 3 and 16, where
+// helpers take stripes: each root must be the inline one, hashed over
+// as many leaves, and each error the inline one's. It returns the inline
+// error.
+func checkFanOut(t testing.TB, s *Store, m *Map) error {
+	t.Helper()
+	rootAt := func(procs int) (types.Hash, int, error) {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+		clearCaches(m)
+		var h hasher
+		root, err := s.stateRoot(&h)
+		return root, h.leaves, err
+	}
+	_, _ = s.StateRoot() // caches every other object's root, so only m's leaves are counted
+	want, wantLeaves, wantErr := rootAt(1)
+	for _, procs := range []int{2, 3, 16} {
+		got, leaves, err := rootAt(procs)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%d entries, GOMAXPROCS %d: error %v, inline %v", m.Len(), procs, err, wantErr)
+		}
+		if err == nil && (got != want || leaves != wantLeaves) {
+			t.Fatalf("%d entries, GOMAXPROCS %d: root %s over %d leaves, inline %s over %d",
+				m.Len(), procs, got.Short(), leaves, want.Short(), wantLeaves)
+		}
+	}
+	return wantErr
+}
+
+// stripedMap returns a store whose map m holds keys k0 … k(n-1), striped
+// by a snapshot, and the keys grouped by stripe.
+func stripedMap(t testing.TB, n int) (*Store, *Map, [16][]string) {
+	t.Helper()
+	s := NewStore()
+	m := mustMap(t, s, "m")
+	var byStripe [16][]string
+	for i := 0; i < n; i++ {
+		k := fmt.Sprint("k", i)
+		m.putRaw(k, uint64(i+1))
+		p := placeKey(k)
+		byStripe[p[0]>>4] = append(byStripe[p[0]>>4], k)
+	}
+	s.Snapshot()
+	if !m.raw.striped.Load() {
+		t.Fatalf("a map of %d keys is not striped", n)
+	}
+	return s, m, byStripe
+}
+
+// TestStripeFanOutBuckets: a striped map whose stripes hold collision
+// buckets — one key in eight of each stripe lands in its stripe's bucket
+// — hashes to the inline root at every GOMAXPROCS.
+func TestStripeFanOutBuckets(t *testing.T) {
+	weakenPlacement = func(p placement) placement {
+		if p[31]%8 == 0 {
+			return placement{0: p[0] & 0xf0}
+		}
+		return p
+	}
+	defer func() { weakenPlacement = nil }()
+	s, m, _ := stripedMap(t, 600)
+	checkFanOut(t, s, m)
+	for i := 0; i < 600; i += 5 {
+		m.putRaw(fmt.Sprint("k", i), "v")
+		m.deleteRaw(fmt.Sprint("k", i+1))
+	}
+	checkFanOut(t, s, m)
+}
+
+// TestStripeFanOutSmallStripes: a striped map emptied stripe by stripe
+// with no snapshot on the way — stripes empty, stripes of one entry that
+// the top node would hold inline, then two single stripes, one, none —
+// hashes to the inline root at every GOMAXPROCS.
+func TestStripeFanOutSmallStripes(t *testing.T) {
+	s, m, byStripe := stripedMap(t, 400)
+	keep := func(st, n int) {
+		for _, k := range byStripe[st][n:] {
+			m.deleteRaw(k)
+		}
+		byStripe[st] = byStripe[st][:n]
+	}
+	for st := 0; st < 8; st++ {
+		keep(st, st/4) // 0–3 empty, 4–7 single
+	}
+	checkFanOut(t, s, m)
+	for st := 8; st < 16; st++ {
+		keep(st, 1)
+	}
+	checkFanOut(t, s, m)
+	for st := 4; st < 14; st++ {
+		keep(st, 0)
+	}
+	checkFanOut(t, s, m) // stripes 14 and 15, single
+	keep(14, 0)
+	checkFanOut(t, s, m) // stripe 15 alone, and single
+	keep(15, 0)
+	checkFanOut(t, s, m) // every stripe empty
+	if !m.raw.striped.Load() || m.Len() != 0 {
+		t.Fatalf("striped %v with %d entries, want a striped empty map", m.raw.striped.Load(), m.Len())
+	}
+}
+
+// TestStripeFanOutAcrossRule: snapshots and restores move a map across
+// the striping rule both ways, beside a small map that never stripes, and
+// after each the store hashes to the inline root at every GOMAXPROCS.
+func TestStripeFanOutAcrossRule(t *testing.T) {
+	s := NewStore()
+	w := &stripeWorld{s: s, m: mustMap(t, s, "m"), want: map[string]any{}, crossed: map[bool]int{}, sizes: map[int]int{}}
+	mustMap(t, s, "small").putRaw("x", uint64(1))
+	rng := rand.New(rand.NewSource(51))
+	targets := []int{0, 1, 2, 17, 40, 160, 400}
+	for step := 0; step < 40; step++ {
+		target := targets[rng.Intn(len(targets))]
+		for i := 0; i < 200; i++ {
+			w.edit(rng, target)
+		}
+		checkFanOut(t, s, w.m)
+		was := w.m.raw.striped.Load()
+		if rng.Intn(3) > 0 || len(w.kept) == 0 {
+			w.kept = append(w.kept, stripeKept{snap: s.Snapshot(), want: cloneContents(w.want)})
+		} else {
+			k := w.kept[rng.Intn(len(w.kept))]
+			s.Restore(k.snap)
+			w.want = cloneContents(k.want)
+			w.keys = w.keys[:0]
+			for key := range w.want {
+				w.keys = append(w.keys, key)
+			}
+			sort.Strings(w.keys)
+		}
+		w.settled(t, was)
+		checkFanOut(t, s, w.m)
+	}
+	if w.crossed[true] == 0 || w.crossed[false] == 0 {
+		t.Errorf("the rule was crossed %d times into stripes and %d times out of them; want both",
+			w.crossed[true], w.crossed[false])
+	}
+}
+
+// TestStripeFanOutLowestSlotError: with values no encoding accepts in
+// stripes 3 and 11, the root fails with stripe 3's error at every
+// GOMAXPROCS, whichever goroutine reaches stripe 11 first.
+func TestStripeFanOutLowestSlotError(t *testing.T) {
+	s, m, byStripe := stripedMap(t, 400)
+	m.putRaw(byStripe[3][0], make(chan int))
+	m.putRaw(byStripe[11][0], func() {})
+	for i := 0; i < 20; i++ {
+		err := checkFanOut(t, s, m)
+		if err == nil || !strings.Contains(err.Error(), "chan int") {
+			t.Fatalf("root error %v, want stripe 3's chan int", err)
+		}
+	}
+}
+
+// TestStripeFanOutBesideGetIn runs TestGetInDuringStateRoot, whose map of
+// 512 keys is striped, at GOMAXPROCS 8: seven helpers fill the caches of
+// nodes that retained snapshots share, beside the lock-free GetIn readers
+// of those snapshots. CI repeats it under -race.
+func TestStripeFanOutBesideGetIn(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(8))
+	TestGetInDuringStateRoot(t)
 }

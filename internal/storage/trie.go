@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"contractstm/internal/types"
 )
@@ -29,16 +31,19 @@ import (
 //
 // The caches — a node's hash and an entry's leaf hash — are written by
 // the hasher on nodes a snapshot may share, while GetIn reads that
-// snapshot with no lock. That is no race: a cache is written only with
-// every mutex of the map held (Map.root), a snapshot reader reads only an
-// entry's key and value and a node's maps, entries slice and kids, never
-// a cache, and walk, which copies whole entries, runs with every mutex
-// held too.
+// snapshot with no lock. That is no race: a cache is written only while
+// the caller of Map.root holds every mutex of the map, a snapshot reader
+// reads only an entry's key and value and a node's maps, entries slice
+// and kids, never a cache, and walk, which copies whole entries, runs
+// with every mutex held too.
 //
 // A large map keeps its trie in 16 stripes (Map), each the subtree of one
 // slot of the top node, at depth 1. assemble builds the ordinary top node
 // from them and hasher.slots hashes them as that node, so versions, the
-// state stream and the commitment never see a stripe.
+// state stream and the commitment never see a stripe. slots hashes them
+// on helper goroutines too, one per stripe, while the caller holds every
+// mutex: stripes are disjoint, so each cache has one writer, and the
+// caller joins every stripe before Map.root releases the mutexes.
 
 // placement is a key's path through the trie, one nibble per level.
 type placement [sha256.Size]byte
@@ -445,7 +450,8 @@ func (h *hasher) mapRoot(n *node) (types.Hash, error) {
 }
 
 // slots is the commitment of the map whose top node assemble would build
-// from roots, hashed without building it.
+// from roots, hashed without building it. The preimage is assembled in
+// slot order after fanOut's join, whoever hashed each stripe.
 func (h *hasher) slots(roots *[16]*node) (types.Hash, error) {
 	var occupied uint16
 	for s, r := range roots {
@@ -459,24 +465,78 @@ func (h *hasher) slots(roots *[16]*node) (types.Hash, error) {
 	case occupied&(occupied-1) == 0 && roots[slot(occupied)].single():
 		return h.leaf(&roots[slot(occupied)].entries[0])
 	}
+	var subs [16]types.Hash // a zero hash: hashed below, on the caller
+	n := bits.OnesCount16(occupied)
+	if w := min(runtime.GOMAXPROCS(0), n); w > 1 {
+		if err := h.fanOut(roots, n, w-1, &subs); err != nil {
+			return types.Hash{}, err
+		}
+	}
 	var stack [3 + 16*types.HashLen]byte
 	b := append(stack[:0], commitNode)
 	b = binary.BigEndian.AppendUint16(b, occupied)
 	for ; occupied != 0; occupied &= occupied - 1 {
-		r := roots[slot(occupied&-occupied)]
-		var sub types.Hash
-		var err error
-		if r.single() {
-			sub, err = h.leaf(&r.entries[0])
-		} else {
-			sub, err = h.node(r, 1)
+		s := slot(occupied & -occupied)
+		if subs[s] == (types.Hash{}) {
+			var err error
+			if subs[s], err = h.subtree(roots[s]); err != nil {
+				return types.Hash{}, err
+			}
 		}
-		if err != nil {
-			return types.Hash{}, err
-		}
-		b = append(b, sub[:]...)
+		b = append(b, subs[s][:]...)
 	}
 	return sha256.Sum256(b), nil
+}
+
+// subtree is the commitment of a stripe: a top-node slot's subtree.
+func (h *hasher) subtree(r *node) (types.Hash, error) {
+	if r.single() {
+		return h.leaf(&r.entries[0])
+	}
+	return h.node(r, 1)
+}
+
+// fan shares a root's stripes out among goroutines, each taking the next
+// slot from one counter and hashing with a hasher of its own.
+type fan struct {
+	roots [16]*node
+	next  atomic.Int32
+	subs  [16]types.Hash
+	errs  [16]error
+	done  chan int // each stripe's leaf count, once its hash is written
+}
+
+// fanOut hashes the n occupied stripes of roots into subs on the caller
+// and helpers more goroutines, waiting only for the stripes taken: a late
+// helper costs nothing. A failure is the lowest failing slot's.
+func (h *hasher) fanOut(roots *[16]*node, n, helpers int, subs *[16]types.Hash) error {
+	f := &fan{roots: *roots, done: make(chan int, n)}
+	for i := 0; i < helpers; i++ {
+		go f.take(new(hasher))
+	}
+	leaves := h.leaves
+	f.take(h)
+	for h.leaves = leaves; n > 0; n-- { // the caller's stripes report on done too
+		h.leaves += <-f.done
+	}
+	*subs = f.subs
+	for _, err := range f.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// take hashes stripes with h until none is left.
+func (f *fan) take(h *hasher) {
+	for s := int(f.next.Add(1)) - 1; s < 16; s = int(f.next.Add(1)) - 1 {
+		if f.roots[s] != nil {
+			leaves := h.leaves
+			f.subs[s], f.errs[s] = h.subtree(f.roots[s])
+			f.done <- h.leaves - leaves
+		}
+	}
 }
 
 // node returns the commitment of a subtree with two or more entries,

@@ -17,9 +17,10 @@ import (
 )
 
 // The speedup sweep: the paper's roles timed in wall-clock on OS threads,
-// over Table 1's four workloads (200 transactions at 15 % conflict) and a
-// 500-transfer token block, each with no compute and with SpinBurn(64),
-// at W = 1 … max(3, nproc) workers. Run it with
+// over Table 1's four workloads (200 transactions at 15 % conflict), a
+// 500-transfer token block, and SimpleAuction, Ballot and Token at 60 %
+// and 100 % conflict (cells named like Token-c60), each with no compute
+// and with SpinBurn(64), at W = 1 … max(3, nproc) workers. Run it with
 //
 //	go test -run '^$' -bench BenchmarkSpeedup -benchtime 1x .
 //
@@ -39,7 +40,7 @@ import (
 //	go test -c -o new.test . && ./new.test -test.run '^$' \
 //	    -test.bench 'BenchmarkSpeedup/Token/spin=0/serial$' -test.benchtime 20x
 
-// speedupBlocks are the sweep's blocks.
+// speedupBlocks are the sweep's blocks, the high-conflict ones last.
 func speedupBlocks() []workload.Params {
 	var ps []workload.Params
 	for _, k := range workload.Kinds() {
@@ -48,10 +49,29 @@ func speedupBlocks() []workload.Params {
 			ConflictPercent: bench.SweepConflictFixed, Seed: bench.DefaultSeed,
 		})
 	}
-	return append(ps, workload.Params{
+	ps = append(ps, workload.Params{
 		Kind: workload.KindToken, Transactions: 500,
 		ConflictPercent: bench.SweepConflictFixed, Seed: bench.DefaultSeed,
 	})
+	for _, conflict := range []int{60, 100} {
+		for _, k := range []workload.Kind{workload.KindAuction, workload.KindBallot, workload.KindToken} {
+			n := bench.SweepTransactionsFixed
+			if k == workload.KindToken {
+				n = 500
+			}
+			ps = append(ps, workload.Params{Kind: k, Transactions: n, ConflictPercent: conflict, Seed: bench.DefaultSeed})
+		}
+	}
+	return ps
+}
+
+// speedupName names a block's cells: its kind, and its conflict when that
+// is not the sweep's 15 %, as in Token-c60.
+func speedupName(p workload.Params) string {
+	if p.ConflictPercent == bench.SweepConflictFixed {
+		return p.Kind.String()
+	}
+	return fmt.Sprintf("%v-c%d", p.Kind, p.ConflictPercent)
 }
 
 // speedupSpins are the SpinBurn factors: none, and 64 iterations of a
@@ -115,7 +135,7 @@ func BenchmarkSpeedup(b *testing.B) {
 	for _, p := range speedupBlocks() {
 		cell, err := newSpeedupCell(p)
 		if err != nil {
-			b.Fatalf("%v: %v", p.Kind, err)
+			b.Fatalf("%s: %v", speedupName(p), err)
 		}
 		for _, spin := range speedupSpins {
 			burn := runtime.SpinBurn(spin)
@@ -142,7 +162,7 @@ func BenchmarkSpeedup(b *testing.B) {
 					b.ReportMetric(float64(goruntime.GOMAXPROCS(0)), "gomaxprocs")
 				}
 			}
-			name := fmt.Sprintf("%v/spin=%d", p.Kind, spin)
+			name := fmt.Sprintf("%s/spin=%d", speedupName(p), spin)
 			b.Run(name+"/serial", timed("serial", 1))
 			for _, role := range speedupRoles {
 				for _, w := range speedupWorkers() {
@@ -163,7 +183,7 @@ func TestSpeedupCellsAgree(t *testing.T) {
 	for _, p := range speedupBlocks() {
 		cell, err := newSpeedupCell(p)
 		if err != nil {
-			t.Fatalf("%v: %v", p.Kind, err)
+			t.Fatalf("%s: %v", speedupName(p), err)
 		}
 		for _, spin := range speedupSpins {
 			burn := runtime.SpinBurn(spin)
@@ -172,15 +192,15 @@ func TestSpeedupCellsAgree(t *testing.T) {
 				cell.wl.Reset()
 				b, err := cell.run(role, w, burn)
 				if err != nil {
-					t.Fatalf("%v spin=%d %s W=%d: %v", p.Kind, spin, role, w, err)
+					t.Fatalf("%s spin=%d %s W=%d: %v", speedupName(p), spin, role, w, err)
 				}
 				cell.wl.Reset()
 				if _, err := engine.RunOrdered(runtime.NewSimRunner(), cell.wl.World, cell.wl.Calls, b.Schedule.Order); err != nil {
-					t.Fatalf("%v spin=%d %s W=%d: serial execution of S: %v", p.Kind, spin, role, w, err)
+					t.Fatalf("%s spin=%d %s W=%d: serial execution of S: %v", speedupName(p), spin, role, w, err)
 				}
 				if want, err := cell.wl.World.StateRoot(); err != nil || b.Header.StateRoot != want {
-					t.Errorf("%v spin=%d %s W=%d: state root %s, serial execution of its S %s (err %v)",
-						p.Kind, spin, role, w, b.Header.StateRoot.Short(), want.Short(), err)
+					t.Errorf("%s spin=%d %s W=%d: state root %s, serial execution of its S %s (err %v)",
+						speedupName(p), spin, role, w, b.Header.StateRoot.Short(), want.Short(), err)
 				}
 			}
 			check("serial", 1)
