@@ -129,12 +129,22 @@ func New(cfg Config) *Pool {
 // admissions make identical shard placements, hence identical
 // occupancy verdicts.
 func (p *Pool) shardFor(sender types.Address) *shard {
+	return p.shards[p.ShardIndex(sender)]
+}
+
+// ShardIndex is the index, in [0, Shards()), of the shard holding
+// sender's transactions. An admission decides only within that shard:
+// the transaction it queues and every one it drops share it.
+func (p *Pool) ShardIndex(sender types.Address) int {
 	h := uint64(14695981039346656037)
 	for _, b := range sender {
 		h = (h ^ uint64(b)) * 1099511628211
 	}
-	return p.shards[h%uint64(len(p.shards))]
+	return int(h % uint64(len(p.shards)))
 }
+
+// Shards is the pool's shard count.
+func (p *Pool) Shards() int { return len(p.shards) }
 
 // Tx is a call with its identity: the content-derived transaction ID —
 // the hash of the call's canonical encoding (contract.Call.AppendForHash),

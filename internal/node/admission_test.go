@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
 	"contractstm/internal/api/wire"
+	"contractstm/internal/contract"
 	"contractstm/internal/mempool"
 	"contractstm/internal/persist"
 	"contractstm/internal/runtime"
+	"contractstm/internal/types"
 )
 
 // TestResubmitAfterDurableReturnsExistingReceipt is the idempotency
@@ -178,5 +181,83 @@ func TestReceiptReadmittedAfterEviction(t *testing.T) {
 	}
 	if got := status(first.ID); got != wire.StatusCommitted {
 		t.Fatalf("mined transaction reads %q, want %q", got, wire.StatusCommitted)
+	}
+}
+
+// TestReceiptMarksFollowConcurrentEvictions races submissions that evict
+// one another: per round, three calls of one fresh sender, whose single
+// slot a higher lane takes over, arrive at once. An admission whose
+// pending mark ran after a concurrent eviction's evicted mark would
+// leave a transaction reading "pending" that no pool holds, refused as
+// a duplicate on every resubmission. Afterwards each call must read
+// "pending" exactly when the pool holds it and "evicted" otherwise, and
+// every evicted call must be admitted again when resubmitted.
+func TestReceiptMarksFollowConcurrentEvictions(t *testing.T) {
+	w, _ := newTokenWorld(t, 1)
+	n, err := New(Config{
+		World: w, Workers: 2, Runner: runtime.NewSimRunner(),
+		Mempool: mempool.Config{PerSenderSlots: 1},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const rounds, lanes = 1000, 3
+	callOf := func(round, lane int) contract.Call {
+		return contract.Call{
+			Sender: types.AddressFromUint64(uint64(0x9000 + round)), Contract: tokenAddr, Function: "transfer",
+			Args: []any{types.AddressFromUint64(0x8000), uint64(lane + 1)}, GasLimit: 100_000,
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for lane := 0; lane < lanes; lane++ {
+			done.Add(1)
+			go func(call contract.Call, priority uint8) {
+				defer done.Done()
+				start.Wait()
+				n.SubmitTx(call, priority)
+			}(callOf(r, lane), uint8(lane))
+		}
+		start.Done()
+		done.Wait()
+	}
+
+	queued := make(map[types.Hash]bool)
+	for _, c := range n.pool.PendingCalls() {
+		queued[mempool.TxOf(c).ID] = true
+	}
+	// Evicted calls in round and lane order: resubmitted at lanes+lane,
+	// each takes its sender's slot from the one before.
+	type resubmit struct {
+		call     contract.Call
+		priority uint8
+	}
+	var evicted []resubmit
+	for r := 0; r < rounds; r++ {
+		for lane := 0; lane < lanes; lane++ {
+			call := callOf(r, lane)
+			id := mempool.TxOf(call).ID
+			ref, ok := n.receipts.Lookup(id)
+			switch {
+			case queued[id] && (!ok || ref.Status() != wire.StatusPending):
+				t.Fatalf("round %d lane %d: queued call reads %q (tracked %v), want %q", r, lane, ref.Status(), ok, wire.StatusPending)
+			case !queued[id] && ok && ref.Status() != wire.StatusEvicted:
+				t.Fatalf("round %d lane %d: call out of the pool reads %q, want %q", r, lane, ref.Status(), wire.StatusEvicted)
+			case !queued[id] && ok:
+				evicted = append(evicted, resubmit{call, uint8(lanes + lane)})
+			}
+		}
+	}
+	if len(evicted) == 0 {
+		t.Fatal("no submission was evicted; the rounds raced nothing")
+	}
+	for _, e := range evicted {
+		if res := n.SubmitTx(e.call, e.priority); !res.Admitted {
+			t.Fatalf("resubmitting an evicted call = %+v, want admitted", res)
+		}
+		if ref, _ := n.receipts.Lookup(mempool.TxOf(e.call).ID); ref.Status() != wire.StatusPending {
+			t.Fatalf("re-admitted call reads %q, want %q", ref.Status(), wire.StatusPending)
+		}
 	}
 }

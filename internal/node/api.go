@@ -37,10 +37,15 @@ func (n *Node) Handler() http.Handler { return n.server }
 // attempt, not for the payload. Receipt history is an LRU, so a
 // duplicate older than the receipt window re-admits — acceptable,
 // because re-executing a forgotten transaction is the pre-admission
-// status quo, not a new hazard.
+// status quo, not a new hazard. Submissions to one pool shard run one
+// at a time under its admitMu, so a transaction's receipt reads what the
+// pool last decided for it.
 func (n *Node) SubmitTx(call contract.Call, priority uint8) api.SubmitResult {
 	tx := mempool.TxOf(call)
 	id := tx.ID
+	mu := &n.admitMu[n.pool.ShardIndex(call.Sender)]
+	mu.Lock()
+	defer mu.Unlock()
 	if ref, ok := n.receipts.Lookup(id); ok && ref.Status() != wire.StatusEvicted {
 		return api.SubmitResult{ID: id, Verdict: mempool.VerdictDuplicate.String(), Duplicate: true}
 	}

@@ -192,6 +192,15 @@ type Node struct {
 	// durable blocks out to /v1/subscribe streams.
 	receipts *api.ReceiptStore
 	events   *api.Broker
+	// admitMu orders SubmitTx's receipt marks as the pool ordered its
+	// decisions, one mutex per pool shard: the duplicate check, the
+	// admission and the pending and evicted marks it causes run as one
+	// step. An admission drops only transactions of its own shard, so
+	// every mark of one ID is made under that shard's mutex. Without it a
+	// submission could mark pending a transaction that a concurrent
+	// admission had already evicted, and the transaction would read
+	// "pending" — and be refused as a duplicate — while no pool holds it.
+	admitMu []sync.Mutex
 	// server is the /v1 API layer (built once; Handler returns it).
 	server *api.Server
 	// errLog is the serving-fault hook (Config.ErrorLog or std log).
@@ -258,6 +267,7 @@ func New(cfg Config) (*Node, error) {
 		policy:  cfg.SelectionPolicy,
 		eng:     eng,
 	}
+	n.admitMu = make([]sync.Mutex, n.pool.Shards())
 	n.win.cond.L = &n.mu
 	n.win.depth = 1
 	// Genesis is durable by definition; no staleness clock starts yet.
