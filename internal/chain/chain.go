@@ -82,25 +82,33 @@ type Block struct {
 // The encodings share one buffer, so the leaves are all it allocates.
 func TxLeavesOf(calls []contract.Call) []types.Hash {
 	leaves := make([]types.Hash, len(calls))
+	txLeaves(leaves, calls)
+	return leaves
+}
+
+// txLeaves hashes calls into leaves, one for one.
+func txLeaves(leaves []types.Hash, calls []contract.Call) {
 	var stack [256]byte
 	buf := stack[:0]
 	for i, c := range calls {
 		buf = c.AppendForHash(buf[:0])
 		leaves[i] = types.HashBytes(buf)
 	}
-	return leaves
 }
 
-// ReceiptRootOf commits to a receipt list. Each receipt encodes into a
-// buffer on the stack; the leaves and MerkleRoot's scratch copy of them
-// are all it allocates.
-func ReceiptRootOf(receipts []contract.Receipt) types.Hash {
-	leaves := make([]types.Hash, len(receipts))
+// receiptLeaves hashes receipts into leaves, one for one. Each receipt
+// encodes into a buffer on the stack.
+func receiptLeaves(leaves []types.Hash, receipts []contract.Receipt) {
 	for i, r := range receipts {
 		var buf [16]byte // a receipt encodes to 13 bytes
 		leaves[i] = types.HashBytes(r.AppendForHash(buf[:0]))
 	}
-	return crypto.MerkleRoot(leaves)
+}
+
+// ReceiptRootOf commits to a receipt list: the receipt root a block's
+// seal computes.
+func ReceiptRootOf(receipts []contract.Receipt) types.Hash {
+	return hashCommitments(nil, nil, receipts, sched.Schedule{}, nil, true).receiptRoot
 }
 
 // ScheduleHashOf commits to the published schedule: S, H and the profiles,
@@ -142,9 +150,91 @@ func ScheduleHashOf(s sched.Schedule, profiles []stm.Profile) types.Hash {
 	return types.HashBytes(buf)
 }
 
+// commitments are a block body's three hashed commitments and the tx
+// leaves its tx root was built from.
+type commitments struct {
+	txIDs                             []types.Hash
+	txRoot, receiptRoot, scheduleHash types.Hash
+}
+
+// hashCommitments hashes a block body's commitments in one crypto.Fan.
+// txIDs are the calls' tx leaves, or nil to have them hashed here. The
+// tasks are the schedule hash, then each chunk of the tx tree (its calls'
+// leaves, when hashed here, and the chunk's subtree), then each chunk of
+// the receipt tree; the caller reduces each tree's chunk roots after the
+// join. A body with at most one chunk per tree is hashed on the caller,
+// and so is every body when fan is false.
+func hashCommitments(calls []contract.Call, txIDs []types.Hash, receipts []contract.Receipt,
+	s sched.Schedule, profiles []stm.Profile, fan bool) commitments {
+	w := commitWork{
+		calls: calls, txIDs: txIDs, hashIDs: txIDs == nil, receipts: receipts,
+		schedule: s, profiles: profiles,
+		level: make([]types.Hash, len(calls)+len(receipts)+1),
+	}
+	if w.hashIDs {
+		w.txIDs = make([]types.Hash, len(calls))
+	}
+	txChunks, receiptChunks := crypto.Chunks(len(calls)), crypto.Chunks(len(receipts))
+	n, helpers := 1+txChunks+receiptChunks, 0
+	if fan && (txChunks > 1 || receiptChunks > 1) {
+		helpers = crypto.Helpers(n)
+	}
+	crypto.Fan(w, n, helpers)
+	return commitments{
+		txIDs:        w.txIDs,
+		txRoot:       crypto.RootOfChunks(w.txLevel()),
+		receiptRoot:  crypto.RootOfChunks(w.receiptLevel()),
+		scheduleHash: w.level[len(w.level)-1],
+	}
+}
+
+// commitWork is hashCommitments' tasks. Each task writes only its own
+// slots of txIDs and level, so the commitments are the same whichever
+// goroutine runs which task.
+type commitWork struct {
+	calls    []contract.Call
+	txIDs    []types.Hash
+	hashIDs  bool // txIDs are hashed from calls, not given
+	receipts []contract.Receipt
+	schedule sched.Schedule
+	profiles []stm.Profile
+	// level is the scratch the trees are reduced in: the tx tree's
+	// len(calls) slots, then the receipt tree's, then the schedule hash.
+	level []types.Hash
+}
+
+func (w commitWork) txLevel() []types.Hash { return w.level[:len(w.calls)] }
+
+func (w commitWork) receiptLevel() []types.Hash {
+	return w.level[len(w.calls) : len(w.calls)+len(w.receipts)]
+}
+
+func (w commitWork) Task(_, i int) {
+	txChunks := crypto.Chunks(len(w.calls))
+	switch {
+	case i == 0:
+		w.level[len(w.level)-1] = ScheduleHashOf(w.schedule, w.profiles)
+	case i <= txChunks:
+		j := i - 1
+		lo, hi := j*crypto.Chunk, min((j+1)*crypto.Chunk, len(w.calls))
+		if w.hashIDs {
+			txLeaves(w.txIDs[lo:hi], w.calls[lo:hi])
+		}
+		copy(w.level[lo:hi], w.txIDs[lo:hi])
+		crypto.HashChunk(w.txLevel(), j)
+	default:
+		j := i - 1 - txChunks
+		level := w.receiptLevel()
+		lo, hi := j*crypto.Chunk, min((j+1)*crypto.Chunk, len(level))
+		receiptLeaves(level[lo:hi], w.receipts[lo:hi])
+		crypto.HashChunk(level, j)
+	}
+}
+
 var commitmentPasses atomic.Int64
 
-// CommitmentPasses counts Seal and VerifyCommitments calls. A node owes
+// CommitmentPasses counts Seal, SealHashed, VerifyCommitments and
+// VerifyCommitmentsAlone calls. A node owes
 // each block exactly one: the lifecycle tests difference it on every path.
 func CommitmentPasses() int64 { return commitmentPasses.Load() }
 
@@ -152,8 +242,7 @@ func CommitmentPasses() int64 { return commitmentPasses.Load() }
 // completed block and its tx leaves. parent is the previous block's header.
 func Seal(parent Header, calls []contract.Call, receipts []contract.Receipt,
 	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) (Block, []types.Hash) {
-	txIDs := TxLeavesOf(calls)
-	return SealHashed(parent, calls, txIDs, receipts, s, profiles, stateRoot), txIDs
+	return seal(parent, calls, nil, receipts, s, profiles, stateRoot)
 }
 
 // SealHashed is Seal for a caller that already holds the calls' tx leaves
@@ -161,38 +250,60 @@ func Seal(parent Header, calls []contract.Call, receipts []contract.Receipt,
 // from txIDs as given, so they must be exactly those leaves.
 func SealHashed(parent Header, calls []contract.Call, txIDs []types.Hash, receipts []contract.Receipt,
 	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) Block {
+	b, _ := seal(parent, calls, txIDs, receipts, s, profiles, stateRoot)
+	return b
+}
+
+// seal is Seal and SealHashed: txIDs nil are hashed from calls.
+func seal(parent Header, calls []contract.Call, txIDs []types.Hash, receipts []contract.Receipt,
+	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) (Block, []types.Hash) {
 	commitmentPasses.Add(1)
-	b := Block{
+	c := hashCommitments(calls, txIDs, receipts, s, profiles, true)
+	return Block{
+		Header: Header{
+			Number:       parent.Number + 1,
+			ParentHash:   parent.Hash(),
+			TxRoot:       c.txRoot,
+			ReceiptRoot:  c.receiptRoot,
+			StateRoot:    stateRoot,
+			ScheduleHash: c.scheduleHash,
+		},
 		Calls:    calls,
 		Receipts: receipts,
 		Schedule: s,
 		Profiles: profiles,
-	}
-	b.Header = Header{
-		Number:       parent.Number + 1,
-		ParentHash:   parent.Hash(),
-		TxRoot:       crypto.MerkleRoot(txIDs),
-		ReceiptRoot:  ReceiptRootOf(receipts),
-		StateRoot:    stateRoot,
-		ScheduleHash: ScheduleHashOf(s, profiles),
-	}
-	return b
+	}, c.txIDs
 }
 
 // VerifyCommitments checks that a block's header commitments match its
 // body and returns the tx leaves it hashed on the way. It does not
-// re-execute anything; that is the validator's job.
+// re-execute anything; that is the validator's job. All three
+// commitments are hashed before any is compared, and the first mismatch
+// in the order tx root, receipt root, schedule hash, receipt count,
+// profile count is the error.
 func VerifyCommitments(b Block) ([]types.Hash, error) {
+	return verifyCommitments(b, true)
+}
+
+// VerifyCommitmentsAlone is VerifyCommitments hashed on the calling
+// goroutine alone, for a caller that already verifies one block per core
+// (validator.Pipeline's Phase A pool), where a fan's helpers would only
+// compete with its other workers.
+func VerifyCommitmentsAlone(b Block) ([]types.Hash, error) {
+	return verifyCommitments(b, false)
+}
+
+func verifyCommitments(b Block, fan bool) ([]types.Hash, error) {
 	commitmentPasses.Add(1)
-	txIDs := TxLeavesOf(b.Calls)
-	if got := crypto.MerkleRoot(txIDs); got != b.Header.TxRoot {
-		return nil, fmt.Errorf("%w: tx root %s != %s", ErrBadCommitment, got.Short(), b.Header.TxRoot.Short())
+	c := hashCommitments(b.Calls, nil, b.Receipts, b.Schedule, b.Profiles, fan)
+	if c.txRoot != b.Header.TxRoot {
+		return nil, fmt.Errorf("%w: tx root %s != %s", ErrBadCommitment, c.txRoot.Short(), b.Header.TxRoot.Short())
 	}
-	if got := ReceiptRootOf(b.Receipts); got != b.Header.ReceiptRoot {
-		return nil, fmt.Errorf("%w: receipt root %s != %s", ErrBadCommitment, got.Short(), b.Header.ReceiptRoot.Short())
+	if c.receiptRoot != b.Header.ReceiptRoot {
+		return nil, fmt.Errorf("%w: receipt root %s != %s", ErrBadCommitment, c.receiptRoot.Short(), b.Header.ReceiptRoot.Short())
 	}
-	if got := ScheduleHashOf(b.Schedule, b.Profiles); got != b.Header.ScheduleHash {
-		return nil, fmt.Errorf("%w: schedule hash %s != %s", ErrBadCommitment, got.Short(), b.Header.ScheduleHash.Short())
+	if c.scheduleHash != b.Header.ScheduleHash {
+		return nil, fmt.Errorf("%w: schedule hash %s != %s", ErrBadCommitment, c.scheduleHash.Short(), b.Header.ScheduleHash.Short())
 	}
 	if len(b.Receipts) != len(b.Calls) {
 		return nil, fmt.Errorf("%w: %d receipts for %d calls", ErrBadCommitment, len(b.Receipts), len(b.Calls))
@@ -200,7 +311,7 @@ func VerifyCommitments(b Block) ([]types.Hash, error) {
 	if len(b.Profiles) != len(b.Calls) {
 		return nil, fmt.Errorf("%w: %d profiles for %d calls", ErrBadCommitment, len(b.Profiles), len(b.Calls))
 	}
-	return txIDs, nil
+	return c.txIDs, nil
 }
 
 // Chain is an append-only hash-linked sequence of blocks. A chain is

@@ -1,11 +1,14 @@
 // Package crypto provides the hashing substrate for the blockchain layer:
 // domain-separated digests and a binary Merkle tree used to commit to a
-// block's transaction and receipt lists. (The state commitment is a keyed
-// trie and lives with the state, in internal/storage.)
+// block's transaction and receipt lists, hashed a chunk at a time, and
+// Fan, which shares such hashing out among goroutines. (The state
+// commitment is a keyed trie and lives with the state, in
+// internal/storage; its stripes are hashed with Fan too.)
 package crypto
 
 import (
 	"crypto/sha256"
+	"slices"
 
 	"contractstm/internal/types"
 )
@@ -23,19 +26,58 @@ func emptyRoot() types.Hash {
 	return sha256.Sum256([]byte{tagEmpty})
 }
 
+// Chunk is how many leaves a chunk of a tree holds. Pairing level by
+// level, the node at level 6, index j, is exactly the root of leaves
+// [64j, 64j+64) — the last chunk may be partial — so a tree's chunks hash
+// independently and their roots reduce to the tree's root.
+const Chunk = 64
+
+// Chunks is how many chunks a tree of n leaves has.
+func Chunks(n int) int { return (n + Chunk - 1) / Chunk }
+
 // MerkleRoot computes the root of a binary Merkle tree over the given leaves.
 // Odd nodes at each level are promoted unpaired (Bitcoin-style duplication is
 // deliberately avoided: duplication admits known malleability). The leaves
 // are left as they are: the tree is reduced in place in one scratch copy,
-// each level overwriting the front of the one below it.
+// its chunks on as many goroutines as Fan gives them.
 func MerkleRoot(leaves []types.Hash) types.Hash {
-	if len(leaves) == 0 {
+	level := slices.Clone(leaves)
+	n := Chunks(len(level))
+	Fan(chunks(level), n, Helpers(n))
+	return RootOfChunks(level)
+}
+
+// chunks is one tree's level as Fan tasks: task j is HashChunk(j).
+type chunks []types.Hash
+
+func (c chunks) Task(_, j int) { HashChunk(c, j) }
+
+// HashChunk turns chunk j of level, which holds the tree's leaves, into
+// the chunk's subtree root, in place: the root lands in level[j*Chunk].
+func HashChunk(level []types.Hash, j int) {
+	c := level[j*Chunk : min((j+1)*Chunk, len(level))]
+	for i, leaf := range c {
+		c[i] = hashLeaf(leaf)
+	}
+	reduce(c)
+}
+
+// RootOfChunks is the root of the tree whose every chunk HashChunk has
+// hashed in level.
+func RootOfChunks(level []types.Hash) types.Hash {
+	if len(level) == 0 {
 		return emptyRoot()
 	}
-	level := make([]types.Hash, len(leaves))
-	for i, leaf := range leaves {
-		level[i] = hashLeaf(leaf)
+	n := Chunks(len(level))
+	for j := 1; j < n; j++ {
+		level[j] = level[j*Chunk]
 	}
+	return reduce(level[:n])
+}
+
+// reduce pairs a non-empty level up in place, level by level, and returns
+// the root.
+func reduce(level []types.Hash) types.Hash {
 	for n := len(level); n > 1; n = (n + 1) / 2 {
 		for i := 0; i < n; i += 2 {
 			if i+1 < n {

@@ -2,8 +2,11 @@ package crypto
 
 import (
 	"math/rand"
+	goruntime "runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"contractstm/internal/types"
 )
@@ -104,5 +107,115 @@ func BenchmarkMerkleRoot1000(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MerkleRoot(ls)
+	}
+}
+
+// oracleRoot is MerkleRoot as first written: a fresh slice per level,
+// each pair hashed into the next, an odd last node promoted unpaired.
+func oracleRoot(leaves []types.Hash) types.Hash {
+	if len(leaves) == 0 {
+		return emptyRoot()
+	}
+	level := make([]types.Hash, len(leaves))
+	for i, leaf := range leaves {
+		level[i] = hashLeaf(leaf)
+	}
+	for len(level) > 1 {
+		var next []types.Hash
+		for i := 0; i < len(level); i += 2 {
+			if i+1 < len(level) {
+				next = append(next, hashNode(level[i], level[i+1]))
+			} else {
+				next = append(next, level[i])
+			}
+		}
+		level = next
+	}
+	return level[0]
+}
+
+func randomLeaves(rng *rand.Rand, n int) []types.Hash {
+	ls := make([]types.Hash, n)
+	for i := range ls {
+		rng.Read(ls[i][:])
+	}
+	return ls
+}
+
+// withinDeadline runs f and fails the test if f has not returned within
+// d: a fan that loses a task leaves its caller waiting for ever, and this
+// turns that hang into a failure.
+func withinDeadline(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("not done within %v: a fan lost a task", d)
+	}
+}
+
+// TestMerkleRootMatchesOracle: for every tree size from 0 to 1,100 —
+// empty, within one chunk, on and around every chunk boundary, a partial
+// last chunk — MerkleRoot of random leaves equals the level-by-level
+// oracle at GOMAXPROCS 1, 2, 3 and 16, and leaves the leaves as they were.
+// Under the race detector, which runs it repeated, the sizes are those up
+// to two chunks and one either side of every chunk boundary.
+func TestMerkleRootMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	all := randomLeaves(rng, 1100)
+	want := make([]types.Hash, len(all)+1)
+	for n := range want {
+		want[n] = oracleRoot(all[:n])
+	}
+	for _, procs := range []int{1, 2, 3, 16} {
+		prev := goruntime.GOMAXPROCS(procs)
+		withinDeadline(t, time.Minute, func() {
+			for n := range want {
+				if raceDetector && n > 2*Chunk+1 && (n+1)%Chunk > 2 {
+					continue
+				}
+				if got := MerkleRoot(all[:n]); got != want[n] {
+					t.Errorf("GOMAXPROCS %d, %d leaves: root %s, oracle %s", procs, n, got.Short(), want[n].Short())
+				}
+			}
+		})
+		goruntime.GOMAXPROCS(prev)
+	}
+	if !slices.Equal(all, randomLeaves(rand.New(rand.NewSource(52)), 1100)) {
+		t.Fatal("MerkleRoot wrote to its leaves")
+	}
+}
+
+// FuzzMerkleRoot checks MerkleRoot of n seeded random leaves against the
+// oracle at a GOMAXPROCS of 1 to 16.
+func FuzzMerkleRoot(f *testing.F) {
+	f.Add(uint16(0), int64(1), uint8(1))
+	f.Add(uint16(64), int64(2), uint8(2))
+	f.Add(uint16(65), int64(3), uint8(3))
+	f.Add(uint16(500), int64(4), uint8(16))
+	f.Fuzz(func(t *testing.T, n uint16, seed int64, procs uint8) {
+		ls := randomLeaves(rand.New(rand.NewSource(seed)), int(n%4096))
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1 + int(procs%16)))
+		want := oracleRoot(ls)
+		withinDeadline(t, time.Minute, func() {
+			if got := MerkleRoot(ls); got != want {
+				t.Errorf("%d leaves, seed %d, GOMAXPROCS %d: root %s, oracle %s",
+					len(ls), seed, goruntime.GOMAXPROCS(0), got.Short(), want.Short())
+			}
+		})
+	})
+}
+
+// TestMerkleRootAllocs: at GOMAXPROCS 1 MerkleRoot allocates its one
+// scratch copy and nothing else.
+func TestMerkleRootAllocs(t *testing.T) {
+	ls := leaves(1000)
+	if a := testing.AllocsPerRun(20, func() { MerkleRoot(ls) }); a > 1 {
+		t.Errorf("MerkleRoot allocates %.0f times, ceiling 1", a)
 	}
 }

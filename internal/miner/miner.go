@@ -80,13 +80,14 @@ type Result struct {
 // parent. The world must be at parent's state; on success it has advanced
 // to the block's post-state.
 func Mine(eng engine.Engine, runner runtime.Runner, w *contract.World, parent chain.Header, calls []contract.Call, opts engine.Options) (Result, error) {
-	return MineHashed(eng, runner, w, parent, calls, chain.TxLeavesOf(calls), opts)
+	return MineHashed(eng, runner, w, parent, calls, nil, opts)
 }
 
 // MineHashed is Mine for a caller that already holds the calls'
 // transaction IDs (chain.TxLeavesOf of calls — a node's pool derives
 // each one at intake): the block is sealed over them, not over a second
-// hashing of every call.
+// hashing of every call. With txIDs nil the seal hashes them, in the
+// same fan as the block's other commitments.
 func MineHashed(eng engine.Engine, runner runtime.Runner, w *contract.World, parent chain.Header, calls []contract.Call, txIDs []types.Hash, opts engine.Options) (Result, error) {
 	res, err := eng.ExecuteBlock(runner, w, calls, opts)
 	if err != nil {
@@ -96,7 +97,12 @@ func MineHashed(eng engine.Engine, runner runtime.Runner, w *contract.World, par
 	if err != nil {
 		return Result{}, fmt.Errorf("miner: state root: %w", err)
 	}
-	block := chain.SealHashed(parent, calls, txIDs, res.Receipts, res.Schedule, res.Profiles, stateRoot)
+	var block chain.Block
+	if txIDs == nil {
+		block, txIDs = chain.Seal(parent, calls, res.Receipts, res.Schedule, res.Profiles, stateRoot)
+	} else {
+		block = chain.SealHashed(parent, calls, txIDs, res.Receipts, res.Schedule, res.Profiles, stateRoot)
+	}
 	return Result{Block: block, TxIDs: txIDs, Makespan: res.Makespan, Stats: res.Stats, Graph: res.Graph}, nil
 }
 

@@ -4,10 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync/atomic"
 
+	"contractstm/internal/crypto"
 	"contractstm/internal/types"
 )
 
@@ -40,10 +39,11 @@ import (
 // A large map keeps its trie in 16 stripes (Map), each the subtree of one
 // slot of the top node, at depth 1. assemble builds the ordinary top node
 // from them and hasher.slots hashes them as that node, so versions, the
-// state stream and the commitment never see a stripe. slots hashes them
-// on helper goroutines too, one per stripe, while the caller holds every
-// mutex: stripes are disjoint, so each cache has one writer, and the
-// caller joins every stripe before Map.root releases the mutexes.
+// state stream and the commitment never see a stripe. slots shares the
+// stripes out with crypto.Fan, the fan a block's commitments use too,
+// while the caller holds every mutex: stripes are disjoint, so each cache
+// has one writer, and Fan joins every stripe before Map.root releases
+// the mutexes.
 
 // placement is a key's path through the trie, one nibble per level.
 type placement [sha256.Size]byte
@@ -467,8 +467,8 @@ func (h *hasher) slots(roots *[16]*node) (types.Hash, error) {
 	}
 	var subs [16]types.Hash // a zero hash: hashed below, on the caller
 	n := bits.OnesCount16(occupied)
-	if w := min(runtime.GOMAXPROCS(0), n); w > 1 {
-		if err := h.fanOut(roots, n, w-1, &subs); err != nil {
+	if helpers := crypto.Helpers(n); helpers > 0 {
+		if err := h.fanOut(roots, occupied, n, helpers, &subs); err != nil {
 			return types.Hash{}, err
 		}
 	}
@@ -496,28 +496,35 @@ func (h *hasher) subtree(r *node) (types.Hash, error) {
 	return h.node(r, 1)
 }
 
-// fan shares a root's stripes out among goroutines, each taking the next
-// slot from one counter and hashing with a hasher of its own.
-type fan struct {
+// stripeWork is a striped root's stripes as crypto.Fan tasks: task i
+// hashes the i-th occupied stripe with worker w's hasher.
+type stripeWork struct {
 	roots [16]*node
-	next  atomic.Int32
+	slots [16]uint8 // task i's slot
+	hs    [16]hasher
 	subs  [16]types.Hash
 	errs  [16]error
-	done  chan int // each stripe's leaf count, once its hash is written
 }
 
-// fanOut hashes the n occupied stripes of roots into subs on the caller
-// and helpers more goroutines, waiting only for the stripes taken: a late
-// helper costs nothing. A failure is the lowest failing slot's.
-func (h *hasher) fanOut(roots *[16]*node, n, helpers int, subs *[16]types.Hash) error {
-	f := &fan{roots: *roots, done: make(chan int, n)}
-	for i := 0; i < helpers; i++ {
-		go f.take(new(hasher))
+func (f *stripeWork) Task(w, i int) {
+	s := f.slots[i]
+	f.subs[s], f.errs[s] = f.hs[w].subtree(f.roots[s])
+}
+
+// fanOut hashes the n stripes occupied in roots into subs with
+// crypto.Fan, the caller's hasher working as worker 0 and adding every
+// helper's leaf count to its own. A failure is the lowest failing slot's.
+func (h *hasher) fanOut(roots *[16]*node, occupied uint16, n, helpers int, subs *[16]types.Hash) error {
+	f := &stripeWork{roots: *roots}
+	for i := 0; occupied != 0; occupied &= occupied - 1 {
+		f.slots[i] = uint8(slot(occupied & -occupied))
+		i++
 	}
-	leaves := h.leaves
-	f.take(h)
-	for h.leaves = leaves; n > 0; n-- { // the caller's stripes report on done too
-		h.leaves += <-f.done
+	f.hs[0] = *h
+	crypto.Fan(f, n, helpers)
+	*h = f.hs[0]
+	for w := 1; w <= helpers; w++ {
+		h.leaves += f.hs[w].leaves
 	}
 	*subs = f.subs
 	for _, err := range f.errs {
@@ -526,17 +533,6 @@ func (h *hasher) fanOut(roots *[16]*node, n, helpers int, subs *[16]types.Hash) 
 		}
 	}
 	return nil
-}
-
-// take hashes stripes with h until none is left.
-func (f *fan) take(h *hasher) {
-	for s := int(f.next.Add(1)) - 1; s < 16; s = int(f.next.Add(1)) - 1 {
-		if f.roots[s] != nil {
-			leaves := h.leaves
-			f.subs[s], f.errs[s] = h.subtree(f.roots[s])
-			f.done <- h.leaves - leaves
-		}
-	}
 }
 
 // node returns the commitment of a subtree with two or more entries,
