@@ -19,8 +19,8 @@ import (
 // count, 831 per block both plain and under -race. The commitment
 // preimages are built in pooled, reused or stack buffers, so
 // ScheduleHashOf allocates nothing, TxLeavesOf allocates
-// its result and nothing else, and ReceiptRootOf its leaves and
-// MerkleRoot's one scratch copy of them, whatever the block's size.
+// its result and nothing else, and ReceiptRootOf the one level its tree
+// is reduced in, whatever the block's size.
 func TestBlockCodecAllocCeilings(t *testing.T) {
 	wl, err := workload.Generate(workload.HotPathParams)
 	if err != nil {

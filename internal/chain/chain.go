@@ -106,9 +106,14 @@ func receiptLeaves(leaves []types.Hash, receipts []contract.Receipt) {
 }
 
 // ReceiptRootOf commits to a receipt list: the receipt root a block's
-// seal computes.
+// seal computes, hashed on the caller. Its one level is all it allocates.
 func ReceiptRootOf(receipts []contract.Receipt) types.Hash {
-	return hashCommitments(nil, nil, receipts, sched.Schedule{}, nil, true).receiptRoot
+	level := make([]types.Hash, len(receipts))
+	receiptLeaves(level, receipts)
+	for j := 0; j < crypto.Chunks(len(level)); j++ {
+		crypto.HashChunk(level, j)
+	}
+	return crypto.RootOfChunks(level)
 }
 
 // ScheduleHashOf commits to the published schedule: S, H and the profiles,
@@ -162,10 +167,9 @@ type commitments struct {
 // tasks are the schedule hash, then each chunk of the tx tree (its calls'
 // leaves, when hashed here, and the chunk's subtree), then each chunk of
 // the receipt tree; the caller reduces each tree's chunk roots after the
-// join. A body with at most one chunk per tree is hashed on the caller,
-// and so is every body when fan is false.
+// join. A body with at most one chunk per tree is hashed on the caller.
 func hashCommitments(calls []contract.Call, txIDs []types.Hash, receipts []contract.Receipt,
-	s sched.Schedule, profiles []stm.Profile, fan bool) commitments {
+	s sched.Schedule, profiles []stm.Profile) commitments {
 	w := commitWork{
 		calls: calls, txIDs: txIDs, hashIDs: txIDs == nil, receipts: receipts,
 		schedule: s, profiles: profiles,
@@ -176,7 +180,7 @@ func hashCommitments(calls []contract.Call, txIDs []types.Hash, receipts []contr
 	}
 	txChunks, receiptChunks := crypto.Chunks(len(calls)), crypto.Chunks(len(receipts))
 	n, helpers := 1+txChunks+receiptChunks, 0
-	if fan && (txChunks > 1 || receiptChunks > 1) {
+	if txChunks > 1 || receiptChunks > 1 {
 		helpers = crypto.Helpers(n)
 	}
 	crypto.Fan(w, n, helpers)
@@ -233,9 +237,9 @@ func (w commitWork) Task(_, i int) {
 
 var commitmentPasses atomic.Int64
 
-// CommitmentPasses counts Seal, SealHashed, VerifyCommitments and
-// VerifyCommitmentsAlone calls. A node owes
-// each block exactly one: the lifecycle tests difference it on every path.
+// CommitmentPasses counts Seal, SealHashed and VerifyCommitments calls.
+// A node owes each block exactly one: the lifecycle tests difference it
+// on every path.
 func CommitmentPasses() int64 { return commitmentPasses.Load() }
 
 // Seal fills in the header commitments from the block body and returns the
@@ -258,7 +262,7 @@ func SealHashed(parent Header, calls []contract.Call, txIDs []types.Hash, receip
 func seal(parent Header, calls []contract.Call, txIDs []types.Hash, receipts []contract.Receipt,
 	s sched.Schedule, profiles []stm.Profile, stateRoot types.Hash) (Block, []types.Hash) {
 	commitmentPasses.Add(1)
-	c := hashCommitments(calls, txIDs, receipts, s, profiles, true)
+	c := hashCommitments(calls, txIDs, receipts, s, profiles)
 	return Block{
 		Header: Header{
 			Number:       parent.Number + 1,
@@ -282,20 +286,8 @@ func seal(parent Header, calls []contract.Call, txIDs []types.Hash, receipts []c
 // in the order tx root, receipt root, schedule hash, receipt count,
 // profile count is the error.
 func VerifyCommitments(b Block) ([]types.Hash, error) {
-	return verifyCommitments(b, true)
-}
-
-// VerifyCommitmentsAlone is VerifyCommitments hashed on the calling
-// goroutine alone, for a caller that already verifies one block per core
-// (validator.Pipeline's Phase A pool), where a fan's helpers would only
-// compete with its other workers.
-func VerifyCommitmentsAlone(b Block) ([]types.Hash, error) {
-	return verifyCommitments(b, false)
-}
-
-func verifyCommitments(b Block, fan bool) ([]types.Hash, error) {
 	commitmentPasses.Add(1)
-	c := hashCommitments(b.Calls, nil, b.Receipts, b.Schedule, b.Profiles, fan)
+	c := hashCommitments(b.Calls, nil, b.Receipts, b.Schedule, b.Profiles)
 	if c.txRoot != b.Header.TxRoot {
 		return nil, fmt.Errorf("%w: tx root %s != %s", ErrBadCommitment, c.txRoot.Short(), b.Header.TxRoot.Short())
 	}

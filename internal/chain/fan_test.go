@@ -1,16 +1,20 @@
 package chain_test
 
 import (
+	"math/rand"
 	goruntime "runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"contractstm/internal/chain"
+	"contractstm/internal/contract"
 	"contractstm/internal/crypto"
 	"contractstm/internal/engine"
+	"contractstm/internal/gas"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
+	"contractstm/internal/sched"
 	"contractstm/internal/types"
 	"contractstm/internal/workload"
 )
@@ -72,8 +76,8 @@ func fanSizes() []int {
 // TestCommitmentFanMatchesOneProc: for a mined block of every paper
 // workload, each prefix of fanSizes transactions seals at GOMAXPROCS 2
 // and 16 to the header and tx IDs of GOMAXPROCS 1, whether Seal hashes
-// the IDs or SealHashed is given them, and VerifyCommitments (fanned or
-// alone) accepts it and returns those IDs.
+// the IDs or SealHashed is given them, and VerifyCommitments accepts it
+// and returns those IDs.
 func TestCommitmentFanMatchesOneProc(t *testing.T) {
 	parent := chain.GenesisHeader(types.HashString("g"))
 	for _, kind := range workload.Kinds() {
@@ -93,7 +97,6 @@ func TestCommitmentFanMatchesOneProc(t *testing.T) {
 					got, ids := chain.Seal(parent, calls, receipts, b.Schedule, profiles, b.Header.StateRoot)
 					hashed := chain.SealHashed(parent, calls, wantIDs, receipts, b.Schedule, profiles, b.Header.StateRoot)
 					verified, err := chain.VerifyCommitments(got)
-					alone, aerr := chain.VerifyCommitmentsAlone(got)
 					switch {
 					case got.Header != want.Header || hashed.Header != want.Header:
 						t.Errorf("%v, %d txs, GOMAXPROCS %d: header differs from GOMAXPROCS 1's", kind, n, procs)
@@ -103,12 +106,46 @@ func TestCommitmentFanMatchesOneProc(t *testing.T) {
 						t.Errorf("%v, %d txs, GOMAXPROCS %d: %v", kind, n, procs, err)
 					case !slices.Equal(verified, wantIDs):
 						t.Errorf("%v, %d txs, GOMAXPROCS %d: VerifyCommitments' tx IDs differ from GOMAXPROCS 1's", kind, n, procs)
-					case aerr != nil || !slices.Equal(alone, wantIDs):
-						t.Errorf("%v, %d txs, GOMAXPROCS %d: VerifyCommitmentsAlone: %v, or its tx IDs differ", kind, n, procs, aerr)
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestCommitmentFanMatchesMerkleRoot: for an empty tree and every size
+// of fanSizes, SealHashed's tx root over random tx IDs and receipt root
+// over random receipts equal crypto.MerkleRoot of the IDs and
+// ReceiptRootOf of the receipts, both hashed on the caller alone, at
+// GOMAXPROCS 1, 2, 3 and 16. The receipt counts are the tx counts in
+// reverse, so one tree may fan while the other is a single chunk.
+func TestCommitmentFanMatchesMerkleRoot(t *testing.T) {
+	sizes := append([]int{0}, fanSizes()...)
+	most := sizes[len(sizes)-1]
+	rng := rand.New(rand.NewSource(52))
+	ids := make([]types.Hash, most)
+	for i := range ids {
+		rng.Read(ids[i][:])
+	}
+	receipts := make([]contract.Receipt, most)
+	for i := range receipts {
+		receipts[i] = contract.Receipt{Tx: types.TxID(rng.Intn(most)), Reverted: rng.Intn(2) == 0, GasUsed: gas.Gas(rng.Int63())}
+	}
+	calls := make([]contract.Call, most) // SealHashed reads only their count
+	parent := chain.GenesisHeader(types.HashString("g"))
+	for _, procs := range []int{1, 2, 3, 16} {
+		atProcs(t, procs, func() {
+			for k, n := range sizes {
+				r := receipts[:sizes[len(sizes)-1-k]]
+				h := chain.SealHashed(parent, calls[:n], ids[:n], r, sched.Schedule{}, nil, types.Hash{}).Header
+				if want := crypto.MerkleRoot(ids[:n]); h.TxRoot != want {
+					t.Errorf("GOMAXPROCS %d, %d txs: tx root %s, MerkleRoot %s", procs, n, h.TxRoot.Short(), want.Short())
+				}
+				if want := chain.ReceiptRootOf(r); h.ReceiptRoot != want {
+					t.Errorf("GOMAXPROCS %d, %d receipts: receipt root %s, ReceiptRootOf %s", procs, len(r), h.ReceiptRoot.Short(), want.Short())
+				}
+			}
+		})
 	}
 }
 

@@ -58,10 +58,36 @@ func TestFanHelpers(t *testing.T) {
 	}
 }
 
+// squares is a task type that reaches its results through a slice, as
+// a block's commitment tasks do: task i writes i*i into its own slot.
+type squares []int
+
+func (s squares) Task(_, i int) { s[i] = i * i }
+
 // TestFanAllocs: with no helpers Fan allocates nothing.
 func TestFanAllocs(t *testing.T) {
-	level := make(chunks, 500)
-	if a := testing.AllocsPerRun(20, func() { Fan(level, Chunks(len(level)), 0) }); a != 0 {
+	s := make(squares, 500)
+	if a := testing.AllocsPerRun(20, func() { Fan(s, len(s), 0) }); a != 0 {
 		t.Errorf("Fan with no helpers allocates %.0f times, want 0", a)
+	}
+	if s[499] != 499*499 {
+		t.Errorf("task 499 wrote %d, want %d", s[499], 499*499)
+	}
+}
+
+// withinDeadline runs f and fails the test if f has not returned within
+// d: a fan that loses a task leaves its caller waiting for ever, and this
+// turns that hang into a failure.
+func withinDeadline(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("not done within %v: a fan lost a task", d)
 	}
 }

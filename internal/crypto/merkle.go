@@ -1,7 +1,7 @@
 // Package crypto provides the hashing substrate for the blockchain layer:
 // domain-separated digests and a binary Merkle tree used to commit to a
 // block's transaction and receipt lists, hashed a chunk at a time, and
-// Fan, which shares such hashing out among goroutines. (The state
+// Fan, which shares such chunks out among goroutines. (The state
 // commitment is a keyed trie and lives with the state, in
 // internal/storage; its stripes are hashed with Fan too.)
 package crypto
@@ -39,18 +39,14 @@ func Chunks(n int) int { return (n + Chunk - 1) / Chunk }
 // Odd nodes at each level are promoted unpaired (Bitcoin-style duplication is
 // deliberately avoided: duplication admits known malleability). The leaves
 // are left as they are: the tree is reduced in place in one scratch copy,
-// its chunks on as many goroutines as Fan gives them.
+// a chunk at a time.
 func MerkleRoot(leaves []types.Hash) types.Hash {
 	level := slices.Clone(leaves)
-	n := Chunks(len(level))
-	Fan(chunks(level), n, Helpers(n))
+	for j := 0; j < Chunks(len(level)); j++ {
+		HashChunk(level, j)
+	}
 	return RootOfChunks(level)
 }
-
-// chunks is one tree's level as Fan tasks: task j is HashChunk(j).
-type chunks []types.Hash
-
-func (c chunks) Task(_, j int) { HashChunk(c, j) }
 
 // HashChunk turns chunk j of level, which holds the tree's leaves, into
 // the chunk's subtree root, in place: the root lands in level[j*Chunk].

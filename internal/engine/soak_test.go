@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -43,18 +45,21 @@ var soakWorld = func() func(i int) (*workload.Workload, error) {
 	}
 }()
 
-// soakSeed mines the block seed names — a world and a window of its
-// calls — with each engine and checks it against a serial replay of its
-// S. A failure names the seed.
+// soakSeed mines the block seed names with each engine and checks it
+// against a serial replay of its S. The seed picks a world, a window of
+// soakBlockSize of its calls starting at any call, and the order of the
+// window's calls, so every seed is a block of its own. A failure names
+// the seed.
 func soakSeed(t *testing.T, seed uint64) {
 	t.Helper()
-	windows := uint64(soakWorldTxs / soakBlockSize)
-	wl, err := soakWorld(int(seed / windows % soakWorlds))
+	rng := rand.New(rand.NewPCG(seed, 0))
+	wl, err := soakWorld(rng.IntN(soakWorlds))
 	if err != nil {
 		t.Fatalf("seed %d: generate: %v", seed, err)
 	}
-	at := int(seed%windows) * soakBlockSize
-	calls := wl.Calls[at : at+soakBlockSize]
+	at := rng.IntN(soakWorldTxs - soakBlockSize + 1)
+	calls := slices.Clone(wl.Calls[at : at+soakBlockSize])
+	rng.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
 	for _, ek := range engine.Kinds() {
 		wl.Reset()
 		res, err := engine.MustNew(ek).ExecuteBlock(runtime.NewOSRunner(nil), wl.World, calls, engine.Options{Workers: 2})

@@ -501,9 +501,18 @@ func (h *hasher) subtree(r *node) (types.Hash, error) {
 type stripeWork struct {
 	roots [16]*node
 	slots [16]uint8 // task i's slot
-	hs    [16]hasher
+	hs    [16]stripeHasher
 	subs  [16]types.Hash
 	errs  [16]error
+}
+
+// stripeHasher is one worker's hasher and a cache line of padding, so
+// any two workers' hashers are more than a line apart: every leaf writes
+// its hasher's buf and count, and a line holding two hashers would
+// bounce between the workers' cores for the whole fan.
+type stripeHasher struct {
+	hasher
+	_ [64]byte
 }
 
 func (f *stripeWork) Task(w, i int) {
@@ -520,9 +529,9 @@ func (h *hasher) fanOut(roots *[16]*node, occupied uint16, n, helpers int, subs 
 		f.slots[i] = uint8(slot(occupied & -occupied))
 		i++
 	}
-	f.hs[0] = *h
+	f.hs[0].hasher = *h
 	crypto.Fan(f, n, helpers)
-	*h = f.hs[0]
+	*h = f.hs[0].hasher
 	for w := 1; w <= helpers; w++ {
 		h.leaves += f.hs[w].leaves
 	}

@@ -75,7 +75,7 @@ func Pipeline(ctx context.Context, workers, window int,
 		defer workerWG.Done()
 		for j := range jobs {
 			if ctx.Err() == nil {
-				j.pre, j.preErr = precheck(j.block, chain.VerifyCommitmentsAlone)
+				j.pre, j.preErr = Precheck(j.block)
 			}
 			close(j.done)
 		}

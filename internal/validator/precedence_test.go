@@ -14,8 +14,7 @@ import (
 // once is refused with the first in the order tx root, receipt root,
 // schedule hash, receipt count, profile count — the error, byte for
 // byte, that hashing one commitment after another gave — at GOMAXPROCS 1
-// and 16, through chain.VerifyCommitments and VerifyCommitmentsAlone,
-// and through Precheck and the Pipeline's Phase A precheck. The
+// and 16, through chain.VerifyCommitments and through Precheck. The
 // 300-transaction body has five chunks per tree, so at 16 every task of
 // the block's fan may run on a goroutine of its own.
 func TestCommitmentErrorPrecedence(t *testing.T) {
@@ -58,23 +57,16 @@ func TestCommitmentErrorPrecedence(t *testing.T) {
 		}
 		c.forge(&b)
 		for _, procs := range []int{1, 16} {
-			var verr, aerr, perr, pipeErr error
+			var verr, perr error
 			withinDeadline(t, procs, func() {
 				_, verr = chain.VerifyCommitments(b)
-				_, aerr = chain.VerifyCommitmentsAlone(b)
 				_, perr = Precheck(b)
-				_, pipeErr = precheck(b, chain.VerifyCommitmentsAlone)
 			})
-			for name, err := range map[string]error{"VerifyCommitments": verr, "VerifyCommitmentsAlone": aerr} {
-				if err == nil || err.Error() != c.verify {
-					t.Errorf("%s, GOMAXPROCS %d: %s = %v, want %s", c.name, procs, name, err, c.verify)
-				}
+			if verr == nil || verr.Error() != c.verify {
+				t.Errorf("%s, GOMAXPROCS %d: VerifyCommitments = %v, want %s", c.name, procs, verr, c.verify)
 			}
-			want := ErrRejected.Error() + ": " + c.verify
-			for name, err := range map[string]error{"Precheck": perr, "Pipeline's precheck": pipeErr} {
-				if err == nil || err.Error() != want {
-					t.Errorf("%s, GOMAXPROCS %d: %s = %v, want %s", c.name, procs, name, err, want)
-				}
+			if want := ErrRejected.Error() + ": " + c.verify; perr == nil || perr.Error() != want {
+				t.Errorf("%s, GOMAXPROCS %d: Precheck = %v, want %s", c.name, procs, perr, want)
 			}
 		}
 	}

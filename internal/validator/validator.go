@@ -83,14 +83,7 @@ type Prechecked struct {
 // pipeline that elects the first Precheck error by height rejects exactly
 // like Validate.
 func Precheck(b chain.Block) (Prechecked, error) {
-	return precheck(b, chain.VerifyCommitments)
-}
-
-// precheck is Precheck with its commitment check: Pipeline's Phase A
-// pool, which already prechecks one block per worker, hashes each
-// block's commitments on the worker alone (chain.VerifyCommitmentsAlone).
-func precheck(b chain.Block, verify func(chain.Block) ([]types.Hash, error)) (Prechecked, error) {
-	txIDs, err := verify(b)
+	txIDs, err := chain.VerifyCommitments(b)
 	if err != nil {
 		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
