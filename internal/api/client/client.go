@@ -177,9 +177,9 @@ func New(baseURL string, opts ...Option) *Client {
 // URL returns the client's base URL.
 func (c *Client) URL() string { return c.base }
 
-// do performs one request built by build (a fresh request per attempt so
-// bodies re-send cleanly), retrying per policy when retryable.
-func (c *Client) do(ctx context.Context, retryable bool, build func() (*http.Request, error)) (*http.Response, error) {
+// do performs one request built by build with ctx (a fresh request per
+// attempt so bodies re-send cleanly), retrying per policy when retryable.
+func (c *Client) do(ctx context.Context, retryable bool, build func(context.Context) (*http.Request, error)) (*http.Response, error) {
 	policy := c.retry
 	if !retryable {
 		policy = NoRetry
@@ -187,11 +187,11 @@ func (c *Client) do(ctx context.Context, retryable bool, build func() (*http.Req
 	delay := policy.Backoff
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		req, err := build()
+		req, err := build(ctx)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.hc.Do(req.WithContext(ctx))
+		resp, err := c.hc.Do(req)
 		switch {
 		case err != nil:
 			lastErr = err
@@ -216,8 +216,8 @@ func (c *Client) do(ctx context.Context, retryable bool, build func() (*http.Req
 
 // getJSON fetches path and decodes the response into out.
 func (c *Client) getJSON(ctx context.Context, path string, limit int64, out any) error {
-	resp, err := c.do(ctx, true, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+path, nil)
+	resp, err := c.do(ctx, true, func(ctx context.Context) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	})
 	if err != nil {
 		return err
@@ -238,21 +238,11 @@ func (c *Client) postJSON(ctx context.Context, path string, retryable bool, body
 	if err != nil {
 		return fmt.Errorf("api client: encode %s: %w", path, err)
 	}
-	resp, err := c.do(ctx, retryable, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
+	resp, err := c.post(ctx, path, retryable, raw)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
-	}
 	if out == nil {
 		return nil
 	}
@@ -260,6 +250,52 @@ func (c *Client) postJSON(ctx context.Context, path string, retryable bool, body
 		return fmt.Errorf("api client: decode %s: %w", path, err)
 	}
 	return nil
+}
+
+// post posts the JSON raw to path and returns a 2xx answer; any other
+// answer is an *APIError.
+func (c *Client) post(ctx context.Context, path string, retryable bool, raw []byte) (*http.Response, error) {
+	resp, err := c.do(ctx, retryable, func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		return req, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// submit posts one encoded submit and reads the answer: in canonical
+// form without reflection (wire.ParseTxSubmitted), any other through
+// encoding/json from its first byte, within the same 1 MiB.
+func (c *Client) submit(ctx context.Context, raw []byte) (wire.TxSubmitted, error) {
+	resp, err := c.post(ctx, "/v1/tx", false, raw)
+	if err != nil {
+		return wire.TxSubmitted{}, err
+	}
+	defer resp.Body.Close()
+	body := io.LimitReader(resp.Body, 1<<20)
+	var buf [256]byte
+	// io.ReadFull reports io.ErrUnexpectedEOF for an answer shorter than
+	// buf; either way the whole answer is in buf.
+	n, err := io.ReadFull(body, buf[:])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if out, ok := wire.ParseTxSubmitted(buf[:n]); ok {
+			return out, nil
+		}
+	}
+	var out wire.TxSubmitted
+	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&out); err != nil {
+		return wire.TxSubmitted{}, fmt.Errorf("api client: decode /v1/tx: %w", err)
+	}
+	return out, nil
 }
 
 // decodeError drains a non-2xx response into an *APIError.
@@ -291,11 +327,17 @@ func decodeError(resp *http.Response) error {
 // lost response does not mean a lost submission; poll Receipt with the
 // locally derivable ID (wire.TxIDOf) before resending.
 func (c *Client) SubmitTx(ctx context.Context, tx wire.TxSubmit) (wire.TxSubmitted, error) {
+	raw, ok := wire.AppendTxSubmit(make([]byte, 0, 512), tx)
+	if !ok {
+		var err error
+		if raw, err = json.Marshal(tx); err != nil {
+			return wire.TxSubmitted{}, fmt.Errorf("api client: encode /v1/tx: %w", err)
+		}
+	}
 	policy := c.retry.withDefaults()
 	delay := policy.Backoff
 	for attempt := 1; ; attempt++ {
-		var out wire.TxSubmitted
-		err := c.postJSON(ctx, "/v1/tx", false, tx, &out)
+		out, err := c.submit(ctx, raw)
 		if err == nil {
 			return out, nil
 		}
@@ -479,8 +521,8 @@ func (c *Client) BlockUnverified(ctx context.Context, height uint64) (chain.Bloc
 }
 
 func (c *Client) block(ctx context.Context, height uint64, decode func(io.Reader) (chain.Block, error)) (chain.Block, error) {
-	resp, err := c.do(ctx, true, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/blocks/%d", c.base, height), nil)
+	resp, err := c.do(ctx, true, func(ctx context.Context) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/blocks/%d", c.base, height), nil)
 	})
 	if err != nil {
 		return chain.Block{}, err
@@ -516,8 +558,8 @@ func (c *Client) blocks(ctx context.Context, from uint64, count int, decode func
 	if count <= 0 {
 		return nil, fmt.Errorf("api client: blocks: count %d", count)
 	}
-	resp, err := c.do(ctx, true, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet,
+	resp, err := c.do(ctx, true, func(ctx context.Context) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet,
 			fmt.Sprintf("%s/v1/blocks?from=%d&count=%d", c.base, from, count), nil)
 	})
 	if err != nil {
@@ -556,8 +598,8 @@ func (c *Client) SendBlock(ctx context.Context, b chain.Block) error {
 	if err != nil {
 		return fmt.Errorf("api client: send block %d: %w", b.Header.Number, err)
 	}
-	resp, err := c.do(ctx, false, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/blocks", bytes.NewReader(raw))
+	resp, err := c.do(ctx, false, func(ctx context.Context) (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/blocks", bytes.NewReader(raw))
 		if err != nil {
 			return nil, err
 		}
@@ -576,8 +618,8 @@ func (c *Client) SendBlock(ctx context.Context, b chain.Block) error {
 
 // Snapshot fetches the node's state checkpoint (snapshot fast-sync).
 func (c *Client) Snapshot(ctx context.Context) (persist.Snapshot, error) {
-	resp, err := c.do(ctx, true, func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, c.base+"/v1/snapshot", nil)
+	resp, err := c.do(ctx, true, func(ctx context.Context) (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/snapshot", nil)
 	})
 	if err != nil {
 		return persist.Snapshot{}, err

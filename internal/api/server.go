@@ -20,6 +20,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,7 @@ const (
 	DefaultMaxGasLimit = 100_000_000
 	// DefaultMaxBodyBytes bounds JSON request bodies.
 	DefaultMaxBodyBytes = 1 << 20
-	// DefaultTimeout bounds non-streaming request handling.
+	// DefaultTimeout is Config.Timeout's default.
 	DefaultTimeout = 60 * time.Second
 )
 
@@ -135,8 +136,11 @@ type Config struct {
 	DefaultGasLimit  uint64
 	MaxGasLimit      uint64
 	MaxBodyBytes     int64
-	// Timeout bounds every non-streaming request (0 = DefaultTimeout,
-	// negative = none). The event stream is exempt.
+	// Timeout bounds every request that can wait (0 = DefaultTimeout,
+	// negative = none): a route that waits inside the node runs under
+	// http.TimeoutHandler, and POST /v1/tx, which can wait only on its
+	// body, reads it under a read deadline. GET /v1/tx/{id}, the event
+	// stream and the binary downloads are exempt.
 	Timeout time.Duration
 	// SubscriberBuffer sizes each /v1/subscribe subscriber's event
 	// buffer (<=0 selects DefaultSubscriberBuffer). Relays serving
@@ -218,15 +222,18 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), byRoute: make(map[string]*atomic.Int64)}
 
-	// /v1 routes. Every non-streaming handler runs under the timeout
-	// middleware; the subscribe stream must not (TimeoutHandler buffers
-	// writes, which would break flushing).
-	// The two binary download routes skip the timeout middleware too:
-	// http.TimeoutHandler buffers the whole response before copying it
-	// out, which would add a full-body copy on exactly the paths the
-	// cached wire encodings exist to keep cheap.
-	s.route("POST /v1/tx", s.writable(s.handleTx), true)
-	s.route("GET /v1/tx/{id}", s.handleReceipt, true)
+	// /v1 routes. A handler that can wait inside the node runs under the
+	// timeout middleware (http.TimeoutHandler: a goroutine, a timer and a
+	// buffered copy of the response per request). The rest are bounded
+	// by what they can wait on:
+	//   - POST /v1/tx waits only on its request body, which it reads
+	//     under a read deadline of Config.Timeout (readSubmit);
+	//   - GET /v1/tx/{id} reads no body and cannot wait;
+	//   - the subscribe stream must not be buffered (it flushes), and the
+	//     two binary download routes would pay a full-body copy on
+	//     exactly the paths the cached wire encodings keep cheap.
+	s.route("POST /v1/tx", s.writable(s.handleTx), false)
+	s.route("GET /v1/tx/{id}", s.handleReceipt, false)
 	s.route("POST /v1/mine", s.writable(s.handleMine), true)
 	s.route("POST /v1/blocks", s.handleImportBlock, true)
 	s.route("GET /v1/blocks/{height}", s.handleGetBlock, false)
@@ -268,6 +275,10 @@ func (r *statusRecorder) Flush() {
 		f.Flush()
 	}
 }
+
+// Unwrap lets http.NewResponseController reach the connection (the
+// submit route's read deadline).
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // measure wraps a route with request counting.
 func (s *Server) measure(pattern string, h http.Handler) http.Handler {
@@ -383,29 +394,47 @@ func (s *Server) fail(w http.ResponseWriter, httpCode int, code string, err erro
 // modes to wire errors: wrong content type 415, oversized body 413,
 // malformed JSON 400. A nil dst just enforces type and bounds.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if ct := r.Header.Get("Content-Type"); ct != "" && !jsonContentType(ct) {
-		s.fail(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
-			fmt.Errorf("content type %q, want application/json", ct))
+	body, ok := s.jsonBody(w, r)
+	if !ok {
 		return false
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	err := json.NewDecoder(body).Decode(dst)
 	if err == nil || (err == io.EOF && allowEmptyBody(dst)) {
 		return true
 	}
+	s.failBody(w, err)
+	return false
+}
+
+// jsonBody returns the request body bounded by MaxBodyBytes, or answers
+// 415 for a content type other than JSON.
+func (s *Server) jsonBody(w http.ResponseWriter, r *http.Request) (io.Reader, bool) {
+	if ct := r.Header.Get("Content-Type"); ct != "" && !jsonContentType(ct) {
+		s.fail(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
+			fmt.Errorf("content type %q, want application/json", ct))
+		return nil, false
+	}
+	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), true
+}
+
+// failBody answers a body that failed to decode: 413 over the size
+// limit, 400 otherwise.
+func (s *Server) failBody(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		s.fail(w, http.StatusRequestEntityTooLarge, wire.CodeBodyTooLarge,
 			fmt.Errorf("request body over %d bytes", s.cfg.MaxBodyBytes))
-		return false
+		return
 	}
 	s.fail(w, http.StatusBadRequest, wire.CodeBadRequest, err)
-	return false
 }
 
 // jsonContentType accepts application/json with optional parameters.
 // Media types are case-insensitive (RFC 7231).
 func jsonContentType(ct string) bool {
+	if ct == "application/json" {
+		return true
+	}
 	mt, _, err := mime.ParseMediaType(ct)
 	return err == nil && mt == "application/json"
 }
@@ -423,8 +452,10 @@ func allowEmptyBody(dst any) bool {
 // answer 429 with the admission stage as the error code and a
 // Retry-After header carrying the pool's back-off hint.
 func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
-	var tx wire.TxSubmit
-	if !s.decodeBody(w, r, &tx) {
+	buf := submitBufs.Get().(*[submitBuf]byte)
+	defer submitBufs.Put(buf)
+	tx, ok := s.readSubmit(w, r, buf[:])
+	if !ok {
 		return
 	}
 	call, err := tx.Call()
@@ -443,9 +474,15 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 	res := s.cfg.Backend.SubmitTx(call, tx.Priority)
 	switch {
 	case res.Admitted:
-		s.writeJSON(w, http.StatusAccepted, wire.TxSubmitted{
-			ID: res.ID.String(), PoolLen: s.cfg.Backend.PoolLen(), Verdict: res.Verdict,
-		})
+		out := wire.TxSubmitted{ID: res.ID.String(), PoolLen: s.cfg.Backend.PoolLen(), Verdict: res.Verdict}
+		body, ok := wire.AppendTxSubmitted(buf[:0], out)
+		if !ok {
+			s.writeJSON(w, http.StatusAccepted, out)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		_, _ = w.Write(body)
 	case res.Duplicate:
 		s.fail(w, http.StatusConflict, wire.CodeTxDuplicate,
 			fmt.Errorf("transaction %s already submitted; existing receipt stands", res.ID.Short()))
@@ -454,6 +491,65 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusTooManyRequests, res.Verdict,
 			fmt.Errorf("transaction %s shed by admission control (%s)", res.ID.Short(), res.Verdict))
 	}
+}
+
+// submitBuf is the size of the buffer a submit body is read into: a
+// usual submit and its answer fit, anything longer is read on by
+// encoding/json.
+const submitBuf = 1 << 10
+
+// submitBufs holds handleTx's body buffers.
+var submitBufs = sync.Pool{New: func() any { return new([submitBuf]byte) }}
+
+// readSubmit is decodeBody for POST /v1/tx, with the body read into buf
+// under a read deadline instead of the timeout middleware. A body that
+// ends inside buf and is in canonical form (wire.ParseTxSubmit) is taken
+// as read; any other goes, from its first byte, through the decoder
+// decodeBody runs, so it meets the same answer. A read that outlasts the
+// deadline answers what http.TimeoutHandler does: 503 "request timed
+// out".
+func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request, buf []byte) (wire.TxSubmit, bool) {
+	body, ok := s.jsonBody(w, r)
+	if !ok {
+		return wire.TxSubmit{}, false
+	}
+	s.bodyDeadline(w, r)
+	// io.ReadFull reports io.ErrUnexpectedEOF for a body shorter than
+	// buf; either way the whole body is in buf.
+	n, err := io.ReadFull(body, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if tx, ok := wire.ParseTxSubmit(buf[:n]); ok {
+			return tx, true
+		}
+	}
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		var tx wire.TxSubmit
+		if err = json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&tx); err == nil {
+			return tx, true
+		}
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, "request timed out")
+	} else {
+		s.failBody(w, err)
+	}
+	return wire.TxSubmit{}, false
+}
+
+// bodyDeadline bounds a request's body reads by Config.Timeout, unless
+// the http.Server's own ReadTimeout already bounds them tighter. A
+// writer that cannot reach its connection (a test recorder) reads
+// without one.
+func (s *Server) bodyDeadline(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Timeout <= 0 {
+		return
+	}
+	if srv, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok &&
+		srv.ReadTimeout > 0 && srv.ReadTimeout <= s.cfg.Timeout {
+		return
+	}
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.cfg.Timeout))
 }
 
 // retryAfterSeconds renders a back-off hint as whole seconds for the

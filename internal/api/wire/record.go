@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"strconv"
-	"unicode/utf8"
 
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
@@ -220,13 +219,9 @@ func appendHash(dst []byte, h types.Hash) []byte {
 // backslashes, <>&, control bytes, non-ASCII — goes through
 // encoding/json itself, so the escaping is exactly its own.
 func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, _ := json.Marshal(s) // a string always encodes
-			return append(dst, enc...)
-		}
+	if !plain(s) {
+		enc, _ := json.Marshal(s) // a string always encodes
+		return append(dst, enc...)
 	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	return appendQuoted(dst, s)
 }
