@@ -522,16 +522,17 @@ func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request, buf []byte) 
 			return tx, true
 		}
 	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		var tx wire.TxSubmit
-		if err = json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&tx); err == nil {
-			return tx, true
-		}
-	}
-	if errors.Is(err, os.ErrDeadlineExceeded) {
+	// The body's reader repeats its error, so the decoder meets it after
+	// the same bytes the first read did.
+	var tx wire.TxSubmit
+	err = json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&tx)
+	switch {
+	case err == nil:
+		return tx, true
+	case errors.Is(err, os.ErrDeadlineExceeded):
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = io.WriteString(w, "request timed out")
-	} else {
+	default:
 		s.failBody(w, err)
 	}
 	return wire.TxSubmit{}, false

@@ -3,11 +3,13 @@ package api
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strconv"
 	"strings"
@@ -198,18 +200,22 @@ func post(t *testing.T, base, contentType, body string) (int, http.Header, []byt
 // TestSubmitDeadline: a client that sends a submit's headers and half its
 // body, then stalls, gets 503 "request timed out" about when the body's
 // read deadline passes — Config.Timeout, or the http.Server's tighter
-// ReadTimeout — and the handler returns: the server's goroutines go back
-// to what they were before the connection, while the client still holds
-// it open. A kept-alive connection idle past the deadline still serves
+// ReadTimeout — whether the stall meets the canonical read or the
+// encoding/json fallback. The handler returns: the server's goroutines go
+// back to what they were before the connection while the client still
+// holds it open. A kept-alive connection idle past the deadline serves
 // the next submit.
 func TestSubmitDeadline(t *testing.T) {
 	const deadline = 200 * time.Millisecond
 	for _, tc := range []struct {
 		name                 string
 		timeout, readTimeout time.Duration
+		bodyLen              int // 0: a usual transfer
 	}{
-		{"Config.Timeout", deadline, 0},
-		{"server ReadTimeout", time.Minute, deadline},
+		{"Config.Timeout", deadline, 0, 0},
+		{"server ReadTimeout", time.Minute, deadline, 0},
+		// Half of it fills the buffer: the stall meets the fallback decoder.
+		{"body past the buffer", deadline, 0, 3 * submitBuf},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewUnstartedServer(NewServer(Config{
@@ -218,7 +224,7 @@ func TestSubmitDeadline(t *testing.T) {
 			srv.Config.ReadTimeout = tc.readTimeout
 			srv.Start()
 			defer srv.Close()
-			body := canonicalSubmit(t, 0)
+			body := canonicalSubmit(t, tc.bodyLen)
 			baseline := runtime.NumGoroutine()
 
 			conn, err := net.Dial("tcp", srv.Listener.Addr().String())
@@ -250,21 +256,31 @@ func TestSubmitDeadline(t *testing.T) {
 				}
 			}
 
-			// Keep-alive: the deadline does not outlive its request.
+			// The deadline does not outlive its request. (A ReadTimeout is
+			// also the server's idle timeout, which closes the connection.)
+			if tc.readTimeout > 0 {
+				return
+			}
 			hc := &http.Client{Transport: &http.Transport{}}
 			defer hc.CloseIdleConnections()
 			for i := 0; i < 2; i++ {
 				if i > 0 {
 					time.Sleep(deadline + deadline/2)
 				}
-				resp, err := hc.Post(srv.URL+"/v1/tx", "application/json", bytes.NewReader(body))
+				var reused bool
+				ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+					GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+				})
+				req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/tx", bytes.NewReader(body))
+				req.Header.Set("Content-Type", "application/json")
+				resp, err := hc.Do(req)
 				if err != nil {
 					t.Fatalf("submit %d: %v", i, err)
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusAccepted {
-					t.Fatalf("submit %d on a kept-alive connection answered %d", i, resp.StatusCode)
+				if resp.StatusCode != http.StatusAccepted || reused != (i > 0) {
+					t.Fatalf("submit %d answered %d, connection reused %v", i, resp.StatusCode, reused)
 				}
 			}
 		})
