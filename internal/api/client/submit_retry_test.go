@@ -1,12 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -148,5 +151,48 @@ func TestSubmitDuplicateFoldsToSuccess(t *testing.T) {
 	}
 	if hits.Load() != 1 {
 		t.Fatalf("hits = %d — duplicates must not be retried", hits.Load())
+	}
+}
+
+// TestSubmitBytesMatchEncodingJSON: SubmitTx sends json.Marshal's bytes,
+// whether the canonical writer takes the submit or refuses a string and
+// falls back, and reads every 202 answer as encoding/json reads it —
+// canonical, other key order, an unknown field, longer than the read
+// buffer, trailing bytes after the value.
+func TestSubmitBytesMatchEncodingJSON(t *testing.T) {
+	answers := []string{
+		`{"id":"0xab","poolLen":2,"verdict":"admitted"}` + "\n",
+		`{"verdict":"replaced","poolLen":2,"id":"0xab"}`,
+		`{"id":"0xab","poolLen":-1,"verdict":"admitted","extra":[1,2]}`,
+		`{"id":"0x` + strings.Repeat("ab", 200) + `","poolLen":2,"verdict":"admitted"}`,
+		`{"id":"0xab","poolLen":2} trailing`,
+	}
+	for i, answer := range answers {
+		var sent []byte
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			sent, _ = io.ReadAll(r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusAccepted)
+			_, _ = io.WriteString(w, answer)
+		}))
+		tx := submitTx(t)
+		if i%2 == 1 {
+			tx.Function = "a<b>&é" // the canonical writer refuses it
+		}
+		out, err := New(srv.URL).SubmitTx(context.Background(), tx)
+		srv.Close()
+		if err != nil {
+			t.Fatalf("answer %q: %v", answer, err)
+		}
+		if want, _ := json.Marshal(tx); !bytes.Equal(sent, want) {
+			t.Fatalf("sent %s, encoding/json %s", sent, want)
+		}
+		var want wire.TxSubmitted
+		if err := json.NewDecoder(strings.NewReader(answer)).Decode(&want); err != nil {
+			t.Fatalf("decode %q: %v", answer, err)
+		}
+		if out != want {
+			t.Fatalf("answer %q read as %+v, encoding/json %+v", answer, out, want)
+		}
 	}
 }
