@@ -230,8 +230,8 @@ func NewServer(cfg Config) *Server {
 	//     under a read deadline of Config.Timeout (readSubmit);
 	//   - GET /v1/tx/{id} reads no body and cannot wait;
 	//   - the subscribe stream must not be buffered (it flushes), and the
-	//     two binary download routes would pay a full-body copy on
-	//     exactly the paths the cached wire encodings keep cheap.
+	//     binary download routes would pay a full-body copy on exactly
+	//     the paths the cached wire encodings keep cheap.
 	s.route("POST /v1/tx", s.writable(s.handleTx), false)
 	s.route("GET /v1/tx/{id}", s.handleReceipt, false)
 	s.route("POST /v1/mine", s.writable(s.handleMine), true)

@@ -41,10 +41,10 @@ func (submitBackend) SubmitTx(c contract.Call, _ uint8) SubmitResult {
 
 func (submitBackend) PoolLen() int { return 3 }
 
-// parentTx is POST /v1/tx as it was served before the canonical fast
+// jsonTx is POST /v1/tx as it was served before the canonical fast
 // path, kept as the oracle the parity test compares against: the body
 // through decodeBody (encoding/json), the answer through writeJSON.
-func (s *Server) parentTx(w http.ResponseWriter, r *http.Request) {
+func (s *Server) jsonTx(w http.ResponseWriter, r *http.Request) {
 	var tx wire.TxSubmit
 	if !s.decodeBody(w, r, &tx) {
 		return
@@ -101,8 +101,9 @@ func canonicalSubmit(t *testing.T, n int) []byte {
 
 // TestSubmitParity: every POST /v1/tx body — canonical, non-canonical,
 // malformed, oversized, trailing garbage, in every content type — gets
-// from the server exactly the status, headers and body the parent's
-// handler (decodeBody and writeJSON under http.TimeoutHandler) gives it.
+// from the server exactly the status, headers and body the encoding/json
+// handler (jsonTx: decodeBody and writeJSON under http.TimeoutHandler)
+// gives it.
 func TestSubmitParity(t *testing.T) {
 	cfg := Config{Backend: submitBackend{}, Receipts: NewReceiptStore(0), MaxBodyBytes: 2048, MaxGasLimit: 500_000}
 	srv := httptest.NewServer(NewServer(cfg))
@@ -110,7 +111,7 @@ func TestSubmitParity(t *testing.T) {
 	ref := NewServer(cfg)
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/tx", ref.measure("POST /v1/tx",
-		http.TimeoutHandler(http.HandlerFunc(ref.parentTx), DefaultTimeout, "request timed out")))
+		http.TimeoutHandler(http.HandlerFunc(ref.jsonTx), DefaultTimeout, "request timed out")))
 	oracle := httptest.NewServer(mux)
 	defer oracle.Close()
 
@@ -162,12 +163,12 @@ func TestSubmitParity(t *testing.T) {
 				gotStatus, gotHdr, gotBody := post(t, srv.URL, ct, b.body)
 				wantStatus, wantHdr, wantBody := post(t, oracle.URL, ct, b.body)
 				if gotStatus != wantStatus {
-					t.Fatalf("status %d, parent %d (body %q, parent %q)", gotStatus, wantStatus, gotBody, wantBody)
+					t.Fatalf("status %d, oracle %d (body %q, oracle %q)", gotStatus, wantStatus, gotBody, wantBody)
 				}
 				sameBytes(t, "body", gotBody, wantBody)
 				for _, h := range []string{"Content-Type", "Content-Length", "Retry-After", wire.HeaderChainHeight, wire.HeaderChainStaleness} {
 					if gotHdr.Get(h) != wantHdr.Get(h) {
-						t.Fatalf("%s %q, parent %q", h, gotHdr.Get(h), wantHdr.Get(h))
+						t.Fatalf("%s %q, oracle %q", h, gotHdr.Get(h), wantHdr.Get(h))
 					}
 				}
 			})
