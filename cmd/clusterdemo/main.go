@@ -216,11 +216,11 @@ func run() error {
 		}
 		defer miner.kill()
 		st := miner.node.CurrentStatus()
-		if st.HeadHash != head.Hash() {
-			return fmt.Errorf("recovered head %s != pre-crash head %s", st.HeadHash.Short(), head.Hash().Short())
+		if st.HeadHash != head.Hash().String() {
+			return fmt.Errorf("recovered head %s != pre-crash head %s", st.HeadHash, head.Hash())
 		}
 		fmt.Printf("miner restarted from %s: height %d, head %s (snapshot at %d + %d WAL blocks re-validated)\n",
-			*dataDir, st.Height, st.HeadHash.Short(), st.SnapshotHeight, st.RecoveredBlocks)
+			*dataDir, st.Height, head.Hash().Short(), st.SnapshotHeight, st.RecoveredBlocks)
 
 		// The crash lost the pooled tail; resubmit the unmined calls the
 		// way real clients would re-send.

@@ -85,7 +85,7 @@ func TestSubmitAllocCeiling(t *testing.T) {
 		if w.code != http.StatusAccepted {
 			t.Fatalf("submit answered %d", w.code)
 		}
-	}), 18, 19)
+	}), 15, 16)
 
 	answer, _ := wire.AppendTxSubmitted(nil, wire.TxSubmitted{ID: types.HashString("tx").String(), PoolLen: 3, Verdict: "admitted"})
 	sdk := client.New("http://node", client.WithHTTPClient(&http.Client{Transport: &cannedTransport{answer: answer}}))

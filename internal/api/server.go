@@ -1,6 +1,6 @@
 // Package api is the node's versioned HTTP serving layer: the /v1
 // routes (typed wire schema, transaction receipts, event streams) and the
-// server middleware — request body limits, per-route timeouts and request
+// server middleware — request body limits and deadlines, and request
 // metrics.
 //
 // The package is deliberately independent of internal/node: the server
@@ -91,9 +91,9 @@ type Backend interface {
 	DurableBlock(height uint64) (chain.Block, bool)
 	// DurableHead returns the newest durable block.
 	DurableHead() chain.Block
-	// APIStatus snapshots node statistics in wire form (API field nil;
-	// the server fills it).
-	APIStatus() wire.Status
+	// CurrentStatus snapshots node statistics (API field nil; the server
+	// fills it).
+	CurrentStatus() wire.Status
 	// Snapshot produces the state checkpoint GET /v1/snapshot serves
 	// when no cached wire encoding exists.
 	Snapshot() (persist.Snapshot, error)
@@ -136,11 +136,11 @@ type Config struct {
 	DefaultGasLimit  uint64
 	MaxGasLimit      uint64
 	MaxBodyBytes     int64
-	// Timeout bounds every request that can wait (0 = DefaultTimeout,
-	// negative = none): a route that waits inside the node runs under
-	// http.TimeoutHandler, and POST /v1/tx, which can wait only on its
-	// body, reads it under a read deadline. GET /v1/tx/{id}, the event
-	// stream and the binary downloads are exempt.
+	// Timeout bounds the reading of a request body (0 = DefaultTimeout,
+	// negative = none): POST /v1/tx, /v1/mine and /v1/blocks read theirs
+	// under a read deadline (bodyDeadline). A route that reads no body
+	// has nothing to bound; what a request then waits on in the node is
+	// its client's to bound.
 	Timeout time.Duration
 	// SubscriberBuffer sizes each /v1/subscribe subscriber's event
 	// buffer (<=0 selects DefaultSubscriberBuffer). Relays serving
@@ -222,40 +222,27 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), byRoute: make(map[string]*atomic.Int64)}
 
-	// /v1 routes. A handler that can wait inside the node runs under the
-	// timeout middleware (http.TimeoutHandler: a goroutine, a timer and a
-	// buffered copy of the response per request). The rest are bounded
-	// by what they can wait on:
-	//   - POST /v1/tx waits only on its request body, which it reads
-	//     under a read deadline of Config.Timeout (readSubmit);
-	//   - GET /v1/tx/{id} reads no body and cannot wait;
-	//   - the subscribe stream must not be buffered (it flushes), and the
-	//     binary download routes would pay a full-body copy on exactly
-	//     the paths the cached wire encodings keep cheap.
-	s.route("POST /v1/tx", s.writable(s.handleTx), false)
-	s.route("GET /v1/tx/{id}", s.handleReceipt, false)
-	s.route("POST /v1/mine", s.writable(s.handleMine), true)
-	s.route("POST /v1/blocks", s.handleImportBlock, true)
-	s.route("GET /v1/blocks/{height}", s.handleGetBlock, false)
-	s.route("GET /v1/blocks", s.handleGetBlockRange, false)
-	s.route("GET /v1/head", s.handleHead, true)
-	s.route("GET /v1/status", s.handleStatus, true)
-	s.route("GET /v1/state/{address}", s.handleBalance, true)
-	s.route("GET /v1/snapshot", s.handleSnapshot, false)
-	s.route("GET /v1/subscribe", s.handleSubscribe, false)
+	// /v1 routes. A route is bounded by the body it reads: the three
+	// POSTs read theirs under bodyDeadline, and every GET reads none.
+	s.route("POST /v1/tx", s.writable(s.handleTx))
+	s.route("GET /v1/tx/{id}", s.handleReceipt)
+	s.route("POST /v1/mine", s.writable(s.handleMine))
+	s.route("POST /v1/blocks", s.handleImportBlock)
+	s.route("GET /v1/blocks/{height}", s.handleGetBlock)
+	s.route("GET /v1/blocks", s.handleGetBlockRange)
+	s.route("GET /v1/head", s.handleHead)
+	s.route("GET /v1/status", s.handleStatus)
+	s.route("GET /v1/state/{address}", s.handleBalance)
+	s.route("GET /v1/snapshot", s.handleSnapshot)
+	s.route("GET /v1/subscribe", s.handleSubscribe)
 
 	s.handler = s.mux
 	return s
 }
 
-// route registers pattern with the metrics middleware, and — for
-// non-streaming routes — the timeout middleware.
-func (s *Server) route(pattern string, h http.HandlerFunc, timed bool) {
-	var handler http.Handler = h
-	if timed && s.cfg.Timeout > 0 {
-		handler = http.TimeoutHandler(handler, s.cfg.Timeout, "request timed out")
-	}
-	s.mux.Handle(pattern, s.measure(pattern, handler))
+// route registers pattern with the metrics middleware.
+func (s *Server) route(pattern string, h http.HandlerFunc) {
+	s.mux.Handle(pattern, s.measure(pattern, h))
 }
 
 // statusRecorder captures the response code for error accounting.
@@ -277,7 +264,7 @@ func (r *statusRecorder) Flush() {
 }
 
 // Unwrap lets http.NewResponseController reach the connection (the
-// submit route's read deadline).
+// body read deadline).
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // measure wraps a route with request counting.
@@ -406,27 +393,33 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 	return false
 }
 
-// jsonBody returns the request body bounded by MaxBodyBytes, or answers
-// 415 for a content type other than JSON.
+// jsonBody returns the request body bounded by MaxBodyBytes and read
+// under bodyDeadline, or answers 415 for a content type other than JSON.
 func (s *Server) jsonBody(w http.ResponseWriter, r *http.Request) (io.Reader, bool) {
 	if ct := r.Header.Get("Content-Type"); ct != "" && !jsonContentType(ct) {
 		s.fail(w, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia,
 			fmt.Errorf("content type %q, want application/json", ct))
 		return nil, false
 	}
+	s.bodyDeadline(w, r)
 	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), true
 }
 
-// failBody answers a body that failed to decode: 413 over the size
-// limit, 400 otherwise.
+// failBody answers a body that failed to read or decode: 503 "request
+// timed out" past the read deadline, 413 over the size limit, 400
+// otherwise.
 func (s *Server) failBody(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	switch {
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, "request timed out")
+	case errors.As(err, &tooBig):
 		s.fail(w, http.StatusRequestEntityTooLarge, wire.CodeBodyTooLarge,
 			fmt.Errorf("request body over %d bytes", s.cfg.MaxBodyBytes))
-		return
+	default:
+		s.fail(w, http.StatusBadRequest, wire.CodeBadRequest, err)
 	}
-	s.fail(w, http.StatusBadRequest, wire.CodeBadRequest, err)
 }
 
 // jsonContentType accepts application/json with optional parameters.
@@ -501,19 +494,16 @@ const submitBuf = 1 << 10
 // submitBufs holds handleTx's body buffers.
 var submitBufs = sync.Pool{New: func() any { return new([submitBuf]byte) }}
 
-// readSubmit is decodeBody for POST /v1/tx, with the body read into buf
-// under a read deadline instead of the timeout middleware. A body that
-// ends inside buf and is in canonical form (wire.ParseTxSubmit) is taken
-// as read; any other goes, from its first byte, through the decoder
-// decodeBody runs, so it meets the same answer. A read that outlasts the
-// deadline answers what http.TimeoutHandler does: 503 "request timed
-// out".
+// readSubmit is decodeBody for POST /v1/tx, with the body read into
+// buf. A body that ends inside buf and is in canonical form
+// (wire.ParseTxSubmit) is taken as read; any other goes, from its first
+// byte, through the decoder decodeBody runs, so it meets the same
+// answer.
 func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request, buf []byte) (wire.TxSubmit, bool) {
 	body, ok := s.jsonBody(w, r)
 	if !ok {
 		return wire.TxSubmit{}, false
 	}
-	s.bodyDeadline(w, r)
 	// io.ReadFull reports io.ErrUnexpectedEOF for a body shorter than
 	// buf; either way the whole body is in buf.
 	n, err := io.ReadFull(body, buf)
@@ -525,17 +515,11 @@ func (s *Server) readSubmit(w http.ResponseWriter, r *http.Request, buf []byte) 
 	// The body's reader repeats its error, so the decoder meets it after
 	// the same bytes the first read did.
 	var tx wire.TxSubmit
-	err = json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&tx)
-	switch {
-	case err == nil:
-		return tx, true
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, "request timed out")
-	default:
+	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&tx); err != nil {
 		s.failBody(w, err)
+		return wire.TxSubmit{}, false
 	}
-	return wire.TxSubmit{}, false
+	return tx, true
 }
 
 // bodyDeadline bounds a request's body reads by Config.Timeout, unless
@@ -604,9 +588,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 // handleImportBlock is POST /v1/blocks: the validator-node import path.
 // Blocks travel in the chain package's flat wire format, not JSON.
 func (s *Server) handleImportBlock(w http.ResponseWriter, r *http.Request) {
+	s.bodyDeadline(w, r)
 	block, err := chain.ReadBlock(io.LimitReader(r.Body, chain.MaxWireBlock))
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, wire.CodeBadRequest, err)
+		s.failBody(w, err)
 		return
 	}
 	known, err := s.cfg.Backend.ImportBlock(block)
@@ -715,7 +700,7 @@ func (s *Server) handleHead(w http.ResponseWriter, r *http.Request) {
 // request metrics, run through the status decorator when one is
 // attached (the replica relay reports itself this way).
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := s.cfg.Backend.APIStatus()
+	st := s.cfg.Backend.CurrentStatus()
 	m := s.Metrics()
 	st.API = &m
 	if fn := s.statusDecorator.Load(); fn != nil {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"contractstm/internal/api/wire"
+	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/gas"
 	"contractstm/internal/types"
@@ -40,6 +42,10 @@ func (submitBackend) SubmitTx(c contract.Call, _ uint8) SubmitResult {
 }
 
 func (submitBackend) PoolLen() int { return 3 }
+
+func (submitBackend) MineOne(int) (chain.Block, error) { return chain.Block{}, nil }
+
+func (submitBackend) ImportBlock(chain.Block) (bool, error) { return false, nil }
 
 // jsonTx is POST /v1/tx as it was served before the canonical fast
 // path, kept as the oracle the parity test compares against: the body
@@ -198,25 +204,35 @@ func post(t *testing.T, base, contentType, body string) (int, http.Header, []byt
 	return resp.StatusCode, resp.Header, raw
 }
 
-// TestSubmitDeadline: a client that sends a submit's headers and half its
-// body, then stalls, gets 503 "request timed out" about when the body's
-// read deadline passes — Config.Timeout, or the http.Server's tighter
-// ReadTimeout — whether the stall meets the canonical read or the
-// encoding/json fallback. The handler returns: the server's goroutines go
-// back to what they were before the connection while the client still
-// holds it open. A kept-alive connection idle past the deadline serves
-// the next submit.
+// TestSubmitDeadline: a client that sends the headers and half the body
+// of a request that reads one — a submit, a mine, an import — then
+// stalls, gets 503 "request timed out" about when the body's read
+// deadline passes — Config.Timeout, or the http.Server's tighter
+// ReadTimeout — whether the stall meets a submit's canonical read or
+// the encoding/json fallback. The handler returns: the server's
+// goroutines go back to what they were before the connection while the
+// client still holds it open. A kept-alive connection idle past the
+// deadline serves the next request.
 func TestSubmitDeadline(t *testing.T) {
 	const deadline = 200 * time.Millisecond
+	blocks, _ := renderedBlocks(rand.New(rand.NewSource(54)), 3)
+	block, err := chain.MarshalBlock(blocks[2])
+	if err != nil {
+		t.Fatalf("marshal block: %v", err)
+	}
 	for _, tc := range []struct {
 		name                 string
 		timeout, readTimeout time.Duration
-		bodyLen              int // 0: a usual transfer
+		path                 string
+		body                 []byte
+		ok                   int // the answer to the whole body
 	}{
-		{"Config.Timeout", deadline, 0, 0},
-		{"server ReadTimeout", time.Minute, deadline, 0},
+		{"Config.Timeout", deadline, 0, "/v1/tx", canonicalSubmit(t, 0), http.StatusAccepted},
+		{"server ReadTimeout", time.Minute, deadline, "/v1/tx", canonicalSubmit(t, 0), http.StatusAccepted},
 		// Half of it fills the buffer: the stall meets the fallback decoder.
-		{"body past the buffer", deadline, 0, 3 * submitBuf},
+		{"body past the buffer", deadline, 0, "/v1/tx", canonicalSubmit(t, 3*submitBuf), http.StatusAccepted},
+		{"mine", deadline, 0, "/v1/mine", []byte(`{"blockSize":10}`), http.StatusOK},
+		{"import", deadline, 0, "/v1/blocks", block, http.StatusOK},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv := httptest.NewUnstartedServer(NewServer(Config{
@@ -225,17 +241,19 @@ func TestSubmitDeadline(t *testing.T) {
 			srv.Config.ReadTimeout = tc.readTimeout
 			srv.Start()
 			defer srv.Close()
-			body := canonicalSubmit(t, tc.bodyLen)
+			body := tc.body
 			baseline := runtime.NumGoroutine()
 
+			// A ReadTimeout runs from when the server starts reading the
+			// connection, which can be before Dial returns.
+			start := time.Now()
 			conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 			if err != nil {
 				t.Fatalf("dial: %v", err)
 			}
 			defer conn.Close()
-			start := time.Now()
-			fmt.Fprintf(conn, "POST /v1/tx HTTP/1.1\r\nHost: node\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
-				len(body), body[:len(body)/2])
+			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: node\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+				tc.path, len(body), body[:len(body)/2])
 			_ = conn.SetReadDeadline(time.Now().Add(10 * deadline))
 			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 			if err != nil {
@@ -272,16 +290,16 @@ func TestSubmitDeadline(t *testing.T) {
 				ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
 					GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
 				})
-				req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/tx", bytes.NewReader(body))
+				req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+tc.path, bytes.NewReader(body))
 				req.Header.Set("Content-Type", "application/json")
 				resp, err := hc.Do(req)
 				if err != nil {
-					t.Fatalf("submit %d: %v", i, err)
+					t.Fatalf("request %d: %v", i, err)
 				}
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusAccepted || reused != (i > 0) {
-					t.Fatalf("submit %d answered %d, connection reused %v", i, resp.StatusCode, reused)
+				if resp.StatusCode != tc.ok || reused != (i > 0) {
+					t.Fatalf("request %d answered %d, connection reused %v", i, resp.StatusCode, reused)
 				}
 			}
 		})

@@ -381,8 +381,8 @@ type APIMetrics struct {
 	EventsDropped int64 `json:"eventsDropped"`
 }
 
-// Status is the GET /v1/status response. It mirrors the node's status
-// fields (hashes as hex strings) and adds the API layer's own metrics.
+// Status is the GET /v1/status response: the node's statistics (hashes
+// as hex strings) plus the API layer's own metrics.
 type Status struct {
 	Height          uint64 `json:"height"`
 	HeadHash        string `json:"headHash"`
@@ -392,22 +392,31 @@ type Status struct {
 	ValidatedBlocks int    `json:"validatedBlocks"`
 	TotalRetries    int    `json:"totalRetries"`
 	// DurableHeight is the newest block the persistence layer has
-	// acknowledged; Height - DurableHeight is the sealed-not-durable
-	// pipeline window.
-	DurableHeight   uint64 `json:"durableHeight"`
-	PipelineDepth   int    `json:"pipelineDepth,omitempty"`
-	InFlight        int    `json:"inFlight,omitempty"`
+	// acknowledged (never above Height); Height - DurableHeight is the
+	// sealed-not-durable window. PipelineDepth is that window's size (0
+	// when it is 1: a synchronous node, or any node without a data dir),
+	// InFlight how many blocks sit in it now.
+	DurableHeight uint64 `json:"durableHeight"`
+	PipelineDepth int    `json:"pipelineDepth,omitempty"`
+	InFlight      int    `json:"inFlight,omitempty"`
+	// Persistent reports a durable data dir. SnapshotErrors counts failed
+	// checkpoint writes since start: any non-zero value means the WAL is
+	// growing unpruned.
 	Persistent      bool   `json:"persistent"`
 	RecoveredBlocks int    `json:"recoveredBlocks,omitempty"`
 	SnapshotHeight  uint64 `json:"snapshotHeight,omitempty"`
 	SnapshotErrors  int64  `json:"snapshotErrors,omitempty"`
-	WalAppends      int64  `json:"walAppends,omitempty"`
-	WalBytesWritten int64  `json:"walBytesWritten,omitempty"`
-	WalFsyncs       int64  `json:"walFsyncs,omitempty"`
-	WalFsyncMicros  int64  `json:"walFsyncMicros,omitempty"`
-	WalGroupCommits int64  `json:"walGroupCommits,omitempty"`
-	WalMaxGroup     int    `json:"walMaxGroup,omitempty"`
-	ChainBase       uint64 `json:"chainBase,omitempty"`
+	// WAL I/O counters (durable nodes): appends and framed bytes written,
+	// fsyncs and their summed latency, and how group commits batched.
+	WalAppends      int64 `json:"walAppends,omitempty"`
+	WalBytesWritten int64 `json:"walBytesWritten,omitempty"`
+	WalFsyncs       int64 `json:"walFsyncs,omitempty"`
+	WalFsyncMicros  int64 `json:"walFsyncMicros,omitempty"`
+	WalGroupCommits int64 `json:"walGroupCommits,omitempty"`
+	WalMaxGroup     int   `json:"walMaxGroup,omitempty"`
+	// ChainBase is the oldest height the node still holds (non-zero on a
+	// fast-synced, pruned node).
+	ChainBase uint64 `json:"chainBase,omitempty"`
 	// Mempool reports the sharded pool's admission counters and
 	// occupancy (nil from pre-admission servers).
 	Mempool *MempoolStatus `json:"mempool,omitempty"`

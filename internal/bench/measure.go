@@ -20,7 +20,6 @@ import (
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
 	"contractstm/internal/sched"
-	"contractstm/internal/stats"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
 	"contractstm/internal/validator"
@@ -131,9 +130,9 @@ type Measurement struct {
 	Params workload.Params
 	// SerialTime, MinerTime and ValidatorTime are per-run durations in the
 	// mode's unit (virtual gas-time or nanoseconds).
-	SerialTime    stats.Sample
-	MinerTime     stats.Sample
-	ValidatorTime stats.Sample
+	SerialTime    Sample
+	MinerTime     Sample
+	ValidatorTime Sample
 	// MinerSpeedup and ValidatorSpeedup are serial/variant mean ratios —
 	// the paper's "Speedup Over Serial".
 	MinerSpeedup     float64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"contractstm/internal/engine"
-	"contractstm/internal/stats"
 	"contractstm/internal/workload"
 )
 
@@ -129,16 +128,16 @@ func BuildTable1(figs []Figure1) Table1 {
 			mc = append(mc, p.MinerSpeedup)
 			vc = append(vc, p.ValidatorSpeedup)
 		}
-		row.MinerBlockSizeAvg = stats.ArithMean(mb)
-		row.ValidatorBlockSizeAvg = stats.ArithMean(vb)
-		row.MinerConflictAvg = stats.ArithMean(mc)
-		row.ValidatorConflictAvg = stats.ArithMean(vc)
+		row.MinerBlockSizeAvg = ArithMean(mb)
+		row.ValidatorBlockSizeAvg = ArithMean(vb)
+		row.MinerConflictAvg = ArithMean(mc)
+		row.ValidatorConflictAvg = ArithMean(vc)
 		t.Rows = append(t.Rows, row)
 		allMiner = append(allMiner, append(mb, mc...)...)
 		allValidator = append(allValidator, append(vb, vc...)...)
 	}
-	t.OverallMiner = stats.ArithMean(allMiner)
-	t.OverallValidator = stats.ArithMean(allValidator)
+	t.OverallMiner = ArithMean(allMiner)
+	t.OverallValidator = ArithMean(allValidator)
 	return t
 }
 

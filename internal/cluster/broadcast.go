@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"contractstm/internal/api/client"
 	"contractstm/internal/chain"
 )
 
@@ -50,7 +51,7 @@ type Delivery struct {
 // Retry policy: transport errors and 5xx answers are retried; a 4xx
 // rejection is final for this broadcast (the peer validated and refused —
 // resending identical bytes cannot change its mind; catch-up is Sync's
-// job). Rejections surface in Delivery.Err as *RemoteError.
+// job). Rejections surface in Delivery.Err as *client.APIError.
 func (b *Broadcaster) Broadcast(ctx context.Context, blk chain.Block) []Delivery {
 	attempts := b.MaxAttempts
 	if attempts <= 0 {
@@ -99,8 +100,8 @@ func (b *Broadcaster) Broadcast(ctx context.Context, blk chain.Block) []Delivery
 // finalRejection reports whether err is a peer's considered refusal (4xx)
 // rather than a transient transport or server failure.
 func finalRejection(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && re.Status >= 400 && re.Status < 500
+	var ae *client.APIError
+	return errors.As(err, &ae) && ae.Status >= 400 && ae.Status < 500
 }
 
 // Failed filters deliveries down to the failures.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"contractstm/internal/api/client"
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
@@ -162,8 +163,8 @@ func TestWireRoundTripAndRejections(t *testing.T) {
 	// must die in validation — without advancing the follower's head.
 	forged := corruptSchedule(t, mined[1])
 	err = followerPeer.SendBlock(ctx, forged)
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Status != http.StatusConflict {
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict {
 		t.Fatalf("tampered schedule err = %v, want 409", err)
 	}
 	if follower.Height() != 1 {
@@ -178,7 +179,7 @@ func TestWireRoundTripAndRejections(t *testing.T) {
 	// Wrong parent: block 2 into a fresh node still at genesis.
 	fresh, _ := newTestCluster(t, 1, blockSize, engine.KindSpeculative)
 	err = fresh.Peer(0).SendBlock(ctx, mined[1])
-	if !errors.As(err, &re) || re.Status != http.StatusConflict {
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict {
 		t.Fatalf("wrong parent err = %v, want 409", err)
 	}
 	if fresh.Node(0).Height() != 0 {

@@ -43,25 +43,13 @@ var ErrNoBlock = errors.New("cluster: peer has no block at height")
 // fast-sync falls back to full catch-up.
 var ErrNoSnapshot = errors.New("cluster: peer serves no snapshot")
 
-// RemoteError is a non-2xx response from a peer: the peer was reachable
-// and answered, so retrying without changing anything is usually futile
-// (the block was rejected), unlike a transport error.
-type RemoteError struct {
-	Status int
-	// Code is the machine-readable wire error code ("" from pre-v1
-	// peers).
-	Code string
-	Msg  string
-}
-
-// Error implements error.
-func (e *RemoteError) Error() string {
-	return fmt.Sprintf("cluster: peer status %d: %s", e.Status, e.Msg)
-}
-
 // Peer is a client view of one remote node's wire API. The transport —
 // requests, bounded retries of idempotent fetches, error decoding — is
-// the /v1 SDK's; Peer adds the cluster layer's error vocabulary.
+// the /v1 SDK's; Peer adds the cluster layer's error vocabulary. A peer
+// that answered non-2xx surfaces as the SDK's *client.APIError, wrapped:
+// the peer was reachable and answered, so retrying without changing
+// anything is usually futile (the block was rejected), unlike a
+// transport error.
 type Peer struct {
 	c *client.Client
 }
@@ -83,16 +71,6 @@ func (p *Peer) URL() string { return p.c.URL() }
 // subscriptions and other non-cluster calls).
 func (p *Peer) Client() *client.Client { return p.c }
 
-// peerErr converts an SDK failure into the cluster error vocabulary:
-// non-2xx answers become *RemoteError; transport errors pass through.
-func peerErr(err error) error {
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		return &RemoteError{Status: ae.Status, Code: ae.Code, Msg: ae.Message}
-	}
-	return err
-}
-
 // Head is a peer's chain-tip summary.
 type Head struct {
 	Number    uint64
@@ -104,7 +82,7 @@ type Head struct {
 func (p *Peer) Head(ctx context.Context) (Head, error) {
 	info, err := p.c.Head(ctx)
 	if err != nil {
-		return Head{}, fmt.Errorf("cluster: head: %w", peerErr(err))
+		return Head{}, fmt.Errorf("cluster: head: %w", err)
 	}
 	h := Head{Number: info.Number}
 	if h.Hash, err = types.ParseHash(info.Hash); err != nil {
@@ -126,7 +104,7 @@ func (p *Peer) Block(ctx context.Context, height uint64) (chain.Block, error) {
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
 			return chain.Block{}, fmt.Errorf("%w %d (%s)", ErrNoBlock, height, p.URL())
 		}
-		return chain.Block{}, fmt.Errorf("cluster: block %d: %w", height, peerErr(err))
+		return chain.Block{}, fmt.Errorf("cluster: block %d: %w", height, err)
 	}
 	return b, nil
 }
@@ -144,7 +122,7 @@ func (p *Peer) Blocks(ctx context.Context, from uint64, count int) ([]chain.Bloc
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound && ae.Code == wire.CodeBlockNotFound {
 			return nil, fmt.Errorf("%w %d (%s)", ErrNoBlock, from, p.URL())
 		}
-		return nil, fmt.Errorf("cluster: blocks [%d,+%d): %w", from, count, peerErr(err))
+		return nil, fmt.Errorf("cluster: blocks [%d,+%d): %w", from, count, err)
 	}
 	return bs, nil
 }
@@ -161,18 +139,18 @@ func (p *Peer) Snapshot(ctx context.Context) (persist.Snapshot, error) {
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
 			return persist.Snapshot{}, fmt.Errorf("%w (%s)", ErrNoSnapshot, p.URL())
 		}
-		return persist.Snapshot{}, fmt.Errorf("cluster: snapshot: %w", peerErr(err))
+		return persist.Snapshot{}, fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	return s, nil
 }
 
 // SendBlock ships a sealed block to the peer for import. A 2xx answer —
 // including the peer reporting it already knew the block — is success;
-// any other answer is a *RemoteError carrying the peer's reason. The SDK
+// any other answer is a *client.APIError carrying the peer's reason. The SDK
 // does not retry block import; the Broadcaster owns delivery retries.
 func (p *Peer) SendBlock(ctx context.Context, b chain.Block) error {
 	if err := p.c.SendBlock(ctx, b); err != nil {
-		return fmt.Errorf("cluster: send block %d: %w", b.Header.Number, peerErr(err))
+		return fmt.Errorf("cluster: send block %d: %w", b.Header.Number, err)
 	}
 	return nil
 }
@@ -182,7 +160,7 @@ func (p *Peer) SendBlock(ctx context.Context, b chain.Block) error {
 func (p *Peer) Receipt(ctx context.Context, id string) (wire.TxReceipt, error) {
 	r, err := p.c.Receipt(ctx, id)
 	if err != nil {
-		return wire.TxReceipt{}, fmt.Errorf("cluster: receipt: %w", peerErr(err))
+		return wire.TxReceipt{}, fmt.Errorf("cluster: receipt: %w", err)
 	}
 	return r, nil
 }

@@ -159,12 +159,6 @@ func (w *World) Deploy(c Contract) error {
 	return nil
 }
 
-// ContractAt returns the contract deployed at addr.
-func (w *World) ContractAt(addr types.Address) (Contract, bool) {
-	c, ok := w.contracts[addr]
-	return c, ok
-}
-
 // Mint credits an account outside any transaction (genesis/setup only).
 func (w *World) Mint(th stm.Executor, addr types.Address, amount types.Amount) error {
 	return w.balances.AddUint(th, storage.KeyAddr(addr), uint64(amount))

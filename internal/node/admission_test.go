@@ -121,7 +121,7 @@ func TestSubmitShedsWith429AndRetryAfter(t *testing.T) {
 	}
 
 	// The shed shows up in the status counters.
-	st := n.APIStatus()
+	st := n.CurrentStatus()
 	if st.Mempool == nil {
 		t.Fatal("status has no mempool section")
 	}

@@ -162,7 +162,7 @@ func TestCommitmentTamperedBlockRejectedOnEveryPath(t *testing.T) {
 	settled := func(t *testing.T, f *node.Node) {
 		t.Helper()
 		st := f.CurrentStatus()
-		if st.Height != 1 || st.DurableHeight != 1 || st.InFlight != 0 || st.HeadHash != honest[0].Header.Hash() {
+		if st.Height != 1 || st.DurableHeight != 1 || st.InFlight != 0 || st.HeadHash != honest[0].Header.Hash().String() {
 			t.Fatalf("after the rejection: %+v, want the honest prefix of 1", st)
 		}
 		if _, ok := f.DurableBlock(2); ok {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
 	"contractstm/internal/validator"
 )
@@ -17,6 +18,11 @@ type ImportMode int
 const ImportOn ImportMode = 0
 
 func (n *Node) ImportDivergences() int64 { return 0 }
+
+// Status is CurrentStatus's record, the GET /v1/status schema. The name
+// remains because the frozen benchmark/ module reads its Wal* fields
+// through it.
+type Status = wire.Status
 
 // Errors reported by block import.
 var (

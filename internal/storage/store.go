@@ -227,15 +227,3 @@ func (s *Store) SetCoarseLocks(coarse bool) { s.coarseLocks.Store(coarse) }
 
 // coarse reports whether object-level locking is in force.
 func (s *Store) coarse() bool { return s.coarseLocks.Load() }
-
-// Objects returns the registered object names, sorted (diagnostics).
-func (s *Store) Objects() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.byName))
-	for n := range s.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

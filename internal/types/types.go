@@ -45,17 +45,44 @@ func AddressFromUint64(n uint64) Address {
 
 // ParseAddress decodes a 0x-prefixed or bare hex string into an Address.
 func ParseAddress(s string) (Address, error) {
-	s = strings.TrimPrefix(s, "0x")
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return Address{}, fmt.Errorf("parse address %q: %w", s, err)
-	}
-	if len(raw) != AddressLen {
-		return Address{}, fmt.Errorf("parse address %q: got %d bytes, want %d", s, len(raw), AddressLen)
-	}
 	var a Address
-	copy(a[:], raw)
-	return a, nil
+	err := parseHex(a[:], "address", s)
+	return a, err
+}
+
+// parseHex decodes s, 0x-prefixed or bare, into dst, which it must fill
+// exactly. It fails as hex.DecodeString and a length check after it
+// would, with the same errors, but decodes in place without allocating.
+func parseHex(dst []byte, what, s string) error {
+	s = strings.TrimPrefix(s, "0x")
+	for i := 0; i < len(s); i++ {
+		if unhex(s[i]) > 0xf {
+			return fmt.Errorf("parse %s %q: %w", what, s, hex.InvalidByteError(s[i]))
+		}
+	}
+	if len(s)%2 == 1 {
+		return fmt.Errorf("parse %s %q: %w", what, s, hex.ErrLength)
+	}
+	if len(s)/2 != len(dst) {
+		return fmt.Errorf("parse %s %q: got %d bytes, want %d", what, s, len(s)/2, len(dst))
+	}
+	for i := range dst {
+		dst[i] = unhex(s[2*i])<<4 | unhex(s[2*i+1])
+	}
+	return nil
+}
+
+// unhex is the value of the hex digit c, or 0xff for any other byte.
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10
+	}
+	return 0xff
 }
 
 // IsZero reports whether a is the zero address.
@@ -114,17 +141,9 @@ func HashConcat(parts ...[]byte) Hash {
 
 // ParseHash decodes a 0x-prefixed or bare hex string into a Hash.
 func ParseHash(s string) (Hash, error) {
-	s = strings.TrimPrefix(s, "0x")
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return Hash{}, fmt.Errorf("parse hash %q: %w", s, err)
-	}
-	if len(raw) != HashLen {
-		return Hash{}, fmt.Errorf("parse hash %q: got %d bytes, want %d", s, len(raw), HashLen)
-	}
 	var h Hash
-	copy(h[:], raw)
-	return h, nil
+	err := parseHex(h[:], "hash", s)
+	return h, err
 }
 
 // IsZero reports whether h is the zero hash.

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"encoding/hex"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,6 +219,69 @@ func TestUintBytesBigEndian(t *testing.T) {
 	for i := range want4 {
 		if b4[i] != want4[i] {
 			t.Fatalf("Uint32Bytes byte %d = %#x, want %#x", i, b4[i], want4[i])
+		}
+	}
+}
+
+// TestParseErrorMessages pins ParseAddress's and ParseHash's error text
+// for odd-length, bad-byte, short and long input, with and without the
+// 0x prefix: the text encoding/hex's DecodeString and the length check
+// after it gave. An empty want means the input parses.
+func TestParseErrorMessages(t *testing.T) {
+	for _, tc := range []struct{ in, addr, hash string }{
+		{"", "parse address \"\": got 0 bytes, want 20", "parse hash \"\": got 0 bytes, want 32"},
+		{"0x", "parse address \"\": got 0 bytes, want 20", "parse hash \"\": got 0 bytes, want 32"},
+		{"0", "parse address \"0\": encoding/hex: odd length hex string", "parse hash \"0\": encoding/hex: odd length hex string"},
+		{"0x0", "parse address \"0\": encoding/hex: odd length hex string", "parse hash \"0\": encoding/hex: odd length hex string"},
+		{"0Xababababababababababababababababababab", "parse address \"0Xababababababababababababababababababab\": encoding/hex: invalid byte: U+0058 'X'", "parse hash \"0Xababababababababababababababababababab\": encoding/hex: invalid byte: U+0058 'X'"},
+		{"abababababababababababababababababababa", "parse address \"abababababababababababababababababababa\": encoding/hex: odd length hex string", "parse hash \"abababababababababababababababababababa\": encoding/hex: odd length hex string"},
+		{"0xabababababababababababababababababababa", "parse address \"abababababababababababababababababababa\": encoding/hex: odd length hex string", "parse hash \"abababababababababababababababababababa\": encoding/hex: odd length hex string"},
+		{"zzababababababababababababababababababab", "parse address \"zzababababababababababababababababababab\": encoding/hex: invalid byte: U+007A 'z'", "parse hash \"zzababababababababababababababababababab\": encoding/hex: invalid byte: U+007A 'z'"},
+		{"0xabababababgbabababababababababababababab", "parse address \"abababababgbabababababababababababababab\": encoding/hex: invalid byte: U+0067 'g'", "parse hash \"abababababgbabababababababababababababab\": encoding/hex: invalid byte: U+0067 'g'"},
+		{"abababababababababababababababababababaZ", "parse address \"abababababababababababababababababababaZ\": encoding/hex: invalid byte: U+005A 'Z'", "parse hash \"abababababababababababababababababababaZ\": encoding/hex: invalid byte: U+005A 'Z'"},
+		{"0xabababababababababababababababababababa ", "parse address \"abababababababababababababababababababa \": encoding/hex: invalid byte: U+0020 ' '", "parse hash \"abababababababababababababababababababa \": encoding/hex: invalid byte: U+0020 ' '"},
+		{"ababababababababababababababababababab", "parse address \"ababababababababababababababababababab\": got 19 bytes, want 20", "parse hash \"ababababababababababababababababababab\": got 19 bytes, want 32"},
+		{"0xababababababababababababababababababab", "parse address \"ababababababababababababababababababab\": got 19 bytes, want 20", "parse hash \"ababababababababababababababababababab\": got 19 bytes, want 32"},
+		{"abababababababababababababababababababab00", "parse address \"abababababababababababababababababababab00\": got 21 bytes, want 20", "parse hash \"abababababababababababababababababababab00\": got 21 bytes, want 32"},
+		{"0xabababababababababababababababababababab00", "parse address \"abababababababababababababababababababab00\": got 21 bytes, want 20", "parse hash \"abababababababababababababababababababab00\": got 21 bytes, want 32"},
+		{"0xabababababababababababababababababababab0", "parse address \"abababababababababababababababababababab0\": encoding/hex: odd length hex string", "parse hash \"abababababababababababababababababababab0\": encoding/hex: odd length hex string"},
+		{"0xabababababababababababababababababababab0q", "parse address \"abababababababababababababababababababab0q\": encoding/hex: invalid byte: U+0071 'q'", "parse hash \"abababababababababababababababababababab0q\": encoding/hex: invalid byte: U+0071 'q'"},
+		{"abababababababababababababababababababab00000000000000000000x", "parse address \"abababababababababababababababababababab00000000000000000000x\": encoding/hex: invalid byte: U+0078 'x'", "parse hash \"abababababababababababababababababababab00000000000000000000x\": encoding/hex: invalid byte: U+0078 'x'"},
+		{"0x0xabababababababababababababababababababab", "parse address \"0xabababababababababababababababababababab\": encoding/hex: invalid byte: U+0078 'x'", "parse hash \"0xabababababababababababababababababababab\": encoding/hex: invalid byte: U+0078 'x'"},
+		{"éababababababababababababababababababab", "parse address \"éababababababababababababababababababab\": encoding/hex: invalid byte: U+00C3 'Ã'", "parse hash \"éababababababababababababababababababab\": encoding/hex: invalid byte: U+00C3 'Ã'"},
+		{"0xABabababababababababababababababababab", "parse address \"ABabababababababababababababababababab\": got 19 bytes, want 20", "parse hash \"ABabababababababababababababababababab\": got 19 bytes, want 32"},
+		{"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd", "parse address \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd\": got 32 bytes, want 20", ""},
+		{"0xcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd", "parse address \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd\": got 32 bytes, want 20", ""},
+		{"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdc", "parse address \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdc\": encoding/hex: odd length hex string", "parse hash \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdc\": encoding/hex: odd length hex string"},
+		{"0xcdcdcdcdcdcdcdcdcdcd-dcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd", "parse address \"cdcdcdcdcdcdcdcdcdcd-dcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd\": encoding/hex: invalid byte: U+002D '-'", "parse hash \"cdcdcdcdcdcdcdcdcdcd-dcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd\": encoding/hex: invalid byte: U+002D '-'"},
+		{"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd", "parse address \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd\": got 31 bytes, want 20", "parse hash \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd\": got 31 bytes, want 32"},
+		{"0xcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdff", "parse address \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdff\": got 33 bytes, want 20", "parse hash \"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdff\": got 33 bytes, want 32"},
+		{"abababababababababababababababababababab", "", "parse hash \"abababababababababababababababababababab\": got 20 bytes, want 32"},
+	} {
+		_, errA := ParseAddress(tc.in)
+		_, errH := ParseHash(tc.in)
+		for _, c := range []struct {
+			err  error
+			want string
+		}{{errA, tc.addr}, {errH, tc.hash}} {
+			got := ""
+			if c.err != nil {
+				got = c.err.Error()
+			}
+			if got != c.want {
+				t.Errorf("parse %q:\n got %q\nwant %q", tc.in, got, c.want)
+			}
+			var bad hex.InvalidByteError
+			if strings.Contains(c.want, "invalid byte") && !errors.As(c.err, &bad) ||
+				strings.Contains(c.want, "odd length") && !errors.Is(c.err, hex.ErrLength) {
+				t.Errorf("parse %q: %v does not wrap encoding/hex's error", tc.in, c.err)
+			}
+		}
+	}
+	for _, s := range []string{"0x" + strings.Repeat("aF", AddressLen), strings.Repeat("09", AddressLen)} {
+		a, err := ParseAddress(s)
+		if want, _ := hex.DecodeString(strings.TrimPrefix(s, "0x")); err != nil || string(a[:]) != string(want) {
+			t.Errorf("ParseAddress(%q) = %x, %v", s, a, err)
 		}
 	}
 }
