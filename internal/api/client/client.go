@@ -41,6 +41,7 @@ import (
 
 	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
+	"contractstm/internal/codec"
 	"contractstm/internal/contract"
 	"contractstm/internal/persist"
 	"contractstm/internal/types"
@@ -214,18 +215,28 @@ func (c *Client) do(ctx context.Context, retryable bool, build func(context.Cont
 	}
 }
 
-// getJSON fetches path and decodes the response into out.
-func (c *Client) getJSON(ctx context.Context, path string, limit int64, out any) error {
+// get fetches path and returns a 200 answer; any other answer is an
+// *APIError.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	resp, err := c.do(ctx, true, func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	})
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, decodeError(resp)
+	}
+	return resp, nil
+}
+
+// getJSON fetches path and decodes the response into out.
+func (c *Client) getJSON(ctx context.Context, path string, limit int64, out any) error {
+	resp, err := c.get(ctx, path)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, limit)).Decode(out); err != nil {
 		return fmt.Errorf("api client: decode %s: %w", path, err)
 	}
@@ -272,28 +283,34 @@ func (c *Client) post(ctx context.Context, path string, retryable bool, raw []by
 	return resp, nil
 }
 
-// submit posts one encoded submit and reads the answer: in canonical
-// form without reflection (wire.ParseTxSubmitted), any other through
-// encoding/json from its first byte, within the same 1 MiB.
+// submit posts one encoded submit and reads the answer (readAnswer
+// with wire.ParseTxSubmitted, within 1 MiB).
 func (c *Client) submit(ctx context.Context, raw []byte) (wire.TxSubmitted, error) {
 	resp, err := c.post(ctx, "/v1/tx", false, raw)
 	if err != nil {
 		return wire.TxSubmitted{}, err
 	}
 	defer resp.Body.Close()
-	body := io.LimitReader(resp.Body, 1<<20)
 	var buf [256]byte
+	return readAnswer(io.LimitReader(resp.Body, 1<<20), "/v1/tx", buf[:], wire.ParseTxSubmitted)
+}
+
+// readAnswer reads a small answer from body: one that ends within buf
+// and is in canonical form is taken through parse, without reflection;
+// any other is decoded by encoding/json from its first byte.
+func readAnswer[T any](body io.Reader, path string, buf []byte, parse func([]byte) (T, bool)) (T, error) {
 	// io.ReadFull reports io.ErrUnexpectedEOF for an answer shorter than
 	// buf; either way the whole answer is in buf.
-	n, err := io.ReadFull(body, buf[:])
+	n, err := io.ReadFull(body, buf)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		if out, ok := wire.ParseTxSubmitted(buf[:n]); ok {
+		if out, ok := parse(buf[:n]); ok {
 			return out, nil
 		}
 	}
-	var out wire.TxSubmitted
+	var out T
 	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf[:n]), body)).Decode(&out); err != nil {
-		return wire.TxSubmitted{}, fmt.Errorf("api client: decode /v1/tx: %w", err)
+		var zero T
+		return zero, fmt.Errorf("api client: decode %s: %w", path, err)
 	}
 	return out, nil
 }
@@ -387,11 +404,17 @@ func (c *Client) SubmitCall(ctx context.Context, call contract.Call) (wire.TxSub
 // Receipt fetches a transaction's current receipt: status pending until
 // the containing block is durable, committed/aborted after. Unknown IDs
 // answer an *APIError with code wire.CodeTxNotFound. WithMinHeight
-// bounds how stale the serving node may be.
+// bounds how stale the serving node may be. The answer is read by
+// readAnswer with wire.ParseTxReceipt, within 64 KiB.
 func (c *Client) Receipt(ctx context.Context, id string, opts ...ReadOpt) (wire.TxReceipt, error) {
-	var out wire.TxReceipt
-	err := c.getJSON(ctx, "/v1/tx/"+id+renderOpts(opts), 1<<16, &out)
-	return out, err
+	path := "/v1/tx/" + id + renderOpts(opts)
+	resp, err := c.get(ctx, path)
+	if err != nil {
+		return wire.TxReceipt{}, err
+	}
+	defer resp.Body.Close()
+	var buf [512]byte
+	return readAnswer(io.LimitReader(resp.Body, 1<<16), path, buf[:], wire.ParseTxReceipt)
 }
 
 // WaitReceipt polls Receipt until the transaction reaches a final
@@ -593,17 +616,29 @@ func (c *Client) blocks(ctx context.Context, from uint64, count int, decode func
 // SendBlock ships a sealed block for import. A 2xx answer — including
 // the node reporting it already knew the block — is success. Never
 // retried here; delivery strategies own their retries.
+//
+// The body is the block's encode in a pooled buffer, sent without a
+// copy (blockBody).
 func (c *Client) SendBlock(ctx context.Context, b chain.Block) error {
-	raw, err := chain.MarshalBlock(b)
+	buf := codec.GetBuffer()
+	enc, err := chain.AppendBlockWire(buf.B, b)
 	if err != nil {
+		buf.Release()
 		return fmt.Errorf("api client: send block %d: %w", b.Header.Number, err)
 	}
+	buf.B = enc
+	body := &blockBody{buf: buf}
+	body.refs.Store(1) // SendBlock's own, dropped once Do has returned
+	defer body.unref()
 	resp, err := c.do(ctx, false, func(ctx context.Context) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/blocks", bytes.NewReader(raw))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/blocks", nil)
 		if err != nil {
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
+		req.ContentLength = int64(len(enc))
+		req.Body = body.open()
+		req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
 		return req, nil
 	})
 	if err != nil {
@@ -612,6 +647,47 @@ func (c *Client) SendBlock(ctx context.Context, b chain.Block) error {
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return decodeError(resp)
+	}
+	return nil
+}
+
+// blockBody shares one pooled block encode among the request bodies the
+// transport reads it through. A transport may close a body after Do has
+// returned (it can still be writing when the server answers early), and
+// may ask for a fresh body (GetBody) to resend on a new connection while
+// Do runs; so the buffer goes back to the pool only when Do has
+// returned and every body opened has been closed.
+type blockBody struct {
+	buf  *codec.Buffer
+	refs atomic.Int32
+}
+
+// open returns a new body over the whole encode.
+func (b *blockBody) open() io.ReadCloser {
+	b.refs.Add(1)
+	r := &blockReader{owner: b}
+	r.Reset(b.buf.B)
+	return r
+}
+
+// unref drops one holder, releasing the buffer with the last.
+func (b *blockBody) unref() {
+	if b.refs.Add(-1) == 0 {
+		b.buf.Release()
+	}
+}
+
+// blockReader is one request body over a blockBody.
+type blockReader struct {
+	bytes.Reader
+	owner  *blockBody
+	closed atomic.Bool
+}
+
+// Close drops the body's hold on the buffer; only the first call counts.
+func (r *blockReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.owner.unref()
 	}
 	return nil
 }
@@ -710,9 +786,14 @@ func (c *Client) Subscribe(ctx context.Context, opts ...SubscribeOpt) (*Stream, 
 		defer cancel()
 		return nil, decodeError(resp)
 	}
+	return newStream(resp, ctx, cancel), nil
+}
+
+// newStream reads the events of an open subscription's body.
+func newStream(resp *http.Response, ctx context.Context, cancel context.CancelFunc) *Stream {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	return &Stream{resp: resp, scanner: sc, ctx: ctx, cancel: cancel}, nil
+	return &Stream{resp: resp, scanner: sc, ctx: ctx, cancel: cancel}
 }
 
 // LastEventID reports the newest event sequence number this stream has
@@ -725,29 +806,41 @@ func (s *Stream) LastEventID() (uint64, bool) { return s.lastID, s.haveID }
 // requested replay gap was not fully coverable (stream stays usable),
 // io.EOF on a clean close, and the context's error once Close or the
 // context ended the stream.
+//
+// Lines are read in place from the scanner's buffer. An event in the
+// form the server writes is decoded without reflection
+// (wire.ParseEvent); any other goes to encoding/json.
 func (s *Stream) Next() (wire.Event, error) {
-	var event string
+	// Only these two event names change what a data line means.
+	var dropped, reset bool
 	for s.scanner.Scan() {
-		line := s.scanner.Text()
+		line := s.scanner.Bytes()
 		switch {
-		case strings.HasPrefix(line, ":"):
+		case bytes.HasPrefix(line, []byte(":")):
 			// Comment / keep-alive.
-		case strings.HasPrefix(line, "id: "):
-			if id, err := strconv.ParseUint(strings.TrimPrefix(line, "id: "), 10, 64); err == nil {
+		case bytes.HasPrefix(line, []byte("id: ")):
+			if id, err := strconv.ParseUint(string(line[len("id: "):]), 10, 64); err == nil {
 				s.lastID, s.haveID = id, true
 			}
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			switch event {
-			case "dropped":
+		case bytes.HasPrefix(line, []byte("event: ")):
+			name := line[len("event: "):]
+			dropped, reset = string(name) == "dropped", string(name) == "reset"
+		case bytes.HasPrefix(line, []byte("data: ")):
+			switch {
+			case dropped:
 				return wire.Event{}, ErrStreamDropped
-			case "reset":
+			case reset:
 				return wire.Event{}, ErrStreamReset
 			}
-			var ev wire.Event
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-				return wire.Event{}, fmt.Errorf("api client: event decode: %w", err)
+			data := line[len("data: "):]
+			ev, ok := wire.ParseEvent(data)
+			if !ok {
+				// Its own variable: Unmarshal moves it to the heap.
+				var slow wire.Event
+				if err := json.Unmarshal(data, &slow); err != nil {
+					return wire.Event{}, fmt.Errorf("api client: event decode: %w", err)
+				}
+				ev = slow
 			}
 			s.lastID, s.haveID = ev.Seq, true
 			return ev, nil

@@ -137,9 +137,7 @@ func ParseTxSubmitted(b []byte) (TxSubmitted, bool) {
 	p.lit(`,"poolLen":`)
 	t.PoolLen = p.int()
 	if p.skip(`,"verdict":`) {
-		if t.Verdict = p.str(verdicts); t.Verdict == "" {
-			p.ok = false
-		}
+		t.Verdict = p.nonempty(p.str(verdicts))
 	}
 	p.lit(`}`)
 	if !p.end() {
@@ -259,6 +257,15 @@ func (p *parser) nonzero(n uint64) uint64 {
 		p.ok = false
 	}
 	return n
+}
+
+// nonempty fails on "": an omitempty string is left out, never written
+// empty.
+func (p *parser) nonempty(s string) string {
+	if s == "" {
+		p.ok = false
+	}
+	return s
 }
 
 // end reports whether every step matched and only JSON whitespace
