@@ -212,12 +212,12 @@ func BenchmarkAblationNoIncrementMode(b *testing.B) {
 				runner := func() runtime.Runner {
 					return runtime.NewSimRunnerInterference(bench.DefaultInterferencePerMille)
 				}
-				serial, err := miner.MineParallel(runner(), wl.World, parent, wl.Calls, miner.Config{Workers: 1})
+				serial, err := miner.Mine(engine.SpeculativeEngine{}, runner(), wl.World, parent, wl.Calls, engine.Options{Workers: 1})
 				if err != nil {
 					b.Fatalf("serial: %v", err)
 				}
 				wl.Reset()
-				mres, err := miner.MineParallel(runner(), wl.World, parent, wl.Calls, miner.Config{Workers: 3})
+				mres, err := miner.Mine(engine.SpeculativeEngine{}, runner(), wl.World, parent, wl.Calls, engine.Options{Workers: 3})
 				if err != nil {
 					b.Fatalf("mine: %v", err)
 				}
@@ -263,12 +263,12 @@ func BenchmarkAblationCoarseLocks(b *testing.B) {
 				runner := func() runtime.Runner {
 					return runtime.NewSimRunnerInterference(bench.DefaultInterferencePerMille)
 				}
-				serial, err := miner.MineParallel(runner(), wl.World, parent, wl.Calls, miner.Config{Workers: 1})
+				serial, err := miner.Mine(engine.SpeculativeEngine{}, runner(), wl.World, parent, wl.Calls, engine.Options{Workers: 1})
 				if err != nil {
 					b.Fatalf("serial: %v", err)
 				}
 				wl.Reset()
-				mres, err := miner.MineParallel(runner(), wl.World, parent, wl.Calls, miner.Config{Workers: 3})
+				mres, err := miner.Mine(engine.SpeculativeEngine{}, runner(), wl.World, parent, wl.Calls, engine.Options{Workers: 3})
 				if err != nil {
 					b.Fatalf("mine: %v", err)
 				}
@@ -301,12 +301,12 @@ func BenchmarkValidatorThreadScaling(b *testing.B) {
 	runner := func() runtime.Runner {
 		return runtime.NewSimRunnerInterference(bench.DefaultInterferencePerMille)
 	}
-	serial, err := miner.MineParallel(runner(), wl.World, parent, wl.Calls, miner.Config{Workers: 1})
+	serial, err := miner.Mine(engine.SpeculativeEngine{}, runner(), wl.World, parent, wl.Calls, engine.Options{Workers: 1})
 	if err != nil {
 		b.Fatalf("serial: %v", err)
 	}
 	wl.Reset()
-	mres, err := miner.MineParallel(runner(), wl.World, parent, wl.Calls, miner.Config{Workers: 3})
+	mres, err := miner.Mine(engine.SpeculativeEngine{}, runner(), wl.World, parent, wl.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		b.Fatalf("mine: %v", err)
 	}
@@ -347,7 +347,7 @@ func BenchmarkMinerRealTime(b *testing.B) {
 		b.StopTimer()
 		wl.Reset()
 		b.StartTimer()
-		if _, err := miner.MineParallel(runtime.NewOSRunner(nil), wl.World, parent, wl.Calls, miner.Config{Workers: 3}); err != nil {
+		if _, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewOSRunner(nil), wl.World, parent, wl.Calls, engine.Options{Workers: 3}); err != nil {
 			b.Fatalf("mine: %v", err)
 		}
 	}

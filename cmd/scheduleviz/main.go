@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"contractstm/internal/chain"
+	"contractstm/internal/engine"
 	"contractstm/internal/miner"
 	"contractstm/internal/reward"
 	"contractstm/internal/runtime"
@@ -56,9 +57,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := miner.MineParallel(runtime.NewSimRunner(), wl.World,
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), wl.World,
 		chain.GenesisHeader(types.HashString("viz-genesis")), wl.Calls,
-		miner.Config{Workers: *workers})
+		engine.Options{Workers: *workers})
 	if err != nil {
 		return err
 	}

@@ -23,6 +23,7 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/contracts"
+	"contractstm/internal/engine"
 	"contractstm/internal/gas"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
@@ -62,8 +63,8 @@ func run() error {
 	ledger := chain.New(mustRoot(world))
 	mine := func(name string, calls []contract.Call) (chain.Block, error) {
 		pre := world.Snapshot()
-		res, err := miner.MineParallel(runtime.NewSimRunner(), world, ledger.Head().Header, calls,
-			miner.Config{Workers: 3})
+		res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), world, ledger.Head().Header, calls,
+			engine.Options{Workers: 3})
 		if err != nil {
 			return chain.Block{}, fmt.Errorf("mine %s: %w", name, err)
 		}

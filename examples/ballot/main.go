@@ -21,6 +21,7 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/contracts"
+	"contractstm/internal/engine"
 	"contractstm/internal/gas"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
@@ -81,14 +82,14 @@ func run() error {
 	pre := world.Snapshot()
 
 	// Serial baseline (instrumented single worker, as in the paper).
-	serial, err := miner.MineParallel(runtime.NewSimRunnerInterference(150), world, parent, calls,
-		miner.Config{Workers: 1})
+	serial, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunnerInterference(150), world, parent, calls,
+		engine.Options{Workers: 1})
 	if err != nil {
 		return err
 	}
 	world.Restore(pre)
-	res, err := miner.MineParallel(runtime.NewSimRunnerInterference(150), world, parent, calls,
-		miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunnerInterference(150), world, parent, calls,
+		engine.Options{Workers: 3})
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/contracts"
+	"contractstm/internal/engine"
 	"contractstm/internal/gas"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
@@ -57,8 +58,8 @@ func run() error {
 	ledger := chain.New(mustRoot(world))
 	mineAndValidate := func(name string, calls []contract.Call) error {
 		pre := world.Snapshot()
-		res, err := miner.MineParallel(runtime.NewSimRunner(), world, ledger.Head().Header, calls,
-			miner.Config{Workers: 3})
+		res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), world, ledger.Head().Header, calls,
+			engine.Options{Workers: 3})
 		if err != nil {
 			return fmt.Errorf("mine %s: %w", name, err)
 		}

@@ -17,6 +17,7 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/contracts"
+	"contractstm/internal/engine"
 	"contractstm/internal/gas"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
@@ -75,7 +76,7 @@ func run() error {
 	//    runtime.NewOSRunner(nil) for real threads.
 	parent := chain.GenesisHeader(types.HashString("quickstart"))
 	pre := world.Snapshot() // validators start from the parent state
-	res, err := miner.MineParallel(runtime.NewSimRunner(), world, parent, calls, miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), world, parent, calls, engine.Options{Workers: 3})
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,7 @@ import (
 	"contractstm/internal/api/wire"
 )
 
-// DefaultReceiptCapacity bounds the receipt store when the node config
-// leaves it zero.
+// DefaultReceiptCapacity bounds a node's receipt store.
 const DefaultReceiptCapacity = 4096
 
 // ReceiptStore is the bounded receipt index behind GET /v1/tx/{id}: a

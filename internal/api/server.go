@@ -130,12 +130,11 @@ type Config struct {
 	// Events is the durable-block broker the backend publishes to
 	// (required for /v1/subscribe; nil disables the route).
 	Events *Broker
-	// DefaultBlockSize, DefaultGasLimit, MaxGasLimit and MaxBodyBytes
-	// tune request handling; zero selects the package defaults.
+	// DefaultBlockSize, DefaultGasLimit and MaxGasLimit tune request
+	// handling; zero selects the package defaults.
 	DefaultBlockSize int
 	DefaultGasLimit  uint64
 	MaxGasLimit      uint64
-	MaxBodyBytes     int64
 	// Timeout bounds the reading of a request body (0 = DefaultTimeout,
 	// negative = none): POST /v1/tx, /v1/mine and /v1/blocks read theirs
 	// under a read deadline (bodyDeadline). A route that reads no body
@@ -213,9 +212,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.MaxGasLimit == 0 {
 		cfg.MaxGasLimit = DefaultMaxGasLimit
-	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = DefaultTimeout
@@ -393,7 +389,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) boo
 	return false
 }
 
-// jsonBody returns the request body bounded by MaxBodyBytes and read
+// jsonBody returns the request body bounded by DefaultMaxBodyBytes and read
 // under bodyDeadline, or answers 415 for a content type other than JSON.
 func (s *Server) jsonBody(w http.ResponseWriter, r *http.Request) (io.Reader, bool) {
 	if ct := r.Header.Get("Content-Type"); ct != "" && !jsonContentType(ct) {
@@ -402,7 +398,7 @@ func (s *Server) jsonBody(w http.ResponseWriter, r *http.Request) (io.Reader, bo
 		return nil, false
 	}
 	s.bodyDeadline(w, r)
-	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), true
+	return http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes), true
 }
 
 // failBody answers a body that failed to read or decode: 503 "request
@@ -416,7 +412,7 @@ func (s *Server) failBody(w http.ResponseWriter, err error) {
 		_, _ = io.WriteString(w, "request timed out")
 	case errors.As(err, &tooBig):
 		s.fail(w, http.StatusRequestEntityTooLarge, wire.CodeBodyTooLarge,
-			fmt.Errorf("request body over %d bytes", s.cfg.MaxBodyBytes))
+			fmt.Errorf("request body over %d bytes", DefaultMaxBodyBytes))
 	default:
 		s.fail(w, http.StatusBadRequest, wire.CodeBadRequest, err)
 	}

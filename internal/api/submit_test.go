@@ -111,7 +111,7 @@ func canonicalSubmit(t *testing.T, n int) []byte {
 // handler (jsonTx: decodeBody and writeJSON under http.TimeoutHandler)
 // gives it.
 func TestSubmitParity(t *testing.T) {
-	cfg := Config{Backend: submitBackend{}, Receipts: NewReceiptStore(0), MaxBodyBytes: 2048, MaxGasLimit: 500_000}
+	cfg := Config{Backend: submitBackend{}, Receipts: NewReceiptStore(0), MaxGasLimit: 500_000}
 	srv := httptest.NewServer(NewServer(cfg))
 	defer srv.Close()
 	ref := NewServer(cfg)
@@ -128,6 +128,7 @@ func TestSubmitParity(t *testing.T) {
 		}
 		return strings.Replace(body, old, new, 1)
 	}
+	pad := func(n int) string { return strings.Repeat(" ", n) }
 	sender, contractAddr := types.AddressFromUint64(1).String(), types.AddressFromUint64(2).String()
 	bodies := []struct{ name, body string }{
 		{"canonical", body},
@@ -152,9 +153,11 @@ func TestSubmitParity(t *testing.T) {
 		{"unknown field", edit(`"gasLimit"`, `"extra":1,"gasLimit"`)},
 		{"object then garbage", body + "garbage"},
 		{"object then object", body + body},
-		{"object padded past the limit", body + strings.Repeat(" ", 4096)},
-		{"padding past the limit, then object", strings.Repeat(" ", 4096) + body},
-		{"garbage past the limit", strings.Repeat("x", 4096)},
+		{"object padded to the limit", body + pad(DefaultMaxBodyBytes-len(body))},
+		{"object padded past the limit", body + pad(DefaultMaxBodyBytes+1-len(body))},
+		{"padding to the limit, then object", pad(DefaultMaxBodyBytes-len(body)) + body},
+		{"padding past the limit, then object", pad(DefaultMaxBodyBytes+1-len(body)) + body},
+		{"garbage past the limit", strings.Repeat("x", DefaultMaxBodyBytes+1)},
 		{"bad sender", edit(sender, "junk")},
 		{"bad arg", edit(`"value":"5"`, `"value":"abc"`)},
 		{"missing function", edit(`"function":"transfer"`, `"function":" "`)},

@@ -64,8 +64,6 @@ type Config struct {
 	Mode Mode
 	// Policy selects the speculative write policy (default eager).
 	Policy stm.Policy
-	// BurnFactor calibrates ModeReal CPU burn per gas unit.
-	BurnFactor int
 	// InterferencePerMille models shared-resource contention between
 	// concurrently active simulated cores (ModeSim only): each unit of
 	// work costs an extra k/1000 per additional active thread. The default
@@ -100,9 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.Policy == 0 {
 		c.Policy = stm.PolicyEager
 	}
-	if c.BurnFactor <= 0 {
-		c.BurnFactor = 8
-	}
 	if c.InterferencePerMille == 0 {
 		c.InterferencePerMille = DefaultInterferencePerMille
 	} else if c.InterferencePerMille < 0 {
@@ -118,9 +113,12 @@ func (c Config) withDefaults() Config {
 // factor; see Config.InterferencePerMille.
 const DefaultInterferencePerMille = 150
 
+// burnFactor calibrates ModeReal CPU burn per gas unit.
+const burnFactor = 8
+
 func (c Config) runner() runtime.Runner {
 	if c.Mode == ModeReal {
-		return runtime.NewOSRunner(runtime.SpinBurn(c.BurnFactor))
+		return runtime.NewOSRunner(runtime.SpinBurn(burnFactor))
 	}
 	return runtime.NewSimRunnerInterference(c.InterferencePerMille)
 }
@@ -170,14 +168,14 @@ func Measure(p workload.Params, cfg Config) (Measurement, error) {
 	// the block without parallelization" (§7.2). A single worker pays the
 	// STM bookkeeping but never waits or aborts. It is the common
 	// denominator for every engine's speedup.
-	scfg := miner.Config{Workers: 1, Policy: cfg.Policy}
+	scfg := engine.Options{Workers: 1, Policy: cfg.Policy}
 
 	total := cfg.Warmups + cfg.Runs
 	for run := 0; run < total; run++ {
 		measured := run >= cfg.Warmups
 
 		wl.Reset()
-		serial, err := miner.MineParallel(cfg.runner(), wl.World, parent, wl.Calls, scfg)
+		serial, err := miner.Mine(engine.SpeculativeEngine{}, cfg.runner(), wl.World, parent, wl.Calls, scfg)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: serial: %w", err)
 		}

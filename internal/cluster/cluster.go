@@ -12,8 +12,6 @@ import (
 	"contractstm/internal/engine"
 	"contractstm/internal/node"
 	"contractstm/internal/persist"
-	"contractstm/internal/runtime"
-	"contractstm/internal/txpool"
 	"contractstm/internal/workload"
 )
 
@@ -47,12 +45,9 @@ type Config struct {
 	Worlds []*contract.World
 	// Engine selects every node's block-execution engine.
 	Engine engine.Kind
-	// Workers is each node's mining/validation pool size.
+	// Workers is each node's mining/validation pool size. Nodes mine and
+	// validate on real OS threads and select blocks FIFO.
 	Workers int
-	// Runner executes mining and validation (nil = real OS threads).
-	Runner runtime.Runner
-	// SelectionPolicy picks block transactions from each node's pool.
-	SelectionPolicy txpool.Policy
 	// Listen, when non-empty, binds node i to the TCP address Listen[i]
 	// (length must match Worlds; use "127.0.0.1:0" for an ephemeral
 	// port). Empty means httptest transports — in-process sockets, ideal
@@ -100,14 +95,12 @@ func New(cfg Config) (*Cluster, error) {
 			dataDir = cfg.DataDirs[i]
 		}
 		n, err := node.New(node.Config{
-			World:           w,
-			Workers:         cfg.Workers,
-			Runner:          cfg.Runner,
-			SelectionPolicy: cfg.SelectionPolicy,
-			Engine:          cfg.Engine,
-			DataDir:         dataDir,
-			Persist:         cfg.Persist,
-			PipelineDepth:   cfg.PipelineDepth,
+			World:         w,
+			Workers:       cfg.Workers,
+			Engine:        cfg.Engine,
+			DataDir:       dataDir,
+			Persist:       cfg.Persist,
+			PipelineDepth: cfg.PipelineDepth,
 		})
 		if err != nil {
 			c.Close()

@@ -69,9 +69,6 @@ type Thread struct {
 // ID returns the thread's unique id (creation order, starting at 0).
 func (t *Thread) ID() int { return t.id }
 
-// Name returns the thread's diagnostic name.
-func (t *Thread) Name() string { return t.name }
-
 // Now returns the thread's current virtual clock.
 func (t *Thread) Now() uint64 { return t.clock }
 
@@ -271,10 +268,6 @@ func (s *Simulator) parkedNames() string {
 	}
 	return out
 }
-
-// Makespan reports the maximum virtual clock observed so far. Valid after
-// Run returns.
-func (s *Simulator) Makespan() uint64 { return s.makespan }
 
 // SetInterference configures the per-mille cost increase per additional
 // concurrently active thread applied by Thread.Work. For example, 150

@@ -113,23 +113,17 @@ type Options struct {
 	// Policy selects eager (default) or lazy speculative writes
 	// (SpeculativeEngine only).
 	Policy stm.Policy
-	// MaxRetries bounds abort-and-retry cycles per transaction
-	// (SpeculativeEngine); 0 means DefaultMaxRetries. Exceeding it fails
-	// the run (it indicates a livelock bug rather than ordinary
-	// contention).
-	MaxRetries int
-	// RetryBackoff is the simulated work performed before re-attempting an
-	// aborted transaction, scaled linearly by attempt number
-	// (SpeculativeEngine).
-	RetryBackoff gas.Gas
 }
 
-// DefaultMaxRetries bounds speculative retry loops; deadlock victims
-// release all locks before retrying, so progress only requires modest
-// patience.
+// DefaultMaxRetries bounds abort-and-retry cycles per transaction in
+// SpeculativeEngine. Deadlock victims release all locks before retrying,
+// so progress only requires modest patience; exceeding it fails the run
+// (it indicates a livelock bug rather than ordinary contention).
 const DefaultMaxRetries = 1000
 
-// DefaultRetryBackoff is the default per-attempt backoff work.
+// DefaultRetryBackoff is the simulated work SpeculativeEngine performs
+// before re-attempting an aborted transaction, scaled linearly by attempt
+// number.
 const DefaultRetryBackoff gas.Gas = 50
 
 func (o Options) withDefaults() Options {
@@ -138,12 +132,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Policy == 0 {
 		o.Policy = stm.PolicyEager
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = DefaultMaxRetries
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = DefaultRetryBackoff
 	}
 	return o
 }

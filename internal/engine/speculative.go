@@ -56,15 +56,14 @@ func (SpeculativeEngine) ExecuteBlock(runner runtime.Runner, w *contract.World, 
 		attempt := 0
 		for {
 			tx := stm.BeginSpeculative(mgr, id, th, call.GasLimit, opts.Policy)
-			tx.SetRetries(attempt)
 			out := contract.Execute(w, tx, call)
 			if out.Kind == contract.OutcomeRetry {
 				attempt++
 				totalRetries.Add(1)
-				if attempt > opts.MaxRetries {
-					return fmt.Errorf("engine: %s exceeded %d retries: %s", id, opts.MaxRetries, out.Reason)
+				if attempt > DefaultMaxRetries {
+					return fmt.Errorf("engine: %s exceeded %d retries: %s", id, DefaultMaxRetries, out.Reason)
 				}
-				th.Work(opts.RetryBackoff * gas.Gas(attempt))
+				th.Work(DefaultRetryBackoff * gas.Gas(attempt))
 				tx.AwaitRefusedLock()
 				tx.Recycle()
 				continue

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"contractstm/internal/api/wire"
 	"contractstm/internal/contract"
 	"contractstm/internal/types"
 )
@@ -24,9 +25,6 @@ type Config struct {
 	// Shards is the lock-stripe count (default 16). 1 degenerates to a
 	// single-lock pool — the bench sweep compares exactly that.
 	Shards int
-	// WindowFactor bounds the selection window (window = factor *
-	// blockSize), matching txpool's scan depth (default 4).
-	WindowFactor int
 	// PerSenderSlots caps queued transactions per sender; at the cap a
 	// strictly-higher-priority submission replaces the sender's worst
 	// queued entry (the nonce-slot replacement rule). 0 = unlimited.
@@ -54,9 +52,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.WindowFactor <= 0 {
-		c.WindowFactor = 4
 	}
 	if c.Burst <= 0 {
 		c.Burst = 8
@@ -92,7 +87,8 @@ const (
 	VerdictPoolOverloaded
 )
 
-// String implements fmt.Stringer with the wire-stable reason names.
+// String implements fmt.Stringer with the wire-stable reason names; a
+// shed verdict's name is the wire code its 429 answer carries.
 func (v Verdict) String() string {
 	switch v {
 	case VerdictAdmitted:
@@ -102,13 +98,13 @@ func (v Verdict) String() string {
 	case VerdictDuplicate:
 		return "duplicate"
 	case VerdictRateLimited:
-		return "rate_limited"
+		return wire.CodeRateLimited
 	case VerdictSenderLimit:
-		return "sender_limit"
+		return wire.CodeSenderLimit
 	case VerdictShardSaturated:
-		return "shard_saturated"
+		return wire.CodeShardSaturated
 	case VerdictPoolOverloaded:
-		return "pool_overloaded"
+		return wire.CodePoolOverloaded
 	default:
 		return "verdict?"
 	}

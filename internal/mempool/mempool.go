@@ -315,7 +315,7 @@ func (p *Pool) SelectBatch(policy txpool.Policy, blockSize int) (Selection, erro
 	if total == 0 {
 		return Selection{}, txpool.ErrEmpty
 	}
-	window := blockSize * p.cfg.WindowFactor
+	window := blockSize * txpool.WindowFactor
 	if window > total {
 		window = total
 	}
@@ -379,15 +379,6 @@ func (p *Pool) SelectBatch(policy txpool.Policy, blockSize int) (Selection, erro
 		s.queue = kept
 	}
 	return sel, nil
-}
-
-// Select removes and returns up to blockSize calls (see SelectBatch).
-func (p *Pool) Select(policy txpool.Policy, blockSize int) ([]contract.Call, error) {
-	sel, err := p.SelectBatch(policy, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	return sel.Calls, nil
 }
 
 // RequeueBatch returns a selected-but-unmined batch to the pool at its

@@ -8,8 +8,7 @@
 // The execution strategies themselves live in internal/engine: the paper's
 // Algorithm 1 (speculative mining) is engine.SpeculativeEngine, the serial
 // baseline is engine.SerialEngine, and the Block-STM-style optimistic
-// batch strategy is engine.OCCEngine. MineParallel and ExecuteSerial
-// remain as the historical entry points over those engines.
+// batch strategy is engine.OCCEngine.
 package miner
 
 import (
@@ -18,44 +17,10 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
-	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
 	"contractstm/internal/sched"
-	"contractstm/internal/stm"
 	"contractstm/internal/types"
 )
-
-// Config tunes a mining run.
-type Config struct {
-	// Workers is the thread-pool size (the paper's evaluation uses 3).
-	Workers int
-	// Policy selects eager (default) or lazy speculative writes.
-	Policy stm.Policy
-	// MaxRetries bounds abort-and-retry cycles per transaction; 0 means
-	// DefaultMaxRetries. Exceeding it fails the mining run (it indicates a
-	// livelock bug rather than ordinary contention).
-	MaxRetries int
-	// RetryBackoff is the simulated work performed before re-attempting an
-	// aborted transaction, scaled linearly by attempt number.
-	RetryBackoff gas.Gas
-}
-
-// DefaultMaxRetries bounds retry loops; deadlock victims release all locks
-// before retrying, so progress only requires modest patience.
-const DefaultMaxRetries = engine.DefaultMaxRetries
-
-// DefaultRetryBackoff is the default per-attempt backoff work.
-const DefaultRetryBackoff = engine.DefaultRetryBackoff
-
-// options converts the miner config into engine options.
-func (c Config) options() engine.Options {
-	return engine.Options{
-		Workers:      c.Workers,
-		Policy:       c.Policy,
-		MaxRetries:   c.MaxRetries,
-		RetryBackoff: c.RetryBackoff,
-	}
-}
 
 // Stats aggregates a run's execution behaviour (see engine.Stats).
 type Stats = engine.Stats
@@ -104,12 +69,6 @@ func MineHashed(eng engine.Engine, runner runtime.Runner, w *contract.World, par
 		block = chain.SealHashed(parent, calls, txIDs, res.Receipts, res.Schedule, res.Profiles, stateRoot)
 	}
 	return Result{Block: block, TxIDs: txIDs, Makespan: res.Makespan, Stats: res.Stats, Graph: res.Graph}, nil
-}
-
-// MineParallel executes calls speculatively on cfg.Workers threads and
-// seals a block on top of parent — the paper's Algorithm 1 entry point.
-func MineParallel(runner runtime.Runner, w *contract.World, parent chain.Header, calls []contract.Call, cfg Config) (Result, error) {
-	return Mine(engine.SpeculativeEngine{}, runner, w, parent, calls, cfg.options())
 }
 
 // SerialResult is a serial execution's outcome.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"contractstm/internal/chain"
+	"contractstm/internal/engine"
 	"contractstm/internal/runtime"
 	"contractstm/internal/sched"
 	"contractstm/internal/stm"
@@ -77,7 +78,7 @@ func TestMineParallelMatchesSerialBaseline(t *testing.T) {
 			}
 			w.Reset()
 
-			res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: 3})
+			res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 			if err != nil {
 				t.Fatalf("mine: %v", err)
 			}
@@ -104,7 +105,7 @@ func TestMineParallelSerializableInScheduleOrder(t *testing.T) {
 		p := p
 		t.Run(p.Kind.String()+"/"+itoa(p.ConflictPercent), func(t *testing.T) {
 			w := mustGen(t, p)
-			res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: 3})
+			res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 			if err != nil {
 				t.Fatalf("mine: %v", err)
 			}
@@ -125,7 +126,7 @@ func TestMineParallelDeterministicOnSimRunner(t *testing.T) {
 	p := workload.Params{Kind: workload.KindMixed, Transactions: 45, ConflictPercent: 30, Seed: 11}
 	run := func() chain.Block {
 		w := mustGen(t, p)
-		res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: 3})
+		res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("mine: %v", err)
 		}
@@ -139,7 +140,7 @@ func TestMineParallelDeterministicOnSimRunner(t *testing.T) {
 
 func TestMineParallelScheduleIsValid(t *testing.T) {
 	w := mustGen(t, workload.Params{Kind: workload.KindAuction, Transactions: 50, ConflictPercent: 60, Seed: 4})
-	res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: 3})
+	res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -160,7 +161,7 @@ func TestMineParallelZeroConflictHasNoExclusiveEdges(t *testing.T) {
 	// A pure-vote Ballot block (commuting increments, disjoint voters)
 	// must discover an edge-free schedule: full parallelism for validators.
 	w := mustGen(t, workload.Params{Kind: workload.KindBallot, Transactions: 40, ConflictPercent: 0, Seed: 6})
-	res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: 3})
+	res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestMineParallelZeroConflictHasNoExclusiveEdges(t *testing.T) {
 func TestMineParallelWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 5} {
 		w := mustGen(t, workload.Params{Kind: workload.KindMixed, Transactions: 30, ConflictPercent: 15, Seed: 8})
-		res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: workers})
+		res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -198,7 +199,7 @@ func TestMineParallelOnOSThreads(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	w.Reset()
-	res, err := MineParallel(runtime.NewOSRunner(nil), w.World, genesis(), w.Calls, Config{Workers: 4})
+	res, err := Mine(engine.SpeculativeEngine{}, runtime.NewOSRunner(nil), w.World, genesis(), w.Calls, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -227,7 +228,7 @@ func TestDeadlockProneWorkloadStillSerializable(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	w.Reset()
-	res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: 3})
+	res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -253,7 +254,7 @@ func TestExecuteSerialOrderValidation(t *testing.T) {
 
 func TestMinerStatsAccounting(t *testing.T) {
 	w := mustGen(t, workload.Params{Kind: workload.KindBallot, Transactions: 40, ConflictPercent: 100, Seed: 3})
-	res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, Config{Workers: 3})
+	res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -270,8 +271,8 @@ func TestMineParallelLazyPolicy(t *testing.T) {
 		p := p
 		t.Run(p.Kind.String()+"/"+itoa(p.ConflictPercent), func(t *testing.T) {
 			w := mustGen(t, p)
-			res, err := MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls,
-				Config{Workers: 3, Policy: stm.PolicyLazy})
+			res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls,
+				engine.Options{Workers: 3, Policy: stm.PolicyLazy})
 			if err != nil {
 				t.Fatalf("lazy mine: %v", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"contractstm/internal/contract"
+	"contractstm/internal/engine"
 	"contractstm/internal/gas"
 	"contractstm/internal/runtime"
 	"contractstm/internal/stm"
@@ -157,7 +158,7 @@ func TestNestedCallsUnderParallelMining(t *testing.T) {
 	serialRoot := serial.StateRoot
 
 	w.Restore(pre)
-	res, err := MineParallel(runtime.NewSimRunner(), w, genesis(), calls, Config{Workers: 3})
+	res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w, genesis(), calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -195,7 +196,7 @@ func TestNestedCallsUnderOSThreads(t *testing.T) {
 	const n, broke = 30, 6
 	w, calls, _, _ := buildVaultWorld(t, n, broke)
 	pre := w.Snapshot()
-	res, err := MineParallel(runtime.NewOSRunner(nil), w, genesis(), calls, Config{Workers: 4})
+	res, err := Mine(engine.SpeculativeEngine{}, runtime.NewOSRunner(nil), w, genesis(), calls, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -233,7 +234,7 @@ func TestRandomizedSerializabilityFuzz(t *testing.T) {
 			t.Fatalf("it=%d %+v: generate: %v", it, p, err)
 		}
 		workers := 2 + rng.Intn(3)
-		res, err := MineParallel(runtime.NewSimRunner(), wl.World, genesis(), wl.Calls, Config{Workers: workers})
+		res, err := Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), wl.World, genesis(), wl.Calls, engine.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("it=%d %+v: mine: %v", it, p, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
 	"contractstm/internal/contract"
 	"contractstm/internal/mempool"
@@ -127,6 +128,62 @@ func TestSubmitShedsWith429AndRetryAfter(t *testing.T) {
 	}
 	if st.Mempool.Admitted != 2 || st.Mempool.RateLimited != 1 {
 		t.Fatalf("mempool counters = %+v", st.Mempool)
+	}
+}
+
+// TestShedVerdictCodes: for every admission stage that sheds a submit,
+// the pool's verdict name, the code of the 429 body and the SDK's IsCode
+// agree on one wire code. Each row's pool admits the sender's first
+// transfer and sheds the second.
+func TestShedVerdictCodes(t *testing.T) {
+	now := time.Unix(3000, 0)
+	first, err := transferTx(types.AddressFromUint64(1), tokenAddr, 1).Call()
+	if err != nil {
+		t.Fatalf("call: %v", err)
+	}
+	oneTx := mempool.TxOf(first).Size
+	rows := []struct {
+		verdict mempool.Verdict
+		code    string
+		cfg     mempool.Config
+	}{
+		{mempool.VerdictRateLimited, wire.CodeRateLimited,
+			mempool.Config{RatePerSec: 1, Burst: 1, Now: func() time.Time { return now }}},
+		{mempool.VerdictSenderLimit, wire.CodeSenderLimit, mempool.Config{PerSenderSlots: 1}},
+		{mempool.VerdictShardSaturated, wire.CodeShardSaturated, mempool.Config{Shards: 1, MaxShardEntries: 1}},
+		{mempool.VerdictPoolOverloaded, wire.CodePoolOverloaded, mempool.Config{Shards: 1, MaxBytes: int64(oneTx)}},
+	}
+	for _, row := range rows {
+		t.Run(row.code, func(t *testing.T) {
+			if got := row.verdict.String(); got != row.code {
+				t.Fatalf("verdict %d String() = %q, want %q", row.verdict, got, row.code)
+			}
+			w, holders := newTokenWorld(t, 2)
+			n, err := New(Config{World: w, Workers: 2, Runner: runtime.NewSimRunner(), Mempool: row.cfg})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			url := httpNode(t, n)
+			if resp, body := postJSON(t, url+"/v1/tx", transferTx(holders[0], holders[1], 1)); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("first submit status = %d (body %s)", resp.StatusCode, body)
+			}
+			shed := transferTx(holders[0], holders[1], 2)
+			resp, body := postJSON(t, url+"/v1/tx", shed)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("second submit status = %d (body %s)", resp.StatusCode, body)
+			}
+			var envelope wire.Error
+			if err := json.Unmarshal(body, &envelope); err != nil {
+				t.Fatalf("error decode: %v (body %s)", err, body)
+			}
+			if envelope.Code != row.code {
+				t.Fatalf("429 code = %q, want %q", envelope.Code, row.code)
+			}
+			sdk := client.New(url, client.WithRetry(client.RetryPolicy{MaxAttempts: 1}))
+			if _, err := sdk.SubmitTx(context.Background(), shed); !client.IsCode(err, row.code) {
+				t.Fatalf("SDK submit error = %v, want code %q", err, row.code)
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"contractstm/internal/api"
 	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
 	"contractstm/internal/contract"
@@ -42,7 +43,7 @@ func TestV1ErrorPaths(t *testing.T) {
 	w, holders := newTokenWorld(t, 2)
 	n, err := New(Config{
 		World: w, Workers: 2, Runner: runtime.NewSimRunner(),
-		MaxGasLimit: 500_000, MaxBodyBytes: 2048,
+		MaxGasLimit: 500_000,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -50,10 +51,17 @@ func TestV1ErrorPaths(t *testing.T) {
 	url := httpNode(t, n)
 
 	okTx, _ := json.Marshal(transferTx(holders[0], holders[1], 1))
-	bigTx := append(bytes.Repeat([]byte(" "), 4096), okTx...)
+	// padTo prefixes body with whitespace to exactly size bytes.
+	padTo := func(body []byte, size int) []byte {
+		return append(bytes.Repeat([]byte(" "), size-len(body)), body...)
+	}
+	bigTx := padTo(okTx, api.DefaultMaxBodyBytes+1)
 	overGas := transferTx(holders[0], holders[1], 1)
 	overGas.GasLimit = 1_000_000
 	overGasBody, _ := json.Marshal(overGas)
+	// A body of exactly the limit is read and parsed: the gas check,
+	// not the size check, refuses it.
+	limitBody := padTo(overGasBody, api.DefaultMaxBodyBytes)
 	badSender, _ := json.Marshal(wire.TxSubmit{Sender: "junk", Contract: tokenAddr.String(), Function: "f"})
 	badArg, _ := json.Marshal(wire.TxSubmit{Sender: holders[0].String(), Contract: tokenAddr.String(),
 		Function: "f", Args: []wire.Arg{{Type: "uint64", Value: "abc"}}})
@@ -75,6 +83,7 @@ func TestV1ErrorPaths(t *testing.T) {
 		{"tx wrong content type", "POST", "/v1/tx", "text/plain", okTx, http.StatusUnsupportedMediaType, wire.CodeUnsupportedMedia},
 		{"tx oversized body", "POST", "/v1/tx", "application/json", bigTx, http.StatusRequestEntityTooLarge, wire.CodeBodyTooLarge},
 		{"tx gas over max", "POST", "/v1/tx", "application/json", overGasBody, http.StatusBadRequest, wire.CodeGasLimitTooHigh},
+		{"tx body at the limit", "POST", "/v1/tx", "application/json", limitBody, http.StatusBadRequest, wire.CodeGasLimitTooHigh},
 		{"receipt bad id", "GET", "/v1/tx/zzzz", "", nil, http.StatusBadRequest, wire.CodeBadRequest},
 		{"receipt unknown id", "GET", "/v1/tx/" + types.HashString("ghost").String(), "", nil, http.StatusNotFound, wire.CodeTxNotFound},
 		{"mine empty pool", "POST", "/v1/mine", "application/json", []byte(`{"blockSize":5}`), http.StatusConflict, wire.CodeMineFailed},

@@ -105,20 +105,10 @@ type Config struct {
 	// MaxGasLimit rejects API-submitted transactions whose gas limit
 	// exceeds it (0 = api.DefaultMaxGasLimit, 1e8).
 	MaxGasLimit uint64
-	// MaxBodyBytes bounds JSON request bodies on the API
-	// (0 = api.DefaultMaxBodyBytes, 1 MiB).
-	MaxBodyBytes int64
-	// ReceiptCapacity bounds the in-memory receipt index
-	// (0 = api.DefaultReceiptCapacity).
-	ReceiptCapacity int
 	// SubscriberBuffer sizes each /v1/subscribe subscriber's event
 	// buffer (0 = api.DefaultSubscriberBuffer). Relay nodes serving many
 	// downstream subscribers raise it.
 	SubscriberBuffer int
-	// EventReplayDepth is how many published events the broker retains
-	// for Last-Event-ID reconnect replay (0 = api.DefaultEventReplayDepth,
-	// negative disables replay).
-	EventReplayDepth int
 	// ErrorLog receives node- and API-level serving faults that would
 	// otherwise be swallowed (response-encoding failures and the like).
 	// Nil logs to the standard logger.
@@ -276,14 +266,8 @@ func New(cfg Config) (*Node, error) {
 	if n.errLog == nil {
 		n.errLog = func(err error) { log.Printf("node: %v", err) }
 	}
-	n.receipts = api.NewReceiptStore(cfg.ReceiptCapacity)
-	replayDepth := cfg.EventReplayDepth
-	if replayDepth == 0 {
-		replayDepth = api.DefaultEventReplayDepth
-	} else if replayDepth < 0 {
-		replayDepth = 0
-	}
-	n.events = api.NewBrokerRetaining(replayDepth)
+	n.receipts = api.NewReceiptStore(0)
+	n.events = api.NewBroker()
 	if cfg.DataDir != "" {
 		if err := n.openDurable(cfg, root); err != nil {
 			// Release the directory lock a partially-opened log holds, or
@@ -308,7 +292,6 @@ func New(cfg Config) (*Node, error) {
 		DefaultBlockSize: cfg.DefaultBlockSize,
 		DefaultGasLimit:  cfg.DefaultGasLimit,
 		MaxGasLimit:      cfg.MaxGasLimit,
-		MaxBodyBytes:     cfg.MaxBodyBytes,
 		SubscriberBuffer: cfg.SubscriberBuffer,
 		ErrorLog:         n.errLog,
 	})

@@ -294,9 +294,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the data directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Height returns the last appended (or installed) block height.
 func (l *Log) Height() uint64 {
 	l.mu.Lock()

@@ -15,9 +15,9 @@ import (
 	"contractstm/internal/node"
 )
 
-// Defaults for RelayConfig's zero values.
 const (
-	// DefaultRelayBackoff is the first reconnect delay.
+	// DefaultRelayBackoff is the first reconnect delay when
+	// RelayConfig.Backoff is zero.
 	DefaultRelayBackoff = 100 * time.Millisecond
 	// DefaultRelayMaxBackoff caps the reconnect delay.
 	DefaultRelayMaxBackoff = 5 * time.Second
@@ -35,9 +35,9 @@ type RelayConfig struct {
 	// blocks through the peer itself, the import pipeline's unverifying
 	// source — Phase A checks each block's commitments, once.
 	Upstream *cluster.Peer
-	// Backoff and MaxBackoff shape the reconnect delay (0 = defaults).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// Backoff is the first reconnect delay (0 = DefaultRelayBackoff); it
+	// doubles per failed attempt up to DefaultRelayMaxBackoff.
+	Backoff time.Duration
 	// ErrorLog receives non-fatal relay faults (reconnects, failed
 	// fetches). Nil discards.
 	ErrorLog func(error)
@@ -59,7 +59,6 @@ type Relay struct {
 	n      *node.Node
 	up     *cluster.Peer
 	base   time.Duration
-	max    time.Duration
 	errLog func(error)
 	// icfg sizes the import pipeline (replica.Config.Import; zero values =
 	// importer defaults).
@@ -79,14 +78,10 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = DefaultRelayBackoff
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultRelayMaxBackoff
-	}
 	r := &Relay{
 		n:      cfg.Node,
 		up:     cfg.Upstream,
 		base:   cfg.Backoff,
-		max:    cfg.MaxBackoff,
 		errLog: cfg.ErrorLog,
 	}
 	if r.errLog == nil {
@@ -136,8 +131,8 @@ func (r *Relay) Run(ctx context.Context) error {
 			if !r.sleep(ctx, delay) {
 				return context.Cause(ctx)
 			}
-			if delay *= 2; delay > r.max {
-				delay = r.max
+			if delay *= 2; delay > DefaultRelayMaxBackoff {
+				delay = DefaultRelayMaxBackoff
 			}
 			continue
 		}

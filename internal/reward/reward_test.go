@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"contractstm/internal/chain"
+	"contractstm/internal/engine"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
 	"contractstm/internal/sched"
@@ -19,8 +20,8 @@ func mineFor(t *testing.T, kind workload.Kind, conflict int) chain.Block {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	res, err := miner.MineParallel(runtime.NewSimRunner(), wl.World,
-		chain.GenesisHeader(types.HashString("reward")), wl.Calls, miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), wl.World,
+		chain.GenesisHeader(types.HashString("reward")), wl.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -119,8 +120,8 @@ func TestSingleTxBlockFullyParallel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	res, err := miner.MineParallel(runtime.NewSimRunner(), wl.World,
-		chain.GenesisHeader(types.HashString("reward")), wl.Calls, miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), wl.World,
+		chain.GenesisHeader(types.HashString("reward")), wl.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}

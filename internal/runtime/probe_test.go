@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"contractstm/internal/chain"
+	"contractstm/internal/engine"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
 	"contractstm/internal/types"
@@ -58,7 +59,7 @@ func BenchmarkWorkerStart(b *testing.B) {
 		b.Fatalf("generate: %v", err)
 	}
 	osr := runtime.NewOSRunner(runtime.SpinBurn(0))
-	res, err := miner.MineParallel(osr, wl.World, chain.GenesisHeader(types.HashString("probe")), wl.Calls, miner.Config{Workers: 2})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, osr, wl.World, chain.GenesisHeader(types.HashString("probe")), wl.Calls, engine.Options{Workers: 2})
 	if err != nil {
 		b.Fatalf("mine: %v", err)
 	}

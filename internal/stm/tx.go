@@ -95,8 +95,6 @@ type Tx struct {
 	trace map[LockID]Mode
 	// profile is root-only: set at commit/revert of a speculative root.
 	profile Profile
-	// retries counts speculative abort-and-retry cycles (set by the miner).
-	retries int
 	// refused and refusedMode are root-only: the request the manager last
 	// refused with ErrDeadlock (refusedMode is zero if none was).
 	refused     *lockState
@@ -204,13 +202,6 @@ func (t *Tx) Schedule() gas.Schedule { return t.sched }
 // Meter returns the transaction family's gas meter. It belongs to the
 // root and goes back to the pool with it.
 func (t *Tx) Meter() *gas.Meter { return &t.root.meter }
-
-// Retries reports how many speculative attempts were aborted before this
-// one; the miner maintains it across retry loops.
-func (t *Tx) Retries() int { return t.retries }
-
-// SetRetries records the retry count (miner bookkeeping).
-func (t *Tx) SetRetries(n int) { t.retries = n }
 
 // BeginNested starts a child speculative action for a nested contract call.
 // The child inherits the family's locks (they are keyed by root), keeps its

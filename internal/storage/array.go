@@ -56,9 +56,6 @@ func NewArray(s *Store, name string) (*Array, error) {
 	return a, nil
 }
 
-// Name returns the array's lock scope.
-func (a *Array) Name() string { return a.name }
-
 func (a *Array) elemLock(i int) stm.LockID {
 	if a.store.coarse() {
 		return stm.LockID{Scope: a.name}

@@ -44,9 +44,6 @@ func NewCell(s *Store, name string, initial any) (*Cell, error) {
 	return c, nil
 }
 
-// Name returns the cell's lock scope.
-func (c *Cell) Name() string { return c.name }
-
 func (c *Cell) lock() stm.LockID { return stm.LockID{Scope: c.name} }
 
 // Read returns the cell's value. Shared mode.

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -568,6 +567,3 @@ func (m *Map) restore(v version) {
 	defer m.raw.unlockAll()
 	m.raw.settle(v)
 }
-
-// itoa is a tiny helper shared with Array for index keys in diagnostics.
-func itoa(i int) string { return strconv.Itoa(i) }

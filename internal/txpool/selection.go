@@ -8,6 +8,11 @@ package txpool
 
 import "contractstm/internal/contract"
 
+// WindowFactor bounds how far past the block size the spread and
+// lock-hint policies scan for non-colliding transactions: both pools
+// select from a window of WindowFactor * blockSize queued entries.
+const WindowFactor = 4
+
 // Entry is one selectable call plus its cached static lock-hints.
 // Both pool implementations embed it in their queue entries; the
 // hint cache is filled lazily by the lock-hint scan (FIFO and spread

@@ -101,10 +101,6 @@ type Pool struct {
 	mu      sync.Mutex
 	queue   []pending
 	nextSeq int64
-	// windowFactor bounds how far past the block size the spread and
-	// lock-hint policies scan for non-colliding transactions
-	// (window = factor * blockSize).
-	windowFactor int
 	// Scores is the engine's conflict feedback (see selection.go),
 	// guarded by mu like the queue.
 	Scores
@@ -128,10 +124,7 @@ const maxConflictEntries = 1024
 
 // New returns an empty pool.
 func New() *Pool {
-	return &Pool{
-		windowFactor: 4,
-		Scores:       NewScores(),
-	}
+	return &Pool{Scores: NewScores()}
 }
 
 // ReportConflicts feeds back transactions that needed speculative retries
@@ -227,9 +220,6 @@ type Selection struct {
 	Calls []contract.Call
 	seqs  []int64
 }
-
-// Len reports the selected call count.
-func (s Selection) Len() int { return len(s.Calls) }
 
 // SelectBatch removes and returns up to blockSize transactions according
 // to the policy, remembering their arrival sequence for RequeueBatch. It
@@ -360,19 +350,6 @@ func (p *Pool) Len() int {
 	return len(p.queue)
 }
 
-// PendingCalls returns a copy of every queued call in queue order: the
-// persistence layer saves these on shutdown so a restarted node's
-// mempool picks up where it left off.
-func (p *Pool) PendingCalls() []contract.Call {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]contract.Call, len(p.queue))
-	for i, pe := range p.queue {
-		out[i] = pe.Call
-	}
-	return out
-}
-
 // The spread policy uses two static conflict hints:
 //
 //   - senderHint (contract, sender): two calls from one sender to one
@@ -453,12 +430,12 @@ func (p *Pool) selectLockHint(blockSize int) []pending {
 }
 
 // takeWindow runs the shared window scan over the queue's head
-// (window = windowFactor * blockSize), removes the chosen entries and
+// (window = WindowFactor * blockSize), removes the chosen entries and
 // returns them in pick order. The scan caches lock-hints directly on
 // the queue entries, so deferred calls keep their hints for the next
 // selection.
 func (p *Pool) takeWindow(policy Policy, blockSize int) []pending {
-	window := blockSize * p.windowFactor
+	window := blockSize * WindowFactor
 	if window > len(p.queue) {
 		window = len(p.queue)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
+	"contractstm/internal/engine"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
 	"contractstm/internal/types"
@@ -177,8 +178,8 @@ func TestSpreadReducesMinerRetries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("select: %v", err)
 			}
-			res, err := miner.MineParallel(runtime.NewSimRunner(), wl.World, parent, calls,
-				miner.Config{Workers: 3})
+			res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), wl.World, parent, calls,
+				engine.Options{Workers: 3})
 			if err != nil {
 				t.Fatalf("mine: %v", err)
 			}

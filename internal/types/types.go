@@ -149,13 +149,6 @@ func ParseHash(s string) (Hash, error) {
 // IsZero reports whether h is the zero hash.
 func (h Hash) IsZero() bool { return h == ZeroHash }
 
-// Bytes returns a copy of the hash bytes.
-func (h Hash) Bytes() []byte {
-	out := make([]byte, HashLen)
-	copy(out, h[:])
-	return out
-}
-
 // String renders the hash as 0x-prefixed hex.
 func (h Hash) String() string { return "0x" + hex.EncodeToString(h[:]) }
 

@@ -59,7 +59,7 @@ func TestValidateTransferAllocs(t *testing.T) {
 		t.Fatalf("generate: %v", err)
 	}
 	runner := runtime.NewOSRunner(runtime.SpinBurn(0))
-	res, err := miner.MineParallel(runner, wl.World, genesis(), wl.Calls, miner.Config{Workers: 2})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runner, wl.World, genesis(), wl.Calls, engine.Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}

@@ -3,6 +3,7 @@ package validator
 import (
 	"testing"
 
+	"contractstm/internal/engine"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
 	"contractstm/internal/workload"
@@ -17,7 +18,7 @@ func BenchmarkValidateTokenBlock(b *testing.B) {
 		b.Fatalf("generate: %v", err)
 	}
 	runner := runtime.NewOSRunner(runtime.SpinBurn(0))
-	res, err := miner.MineParallel(runner, wl.World, genesis(), wl.Calls, miner.Config{Workers: 2})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runner, wl.World, genesis(), wl.Calls, engine.Options{Workers: 2})
 	if err != nil {
 		b.Fatalf("mine: %v", err)
 	}

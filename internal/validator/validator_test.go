@@ -9,6 +9,7 @@ import (
 
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
+	"contractstm/internal/engine"
 	"contractstm/internal/gas"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
@@ -28,7 +29,7 @@ func mineBlock(t *testing.T, p workload.Params) (*workload.Workload, chain.Block
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	res, err := miner.MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestValidateOnOSThreads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	res, err := miner.MineParallel(runtime.NewOSRunner(nil), w.World, genesis(), w.Calls, miner.Config{Workers: 4})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewOSRunner(nil), w.World, genesis(), w.Calls, engine.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
@@ -287,7 +288,7 @@ func TestValidateEmptyBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWorld: %v", err)
 	}
-	res, err := miner.MineParallel(runtime.NewSimRunner(), w, genesis(), nil, miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w, genesis(), nil, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine empty: %v", err)
 	}
@@ -309,7 +310,7 @@ func TestValidatorFasterThanSerialOnLowConflict(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	w.Reset()
-	res, err := miner.MineParallel(runtime.NewSimRunner(), w.World, genesis(), w.Calls, miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World, genesis(), w.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
+	"contractstm/internal/engine"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
 	"contractstm/internal/types"
@@ -237,8 +238,8 @@ func TestDelegationWorkloadSerializableUnderMining(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		res, err := miner.MineParallel(runtime.NewSimRunner(), w.World,
-			chain.GenesisHeader(types.HashString("wl")), w.Calls, miner.Config{Workers: 3})
+		res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), w.World,
+			chain.GenesisHeader(types.HashString("wl")), w.Calls, engine.Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("conflict=%d mine: %v", conflict, err)
 		}

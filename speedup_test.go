@@ -106,7 +106,7 @@ func newSpeedupCell(p workload.Params) (*speedupCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := miner.MineParallel(runtime.NewSimRunner(), wl.World, speedupParent, wl.Calls, miner.Config{Workers: 3})
+	res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), wl.World, speedupParent, wl.Calls, engine.Options{Workers: 3})
 	if err != nil {
 		return nil, err
 	}
