@@ -19,8 +19,9 @@
 // their deterministic replay, list-scheduled longest chain first), engine
 // (pluggable block execution: serial, speculative, OCC), miner/validator
 // (seal and check blocks), chain (hash-
-// linked blocks and their flat wire encoding), txpool (mempool and
-// selection policies, including engine-feedback lock-hints), persist
+// linked blocks and their flat wire encoding), mempool (the sharded
+// transaction pool: admission control and block selection under the
+// txpool policies, including engine-feedback lock-hints), persist
 // (block WAL with all-or-nothing group appends, flat state snapshots,
 // saved pool, crash recovery), node (the assembled node, whose one
 // sealed-not-durable window — back-pressure, group commit, latch and

@@ -19,11 +19,11 @@ import (
 )
 
 // Config tunes the pool. The zero value of every limit is permissive
-// (no cap) so a trusted-only deployment behaves like the single-lock
-// pool; real limits are set by nodesrv flags and bench configs.
+// (no cap), so a trusted-only deployment admits everything; real
+// limits are set by nodesrv flags and bench configs.
 type Config struct {
-	// Shards is the lock-stripe count (default 16). 1 degenerates to a
-	// single-lock pool — the bench sweep compares exactly that.
+	// Shards is the lock-stripe count (default 16); 1 puts the whole
+	// pool under one lock.
 	Shards int
 	// PerSenderSlots caps queued transactions per sender; at the cap a
 	// strictly-higher-priority submission replaces the sender's worst
@@ -324,7 +324,7 @@ func (p *Pool) admitLocked(s *shard, tx Tx, priority uint8) Decision {
 			return d
 		}
 		p.removeLocked(s, victim)
-		d.Dropped = append(d.Dropped, Dropped{ID: victim.id, Call: victim.Call})
+		d.Dropped = append(d.Dropped, Dropped{ID: victim.id, Call: victim.call})
 		p.insertLocked(s, p.newEntry(tx, priority))
 		d.Verdict = VerdictReplaced
 		p.maybePruneLocked(s)
@@ -360,7 +360,7 @@ func (p *Pool) admitLocked(s *shard, tx Tx, priority uint8) Decision {
 		for s.bytes+size > p.perShardBytes {
 			victim := p.evictionVictimLocked(s, priority)
 			p.removeLocked(s, victim)
-			d.Dropped = append(d.Dropped, Dropped{ID: victim.id, Call: victim.Call})
+			d.Dropped = append(d.Dropped, Dropped{ID: victim.id, Call: victim.call})
 		}
 	}
 

@@ -1,11 +1,9 @@
-// Package mempool is the sharded, admission-controlled transaction
-// pool that fronts the miner under open ingest. It replaces
-// txpool.Pool on the node's intake side while preserving the selection
-// contract the miner and pipeline depend on: SelectBatch/RequeueBatch
-// merge by a global arrival sequence, all three selection policies
-// (fifo, spread, lockhint) pick from the same window scans as the
-// single-lock pool (txpool.SelectWindow), and a requeued batch lands
-// back at exactly its original arrival position.
+// Package mempool is the node's transaction pool: sharded intake with
+// admission control, and block selection for the miner. SelectBatch
+// merges the shards into one window in global arrival order and picks
+// a block from it under one of three policies (fifo, spread, lockhint;
+// see selection.go); RequeueBatch puts an unmined selection back at
+// exactly its original arrival position.
 //
 // Layout: pending transactions are sharded by sender-address hash (an
 // FNV-1a of the address bytes — deterministic across runs, so a replayed
@@ -37,10 +35,13 @@ import (
 	"contractstm/internal/types"
 )
 
-// entry is one pooled transaction. The embedded txpool.Entry carries
-// the call and the lock-hint cache the shared window scans fill.
+// entry is one pooled transaction.
 type entry struct {
-	txpool.Entry
+	call contract.Call
+	// hints caches hintsOf(call); nil until a lock-hint scan first
+	// reaches the entry. Hints are a pure function of the call, so the
+	// cache stays valid while the entry is deferred or requeued.
+	hints    []lockHint
 	seq      int64
 	id       types.Hash
 	sender   types.Address
@@ -98,7 +99,7 @@ type Pool struct {
 	// scoreMu guards scores. Lock order: shard locks (ascending) before
 	// scoreMu; ReportConflicts paths take scoreMu alone.
 	scoreMu sync.Mutex
-	scores  txpool.Scores
+	scores  scores
 
 	stats stats
 }
@@ -107,7 +108,7 @@ type Pool struct {
 // permissive; see Config).
 func New(cfg Config) *Pool {
 	cfg = cfg.withDefaults()
-	p := &Pool{cfg: cfg, scores: txpool.NewScores()}
+	p := &Pool{cfg: cfg, scores: newScores()}
 	p.shards = make([]*shard, cfg.Shards)
 	for i := range p.shards {
 		p.shards[i] = &shard{
@@ -169,7 +170,7 @@ func TxOf(c contract.Call) Tx {
 // global arrival sequence.
 func (p *Pool) newEntry(tx Tx, priority uint8) *entry {
 	return &entry{
-		Entry:    txpool.Entry{Call: tx.Call},
+		call:     tx.Call,
 		seq:      p.nextSeq.Add(1) - 1,
 		id:       tx.ID,
 		sender:   tx.Call.Sender,
@@ -252,8 +253,7 @@ func (p *Pool) SubmitTrusted(tx Tx) {
 
 // SubmitAllTrusted enqueues transactions in order, atomically with
 // respect to selection: all shard locks are held while the batch lands,
-// so a concurrent SelectBatch can never observe a prefix of the batch —
-// the same guarantee txpool.SubmitAll gives under its single lock.
+// so a concurrent SelectBatch can never observe a prefix of the batch.
 func (p *Pool) SubmitAllTrusted(txs []Tx) {
 	p.lockAll()
 	defer p.unlockAll()
@@ -276,9 +276,8 @@ func (p *Pool) unlockAll() {
 }
 
 // Selection is a selected batch plus the bookkeeping to return it to
-// its original arrival position, mirroring txpool.Selection for the
-// sharded pool. Entries retain their seq, priority and accounting
-// identity, so RequeueBatch restores them exactly.
+// its original arrival position. Entries retain their seq, priority and
+// accounting identity, so RequeueBatch restores them exactly.
 type Selection struct {
 	Calls   []contract.Call
 	entries []*entry
@@ -299,9 +298,9 @@ func (s Selection) TxIDs() []types.Hash {
 
 // SelectBatch removes and returns up to blockSize transactions under
 // the policy, merging all shards into one (priority desc, seq asc)
-// window — the exact window order a single-lock pool with the same
-// entries would scan — and running the shared txpool window scan over
-// it. Returns txpool.ErrEmpty when nothing is queued anywhere.
+// window and running the policy's scan over it, so the shard count
+// never changes which block is picked. Returns txpool.ErrEmpty when
+// nothing is queued anywhere.
 func (p *Pool) SelectBatch(policy txpool.Policy, blockSize int) (Selection, error) {
 	if blockSize <= 0 {
 		return Selection{}, errors.New("mempool: non-positive block size")
@@ -315,10 +314,7 @@ func (p *Pool) SelectBatch(policy txpool.Policy, blockSize int) (Selection, erro
 	if total == 0 {
 		return Selection{}, txpool.ErrEmpty
 	}
-	window := blockSize * txpool.WindowFactor
-	if window > total {
-		window = total
-	}
+	window := min(blockSize*windowFactor, total)
 
 	// K-way merge of the shard queue heads builds the window prefix of
 	// the global order. heads[i] is shard i's next unmerged index; the
@@ -339,12 +335,8 @@ func (p *Pool) SelectBatch(policy txpool.Policy, blockSize int) (Selection, erro
 		heads[best]++
 	}
 
-	win := make([]*txpool.Entry, len(winEntries))
-	for i, e := range winEntries {
-		win[i] = &e.Entry
-	}
 	p.scoreMu.Lock()
-	idx := txpool.SelectWindow(policy, blockSize, win, &p.scores)
+	idx := selectWindow(policy, blockSize, winEntries, &p.scores)
 	p.scoreMu.Unlock()
 
 	sel := Selection{
@@ -354,7 +346,7 @@ func (p *Pool) SelectBatch(policy txpool.Policy, blockSize int) (Selection, erro
 	chosen := make(map[*entry]bool, len(idx))
 	for i, wi := range idx {
 		e := winEntries[wi]
-		sel.Calls[i] = e.Call
+		sel.Calls[i] = e.call
 		sel.entries[i] = e
 		chosen[e] = true
 	}
@@ -422,23 +414,29 @@ func (p *Pool) PendingCalls() []contract.Call {
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	out := make([]contract.Call, len(all))
 	for i, e := range all {
-		out[i] = e.Call
+		out[i] = e.call
 	}
 	return out
 }
 
-// ReportConflicts feeds back retried transactions from a mined block
-// (see txpool.Pool.ReportConflicts).
+// ReportConflicts feeds back transactions that needed speculative
+// retries in a mined block (engine.Stats.RetriedTxs); later spread
+// selections cap the (contract, function) groups they name. Only the
+// spread policy reads these scores.
 func (p *Pool) ReportConflicts(calls []contract.Call) {
 	p.scoreMu.Lock()
 	defer p.scoreMu.Unlock()
-	p.scores.AddConflicts(calls)
+	p.scores.addConflicts(calls)
 }
 
-// ReportConflictPairs feeds back conflict pairs from a mined block
-// (see txpool.Pool.ReportConflictPairs).
+// ReportConflictPairs feeds back pairs of calls connected by a
+// happens-before edge in a mined block (engine.Stats.ConflictPairs).
+// For each pair the pool scores the refined lock-hints both calls
+// share — evidence that the shared hint approximates a real abstract
+// lock — or, when they share none, both calls' coarse (contract,
+// function) hints. Only the lock-hint policy reads these scores.
 func (p *Pool) ReportConflictPairs(pairs [][2]contract.Call) {
 	p.scoreMu.Lock()
 	defer p.scoreMu.Unlock()
-	p.scores.AddConflictPairs(pairs)
+	p.scores.addConflictPairs(pairs)
 }

@@ -40,48 +40,6 @@ func TestTxOfIsTheWireTxID(t *testing.T) {
 	}
 }
 
-// TestTrustedSelectionParity drains the same submissions through the
-// sharded pool and the single-lock txpool under every policy and
-// requires identical block sequences: the sharded merge plus the shared
-// window scan must reproduce the single-lock selection exactly.
-func TestTrustedSelectionParity(t *testing.T) {
-	for _, policy := range []txpool.Policy{txpool.PolicyFIFO, txpool.PolicySpread, txpool.PolicyLockHint} {
-		t.Run(policy.String(), func(t *testing.T) {
-			mp := New(Config{Shards: 8})
-			tp := txpool.New()
-			var calls []contract.Call
-			for i := 0; i < 100; i++ {
-				calls = append(calls, testCall(uint64(i%17), uint64(i)))
-			}
-			for _, c := range calls {
-				mp.SubmitTrusted(TxOf(c))
-				tp.Submit(c)
-			}
-			// The same conflict feedback on both sides, so the score-driven
-			// policies defer the same function groups.
-			mp.ReportConflicts(calls[:10])
-			tp.ReportConflicts(calls[:10])
-
-			for block := 0; ; block++ {
-				ms, merr := mp.SelectBatch(policy, 16)
-				ts, terr := tp.SelectBatch(policy, 16)
-				if (merr == nil) != (terr == nil) {
-					t.Fatalf("block %d: mempool err %v, txpool err %v", block, merr, terr)
-				}
-				if merr != nil {
-					break
-				}
-				if !reflect.DeepEqual(ms.Calls, ts.Calls) {
-					t.Fatalf("block %d: selections diverge\nmempool: %v\ntxpool:  %v", block, ms.Calls, ts.Calls)
-				}
-			}
-			if mp.Len() != 0 {
-				t.Fatalf("mempool not drained: %d left", mp.Len())
-			}
-		})
-	}
-}
-
 // TestRequeueRestoresArrivalOrder returns two selections out of order
 // and requires the pool's global order to be exactly the original
 // arrival order — the merge contract MinePipelined's abort path depends

@@ -242,13 +242,16 @@ func TestReceiptReadmittedAfterEviction(t *testing.T) {
 }
 
 // TestReceiptMarksFollowConcurrentEvictions races submissions that evict
-// one another: per round, three calls of one fresh sender, whose single
-// slot a higher lane takes over, arrive at once. An admission whose
-// pending mark ran after a concurrent eviction's evicted mark would
-// leave a transaction reading "pending" that no pool holds, refused as
-// a duplicate on every resubmission. Afterwards each call must read
-// "pending" exactly when the pool holds it and "evicted" otherwise, and
-// every evicted call must be admitted again when resubmitted.
+// one another: per round, a fresh sender's lane-0 call takes its single
+// slot, then its lane-1 and lane-2 calls arrive at once. Whichever lands
+// first evicts the queued call, so every round evicts, and when lane 1
+// lands first, lane 2 evicts it while lane 1's pending mark may still
+// be in flight. An admission whose pending mark ran after a concurrent
+// eviction's evicted mark would leave a transaction reading "pending"
+// that no pool holds, refused as a duplicate on every resubmission.
+// Afterwards each call must read "pending" exactly when the pool holds
+// it and "evicted" otherwise, and every evicted call must be admitted
+// again when resubmitted.
 func TestReceiptMarksFollowConcurrentEvictions(t *testing.T) {
 	w, _ := newTokenWorld(t, 1)
 	n, err := New(Config{
@@ -266,9 +269,10 @@ func TestReceiptMarksFollowConcurrentEvictions(t *testing.T) {
 		}
 	}
 	for r := 0; r < rounds; r++ {
+		n.SubmitTx(callOf(r, 0), 0)
 		var start, done sync.WaitGroup
 		start.Add(1)
-		for lane := 0; lane < lanes; lane++ {
+		for lane := 1; lane < lanes; lane++ {
 			done.Add(1)
 			go func(call contract.Call, priority uint8) {
 				defer done.Done()

@@ -115,9 +115,8 @@ type Config struct {
 	ErrorLog func(error)
 	// Mempool tunes the sharded pool and its admission pipeline (shard
 	// count, per-sender slots and rate limits, byte budget). Zero-value
-	// limits are permissive — the node behaves like the single-lock
-	// pool. The clock (Mempool.Now) defaults to time.Now; the pool
-	// itself never reads the wall clock.
+	// limits are permissive: nothing is shed. The clock (Mempool.Now)
+	// defaults to time.Now; the pool itself never reads the wall clock.
 	Mempool mempool.Config
 	// ImportMode is ignored; see the shim block in import.go.
 	ImportMode ImportMode
@@ -480,18 +479,26 @@ func (n *Node) mineEntry(blockSize int) (*inflightEntry, miner.Result, error) {
 }
 
 // reportFeedback feeds the engine's conflict observations back to the
-// pool: retried transactions always (the spread policy's signal), and the
-// full happens-before pair structure when the lock-hint policy is active.
+// pool, each to the one policy that reads it: retried transactions to
+// spread, the happens-before pairs to lock-hint. FIFO reads neither.
 func (n *Node) reportFeedback(calls []contract.Call, res miner.Result) {
-	var conflicted []contract.Call
-	for _, id := range res.Stats.RetriedTxs {
-		conflicted = append(conflicted, calls[id])
-	}
-	n.pool.ReportConflicts(conflicted)
-	if n.policy == txpool.PolicyLockHint && len(res.Stats.ConflictPairs) > 0 {
-		pairs := make([][2]contract.Call, 0, len(res.Stats.ConflictPairs))
-		for _, pr := range res.Stats.ConflictPairs {
-			pairs = append(pairs, [2]contract.Call{calls[pr[0]], calls[pr[1]]})
+	switch n.policy {
+	case txpool.PolicySpread:
+		if len(res.Stats.RetriedTxs) == 0 {
+			return
+		}
+		conflicted := make([]contract.Call, len(res.Stats.RetriedTxs))
+		for i, id := range res.Stats.RetriedTxs {
+			conflicted[i] = calls[id]
+		}
+		n.pool.ReportConflicts(conflicted)
+	case txpool.PolicyLockHint:
+		if len(res.Stats.ConflictPairs) == 0 {
+			return
+		}
+		pairs := make([][2]contract.Call, len(res.Stats.ConflictPairs))
+		for i, pr := range res.Stats.ConflictPairs {
+			pairs[i] = [2]contract.Call{calls[pr[0]], calls[pr[1]]}
 		}
 		n.pool.ReportConflictPairs(pairs)
 	}

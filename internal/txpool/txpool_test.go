@@ -1,4 +1,7 @@
-package txpool
+// The policies are implemented by mempool.Pool, the node's one
+// transaction pool; these tests check each one through its trusted
+// intake path.
+package txpool_test
 
 import (
 	"errors"
@@ -8,8 +11,10 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
+	"contractstm/internal/mempool"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
+	"contractstm/internal/txpool"
 	"contractstm/internal/types"
 	"contractstm/internal/workload"
 )
@@ -23,15 +28,31 @@ func call(sender, target uint64, fn string) contract.Call {
 	}
 }
 
-func TestFIFOPreservesOrder(t *testing.T) {
-	p := New()
-	for i := uint64(0); i < 5; i++ {
-		p.Submit(call(i, 100, "f"))
+// newPool returns a pool holding calls, submitted in order.
+func newPool(calls ...contract.Call) *mempool.Pool {
+	p := mempool.New(mempool.Config{})
+	for _, c := range calls {
+		p.SubmitTrusted(mempool.TxOf(c))
 	}
-	got, err := p.Select(PolicyFIFO, 3)
+	return p
+}
+
+// selectCalls selects one block and returns its calls.
+func selectCalls(t *testing.T, p *mempool.Pool, policy txpool.Policy, blockSize int) []contract.Call {
+	t.Helper()
+	sel, err := p.SelectBatch(policy, blockSize)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
+	return sel.Calls
+}
+
+func TestFIFOPreservesOrder(t *testing.T) {
+	p := newPool()
+	for i := uint64(0); i < 5; i++ {
+		p.SubmitTrusted(mempool.TxOf(call(i, 100, "f")))
+	}
+	got := selectCalls(t, p, txpool.PolicyFIFO, 3)
 	if len(got) != 3 {
 		t.Fatalf("selected %d", len(got))
 	}
@@ -46,21 +67,20 @@ func TestFIFOPreservesOrder(t *testing.T) {
 }
 
 func TestSelectEmpty(t *testing.T) {
-	p := New()
-	if _, err := p.Select(PolicyFIFO, 10); !errors.Is(err, ErrEmpty) {
+	p := newPool()
+	if _, err := p.SelectBatch(txpool.PolicyFIFO, 10); !errors.Is(err, txpool.ErrEmpty) {
 		t.Fatalf("err = %v, want ErrEmpty", err)
 	}
-	if _, err := p.Select(PolicyFIFO, 0); err == nil {
+	if _, err := p.SelectBatch(txpool.PolicyFIFO, 0); err == nil {
 		t.Fatal("zero block size accepted")
 	}
 }
 
 func TestSelectFewerThanBlockSize(t *testing.T) {
-	p := New()
-	p.Submit(call(1, 100, "f"))
-	got, err := p.Select(PolicyFIFO, 10)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("got %d, %v", len(got), err)
+	p := newPool(call(1, 100, "f"))
+	sel, err := p.SelectBatch(txpool.PolicyFIFO, 10)
+	if err != nil || len(sel.Calls) != 1 {
+		t.Fatalf("got %d, %v", len(sel.Calls), err)
 	}
 	if p.Len() != 0 {
 		t.Fatal("pool not drained")
@@ -68,18 +88,15 @@ func TestSelectFewerThanBlockSize(t *testing.T) {
 }
 
 func TestSpreadDefersCollidingSenders(t *testing.T) {
-	p := New()
+	p := newPool()
 	// Ten submissions from ONE sender plus five distinct senders.
 	for i := 0; i < 10; i++ {
-		p.Submit(call(7, 100, "vote"))
+		p.SubmitTrusted(mempool.TxOf(call(7, 100, "vote")))
 	}
 	for i := uint64(20); i < 25; i++ {
-		p.Submit(call(i, 100, "vote"))
+		p.SubmitTrusted(mempool.TxOf(call(i, 100, "vote")))
 	}
-	got, err := p.Select(PolicySpread, 6)
-	if err != nil {
-		t.Fatalf("select: %v", err)
-	}
+	got := selectCalls(t, p, txpool.PolicySpread, 6)
 	if len(got) != 6 {
 		t.Fatalf("selected %d", len(got))
 	}
@@ -100,30 +117,23 @@ func TestSpreadDefersCollidingSenders(t *testing.T) {
 }
 
 func TestSpreadFallsBackWhenAllCollide(t *testing.T) {
-	p := New()
+	p := newPool()
 	for i := 0; i < 8; i++ {
-		p.Submit(call(7, 100, "vote"))
+		p.SubmitTrusted(mempool.TxOf(call(7, 100, "vote")))
 	}
-	got, err := p.Select(PolicySpread, 4)
-	if err != nil {
-		t.Fatalf("select: %v", err)
-	}
-	if len(got) != 4 {
+	if got := selectCalls(t, p, txpool.PolicySpread, 4); len(got) != 4 {
 		t.Fatalf("all-colliding pool must still fill the block: got %d", len(got))
 	}
 }
 
 func TestSpreadDrainsEverythingAcrossBlocks(t *testing.T) {
-	p := New()
+	p := newPool()
 	for i := 0; i < 30; i++ {
-		p.Submit(call(uint64(i%3), 100, "f")) // 3 hot senders
+		p.SubmitTrusted(mempool.TxOf(call(uint64(i%3), 100, "f"))) // 3 hot senders
 	}
 	total := 0
 	for p.Len() > 0 {
-		got, err := p.Select(PolicySpread, 5)
-		if err != nil {
-			t.Fatalf("select: %v", err)
-		}
+		got := selectCalls(t, p, txpool.PolicySpread, 5)
 		if len(got) == 0 {
 			t.Fatal("empty block with work queued")
 		}
@@ -135,14 +145,14 @@ func TestSpreadDrainsEverythingAcrossBlocks(t *testing.T) {
 }
 
 func TestConcurrentSubmit(t *testing.T) {
-	p := New()
+	p := newPool()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				p.Submit(call(uint64(g*1000+i), 100, "f"))
+				p.SubmitTrusted(mempool.TxOf(call(uint64(g*1000+i), 100, "f")))
 			}
 		}(g)
 	}
@@ -169,15 +179,11 @@ func TestSpreadReducesMinerRetries(t *testing.T) {
 	}
 	parent := chain.GenesisHeader(types.HashString("txpool-test"))
 
-	mineBlocks := func(policy Policy, blocks int) (retries, mined int) {
+	mineBlocks := func(policy txpool.Policy, blocks int) (retries, mined int) {
 		wl.Reset()
-		pool := New()
-		pool.SubmitAll(wl.Calls)
+		pool := newPool(wl.Calls...)
 		for b := 0; b < blocks; b++ {
-			calls, err := pool.Select(policy, 40)
-			if err != nil {
-				t.Fatalf("select: %v", err)
-			}
+			calls := selectCalls(t, pool, policy, 40)
 			res, err := miner.Mine(engine.SpeculativeEngine{}, runtime.NewSimRunner(), wl.World, parent, calls,
 				engine.Options{Workers: 3})
 			if err != nil {
@@ -196,8 +202,8 @@ func TestSpreadReducesMinerRetries(t *testing.T) {
 		return retries, mined
 	}
 
-	fifoRetries, fifoMined := mineBlocks(PolicyFIFO, 3)
-	spreadRetries, spreadMined := mineBlocks(PolicySpread, 3)
+	fifoRetries, fifoMined := mineBlocks(txpool.PolicyFIFO, 3)
+	spreadRetries, spreadMined := mineBlocks(txpool.PolicySpread, 3)
 	if fifoMined != 120 || spreadMined != 120 {
 		t.Fatalf("mined %d/%d, want 120 each", fifoMined, spreadMined)
 	}
@@ -208,35 +214,35 @@ func TestSpreadReducesMinerRetries(t *testing.T) {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	if PolicyFIFO.String() == "" || PolicySpread.String() == "" || Policy(9).String() == "" {
+	if txpool.PolicyFIFO.String() == "" || txpool.PolicySpread.String() == "" || txpool.Policy(9).String() == "" {
 		t.Fatal("empty policy string")
 	}
 }
 
 // TestSubmitAllAtomic submits batches concurrently with FIFO drains and
-// checks every drained batch is contiguous: because SubmitAll holds the
-// lock across the whole batch, no other submitter's calls can interleave
-// inside it.
+// checks every drained batch is contiguous: because SubmitAllTrusted
+// holds every shard lock across the whole batch, no other submitter's
+// calls can interleave inside it.
 func TestSubmitAllAtomic(t *testing.T) {
 	const (
 		submitters = 8
 		batches    = 20
 		batchLen   = 16
 	)
-	pool := New()
+	pool := newPool()
 	var wg sync.WaitGroup
 	for s := 0; s < submitters; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
-				batch := make([]contract.Call, batchLen)
+				batch := make([]mempool.Tx, batchLen)
 				for i := range batch {
 					// Sender encodes (submitter, batch); the batch's calls
 					// must come out adjacent in the drained stream.
-					batch[i] = call(uint64(s)<<32|uint64(b), uint64(i), "f")
+					batch[i] = mempool.TxOf(call(uint64(s)<<32|uint64(b), uint64(i), "f"))
 				}
-				pool.SubmitAll(batch)
+				pool.SubmitAllTrusted(batch)
 			}
 		}(s)
 	}
@@ -247,11 +253,7 @@ func TestSubmitAllAtomic(t *testing.T) {
 	}
 	var drained []contract.Call
 	for pool.Len() > 0 {
-		calls, err := pool.Select(PolicyFIFO, 64)
-		if err != nil {
-			t.Fatalf("Select: %v", err)
-		}
-		drained = append(drained, calls...)
+		drained = append(drained, selectCalls(t, pool, txpool.PolicyFIFO, 64)...)
 	}
 	for i := 0; i < len(drained); i += batchLen {
 		owner := drained[i].Sender
@@ -263,67 +265,31 @@ func TestSubmitAllAtomic(t *testing.T) {
 	}
 }
 
-// TestConflictScoreStaysBounded feeds sustained conflict reports with
-// ever-new (contract, function) pairs and checks the score map neither
-// grows past its cap nor keeps stale entries alive forever.
-func TestConflictScoreStaysBounded(t *testing.T) {
-	pool := New()
-	for round := 0; round < 200; round++ {
-		batch := make([]contract.Call, 50)
-		for i := range batch {
-			batch[i] = call(1, uint64(round*1000+i), "hot")
-		}
-		pool.ReportConflicts(batch)
-		if n := pool.conflictEntries(); n > maxConflictEntries {
-			t.Fatalf("round %d: %d conflict entries, cap %d", round, n, maxConflictEntries)
-		}
-	}
-	if n := pool.conflictEntries(); n == 0 || n > maxConflictEntries {
-		t.Fatalf("final conflict entries = %d, want (0, %d]", n, maxConflictEntries)
-	}
-	// Decay drains a score that stops being reported: a single entry
-	// reported once disappears after enough unrelated traffic.
-	fresh := New()
-	fresh.ReportConflicts([]contract.Call{call(7, 7, "once")})
-	for i := 0; i < conflictDecayEvery; i++ {
-		fresh.ReportConflicts([]contract.Call{call(8, 8, "noise")})
-	}
-	fresh.mu.Lock()
-	_, alive := fresh.conflictScore[funcHint{contract: types.AddressFromUint64(7), function: "once"}]
-	fresh.mu.Unlock()
-	if alive {
-		t.Fatal("stale conflict score survived decay")
-	}
-}
-
 // TestRequeuePreservesOrderAtFront checks a failed mining attempt's calls
 // go back to the queue head in their original relative order, ahead of
 // anything submitted meanwhile.
 func TestRequeuePreservesOrderAtFront(t *testing.T) {
-	pool := New()
+	pool := newPool()
 	for i := uint64(0); i < 6; i++ {
-		pool.Submit(call(i, 1, "f"))
+		pool.SubmitTrusted(mempool.TxOf(call(i, 1, "f")))
 	}
-	selected, err := pool.Select(PolicyFIFO, 4)
+	selected, err := pool.SelectBatch(txpool.PolicyFIFO, 4)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	pool.Submit(call(100, 1, "f")) // arrives while the block executes
-	pool.Requeue(selected)         // ...and the mining attempt fails
+	pool.SubmitTrusted(mempool.TxOf(call(100, 1, "f"))) // arrives while the block executes
+	pool.RequeueBatch(selected)                         // ...and the mining attempt fails
 	if pool.Len() != 7 {
 		t.Fatalf("pool len = %d, want 7", pool.Len())
 	}
-	drained, err := pool.Select(PolicyFIFO, 7)
-	if err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	drained := selectCalls(t, pool, txpool.PolicyFIFO, 7)
 	wantSenders := []uint64{0, 1, 2, 3, 4, 5, 100}
 	for i, want := range wantSenders {
 		if drained[i].Sender != types.AddressFromUint64(want) {
 			t.Fatalf("position %d: got %s, want sender %d", i, drained[i].Sender, want)
 		}
 	}
-	pool.Requeue(nil) // no-op
+	pool.RequeueBatch(mempool.Selection{}) // no-op
 	if pool.Len() != 0 {
 		t.Fatalf("empty requeue changed len to %d", pool.Len())
 	}
