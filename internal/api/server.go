@@ -28,6 +28,7 @@ import (
 
 	"contractstm/internal/api/wire"
 	"contractstm/internal/chain"
+	"contractstm/internal/codec"
 	"contractstm/internal/contract"
 	"contractstm/internal/gas"
 	"contractstm/internal/persist"
@@ -614,12 +615,22 @@ func (s *Server) handleGetBlock(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no durable block at height %d", height))
 		return
 	}
-	raw, err := chain.MarshalBlock(block)
+	buf := codec.GetBuffer()
+	defer buf.Release()
+	raw, err := chain.AppendBlockWire(buf.B, block)
 	if err != nil {
 		s.logErr(fmt.Errorf("api: encode block %d: %w", height, err))
 		s.fail(w, http.StatusInternalServerError, wire.CodeInternal, err)
 		return
 	}
+	buf.B = raw
+	writeBlocks(w, raw)
+}
+
+// writeBlocks answers with encoded blocks. Write copies raw into the
+// connection's buffer before it returns, so the block routes encode into
+// a pooled buffer and release it once the answer is written.
+func writeBlocks(w http.ResponseWriter, raw []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	_, _ = w.Write(raw)
@@ -653,8 +664,8 @@ func (s *Server) handleGetBlockRange(w http.ResponseWriter, r *http.Request) {
 	if count > MaxRangeBlocks {
 		count = MaxRangeBlocks
 	}
-	var frames [][]byte
-	total := 0
+	buf := codec.GetBuffer()
+	defer buf.Release()
 	for i := 0; i < count; i++ {
 		h := from + uint64(i)
 		if h < from {
@@ -664,27 +675,20 @@ func (s *Server) handleGetBlockRange(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			break
 		}
-		raw, err := chain.MarshalBlock(block)
+		raw, err := chain.AppendBlockWire(buf.B, block)
 		if err != nil {
 			s.logErr(fmt.Errorf("api: encode block %d: %w", h, err))
 			s.fail(w, http.StatusInternalServerError, wire.CodeInternal, err)
 			return
 		}
-		frames = append(frames, raw)
-		total += len(raw)
+		buf.B = raw
 	}
-	if len(frames) == 0 {
+	if len(buf.B) == 0 {
 		s.fail(w, http.StatusNotFound, wire.CodeBlockNotFound,
 			fmt.Errorf("no durable block at height %d", from))
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(total))
-	for _, raw := range frames {
-		if _, err := w.Write(raw); err != nil {
-			return
-		}
-	}
+	writeBlocks(w, buf.B)
 }
 
 // handleHead is GET /v1/head: the durable chain tip.

@@ -407,7 +407,8 @@ func (c *Chain) RewindTo(height uint64) error {
 }
 
 // Append verifies linkage, then appends the block. Its commitments are
-// Seal's, made in this process, or already checked by validator.Precheck.
+// Seal's, made in this process, or already checked by validator.Validate
+// or validator.Precheck.
 func (c *Chain) Append(b Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -18,9 +18,9 @@ import (
 // Integrity is independent of encoding. DecodeBlock and UnmarshalBlock
 // verify header commitments (VerifyCommitments) for consumers that never
 // validate (SDK clients, tools); ReadBlock and ParseBlock only parse, for
-// the three callers whose next step is validator.Precheck, which verifies
-// them itself: the block upload handler, WAL replay and the import
-// pipeline's fetch. Either way a corrupted or malicious stream can at
+// the three callers whose next step verifies them itself: the block upload
+// handler (validator.Validate), WAL replay and the import pipeline's fetch
+// (validator.Precheck). Either way a corrupted or malicious stream can at
 // worst produce a block that is then rejected.
 
 // MaxWireBlock bounds one block's wire encoding; the node's block upload

@@ -85,20 +85,10 @@ func (c *counterContract) Invoke(env *Env, fn string, args []any) any {
 	}
 }
 
-// execOne runs one call speculatively on a single simulated thread against
-// a fresh manager and returns the outcome.
+// execOne is execWith under the eager policy.
 func execOne(t *testing.T, w *World, call Call) Outcome {
 	t.Helper()
-	var out Outcome
-	mgr := stm.NewManager(w.Schedule())
-	_, err := runtime.NewSimRunner().Run(1, func(th runtime.Thread) {
-		tx := stm.BeginSpeculative(mgr, 0, th, call.GasLimit, stm.PolicyEager)
-		out = Execute(w, tx, call)
-	})
-	if err != nil {
-		t.Fatalf("sim run: %v", err)
-	}
-	return out
+	return execWith(t, w, call, stm.PolicyEager)
 }
 
 func testWorld(t *testing.T) *World {

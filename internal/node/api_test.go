@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"contractstm/internal/api"
 	"contractstm/internal/api/client"
 	"contractstm/internal/api/wire"
+	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
 	"contractstm/internal/persist"
@@ -268,6 +270,60 @@ func TestV1BlockRange(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("GET ?%s status = %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestV1BlockBytes: GET /v1/blocks/{h} serves a block's chain.MarshalBlock
+// bytes, and GET /v1/blocks?from=&count= their concatenation, whatever
+// pooled buffer the server encodes them into.
+func TestV1BlockBytes(t *testing.T) {
+	const blocks = 3
+	w, holders := newTokenWorld(t, 2)
+	n, err := New(Config{World: w, Workers: 2, Runner: runtime.NewSimRunner()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	url := httpNode(t, n)
+	var each [][]byte
+	for i := 0; i < blocks; i++ {
+		n.Submit(contract.Call{
+			Sender: holders[0], Contract: tokenAddr, Function: "transfer",
+			Args: []any{holders[1], uint64(1 + i)}, GasLimit: 100_000,
+		})
+		b, err := n.MineOne(1)
+		if err != nil {
+			t.Fatalf("mine %d: %v", i, err)
+		}
+		raw, err := chain.MarshalBlock(b)
+		if err != nil {
+			t.Fatalf("marshal %d: %v", i, err)
+		}
+		each = append(each, raw)
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(url + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	// Twice over, so the second pass encodes into reused buffers.
+	for pass := 0; pass < 2; pass++ {
+		for i, want := range each {
+			path := "/v1/blocks/" + strconv.Itoa(i+1)
+			if got := get(path); !bytes.Equal(got, want) {
+				t.Fatalf("GET %s differs from chain.MarshalBlock", path)
+			}
+		}
+		if got, want := get("/v1/blocks?from=1&count=64"), bytes.Join(each, nil); !bytes.Equal(got, want) {
+			t.Fatalf("GET /v1/blocks?from=1 (%d bytes) differs from the blocks' chain.MarshalBlock (%d bytes)", len(got), len(want))
 		}
 	}
 }

@@ -46,7 +46,7 @@ var (
 // height returns ErrFork. Both checks run before validation, so repeated
 // gossip of old blocks costs two hashes, not a replay.
 func (n *Node) AcceptBlock(b chain.Block) error {
-	return n.acceptBlock(b, validator.Precheck)
+	return n.acceptBlock(b, nil)
 }
 
 // ImportPrechecked imports a block whose stateless validation phase
@@ -57,20 +57,20 @@ func (n *Node) AcceptBlock(b chain.Block) error {
 // mislinked block is answered before preErr is; then fork-join replay and
 // the crash rules — the same core AcceptBlock runs.
 func (n *Node) ImportPrechecked(b chain.Block, pre validator.Prechecked, preErr error) error {
-	return n.acceptBlock(b, ready(pre, preErr))
+	return n.acceptBlock(b, &staged{pre: pre, err: preErr})
 }
 
 // acceptBlock is the one import core, behind AcceptBlock (a pushed block,
-// which runs the stateless phase here) and ImportPrechecked (a pulled one,
-// whose stateless phase already ran on the staged pipeline). pc is called
+// st nil, validated whole here) and ImportPrechecked (a pulled one, whose
+// stateless phase already ran on the staged pipeline). Validation starts
 // only once the block's linkage holds, so both callers fail at the same
 // point with the same bytes.
-func (n *Node) acceptBlock(b chain.Block, pc precheck) error {
+func (n *Node) acceptBlock(b chain.Block, st *staged) error {
 	if err := n.enter(); err != nil {
 		return err
 	}
 	defer n.execMu.Unlock()
-	e, err := n.importEntry(b, pc)
+	e, err := n.importEntry(b, st)
 	if err == nil {
 		err = n.seal(e)
 	}
@@ -83,7 +83,7 @@ func (n *Node) acceptBlock(b chain.Block, pc precheck) error {
 
 // importEntry checks a foreign block's linkage against the sealed head
 // and validates it. Caller holds execMu.
-func (n *Node) importEntry(b chain.Block, pc precheck) (*inflightEntry, error) {
+func (n *Node) importEntry(b chain.Block, st *staged) (*inflightEntry, error) {
 	n.mu.Lock()
 	head := n.chain.Head().Header
 	n.mu.Unlock()
@@ -109,39 +109,44 @@ func (n *Node) importEntry(b chain.Block, pc precheck) (*inflightEntry, error) {
 		return nil, fmt.Errorf("node: accept: %w: got %s, want %s",
 			chain.ErrBadParent, b.Header.ParentHash.Short(), head.Hash().Short())
 	}
-	e, err := n.validateEntry(b, pc, imported)
+	e, err := n.validateEntry(b, st, imported)
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
 	return e, nil
 }
 
-// precheck yields the outputs of validation's stateless phase for a
-// block: validator.Precheck itself where the phase runs inline (a pushed
-// block), or the result the staged pipeline computed ahead of time (a
-// pulled block, WAL recovery).
-type precheck func(chain.Block) (validator.Prechecked, error)
-
-// ready is the precheck whose outputs the staged pipeline computed ahead
-// of time.
-func ready(pre validator.Prechecked, preErr error) precheck {
-	return func(chain.Block) (validator.Prechecked, error) { return pre, preErr }
+// staged is the outcome of validation's stateless phase (validator.Precheck)
+// that the staged pipeline computed ahead of time, for a pulled block or
+// one WAL recovery replays.
+type staged struct {
+	pre validator.Prechecked
+	err error
 }
 
 // validateEntry is the execute stage for a block somebody else sealed: a
-// peer's (imported) or this node's previous life's (recovered) — the
-// stateless phase's verdict, then the stateful one, fork-join replay
-// against the world. On rejection the world is restored. Caller holds
-// execMu.
-func (n *Node) validateEntry(b chain.Block, pc precheck, from origin) (*inflightEntry, error) {
-	pre, err := pc(b)
-	if err != nil {
-		return nil, err
+// peer's (imported) or this node's previous life's (recovered). A staged
+// block gets the stateless phase's verdict, then the stateful one,
+// fork-join replay against the world. A pushed block (st nil) goes through
+// validator.Validate, which hashes its commitments beside the replay, so a
+// commitment error can arrive after the replay has moved the world. On any
+// rejection the world is restored. Caller holds execMu.
+func (n *Node) validateEntry(b chain.Block, st *staged, from origin) (*inflightEntry, error) {
+	if st != nil && st.err != nil {
+		return nil, st.err
 	}
+	cfg := validator.Config{Workers: n.workers}
 	snap := n.world.Snapshot()
-	if _, err := validator.ValidatePrechecked(n.runner, n.world, b, pre, validator.Config{Workers: n.workers}); err != nil {
+	var res validator.Result
+	var err error
+	if st == nil {
+		res, err = validator.Validate(n.runner, n.world, b, cfg)
+	} else {
+		res, err = validator.ValidatePrechecked(n.runner, n.world, b, st.pre, cfg)
+	}
+	if err != nil {
 		n.world.Restore(snap)
 		return nil, err
 	}
-	return &inflightEntry{block: b, origin: from, snap: snap, txIDs: pre.TxIDs}, nil
+	return &inflightEntry{block: b, origin: from, snap: snap, txIDs: res.TxIDs}, nil
 }

@@ -101,7 +101,8 @@ type inflightEntry struct {
 	// rollback.
 	retries int
 	// txIDs are the calls' transaction IDs, from whoever hashed the tx
-	// root (chain.Seal or validator.Precheck), for the verdict's receipts.
+	// root (chain.Seal, validator.Validate or validator.Precheck), for the
+	// verdict's receipts.
 	txIDs []types.Hash
 }
 

@@ -123,7 +123,7 @@ func (n *Node) restoreCheckpoint(s persist.Snapshot) error {
 // before the node is shared, so it takes neither a window slot nor a
 // lock.
 func (n *Node) replayBlock(b chain.Block, pre validator.Prechecked, preErr error) error {
-	e, err := n.validateEntry(b, ready(pre, preErr), recovered)
+	e, err := n.validateEntry(b, &staged{pre: pre, err: preErr}, recovered)
 	if err == nil {
 		err = n.seal(e)
 	}

@@ -127,7 +127,7 @@ func (a *Array) Get(ex stm.Executor, i int) (any, error) {
 	}
 	v, ok := a.rawGet(i)
 	if !ok {
-		return nil, fmt.Errorf("%s[%d] with len %d: %w", a.name, i, a.rawLen(), ErrOutOfRange)
+		return nil, fmt.Errorf("%s[%d]: %w", a.name, i, ErrOutOfRange)
 	}
 	return v, nil
 }
@@ -140,13 +140,13 @@ func (a *Array) Set(ex stm.Executor, i int, v any) error {
 	}
 	if ov := ex.Overlay(); ov != nil {
 		if i < 0 || i >= a.effectiveLen(ov) {
-			return fmt.Errorf("%s[%d] with len %d: %w", a.name, i, a.effectiveLen(ov), ErrOutOfRange)
+			return fmt.Errorf("%s[%d]: %w", a.name, i, ErrOutOfRange)
 		}
 		ov.Put(a.overlayKey(i), v, false, a.applyElem(i))
 		return nil
 	}
 	if i < 0 || i >= a.rawLen() {
-		return fmt.Errorf("%s[%d] with len %d: %w", a.name, i, a.rawLen(), ErrOutOfRange)
+		return fmt.Errorf("%s[%d]: %w", a.name, i, ErrOutOfRange)
 	}
 	prev, _ := a.rawGet(i)
 	ex.LogUndo(stm.Undo{Obj: a, Op: undoRestore, Index: i, Old: prev})
@@ -196,7 +196,7 @@ func (a *Array) AddUint(ex stm.Executor, i int, delta uint64) error {
 	}
 	if ov := ex.Overlay(); ov != nil {
 		if i < 0 || i >= a.effectiveLen(ov) {
-			return fmt.Errorf("%s[%d] with len %d: %w", a.name, i, a.effectiveLen(ov), ErrOutOfRange)
+			return fmt.Errorf("%s[%d]: %w", a.name, i, ErrOutOfRange)
 		}
 		eff, _ := a.rawGet(i)
 		if v, deleted, ok := ov.Get(a.overlayKey(i)); ok && !deleted {
@@ -210,7 +210,7 @@ func (a *Array) AddUint(ex stm.Executor, i int, delta uint64) error {
 	}
 	cur, ok := a.rawGet(i)
 	if !ok {
-		return fmt.Errorf("%s[%d] with len %d: %w", a.name, i, a.rawLen(), ErrOutOfRange)
+		return fmt.Errorf("%s[%d]: %w", a.name, i, ErrOutOfRange)
 	}
 	if _, isUint := cur.(uint64); !isUint {
 		return fmt.Errorf("%w: %s[%d] holds %T", ErrNotCounter, a.name, i, cur)

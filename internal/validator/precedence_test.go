@@ -3,10 +3,12 @@ package validator
 import (
 	goruntime "runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"contractstm/internal/chain"
+	"contractstm/internal/runtime"
 	"contractstm/internal/workload"
 )
 
@@ -14,15 +16,19 @@ import (
 // once is refused with the first in the order tx root, receipt root,
 // schedule hash, receipt count, profile count — the error, byte for
 // byte, that hashing one commitment after another gave — at GOMAXPROCS 1
-// and 16, through chain.VerifyCommitments and through Precheck. The
+// and 16, through chain.VerifyCommitments, Precheck and Validate. The
 // 300-transaction body has five chunks per tree, so at 16 every task of
-// the block's fan may run on a goroutine of its own.
+// the block's fan may run on a goroutine of its own. Validate hashes the
+// commitments beside the replay; a case whose forged call also fails the
+// replay checks that the commitment error still wins.
 func TestCommitmentErrorPrecedence(t *testing.T) {
-	// verify is the error the one-goroutine VerifyCommitments gave.
+	// verify is the error the one-goroutine VerifyCommitments gave;
+	// replay, when set, names the error the replay alone gives the block.
 	cases := []struct {
 		name   string
 		forge  func(b *chain.Block)
 		verify string
+		replay string
 	}{{
 		name: "tx root and schedule hash",
 		forge: func(b *chain.Block) {
@@ -46,8 +52,17 @@ func TestCommitmentErrorPrecedence(t *testing.T) {
 			b.Schedule.Order[0], b.Schedule.Order[1] = b.Schedule.Order[1], b.Schedule.Order[0]
 		},
 		verify: "chain: header commitment mismatch: schedule hash 0x9a08b348 != 0x52d2a150",
+	}, {
+		name:   "tx root and a call the replay refuses",
+		forge:  func(b *chain.Block) { b.Calls[7].GasLimit = 1 },
+		verify: "chain: header commitment mismatch: tx root 0x984bf756 != 0xc683b4bd",
+		replay: "tx7 trace does not match",
 	}}
-	_, honest := mineBlock(t, workload.Params{Kind: workload.KindToken, Transactions: 300, ConflictPercent: 15, Seed: 52})
+	wl, honest := mineBlock(t, workload.Params{Kind: workload.KindToken, Transactions: 300, ConflictPercent: 15, Seed: 52})
+	pre, err := Precheck(honest)
+	if err != nil {
+		t.Fatalf("honest precheck: %v", err)
+	}
 	for _, c := range cases {
 		b := honest
 		b.Calls, b.Receipts = slices.Clone(b.Calls), slices.Clone(b.Receipts)
@@ -56,17 +71,32 @@ func TestCommitmentErrorPrecedence(t *testing.T) {
 			b.Profiles[i].Entries = slices.Clone(b.Profiles[i].Entries)
 		}
 		c.forge(&b)
+		if c.replay != "" {
+			// The schedule is the honest one, so the honest block's
+			// program replays the forged body.
+			wl.Reset()
+			_, err := ValidatePrechecked(runtime.NewSimRunner(), wl.World, b, pre, Config{Workers: 3})
+			if err == nil || !strings.Contains(err.Error(), c.replay) {
+				t.Fatalf("%s: the replay alone gives %v, want %q", c.name, err, c.replay)
+			}
+		}
 		for _, procs := range []int{1, 16} {
-			var verr, perr error
+			var verr, perr, err error
 			withinDeadline(t, procs, func() {
 				_, verr = chain.VerifyCommitments(b)
 				_, perr = Precheck(b)
+				wl.Reset()
+				_, err = Validate(runtime.NewOSRunner(nil), wl.World, b, Config{Workers: 2})
 			})
 			if verr == nil || verr.Error() != c.verify {
 				t.Errorf("%s, GOMAXPROCS %d: VerifyCommitments = %v, want %s", c.name, procs, verr, c.verify)
 			}
-			if want := ErrRejected.Error() + ": " + c.verify; perr == nil || perr.Error() != want {
+			want := ErrRejected.Error() + ": " + c.verify
+			if perr == nil || perr.Error() != want {
 				t.Errorf("%s, GOMAXPROCS %d: Precheck = %v, want %s", c.name, procs, perr, want)
+			}
+			if err == nil || err.Error() != want {
+				t.Errorf("%s, GOMAXPROCS %d: Validate = %v, want %s", c.name, procs, err, want)
 			}
 		}
 	}

@@ -19,6 +19,14 @@
 // the replay (ValidatePrechecked). Together, a race-free profile and a
 // trace equal to it make a race-free trace, which is the paper's check.
 //
+// The race check always runs before anything executes. Validate, the
+// single-block path, hashes the commitments on a goroutine of its own
+// beside the schedule checks and the replay, and reports a commitment
+// error ahead of any other, so its errors are Precheck's and then
+// ValidatePrechecked's, in that order. Pipeline, the multi-block path,
+// runs the whole Precheck in Phase A and overlaps it across blocks
+// instead.
+//
 // Validation is deterministic and can use any number of threads ("the
 // validator is not required to match the miner's level of parallelism").
 package validator
@@ -26,6 +34,7 @@ package validator
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
@@ -56,10 +65,13 @@ func (c Config) withDefaults() Config {
 
 // Result reports a successful validation.
 type Result struct {
-	// Makespan is the run's duration in the runner's time unit.
+	// Makespan is the replay's duration in the runner's time unit. The
+	// commitment hashing Validate runs beside it is not counted.
 	Makespan uint64
 	// Receipts are the re-derived receipts (equal to the block's).
 	Receipts []contract.Receipt
+	// TxIDs are the calls' transaction IDs: the tx root's leaves.
+	TxIDs []types.Hash
 }
 
 // Prechecked carries the outputs of the stateless validation phase so the
@@ -78,32 +90,53 @@ type Prechecked struct {
 // commitments of a block it did not seal. A block whose schedule hides a
 // race is refused here, before anything executes. Precheck is pure with
 // respect to b — safe to run concurrently across a window of queued blocks
-// (internal/importer's Phase A). The returned errors are byte-identical to
-// the ones Validate produces for the same block, so a staged import
-// pipeline that elects the first Precheck error by height rejects exactly
-// like Validate.
+// (Pipeline's Phase A). The returned errors are byte-identical to the ones
+// Validate produces for the same block, so a staged import pipeline that
+// elects the first Precheck error by height rejects exactly like Validate.
 func Precheck(b chain.Block) (Prechecked, error) {
 	txIDs, err := chain.VerifyCommitments(b)
 	if err != nil {
-		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
+		return Prechecked{}, rejectCommitments(err)
+	}
+	prog, err := compile(b)
+	if err != nil {
+		return Prechecked{}, err
+	}
+	return Prechecked{prog: prog, TxIDs: txIDs}, nil
+}
+
+// rejectCommitments wraps a commitment error as the block's verdict.
+func rejectCommitments(err error) error { return fmt.Errorf("%w: %v", ErrRejected, err) }
+
+// errCounts refuses a block whose receipts or profiles do not number its
+// calls. chain.VerifyCommitments refuses every such block too, and both
+// callers report its error first, so this one is never seen.
+var errCounts = fmt.Errorf("%w: receipt or profile count differs from the calls'", ErrRejected)
+
+// compile is Precheck without the commitments: the checks on the
+// block's schedule and profiles, in Precheck's order, and the fork-join
+// program they yield.
+func compile(b chain.Block) (*forkjoin.Program, error) {
+	if len(b.Receipts) != len(b.Calls) || len(b.Profiles) != len(b.Calls) {
+		return nil, errCounts
 	}
 	prog, graph, err := sched.ConstructValidator(len(b.Calls), b.Schedule)
 	if err != nil {
-		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
+		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
 	for i, p := range b.Profiles {
 		if p.Tx != types.TxID(i) {
-			return Prechecked{}, fmt.Errorf("%w: profile %d labelled %s", ErrRejected, i, p.Tx)
+			return nil, fmt.Errorf("%w: profile %d labelled %s", ErrRejected, i, p.Tx)
 		}
 		if !canonical(p) {
-			return Prechecked{}, fmt.Errorf("%w: %s profile not strictly ascending by lock", ErrRejected, p.Tx)
+			return nil, fmt.Errorf("%w: %s profile not strictly ascending by lock", ErrRejected, p.Tx)
 		}
 	}
 	// Race check (§5: reject "if the schedule has a data race").
 	if err := sched.CheckProfileRaces(graph, b.Profiles); err != nil {
-		return Prechecked{}, fmt.Errorf("%w: %v", ErrRejected, err)
+		return nil, fmt.Errorf("%w: %v", ErrRejected, err)
 	}
-	return Prechecked{prog: prog, TxIDs: txIDs}, nil
+	return prog, nil
 }
 
 // canonical reports whether p's entries are strictly ascending by lock,
@@ -122,13 +155,41 @@ func canonical(p stm.Profile) bool {
 // Validate re-executes block b against w (which must hold the parent
 // state) and verifies it end to end. On success the world has advanced to
 // the block's post-state; on rejection the world state is unspecified and
-// callers should restore a snapshot.
+// callers should restore a snapshot: the replay may have run even when
+// the verdict is a commitment error.
+//
+// It runs Precheck and ValidatePrechecked, with the commitment hashing
+// moved onto a goroutine beside the rest: the caller checks the schedule
+// and the profiles (the race check included, so a racy block is still
+// refused before anything executes), replays the block and compares its
+// receipts and state root, then joins the hashing. The commitment verdict
+// wins, so every error is byte-identical to Precheck's and then
+// ValidatePrechecked's, in that order.
 func Validate(runner runtime.Runner, w *contract.World, b chain.Block, cfg Config) (Result, error) {
-	pre, err := Precheck(b)
+	var (
+		wg     sync.WaitGroup
+		txIDs  []types.Hash
+		cmtErr error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		txIDs, cmtErr = chain.VerifyCommitments(b)
+	}()
+	prog, err := compile(b)
+	var res Result
+	if err == nil {
+		res, err = ValidatePrechecked(runner, w, b, Prechecked{prog: prog}, cfg)
+	}
+	wg.Wait()
+	if cmtErr != nil {
+		return Result{}, rejectCommitments(cmtErr)
+	}
 	if err != nil {
 		return Result{}, err
 	}
-	return ValidatePrechecked(runner, w, b, pre, cfg)
+	res.TxIDs = txIDs
+	return res, nil
 }
 
 // ValidatePrechecked is the stateful phase of Validate: fork-join replay
@@ -136,7 +197,8 @@ func Validate(runner runtime.Runner, w *contract.World, b chain.Block, cfg Confi
 // profile inside the replay, then the receipt and state-root comparisons.
 // pre must come from Precheck on the same block; the split exists so the
 // staged import pipeline can run Precheck concurrently across a window and
-// keep only this phase strictly sequential in height order.
+// keep only this phase strictly sequential in height order. The result
+// carries pre's TxIDs.
 func ValidatePrechecked(runner runtime.Runner, w *contract.World, b chain.Block, pre Prechecked, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	n := len(b.Calls)
@@ -173,5 +235,5 @@ func ValidatePrechecked(runner runtime.Runner, w *contract.World, b chain.Block,
 		return Result{}, fmt.Errorf("%w: final state %s != header %s",
 			ErrRejected, root.Short(), b.Header.StateRoot.Short())
 	}
-	return Result{Makespan: makespan, Receipts: receipts}, nil
+	return Result{Makespan: makespan, Receipts: receipts, TxIDs: pre.TxIDs}, nil
 }

@@ -178,9 +178,18 @@ func TestValidateRejectsDroppedEdgesKeepingProfiles(t *testing.T) {
 	if _, err := Precheck(block); !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), sched.ErrRace.Error()) {
 		t.Fatalf("Precheck err = %v, want ErrRejected for a race", err)
 	}
-	_, err := Validate(runtime.NewSimRunner(), w.World, block, Config{Workers: 3})
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v, want ErrRejected", err)
+	// Validate refuses it for the race too, with the world untouched:
+	// the race check runs before the replay.
+	before, err := w.World.StateRoot()
+	if err != nil {
+		t.Fatalf("state root: %v", err)
+	}
+	_, err = Validate(runtime.NewSimRunner(), w.World, block, Config{Workers: 3})
+	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), sched.ErrRace.Error()) {
+		t.Fatalf("err = %v, want ErrRejected for a race", err)
+	}
+	if after, _ := w.World.StateRoot(); after != before {
+		t.Fatal("Validate executed the racy block before refusing it")
 	}
 }
 
