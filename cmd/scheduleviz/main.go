@@ -21,7 +21,6 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/engine"
 	"contractstm/internal/miner"
-	"contractstm/internal/reward"
 	"contractstm/internal/runtime"
 	"contractstm/internal/sched"
 	"contractstm/internal/types"
@@ -81,7 +80,7 @@ func run() error {
 	fmt.Printf("happens-before: %d edges, critical path %d, max width %.2f\n\n",
 		metrics.Edges, metrics.CriticalPathLen, metrics.MaxWidth)
 
-	breakdown, err := reward.Compute(res.Block, reward.DefaultParams())
+	breakdown, err := Compute(res.Block, DefaultParams())
 	if err != nil {
 		return err
 	}

@@ -1,4 +1,4 @@
-// Package reward implements the incentive mechanism the paper sketches in
+// The miner reward implements the incentive mechanism the paper sketches in
 // §4: "Perhaps the simplest way to provide an incentive is to reward
 // miners more for publishing highly parallel schedules (for example, as
 // measured by critical path length). … Naturally, such rewards must be
@@ -15,7 +15,8 @@
 // schedule — the slowdown attack §4 describes — forfeits the entire bonus;
 // a perfectly parallel schedule earns all of it. Because the schedule is
 // in the block, the computation is verifiable by everyone.
-package reward
+
+package main
 
 import (
 	"fmt"

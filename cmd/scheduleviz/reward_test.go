@@ -1,4 +1,4 @@
-package reward
+package main
 
 import (
 	"testing"

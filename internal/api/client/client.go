@@ -108,41 +108,6 @@ type Client struct {
 	base  string
 	hc    *http.Client
 	retry RetryPolicy
-
-	// Freshness observed from the bounded-staleness response headers
-	// (X-Chain-Height / X-Chain-Staleness), updated on every response.
-	// ReplicaSet's staleness-aware routing reads these.
-	obsHeight    atomic.Uint64
-	obsStaleness atomic.Int64
-}
-
-// ObservedHeight reports the newest X-Chain-Height header this client
-// has seen (0 before any response from a stamping server).
-func (c *Client) ObservedHeight() uint64 { return c.obsHeight.Load() }
-
-// ObservedStaleness reports the most recent X-Chain-Staleness header in
-// milliseconds (0 before any).
-func (c *Client) ObservedStaleness() int64 { return c.obsStaleness.Load() }
-
-// observe records the bounded-staleness headers from a response. Heights
-// only ratchet up — an old response arriving late must not roll the
-// freshness estimate back.
-func (c *Client) observe(resp *http.Response) {
-	if v := resp.Header.Get(wire.HeaderChainHeight); v != "" {
-		if h, err := strconv.ParseUint(v, 10, 64); err == nil {
-			for {
-				cur := c.obsHeight.Load()
-				if h <= cur || c.obsHeight.CompareAndSwap(cur, h) {
-					break
-				}
-			}
-		}
-	}
-	if v := resp.Header.Get(wire.HeaderChainStaleness); v != "" {
-		if s, err := strconv.ParseInt(v, 10, 64); err == nil {
-			c.obsStaleness.Store(s)
-		}
-	}
 }
 
 // Option customizes a Client.
@@ -197,10 +162,8 @@ func (c *Client) do(ctx context.Context, retryable bool, build func(context.Cont
 		case err != nil:
 			lastErr = err
 		case resp.StatusCode >= 500:
-			c.observe(resp)
 			lastErr = decodeError(resp)
 		default:
-			c.observe(resp)
 			return resp, nil
 		}
 		if attempt >= policy.MaxAttempts || ctx.Err() != nil {
@@ -529,21 +492,11 @@ func (c *Client) BalanceInfo(ctx context.Context, addr types.Address, opts ...Re
 	return out, nil
 }
 
-// Block fetches and decodes the node's durable block at height. The
-// decode path re-verifies header commitments, so a corrupted stream is
-// rejected here; execution-level trust comes from block import. Missing
-// heights answer an *APIError with code wire.CodeBlockNotFound.
+// Block fetches the node's durable block at height. It only parses the
+// block (chain.ReadBlock): the caller verifies it, as the import pipeline
+// behind cluster.Peer does with validator.Precheck. Missing heights answer
+// an *APIError with code wire.CodeBlockNotFound.
 func (c *Client) Block(ctx context.Context, height uint64) (chain.Block, error) {
-	return c.block(ctx, height, chain.DecodeBlock)
-}
-
-// BlockUnverified is Block without the commitment check, for the import
-// pipeline behind cluster.Peer, which runs validator.Precheck on it next.
-func (c *Client) BlockUnverified(ctx context.Context, height uint64) (chain.Block, error) {
-	return c.block(ctx, height, chain.ReadBlock)
-}
-
-func (c *Client) block(ctx context.Context, height uint64, decode func(io.Reader) (chain.Block, error)) (chain.Block, error) {
 	resp, err := c.do(ctx, true, func(ctx context.Context) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/v1/blocks/%d", c.base, height), nil)
 	})
@@ -554,7 +507,7 @@ func (c *Client) block(ctx context.Context, height uint64, decode func(io.Reader
 	if resp.StatusCode != http.StatusOK {
 		return chain.Block{}, decodeError(resp)
 	}
-	b, err := decode(io.LimitReader(resp.Body, chain.MaxWireBlock))
+	b, err := chain.ReadBlock(io.LimitReader(resp.Body, chain.MaxWireBlock))
 	if err != nil {
 		return chain.Block{}, fmt.Errorf("api client: block %d: %w", height, err)
 	}
@@ -567,17 +520,8 @@ func (c *Client) block(ctx context.Context, height uint64, decode func(io.Reader
 // streams self-delimiting flat-codec frames and may answer short (it
 // serves the durable prefix it has; counts above the server's cap are
 // clamped); the returned slice is in height order, never empty on
-// success.
+// success. Like Block it only parses; the caller verifies.
 func (c *Client) Blocks(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
-	return c.blocks(ctx, from, count, chain.DecodeBlock)
-}
-
-// BlocksUnverified is to Blocks what BlockUnverified is to Block.
-func (c *Client) BlocksUnverified(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
-	return c.blocks(ctx, from, count, chain.ReadBlock)
-}
-
-func (c *Client) blocks(ctx context.Context, from uint64, count int, decode func(io.Reader) (chain.Block, error)) ([]chain.Block, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("api client: blocks: count %d", count)
 	}
@@ -598,7 +542,7 @@ func (c *Client) blocks(ctx context.Context, from uint64, count int, decode func
 		if _, err := br.Peek(1); err == io.EOF {
 			break
 		}
-		b, err := decode(br)
+		b, err := chain.ReadBlock(br)
 		if err != nil {
 			return nil, fmt.Errorf("api client: blocks from %d: frame %d: %w", from, len(blocks), err)
 		}
@@ -781,7 +725,6 @@ func (c *Client) Subscribe(ctx context.Context, opts ...SubscribeOpt) (*Stream, 
 		cancel()
 		return nil, fmt.Errorf("api client: subscribe: %w", err)
 	}
-	c.observe(resp)
 	if resp.StatusCode != http.StatusOK {
 		defer cancel()
 		return nil, decodeError(resp)

@@ -75,10 +75,10 @@ func (s *sinkTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // TestSendBlockAllocs: SendBlock sends the block's pooled encode with
 // no copy of it. Over an in-memory transport a 500-transfer block costs
 // a few KB of request bookkeeping, not the encode's size, and the body
-// sent is chain.MarshalBlock's bytes, resent or not.
+// sent is chain.AppendBlockWire's bytes, resent or not.
 func TestSendBlockAllocs(t *testing.T) {
 	b := transferBlock(500, 1)
-	want, err := chain.MarshalBlock(b)
+	want, err := chain.AppendBlockWire(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSendBlockAllocs(t *testing.T) {
 		}
 		send()
 		if !bytes.Equal(sink.got, want) {
-			t.Fatalf("resend %v: sent %d bytes, want chain.MarshalBlock's %d", resend, len(sink.got), len(want))
+			t.Fatalf("resend %v: sent %d bytes, want chain.AppendBlockWire's %d", resend, len(sink.got), len(want))
 		}
 		if refs := sink.body.(*blockReader).owner.refs.Load(); refs != 0 {
 			t.Fatalf("resend %v: %d holds on the encode left after every body closed", resend, refs)
@@ -178,7 +178,7 @@ func TestSendBlockEarlyAnswer(t *testing.T) {
 	late := &lateReader{}
 	for i, b := range blocks {
 		var err error
-		if late.want[i], err = chain.MarshalBlock(b); err != nil {
+		if late.want[i], err = chain.AppendBlockWire(nil, b); err != nil {
 			t.Fatal(err)
 		}
 	}

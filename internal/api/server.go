@@ -642,7 +642,7 @@ const MaxRangeBlocks = 64
 
 // handleGetBlockRange is GET /v1/blocks?from=&count=: up to count durable
 // blocks starting at height from, streamed as concatenated self-delimiting
-// flat-codec frames (each decodable with chain.DecodeBlock). The response
+// flat-codec frames (each decodable with chain.ReadBlock). The response
 // may be short — the node serves the durable prefix it has — but never
 // empty: a missing starting height answers 404, so a catch-up client can
 // distinguish "nothing there" from "partial". Counts above MaxRangeBlocks

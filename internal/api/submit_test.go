@@ -219,7 +219,7 @@ func post(t *testing.T, base, contentType, body string) (int, http.Header, []byt
 func TestSubmitDeadline(t *testing.T) {
 	const deadline = 200 * time.Millisecond
 	blocks, _ := renderedBlocks(rand.New(rand.NewSource(54)), 3)
-	block, err := chain.MarshalBlock(blocks[2])
+	block, err := chain.AppendBlockWire(nil, blocks[2])
 	if err != nil {
 		t.Fatalf("marshal block: %v", err)
 	}

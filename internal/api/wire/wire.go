@@ -88,8 +88,8 @@ const (
 
 // Response headers carrying the bounded-staleness read contract: the
 // durable height the node serves reads at, and how stale that height is
-// in milliseconds. Stamped on every response so clients (and the SDK's
-// ReplicaSet) track replica freshness without extra round-trips.
+// in milliseconds. Stamped on every response so clients can track replica
+// freshness without extra round-trips.
 const (
 	HeaderChainHeight    = "X-Chain-Height"
 	HeaderChainStaleness = "X-Chain-Staleness"

@@ -186,8 +186,14 @@ func Measure(p workload.Params, cfg Config) (Measurement, error) {
 			return Measurement{}, fmt.Errorf("bench: mine (%v): %w", cfg.Engine, err)
 		}
 
+		// Precheck first, so the timed replay (Result.Makespan) does not
+		// share the cores with Validate's concurrent commitment hashing.
+		pre, err := validator.Precheck(mres.Block)
+		if err != nil {
+			return Measurement{}, fmt.Errorf("bench: precheck (%v block): %w", cfg.Engine, err)
+		}
 		wl.Reset()
-		vres, err := validator.Validate(cfg.runner(), wl.World, mres.Block, vcfg)
+		vres, err := validator.ValidatePrechecked(cfg.runner(), wl.World, mres.Block, pre, vcfg)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: validate (%v block): %w", cfg.Engine, err)
 		}

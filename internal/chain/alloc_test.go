@@ -31,7 +31,7 @@ func TestBlockCodecAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
-	wireBytes, err := chain.MarshalBlock(res.Block)
+	wireBytes, err := chain.AppendBlockWire(nil, res.Block)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}

@@ -15,18 +15,19 @@ import (
 // no reflection, single-buffer encodes. A payload that does not start
 // with the flat magic byte is codec.ErrFormat.
 //
-// Integrity is independent of encoding. DecodeBlock and UnmarshalBlock
-// verify header commitments (VerifyCommitments) for consumers that never
-// validate (SDK clients, tools); ReadBlock and ParseBlock only parse, for
-// the three callers whose next step verifies them itself: the block upload
-// handler (validator.Validate), WAL replay and the import pipeline's fetch
-// (validator.Precheck). Either way a corrupted or malicious stream can at
-// worst produce a block that is then rejected.
+// Integrity is independent of encoding. ReadBlock and ParseBlock only
+// parse: every program's next step verifies the block itself, the block
+// upload handler with validator.Validate, WAL replay and the import
+// pipeline's fetch with validator.Precheck. UnmarshalBlock adds the
+// header commitment check (VerifyCommitments) for callers that never
+// validate: the decode fuzzers and benchmark probes. Either way a
+// corrupted or malicious stream can at worst produce a block that is then
+// rejected.
 
 // MaxWireBlock bounds one block's wire encoding; the node's block upload
 // handler, the cluster peer client and the persistence WAL all cap reads
 // at this, so the serve, fetch and recovery sides can never disagree on
-// what fits. DecodeBlock additionally enforces the bound itself, so a
+// what fits. ReadBlock additionally enforces the bound itself, so a
 // caller that forgets the LimitReader still cannot be fed an unbounded
 // stream.
 const MaxWireBlock = 64 << 20
@@ -35,32 +36,11 @@ const MaxWireBlock = 64 << 20
 // block finished decoding.
 var ErrTooLarge = errors.New("chain: wire block exceeds MaxWireBlock")
 
-// MarshalBlock renders b as bytes. The encode lands in a pooled scratch
-// buffer and is copied out exactly once at its final size, so the append
-// path never reallocates mid-encode.
-func MarshalBlock(b Block) ([]byte, error) {
-	buf := codec.GetBuffer()
-	defer buf.Release()
-	enc, err := AppendBlockWire(buf.B, b)
-	if err != nil {
-		return nil, err
-	}
-	buf.B = enc
-	out := make([]byte, len(enc))
-	copy(out, enc)
-	return out, nil
-}
-
-// DecodeBlock reads one block from r and verifies its header commitments
-// against the decoded body; it does NOT re-execute (that is the
-// validator's job). Input is untrusted: the stream is size-capped at
-// MaxWireBlock, and any malformed input — truncated, version-skewed,
-// corrupted — returns an error, never panics.
-func DecodeBlock(r io.Reader) (Block, error) {
-	return verified(ReadBlock(r))
-}
-
-// ReadBlock is DecodeBlock without the commitment check.
+// ReadBlock reads one block from r without checking its commitments; it
+// does NOT re-execute either (that is the validator's job). Input is
+// untrusted: the stream is size-capped at MaxWireBlock, and any malformed
+// input — truncated, version-skewed, corrupted — returns an error, never
+// panics.
 func ReadBlock(r io.Reader) (Block, error) {
 	return readBlockCapped(r, MaxWireBlock)
 }
@@ -91,8 +71,8 @@ func readBlockCapped(r io.Reader, budget int64) (Block, error) {
 	return ParseBlock(payload)
 }
 
-// UnmarshalBlock parses bytes produced by MarshalBlock and verifies the
-// header commitments, like DecodeBlock.
+// UnmarshalBlock parses bytes produced by AppendBlockWire and verifies
+// the header commitments.
 func UnmarshalBlock(data []byte) (Block, error) {
 	return verified(ParseBlock(data))
 }

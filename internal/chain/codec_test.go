@@ -10,7 +10,7 @@ import (
 
 func TestBlockRoundTrip(t *testing.T) {
 	orig := sealSample(6, types.HashString("state"))
-	data, err := MarshalBlock(orig)
+	data, err := AppendBlockWire(nil, orig)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestBlockRoundTripAllArgTypes(t *testing.T) {
 	}
 	// Re-seal: args changed the tx root.
 	b, _ = Seal(GenesisHeader(types.HashString("genesis")), b.Calls, b.Receipts, b.Schedule, b.Profiles, b.Header.StateRoot)
-	data, err := MarshalBlock(b)
+	data, err := AppendBlockWire(nil, b)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -57,15 +57,12 @@ func TestBlockRoundTripAllArgTypes(t *testing.T) {
 func TestDecodeBlockRejectsTamperedBody(t *testing.T) {
 	b := sealSample(3, types.HashString("s"))
 	b.Receipts[0].GasUsed++ // body no longer matches header
-	data, err := MarshalBlock(b)
+	data, err := AppendBlockWire(nil, b)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	if _, err := UnmarshalBlock(data); !errors.Is(err, ErrBadCommitment) {
 		t.Fatalf("UnmarshalBlock(tampered) = %v, want ErrBadCommitment", err)
-	}
-	if _, err := DecodeBlock(bytes.NewReader(data)); !errors.Is(err, ErrBadCommitment) {
-		t.Fatalf("DecodeBlock(tampered) = %v, want ErrBadCommitment", err)
 	}
 	// The parse-only pair leaves that verdict to validator.Precheck.
 	if got, err := ParseBlock(data); err != nil || got.Header != b.Header {

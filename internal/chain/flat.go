@@ -44,7 +44,8 @@ const (
 // AppendBlockWire appends b's complete wire encoding (codec header plus
 // flat body) to dst and returns the extended slice. This is the
 // zero-extra-copy primitive the WAL group commit uses to pack many blocks
-// into one pooled buffer; MarshalBlock is a wrapper.
+// into one pooled buffer; AppendBlockWire(nil, b) yields a block's bytes
+// on their own.
 func AppendBlockWire(dst []byte, b Block) ([]byte, error) {
 	dst, start := codec.AppendHeader(dst, codec.KindBlock)
 	var err error

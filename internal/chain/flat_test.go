@@ -29,27 +29,27 @@ func gobEraBlock(t testing.TB, version uint32) []byte {
 
 // TestGobEraBlockRefused pins the single-format rule: whatever does not
 // start with the flat magic byte is codec.ErrFormat on both decode paths,
-// and what MarshalBlock writes does start with it.
+// and what AppendBlockWire writes does start with it.
 func TestGobEraBlockRefused(t *testing.T) {
-	data, err := MarshalBlock(sealSample(2, types.HashString("s")))
+	data, err := AppendBlockWire(nil, sealSample(2, types.HashString("s")))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	if data[0] != codec.Magic {
-		t.Fatalf("MarshalBlock emitted first byte 0x%02x, want flat magic", data[0])
+		t.Fatalf("AppendBlockWire emitted first byte 0x%02x, want flat magic", data[0])
 	}
 	for _, legacy := range [][]byte{gobEraBlock(t, 1), gobEraBlock(t, 2), []byte("x")} {
 		if _, err := UnmarshalBlock(legacy); !errors.Is(err, codec.ErrFormat) {
 			t.Fatalf("UnmarshalBlock(%x...): got %v, want codec.ErrFormat", legacy[:1], err)
 		}
-		if _, err := DecodeBlock(bytes.NewReader(legacy)); !errors.Is(err, codec.ErrFormat) {
-			t.Fatalf("DecodeBlock(%x...): got %v, want codec.ErrFormat", legacy[:1], err)
+		if _, err := ReadBlock(bytes.NewReader(legacy)); !errors.Is(err, codec.ErrFormat) {
+			t.Fatalf("ReadBlock(%x...): got %v, want codec.ErrFormat", legacy[:1], err)
 		}
 	}
 }
 
 func TestErrTooLargeReportsObservedSize(t *testing.T) {
-	data, err := MarshalBlock(sealSample(4, types.HashString("s")))
+	data, err := AppendBlockWire(nil, sealSample(4, types.HashString("s")))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestErrTooLargeReportsObservedSize(t *testing.T) {
 func FuzzCodecBlock(f *testing.F) {
 	seed := func(n int) []byte {
 		b := sealSample(n, types.HashString("s"))
-		data, err := MarshalBlock(b)
+		data, err := AppendBlockWire(nil, b)
 		if err != nil {
 			f.Fatalf("marshal: %v", err)
 		}
@@ -96,7 +96,7 @@ func FuzzCodecBlock(f *testing.F) {
 		types.AddressFromUint64(9), types.HashString("h"), types.Amount(12)}
 	allArgs, _ = Seal(GenesisHeader(types.HashString("g")), allArgs.Calls, allArgs.Receipts,
 		allArgs.Schedule, allArgs.Profiles, allArgs.Header.StateRoot)
-	if data, err := MarshalBlock(allArgs); err == nil {
+	if data, err := AppendBlockWire(nil, allArgs); err == nil {
 		f.Add(data)
 	}
 	f.Add([]byte{codec.Magic})

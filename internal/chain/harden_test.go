@@ -8,12 +8,12 @@ import (
 	"contractstm/internal/types"
 )
 
-// The WAL recovery path feeds disk bytes straight into DecodeBlock, so
+// The WAL recovery path feeds disk bytes straight into ReadBlock, so
 // decoding must be total: any malformed input returns an error, never
 // panics, and never allocates past the MaxWireBlock budget.
 
 func TestDecodeBlockTruncatedStreams(t *testing.T) {
-	data, err := MarshalBlock(sealSample(4, types.HashString("s")))
+	data, err := AppendBlockWire(nil, sealSample(4, types.HashString("s")))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -27,7 +27,7 @@ func TestDecodeBlockTruncatedStreams(t *testing.T) {
 }
 
 func TestDecodeBlockOverBudget(t *testing.T) {
-	data, err := MarshalBlock(sealSample(4, types.HashString("s")))
+	data, err := AppendBlockWire(nil, sealSample(4, types.HashString("s")))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestDecodeBlockOverBudget(t *testing.T) {
 }
 
 func TestDecodeBlockBitFlips(t *testing.T) {
-	data, err := MarshalBlock(sealSample(3, types.HashString("s")))
+	data, err := AppendBlockWire(nil, sealSample(3, types.HashString("s")))
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestChainNewAtPrunes(t *testing.T) {
 }
 
 func FuzzDecodeBlock(f *testing.F) {
-	valid, err := MarshalBlock(sealSample(3, types.HashString("s")))
+	valid, err := AppendBlockWire(nil, sealSample(3, types.HashString("s")))
 	if err != nil {
 		f.Fatalf("marshal: %v", err)
 	}
@@ -121,7 +121,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(gobEraBlock(f, ^uint32(0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic and never accept a block whose commitments do
-		// not hold (DecodeBlock verifies them internally, so a nil error
+		// not hold (UnmarshalBlock verifies them internally, so a nil error
 		// implies a self-consistent block).
 		b, err := UnmarshalBlock(data)
 		if err == nil {

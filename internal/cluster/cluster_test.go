@@ -116,7 +116,7 @@ func corruptSchedule(t *testing.T, b chain.Block) chain.Block {
 }
 
 // TestWireRoundTripAndRejections drives a block through the real wire
-// path — GET /blocks/{h} → DecodeBlock → POST /blocks → AcceptBlock —
+// path — GET /blocks/{h} → ReadBlock → POST /blocks → AcceptBlock —
 // and exercises every rejection: tampered schedule, wrong parent,
 // duplicate import, and corrupted bytes.
 func TestWireRoundTripAndRejections(t *testing.T) {

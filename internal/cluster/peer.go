@@ -98,7 +98,7 @@ func (p *Peer) Head(ctx context.Context) (Head, error) {
 // nothing: Peer is the import pipeline's source, whose Phase A runs
 // validator.Precheck on every fetched block.
 func (p *Peer) Block(ctx context.Context, height uint64) (chain.Block, error) {
-	b, err := p.c.BlockUnverified(ctx, height)
+	b, err := p.c.Block(ctx, height)
 	if err != nil {
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
@@ -116,7 +116,7 @@ func (p *Peer) Block(ctx context.Context, height uint64) (chain.Block, error) {
 // On any error the import pipeline falls back to Block, which also owns
 // the canonical fetch-error messages.
 func (p *Peer) Blocks(ctx context.Context, from uint64, count int) ([]chain.Block, error) {
-	bs, err := p.c.BlocksUnverified(ctx, from, count)
+	bs, err := p.c.Blocks(ctx, from, count)
 	if err != nil {
 		var ae *client.APIError
 		if errors.As(err, &ae) && ae.Status == http.StatusNotFound && ae.Code == wire.CodeBlockNotFound {

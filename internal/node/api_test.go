@@ -241,10 +241,14 @@ func TestV1BlockRange(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("Blocks(1,3) = %d blocks", len(got))
 	}
+	// The SDK only parses; served blocks must still hold their commitments.
 	for i, b := range got {
 		want, _ := n.BlockAt(uint64(i + 1))
 		if b.Header.Hash() != want.Header.Hash() {
 			t.Fatalf("block %d hash mismatch", i+1)
+		}
+		if _, err := chain.VerifyCommitments(b); err != nil {
+			t.Fatalf("block %d fails its commitments: %v", i+1, err)
 		}
 	}
 
@@ -274,8 +278,8 @@ func TestV1BlockRange(t *testing.T) {
 	}
 }
 
-// TestV1BlockBytes: GET /v1/blocks/{h} serves a block's chain.MarshalBlock
-// bytes, and GET /v1/blocks?from=&count= their concatenation, whatever
+// TestV1BlockBytes: GET /v1/blocks/{h} serves a block's
+// chain.AppendBlockWire bytes, and GET /v1/blocks?from=&count= their concatenation, whatever
 // pooled buffer the server encodes them into.
 func TestV1BlockBytes(t *testing.T) {
 	const blocks = 3
@@ -295,7 +299,7 @@ func TestV1BlockBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mine %d: %v", i, err)
 		}
-		raw, err := chain.MarshalBlock(b)
+		raw, err := chain.AppendBlockWire(nil, b)
 		if err != nil {
 			t.Fatalf("marshal %d: %v", i, err)
 		}
@@ -319,11 +323,11 @@ func TestV1BlockBytes(t *testing.T) {
 		for i, want := range each {
 			path := "/v1/blocks/" + strconv.Itoa(i+1)
 			if got := get(path); !bytes.Equal(got, want) {
-				t.Fatalf("GET %s differs from chain.MarshalBlock", path)
+				t.Fatalf("GET %s differs from chain.AppendBlockWire", path)
 			}
 		}
 		if got, want := get("/v1/blocks?from=1&count=64"), bytes.Join(each, nil); !bytes.Equal(got, want) {
-			t.Fatalf("GET /v1/blocks?from=1 (%d bytes) differs from the blocks' chain.MarshalBlock (%d bytes)", len(got), len(want))
+			t.Fatalf("GET /v1/blocks?from=1 (%d bytes) differs from the blocks' chain.AppendBlockWire (%d bytes)", len(got), len(want))
 		}
 	}
 }

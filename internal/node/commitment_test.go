@@ -101,7 +101,7 @@ func lyingPeer(t *testing.T, blocks []chain.Block) string {
 			return
 		}
 		for _, b := range blocks[from-1 : min(from-1+count, uint64(len(blocks)))] {
-			raw, err := chain.MarshalBlock(b)
+			raw, err := chain.AppendBlockWire(nil, b)
 			if err != nil {
 				t.Errorf("marshal: %v", err)
 			}

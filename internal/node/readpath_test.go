@@ -38,8 +38,8 @@ func chainHeight(t *testing.T, resp *http.Response) uint64 {
 }
 
 // TestV1ReadStamp: every response — success or error — carries the
-// served height and a staleness figure, so replica-set clients can
-// track each member's freshness without extra round trips.
+// served height and a staleness figure, so a client can track a
+// replica's freshness without extra round trips.
 func TestV1ReadStamp(t *testing.T) {
 	w, holders := newTokenWorld(t, 2)
 	n := newTestNode(t, w)

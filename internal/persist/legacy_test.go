@@ -184,7 +184,7 @@ func TestPreTrieDataRefused(t *testing.T) {
 	}
 	var wal []byte
 	for _, b := range blocks {
-		payload, err := chain.MarshalBlock(b)
+		payload, err := chain.AppendBlockWire(nil, b)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}

@@ -251,7 +251,7 @@ func TestWALCorruptMidSegmentRefuses(t *testing.T) {
 	dir := t.TempDir()
 	writeWAL(t, dir, blocks)
 
-	first, _ := chain.MarshalBlock(blocks[0])
+	first, _ := chain.AppendBlockWire(nil, blocks[0])
 	corruptWAL(t, dir, frameHeaderLen+len(first)+frameHeaderLen+10) // inside record 2's payload
 
 	l2, err := Open(dir, Options{})

@@ -395,7 +395,7 @@ func TestRelayRejectsMidGapBlock(t *testing.T) {
 			if h == bad {
 				b = forged
 			}
-			raw, err := chain.MarshalBlock(b)
+			raw, err := chain.AppendBlockWire(nil, b)
 			if err != nil {
 				t.Errorf("marshal block %d: %v", h, err)
 				return
